@@ -106,12 +106,17 @@ def _require_invertible_m(m: np.ndarray) -> None:
         raise InputError("output matrix M must be strictly positive definite")
 
 
+def _mean_loss(loss: LossSpec, preds: np.ndarray, y: np.ndarray) -> float:
+    # builtin sum, not np.sum: pairwise summation would change the last bits
+    return sum(loss_value(loss, preds, y).tolist()) / y.shape[0]
+
+
 def objective_full(
     kernel: DecomposableKernel, g: np.ndarray, y: np.ndarray,
     loss: LossSpec, lambda_n: float, a: np.ndarray,
 ) -> float:
     preds = g @ a @ kernel.output
-    data = sum(loss_value(loss, preds[i], y[i]) for i in range(y.shape[0])) / y.shape[0]
+    data = _mean_loss(loss, preds, y)
     penalty = 0.5 * lambda_n * float(np.sum((g @ a) * (a @ kernel.output)))
     return data + penalty
 
@@ -122,14 +127,12 @@ def objective_sketched(
 ) -> float:
     k_sk = g @ s_dense.T
     preds = k_sk @ gamma @ kernel.output
-    data = sum(loss_value(loss, preds[i], y[i]) for i in range(y.shape[0])) / y.shape[0]
+    data = _mean_loss(loss, preds, y)
     sgs = s_dense @ k_sk
     penalty = 0.5 * lambda_n * float(np.sum((sgs @ gamma) * (gamma @ kernel.output)))
     return data + penalty
 
 
-def _subgrad_matrix(loss: LossSpec, preds: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.asarray([loss_subgradient(loss, preds[i], y[i]) for i in range(y.shape[0])])
 
 
 def _solve_squared_full(g, m_mat, y, lambda_n):
@@ -243,7 +246,7 @@ def fit_full(kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig) -
 
     def loss_grad(a):
         preds = g @ a @ m_mat
-        xi = _subgrad_matrix(loss, preds, targets)
+        xi = loss_subgradient(loss, preds, targets)
         return g @ (xi / n) @ m_mat
 
     prox = _diag_prox(g, m_mat, cfg.lambda_n)
@@ -284,7 +287,7 @@ def fit_sketched(
 
     def loss_grad(gamma):
         preds = k_sk @ gamma @ m_mat
-        xi = _subgrad_matrix(loss, preds, targets)
+        xi = loss_subgradient(loss, preds, targets)
         return (k_sk.T @ xi / n) @ m_mat
 
     prox = _diag_prox(sgs, m_mat, cfg.lambda_n)
@@ -307,8 +310,7 @@ def empirical_risk(model, x, y, loss: LossSpec) -> float:
         preds = np.asarray(model(pts), dtype=float)
     if preds.shape != targets.shape:
         raise InputError(f"predictions {preds.shape} vs targets {targets.shape}")
-    n = pts.shape[0]
-    return sum(loss_value(loss, preds[i], targets[i]) for i in range(n)) / n
+    return _mean_loss(loss, preds, targets)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,11 @@ Vector losses are coordinate sums, which keeps the Lipschitz constant
 computable (Euclidean norm, hence the sqrt(m) factor).  Kink conventions are
 fixed: the pinball subgradient at zero residual is the lower branch tau - 1;
 Huber has a continuous gradient and no kink.
+
+The last axis is the output coordinate axis and every other axis is a batch
+axis: a single prediction of shape (m,) gives one loss, an (n, m) matrix of
+predictions gives the n per-row losses, and each row's result equals, bit for
+bit, the single-row call on that row.
 """
 
 from __future__ import annotations
@@ -40,32 +45,50 @@ class LossSpec:
 
 
 def _residual(spec: LossSpec, z, y) -> np.ndarray:
-    zv = np.asarray(z, dtype=float).ravel()
-    yv = np.asarray(y, dtype=float).ravel()
+    zv = np.atleast_1d(np.asarray(z, dtype=float))
+    yv = np.atleast_1d(np.asarray(y, dtype=float))
     if zv.shape != yv.shape:
         raise InputError(f"dimension mismatch: {zv.shape} vs {yv.shape}")
-    if spec.family == "pinball" and len(spec.quantiles) != zv.size:
+    if spec.family == "pinball" and len(spec.quantiles) != zv.shape[-1]:
         raise InputError(
-            f"{len(spec.quantiles)} quantiles for {zv.size}-dimensional output"
+            f"{len(spec.quantiles)} quantiles for {zv.shape[-1]}-dimensional output"
         )
-    return zv - yv
+    # C order keeps each row's coordinate sum in the same order as a 1-D row
+    return np.ascontiguousarray(zv - yv)
 
 
-def loss_value(spec: LossSpec, z, y) -> float:
+def _row_sums(terms: np.ndarray) -> float | np.ndarray:
+    total = np.sum(terms, axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def loss_value(spec: LossSpec, z, y) -> float | np.ndarray:
+    """Loss of predictions ``z`` against targets ``y``, summed over the last axis.
+
+    A row of shape (m,) gives a float; a batch of shape (..., m) gives the
+    array of per-row losses, of shape (...).  Shapes must match, and a
+    pinball loss needs ``shape[-1]`` equal to its number of quantiles.
+    """
     u = _residual(spec, z, y)
     if spec.family == "squared":
-        return float(np.sum(u * u))
+        return _row_sums(u * u)
     if spec.family == "huber":
         d = spec.huber_delta
         au = np.abs(u)
         quad = 0.5 * u * u
         lin = d * (au - 0.5 * d)
-        return float(np.sum(np.where(au <= d, quad, lin)))
+        return _row_sums(np.where(au <= d, quad, lin))
     tau = np.asarray(spec.quantiles)
-    return float(np.sum(np.maximum(tau * u, (tau - 1.0) * u)))
+    return _row_sums(np.maximum(tau * u, (tau - 1.0) * u))
 
 
 def loss_subgradient(spec: LossSpec, z, y) -> np.ndarray:
+    """Subgradient in ``z``, coordinate by coordinate, of the shape of ``z``
+    (a scalar counts as one coordinate).
+
+    Batch axes are handled as in :func:`loss_value`: row i of the result is
+    the subgradient of row i's loss.
+    """
     u = _residual(spec, z, y)
     if spec.family == "squared":
         return 2.0 * u

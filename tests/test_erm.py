@@ -16,11 +16,12 @@ from opbounds.erm import (
 )
 from opbounds.errors import InputError, UnboundedLossError
 from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
-from opbounds.losses import LossSpec
+from opbounds.losses import LossSpec, loss_value
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
 
 SQUARED = LossSpec("squared")
 PINBALL = LossSpec("pinball", quantiles=(0.25, 0.75))
+HUBER = LossSpec("huber", huber_delta=0.5)
 
 
 def make_problem(seed, n=12, d=2, m=2, pd_output=True):
@@ -64,6 +65,55 @@ def test_pinball_descends_from_zero():
     g = gram_scalar(kernel.scalar, x)
     at_zero = objective_full(kernel, g, y, PINBALL, cfg.lambda_n, np.zeros_like(y))
     assert model.diagnostics.objective <= at_zero
+
+
+@pytest.mark.parametrize("fit", ["full", "sketched"])
+def test_huber_descends_from_zero(fit):
+    kernel, x, y = make_problem(6, n=20)
+    cfg = FitConfig(lambda_n=0.05, max_iters=60, step_size=0.5, tol=1e-9)
+    g = gram_scalar(kernel.scalar, x)
+    if fit == "full":
+        model = fit_full(kernel, x, y, HUBER, cfg)
+        at_zero = objective_full(kernel, g, y, HUBER, cfg.lambda_n, np.zeros_like(y))
+    else:
+        sk = make_p_sparsified(SketchSpec(s=8, n=20, p=1.0, dist="gaussian", seed=2))
+        model = fit_sketched(kernel, x, y, HUBER, cfg, sk)
+        at_zero = objective_sketched(
+            kernel, g, y, HUBER, cfg.lambda_n, sk.dense, np.zeros((8, 2))
+        )
+    assert model.diagnostics.iterations >= 1
+    assert model.diagnostics.objective <= at_zero
+
+
+def _row_by_row_mean(loss, preds, y):
+    # the scalar reference: one loss call per row, summed left to right
+    return sum(loss_value(loss, preds[i], y[i]) for i in range(y.shape[0])) / y.shape[0]
+
+
+@pytest.mark.parametrize("loss", [PINBALL, HUBER, SQUARED], ids=lambda spec: spec.family)
+@pytest.mark.parametrize("seed", range(4))
+def test_objectives_match_row_by_row_reference(loss, seed):
+    kernel, x, y = make_problem(30 + seed, n=17)
+    rng = np.random.default_rng(seed)
+    lam = 0.07
+    g = gram_scalar(kernel.scalar, x)
+    m_mat = kernel.output
+    a = rng.standard_normal(y.shape)
+    expected = _row_by_row_mean(loss, g @ a @ m_mat, y) + 0.5 * lam * float(
+        np.sum((g @ a) * (a @ m_mat))
+    )
+    assert objective_full(kernel, g, y, loss, lam, a) == expected
+
+    s_dense = rng.standard_normal((5, 17))
+    gamma = rng.standard_normal((5, 2))
+    k_sk = g @ s_dense.T
+    expected = _row_by_row_mean(loss, k_sk @ gamma @ m_mat, y) + 0.5 * lam * float(
+        np.sum(((s_dense @ k_sk) @ gamma) * (gamma @ m_mat))
+    )
+    assert objective_sketched(kernel, g, y, loss, lam, s_dense, gamma) == expected
+
+    model = fit_full(kernel, x, y, loss, FitConfig(lambda_n=lam, max_iters=5))
+    assert empirical_risk(model, x, y, loss) == _row_by_row_mean(loss, model.predict(x), y)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from opbounds.errors import InputError
 from opbounds.losses import (
@@ -127,3 +130,70 @@ def test_dimension_validation():
         LossSpec("pinball", quantiles=(0.0, 0.5))
     with pytest.raises(InputError):
         LossSpec("huber", huber_delta=0.0)
+
+
+def test_batch_dimension_validation():
+    rows = np.zeros((3, 2))
+    for z, y in ((rows, np.zeros((2, 2))), (rows, np.zeros(2)), (rows, rows.T)):
+        for fn in (loss_value, loss_subgradient):
+            with pytest.raises(InputError, match="dimension mismatch"):
+                fn(SQUARED, z, y)
+    # 3 coordinates per row against 2 quantiles: a broadcast error without the check
+    wide = np.zeros((2, 3))
+    for fn in (loss_value, loss_subgradient):
+        with pytest.raises(InputError, match="quantiles"):
+            fn(PINBALL_2, wide, wide)
+
+
+@st.composite
+def loss_batches(draw):
+    """A loss spec and an (n, m) batch whose residuals often sit on a kink."""
+    family = draw(st.sampled_from(["squared", "huber", "pinball"]))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 20))
+    delta = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]) | st.floats(0.01, 4.0))
+    quantiles = draw(st.lists(st.floats(0.01, 0.99), min_size=m, max_size=m))
+    if family != "pinball":
+        quantiles = ()
+    spec = LossSpec(family, huber_delta=delta, quantiles=quantiles)
+    coords = st.integers(-8, 8).map(float) | st.floats(-5.0, 5.0)
+    y = draw(arrays(float, (n, m), elements=coords))
+    # 0 and +-delta are exact residuals when y is integral and delta dyadic
+    offsets = st.sampled_from([0.0, delta, -delta]) | st.floats(-5.0, 5.0)
+    z = y + draw(arrays(float, (n, m), elements=offsets))
+    # a Fortran-ordered batch must still sum each row in 1-D order
+    if draw(st.booleans()):
+        z, y = np.asfortranarray(z), np.asfortranarray(y)
+    return spec, z, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(loss_batches())
+def test_batched_rows_equal_single_row_calls(case):
+    spec, z, y = case
+    values = loss_value(spec, z, y)
+    subgrads = loss_subgradient(spec, z, y)
+    assert values.shape == z.shape[:1]
+    assert subgrads.shape == z.shape
+    for i in range(z.shape[0]):
+        row_value = loss_value(spec, z[i], y[i])
+        assert isinstance(row_value, float)
+        assert values[i] == row_value
+        assert np.array_equal(subgrads[i], loss_subgradient(spec, z[i], y[i]))
+
+
+def test_batched_kink_conventions():
+    # pinball at zero residual takes the lower branch tau - 1
+    z = np.array([[0.0, 1.0], [2.0, -3.0], [0.0, 0.0]])
+    y = np.array([[0.0, 0.0], [2.0, -2.0], [0.0, 0.0]])
+    lo = [0.1 - 1.0, 0.9 - 1.0]
+    assert np.array_equal(loss_subgradient(PINBALL_2, z, y), [[lo[0], 0.9], lo, lo])
+    assert np.array_equal(loss_value(PINBALL_2, z, y), [0.9, (0.9 - 1.0) * -1.0, 0.0])
+    # huber at |u| = delta: both branches give delta^2 / 2, the slope is +-delta
+    huber = LossSpec("huber", huber_delta=0.5)
+    z = np.array([[0.5, -0.5], [1.5, 0.0]])
+    y = np.array([[0.0, 0.0], [1.0, 0.5]])
+    assert np.array_equal(loss_subgradient(huber, z, y), [[0.5, -0.5], [0.5, -0.5]])
+    assert np.array_equal(loss_value(huber, z, y), [0.25, 0.25])
+    for i in range(2):
+        assert loss_value(huber, z[i], y[i]) == 0.25
