@@ -28,7 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexity import McConfig, McEstimate, rademacher_class_mc, sign_blocks, trace_bound
+from .complexity import (
+    McConfig,
+    McEstimate,
+    _quad_forms,
+    rademacher_class_mc,
+    sign_blocks,
+    trace_bound,
+)
 from .errors import DegenerateInputError, InputError, NonInjectiveError
 from .kernels import DecomposableKernel, KernelExpansion, as_points, gram_operator
 
@@ -314,26 +321,27 @@ def approximation_term_mc(
             )
         coeff_vecs.append(c.ravel())
     coeff_mat = np.stack(coeff_vecs)  # (n_class, width)
-    norms_sq = np.einsum("ij,jk,ik->i", coeff_mat, g_mid, coeff_mat)
+    norms_sq = _quad_forms(coeff_mat, g_mid)
     norms = np.sqrt(np.maximum(norms_sq, 0.0))  # beta_h for every h in the class
+    coeff_g = coeff_mat @ g_mid  # loop-invariant half of <h', u~_n>
 
     sum_sup = np.zeros(len(upper_class))
-    used = 0
     rejected = 0
     gammas = []
     for block in sign_blocks(cfg.draws, width, cfg.seed):
-        q_in = np.maximum(np.einsum("ij,jk,ik->i", block, g_in, block), 0.0)
-        q_mid = np.maximum(np.einsum("ij,jk,ik->i", block, g_mid, block), 0.0)
+        q_in = np.maximum(_quad_forms(block, g_in), 0.0)
+        q_mid = np.maximum(_quad_forms(block, g_mid), 0.0)
         ok = q_mid > 0.0
         rejected += int((~ok).sum())
         if not np.any(ok):
             continue
-        blk = block[ok]
         q_in, q_mid = q_in[ok], q_mid[ok]
         gamma = np.sqrt(q_in / q_mid)
         gammas.append(gamma)
         t = gamma / np.sqrt(q_mid)  # gamma / ||u~_n||
-        inner = coeff_mat @ g_mid @ blk.T  # (n_class, draws): <h', u~_n>
+        # (n_class, draws): <h', u~_n>.  compress keeps it C-ordered, unlike a
+        # boolean index; the layout sets the order of the sum over draws below
+        inner = (coeff_g @ block.T).compress(ok, axis=1)
         # sup over h'' of ||h'||^2 - 2 t beta <h', u~> + gamma^2 beta^2
         quad = (
             norms_sq[:, None, None]
@@ -341,7 +349,7 @@ def approximation_term_mc(
             + (gamma**2)[None, :, None] * (norms**2)[None, None, :]
         )
         sum_sup += quad.max(axis=2).sum(axis=1)
-        used += blk.shape[0]
+    used = cfg.draws - rejected
     if used == 0:
         raise DegenerateInputError("all draws rejected: mid Gram is degenerate")
     value = float(np.sqrt(np.maximum(sum_sup / used, 0.0).min()))

@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opbounds.complexity import (
     McConfig,
+    _quad_forms,
     rademacher_ball_exact,
     rademacher_ball_mc,
     rademacher_class_mc,
@@ -17,6 +20,21 @@ from opbounds.kernels import DecomposableKernel, KernelExpansion, ScalarKernelSp
 def random_psd(k, rng, jitter=0.0):
     b = rng.standard_normal((k, k))
     return b @ b.T + jitter * np.eye(k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 40),
+    rows=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quad_forms_match_per_row_products(width, rows, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((width, width + 2))
+    g = g @ g.T
+    signs = rng.integers(0, 2, size=(rows, width)) * 2.0 - 1.0
+    expected = np.array([sigma @ g @ sigma for sigma in signs])
+    np.testing.assert_allclose(_quad_forms(signs, g), expected, rtol=1e-12, atol=0.0)
 
 
 def test_single_point_scalar_ball():

@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opbounds.complexity import McConfig, rademacher_class_mc, sign_blocks
 from opbounds.errors import InputError, NonInjectiveError
@@ -354,6 +357,123 @@ def test_approx_term_rejects_degenerate_draws():
         approximation_term_mc(
             [h], np.zeros((4, 4)), np.zeros((4, 4)), McConfig(draws=16, seed=0)
         )
+
+
+def einsum_reference_approx_term(upper_class, g_in, g_mid, cfg):
+    """The approximation term as first written: every quadratic form is a
+    three-operand einsum, evaluated without BLAS."""
+    coeff_mat = np.stack([h.coeffs.ravel() for h in upper_class])
+    norms_sq = np.einsum("ij,jk,ik->i", coeff_mat, g_mid, coeff_mat)
+    norms = np.sqrt(np.maximum(norms_sq, 0.0))
+    sum_sup = np.zeros(len(upper_class))
+    used = 0
+    rejected = 0
+    gammas = []
+    for block in sign_blocks(cfg.draws, g_in.shape[0], cfg.seed):
+        q_in = np.maximum(np.einsum("ij,jk,ik->i", block, g_in, block), 0.0)
+        q_mid = np.maximum(np.einsum("ij,jk,ik->i", block, g_mid, block), 0.0)
+        ok = q_mid > 0.0
+        rejected += int((~ok).sum())
+        if not np.any(ok):
+            continue
+        blk = block[ok]
+        q_in, q_mid = q_in[ok], q_mid[ok]
+        gamma = np.sqrt(q_in / q_mid)
+        gammas.append(gamma)
+        t = gamma / np.sqrt(q_mid)
+        inner = coeff_mat @ g_mid @ blk.T
+        quad = (
+            norms_sq[:, None, None]
+            - 2.0 * t[None, :, None] * inner[:, :, None] * norms[None, None, :]
+            + (gamma**2)[None, :, None] * (norms**2)[None, None, :]
+        )
+        sum_sup += quad.max(axis=2).sum(axis=1)
+        used += blk.shape[0]
+    value = float(np.sqrt(np.maximum(sum_sup / used, 0.0).min()))
+    return value, rejected, np.concatenate(gammas)
+
+
+@st.composite
+def approx_term_cases(draw):
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 40 // m))
+    n_class = draw(st.integers(1, 4))
+    draws = draw(st.integers(1, 1300))  # up to three 512-draw sign blocks
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = n * m
+    b_in = rng.standard_normal((width, width + 2))
+    b_mid = rng.standard_normal((width, width + 2))
+    kernel = DecomposableKernel(
+        ScalarKernelSpec("gaussian", 1.0, dimension=1), np.eye(m), kappa=1.0
+    )
+    pts = rng.uniform(-1, 1, (n, 1))
+    upper = [
+        KernelExpansion(kernel, pts, rng.standard_normal((n, m))) for _ in range(n_class)
+    ]
+    cfg = McConfig(draws=draws, seed=draw(st.integers(0, 2**31 - 1)))
+    return upper, b_in @ b_in.T, b_mid @ b_mid.T, cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(approx_term_cases())
+def test_approx_term_matches_einsum_reference(case):
+    upper, g_in, g_mid, cfg = case
+    value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, cfg)
+    ref_value, ref_rejected, ref_gammas = einsum_reference_approx_term(
+        upper, g_in, g_mid, cfg
+    )
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert rejected == ref_rejected
+    np.testing.assert_allclose(gammas, ref_gammas, rtol=1e-12, atol=0.0)
+
+
+def test_approx_term_rejects_draws_on_duplicate_mid_points():
+    # two copies of one mid point under a Gaussian kernel with M = I: every
+    # scalar Gram entry is exactly 1, so a draw whose signs are opposite on the
+    # two copies (in both outputs) has q_mid == 0 exactly and must be rejected
+    rng = np.random.default_rng(22)
+    pts, kernel, _ = _mid_setup(rng, n=2, m=2)
+    mid = np.repeat(pts[:1], 2, axis=0)
+    g_mid = gram_operator(kernel, mid)
+    assert np.array_equal(g_mid, np.kron(np.ones((2, 2)), np.eye(2)))
+    g_in = gram_operator(kernel, pts)
+    upper = [KernelExpansion(kernel, mid, rng.standard_normal((2, 2))) for _ in range(2)]
+    cfg = McConfig(draws=1100, seed=4)
+    value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, cfg)
+    opposite = sum(
+        int(np.all(block[:, :2] == -block[:, 2:], axis=1).sum())
+        for block in sign_blocks(cfg.draws, 4, cfg.seed)
+    )
+    ref_value, ref_rejected, ref_gammas = einsum_reference_approx_term(
+        upper, g_in, g_mid, cfg
+    )
+    assert rejected == opposite == ref_rejected
+    assert 0 < rejected < cfg.draws
+    assert gammas.size == cfg.draws - rejected
+    assert np.all(np.isfinite(gammas)) and np.isfinite(value)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    np.testing.assert_allclose(gammas, ref_gammas, rtol=1e-12, atol=0.0)
+
+
+def test_approx_term_cpu_time_at_width_600():
+    # a guard against quadratic forms that bypass BLAS: the three-operand
+    # einsum needs about 5 s of CPU here, one GEMM per sign block about 0.25 s
+    rng = np.random.default_rng(23)
+    pts, kernel, g_mid = _mid_setup(rng, n=300, m=2)
+    other = DecomposableKernel(
+        ScalarKernelSpec("gaussian", 0.5, dimension=2), np.eye(2), kappa=1.0
+    )
+    g_in = gram_operator(other, pts)
+    upper = [KernelExpansion(kernel, pts, rng.standard_normal((300, 2))) for _ in range(4)]
+    started_cpu = time.process_time()
+    started = time.perf_counter()
+    value, rejected, gammas = approximation_term_mc(
+        upper, g_in, g_mid, McConfig(draws=4096, seed=5)
+    )
+    cpu = time.process_time() - started_cpu
+    elapsed = time.perf_counter() - started
+    assert rejected == 0 and gammas.size == 4096 and np.isfinite(value)
+    assert cpu < 1.5, f"cpu {cpu:.2f}s, wall {elapsed:.2f}s"
 
 
 # --- split bound ---------------------------------------------------------------------
