@@ -1,9 +1,10 @@
 """Console entry point.
 
-BLAS pools are pinned before numpy loads so that results are bitwise
-identical regardless of OPBOUNDS_THREADS (the variable is an upper cap on
-parallelism; all reductions in the library are fixed-order, and level-3 BLAS
-is conservatively kept single-threaded during result computation).
+BLAS pools are pinned to one thread before numpy loads, over any caller
+setting, so that results are bitwise identical regardless of OPBOUNDS_THREADS
+(the variable is an upper cap on parallelism; all reductions in the library
+are fixed-order, and level-3 BLAS is conservatively kept single-threaded
+during result computation).
 """
 
 import os
@@ -25,7 +26,7 @@ def _pin_threads() -> None:
         "MKL_NUM_THREADS",
         "NUMEXPR_NUM_THREADS",
     ):
-        os.environ.setdefault(var, "1")
+        os.environ[var] = "1"
 
 
 def main(argv=None) -> int:

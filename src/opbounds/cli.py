@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ from .deepvv import (
     pf_product_norm,
     refine_kernel,
     separable_bound,
-    top_layer_norm,
     train,
 )
 from .erm import FitConfig, empirical_risk, excess_risk_bound_rhs, fit_full, fit_sketched
@@ -481,7 +481,6 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
         max_iters=config["fit"].get("max_iters", 500),
         step_size=config["fit"].get("step_size", 1.0),
         tol=config["fit"].get("tol", 1e-8),
-        seed=fit_seed,
     )
     sk_seed = config["sketch"].get("seed", derive_seed(seed, 2))
     sketch, sk_p = _build_sketch(config["sketch"], ds.n, sk_seed)
@@ -572,7 +571,6 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
         step=t_cfg_raw.get("step", 0.1),
         iters=t_cfg_raw.get("iters", 100),
         grad_mode=t_cfg_raw.get("grad_mode", "analytic"),
-        seed=train_seed,
         tol=t_cfg_raw.get("tol", 1e-10),
     )
     if "checkpoint_in" in deep:
@@ -594,11 +592,12 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
     tr_m1 = float(np.trace(result.model.layers[0].output))
     probes = default_probes(ds.y, result.model.output_dim)
     pf_rep = pf_complexity_bound(result.model, ds.x, probes)
+    pf, top = pf_rep["pf_norm"], pf_rep["top_norm"]
     sep_printed = separable_bound(
-        result.model, kappa, tr_m1, ds.n, "printed", xs=ds.x, probes=probes
+        result.model, kappa, tr_m1, ds.n, "printed", pf_norm=pf, top_norm=top
     )
     sep_consistent = separable_bound(
-        result.model, kappa, tr_m1, ds.n, "consistent", xs=ds.x, probes=probes
+        result.model, kappa, tr_m1, ds.n, "consistent", pf_norm=pf, top_norm=top
     )
     epochs = [
         {
@@ -635,8 +634,6 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
         direction = deep["refine"]["direction"]
         scale = deep["refine"]["scale"]
         a_mat = scale * result.model.layers[-1].output
-        pf = pf_product_norm(result.model, ds.x, probes)
-        top = top_layer_norm(result.model)
         try:
             refined = refine_kernel(result.model, a_mat, direction)
             tr_a = float(np.trace(refined.layers[0].output))
@@ -661,13 +658,8 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
     if "lambda1_sweep" in deep:
         sweep = []
         for lam1 in deep["lambda1_sweep"]:
-            cfg_l = TrainConfig(
-                lambda1=lam1, lambda2=t_cfg.lambda2, step=t_cfg.step,
-                iters=t_cfg.iters, grad_mode=t_cfg.grad_mode, seed=train_seed,
-                tol=t_cfg.tol,
-            )
             model_l = init_layered_model(ds.x, kernels, outputs, seed=train_seed)
-            res_l = train(model_l, ds.x, ds.y, cfg_l)
+            res_l = train(model_l, ds.x, ds.y, replace(t_cfg, lambda1=lam1))
             sweep.append(
                 {
                     "lambda1": lam1,

@@ -15,16 +15,19 @@ plain gradient descent with backtracking on
 
     (1/n) sum ||f(x_i) - y_i||^2 + lambda_1 * pf_norm + lambda_2 * top_norm.
 
-The analytic gradient differentiates the top pencil eigenvalue through the
-simple-eigenvalue formula d rho = a^T dG_top a (the whitening basis is fixed
-because G_bottom does not depend on the coefficients) and falls back to
-finite differences when the top eigenvalue gap degenerates.
+G_bottom does not depend on the coefficients, so one ``train()`` call whitens
+it once and reuses the basis for every objective, gradient and trajectory
+norm.  The analytic gradient differentiates the top pencil eigenvalue through
+the simple-eigenvalue formula d rho = a^T dG_top a (the whitening basis is
+fixed) and falls back to finite differences when the top eigenvalue gap
+degenerates.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .kernels import (
     gram_scalar_cross,
     make_output_matrix,
 )
-from .spectral import pencil_max, pencil_max_with_vector
+from .spectral import _pencil_basis, _pencil_value, _pencil_vector
 
 _EIG_GAP_TOL = 1e-8
 _FD_STEP = 1e-5
@@ -165,13 +168,16 @@ def _forward_trace(model: LayeredModel, x) -> list[np.ndarray]:
     return levels
 
 
+def _columns(a) -> np.ndarray:
+    """Float array of labels or probes, a 1-D input read as one column."""
+    a = np.asarray(a, dtype=float)
+    return a[:, None] if a.ndim == 1 else a
+
+
 def default_probes(y, m: int) -> np.ndarray:
     """Data labels as probe vectors, with canonical-basis rows replacing any
     zero labels so the probe span never degenerates."""
-    probes = np.asarray(y, dtype=float)
-    if probes.ndim == 1:
-        probes = probes[:, None]
-    probes = probes.copy()
+    probes = _columns(y).copy()
     zero = np.linalg.norm(probes, axis=1) == 0.0
     for i in np.flatnonzero(zero):
         probes[i] = 0.0
@@ -179,36 +185,28 @@ def default_probes(y, m: int) -> np.ndarray:
     return probes
 
 
-def _pf_grams(model: LayeredModel, xs: np.ndarray, probes: np.ndarray):
-    """(G_top, G_bottom, mid outputs, probe bilinear matrix)."""
-    first, last = model.layers[0], model.layers[-1]
-    m_tilde = last.output
+def _pf_bottom(model: LayeredModel, x: np.ndarray, probes: np.ndarray):
+    """(probe bilinear matrix, whitening basis of G_bottom)."""
+    m_tilde = model.layers[-1].output
     if probes.shape[1] != m_tilde.shape[0]:
         raise InputError(
             f"probes live in R^{probes.shape[1]} but the output space is "
             f"R^{m_tilde.shape[0]}"
         )
     probe_bilinear = probes @ m_tilde @ probes.T
-    g_bottom = gram_scalar(first.kernel, xs) * probe_bilinear
-    mids = xs
-    for layer in model.layers[:-1]:
-        mids = layer.apply(mids)
-    g_top = gram_scalar(last.kernel, mids) * probe_bilinear
-    return g_top, g_bottom, mids, probe_bilinear
+    g_bottom = gram_scalar(model.layers[0].kernel, x) * probe_bilinear
+    return probe_bilinear, _pencil_basis(g_bottom)
+
+
+def _pf_top(model: LayeredModel, mids: np.ndarray, probe_bilinear: np.ndarray):
+    """(G_top, last-layer kernel Gram) from the last layer's inputs."""
+    k_top = gram_scalar(model.layers[-1].kernel, mids)
+    return k_top * probe_bilinear, k_top
 
 
 def pf_product_norm(model: LayeredModel, xs, probes) -> float:
     """Norm of the transfer-operator product restricted to the probe span."""
-    x = as_points(xs, model.input_dim)
-    p = np.asarray(probes, dtype=float)
-    if p.ndim == 1:
-        p = p[:, None]
-    if p.shape[0] != x.shape[0]:
-        raise InputError("one probe vector per point is required")
-    if np.any(np.linalg.norm(p, axis=1) == 0.0):
-        raise InputError("probe vectors must be nonzero")
-    g_top, g_bottom, _, _ = _pf_grams(model, x, p)
-    return float(np.sqrt(pencil_max(g_top, g_bottom)))
+    return _Objective(model, xs, probes=probes).pf_norm(model)
 
 
 def top_layer_norm(model: LayeredModel) -> float:
@@ -276,7 +274,6 @@ class TrainConfig:
     step: float = 0.1
     iters: int = 100
     grad_mode: str = "analytic"
-    seed: int = 0
     tol: float = 1e-10  # gradient-norm stop
 
     def __post_init__(self):
@@ -288,22 +285,105 @@ class TrainConfig:
             raise InputError("iters must be >= 1 and step positive")
 
 
+class _Objective:
+    """Training objective on fixed inputs, labels and probes; G_bottom is
+    whitened on first use, so every model passed in must share the first
+    kernel and M~ of the one given here."""
+
+    def __init__(self, model: LayeredModel, xs, ys=None, probes=None):
+        self.x = as_points(xs, model.input_dim)
+        self.y = None if ys is None else _columns(ys)
+        if probes is None:
+            probes = default_probes(self.y, model.output_dim)
+        self.probes = _columns(probes)
+        self._model = model
+
+    @cached_property
+    def bottom(self) -> tuple[np.ndarray, np.ndarray]:
+        """(probe bilinear matrix, whitening basis of G_bottom)."""
+        if self.probes.shape[0] != self.x.shape[0]:
+            raise InputError("one probe vector per point is required")
+        if np.any(np.linalg.norm(self.probes, axis=1) == 0.0):
+            raise InputError("probe vectors must be nonzero")
+        return _pf_bottom(self._model, self.x, self.probes)
+
+    def pf_norm(self, model: LayeredModel, mids=None) -> float:
+        """Transfer-product norm; ``mids`` are the last layer's inputs."""
+        if mids is None:
+            mids = _forward_trace(model, self.x)[-2]
+        probe_bilinear, basis = self.bottom
+        g_top, _ = _pf_top(model, mids, probe_bilinear)
+        return float(np.sqrt(_pencil_value(g_top, basis)))
+
+    def terms(self, model: LayeredModel, lambda1, lambda2) -> tuple[float, float, float]:
+        levels = _forward_trace(model, self.x)
+        data = float(np.sum((levels[-1] - self.y) ** 2)) / self.x.shape[0]
+        pf_term = lambda1 * self.pf_norm(model, levels[-2]) if lambda1 > 0 else 0.0
+        top_term = lambda2 * top_layer_norm(model) if lambda2 > 0 else 0.0
+        return data, pf_term, top_term
+
+    def gradient(self, model: LayeredModel, lambda1, lambda2, mode) -> list[np.ndarray]:
+        if mode == "finite-diff":
+            return _fd_gradient(self, model, lambda1, lambda2)
+        if mode != "analytic":
+            raise InputError(f"unknown gradient mode {mode!r}")
+        _require_gaussian(model)
+
+        levels = _forward_trace(model, self.x)
+        kmats = [
+            gram_scalar_cross(layer.kernel, levels[j], layer.anchors)
+            for j, layer in enumerate(model.layers)
+        ]
+        grads = [np.zeros_like(layer.coeffs) for layer in model.layers]
+
+        # seed at the output: data term
+        seeds = {model.depth: (2.0 / self.x.shape[0]) * (levels[-1] - self.y)}
+
+        if lambda1 > 0:
+            mids = levels[-2]
+            probe_bilinear, basis = self.bottom
+            g_top, k_top = _pf_top(model, mids, probe_bilinear)
+            rho, a_vec, gap = _pencil_vector(g_top, basis)
+            if rho > 0 and np.isfinite(gap) and gap < _EIG_GAP_TOL * rho:
+                warnings.warn(
+                    "top pencil eigenvalue nearly degenerate; falling back to "
+                    "finite-difference gradients",
+                    stacklevel=3,
+                )
+                return _fd_gradient(self, model, lambda1, lambda2)
+            if rho > 0:
+                t_mat = np.outer(a_vec, a_vec) * probe_bilinear * k_top
+                gamma_l = model.layers[-1].kernel.bandwidth
+                d_rho_d_mid = -4.0 * gamma_l * (
+                    t_mat.sum(axis=1)[:, None] * mids - t_mat @ mids
+                )
+                scale = lambda1 / (2.0 * np.sqrt(rho))
+                seeds[model.depth - 1] = seeds.get(
+                    model.depth - 1, np.zeros_like(mids)
+                ) + scale * d_rho_d_mid
+
+        if lambda2 > 0:
+            last = model.layers[-1]
+            top = last.rkhs_norm()
+            if top > 0:
+                g_last = gram_scalar(last.kernel, last.anchors)
+                grads[-1] += lambda2 * (g_last @ last.coeffs @ last.output) / top
+
+        gbar = seeds[model.depth]
+        for j in range(model.depth - 1, -1, -1):
+            grad_c, grad_u = _backprop_layer(model.layers[j], levels[j], kmats[j], gbar)
+            grads[j] += grad_c
+            gbar = grad_u
+            if j in seeds:
+                gbar = gbar + seeds[j]
+        return grads
+
+
 def objective_terms(
     model: LayeredModel, xs, ys, lambda1: float, lambda2: float, probes=None
 ) -> tuple[float, float, float]:
     """(data term, lambda1 * pf norm, lambda2 * top norm)."""
-    x = as_points(xs, model.input_dim)
-    y = np.asarray(ys, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    n = x.shape[0]
-    preds = forward(model, x)
-    data = float(np.sum((preds - y) ** 2)) / n
-    if probes is None:
-        probes = default_probes(y, model.output_dim)
-    pf_term = lambda1 * pf_product_norm(model, x, probes) if lambda1 > 0 else 0.0
-    top_term = lambda2 * top_layer_norm(model) if lambda2 > 0 else 0.0
-    return data, pf_term, top_term
+    return _Objective(model, xs, ys, probes).terms(model, lambda1, lambda2)
 
 
 def objective(
@@ -351,70 +431,10 @@ def gradient(
     eigenvalue gap falls below 1e-8 relative, the whole gradient falls back to
     central finite differences (step 1e-5 * (1 + |parameter|)) with a warning.
     """
-    x = as_points(xs, model.input_dim)
-    y = np.asarray(ys, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if probes is None:
-        probes = default_probes(y, model.output_dim)
-    if mode == "finite-diff":
-        return _fd_gradient(model, x, y, lambda1, lambda2, probes)
-    if mode != "analytic":
-        raise InputError(f"unknown gradient mode {mode!r}")
-    _require_gaussian(model)
-
-    n = x.shape[0]
-    levels = _forward_trace(model, x)
-    kmats = [
-        gram_scalar_cross(layer.kernel, levels[j], layer.anchors)
-        for j, layer in enumerate(model.layers)
-    ]
-    grads = [np.zeros_like(layer.coeffs) for layer in model.layers]
-
-    # seed at the output: data term
-    seeds = {model.depth: (2.0 / n) * (levels[-1] - y)}
-
-    if lambda1 > 0:
-        g_top, g_bottom, mids, probe_bilinear = _pf_grams(model, x, probes)
-        rho, a_vec, gap = pencil_max_with_vector(g_top, g_bottom)
-        if rho > 0 and np.isfinite(gap) and gap < _EIG_GAP_TOL * rho:
-            warnings.warn(
-                "top pencil eigenvalue nearly degenerate; falling back to "
-                "finite-difference gradients",
-                stacklevel=2,
-            )
-            return _fd_gradient(model, x, y, lambda1, lambda2, probes)
-        if rho > 0:
-            last = model.layers[-1]
-            k_top = gram_scalar(last.kernel, mids)
-            t_mat = np.outer(a_vec, a_vec) * probe_bilinear * k_top
-            gamma_l = last.kernel.bandwidth
-            d_rho_d_mid = -4.0 * gamma_l * (
-                t_mat.sum(axis=1)[:, None] * mids - t_mat @ mids
-            )
-            scale = lambda1 / (2.0 * np.sqrt(rho))
-            seeds[model.depth - 1] = seeds.get(
-                model.depth - 1, np.zeros_like(mids)
-            ) + scale * d_rho_d_mid
-
-    if lambda2 > 0:
-        last = model.layers[-1]
-        top = last.rkhs_norm()
-        if top > 0:
-            g_last = gram_scalar(last.kernel, last.anchors)
-            grads[-1] += lambda2 * (g_last @ last.coeffs @ last.output) / top
-
-    gbar = seeds[model.depth]
-    for j in range(model.depth - 1, -1, -1):
-        grad_c, grad_u = _backprop_layer(model.layers[j], levels[j], kmats[j], gbar)
-        grads[j] += grad_c
-        gbar = grad_u
-        if j in seeds:
-            gbar = gbar + seeds[j]
-    return grads
+    return _Objective(model, xs, ys, probes).gradient(model, lambda1, lambda2, mode)
 
 
-def _fd_gradient(model, x, y, lambda1, lambda2, probes):
+def _fd_gradient(problem: _Objective, model: LayeredModel, lambda1, lambda2):
     grads = []
     coeffs = [layer.coeffs.copy() for layer in model.layers]
     for j in range(model.depth):
@@ -426,7 +446,7 @@ def _fd_gradient(model, x, y, lambda1, lambda2, probes):
             for sign in (+1.0, -1.0):
                 bumped = [c.copy() for c in coeffs]
                 bumped[j][idx] += sign * h
-                obj = objective(model.with_coeffs(bumped), x, y, lambda1, lambda2, probes)
+                obj = sum(problem.terms(model.with_coeffs(bumped), lambda1, lambda2))
                 g[idx] += sign * obj / (2.0 * h)
         grads.append(g)
     return grads
@@ -445,15 +465,10 @@ def train(model: LayeredModel, xs, ys, cfg: TrainConfig, probes=None) -> TrainRe
     """Gradient descent with backtracking; the objective never increases
     across accepted steps and the trajectory records objective, transfer-
     product norm, and top-layer norm per accepted iteration."""
-    x = as_points(xs, model.input_dim)
-    y = np.asarray(ys, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if probes is None:
-        probes = default_probes(y, model.output_dim)
+    problem = _Objective(model, xs, ys, probes)
 
     def full_obj(m):
-        return objective(m, x, y, cfg.lambda1, cfg.lambda2, probes)
+        return sum(problem.terms(m, cfg.lambda1, cfg.lambda2))
 
     current = model
     obj = full_obj(current)
@@ -461,9 +476,7 @@ def train(model: LayeredModel, xs, ys, cfg: TrainConfig, probes=None) -> TrainRe
         raise NumericError(f"objective is non-finite at the start ({obj})")
     result = TrainResult(model=current)
     for it in range(1, cfg.iters + 1):
-        grads = gradient(
-            current, x, y, cfg.lambda1, cfg.lambda2, mode=cfg.grad_mode, probes=probes
-        )
+        grads = problem.gradient(current, cfg.lambda1, cfg.lambda2, cfg.grad_mode)
         gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
         if gnorm <= cfg.tol:
             result.converged = True
@@ -488,7 +501,7 @@ def train(model: LayeredModel, xs, ys, cfg: TrainConfig, probes=None) -> TrainRe
             result.warning = "line search stalled"
             result.iterations = it - 1
             break
-        pf = pf_product_norm(current, x, probes)
+        pf = problem.pf_norm(current)
         top = top_layer_norm(current)
         result.trajectory.append(
             {"iteration": it, "objective": obj, "pf_norm": pf, "top_norm": top,

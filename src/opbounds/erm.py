@@ -40,7 +40,6 @@ class FitConfig:
     max_iters: int = 500
     step_size: float = 1.0
     tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if not self.lambda_n > 0:

@@ -302,8 +302,10 @@ def approximation_term_mc(
         ||h' - (gamma ||h''|| / ||u~_n||) u~_n||^2
 
     is expanded through Gram inner products; the result is the minimum over
-    h' of the root-mean over draws.  Draws with ||u~_n|| = 0 are rejected and
-    counted.  Returns (value, rejected_draws, per-draw gammas).
+    h' of the root-mean over draws.  Draws with ||u~_n||^2 at or below the
+    round-off floor ``width * eps * trace(G_mid)`` (float64 eps; an exactly
+    degenerate draw can round to ~1e-16 and give gamma ~ 1e8) are rejected
+    and counted.  Returns (value, rejected_draws, per-draw gammas).
     """
     if not upper_class:
         raise InputError("upper class must be nonempty")
@@ -324,6 +326,7 @@ def approximation_term_mc(
     norms_sq = _quad_forms(coeff_mat, g_mid)
     norms = np.sqrt(np.maximum(norms_sq, 0.0))  # beta_h for every h in the class
     coeff_g = coeff_mat @ g_mid  # loop-invariant half of <h', u~_n>
+    q_floor = width * np.finfo(float).eps * np.trace(g_mid)
 
     sum_sup = np.zeros(len(upper_class))
     rejected = 0
@@ -331,7 +334,7 @@ def approximation_term_mc(
     for block in sign_blocks(cfg.draws, width, cfg.seed):
         q_in = np.maximum(_quad_forms(block, g_in), 0.0)
         q_mid = np.maximum(_quad_forms(block, g_mid), 0.0)
-        ok = q_mid > 0.0
+        ok = q_mid > q_floor
         rejected += int((~ok).sum())
         if not np.any(ok):
             continue

@@ -16,15 +16,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from ._rng import substream
 from .errors import InputError
 
 _DISTS = ("rademacher", "gaussian")
-
-#: Below this keep-probability the matrix is stored as triplets.
-_SPARSE_P = 0.25
 
 
 @dataclass(frozen=True)
@@ -58,9 +54,9 @@ class SketchSpec:
 
 @dataclass(frozen=True)
 class SketchMatrix:
-    """Realized sketch; dense ndarray or COO triplets depending on sparsity."""
+    """Realized sketch, stored as a dense ndarray."""
 
-    matrix: object
+    matrix: np.ndarray
     spec: SketchSpec = field(default=None)
 
     @property
@@ -69,8 +65,6 @@ class SketchMatrix:
 
     @property
     def dense(self) -> np.ndarray:
-        if sparse.issparse(self.matrix):
-            return self.matrix.toarray()
         return np.asarray(self.matrix)
 
     def write_text(self, path) -> None:
@@ -98,10 +92,7 @@ def make_p_sparsified(spec: SketchSpec) -> SketchMatrix:
             z = g.standard_normal(spec.n)
         keep = g.random(spec.n) < spec.p
         rows.append(np.where(keep, z * scale, 0.0))
-    dense = np.asarray(rows)
-    if spec.p < _SPARSE_P:
-        return SketchMatrix(matrix=sparse.coo_array(dense), spec=spec)
-    return SketchMatrix(matrix=dense, spec=spec)
+    return SketchMatrix(matrix=np.asarray(rows), spec=spec)
 
 
 @dataclass(frozen=True)

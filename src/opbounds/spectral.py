@@ -151,6 +151,39 @@ def check_satisfiability(
 PENCIL_NULL_TOL = 1e-12
 
 
+def _pencil_basis(g_bottom: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse root B of G_bottom on its range (B^T G_bottom B = I), the
+    whitening basis of the pencil; raises when G_bottom is zero or not PSD."""
+    bot = np.asarray(g_bottom, dtype=float)
+    vals, vecs = np.linalg.eigh(0.5 * (bot + bot.T))
+    lam_max = vals[-1] if vals.size else 0.0
+    if lam_max <= 0.0:
+        raise DegenerateInputError("pencil bottom matrix is identically zero")
+    if vals[0] < -EIG_CLIP * max(lam_max, 1.0):
+        raise NotPsdError(f"pencil bottom matrix has eigenvalue {vals[0]}")
+    keep = vals > PENCIL_NULL_TOL * lam_max
+    return vecs[:, keep] / np.sqrt(vals[keep])[None, :]
+
+
+def _pencil_value(g_top: np.ndarray, basis: np.ndarray) -> float:
+    """Top pencil eigenvalue rho on a whitening basis from _pencil_basis."""
+    whitened = basis.T @ g_top @ basis
+    w_vals = np.linalg.eigvalsh(0.5 * (whitened + whitened.T))
+    return float(max(w_vals[-1], 0.0)) if w_vals.size else 0.0
+
+
+def _pencil_vector(
+    g_top: np.ndarray, basis: np.ndarray
+) -> tuple[float, np.ndarray, float]:
+    """rho plus the maximizing vector a (with a^T G_bottom a = 1) and the gap
+    to the second whitened eigenvalue, for derivative callers."""
+    whitened = basis.T @ g_top @ basis
+    w_vals, w_vecs = np.linalg.eigh(0.5 * (whitened + whitened.T))
+    rho = float(max(w_vals[-1], 0.0))
+    gap = float(w_vals[-1] - w_vals[-2]) if w_vals.size > 1 else np.inf
+    return rho, basis @ w_vecs[:, -1], gap
+
+
 def pencil_max(g_top: np.ndarray, g_bottom: np.ndarray) -> float:
     """Largest generalized Rayleigh quotient a^T G_top a / a^T G_bottom a
     over the range of G_bottom, via whitening with a pseudo-inverse root.
@@ -159,38 +192,8 @@ def pencil_max(g_top: np.ndarray, g_bottom: np.ndarray) -> float:
     bot = np.asarray(g_bottom, dtype=float)
     if top.shape != bot.shape or top.ndim != 2 or top.shape[0] != top.shape[1]:
         raise InputError("pencil matrices must be square and of equal shape")
-    vals, vecs = np.linalg.eigh(0.5 * (bot + bot.T))
-    lam_max = vals[-1] if vals.size else 0.0
-    if lam_max <= 0.0:
-        raise DegenerateInputError("pencil bottom matrix is identically zero")
-    if vals[0] < -EIG_CLIP * max(lam_max, 1.0):
-        raise NotPsdError(f"pencil bottom matrix has eigenvalue {vals[0]}")
+    basis = _pencil_basis(bot)
     top_vals = np.linalg.eigvalsh(0.5 * (top + top.T))
     if top_vals.size and top_vals[0] < -EIG_CLIP * max(abs(top_vals[-1]), 1.0):
         raise NotPsdError(f"pencil top matrix has eigenvalue {top_vals[0]}")
-    keep = vals > PENCIL_NULL_TOL * lam_max
-    basis = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
-    whitened = basis.T @ top @ basis
-    w_vals = np.linalg.eigvalsh(0.5 * (whitened + whitened.T))
-    return float(max(w_vals[-1], 0.0)) if w_vals.size else 0.0
-
-
-def pencil_max_with_vector(
-    g_top: np.ndarray, g_bottom: np.ndarray
-) -> tuple[float, np.ndarray, float]:
-    """pencil_max plus the maximizing vector a (with a^T G_bottom a = 1) and
-    the gap to the second whitened eigenvalue, for derivative callers."""
-    top = np.asarray(g_top, dtype=float)
-    bot = np.asarray(g_bottom, dtype=float)
-    vals, vecs = np.linalg.eigh(0.5 * (bot + bot.T))
-    lam_max = vals[-1] if vals.size else 0.0
-    if lam_max <= 0.0:
-        raise DegenerateInputError("pencil bottom matrix is identically zero")
-    keep = vals > PENCIL_NULL_TOL * lam_max
-    basis = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
-    whitened = basis.T @ top @ basis
-    w_vals, w_vecs = np.linalg.eigh(0.5 * (whitened + whitened.T))
-    rho = float(max(w_vals[-1], 0.0))
-    a = basis @ w_vecs[:, -1]
-    gap = float(w_vals[-1] - w_vals[-2]) if w_vals.size > 1 else np.inf
-    return rho, a, gap
+    return _pencil_value(top, basis)

@@ -20,7 +20,9 @@ from opbounds.deepvv import (
     LayeredModel,
     TrainConfig,
     VVLayer,
-    _pf_grams,
+    _forward_trace,
+    _pf_bottom,
+    _pf_top,
     default_probes,
     gradient,
     init_layered_model,
@@ -36,11 +38,11 @@ from opbounds.koopman import LayerSpec, NetworkSpec, product_bound, spectral_rat
 from opbounds.losses import LossSpec
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified, satisfiability_constant
 from opbounds.spectral import (
+    _pencil_vector,
     check_satisfiability,
     critical_radius,
     eigendecompose_scaled_gram,
     pencil_max,
-    pencil_max_with_vector,
     psi_value,
     statistical_dimension,
 )
@@ -324,8 +326,9 @@ def test_criterion_08_gradient_check():
         x = rng.uniform(-1, 1, (n, 2))
         y = rng.standard_normal((n, 2))
         probes = default_probes(y, 2)
-        g_top, g_bottom, _, _ = _pf_grams(model, x, probes)
-        rho, _, gap = pencil_max_with_vector(g_top, g_bottom)
+        probe_bilinear, basis = _pf_bottom(model, x, probes)
+        g_top, _ = _pf_top(model, _forward_trace(model, x)[-2], probe_bilinear)
+        rho, _, gap = _pencil_vector(g_top, basis)
         if not (rho > 0 and gap > 1e-6 * rho):
             continue  # eigen-gap guard: regenerate
         analytic = gradient(model, x, y, 0.3, 0.2, mode="analytic", probes=probes)

@@ -270,15 +270,36 @@ def test_cli_seed_flag_overrides(tmp_path):
 def test_cli_byte_identical_across_runs_and_threads(name, tmp_path):
     config = ALL_CONFIGS[name]
     payloads = []
-    for tag, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+    # the last run asks OpenBLAS for two threads; the entry point must
+    # override a caller's BLAS thread count, not only fill in a missing one
+    for tag, env in (
+        ("a", {"OPBOUNDS_THREADS": "1"}),
+        ("b", {"OPBOUNDS_THREADS": "1"}),
+        ("c", {"OPBOUNDS_THREADS": "4"}),
+        ("d", {"OPBOUNDS_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}),
+    ):
+        proc, out = _cli(tmp_path, name, config, extra_env=env, out_name=f"out_{tag}")
+        assert proc.returncode == 0, proc.stderr
+        payloads.append(out.read_bytes())
+    assert all(payload == payloads[0] for payload in payloads[1:])
+
+
+def test_cli_bytes_independent_of_callers_blas_threads(tmp_path):
+    # GEMMs this wide split across two OpenBLAS threads sum in another order,
+    # so this record differs in the last bits unless the CLI really runs BLAS
+    # on one thread whatever OPENBLAS_NUM_THREADS the caller set
+    config = json.loads(json.dumps(BOUND_COMPARE))
+    config["dataset"].update(n=200, m=3)
+    config["mc"]["draws"] = 512
+    payloads = []
+    for threads in ("1", "2"):
         proc, out = _cli(
-            tmp_path, name, config,
-            extra_env={"OPBOUNDS_THREADS": threads}, out_name=f"out_{tag}",
+            tmp_path, "bound-compare", config,
+            extra_env={"OPENBLAS_NUM_THREADS": threads}, out_name=f"out_{threads}",
         )
         assert proc.returncode == 0, proc.stderr
         payloads.append(out.read_bytes())
     assert payloads[0] == payloads[1]
-    assert payloads[0] == payloads[2]
 
 
 def test_bad_thread_cap_rejected(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from opbounds import deepvv
 from opbounds.deepvv import (
     LayeredModel,
     TrainConfig,
@@ -414,6 +415,29 @@ def test_train_deterministic():
         np.array_equal(a.coeffs, b.coeffs)
         for a, b in zip(r1.model.layers, r2.model.layers)
     )
+
+
+@pytest.mark.parametrize(
+    "lambda1, grad_mode", [(0.1, "analytic"), (0.0, "analytic"), (0.1, "finite-diff")]
+)
+def test_train_whitens_g_bottom_once(monkeypatch, lambda1, grad_mode):
+    # G_bottom depends only on x, the probes, the first kernel and M~, so one
+    # train() call whitens it once for all its objectives, gradients and
+    # trajectory norms, and they agree with the one-shot public functions
+    rng = np.random.default_rng(32)
+    n = 6
+    x = rng.uniform(-1, 1, (n, 2))
+    y = rng.standard_normal((n, 2))
+    model = init_layered_model(x, [gauss(2)] * 3, [np.eye(2)] * 3, seed=4)
+    whiten = deepvv._pencil_basis
+    calls = []
+    monkeypatch.setattr(deepvv, "_pencil_basis", lambda g: calls.append(g) or whiten(g))
+    cfg = TrainConfig(lambda1=lambda1, lambda2=0.05, step=0.3, iters=4, grad_mode=grad_mode)
+    result = train(model, x, y, cfg)
+    assert result.iterations == 4 and len(calls) == 1
+    last = result.trajectory[-1]
+    assert last["pf_norm"] == pf_product_norm(result.model, x, default_probes(y, 2))
+    assert last["objective"] == objective(result.model, x, y, lambda1, 0.05)
 
 
 @pytest.mark.filterwarnings("ignore:top pencil eigenvalue")

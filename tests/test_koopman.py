@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opbounds.complexity import McConfig, rademacher_class_mc, sign_blocks
+from opbounds.complexity import McConfig, _quad_forms, rademacher_class_mc, sign_blocks
 from opbounds.errors import InputError, NonInjectiveError
 from opbounds.kernels import (
     DecomposableKernel,
@@ -453,6 +453,38 @@ def test_approx_term_rejects_draws_on_duplicate_mid_points():
     assert np.all(np.isfinite(gammas)) and np.isfinite(value)
     assert value == pytest.approx(ref_value, rel=1e-12)
     np.testing.assert_allclose(gammas, ref_gammas, rtol=1e-12, atol=0.0)
+
+
+def test_approx_term_rejects_round_off_degenerate_draws():
+    # six mid points, each present twice in a shuffled order, under a Gaussian
+    # kernel with M = I: a draw whose signs cancel on every pair has
+    # ||u~_n|| = 0 in exact arithmetic, but its GEMM quadratic form can come
+    # out at about 1e-16; such draws must be rejected, not kept with gamma ~ 1e8
+    kernel = DecomposableKernel(
+        ScalarKernelSpec("gaussian", 1.0, dimension=2), np.eye(1), kappa=1.0
+    )
+    cfg = McConfig(draws=1024, seed=7)
+    round_off_kept = 0
+    for layout in range(12):
+        rng = np.random.default_rng(layout)
+        pts = rng.uniform(-1, 1, (6, 2))
+        order = rng.permutation(12)
+        mid = np.concatenate([pts, pts])[order]
+        g_mid = gram_operator(kernel, mid)
+        g_in = gram_operator(kernel, rng.uniform(-1, 1, (12, 2)))
+        upper = [KernelExpansion(kernel, mid, rng.standard_normal((12, 1))) for _ in range(2)]
+        degenerate = 0
+        for block in sign_blocks(cfg.draws, 12, cfg.seed):
+            pair_sums = np.zeros((block.shape[0], 6))
+            np.add.at(pair_sums.T, order % 6, block.T)
+            cancel = np.all(pair_sums == 0.0, axis=1)
+            degenerate += int(cancel.sum())
+            round_off_kept += int((_quad_forms(block[cancel], g_mid) > 0.0).sum())
+        value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, cfg)
+        assert rejected == degenerate, layout
+        assert gammas.size == cfg.draws - rejected
+        assert gammas.max() < 1e3 and value < 1e3, layout
+    assert round_off_kept > 0  # the layouts do exercise the round-off case
 
 
 def test_approx_term_cpu_time_at_width_600():

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from opbounds.errors import InputError
 from opbounds.sketching import (
@@ -37,11 +36,11 @@ def test_nonzero_fraction_near_p():
     assert 0.08 <= frac <= 0.12
 
 
-def test_sparse_storage_below_quarter():
-    sk = make_p_sparsified(SketchSpec(s=10, n=50, p=0.1, seed=0))
-    assert sparse.issparse(sk.matrix)
-    sk2 = make_p_sparsified(SketchSpec(s=10, n=50, p=0.5, seed=0))
-    assert isinstance(sk2.matrix, np.ndarray)
+def test_dense_storage_at_every_p():
+    for p in (0.1, 0.5):
+        sk = make_p_sparsified(SketchSpec(s=10, n=50, p=p, seed=0))
+        assert type(sk.matrix) is np.ndarray and sk.matrix.shape == (10, 50)
+        assert sk.dense is sk.matrix
 
 
 def test_scale_override():

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opbounds.errors import DegenerateInputError, InputError, NotPsdError
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
 from opbounds.spectral import (
+    EIG_CLIP,
+    PENCIL_NULL_TOL,
+    _pencil_basis,
+    _pencil_vector,
     check_satisfiability,
     critical_radius,
     eigendecompose_scaled_gram,
@@ -236,3 +242,74 @@ def test_pencil_handles_singular_bottom():
 def test_pencil_zero_bottom_errors():
     with pytest.raises(DegenerateInputError):
         pencil_max(np.eye(3), np.zeros((3, 3)))
+
+
+def two_copy_pencil_max(g_top, g_bottom):
+    """pencil_max as written before the whitening routine was shared."""
+    top = np.asarray(g_top, dtype=float)
+    bot = np.asarray(g_bottom, dtype=float)
+    vals, vecs = np.linalg.eigh(0.5 * (bot + bot.T))
+    lam_max = vals[-1] if vals.size else 0.0
+    if lam_max <= 0.0:
+        raise DegenerateInputError("pencil bottom matrix is identically zero")
+    if vals[0] < -EIG_CLIP * max(lam_max, 1.0):
+        raise NotPsdError(f"pencil bottom matrix has eigenvalue {vals[0]}")
+    top_vals = np.linalg.eigvalsh(0.5 * (top + top.T))
+    if top_vals.size and top_vals[0] < -EIG_CLIP * max(abs(top_vals[-1]), 1.0):
+        raise NotPsdError(f"pencil top matrix has eigenvalue {top_vals[0]}")
+    keep = vals > PENCIL_NULL_TOL * lam_max
+    basis = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
+    whitened = basis.T @ top @ basis
+    w_vals = np.linalg.eigvalsh(0.5 * (whitened + whitened.T))
+    return float(max(w_vals[-1], 0.0)) if w_vals.size else 0.0
+
+
+def two_copy_pencil_max_with_vector(g_top, g_bottom):
+    """The derivative-side copy of the whitening code, as it was."""
+    top = np.asarray(g_top, dtype=float)
+    bot = np.asarray(g_bottom, dtype=float)
+    vals, vecs = np.linalg.eigh(0.5 * (bot + bot.T))
+    lam_max = vals[-1] if vals.size else 0.0
+    if lam_max <= 0.0:
+        raise DegenerateInputError("pencil bottom matrix is identically zero")
+    keep = vals > PENCIL_NULL_TOL * lam_max
+    basis = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
+    whitened = basis.T @ top @ basis
+    w_vals, w_vecs = np.linalg.eigh(0.5 * (whitened + whitened.T))
+    rho = float(max(w_vals[-1], 0.0))
+    a = basis @ w_vecs[:, -1]
+    gap = float(w_vals[-1] - w_vals[-2]) if w_vals.size > 1 else np.inf
+    return rho, a, gap
+
+
+@st.composite
+def psd_pairs(draw):
+    """(G_top, G_bottom) of size k; G_bottom may be rank-deficient or zero."""
+    k = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b_top = rng.standard_normal((k, draw(st.integers(0, k + 1))))
+    b_bot = rng.standard_normal((k, draw(st.integers(0, k + 1))))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    return b_top @ b_top.T, scale * (b_bot @ b_bot.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(psd_pairs())
+def test_shared_whitening_matches_two_copies(pair):
+    g_top, g_bottom = pair
+    if not np.any(g_bottom):
+        with pytest.raises(DegenerateInputError):
+            pencil_max(g_top, g_bottom)
+        with pytest.raises(DegenerateInputError):
+            _pencil_basis(g_bottom)
+        return
+    assert pencil_max(g_top, g_bottom) == two_copy_pencil_max(g_top, g_bottom)
+    rho, a, gap = _pencil_vector(g_top, _pencil_basis(g_bottom))
+    ref_rho, ref_a, ref_gap = two_copy_pencil_max_with_vector(g_top, g_bottom)
+    assert rho == ref_rho and gap == ref_gap
+    assert np.array_equal(a, ref_a)
+
+
+def test_pencil_top_must_be_psd():
+    with pytest.raises(NotPsdError):
+        pencil_max(-np.eye(3), np.eye(3))
