@@ -3,8 +3,8 @@ kernel models and networks, with a sketched kernel regression solver and a
 deterministic experiment harness.
 
 The names below load from their modules on first access, so importing the
-package loads no numpy: ``python -m opbounds`` imports the package before
-``opbounds._entry`` pins the BLAS threads, which must happen before numpy loads.
+package alone loads no numpy or scipy, and importing one submodule loads only
+that submodule and what it imports.
 """
 
 from importlib import import_module

@@ -1,3 +1,3 @@
-from ._entry import main
+from .cli import main
 
 raise SystemExit(main())

@@ -1,0 +1,58 @@
+"""Every loaded OpenBLAS on one thread for the length of a run.
+
+A GEMM split across BLAS threads sums in another order, so record bytes would
+depend on the caller's thread settings.  numpy's and scipy's wheels each bundle
+an OpenBLAS.  The copies are found on first use, not at import, by their paths
+in ``/proc/self/maps`` and their thread-count functions, and then cached.
+The thread count is process-wide, so runs in concurrent threads share it.
+"""
+
+import ctypes
+import functools
+import os
+import warnings
+from contextlib import contextmanager
+
+# (get, set) symbols of scipy-openblas wheels (numpy's with a 64_ suffix) and
+# of a system OpenBLAS
+_SYMBOLS = [
+    (f"{name}_get_num_threads{suffix}", f"{name}_set_num_threads{suffix}")
+    for name in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+]
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS loaded now."""
+    try:
+        with open("/proc/self/maps") as fh:
+            rows = [line.split(None, 5) for line in fh]
+    except OSError:
+        return ()
+    paths = {row[5].strip() for row in rows if len(row) > 5 and "openblas" in row[5]}
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        found += [(getattr(lib, g), getattr(lib, s)) for g, s in _SYMBOLS if hasattr(lib, g)]
+    return tuple(found)
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the body with every OpenBLAS on one thread, then restore each count."""
+    libs = _openblas()
+    if not libs:
+        warnings.warn("no OpenBLAS found to pin to one thread; record bytes may "
+                      "depend on the BLAS thread count", RuntimeWarning)
+    previous = [get() for get, _ in libs]
+    for _, set_threads in libs:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(libs, previous):
+            set_threads(count)

@@ -13,13 +13,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 from jsonschema import Draft7Validator
 
 from . import __version__
+from ._blas import single_blas_thread
 from ._rng import derive_seed, substream
 from .complexity import McConfig, rademacher_ball_mc, trace_bound
 from .data import Dataset, GeneratorConfig, read_csv, synth_dataset
@@ -520,20 +521,8 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     metrics = {
         "risk_full": risk_full,
         "risk_sketched": risk_sketched,
-        "diagnostics_full": {
-            "objective": full.diagnostics.objective,
-            "grad_norm": full.diagnostics.grad_norm,
-            "iterations": full.diagnostics.iterations,
-            "converged": full.diagnostics.converged,
-            "warning": full.diagnostics.warning,
-        },
-        "diagnostics_sketched": {
-            "objective": sketched.diagnostics.objective,
-            "grad_norm": sketched.diagnostics.grad_norm,
-            "iterations": sketched.diagnostics.iterations,
-            "converged": sketched.diagnostics.converged,
-            "warning": sketched.diagnostics.warning,
-        },
+        "diagnostics_full": asdict(full.diagnostics),
+        "diagnostics_sketched": asdict(sketched.diagnostics),
         "satisfiability": report.to_dict(),
         "excess_risk_bound": bound_entry,
     }
@@ -716,13 +705,8 @@ def run(subcommand: str, config: dict, seed: int | None, base_dir: Path) -> dict
     """Validate, execute, and assemble a result record (not yet serialized)."""
     validate_config(subcommand, config)
     master = seed if seed is not None else config.get("seed", 0)
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover
+    with single_blas_thread():
         outcome = _RUNNERS[subcommand](config, master, base_dir)
-    else:
-        with threadpool_limits(limits=1):
-            outcome = _RUNNERS[subcommand](config, master, base_dir)
     return {
         "subcommand": subcommand,
         "library_version": __version__,

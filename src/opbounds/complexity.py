@@ -58,6 +58,20 @@ def _quad_forms(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows @ g, rows)
 
 
+def _mean_stderr(block_vals: Iterator[np.ndarray], cfg: McConfig, n: int) -> McEstimate:
+    """Mean of ``cfg.draws`` values, given block by block, and its standard
+    error, both divided by n."""
+    total = 0.0
+    total_sq = 0.0
+    for vals in block_vals:
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+    mean = total / cfg.draws
+    var = max(total_sq / cfg.draws - mean * mean, 0.0)
+    se = np.sqrt(var / cfg.draws)
+    return McEstimate(estimate=mean / n, stderr=float(se) / n)
+
+
 def rademacher_ball_mc(g_op: np.ndarray, n: int, cfg: McConfig) -> McEstimate:
     """(1/n) E sqrt(sigma^T G_K sigma) over Rademacher sigma, with its
     Monte-Carlo standard error."""
@@ -65,18 +79,9 @@ def rademacher_ball_mc(g_op: np.ndarray, n: int, cfg: McConfig) -> McEstimate:
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InputError(f"operator Gram must be square, got {g.shape}")
     _check_psd(g)
-    width = g.shape[0]
-    total = 0.0
-    total_sq = 0.0
-    for block in sign_blocks(cfg.draws, width, cfg.seed):
-        quad = np.maximum(_quad_forms(block, g), 0.0)
-        vals = np.sqrt(quad)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-    mean = total / cfg.draws
-    var = max(total_sq / cfg.draws - mean * mean, 0.0)
-    se = np.sqrt(var / cfg.draws)
-    return McEstimate(estimate=mean / n, stderr=float(se) / n)
+    blocks = sign_blocks(cfg.draws, g.shape[0], cfg.seed)
+    vals = (np.sqrt(np.maximum(_quad_forms(b, g), 0.0)) for b in blocks)
+    return _mean_stderr(vals, cfg, n)
 
 
 def rademacher_ball_exact(g_op: np.ndarray, n: int) -> float:
@@ -122,13 +127,5 @@ def rademacher_class_mc(
     if evals.shape[2] != m:
         raise InputError(f"predictors return dimension {evals.shape[2]}, expected {m}")
     flat = evals.reshape(len(predictors), n * m)
-    total = 0.0
-    total_sq = 0.0
-    for block in sign_blocks(cfg.draws, n * m, cfg.seed):
-        vals = np.abs(block @ flat.T).max(axis=1)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-    mean = total / cfg.draws
-    var = max(total_sq / cfg.draws - mean * mean, 0.0)
-    se = np.sqrt(var / cfg.draws)
-    return McEstimate(estimate=mean / n, stderr=float(se) / n)
+    blocks = sign_blocks(cfg.draws, n * m, cfg.seed)
+    return _mean_stderr((np.abs(b @ flat.T).max(axis=1) for b in blocks), cfg, n)

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from opbounds import _blas, cli
 from opbounds.cli import main, render_record, run, validate_config
-from opbounds.errors import ConfigError
+from opbounds.errors import ConfigError, OpboundsError
 
 BOUND_COMPARE = {
     "seed": 11,
@@ -270,15 +271,13 @@ def test_cli_seed_flag_overrides(tmp_path):
 def test_cli_byte_identical_across_runs_and_threads(name, tmp_path):
     config = ALL_CONFIGS[name]
     payloads = []
-    # the last run asks OpenBLAS for two threads; the entry point must
-    # override a caller's BLAS thread count, not only fill in a missing one
-    for tag, env in (
-        ("a", {"OPBOUNDS_THREADS": "1"}),
-        ("b", {"OPBOUNDS_THREADS": "1"}),
-        ("c", {"OPBOUNDS_THREADS": "4"}),
-        ("d", {"OPBOUNDS_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}),
-    ):
-        proc, out = _cli(tmp_path, name, config, extra_env=env, out_name=f"out_{tag}")
+    # the last run asks OpenBLAS for two threads; the CLI must override a
+    # caller's BLAS thread count, not only fill in a missing one
+    for tag, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+        proc, out = _cli(
+            tmp_path, name, config, extra_env={"OPENBLAS_NUM_THREADS": threads},
+            out_name=f"out_{tag}",
+        )
         assert proc.returncode == 0, proc.stderr
         payloads.append(out.read_bytes())
     assert all(payload == payloads[0] for payload in payloads[1:])
@@ -288,13 +287,10 @@ def test_cli_bytes_independent_of_callers_blas_threads(tmp_path):
     # GEMMs this wide split across two OpenBLAS threads sum in another order,
     # so this record differs in the last bits unless the CLI really runs BLAS
     # on one thread whatever OPENBLAS_NUM_THREADS the caller set
-    config = json.loads(json.dumps(BOUND_COMPARE))
-    config["dataset"].update(n=200, m=3)
-    config["mc"]["draws"] = 512
     payloads = []
     for threads in ("1", "2"):
         proc, out = _cli(
-            tmp_path, "bound-compare", config,
+            tmp_path, "bound-compare", _wide_bound_compare(),
             extra_env={"OPENBLAS_NUM_THREADS": threads}, out_name=f"out_{threads}",
         )
         assert proc.returncode == 0, proc.stderr
@@ -302,19 +298,75 @@ def test_cli_bytes_independent_of_callers_blas_threads(tmp_path):
     assert payloads[0] == payloads[1]
 
 
-def test_bad_thread_cap_rejected(tmp_path):
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps(SPECTRAL))
-    out_path = tmp_path / "r.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "opbounds", "spectral-report", "--config",
-         str(cfg_path), "--out", str(out_path)],
-        capture_output=True, text=True,
-        env={**os.environ, "OPBOUNDS_THREADS": "many"},
-    )
-    assert proc.returncode == 2
-    assert "OPBOUNDS_THREADS" in proc.stderr
-    assert not out_path.exists()
+def _wide_bound_compare():
+    config = json.loads(json.dumps(BOUND_COMPARE))
+    config["dataset"].update(n=200, m=3)
+    config["mc"]["draws"] = 512
+    return config
+
+
+_RUN_IN_PROCESS = """
+import json, sys
+from pathlib import Path
+from opbounds.cli import render_record, run
+record = run("bound-compare", json.loads(sys.argv[1]), None, Path("."))
+sys.stdout.write(render_record(record, "json"))
+"""
+
+
+def test_library_run_bytes_independent_of_blas_threads():
+    # a library caller whose numpy loaded with two OpenBLAS threads and no
+    # other BLAS setting: cli.run itself must pin BLAS to one thread
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    payloads = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_IN_PROCESS, json.dumps(_wide_bound_compare())],
+            capture_output=True, text=True,
+            env={**env, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        payloads.append(proc.stdout)
+    assert payloads[0] == payloads[1]
+
+
+def test_run_pins_blas_and_restores_thread_counts(monkeypatch, tmp_path):
+    libs = _blas._openblas()
+    assert libs, "no OpenBLAS found in a process that loaded numpy"
+    seen = []
+
+    def counts():
+        return [get() for get, _ in libs]
+
+    runner = cli._RUNNERS["spectral-report"]
+
+    def spy(*args):
+        seen.append(counts())
+        return runner(*args)
+
+    monkeypatch.setitem(cli._RUNNERS, "spectral-report", spy)
+    before = counts()
+    for _, set_threads in libs:
+        set_threads(2)
+    try:
+        run("spectral-report", SPECTRAL, None, tmp_path)
+        assert counts() == [2] * len(libs)
+        bad = json.loads(json.dumps(SPECTRAL))
+        bad["sketch"] = {"rows": 5, "dist": "identity"}  # rows != n
+        with pytest.raises(OpboundsError, match="identity sketch"):
+            run("spectral-report", bad, None, tmp_path)
+        assert counts() == [2] * len(libs)
+    finally:
+        for (_, set_threads), count in zip(libs, before):
+            set_threads(count)
+    assert seen == [[1] * len(libs)] * 2
+
+
+def test_run_warns_and_returns_without_openblas(monkeypatch, tmp_path):
+    monkeypatch.setattr(_blas, "_openblas", lambda: ())
+    with pytest.warns(RuntimeWarning, match="no OpenBLAS"):
+        record = run("spectral-report", SPECTRAL, None, tmp_path)
+    assert record["metrics"]["delta_sq"] > 0
 
 
 def test_main_in_process(tmp_path):
