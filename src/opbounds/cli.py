@@ -486,13 +486,16 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     sk_seed = config["sketch"].get("seed", derive_seed(seed, 2))
     sketch, sk_p = _build_sketch(config["sketch"], ds.n, sk_seed)
 
-    full = fit_full(kernel, ds.x, ds.y, loss, fit_cfg)
-    sketched = fit_sketched(kernel, ds.x, ds.y, loss, fit_cfg, sketch)
-    risk_full = empirical_risk(full, ds.x, ds.y, loss)
-    risk_sketched = empirical_risk(sketched, ds.x, ds.y, loss)
-
+    # one Gram and one eigendecomposition serve both fits, both training
+    # risks and the spectral report
     g_k = gram_scalar(kernel.scalar, ds.x)
-    dec = eigendecompose_scaled_gram(g_k, ds.n)
+    g_eigh = np.linalg.eigh(g_k)
+    full = fit_full(kernel, ds.x, ds.y, loss, fit_cfg, gram=g_k, gram_eigh=g_eigh)
+    sketched = fit_sketched(kernel, ds.x, ds.y, loss, fit_cfg, sketch, gram=g_k)
+    risk_full = empirical_risk(full, ds.x, ds.y, loss, gram=g_k)
+    risk_sketched = empirical_risk(sketched, ds.x, ds.y, loss, gram=g_k)
+
+    dec = eigendecompose_scaled_gram(g_k, ds.n, gram_eigh=g_eigh)
     delta_sq = critical_radius(dec.mu)
     d_n = statistical_dimension(dec.mu, delta_sq)
     c_val = satisfiability_constant(sk_p)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UnboundedLossError
+from .errors import InputError, NumericError, UnboundedLossError
 from .kernels import DecomposableKernel, as_points, check_kappa, gram_scalar, gram_scalar_cross
 from .losses import UNBOUNDED, LossSpec, loss_subgradient, loss_value
 from .sketching import SketchMatrix
@@ -77,12 +77,17 @@ class FittedModel:
             return self.coeffs
         return self.sketch.dense.T @ self.coeffs
 
-    def predict(self, x) -> np.ndarray:
-        kmat = gram_scalar_cross(self.kernel.scalar, x, self.anchors)
-        return kmat @ self.effective_coeffs() @ self.kernel.output
+    def predict(self, x, gram=None) -> np.ndarray:
+        """Rows k(x, anchors) @ A @ M; ``gram`` is k(x, anchors) when at hand
+        (the training Gram when x are the anchors)."""
+        if gram is None:
+            gram = gram_scalar_cross(self.kernel.scalar, x, self.anchors)
+        elif np.shape(gram) != (as_points(x).shape[0], self.anchors.shape[0]):
+            raise InputError(f"Gram shape {np.shape(gram)} does not match points x anchors")
+        return gram @ self.effective_coeffs() @ self.kernel.output
 
 
-def _prepare(kernel: DecomposableKernel, x, y):
+def _prepare(kernel: DecomposableKernel, x, y, gram=None):
     pts = as_points(x, kernel.scalar.dimension)
     targets = np.asarray(y, dtype=float)
     if targets.ndim == 1:
@@ -94,7 +99,14 @@ def _prepare(kernel: DecomposableKernel, x, y):
         )
     if pts.shape[0] == 0:
         raise InputError("data must be nonempty")
-    g = gram_scalar(kernel.scalar, pts)
+    if gram is None:
+        g = gram_scalar(kernel.scalar, pts)
+    else:
+        g = np.asarray(gram, dtype=float)
+        if g.shape != (pts.shape[0],) * 2:
+            raise InputError(f"Gram shape {g.shape} does not match {pts.shape[0]} points")
+        if not np.all(np.isfinite(g)):
+            raise NumericError("Gram matrix contains non-finite entries")
     check_kappa(kernel, g)
     return pts, targets, g
 
@@ -125,20 +137,19 @@ def objective_sketched(
     loss: LossSpec, lambda_n: float, s_dense: np.ndarray, gamma: np.ndarray,
 ) -> float:
     k_sk = g @ s_dense.T
-    preds = k_sk @ gamma @ kernel.output
-    data = _mean_loss(loss, preds, y)
-    sgs = s_dense @ k_sk
-    penalty = 0.5 * lambda_n * float(np.sum((sgs @ gamma) * (gamma @ kernel.output)))
-    return data + penalty
+    return _objective_sketched(kernel.output, k_sk, s_dense @ k_sk, y, loss, lambda_n, gamma)
 
 
+def _objective_sketched(m_mat, k_sk, sgs, y, loss, lambda_n, gamma) -> float:
+    # objective_sketched on the loop-invariant k_sk = G S^T and sgs = S G S^T
+    data = _mean_loss(loss, k_sk @ gamma @ m_mat, y)
+    return data + 0.5 * lambda_n * float(np.sum((sgs @ gamma) * (gamma @ m_mat)))
 
 
-def _solve_squared_full(g, m_mat, y, lambda_n):
+def _solve_squared_full(g_eigh, m_mat, y, lambda_n):
     # stationarity: G A M + (n lambda / 2) A = Y, solved in the eigenbases
-    n = g.shape[0]
-    c = 0.5 * n * lambda_n
-    g_vals, g_vecs = np.linalg.eigh(g)
+    g_vals, g_vecs = g_eigh
+    c = 0.5 * g_vals.shape[0] * lambda_n
     m_vals, m_vecs = np.linalg.eigh(m_mat)
     y_t = g_vecs.T @ y @ m_vecs
     a_t = y_t / (np.outer(g_vals, m_vals) + c)
@@ -163,10 +174,10 @@ def _solve_squared_sketched(g, m_mat, y, lambda_n, s_dense):
     return gamma_t @ m_vecs.T
 
 
-def _diag_prox(sym_a: np.ndarray, m_mat: np.ndarray, lambda_n: float):
+def _diag_prox(a_eigh, m_mat: np.ndarray, lambda_n: float):
     """Proximal map of (lambda/2) Tr(A X M X^T): solves X + t*lambda*A X M = V
-    through the eigenbases of A and M."""
-    a_vals, a_vecs = np.linalg.eigh(sym_a)
+    through the eigenbases of A (``a_eigh = np.linalg.eigh(A)``) and M."""
+    a_vals, a_vecs = a_eigh
     m_vals, m_vecs = np.linalg.eigh(m_mat)
     cross = lambda_n * np.outer(a_vals, m_vals)
 
@@ -219,7 +230,10 @@ def _descend(objective, loss_grad, prox, start, cfg):
     return coeffs, FitDiagnostics(obj, residual, iters, converged, warning)
 
 
-def fit_full(kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig) -> FittedModel:
+def fit_full(
+    kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig,
+    gram=None, gram_eigh=None,
+) -> FittedModel:
     """Fit the full representer program.
 
     Parameters
@@ -228,13 +242,21 @@ def fit_full(kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig) -
     x, y : training inputs (n, d) and targets (n, m).
     loss : squared (direct solve) or Lipschitz (proximal subgradient descent).
     cfg : ridge weight and solver controls.
+    gram : the n x n scalar Gram k(x_i, x_j), reused instead of assembled; it
+        is checked for shape, finite entries and ``kernel.kappa``.
+    gram_eigh : ``np.linalg.eigh`` of that Gram, reused by the squared solve
+        and the proximal map instead of a fresh eigendecomposition.
     """
-    pts, targets, g = _prepare(kernel, x, y)
+    pts, targets, g = _prepare(kernel, x, y, gram)
     _require_invertible_m(kernel.output)
     m_mat = kernel.output
     n = pts.shape[0]
+    if gram_eigh is None:
+        gram_eigh = np.linalg.eigh(g)
+    elif np.shape(gram_eigh[1]) != g.shape:
+        raise InputError(f"Gram eigenvectors of shape {np.shape(gram_eigh[1])} for {n} points")
     if loss.family == "squared":
-        a = _solve_squared_full(g, m_mat, targets, cfg.lambda_n)
+        a = _solve_squared_full(gram_eigh, m_mat, targets, cfg.lambda_n)
         obj = objective_full(kernel, g, targets, loss, cfg.lambda_n, a)
         resid = g @ ((2.0 / n) * (g @ a @ m_mat - targets) + cfg.lambda_n * a) @ m_mat
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), 0, True)
@@ -248,17 +270,22 @@ def fit_full(kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig) -
         xi = loss_subgradient(loss, preds, targets)
         return g @ (xi / n) @ m_mat
 
-    prox = _diag_prox(g, m_mat, cfg.lambda_n)
+    prox = _diag_prox(gram_eigh, m_mat, cfg.lambda_n)
     start = np.zeros_like(targets)
     coeffs, diag = _descend(objective, loss_grad, prox, start, cfg)
     return FittedModel("full", coeffs, kernel, pts, diag)
 
 
 def fit_sketched(
-    kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig, sk: SketchMatrix
+    kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig, sk: SketchMatrix,
+    gram=None,
 ) -> FittedModel:
-    """Fit the sketched program on the Gamma parameterization."""
-    pts, targets, g = _prepare(kernel, x, y)
+    """Fit the sketched program on the Gamma parameterization.
+
+    ``gram`` is the n x n scalar Gram k(x_i, x_j), reused instead of
+    assembled and checked as in :func:`fit_full`.
+    """
+    pts, targets, g = _prepare(kernel, x, y, gram)
     _require_invertible_m(kernel.output)
     s_dense = sk.dense
     if s_dense.shape[1] != pts.shape[0]:
@@ -267,36 +294,35 @@ def fit_sketched(
         )
     m_mat = kernel.output
     n = pts.shape[0]
+    k_sk = g @ s_dense.T
+    sgs = s_dense @ k_sk
     if loss.family == "squared":
         gamma = _solve_squared_sketched(g, m_mat, targets, cfg.lambda_n, s_dense)
-        obj = objective_sketched(kernel, g, targets, loss, cfg.lambda_n, s_dense, gamma)
-        k_sk = g @ s_dense.T
+        obj = _objective_sketched(m_mat, k_sk, sgs, targets, loss, cfg.lambda_n, gamma)
         resid = (
             k_sk.T @ ((2.0 / n) * (k_sk @ gamma @ m_mat - targets)) @ m_mat
-            + cfg.lambda_n * (s_dense @ k_sk) @ gamma @ m_mat
+            + cfg.lambda_n * sgs @ gamma @ m_mat
         )
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), 0, True)
         return FittedModel("sketched", gamma, kernel, pts, diag, sketch=sk)
 
-    k_sk = g @ s_dense.T
-    sgs = 0.5 * (s_dense @ k_sk + (s_dense @ k_sk).T)  # symmetrized S G S^T
-
     def objective(gamma):
-        return objective_sketched(kernel, g, targets, loss, cfg.lambda_n, s_dense, gamma)
+        return _objective_sketched(m_mat, k_sk, sgs, targets, loss, cfg.lambda_n, gamma)
 
     def loss_grad(gamma):
         preds = k_sk @ gamma @ m_mat
         xi = loss_subgradient(loss, preds, targets)
         return (k_sk.T @ xi / n) @ m_mat
 
-    prox = _diag_prox(sgs, m_mat, cfg.lambda_n)
+    prox = _diag_prox(np.linalg.eigh(0.5 * (sgs + sgs.T)), m_mat, cfg.lambda_n)
     start = np.zeros((s_dense.shape[0], kernel.output_dim))
     coeffs, diag = _descend(objective, loss_grad, prox, start, cfg)
     return FittedModel("sketched", coeffs, kernel, pts, diag, sketch=sk)
 
 
-def empirical_risk(model, x, y, loss: LossSpec) -> float:
-    """Mean loss of a FittedModel or row-wise predictor over a dataset."""
+def empirical_risk(model, x, y, loss: LossSpec, gram=None) -> float:
+    """Mean loss of a FittedModel or row-wise predictor over a dataset;
+    ``gram`` is k(x, anchors) for a FittedModel, as in ``predict``."""
     pts = as_points(x)
     targets = np.asarray(y, dtype=float)
     if targets.ndim == 1:
@@ -304,7 +330,7 @@ def empirical_risk(model, x, y, loss: LossSpec) -> float:
     if pts.shape[0] == 0:
         raise InputError("data must be nonempty")
     if isinstance(model, FittedModel):
-        preds = model.predict(pts)
+        preds = model.predict(pts, gram)
     else:
         preds = np.asarray(model(pts), dtype=float)
     if preds.shape != targets.shape:

@@ -52,15 +52,26 @@ class SpectralReport:
         }
 
 
-def eigendecompose_scaled_gram(g_k: np.ndarray, n: int) -> SpectralDecomposition:
-    """Eigendecomposition of G_k / n with descending, zero-clipped spectrum."""
+def eigendecompose_scaled_gram(
+    g_k: np.ndarray, n: int, gram_eigh=None
+) -> SpectralDecomposition:
+    """Eigendecomposition of G_k / n with descending, zero-clipped spectrum.
+
+    ``gram_eigh`` reuses a caller's ``np.linalg.eigh(g_k)``: its eigenvalues
+    are divided by n instead of decomposing G_k / n, which moves the last bits
+    of the spectrum and eigenvectors.
+    """
     g = np.asarray(g_k, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InputError(f"Gram matrix must be square, got {g.shape}")
     if np.abs(g - g.T).max(initial=0.0) > 1e-12 * max(1.0, np.abs(g).max(initial=0.0)):
         raise InputError("Gram matrix is not symmetric")
-    scaled = g / float(n)
-    vals, vecs = np.linalg.eigh(scaled)
+    if gram_eigh is None:
+        vals, vecs = np.linalg.eigh(g / float(n))
+    elif np.shape(gram_eigh[1]) != g.shape:
+        raise InputError(f"eigenvectors of shape {np.shape(gram_eigh[1])} for Gram {g.shape}")
+    else:
+        vals, vecs = gram_eigh[0] / float(n), gram_eigh[1]
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]

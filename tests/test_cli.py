@@ -115,6 +115,68 @@ def test_sketch_regress_identity_equivalence(tmp_path):
     assert metrics["excess_risk_bound"].get("error") == "unbounded-loss"
 
 
+def test_sketch_regress_one_gram_and_one_eigh(monkeypatch, tmp_path):
+    # squared loss at n=90: the n x n Gram is assembled once and decomposed
+    # once, shared by both fits, both training risks and the spectral report
+    from opbounds import kernels
+
+    n = 90
+    cfg = json.loads(json.dumps(SKETCH_REGRESS))
+    cfg["dataset"]["n"] = n
+    cfg["loss"] = {"family": "squared"}
+    profiles, eighs = [], []
+    profile, eigh = kernels._radial_profile, np.linalg.eigh
+
+    def counted_profile(spec, sq_dist):
+        profiles.append(np.shape(sq_dist))
+        return profile(spec, sq_dist)
+
+    def counted_eigh(a, *args, **kwargs):
+        eighs.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_radial_profile", counted_profile)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    run("sketch-regress", cfg, None, tmp_path)
+    assert profiles.count((n, n)) == 1
+    assert eighs.count((n, n)) == 1
+
+
+def _csv_dataset(tmp_path, x, y):
+    from opbounds.data import write_csv
+
+    write_csv(tmp_path / "points.csv", x, y)
+    return {"kind": "csv", "path": "points.csv", "d": x.shape[1], "m": y.shape[1]}
+
+
+@pytest.mark.parametrize("case", ["n=1", "m=1", "duplicate points", "s>n"])
+@pytest.mark.parametrize("family", ["squared", "pinball"])
+def test_sketch_regress_degenerate_inputs(case, family, tmp_path):
+    cfg = json.loads(json.dumps(SKETCH_REGRESS))
+    if family == "squared":
+        cfg["loss"] = {"family": "squared"}
+    if case == "n=1":
+        cfg["dataset"]["n"] = 1
+        cfg["sketch"]["rows"] = 1
+    elif case == "m=1":
+        cfg["dataset"]["m"] = 1
+        if family == "pinball":
+            cfg["loss"]["quantiles"] = [0.5]
+    elif case == "duplicate points":
+        rng = np.random.default_rng(4)
+        x = np.repeat(rng.uniform(-1, 1, (5, 2)), 4, axis=0)
+        cfg["dataset"] = _csv_dataset(tmp_path, x, rng.standard_normal((20, 2)))
+    else:
+        cfg["sketch"]["rows"] = cfg["dataset"]["n"] + 7
+    record = run("sketch-regress", cfg, None, tmp_path)
+    numbers = []
+    cli._flatten("", record["metrics"], numbers)
+    values = [v for _, v in numbers if isinstance(v, float)]
+    assert values and all(math.isfinite(v) for v in values)
+    n = 20 if case == "duplicate points" else cfg["dataset"]["n"]
+    assert 1 <= record["metrics"]["satisfiability"]["d_n"] <= n
+
+
 def test_deep_subcommand_contracts(tmp_path):
     record = run("deep-vvrkhs", DEEP, None, tmp_path)
     metrics = record["metrics"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opbounds.erm import (
     ExcessRiskBound,
@@ -14,7 +16,7 @@ from opbounds.erm import (
     objective_full,
     objective_sketched,
 )
-from opbounds.errors import InputError, UnboundedLossError
+from opbounds.errors import InputError, NumericError, OpboundsError, UnboundedLossError
 from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
 from opbounds.losses import LossSpec, loss_value
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
@@ -212,6 +214,66 @@ def test_empirical_risk_cases():
     )
     with pytest.raises(InputError):
         empirical_risk(pred, np.zeros((0, 2)), np.zeros((0, 2)), SQUARED)
+
+
+@pytest.mark.filterwarnings("ignore:sketch has more rows")
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 14),
+    s=st.integers(1, 18),
+    loss=st.sampled_from([SQUARED, PINBALL, HUBER]),
+)
+def test_supplied_gram_fits_match_self_assembled(seed, n, s, loss):
+    kernel, x, y = make_problem(seed, n=n)
+    cfg = FitConfig(lambda_n=0.05, max_iters=15, step_size=0.5, tol=1e-9)
+    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=1.0, dist="gaussian", seed=seed))
+    g = gram_scalar(kernel.scalar, x)
+    own_full = fit_full(kernel, x, y, loss, cfg)
+    pairs = [
+        (own_full, fit_full(kernel, x, y, loss, cfg, gram=g, gram_eigh=np.linalg.eigh(g))),
+        (own_full, fit_full(kernel, x, y, loss, cfg, gram=g)),
+        (fit_sketched(kernel, x, y, loss, cfg, sk),
+         fit_sketched(kernel, x, y, loss, cfg, sk, gram=g)),
+    ]
+    for own, shared in pairs:
+        assert np.array_equal(own.coeffs, shared.coeffs)
+        assert own.diagnostics == shared.diagnostics
+        assert empirical_risk(own, x, y, loss) == empirical_risk(shared, x, y, loss, gram=g)
+    # the hoisted sketched objective reports the public objective's bits
+    gamma = pairs[2][1].coeffs
+    assert pairs[2][1].diagnostics.objective == objective_sketched(
+        kernel, g, y, loss, cfg.lambda_n, sk.dense, gamma
+    )
+
+
+@pytest.mark.parametrize("fit", ["full", "sketched"])
+def test_supplied_gram_errors_are_typed(fit):
+    kernel, x, y = make_problem(8, n=10)
+    cfg = FitConfig(lambda_n=0.05)
+    sk = make_p_sparsified(SketchSpec(s=4, n=10, p=1.0, dist="gaussian", seed=1))
+    g = gram_scalar(kernel.scalar, x)
+    non_finite = g.copy()
+    non_finite[2, 3] = np.nan
+    cases = [
+        (g[:9, :9], InputError, "Gram shape"),
+        (np.ones(10), InputError, "Gram shape"),
+        (non_finite, NumericError, "non-finite"),
+        (2.0 * g, InputError, "kappa"),
+    ]
+    for gram, kind, match in cases:
+        with pytest.raises(kind, match=match) as info:
+            if fit == "full":
+                fit_full(kernel, x, y, SQUARED, cfg, gram=gram)
+            else:
+                fit_sketched(kernel, x, y, SQUARED, cfg, sk, gram=gram)
+        assert isinstance(info.value, OpboundsError)
+    if fit == "full":
+        with pytest.raises(InputError, match="eigenvectors"):
+            fit_full(kernel, x, y, SQUARED, cfg, gram=g, gram_eigh=np.linalg.eigh(g[:9, :9]))
+    model = fit_full(kernel, x, y, SQUARED, cfg)
+    with pytest.raises(InputError, match="Gram shape"):
+        empirical_risk(model, x, y, SQUARED, gram=g[:, :9])
 
 
 # frozen from an independent term-by-term derivation (see test body)

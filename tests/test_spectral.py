@@ -56,6 +56,47 @@ def test_eigendecompose_rejects_non_psd():
         eigendecompose_scaled_gram(np.array([[1.0, 0.5], [0.2, 1.0]]), 2)
 
 
+@st.composite
+def kernel_grams(draw):
+    """Gaussian or Matern Grams of random points, some of them repeated."""
+    from opbounds.kernels import ScalarKernelSpec, gram_scalar
+
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1, 1, (n, 2))
+    x[: draw(st.integers(0, n // 2))] = x[0]
+    spec = draw(st.sampled_from([
+        ScalarKernelSpec("gaussian", 2.0, dimension=2),
+        ScalarKernelSpec("matern", 0.5, smoothness=1.5, dimension=2),
+    ]))
+    return gram_scalar(spec, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_grams())
+def test_decomposition_from_gram_eigh_matches_own(g):
+    n = g.shape[0]
+    own = eigendecompose_scaled_gram(g, n)
+    shared = eigendecompose_scaled_gram(g, n, gram_eigh=np.linalg.eigh(g))
+    assert np.abs(shared.mu - own.mu).max() <= 1e-12 * own.mu[0]
+    delta_sq = critical_radius(own.mu)
+    d_n = statistical_dimension(own.mu, delta_sq)
+    assert critical_radius(shared.mu) == delta_sq
+    assert statistical_dimension(shared.mu, delta_sq) == d_n
+    # the top-d_n subspace is defined only when the spectrum has a gap there
+    if d_n == n or own.mu[d_n - 1] - own.mu[d_n] > 1e-4 * own.mu[0]:
+        u1, v1 = own.u[:, :d_n], shared.u[:, :d_n]
+        assert np.abs(u1 @ u1.T - v1 @ v1.T).max() <= 1e-10
+
+
+def test_decomposition_from_gram_eigh_checks():
+    indefinite = np.diag([1.0, -1.0])
+    with pytest.raises(NotPsdError):
+        eigendecompose_scaled_gram(indefinite, 2, gram_eigh=np.linalg.eigh(indefinite))
+    with pytest.raises(InputError, match="eigenvectors"):
+        eigendecompose_scaled_gram(np.eye(3), 3, gram_eigh=np.linalg.eigh(np.eye(2)))
+
+
 # --- critical radius ---------------------------------------------------------
 
 def test_critical_radius_all_zero():
