@@ -245,16 +245,22 @@ def fit_full(
     gram : the n x n scalar Gram k(x_i, x_j), reused instead of assembled; it
         is checked for shape, finite entries and ``kernel.kappa``.
     gram_eigh : ``np.linalg.eigh`` of that Gram, reused by the squared solve
-        and the proximal map instead of a fresh eigendecomposition.
+        and the proximal map instead of a fresh eigendecomposition; it is
+        accepted only together with ``gram``.
     """
+    if gram_eigh is not None and gram is None:
+        raise InputError("gram_eigh needs the Gram it decomposes")
     pts, targets, g = _prepare(kernel, x, y, gram)
     _require_invertible_m(kernel.output)
     m_mat = kernel.output
     n = pts.shape[0]
     if gram_eigh is None:
         gram_eigh = np.linalg.eigh(g)
-    elif np.shape(gram_eigh[1]) != g.shape:
-        raise InputError(f"Gram eigenvectors of shape {np.shape(gram_eigh[1])} for {n} points")
+    elif np.shape(gram_eigh[0]) != (n,) or np.shape(gram_eigh[1]) != g.shape:
+        raise InputError(
+            f"Gram eigenpairs of shapes {np.shape(gram_eigh[0])}, "
+            f"{np.shape(gram_eigh[1])} for {n} points"
+        )
     if loss.family == "squared":
         a = _solve_squared_full(gram_eigh, m_mat, targets, cfg.lambda_n)
         obj = objective_full(kernel, g, targets, loss, cfg.lambda_n, a)
@@ -322,7 +328,8 @@ def fit_sketched(
 
 def empirical_risk(model, x, y, loss: LossSpec, gram=None) -> float:
     """Mean loss of a FittedModel or row-wise predictor over a dataset;
-    ``gram`` is k(x, anchors) for a FittedModel, as in ``predict``."""
+    ``gram`` is k(x, anchors) for a FittedModel, as in ``predict``, and is
+    rejected for a predictor."""
     pts = as_points(x)
     targets = np.asarray(y, dtype=float)
     if targets.ndim == 1:
@@ -331,6 +338,8 @@ def empirical_risk(model, x, y, loss: LossSpec, gram=None) -> float:
         raise InputError("data must be nonempty")
     if isinstance(model, FittedModel):
         preds = model.predict(pts, gram)
+    elif gram is not None:
+        raise InputError("gram applies only to a FittedModel")
     else:
         preds = np.asarray(model(pts), dtype=float)
     if preds.shape != targets.shape:

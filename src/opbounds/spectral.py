@@ -57,21 +57,18 @@ def eigendecompose_scaled_gram(
 ) -> SpectralDecomposition:
     """Eigendecomposition of G_k / n with descending, zero-clipped spectrum.
 
-    ``gram_eigh`` reuses a caller's ``np.linalg.eigh(g_k)``: its eigenvalues
-    are divided by n instead of decomposing G_k / n, which moves the last bits
-    of the spectrum and eigenvectors.
+    The spectrum is ``np.linalg.eigh(g_k)`` with eigenvalues divided by n;
+    ``gram_eigh`` supplies that eigendecomposition instead of computing it.
     """
     g = np.asarray(g_k, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InputError(f"Gram matrix must be square, got {g.shape}")
     if np.abs(g - g.T).max(initial=0.0) > 1e-12 * max(1.0, np.abs(g).max(initial=0.0)):
         raise InputError("Gram matrix is not symmetric")
-    if gram_eigh is None:
-        vals, vecs = np.linalg.eigh(g / float(n))
-    elif np.shape(gram_eigh[1]) != g.shape:
-        raise InputError(f"eigenvectors of shape {np.shape(gram_eigh[1])} for Gram {g.shape}")
-    else:
-        vals, vecs = gram_eigh[0] / float(n), gram_eigh[1]
+    vals, vecs = np.linalg.eigh(g) if gram_eigh is None else gram_eigh
+    if np.shape(vals) != g.shape[:1] or np.shape(vecs) != g.shape:
+        raise InputError(f"eigenpairs of shapes {np.shape(vals)}, {np.shape(vecs)} for Gram {g.shape}")
+    vals = vals / float(n)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]

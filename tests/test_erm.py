@@ -269,11 +269,20 @@ def test_supplied_gram_errors_are_typed(fit):
                 fit_sketched(kernel, x, y, SQUARED, cfg, sk, gram=gram)
         assert isinstance(info.value, OpboundsError)
     if fit == "full":
-        with pytest.raises(InputError, match="eigenvectors"):
-            fit_full(kernel, x, y, SQUARED, cfg, gram=g, gram_eigh=np.linalg.eigh(g[:9, :9]))
+        vals, vecs = np.linalg.eigh(g)
+        eigh_cases = [
+            (g, np.linalg.eigh(g[:9, :9]), "eigenpairs"),
+            (g, (vals[:9], vecs), "eigenpairs"),
+            (None, (vals, vecs), "needs the Gram"),
+        ]
+        for gram, gram_eigh, match in eigh_cases:
+            with pytest.raises(InputError, match=match):
+                fit_full(kernel, x, y, SQUARED, cfg, gram=gram, gram_eigh=gram_eigh)
     model = fit_full(kernel, x, y, SQUARED, cfg)
     with pytest.raises(InputError, match="Gram shape"):
         empirical_risk(model, x, y, SQUARED, gram=g[:, :9])
+    with pytest.raises(InputError, match="FittedModel"):
+        empirical_risk(model.predict, x, y, SQUARED, gram=g)
 
 
 # frozen from an independent term-by-term derivation (see test body)
