@@ -585,21 +585,19 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
     probes = default_probes(ds.y, result.model.output_dim)
     pf_rep = pf_complexity_bound(result.model, ds.x, probes)
     pf, top = pf_rep["pf_norm"], pf_rep["top_norm"]
-    sep_printed = separable_bound(
-        result.model, kappa, tr_m1, ds.n, "printed", pf_norm=pf, top_norm=top
-    )
-    sep_consistent = separable_bound(
-        result.model, kappa, tr_m1, ds.n, "consistent", pf_norm=pf, top_norm=top
-    )
+    sep_printed = separable_bound(kappa, tr_m1, ds.n, "printed", pf, top)
+    sep_consistent = separable_bound(kappa, tr_m1, ds.n, "consistent", pf, top)
     epochs = [
         {
             "iteration": entry["iteration"],
             "objective": entry["objective"],
             "pf_bound": entry["pf_norm"] * entry["top_norm"] * pf_rep["trace_root"] / ds.n,
-            "separable_printed": float(np.sqrt(kappa * tr_m1) / ds.n)
-            * entry["pf_norm"] * entry["top_norm"],
-            "separable_consistent": float(np.sqrt(kappa * tr_m1 / ds.n))
-            * entry["pf_norm"] * entry["top_norm"],
+            "separable_printed": separable_bound(
+                kappa, tr_m1, ds.n, "printed", entry["pf_norm"], entry["top_norm"]
+            ),
+            "separable_consistent": separable_bound(
+                kappa, tr_m1, ds.n, "consistent", entry["pf_norm"], entry["top_norm"]
+            ),
             "pf_norm": entry["pf_norm"],
             "top_norm": entry["top_norm"],
         }
@@ -629,9 +627,7 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
         try:
             refined = refine_kernel(result.model, a_mat, direction)
             tr_a = float(np.trace(refined.layers[0].output))
-            after = separable_bound(
-                refined, kappa, tr_a, ds.n, "consistent", pf_norm=pf, top_norm=top
-            )
+            after = separable_bound(kappa, tr_a, ds.n, "consistent", pf, top)
             metrics["refinement"] = {
                 "direction": direction,
                 "scale": scale,

@@ -15,8 +15,11 @@ plain gradient descent with backtracking on
 
     (1/n) sum ||f(x_i) - y_i||^2 + lambda_1 * pf_norm + lambda_2 * top_norm.
 
-G_bottom does not depend on the coefficients, so one ``train()`` call whitens
-it once and reuses the basis for every objective, gradient and trajectory
+Kernels, output matrices and anchors stay fixed; training moves only the
+coefficient arrays, one per layer, and builds a model from them once, at the
+end.  G_bottom and the last layer's anchor Gram do not depend on the
+coefficients, so one ``train()`` call whitens the first and assembles the
+second once, and reuses both for every objective, gradient and trajectory
 norm.  The analytic gradient differentiates the top pencil eigenvalue through
 the simple-eigenvalue formula d rho = a^T dG_top a (the whitening basis is
 fixed) and falls back to finite differences when the top eigenvalue gap
@@ -35,6 +38,7 @@ from ._rng import substream
 from .errors import InputError, NumericError, RefinementOrderError
 from .kernels import (
     ScalarKernelSpec,
+    _expansion_norm,
     as_points,
     gram_scalar,
     gram_scalar_cross,
@@ -78,13 +82,16 @@ class VVLayer:
         return self.output.shape[0]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        k = gram_scalar_cross(self.kernel, u, self.anchors)
-        return k @ self.coeffs @ self.output
+        return _apply(self, u, self.coeffs)
 
     def rkhs_norm(self) -> float:
         g = gram_scalar(self.kernel, self.anchors)
-        quad = float(np.sum(g * (self.coeffs @ self.output @ self.coeffs.T)))
-        return float(np.sqrt(max(quad, 0.0)))
+        return _expansion_norm(g, self.coeffs, self.output)
+
+
+def _apply(layer: VVLayer, u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The layer's map at coefficients ``c``."""
+    return gram_scalar_cross(layer.kernel, u, layer.anchors) @ c @ layer.output
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,11 @@ class LayeredModel:
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
 
+    @property
+    def coeffs(self) -> list[np.ndarray]:
+        """Coefficient arrays, one per layer; the inverse of ``with_coeffs``."""
+        return [layer.coeffs for layer in self.layers]
+
     def with_coeffs(self, coeffs: list[np.ndarray]) -> "LayeredModel":
         return LayeredModel(
             tuple(replace(l, coeffs=c) for l, c in zip(self.layers, coeffs))
@@ -154,17 +166,15 @@ def init_layered_model(
 
 def forward(model: LayeredModel, x) -> np.ndarray:
     """Evaluate the composition on a batch; rows are outputs."""
-    u = as_points(x, model.input_dim)
-    for layer in model.layers:
-        u = layer.apply(u)
-    return u
+    return _forward_trace(model, x, model.coeffs)[-1]
 
 
-def _forward_trace(model: LayeredModel, x) -> list[np.ndarray]:
-    """Per-level inputs: levels[j] feeds layer j; levels[L] is the output."""
+def _forward_trace(model: LayeredModel, x, coeffs: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-level inputs at the given coefficients: levels[j] feeds layer j;
+    levels[L] is the output."""
     levels = [as_points(x, model.input_dim)]
-    for layer in model.layers:
-        levels.append(layer.apply(levels[-1]))
+    for layer, c in zip(model.layers, coeffs):
+        levels.append(_apply(layer, levels[-1], c))
     return levels
 
 
@@ -206,7 +216,7 @@ def _pf_top(model: LayeredModel, mids: np.ndarray, probe_bilinear: np.ndarray):
 
 def pf_product_norm(model: LayeredModel, xs, probes) -> float:
     """Norm of the transfer-operator product restricted to the probe span."""
-    return _Objective(model, xs, probes=probes).pf_norm(model)
+    return _Objective(model, xs, probes=probes).pf_norm(model.coeffs)
 
 
 def top_layer_norm(model: LayeredModel) -> float:
@@ -220,7 +230,7 @@ def pf_complexity_bound(model: LayeredModel, xs, probes) -> dict:
     x = as_points(xs, model.input_dim)
     n = x.shape[0]
     first = model.layers[0]
-    diag = np.array([gram_scalar(first.kernel, x[i : i + 1])[0, 0] for i in range(n)])
+    diag = np.diag(gram_scalar(first.kernel, x))
     trace_root = float(np.sqrt(np.sum(diag) * np.trace(first.output)))
     pf = pf_product_norm(model, x, probes)
     top = top_layer_norm(model)
@@ -235,31 +245,16 @@ def pf_complexity_bound(model: LayeredModel, xs, probes) -> dict:
 
 
 def separable_bound(
-    model: LayeredModel,
-    kappa: float,
-    tr_m1: float,
-    n: int,
-    mode: str,
-    xs=None,
-    probes=None,
-    pf_norm: float | None = None,
-    top_norm: float | None = None,
+    kappa: float, tr_m1: float, n: int, mode: str, pf_norm: float, top_norm: float
 ) -> float:
-    """Separable-kernel complexity bound in two conventions.
+    """Separable-kernel complexity bound in two conventions, from its
+    transfer-product and top-layer factors.
 
     ``printed`` uses sqrt(kappa Tr(M1)) / n; ``consistent`` uses
     sqrt(kappa Tr(M1) / n), the specialization of the general product bound.
-    PF/top factors may be frozen via ``pf_norm``/``top_norm`` (otherwise they
-    are computed from the model on the given data and probes).
     """
     if mode not in ("printed", "consistent"):
         raise InputError(f"unknown mode {mode!r}")
-    if pf_norm is None:
-        if xs is None or probes is None:
-            raise InputError("either pf_norm or (xs, probes) must be given")
-        pf_norm = pf_product_norm(model, xs, probes)
-    if top_norm is None:
-        top_norm = top_layer_norm(model)
     if mode == "printed":
         lead = np.sqrt(kappa * tr_m1) / n
     else:
@@ -286,9 +281,10 @@ class TrainConfig:
 
 
 class _Objective:
-    """Training objective on fixed inputs, labels and probes; G_bottom is
-    whitened on first use, so every model passed in must share the first
-    kernel and M~ of the one given here."""
+    """Training objective of one model's fixed layers on fixed inputs, labels
+    and probes.  Its methods take a list of coefficient arrays, one per layer;
+    G_bottom is whitened and the last layer's anchor Gram assembled on first
+    use."""
 
     def __init__(self, model: LayeredModel, xs, ys=None, probes=None):
         self.x = as_points(xs, model.input_dim)
@@ -296,7 +292,7 @@ class _Objective:
         if probes is None:
             probes = default_probes(self.y, model.output_dim)
         self.probes = _columns(probes)
-        self._model = model
+        self.model = model
 
     @cached_property
     def bottom(self) -> tuple[np.ndarray, np.ndarray]:
@@ -305,36 +301,47 @@ class _Objective:
             raise InputError("one probe vector per point is required")
         if np.any(np.linalg.norm(self.probes, axis=1) == 0.0):
             raise InputError("probe vectors must be nonzero")
-        return _pf_bottom(self._model, self.x, self.probes)
+        return _pf_bottom(self.model, self.x, self.probes)
 
-    def pf_norm(self, model: LayeredModel, mids=None) -> float:
+    @cached_property
+    def top_gram(self) -> np.ndarray:
+        """Kernel Gram of the last layer's anchors."""
+        last = self.model.layers[-1]
+        return gram_scalar(last.kernel, last.anchors)
+
+    def top_norm(self, coeffs) -> float:
+        """RKHS norm of the last layer."""
+        return _expansion_norm(self.top_gram, coeffs[-1], self.model.layers[-1].output)
+
+    def pf_norm(self, coeffs, mids=None) -> float:
         """Transfer-product norm; ``mids`` are the last layer's inputs."""
         if mids is None:
-            mids = _forward_trace(model, self.x)[-2]
+            mids = _forward_trace(self.model, self.x, coeffs)[-2]
         probe_bilinear, basis = self.bottom
-        g_top, _ = _pf_top(model, mids, probe_bilinear)
+        g_top, _ = _pf_top(self.model, mids, probe_bilinear)
         return float(np.sqrt(_pencil_value(g_top, basis)))
 
-    def terms(self, model: LayeredModel, lambda1, lambda2) -> tuple[float, float, float]:
-        levels = _forward_trace(model, self.x)
+    def terms(self, coeffs, lambda1, lambda2) -> tuple[float, float, float]:
+        levels = _forward_trace(self.model, self.x, coeffs)
         data = float(np.sum((levels[-1] - self.y) ** 2)) / self.x.shape[0]
-        pf_term = lambda1 * self.pf_norm(model, levels[-2]) if lambda1 > 0 else 0.0
-        top_term = lambda2 * top_layer_norm(model) if lambda2 > 0 else 0.0
+        pf_term = lambda1 * self.pf_norm(coeffs, levels[-2]) if lambda1 > 0 else 0.0
+        top_term = lambda2 * self.top_norm(coeffs) if lambda2 > 0 else 0.0
         return data, pf_term, top_term
 
-    def gradient(self, model: LayeredModel, lambda1, lambda2, mode) -> list[np.ndarray]:
+    def gradient(self, coeffs, lambda1, lambda2, mode) -> list[np.ndarray]:
         if mode == "finite-diff":
-            return _fd_gradient(self, model, lambda1, lambda2)
+            return _fd_gradient(self, coeffs, lambda1, lambda2)
         if mode != "analytic":
             raise InputError(f"unknown gradient mode {mode!r}")
+        model = self.model
         _require_gaussian(model)
 
-        levels = _forward_trace(model, self.x)
+        levels = _forward_trace(model, self.x, coeffs)
         kmats = [
             gram_scalar_cross(layer.kernel, levels[j], layer.anchors)
             for j, layer in enumerate(model.layers)
         ]
-        grads = [np.zeros_like(layer.coeffs) for layer in model.layers]
+        grads = [np.zeros_like(c) for c in coeffs]
 
         # seed at the output: data term
         seeds = {model.depth: (2.0 / self.x.shape[0]) * (levels[-1] - self.y)}
@@ -350,7 +357,7 @@ class _Objective:
                     "finite-difference gradients",
                     stacklevel=3,
                 )
-                return _fd_gradient(self, model, lambda1, lambda2)
+                return _fd_gradient(self, coeffs, lambda1, lambda2)
             if rho > 0:
                 t_mat = np.outer(a_vec, a_vec) * probe_bilinear * k_top
                 gamma_l = model.layers[-1].kernel.bandwidth
@@ -363,15 +370,16 @@ class _Objective:
                 ) + scale * d_rho_d_mid
 
         if lambda2 > 0:
-            last = model.layers[-1]
-            top = last.rkhs_norm()
+            top = self.top_norm(coeffs)
             if top > 0:
-                g_last = gram_scalar(last.kernel, last.anchors)
-                grads[-1] += lambda2 * (g_last @ last.coeffs @ last.output) / top
+                m_top = model.layers[-1].output
+                grads[-1] += lambda2 * (self.top_gram @ coeffs[-1] @ m_top) / top
 
         gbar = seeds[model.depth]
         for j in range(model.depth - 1, -1, -1):
-            grad_c, grad_u = _backprop_layer(model.layers[j], levels[j], kmats[j], gbar)
+            grad_c, grad_u = _backprop_layer(
+                model.layers[j], coeffs[j], levels[j], kmats[j], gbar
+            )
             grads[j] += grad_c
             gbar = grad_u
             if j in seeds:
@@ -383,7 +391,7 @@ def objective_terms(
     model: LayeredModel, xs, ys, lambda1: float, lambda2: float, probes=None
 ) -> tuple[float, float, float]:
     """(data term, lambda1 * pf norm, lambda2 * top norm)."""
-    return _Objective(model, xs, ys, probes).terms(model, lambda1, lambda2)
+    return _Objective(model, xs, ys, probes).terms(model.coeffs, lambda1, lambda2)
 
 
 def objective(
@@ -401,10 +409,13 @@ def _require_gaussian(model: LayeredModel) -> None:
             )
 
 
-def _backprop_layer(layer: VVLayer, u: np.ndarray, kmat: np.ndarray, gbar: np.ndarray):
-    """Given d obj / d out for one layer, return (d obj / d C, d obj / d u)."""
+def _backprop_layer(
+    layer: VVLayer, c: np.ndarray, u: np.ndarray, kmat: np.ndarray, gbar: np.ndarray
+):
+    """Given d obj / d out for one layer at coefficients ``c``, return
+    (d obj / d C, d obj / d u)."""
     grad_c = kmat.T @ gbar @ layer.output
-    w = (gbar @ (layer.coeffs @ layer.output).T) * kmat  # (n, q)
+    w = (gbar @ (c @ layer.output).T) * kmat  # (n, q)
     gamma = layer.kernel.bandwidth
     grad_u = -2.0 * gamma * (w.sum(axis=1)[:, None] * u - w @ layer.anchors)
     return grad_c, grad_u
@@ -431,22 +442,21 @@ def gradient(
     eigenvalue gap falls below 1e-8 relative, the whole gradient falls back to
     central finite differences (step 1e-5 * (1 + |parameter|)) with a warning.
     """
-    return _Objective(model, xs, ys, probes).gradient(model, lambda1, lambda2, mode)
+    return _Objective(model, xs, ys, probes).gradient(model.coeffs, lambda1, lambda2, mode)
 
 
-def _fd_gradient(problem: _Objective, model: LayeredModel, lambda1, lambda2):
+def _fd_gradient(problem: _Objective, coeffs: list[np.ndarray], lambda1, lambda2):
     grads = []
-    coeffs = [layer.coeffs.copy() for layer in model.layers]
-    for j in range(model.depth):
-        g = np.zeros_like(coeffs[j])
-        it = np.nditer(coeffs[j], flags=["multi_index"])
+    for j, c in enumerate(coeffs):
+        g = np.zeros_like(c)
+        it = np.nditer(c, flags=["multi_index"])
         for val in it:
             idx = it.multi_index
             h = _FD_STEP * (1.0 + abs(float(val)))
             for sign in (+1.0, -1.0):
-                bumped = [c.copy() for c in coeffs]
+                bumped = coeffs[:j] + [c.copy()] + coeffs[j + 1 :]
                 bumped[j][idx] += sign * h
-                obj = sum(problem.terms(model.with_coeffs(bumped), lambda1, lambda2))
+                obj = sum(problem.terms(bumped, lambda1, lambda2))
                 g[idx] += sign * obj / (2.0 * h)
         grads.append(g)
     return grads
@@ -462,21 +472,22 @@ class TrainResult:
 
 
 def train(model: LayeredModel, xs, ys, cfg: TrainConfig, probes=None) -> TrainResult:
-    """Gradient descent with backtracking; the objective never increases
-    across accepted steps and the trajectory records objective, transfer-
-    product norm, and top-layer norm per accepted iteration."""
+    """Gradient descent with backtracking on the coefficient arrays of the
+    model's fixed layers; the objective never increases across accepted steps
+    and the trajectory records objective, transfer-product norm, and top-layer
+    norm per accepted iteration."""
     problem = _Objective(model, xs, ys, probes)
 
-    def full_obj(m):
-        return sum(problem.terms(m, cfg.lambda1, cfg.lambda2))
+    def full_obj(coeffs):
+        return sum(problem.terms(coeffs, cfg.lambda1, cfg.lambda2))
 
-    current = model
-    obj = full_obj(current)
+    coeffs = model.coeffs
+    obj = full_obj(coeffs)
     if not np.isfinite(obj):
         raise NumericError(f"objective is non-finite at the start ({obj})")
-    result = TrainResult(model=current)
+    result = TrainResult(model=model)
     for it in range(1, cfg.iters + 1):
-        grads = problem.gradient(current, cfg.lambda1, cfg.lambda2, cfg.grad_mode)
+        grads = problem.gradient(coeffs, cfg.lambda1, cfg.lambda2, cfg.grad_mode)
         gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
         if gnorm <= cfg.tol:
             result.converged = True
@@ -485,15 +496,13 @@ def train(model: LayeredModel, xs, ys, cfg: TrainConfig, probes=None) -> TrainRe
         step = cfg.step
         accepted = False
         while step >= _MIN_STEP:
-            cand = current.with_coeffs(
-                [layer.coeffs - step * g for layer, g in zip(current.layers, grads)]
-            )
+            cand = [c - step * g for c, g in zip(coeffs, grads)]
             cand_obj = full_obj(cand)
             if not np.isfinite(cand_obj):
                 step *= 0.5
                 continue
             if cand_obj <= obj - _ARMIJO * step * gnorm * gnorm:
-                current, obj = cand, cand_obj
+                coeffs, obj = cand, cand_obj
                 accepted = True
                 break
             step *= 0.5
@@ -501,14 +510,14 @@ def train(model: LayeredModel, xs, ys, cfg: TrainConfig, probes=None) -> TrainRe
             result.warning = "line search stalled"
             result.iterations = it - 1
             break
-        pf = problem.pf_norm(current)
-        top = top_layer_norm(current)
+        pf = problem.pf_norm(coeffs)
+        top = problem.top_norm(coeffs)
         result.trajectory.append(
             {"iteration": it, "objective": obj, "pf_norm": pf, "top_norm": top,
              "step": step}
         )
         result.iterations = it
-    result.model = current
+    result.model = model.with_coeffs(coeffs)
     return result
 
 

@@ -126,9 +126,9 @@ def objective_full(
     kernel: DecomposableKernel, g: np.ndarray, y: np.ndarray,
     loss: LossSpec, lambda_n: float, a: np.ndarray,
 ) -> float:
-    preds = g @ a @ kernel.output
-    data = _mean_loss(loss, preds, y)
-    penalty = 0.5 * lambda_n * float(np.sum((g @ a) * (a @ kernel.output)))
+    ga = g @ a
+    data = _mean_loss(loss, ga @ kernel.output, y)
+    penalty = 0.5 * lambda_n * float(np.sum(ga * (a @ kernel.output)))
     return data + penalty
 
 

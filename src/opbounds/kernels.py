@@ -211,6 +211,13 @@ def expansion_matrix(kernel: DecomposableKernel, anchors, coeffs, x) -> np.ndarr
     return kmat @ c @ kernel.output
 
 
+def _expansion_norm(g: np.ndarray, coeffs: np.ndarray, output: np.ndarray) -> float:
+    """RKHS norm sqrt(sum_ij g_ij c_i^T M c_j) of an expansion whose anchor
+    Gram is ``g``."""
+    quad = float(np.sum(g * (coeffs @ output @ coeffs.T)))
+    return float(np.sqrt(max(quad, 0.0)))
+
+
 @dataclass(frozen=True)
 class KernelExpansion:
     """A finite kernel expansion f = sum_j k(., z_j) M c_j, the workhorse
@@ -241,8 +248,7 @@ class KernelExpansion:
     def norm(self) -> float:
         """RKHS norm sqrt(sum_ij k(z_i, z_j) c_i^T M c_j)."""
         g = gram_scalar(self.kernel.scalar, self.anchors)
-        quad = float(np.sum(g * (self.coeffs @ self.kernel.output @ self.coeffs.T)))
-        return float(np.sqrt(max(quad, 0.0)))
+        return _expansion_norm(g, self.coeffs, self.kernel.output)
 
 
 def sobolev_norm_gaussian(d: int, s: float) -> float:

@@ -327,7 +327,7 @@ def test_criterion_08_gradient_check():
         y = rng.standard_normal((n, 2))
         probes = default_probes(y, 2)
         probe_bilinear, basis = _pf_bottom(model, x, probes)
-        g_top, _ = _pf_top(model, _forward_trace(model, x)[-2], probe_bilinear)
+        g_top, _ = _pf_top(model, _forward_trace(model, x, model.coeffs)[-2], probe_bilinear)
         rho, _, gap = _pencil_vector(g_top, basis)
         if not (rho > 0 and gap > 1e-6 * rho):
             continue  # eigen-gap guard: regenerate
@@ -433,8 +433,8 @@ def test_criterion_11_refinement_ordering():
         checked += 1
     ok = ok and accepted > 0 and rejected > 0
     # trace scaling of the consistent bound at frozen factors
-    before = separable_bound(None, 1.0, 2.0, 50, "consistent", pf_norm=1.7, top_norm=0.9)
-    after = separable_bound(None, 1.0, 1.0, 50, "consistent", pf_norm=1.7, top_norm=0.9)
+    before = separable_bound(1.0, 2.0, 50, "consistent", pf_norm=1.7, top_norm=0.9)
+    after = separable_bound(1.0, 1.0, 50, "consistent", pf_norm=1.7, top_norm=0.9)
     scaling_ok = abs(after - before * math.sqrt(1.0 / 2.0)) <= 1e-10 * before
     ok = ok and scaling_ok
     record(11, "refinement accepts exactly PSD-ordered matrices; bound scales "

@@ -177,6 +177,35 @@ def test_sketch_regress_degenerate_inputs(case, family, tmp_path):
     assert 1 <= record["metrics"]["satisfiability"]["d_n"] <= n
 
 
+@pytest.mark.filterwarnings("ignore:top pencil eigenvalue")
+@pytest.mark.parametrize(
+    "case",
+    ["n=1", "n=2", "m=1", "duplicate points", "zero labels", "identical inputs"],
+)
+def test_deep_vvrkhs_degenerate_inputs(case, tmp_path):
+    cfg = json.loads(json.dumps(DEEP))
+    cfg["deep_model"]["train"]["iters"] = 10
+    rng = np.random.default_rng(6)
+    if case in ("n=1", "n=2"):
+        cfg["dataset"]["n"] = int(case[-1])
+    elif case == "m=1":
+        cfg["dataset"]["m"] = 1
+        cfg["deep_model"]["output_dims"] = [1, 1, 1]
+    elif case == "duplicate points":
+        x = np.repeat(rng.uniform(-1, 1, (3, 2)), 3, axis=0)
+        cfg["dataset"] = _csv_dataset(tmp_path, x, rng.standard_normal((9, 2)))
+    elif case == "zero labels":
+        cfg["dataset"] = _csv_dataset(tmp_path, rng.uniform(-1, 1, (8, 2)), np.zeros((8, 2)))
+    else:
+        x = np.tile([[0.3, -0.2]], (6, 1))
+        cfg["dataset"] = _csv_dataset(tmp_path, x, rng.standard_normal((6, 2)))
+    record = run("deep-vvrkhs", cfg, None, tmp_path)
+    numbers = []
+    cli._flatten("", record["metrics"], numbers)
+    values = [v for _, v in numbers if isinstance(v, float)]
+    assert values and all(math.isfinite(v) for v in values)
+
+
 def test_deep_subcommand_contracts(tmp_path):
     record = run("deep-vvrkhs", DEEP, None, tmp_path)
     metrics = record["metrics"]

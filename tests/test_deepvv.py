@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opbounds import deepvv
 from opbounds.deepvv import (
@@ -224,14 +226,14 @@ def test_pf_bound_dominates_sampled_subfamily():
 
 def test_separable_bound_modes_and_consistency():
     assert separable_bound(
-        None, 1.0, 2.0, 100, "printed", pf_norm=1.0, top_norm=1.0
+        1.0, 2.0, 100, "printed", pf_norm=1.0, top_norm=1.0
     ) == pytest.approx(math.sqrt(2.0) / 100, rel=1e-12)
     assert separable_bound(
-        None, 1.0, 2.0, 100, "consistent", pf_norm=1.0, top_norm=1.0
+        1.0, 2.0, 100, "consistent", pf_norm=1.0, top_norm=1.0
     ) == pytest.approx(math.sqrt(0.02), rel=1e-12)
-    assert separable_bound(None, 1.0, 2.0, 10, "printed", pf_norm=0.0, top_norm=5.0) == 0.0
+    assert separable_bound(1.0, 2.0, 10, "printed", pf_norm=0.0, top_norm=5.0) == 0.0
     with pytest.raises(InputError):
-        separable_bound(None, 1.0, 2.0, 10, "verbatim", pf_norm=1.0, top_norm=1.0)
+        separable_bound(1.0, 2.0, 10, "verbatim", pf_norm=1.0, top_norm=1.0)
 
 
 def test_separable_consistent_equals_pf_bound_when_kernel_normalized():
@@ -242,7 +244,7 @@ def test_separable_consistent_equals_pf_bound_when_kernel_normalized():
     probes = rng.standard_normal((n, 2))
     rep = pf_complexity_bound(model, x, probes)
     tr_m1 = float(np.trace(model.layers[0].output))
-    rem = separable_bound(model, 1.0, tr_m1, n, "consistent", xs=x, probes=probes)
+    rem = separable_bound(1.0, tr_m1, n, "consistent", rep["pf_norm"], rep["top_norm"])
     assert rem == pytest.approx(rep["total"], rel=1e-12)
 
 
@@ -440,6 +442,112 @@ def test_train_whitens_g_bottom_once(monkeypatch, lambda1, grad_mode):
     assert last["objective"] == objective(result.model, x, y, lambda1, 0.05)
 
 
+@pytest.mark.parametrize("grad_mode", ["analytic", "finite-diff"])
+def test_train_builds_layers_once(monkeypatch, grad_mode):
+    # kernels, output matrices and anchors are fixed, so train() validates the
+    # output matrices only when it builds the trained model at the end, and
+    # assembles the last layer's anchor Gram once for every top norm and
+    # lambda2 gradient
+    rng = np.random.default_rng(53)
+    n = 6
+    x = rng.uniform(-1, 1, (n, 2))
+    y = rng.standard_normal((n, 2))
+    model = init_layered_model(x, [gauss(2)] * 3, [np.eye(2)] * 3, seed=5)
+    last_anchors = model.layers[-1].anchors
+    make, gram = deepvv.make_output_matrix, deepvv.gram_scalar
+    validations, top_grams = [], []
+
+    def counted_gram(spec, pts):
+        if pts is last_anchors:
+            top_grams.append(pts)
+        return gram(spec, pts)
+
+    monkeypatch.setattr(deepvv, "make_output_matrix", lambda m: validations.append(m) or make(m))
+    monkeypatch.setattr(deepvv, "gram_scalar", counted_gram)
+    cfg = TrainConfig(lambda1=0.1, lambda2=0.05, step=0.3, iters=5, grad_mode=grad_mode)
+    result = train(model, x, y, cfg)
+    assert result.iterations == 5
+    assert len(validations) <= model.depth
+    assert len(top_grams) == 1
+
+
+def _reference_fd_gradient(model, x, y, lam1, lam2):
+    coeffs = [l.coeffs.copy() for l in model.layers]
+    grads = []
+    for j, c in enumerate(coeffs):
+        g = np.zeros_like(c)
+        for idx in np.ndindex(c.shape):
+            h = 1e-5 * (1.0 + abs(float(c[idx])))
+            for sign in (+1.0, -1.0):
+                bumped = [a.copy() for a in coeffs]
+                bumped[j][idx] += sign * h
+                obj = objective(model.with_coeffs(bumped), x, y, lam1, lam2)
+                g[idx] += sign * obj / (2.0 * h)
+        grads.append(g)
+    return grads
+
+
+def _reference_train(model, x, y, cfg):
+    """The training loop on whole models rebuilt for every candidate and every
+    finite-difference bump, with one public one-shot call per objective,
+    gradient and trajectory norm."""
+    probes = default_probes(y, model.output_dim)
+    lam1, lam2 = cfg.lambda1, cfg.lambda2
+    current, obj = model, objective(model, x, y, lam1, lam2)
+    trajectory = []
+    for it in range(1, cfg.iters + 1):
+        if cfg.grad_mode == "finite-diff":
+            grads = _reference_fd_gradient(current, x, y, lam1, lam2)
+        else:
+            grads = gradient(current, x, y, lam1, lam2, mode="analytic")
+        gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
+        if gnorm <= cfg.tol:
+            break
+        step = cfg.step
+        while step >= 1e-14:
+            cand = current.with_coeffs(
+                [l.coeffs - step * g for l, g in zip(current.layers, grads)]
+            )
+            cand_obj = objective(cand, x, y, lam1, lam2)
+            if np.isfinite(cand_obj) and cand_obj <= obj - 1e-4 * step * gnorm * gnorm:
+                current, obj = cand, cand_obj
+                break
+            step *= 0.5
+        else:
+            break
+        trajectory.append(
+            {"iteration": it, "objective": obj,
+             "pf_norm": pf_product_norm(current, x, probes),
+             "top_norm": top_layer_norm(current), "step": step}
+        )
+    return current, trajectory
+
+
+@pytest.mark.filterwarnings("ignore:top pencil eigenvalue")
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(2, 4),
+    lambda1=st.sampled_from([0.0, 0.1]),
+    lambda2=st.sampled_from([0.0, 0.05]),
+    grad_mode=st.sampled_from(["analytic", "finite-diff"]),
+)
+def test_train_matches_model_rebuilding_reference(seed, depth, lambda1, lambda2, grad_mode):
+    rng = np.random.default_rng(seed)
+    n = 5
+    x = rng.uniform(-1, 1, (n, 2))
+    y = rng.standard_normal((n, 2))
+    model = make_model(seed, dims=(2,) + (3,) * (depth - 1) + (2,), n_anchor=4)
+    cfg = TrainConfig(lambda1=lambda1, lambda2=lambda2, step=0.3, iters=3,
+                      grad_mode=grad_mode)
+    result = train(model, x, y, cfg)
+    ref_model, ref_trajectory = _reference_train(model, x, y, cfg)
+    assert all(
+        np.array_equal(a, b) for a, b in zip(result.model.coeffs, ref_model.coeffs)
+    )
+    assert result.trajectory == ref_trajectory
+
+
 @pytest.mark.filterwarnings("ignore:top pencil eigenvalue")
 def test_lambda1_sweep_nonincreasing_pf():
     rng = np.random.default_rng(32)
@@ -476,8 +584,8 @@ def test_refine_half_matrix_scales_bound():
     tr_before = float(np.trace(m_mat))
     tr_after = float(np.trace(refined.layers[0].output))
     assert tr_after == pytest.approx(tr_before / 2)
-    before = separable_bound(None, 1.0, tr_before, 10, "consistent", pf_norm=1.3, top_norm=0.7)
-    after = separable_bound(None, 1.0, tr_after, 10, "consistent", pf_norm=1.3, top_norm=0.7)
+    before = separable_bound(1.0, tr_before, 10, "consistent", pf_norm=1.3, top_norm=0.7)
+    after = separable_bound(1.0, tr_after, 10, "consistent", pf_norm=1.3, top_norm=0.7)
     assert after == pytest.approx(before / math.sqrt(2.0), rel=1e-10)
 
 
