@@ -44,7 +44,7 @@ from .kernels import (
     DecomposableKernel,
     KernelExpansion,
     ScalarKernelSpec,
-    gram_operator,
+    check_kappa,
     gram_scalar,
 )
 from .koopman import (
@@ -432,8 +432,9 @@ def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
     mc_seed = config["mc"].get("seed", derive_seed(seed, 4))
     cfg_mc = McConfig(draws=config["mc"]["draws"], seed=mc_seed)
 
-    g_op = gram_operator(kernel, ds.x)
-    ball = rademacher_ball_mc(g_op, ds.n, cfg_mc)
+    g_k = gram_scalar(kernel.scalar, ds.x)
+    check_kappa(kernel, g_k)
+    ball = rademacher_ball_mc(g_k, kernel.output, ds.n, cfg_mc)
     kappa, tr_m = kernel.kappa, kernel.trace_m()
     product = product_bound(net, kappa, tr_m, ds.n)
     split_at = config.get("split", 0)

@@ -3,7 +3,11 @@
 For the unit ball of a vvRKHS the inner supremum has the closed form
 ``sup_{||f|| <= 1} |sum_i <sigma_i, f(x_i)>| = sqrt(sigma^T G_K sigma)`` by
 the reproducing property, so the estimate reduces to quadratic forms in the
-operator Gram.  Sign draws come in fixed-size blocks, each from its own
+operator Gram.  For a decomposable kernel ``G_K = G_k (x) M`` is never
+assembled: the forms are computed from the factors as
+``sigma^T (G_k (x) M) sigma = <Sigma, G_k Sigma M>`` with ``Sigma`` the
+(n, m) reshape of ``sigma``, and a dense nm x nm Gram is the case
+``M = [[1.0]]``.  Sign draws come in fixed-size blocks, each from its own
 counter-based substream, and are reduced in block order: results are
 deterministic and schedule-independent.
 """
@@ -16,7 +20,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ._rng import substream
-from .errors import InputError, NotPsdError
+from .errors import InputError, NotPsdError, NumericError
 from .kernels import as_points
 
 _BLOCK = 512
@@ -45,17 +49,41 @@ def sign_blocks(total: int, width: int, seed: int) -> Iterator[np.ndarray]:
         yield g.integers(0, 2, size=(count, width)) * 2.0 - 1.0
 
 
-def _check_psd(g: np.ndarray) -> None:
-    vals = np.linalg.eigvalsh(0.5 * (g + g.T))
-    scale = max(abs(vals[-1]), 1.0) if vals.size else 1.0
-    if vals.size and vals[0] < -1e-10 * scale:
-        raise NotPsdError(f"Gram has eigenvalue {vals[0]}, not PSD")
+def _matrix(a, name: str) -> np.ndarray:
+    """``a`` as a float array, checked to be square, nonempty and finite."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise InputError(f"{name} must be square and nonempty, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{name} contains non-finite entries")
+    return a
 
 
-def _quad_forms(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sigma^T G sigma for every row sigma of ``rows``: one GEMM, then a
-    row-wise dot product (a three-operand einsum would skip BLAS)."""
-    return np.einsum("ij,ij->i", rows @ g, rows)
+def _check_psd(g: np.ndarray, out: np.ndarray) -> None:
+    """Raise NotPsdError unless G (x) M is PSD; its eigenvalues are the
+    pairwise products of the factors' eigenvalues."""
+    vals = np.outer(
+        np.linalg.eigvalsh(0.5 * (g + g.T)), np.linalg.eigvalsh(0.5 * (out + out.T))
+    )
+    scale = max(abs(vals.max()), 1.0)
+    if vals.min() < -1e-10 * scale:
+        raise NotPsdError(f"Gram has eigenvalue {vals.min()}, not PSD")
+
+
+def _quad_forms(rows: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sigma^T (G (x) M) sigma = <Sigma, G Sigma M^T> for every row sigma of
+    ``rows``, read as the row-major (n, m) matrix Sigma (the index order of
+    ``np.kron(g, out)``).
+
+    All rows go through one (n x n) @ (n x mc) GEMM; M is then applied along
+    the m axis and each form finished by a dot product.  A three-operand
+    einsum would skip BLAS, and a batched ``G @ Sigma`` is slower than one
+    GEMM on the dense Gram."""
+    n, m = g.shape[0], out.shape[0]
+    c = rows.shape[0]
+    w = np.ascontiguousarray(rows.T).reshape(n, m, c)
+    gw = (g @ w.reshape(n, m * c)).reshape(n, m, c)
+    return np.einsum("iar,iar->r", w, np.matmul(out, gw))
 
 
 def _mean_stderr(block_vals: Iterator[np.ndarray], cfg: McConfig, n: int) -> McEstimate:
@@ -72,28 +100,38 @@ def _mean_stderr(block_vals: Iterator[np.ndarray], cfg: McConfig, n: int) -> McE
     return McEstimate(estimate=mean / n, stderr=float(se) / n)
 
 
-def rademacher_ball_mc(g_op: np.ndarray, n: int, cfg: McConfig) -> McEstimate:
-    """(1/n) E sqrt(sigma^T G_K sigma) over Rademacher sigma, with its
-    Monte-Carlo standard error."""
-    g = np.asarray(g_op, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise InputError(f"operator Gram must be square, got {g.shape}")
-    _check_psd(g)
-    blocks = sign_blocks(cfg.draws, g.shape[0], cfg.seed)
-    vals = (np.sqrt(np.maximum(_quad_forms(b, g), 0.0)) for b in blocks)
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise InputError(f"sample size n must be >= 1, got {n}")
+
+
+def rademacher_ball_mc(g, out, n: int, cfg: McConfig) -> McEstimate:
+    """(1/n) E sqrt(sigma^T (G (x) M) sigma) over Rademacher sigma, with its
+    Monte-Carlo standard error.
+
+    ``g`` is the scalar Gram G_k and ``out`` the output matrix M of a
+    decomposable kernel; pass a dense operator Gram as ``g`` with
+    ``out = [[1.0]]``."""
+    g, out = _matrix(g, "Gram"), _matrix(out, "output matrix")
+    _check_n(n)
+    _check_psd(g, out)
+    blocks = sign_blocks(cfg.draws, g.shape[0] * out.shape[0], cfg.seed)
+    vals = (np.sqrt(np.maximum(_quad_forms(b, g, out), 0.0)) for b in blocks)
     return _mean_stderr(vals, cfg, n)
 
 
 def rademacher_ball_exact(g_op: np.ndarray, n: int) -> float:
-    """Exact expectation by enumerating all sign patterns; nm <= 16 only."""
-    g = np.asarray(g_op, dtype=float)
+    """Exact expectation by enumerating all sign patterns of a dense operator
+    Gram; nm <= 16 only."""
+    g = _matrix(g_op, "operator Gram")
+    _check_n(n)
     width = g.shape[0]
     if width > 16:
         raise InputError(f"exact enumeration limited to width 16, got {width}")
     codes = np.arange(1 << width, dtype=np.uint32)
     bits = (codes[:, None] >> np.arange(width)[None, :]) & 1
     signs = bits * 2.0 - 1.0
-    quad = np.maximum(_quad_forms(signs, g), 0.0)
+    quad = np.maximum(_quad_forms(signs, g, np.ones((1, 1))), 0.0)
     return float(np.mean(np.sqrt(quad))) / n
 
 
@@ -113,19 +151,23 @@ def rademacher_class_mc(
     """(1/n) E max_f |sum_i <sigma_i, f(x_i)>| over a finite class.
 
     Lower-bounds the complexity of any class containing the listed functions.
+    Each predictor is called once, on the whole (n, d) point batch, and must
+    return its n predictions as an (n, m) array (row i is f(x_i)), e.g.
+    ``KernelExpansion.at``.
     """
     if not predictors:
         raise InputError("predictor list must be nonempty")
     x = as_points(data)
     n = x.shape[0]
-    evals = np.stack(
-        [
-            np.asarray([np.asarray(f(x[i : i + 1]), dtype=float).ravel() for i in range(n)])
-            for f in predictors
-        ]
-    )  # (n_pred, n, m)
-    if evals.shape[2] != m:
-        raise InputError(f"predictors return dimension {evals.shape[2]}, expected {m}")
-    flat = evals.reshape(len(predictors), n * m)
+    flat = np.empty((len(predictors), n * m))
+    for k, f in enumerate(predictors):
+        vals = np.asarray(f(x), dtype=float)
+        if vals.shape != (n, m):
+            raise InputError(
+                f"predictor returned shape {vals.shape}, expected {(n, m)}"
+            )
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("predictor returned non-finite values")
+        flat[k] = vals.ravel()
     blocks = sign_blocks(cfg.draws, n * m, cfg.seed)
     return _mean_stderr((np.abs(b @ flat.T).max(axis=1) for b in blocks), cfg, n)

@@ -31,13 +31,20 @@ import numpy as np
 from .complexity import (
     McConfig,
     McEstimate,
+    _matrix,
     _quad_forms,
     rademacher_class_mc,
     sign_blocks,
     trace_bound,
 )
 from .errors import DegenerateInputError, InputError, NonInjectiveError
-from .kernels import DecomposableKernel, KernelExpansion, as_points, gram_operator
+from .kernels import (
+    DecomposableKernel,
+    KernelExpansion,
+    as_points,
+    check_kappa,
+    gram_scalar,
+)
 
 _INJ_TOL = 1e-12
 
@@ -289,11 +296,18 @@ def peeled_bound(net: NetworkSpec, split: int) -> float:
 
 def approximation_term_mc(
     upper_class: list[KernelExpansion],
-    g_in_op: np.ndarray,
-    g_mid_op: np.ndarray,
+    g_in,
+    g_mid,
+    out,
     cfg: McConfig,
 ) -> tuple[float, int, np.ndarray]:
     """Monte-Carlo approximation term of the split bound.
+
+    The operator Grams are ``g_in (x) out`` over the data and
+    ``g_mid (x) out`` over the mid points, given by their factors: the
+    n x n scalar Grams ``g_in``, ``g_mid`` and the m x m output matrix
+    ``out`` (dense nm x nm Grams are the case ``out = [[1.0]]``).  Sign
+    draws have width n*m; every quadratic form is ``<Sigma, G Sigma M>``.
 
     Per sign draw, with u_n and u~_n the sign-weighted kernel sums in the
     input and mid spaces, gamma = ||u_n|| / ||u~_n||; for each candidate h'
@@ -303,37 +317,38 @@ def approximation_term_mc(
 
     is expanded through Gram inner products; the result is the minimum over
     h' of the root-mean over draws.  Draws with ||u~_n||^2 at or below the
-    round-off floor ``width * eps * trace(G_mid)`` (float64 eps; an exactly
-    degenerate draw can round to ~1e-16 and give gamma ~ 1e8) are rejected
-    and counted.  Returns (value, rejected_draws, per-draw gammas).
+    round-off floor ``width * eps * trace(g_mid) * trace(out)`` (float64 eps;
+    an exactly degenerate draw can round to ~1e-16 and give gamma ~ 1e8) are
+    rejected and counted.  Returns (value, rejected_draws, per-draw gammas).
     """
     if not upper_class:
         raise InputError("upper class must be nonempty")
-    g_in = np.asarray(g_in_op, dtype=float)
-    g_mid = np.asarray(g_mid_op, dtype=float)
+    g_in, g_mid = _matrix(g_in, "input Gram"), _matrix(g_mid, "mid Gram")
+    out = _matrix(out, "output matrix")
     if g_in.shape != g_mid.shape:
         raise InputError("input and mid Grams must have equal shape")
-    width = g_in.shape[0]
-    coeff_vecs = []
-    for h in upper_class:
-        c = h.coeffs
-        if c.size != width:
+    n, m = g_mid.shape[0], out.shape[0]
+    width = n * m
+    coeff_mat = np.empty((len(upper_class), width))
+    coeff_g = np.empty_like(coeff_mat)  # loop-invariant half of <h', u~_n>
+    for k, h in enumerate(upper_class):
+        if h.coeffs.size != width:
             raise InputError(
                 "surrogate coefficients must align with the mid Gram blocks"
             )
-        coeff_vecs.append(c.ravel())
-    coeff_mat = np.stack(coeff_vecs)  # (n_class, width)
-    norms_sq = _quad_forms(coeff_mat, g_mid)
+        c = h.coeffs.reshape(n, m)
+        coeff_mat[k] = c.ravel()
+        coeff_g[k] = (g_mid @ c @ out).ravel()
+    norms_sq = _quad_forms(coeff_mat, g_mid, out)
     norms = np.sqrt(np.maximum(norms_sq, 0.0))  # beta_h for every h in the class
-    coeff_g = coeff_mat @ g_mid  # loop-invariant half of <h', u~_n>
-    q_floor = width * np.finfo(float).eps * np.trace(g_mid)
+    q_floor = width * np.finfo(float).eps * np.trace(g_mid) * np.trace(out)
 
     sum_sup = np.zeros(len(upper_class))
     rejected = 0
     gammas = []
     for block in sign_blocks(cfg.draws, width, cfg.seed):
-        q_in = np.maximum(_quad_forms(block, g_in), 0.0)
-        q_mid = np.maximum(_quad_forms(block, g_mid), 0.0)
+        q_in = np.maximum(_quad_forms(block, g_in, out), 0.0)
+        q_mid = np.maximum(_quad_forms(block, g_mid, out), 0.0)
         ok = q_mid > q_floor
         rejected += int((~ok).sum())
         if not np.any(ok):
@@ -385,6 +400,8 @@ def split_complexity_bound(
     mid = as_points(mid_points, kernel_mid.scalar.dimension)
     if mid.shape[0] != x.shape[0]:
         raise InputError("mid points must pair one-to-one with the data")
+    if not np.array_equal(kernel_in.output, kernel_mid.output):
+        raise InputError("input and mid kernels must share the output matrix M")
     for h in upper_class:
         if h.kernel is not kernel_mid and not (
             h.kernel.scalar == kernel_mid.scalar
@@ -403,9 +420,13 @@ def split_complexity_bound(
     class_est: McEstimate = rademacher_class_mc(
         [h.at for h in upper_class], mid, m, cfg
     )
-    g_in = gram_operator(kernel_in, x)
-    g_mid = gram_operator(kernel_mid, mid)
-    approx, rejected, gammas = approximation_term_mc(upper_class, g_in, g_mid, cfg)
+    g_in = gram_scalar(kernel_in.scalar, x)
+    check_kappa(kernel_in, g_in)
+    g_mid = gram_scalar(kernel_mid.scalar, mid)
+    check_kappa(kernel_mid, g_mid)
+    approx, rejected, gammas = approximation_term_mc(
+        upper_class, g_in, g_mid, kernel_mid.output, cfg
+    )
     root = trace_bound(kernel_in.kappa, kernel_in.trace_m(), x.shape[0])
     total = eta * (class_est.estimate + root * approx)
     return BoundReport(

@@ -33,7 +33,7 @@ from opbounds.deepvv import (
 )
 from opbounds.erm import FitConfig, excess_risk_bound_rhs, fit_full, fit_sketched
 from opbounds.errors import RefinementOrderError
-from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_operator, gram_scalar
+from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
 from opbounds.koopman import LayerSpec, NetworkSpec, product_bound, spectral_ratio_factor
 from opbounds.losses import LossSpec
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified, satisfiability_constant
@@ -71,8 +71,8 @@ def test_criterion_01_ball_mc_below_trace_bound():
         kernel = DecomposableKernel(
             ScalarKernelSpec("gaussian", 1.0, dimension=d), m_mat, kappa=1.0
         )
-        g_op = gram_operator(kernel, pts)
-        est = rademacher_ball_mc(g_op, n, McConfig(draws=10_000, seed=trial))
+        g_k = gram_scalar(kernel.scalar, pts)
+        est = rademacher_ball_mc(g_k, m_mat, n, McConfig(draws=10_000, seed=trial))
         bound = trace_bound(1.0, float(np.trace(m_mat)), n)
         ok = ok and est.estimate <= bound + 3 * est.stderr
     cpu = time.process_time() - started_cpu

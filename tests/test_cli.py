@@ -9,7 +9,7 @@ import pytest
 
 from opbounds import _blas, cli
 from opbounds.cli import main, render_record, run, validate_config
-from opbounds.errors import ConfigError, OpboundsError
+from opbounds.errors import ConfigError, InputError, OpboundsError
 
 BOUND_COMPARE = {
     "seed": 11,
@@ -93,6 +93,55 @@ def test_bound_compare_identity_network(tmp_path):
     assert metrics["peeled"]["value"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert metrics["split"]["extras"]["eta_product"] == pytest.approx(1.0)
     assert record["library_version"]
+
+
+def test_bound_compare_never_builds_the_dense_operator_gram(monkeypatch, tmp_path):
+    # G_k (x) M is never materialized: with np.kron and gram_operator
+    # disabled, the run still produces the same record bytes
+    from opbounds import kernels
+
+    expected = render_record(run("bound-compare", BOUND_COMPARE, None, tmp_path), "json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense operator Gram built on the bound-compare path")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(kernels, "gram_operator", refuse)
+    record = run("bound-compare", BOUND_COMPARE, None, tmp_path)
+    assert render_record(record, "json") == expected
+
+
+def test_bound_compare_rejects_kappa_below_a_kernel_value(tmp_path):
+    cfg = json.loads(json.dumps(BOUND_COMPARE))
+    cfg["kernel"]["kappa"] = 0.5
+    with pytest.raises(InputError, match="kappa"):
+        run("bound-compare", cfg, None, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "case", ["n=1", "m=1", "duplicate points", "rank-one M", "identical inputs"]
+)
+def test_bound_compare_degenerate_inputs(case, tmp_path):
+    cfg = json.loads(json.dumps(BOUND_COMPARE))
+    rng = np.random.default_rng(7)
+    if case == "n=1":
+        cfg["dataset"]["n"] = 1
+    elif case == "m=1":
+        cfg["dataset"]["m"] = 1
+        cfg["network"]["output_dim"] = 1
+    elif case == "duplicate points":
+        x = np.repeat(rng.uniform(-1, 1, (4, 2)), 4, axis=0)
+        cfg["dataset"] = _csv_dataset(tmp_path, x, rng.standard_normal((16, 2)))
+    elif case == "rank-one M":
+        cfg["kernel"]["output_matrix"] = [[1.0, 1.0], [1.0, 1.0]]
+    else:
+        x = np.tile([[0.3, -0.2]], (6, 1))
+        cfg["dataset"] = _csv_dataset(tmp_path, x, rng.standard_normal((6, 2)))
+    record = run("bound-compare", cfg, None, tmp_path)
+    numbers = []
+    cli._flatten("", record["metrics"], numbers)
+    values = [v for _, v in numbers if isinstance(v, float)]
+    assert values and all(math.isfinite(v) for v in values)
 
 
 def test_sketch_regress_metrics(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from opbounds.complexity import (
     McConfig,
+    _check_psd,
     _quad_forms,
     rademacher_ball_exact,
     rademacher_ball_mc,
@@ -14,7 +16,13 @@ from opbounds.complexity import (
     trace_bound,
 )
 from opbounds.errors import InputError, NotPsdError
-from opbounds.kernels import DecomposableKernel, KernelExpansion, ScalarKernelSpec, gram_operator
+from opbounds.kernels import (
+    DecomposableKernel,
+    KernelExpansion,
+    ScalarKernelSpec,
+    gram_operator,
+    gram_scalar,
+)
 
 
 def random_psd(k, rng, jitter=0.0):
@@ -25,26 +33,116 @@ def random_psd(k, rng, jitter=0.0):
 @settings(max_examples=200, deadline=None)
 @given(
     width=st.integers(1, 40),
+    m=st.integers(1, 3),
     rows=st.integers(1, 600),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_quad_forms_match_per_row_products(width, rows, seed):
+def test_quad_forms_match_per_row_products(width, m, rows, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((width, width + 2))
     g = g @ g.T
-    signs = rng.integers(0, 2, size=(rows, width)) * 2.0 - 1.0
-    expected = np.array([sigma @ g @ sigma for sigma in signs])
-    np.testing.assert_allclose(_quad_forms(signs, g), expected, rtol=1e-12, atol=0.0)
+    out = random_psd(m, rng)
+    signs = rng.integers(0, 2, size=(rows, width * m)) * 2.0 - 1.0
+    dense = np.kron(g, out)
+    expected = np.array([sigma @ dense @ sigma for sigma in signs])
+    np.testing.assert_allclose(_quad_forms(signs, g, out), expected, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def factor_cases(draw):
+    """Scalar Gram, output matrix of rank r <= m (a random PSD r x r block,
+    zero-padded and permuted) and MC config."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_psd(n, rng)
+    out = np.zeros((m, m))
+    out[:rank, :rank] = random_psd(rank, rng)
+    perm = rng.permutation(m)
+    cfg = McConfig(draws=draw(st.integers(1, 1300)), seed=draw(st.integers(0, 2**31 - 1)))
+    return g, out[perm][:, perm], cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_cases())
+def test_ball_mc_factor_form_matches_dense_gram(case):
+    g, out, cfg = case
+    n = g.shape[0]
+    factor = rademacher_ball_mc(g, out, n, cfg)
+    dense = rademacher_ball_mc(np.kron(g, out), [[1.0]], n, cfg)
+    assert factor.estimate == pytest.approx(dense.estimate, rel=1e-12)
+    assert factor.stderr == pytest.approx(dense.stderr, rel=1e-6, abs=1e-7 * dense.estimate)
+
+
+def _spectrum_matrix(k, kind, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    low, high = {"psd": (0.0, 2.0), "nsd": (-2.0, 0.0), "indefinite": (-1.0, 2.0)}[kind]
+    vals = rng.uniform(low, high, k)
+    if kind == "indefinite" and k > 1:
+        vals[:2] = (-1.0, 1.0)
+    return (q * vals) @ q.T
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    m=st.integers(1, 3),
+    g_kind=st.sampled_from(["psd", "nsd", "indefinite"]),
+    out_kind=st.sampled_from(["psd", "nsd", "indefinite"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_check_psd_same_verdict_in_factor_and_dense_form(n, m, g_kind, out_kind, seed):
+    rng = np.random.default_rng(seed)
+    g = _spectrum_matrix(n, g_kind, rng)
+    out = _spectrum_matrix(m, out_kind, rng)
+
+    def raises(a, b):
+        try:
+            _check_psd(a, b)
+        except NotPsdError:
+            return True
+        return False
+
+    factor = raises(g, out)
+    assert factor == raises(np.kron(g, out), np.ones((1, 1)))
+    # G (x) M is PSD exactly when no eigenvalue product is clearly negative
+    products = np.outer(np.linalg.eigvalsh(g), np.linalg.eigvalsh(out))
+    assert factor == (products.min() < -1e-10 * max(abs(products.max()), 1.0))
+
+
+@pytest.mark.parametrize(
+    "case", ["n=1", "m=1", "zero g", "rank-one M", "duplicate points"]
+)
+def test_ball_mc_degenerate_inputs(case):
+    rng = np.random.default_rng(15)
+    spec = ScalarKernelSpec("gaussian", 1.0, dimension=2)
+    pts = rng.uniform(-1, 1, (6, 2))
+    out = np.eye(2)
+    if case == "n=1":
+        pts = pts[:1]
+    elif case == "m=1":
+        out = np.eye(1)
+    elif case == "rank-one M":
+        out = np.ones((2, 2))
+    elif case == "duplicate points":
+        pts = np.repeat(pts[:2], 3, axis=0)
+    g = np.zeros((6, 6)) if case == "zero g" else gram_scalar(spec, pts)
+    n = g.shape[0]
+    est = rademacher_ball_mc(g, out, n, McConfig(draws=700, seed=16))
+    assert np.isfinite(est.estimate) and np.isfinite(est.stderr)
+    jensen = math.sqrt(np.trace(g) * np.trace(out)) / n
+    assert 0.0 <= est.estimate <= jensen + 3 * est.stderr + 1e-12
 
 
 def test_single_point_scalar_ball():
-    est = rademacher_ball_mc(np.array([[1.0]]), 1, McConfig(draws=200, seed=0))
+    est = rademacher_ball_mc(np.array([[1.0]]), [[1.0]], 1, McConfig(draws=200, seed=0))
     assert est.estimate == pytest.approx(1.0)
     assert est.stderr == pytest.approx(0.0, abs=1e-15)
 
 
 def test_zero_gram():
-    est = rademacher_ball_mc(np.zeros((4, 4)), 2, McConfig(draws=100, seed=0))
+    est = rademacher_ball_mc(np.zeros((4, 4)), [[1.0]], 2, McConfig(draws=100, seed=0))
     assert est.estimate == 0.0
 
 
@@ -55,8 +153,8 @@ def test_ball_below_trace_bound():
     kernel = DecomposableKernel(
         ScalarKernelSpec("gaussian", 1.0, dimension=2), np.eye(m), kappa=1.0
     )
-    g = gram_operator(kernel, pts)
-    est = rademacher_ball_mc(g, n, McConfig(draws=4000, seed=1))
+    g = gram_scalar(kernel.scalar, pts)
+    est = rademacher_ball_mc(g, kernel.output, n, McConfig(draws=4000, seed=1))
     assert est.estimate <= trace_bound(1.0, float(m), n) + 3 * est.stderr
 
 
@@ -79,7 +177,7 @@ def test_mc_matches_exact_within_stderr():
     rng = np.random.default_rng(3)
     g = random_psd(10, rng)
     exact = rademacher_ball_exact(g, 5)
-    est = rademacher_ball_mc(g, 5, McConfig(draws=20_000, seed=4))
+    est = rademacher_ball_mc(g, [[1.0]], 5, McConfig(draws=20_000, seed=4))
     assert abs(est.estimate - exact) <= 3 * est.stderr
 
 
@@ -111,8 +209,8 @@ def test_mc_permutation_invariance_within_noise():
     p_blocks = np.kron(np.eye(n)[perm], np.eye(m))
     g_perm = p_blocks @ g @ p_blocks.T
     cfg = McConfig(draws=8000, seed=7)
-    a = rademacher_ball_mc(g, n, cfg)
-    b = rademacher_ball_mc(g_perm, n, cfg)
+    a = rademacher_ball_mc(g, [[1.0]], n, cfg)
+    b = rademacher_ball_mc(g_perm, [[1.0]], n, cfg)
     assert abs(a.estimate - b.estimate) <= 3 * (a.stderr + b.stderr)
 
 
@@ -120,16 +218,16 @@ def test_determinism_and_seed_sensitivity():
     rng = np.random.default_rng(8)
     g = random_psd(8, rng)
     cfg = McConfig(draws=500, seed=9)
-    a = rademacher_ball_mc(g, 4, cfg)
-    b = rademacher_ball_mc(g, 4, cfg)
+    a = rademacher_ball_mc(g, [[1.0]], 4, cfg)
+    b = rademacher_ball_mc(g, [[1.0]], 4, cfg)
     assert a == b
-    c = rademacher_ball_mc(g, 4, McConfig(draws=500, seed=10))
+    c = rademacher_ball_mc(g, [[1.0]], 4, McConfig(draws=500, seed=10))
     assert a.estimate != c.estimate
 
 
 def test_ball_rejects_non_psd():
     with pytest.raises(NotPsdError):
-        rademacher_ball_mc(np.diag([1.0, -1.0]), 2, McConfig(draws=10, seed=0))
+        rademacher_ball_mc(np.diag([1.0, -1.0]), [[1.0]], 2, McConfig(draws=10, seed=0))
 
 
 def test_trace_bound_values():
@@ -142,7 +240,9 @@ def test_trace_bound_values():
 
 def test_class_zero_predictor():
     data = np.zeros((3, 2))
-    est = rademacher_class_mc([lambda x: np.zeros(2)], data, 2, McConfig(draws=50, seed=0))
+    est = rademacher_class_mc(
+        [lambda x: np.zeros((len(x), 2))], data, 2, McConfig(draws=50, seed=0)
+    )
     assert est.estimate == 0.0
 
 
@@ -152,8 +252,8 @@ def test_class_sign_symmetry():
     vals = rng.standard_normal((5, 2))
 
     def f(x):
-        i = int(np.flatnonzero((data == x).all(axis=1))[0])
-        return vals[i]
+        rows = [int(np.flatnonzero((data == pt).all(axis=1))[0]) for pt in x]
+        return vals[rows]
 
     def neg_f(x):
         return -f(x)
@@ -177,9 +277,9 @@ def test_class_contained_in_ball():
         exp = KernelExpansion(kernel, pts, coeffs)
         norm = exp.norm()
         predictors.append(KernelExpansion(kernel, pts, coeffs / norm).at)
-    g = gram_operator(kernel, pts)
+    g = gram_scalar(kernel.scalar, pts)
     cfg = McConfig(draws=3000, seed=14)
-    ball = rademacher_ball_mc(g, n, cfg)
+    ball = rademacher_ball_mc(g, kernel.output, n, cfg)
     cls = rademacher_class_mc(predictors, pts, m, cfg)
     assert cls.estimate <= ball.estimate + 3 * (ball.stderr + cls.stderr)
 
@@ -187,3 +287,24 @@ def test_class_contained_in_ball():
 def test_class_requires_nonempty():
     with pytest.raises(InputError):
         rademacher_class_mc([], np.zeros((2, 1)), 1, McConfig(draws=10, seed=0))
+
+
+def test_class_calls_each_predictor_once_on_the_whole_batch():
+    data = np.random.default_rng(17).standard_normal((7, 2))
+    calls = []
+
+    def make(k):
+        def f(x):
+            calls.append((k, np.shape(x)))
+            return np.full((len(x), 2), float(k))
+
+        return f
+
+    rademacher_class_mc([make(k) for k in range(3)], data, 2, McConfig(draws=600, seed=18))
+    assert calls == [(0, (7, 2)), (1, (7, 2)), (2, (7, 2))]
+
+
+def test_class_rejects_per_row_predictor_shape():
+    data = np.zeros((3, 2))
+    with pytest.raises(InputError):
+        rademacher_class_mc([lambda x: np.zeros(2)], data, 2, McConfig(draws=10, seed=0))

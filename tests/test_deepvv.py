@@ -219,7 +219,7 @@ def test_pf_bound_dominates_sampled_subfamily():
     for model, rep in zip(models, reps):
         tr = math.sqrt(n * np.trace(model.layers[0].output))
         totals.append(rep["pf_norm"] * rep["top_norm"] * tr / n)
-    funcs = [lambda pt, mdl=model: forward(mdl, pt)[0] for model in models]
+    funcs = [lambda pts, mdl=model: forward(mdl, pts) for model in models]
     est = rademacher_class_mc(funcs, x, m, McConfig(draws=1500, seed=14))
     assert est.estimate <= max(totals) + 3 * est.stderr
 

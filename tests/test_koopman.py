@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opbounds.complexity import McConfig, _quad_forms, rademacher_class_mc, sign_blocks
-from opbounds.errors import InputError, NonInjectiveError
+from opbounds.errors import DegenerateInputError, InputError, NonInjectiveError
 from opbounds.kernels import (
     DecomposableKernel,
     KernelExpansion,
     ScalarKernelSpec,
     gram_operator,
+    gram_scalar,
     sobolev_norm_gaussian,
 )
 from opbounds.koopman import (
@@ -212,7 +213,7 @@ def _gaussian_bump_net(rng, d, s):
 
     def f(x):
         z = np.asarray(x, dtype=float).reshape(-1, d) @ w_total.T + shift
-        return u * np.exp(-np.sum(z * z, axis=1))[0]
+        return np.exp(-np.sum(z * z, axis=1))[:, None] * u
 
     g_norm = float(np.linalg.norm(u)) * sobolev_norm_gaussian(d, s)
     net = NetworkSpec(layers=layers, g_norm=g_norm, output_dim=2)
@@ -285,7 +286,9 @@ def test_approx_term_zero_class():
     rng = np.random.default_rng(7)
     pts, kernel, g_mid = _mid_setup(rng)
     zero = KernelExpansion(kernel, pts, np.zeros((8, 2)))
-    value, rejected, _ = approximation_term_mc([zero], g_mid, g_mid, McConfig(draws=64, seed=0))
+    value, rejected, _ = approximation_term_mc(
+        [zero], g_mid, g_mid, [[1.0]], McConfig(draws=64, seed=0)
+    )
     assert value == 0.0
     assert rejected == 0
 
@@ -294,7 +297,7 @@ def test_approx_term_equal_grams_gives_unit_gamma():
     rng = np.random.default_rng(8)
     pts, kernel, g_mid = _mid_setup(rng)
     h = KernelExpansion(kernel, pts, rng.standard_normal((8, 2)))
-    _, _, gammas = approximation_term_mc([h], g_mid, g_mid, McConfig(draws=128, seed=1))
+    _, _, gammas = approximation_term_mc([h], g_mid, g_mid, [[1.0]], McConfig(draws=128, seed=1))
     assert np.allclose(gammas, 1.0, atol=1e-10)
 
 
@@ -308,7 +311,7 @@ def test_approx_term_matches_bruteforce_expansion():
     h1 = KernelExpansion(kernel, pts, rng.standard_normal((8, 2)))
     h2 = KernelExpansion(kernel, pts, rng.standard_normal((8, 2)))
     cfg = McConfig(draws=200, seed=2)
-    value, rejected, _ = approximation_term_mc([h1, h2], g_in, g_mid, cfg)
+    value, rejected, _ = approximation_term_mc([h1, h2], g_in, g_mid, [[1.0]], cfg)
     assert rejected == 0
 
     # independent oracle: per draw, evaluate the candidate norm directly as a
@@ -345,7 +348,7 @@ def test_approx_term_rejects_degenerate_draws():
     v = np.array([1.0, -1.0, 1.0, -1.0])
     g_rank1 = np.outer(v, v)
     value, rejected, gammas = approximation_term_mc(
-        [h], g_rank1, g_rank1, McConfig(draws=256, seed=3)
+        [h], g_rank1, g_rank1, [[1.0]], McConfig(draws=256, seed=3)
     )
     assert rejected > 0
     assert np.isfinite(value)
@@ -355,7 +358,7 @@ def test_approx_term_rejects_degenerate_draws():
 
     with pytest.raises(DegenerateInputError):
         approximation_term_mc(
-            [h], np.zeros((4, 4)), np.zeros((4, 4)), McConfig(draws=16, seed=0)
+            [h], np.zeros((4, 4)), np.zeros((4, 4)), [[1.0]], McConfig(draws=16, seed=0)
         )
 
 
@@ -418,7 +421,7 @@ def approx_term_cases(draw):
 @given(approx_term_cases())
 def test_approx_term_matches_einsum_reference(case):
     upper, g_in, g_mid, cfg = case
-    value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, cfg)
+    value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, [[1.0]], cfg)
     ref_value, ref_rejected, ref_gammas = einsum_reference_approx_term(
         upper, g_in, g_mid, cfg
     )
@@ -439,7 +442,7 @@ def test_approx_term_rejects_draws_on_duplicate_mid_points():
     g_in = gram_operator(kernel, pts)
     upper = [KernelExpansion(kernel, mid, rng.standard_normal((2, 2))) for _ in range(2)]
     cfg = McConfig(draws=1100, seed=4)
-    value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, cfg)
+    value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, [[1.0]], cfg)
     opposite = sum(
         int(np.all(block[:, :2] == -block[:, 2:], axis=1).sum())
         for block in sign_blocks(cfg.draws, 4, cfg.seed)
@@ -479,8 +482,9 @@ def test_approx_term_rejects_round_off_degenerate_draws():
             np.add.at(pair_sums.T, order % 6, block.T)
             cancel = np.all(pair_sums == 0.0, axis=1)
             degenerate += int(cancel.sum())
-            round_off_kept += int((_quad_forms(block[cancel], g_mid) > 0.0).sum())
-        value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, cfg)
+            kept = _quad_forms(block[cancel], g_mid, np.ones((1, 1))) > 0.0
+            round_off_kept += int(kept.sum())
+        value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, [[1.0]], cfg)
         assert rejected == degenerate, layout
         assert gammas.size == cfg.draws - rejected
         assert gammas.max() < 1e3 and value < 1e3, layout
@@ -500,12 +504,94 @@ def test_approx_term_cpu_time_at_width_600():
     started_cpu = time.process_time()
     started = time.perf_counter()
     value, rejected, gammas = approximation_term_mc(
-        upper, g_in, g_mid, McConfig(draws=4096, seed=5)
+        upper, g_in, g_mid, [[1.0]], McConfig(draws=4096, seed=5)
     )
     cpu = time.process_time() - started_cpu
     elapsed = time.perf_counter() - started
     assert rejected == 0 and gammas.size == 4096 and np.isfinite(value)
     assert cpu < 1.5, f"cpu {cpu:.2f}s, wall {elapsed:.2f}s"
+
+
+@st.composite
+def factor_approx_cases(draw):
+    """Factor-form inputs: well-conditioned scalar Grams, an m x m output
+    matrix of rank r <= m (a random PSD r x r block, zero-padded and
+    permuted) and optionally duplicated mid points, whose cancelling draws
+    must be rejected in both forms."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.standard_normal((rank, rank + 2))
+    out = np.zeros((m, m))
+    out[:rank, :rank] = b @ b.T
+    perm = rng.permutation(m)
+    out = out[perm][:, perm]
+    b_in = rng.standard_normal((n, n + 2))
+    if draw(st.booleans()):
+        k = (n + 1) // 2
+        b_mid = rng.standard_normal((k, k + 2))
+        copies = rng.permutation(np.arange(n) % k)
+        g_mid = (b_mid @ b_mid.T)[copies][:, copies]
+    else:
+        b_mid = rng.standard_normal((n, n + 2))
+        g_mid = b_mid @ b_mid.T
+    kernel = DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), out, kappa=1.0)
+    pts = rng.uniform(-1, 1, (n, 1))
+    upper = [
+        KernelExpansion(kernel, pts, rng.standard_normal((n, m)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    cfg = McConfig(draws=draw(st.integers(1, 1300)), seed=draw(st.integers(0, 2**31 - 1)))
+    return upper, b_in @ b_in.T, g_mid, out, cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_approx_cases())
+def test_approx_term_factor_form_matches_dense_gram(case):
+    upper, g_in, g_mid, out, cfg = case
+    dense_in, dense_mid = np.kron(g_in, out), np.kron(g_mid, out)
+    try:
+        dense = approximation_term_mc(upper, dense_in, dense_mid, [[1.0]], cfg)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            approximation_term_mc(upper, g_in, g_mid, out, cfg)
+        return
+    value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, out, cfg)
+    assert rejected == dense[1]
+    assert value == pytest.approx(dense[0], rel=1e-12)
+    np.testing.assert_allclose(gammas, dense[2], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "case", ["n=1", "m=1", "zero g", "rank-one M", "duplicate points"]
+)
+def test_approx_term_degenerate_inputs(case):
+    rng = np.random.default_rng(24)
+    spec = ScalarKernelSpec("gaussian", 1.0, dimension=2)
+    pts = rng.uniform(-1, 1, (6, 2))
+    out = np.eye(2)
+    if case == "n=1":
+        pts = pts[:1]
+    elif case == "m=1":
+        out = np.eye(1)
+    elif case == "rank-one M":
+        out = np.ones((2, 2))
+    elif case == "duplicate points":
+        pts = np.repeat(pts[:2], 3, axis=0)
+    n, m = pts.shape[0], out.shape[0]
+    kernel = DecomposableKernel(spec, out, kappa=1.0)
+    upper = [KernelExpansion(kernel, pts, rng.standard_normal((n, m))) for _ in range(3)]
+    g_mid = gram_scalar(spec, pts)
+    g_in = gram_scalar(ScalarKernelSpec("gaussian", 0.5, dimension=2), pts)
+    cfg = McConfig(draws=700, seed=25)
+    if case == "zero g":
+        with pytest.raises(DegenerateInputError):
+            approximation_term_mc(upper, np.zeros_like(g_in), np.zeros_like(g_mid), out, cfg)
+        return
+    value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, out, cfg)
+    assert np.isfinite(value) and np.all(np.isfinite(gammas))
+    assert 0 <= rejected < cfg.draws and gammas.size == cfg.draws - rejected
 
 
 # --- split bound ---------------------------------------------------------------------
@@ -551,6 +637,7 @@ def test_split_bound_full_split_reduces_toward_product_bound():
         [g_sur],
         gram_operator(kernel_in, data),
         gram_operator(kernel_mid, mid),
+        [[1.0]],
         cfg,
     )
     cap = g_sur.norm() * math.sqrt(np.mean((1.0 + gammas) ** 2))
@@ -596,4 +683,15 @@ def test_split_bound_rejects_empty_class_and_bad_anchors():
     with pytest.raises(InputError):
         split_complexity_bound(
             net, 1, [bad], data, kernel_in, mid, kernel_mid, McConfig(draws=8, seed=0)
+        )
+
+
+def test_split_bound_rejects_kernels_with_different_output_matrices():
+    rng = np.random.default_rng(14)
+    net, data, kernel_in, mid, kernel_mid = _split_setup(rng)
+    scaled_in = DecomposableKernel(kernel_in.scalar, 2.0 * np.eye(2), kappa=1.0)
+    surrogate = KernelExpansion(kernel_mid, mid, rng.standard_normal((10, 2)))
+    with pytest.raises(InputError, match="output matrix"):
+        split_complexity_bound(
+            net, 1, [surrogate], data, scaled_in, mid, kernel_mid, McConfig(draws=8, seed=0)
         )
