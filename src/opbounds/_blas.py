@@ -1,9 +1,16 @@
-"""Every loaded OpenBLAS on one thread for the length of a run.
+"""Every OpenBLAS loaded at the first run on one thread for the length of a run.
 
 A GEMM split across BLAS threads sums in another order, so record bytes would
 depend on the caller's thread settings.  numpy's and scipy's wheels each bundle
-an OpenBLAS.  The copies are found on first use, not at import, by their paths
-in ``/proc/self/maps`` and their thread-count functions, and then cached.
+an OpenBLAS.  The copies loaded when a run first pins are found, by their
+paths in ``/proc/self/maps`` and their thread-count functions, and cached.
+
+numpy's copy is always among them, and it is the one that suffices: every
+product and decomposition in the library is a numpy call.  The library loads
+scipy only when a Matern or Sobolev kernel or ``sobolev_norm_gaussian`` first
+runs, so scipy's copy is pinned only if the process loaded scipy before its
+first run.  Leaving it unpinned moves no bit, because the library calls scipy
+only for ``kv``, ``gamma`` and ``quad``, which make no BLAS calls.
 The thread count is process-wide, so runs in concurrent threads share it.
 """
 

@@ -645,16 +645,17 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
             }
 
     if "lambda1_sweep" in deep:
+        # the entry of the config just trained from a fresh model is that run
+        trained_fresh = "checkpoint_in" not in deep and not deep.get("evaluate_only", False)
         sweep = []
         for lam1 in deep["lambda1_sweep"]:
-            model_l = init_layered_model(ds.x, kernels, outputs, seed=train_seed)
-            res_l = train(model_l, ds.x, ds.y, replace(t_cfg, lambda1=lam1))
-            sweep.append(
-                {
-                    "lambda1": lam1,
-                    "final_pf_norm": pf_product_norm(res_l.model, ds.x, probes),
-                }
-            )
+            if trained_fresh and lam1 == t_cfg.lambda1:
+                final_pf = pf
+            else:
+                model_l = init_layered_model(ds.x, kernels, outputs, seed=train_seed)
+                res_l = train(model_l, ds.x, ds.y, replace(t_cfg, lambda1=lam1))
+                final_pf = pf_product_norm(res_l.model, ds.x, probes)
+            sweep.append({"lambda1": lam1, "final_pf_norm": final_pf})
         metrics["lambda1_sweep"] = sweep
 
     if "checkpoint_out" in deep:

@@ -17,13 +17,17 @@ plain gradient descent with backtracking on
 
 Kernels, output matrices and anchors stay fixed; training moves only the
 coefficient arrays, one per layer, and builds a model from them once, at the
-end.  G_bottom and the last layer's anchor Gram do not depend on the
-coefficients, so one ``train()`` call whitens the first and assembles the
-second once, and reuses both for every objective, gradient and trajectory
-norm.  The analytic gradient differentiates the top pencil eigenvalue through
-the simple-eigenvalue formula d rho = a^T dG_top a (the whitening basis is
-fixed) and falls back to finite differences when the top eigenvalue gap
-degenerates.
+end.  Three quantities do not depend on the coefficients, so one ``train()``
+call computes each once and reuses it for every objective, gradient and
+trajectory norm: the whitening basis of G_bottom, the first layer's cross
+Gram k_1(x, anchors_1), and the last layer's anchor Gram.  Each coefficient
+point gets one forward pass, which keeps every layer's cross Gram; the
+gradient backpropagates through those Grams, and the accepted line-search
+candidate's pass, with its transfer-product and top-layer norms, serves the
+trajectory entry and the next gradient.  The analytic gradient
+differentiates the top pencil eigenvalue through the simple-eigenvalue
+formula d rho = a^T dG_top a (the whitening basis is fixed) and falls back
+to finite differences when the top eigenvalue gap degenerates.
 """
 
 from __future__ import annotations
@@ -82,16 +86,11 @@ class VVLayer:
         return self.output.shape[0]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return _apply(self, u, self.coeffs)
+        return gram_scalar_cross(self.kernel, u, self.anchors) @ self.coeffs @ self.output
 
     def rkhs_norm(self) -> float:
         g = gram_scalar(self.kernel, self.anchors)
         return _expansion_norm(g, self.coeffs, self.output)
-
-
-def _apply(layer: VVLayer, u: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The layer's map at coefficients ``c``."""
-    return gram_scalar_cross(layer.kernel, u, layer.anchors) @ c @ layer.output
 
 
 @dataclass(frozen=True)
@@ -166,16 +165,24 @@ def init_layered_model(
 
 def forward(model: LayeredModel, x) -> np.ndarray:
     """Evaluate the composition on a batch; rows are outputs."""
-    return _forward_trace(model, x, model.coeffs)[-1]
+    return _forward_trace(model, x, model.coeffs)[0][-1]
 
 
-def _forward_trace(model: LayeredModel, x, coeffs: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-level inputs at the given coefficients: levels[j] feeds layer j;
-    levels[L] is the output."""
-    levels = [as_points(x, model.input_dim)]
-    for layer, c in zip(model.layers, coeffs):
-        levels.append(_apply(layer, levels[-1], c))
-    return levels
+def _forward_trace(
+    model: LayeredModel, x, coeffs: list[np.ndarray], first_gram=None
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(levels, kmats) at the given coefficients: levels[j] feeds layer j
+    through its cross Gram kmats[j] = k_j(levels[j], anchors_j), and
+    levels[L] is the output.  ``first_gram`` is kmats[0] when already built."""
+    levels, kmats = [as_points(x, model.input_dim)], []
+    for j, (layer, c) in enumerate(zip(model.layers, coeffs)):
+        if j == 0 and first_gram is not None:
+            kmat = first_gram
+        else:
+            kmat = gram_scalar_cross(layer.kernel, levels[j], layer.anchors)
+        kmats.append(kmat)
+        levels.append(kmat @ c @ layer.output)
+    return levels, kmats
 
 
 def _columns(a) -> np.ndarray:
@@ -216,7 +223,8 @@ def _pf_top(model: LayeredModel, mids: np.ndarray, probe_bilinear: np.ndarray):
 
 def pf_product_norm(model: LayeredModel, xs, probes) -> float:
     """Norm of the transfer-operator product restricted to the probe span."""
-    return _Objective(model, xs, probes=probes).pf_norm(model.coeffs)
+    problem = _Objective(model, xs, probes=probes)
+    return problem.pf_norm(problem.forward(model.coeffs))
 
 
 def top_layer_norm(model: LayeredModel) -> float:
@@ -280,10 +288,31 @@ class TrainConfig:
             raise InputError("iters must be >= 1 and step positive")
 
 
+@dataclass
+class _Pass:
+    """One forward pass at a coefficient point, with what was computed on it.
+
+    levels[j] feeds layer j through its cross Gram kmats[j]; ``pf_top`` is
+    (G_top, last-layer kernel Gram on levels[-2]).  ``pf`` and ``top`` are the
+    transfer-product and top-layer norms, set on first use."""
+
+    coeffs: list[np.ndarray]
+    levels: list[np.ndarray]
+    kmats: list[np.ndarray] | None
+    pf_top: tuple[np.ndarray, np.ndarray] | None = None
+    pf: float | None = None
+    top: float | None = None
+
+    def drop_grams(self) -> None:
+        """Free the n x q and n x n Grams; the levels and norms stay."""
+        self.kmats = self.pf_top = None
+
+
 class _Objective:
     """Training objective of one model's fixed layers on fixed inputs, labels
-    and probes.  Its methods take a list of coefficient arrays, one per layer;
-    G_bottom is whitened and the last layer's anchor Gram assembled on first
+    and probes.  ``forward`` takes a list of coefficient arrays, one per
+    layer, and the other methods take its pass; G_bottom is whitened and the
+    first layer's cross Gram and last layer's anchor Gram assembled on first
     use."""
 
     def __init__(self, model: LayeredModel, xs, ys=None, probes=None):
@@ -304,43 +333,53 @@ class _Objective:
         return _pf_bottom(self.model, self.x, self.probes)
 
     @cached_property
+    def first_gram(self) -> np.ndarray:
+        """Cross Gram k_1(x, anchors_1) of the first layer."""
+        first = self.model.layers[0]
+        return gram_scalar_cross(first.kernel, self.x, first.anchors)
+
+    @cached_property
     def top_gram(self) -> np.ndarray:
         """Kernel Gram of the last layer's anchors."""
         last = self.model.layers[-1]
         return gram_scalar(last.kernel, last.anchors)
 
-    def top_norm(self, coeffs) -> float:
+    def forward(self, coeffs) -> _Pass:
+        return _Pass(coeffs, *_forward_trace(self.model, self.x, coeffs, self.first_gram))
+
+    def top_norm(self, fwd: _Pass) -> float:
         """RKHS norm of the last layer."""
-        return _expansion_norm(self.top_gram, coeffs[-1], self.model.layers[-1].output)
+        if fwd.top is None:
+            fwd.top = _expansion_norm(
+                self.top_gram, fwd.coeffs[-1], self.model.layers[-1].output
+            )
+        return fwd.top
 
-    def pf_norm(self, coeffs, mids=None) -> float:
-        """Transfer-product norm; ``mids`` are the last layer's inputs."""
-        if mids is None:
-            mids = _forward_trace(self.model, self.x, coeffs)[-2]
-        probe_bilinear, basis = self.bottom
-        g_top, _ = _pf_top(self.model, mids, probe_bilinear)
-        return float(np.sqrt(_pencil_value(g_top, basis)))
+    def _pf_top(self, fwd: _Pass) -> tuple[np.ndarray, np.ndarray]:
+        if fwd.pf_top is None:
+            fwd.pf_top = _pf_top(self.model, fwd.levels[-2], self.bottom[0])
+        return fwd.pf_top
 
-    def terms(self, coeffs, lambda1, lambda2) -> tuple[float, float, float]:
-        levels = _forward_trace(self.model, self.x, coeffs)
-        data = float(np.sum((levels[-1] - self.y) ** 2)) / self.x.shape[0]
-        pf_term = lambda1 * self.pf_norm(coeffs, levels[-2]) if lambda1 > 0 else 0.0
-        top_term = lambda2 * self.top_norm(coeffs) if lambda2 > 0 else 0.0
+    def pf_norm(self, fwd: _Pass) -> float:
+        """Transfer-product norm."""
+        if fwd.pf is None:
+            g_top, _ = self._pf_top(fwd)
+            fwd.pf = float(np.sqrt(_pencil_value(g_top, self.bottom[1])))
+        return fwd.pf
+
+    def terms(self, fwd: _Pass, lambda1, lambda2) -> tuple[float, float, float]:
+        data = float(np.sum((fwd.levels[-1] - self.y) ** 2)) / self.x.shape[0]
+        pf_term = lambda1 * self.pf_norm(fwd) if lambda1 > 0 else 0.0
+        top_term = lambda2 * self.top_norm(fwd) if lambda2 > 0 else 0.0
         return data, pf_term, top_term
 
-    def gradient(self, coeffs, lambda1, lambda2, mode) -> list[np.ndarray]:
+    def gradient(self, fwd: _Pass, lambda1, lambda2, mode) -> list[np.ndarray]:
         if mode == "finite-diff":
-            return _fd_gradient(self, coeffs, lambda1, lambda2)
+            return _fd_gradient(self, fwd.coeffs, lambda1, lambda2)
         if mode != "analytic":
             raise InputError(f"unknown gradient mode {mode!r}")
-        model = self.model
+        model, coeffs, levels = self.model, fwd.coeffs, fwd.levels
         _require_gaussian(model)
-
-        levels = _forward_trace(model, self.x, coeffs)
-        kmats = [
-            gram_scalar_cross(layer.kernel, levels[j], layer.anchors)
-            for j, layer in enumerate(model.layers)
-        ]
         grads = [np.zeros_like(c) for c in coeffs]
 
         # seed at the output: data term
@@ -349,7 +388,7 @@ class _Objective:
         if lambda1 > 0:
             mids = levels[-2]
             probe_bilinear, basis = self.bottom
-            g_top, k_top = _pf_top(model, mids, probe_bilinear)
+            g_top, k_top = self._pf_top(fwd)
             rho, a_vec, gap = _pencil_vector(g_top, basis)
             if rho > 0 and np.isfinite(gap) and gap < _EIG_GAP_TOL * rho:
                 warnings.warn(
@@ -370,7 +409,7 @@ class _Objective:
                 ) + scale * d_rho_d_mid
 
         if lambda2 > 0:
-            top = self.top_norm(coeffs)
+            top = self.top_norm(fwd)
             if top > 0:
                 m_top = model.layers[-1].output
                 grads[-1] += lambda2 * (self.top_gram @ coeffs[-1] @ m_top) / top
@@ -378,7 +417,7 @@ class _Objective:
         gbar = seeds[model.depth]
         for j in range(model.depth - 1, -1, -1):
             grad_c, grad_u = _backprop_layer(
-                model.layers[j], coeffs[j], levels[j], kmats[j], gbar
+                model.layers[j], coeffs[j], levels[j], fwd.kmats[j], gbar
             )
             grads[j] += grad_c
             gbar = grad_u
@@ -391,7 +430,8 @@ def objective_terms(
     model: LayeredModel, xs, ys, lambda1: float, lambda2: float, probes=None
 ) -> tuple[float, float, float]:
     """(data term, lambda1 * pf norm, lambda2 * top norm)."""
-    return _Objective(model, xs, ys, probes).terms(model.coeffs, lambda1, lambda2)
+    problem = _Objective(model, xs, ys, probes)
+    return problem.terms(problem.forward(model.coeffs), lambda1, lambda2)
 
 
 def objective(
@@ -442,7 +482,8 @@ def gradient(
     eigenvalue gap falls below 1e-8 relative, the whole gradient falls back to
     central finite differences (step 1e-5 * (1 + |parameter|)) with a warning.
     """
-    return _Objective(model, xs, ys, probes).gradient(model.coeffs, lambda1, lambda2, mode)
+    problem = _Objective(model, xs, ys, probes)
+    return problem.gradient(problem.forward(model.coeffs), lambda1, lambda2, mode)
 
 
 def _fd_gradient(problem: _Objective, coeffs: list[np.ndarray], lambda1, lambda2):
@@ -456,7 +497,7 @@ def _fd_gradient(problem: _Objective, coeffs: list[np.ndarray], lambda1, lambda2
             for sign in (+1.0, -1.0):
                 bumped = coeffs[:j] + [c.copy()] + coeffs[j + 1 :]
                 bumped[j][idx] += sign * h
-                obj = sum(problem.terms(bumped, lambda1, lambda2))
+                obj = sum(problem.terms(problem.forward(bumped), lambda1, lambda2))
                 g[idx] += sign * obj / (2.0 * h)
         grads.append(g)
     return grads
@@ -477,17 +518,17 @@ def train(model: LayeredModel, xs, ys, cfg: TrainConfig, probes=None) -> TrainRe
     and the trajectory records objective, transfer-product norm, and top-layer
     norm per accepted iteration."""
     problem = _Objective(model, xs, ys, probes)
-
-    def full_obj(coeffs):
-        return sum(problem.terms(coeffs, cfg.lambda1, cfg.lambda2))
-
-    coeffs = model.coeffs
-    obj = full_obj(coeffs)
+    lam1, lam2 = cfg.lambda1, cfg.lambda2
+    point = problem.forward(model.coeffs)
+    obj = sum(problem.terms(point, lam1, lam2))
     if not np.isfinite(obj):
         raise NumericError(f"objective is non-finite at the start ({obj})")
     result = TrainResult(model=model)
     for it in range(1, cfg.iters + 1):
-        grads = problem.gradient(coeffs, cfg.lambda1, cfg.lambda2, cfg.grad_mode)
+        grads = problem.gradient(point, lam1, lam2, cfg.grad_mode)
+        # only one candidate's Grams are alive during the line search, which
+        # keeps the peak memory of a step at that of its gradient
+        point.drop_grams()
         gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
         if gnorm <= cfg.tol:
             result.converged = True
@@ -496,28 +537,24 @@ def train(model: LayeredModel, xs, ys, cfg: TrainConfig, probes=None) -> TrainRe
         step = cfg.step
         accepted = False
         while step >= _MIN_STEP:
-            cand = [c - step * g for c, g in zip(coeffs, grads)]
-            cand_obj = full_obj(cand)
-            if not np.isfinite(cand_obj):
-                step *= 0.5
-                continue
-            if cand_obj <= obj - _ARMIJO * step * gnorm * gnorm:
-                coeffs, obj = cand, cand_obj
+            cand = problem.forward([c - step * g for c, g in zip(point.coeffs, grads)])
+            cand_obj = sum(problem.terms(cand, lam1, lam2))
+            if np.isfinite(cand_obj) and cand_obj <= obj - _ARMIJO * step * gnorm * gnorm:
+                point, obj = cand, cand_obj
                 accepted = True
                 break
+            cand.drop_grams()
             step *= 0.5
         if not accepted:
             result.warning = "line search stalled"
             result.iterations = it - 1
             break
-        pf = problem.pf_norm(coeffs)
-        top = problem.top_norm(coeffs)
         result.trajectory.append(
-            {"iteration": it, "objective": obj, "pf_norm": pf, "top_norm": top,
-             "step": step}
+            {"iteration": it, "objective": obj, "pf_norm": problem.pf_norm(point),
+             "top_norm": problem.top_norm(point), "step": step}
         )
         result.iterations = it
-    result.model = model.with_coeffs(coeffs)
+    result.model = model.with_coeffs(point.coeffs)
     return result
 
 

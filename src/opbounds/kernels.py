@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma, kv
 
 from .errors import InputError, NotPsdError, NumericError
 
@@ -137,7 +135,10 @@ def _sq_dists(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _radial_profile(spec: ScalarKernelSpec, sq_dist: np.ndarray) -> np.ndarray:
     if spec.family == "gaussian":
         return np.exp(-spec.bandwidth * sq_dist)
-    # matern / sobolev-radial
+    # matern / sobolev-radial; scipy loads here, not at import, because it
+    # makes up most of the time to import the package
+    from scipy.special import gamma, kv
+
     nu = spec.matern_nu
     r = np.sqrt(sq_dist) / spec.bandwidth
     arg = np.sqrt(2.0 * nu) * r
@@ -265,6 +266,8 @@ def sobolev_norm_gaussian(d: int, s: float) -> float:
         raise InputError("dimension must be a positive integer")
     if s < 0:
         raise InputError("Sobolev order must be nonnegative")
+    from scipy import integrate
+    from scipy.special import gamma
 
     def integrand(r: float) -> float:
         return (1.0 + r * r) ** s * np.exp(-0.5 * r * r) * r ** (d - 1)

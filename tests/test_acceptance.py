@@ -327,7 +327,7 @@ def test_criterion_08_gradient_check():
         y = rng.standard_normal((n, 2))
         probes = default_probes(y, 2)
         probe_bilinear, basis = _pf_bottom(model, x, probes)
-        g_top, _ = _pf_top(model, _forward_trace(model, x, model.coeffs)[-2], probe_bilinear)
+        g_top, _ = _pf_top(model, _forward_trace(model, x, model.coeffs)[0][-2], probe_bilinear)
         rho, _, gap = _pencil_vector(g_top, basis)
         if not (rho > 0 and gap > 1e-6 * rho):
             continue  # eigen-gap guard: regenerate

@@ -312,6 +312,64 @@ def test_deep_checkpoint_roundtrip_through_cli(tmp_path):
     assert record2["metrics"]["epochs"] == []
 
 
+def _independent_sweep_pf(cfg, lam1):
+    """pf_product_norm after a train() from a fresh model at ``lam1``."""
+    from opbounds.data import GeneratorConfig, synth_dataset
+    from opbounds.deepvv import (
+        TrainConfig, default_probes, init_layered_model, pf_product_norm, train,
+    )
+    from opbounds.kernels import ScalarKernelSpec
+
+    data, deep = cfg["dataset"], cfg["deep_model"]
+    ds = synth_dataset(GeneratorConfig(
+        n=data["n"], d=data["d"], m=data["m"], noise=data["noise"], seed=data["seed"]
+    ))
+    dims_in = [data["d"]] + deep["output_dims"][:-1]
+    kernels = [ScalarKernelSpec("gaussian", bw, dimension=d)
+               for bw, d in zip(deep["bandwidths"], dims_in)]
+    outputs = [np.eye(d) for d in deep["output_dims"]]
+    t = {k: v for k, v in deep["train"].items() if k != "seed"}
+    model = init_layered_model(ds.x, kernels, outputs, seed=deep["train"]["seed"])
+    result = train(model, ds.x, ds.y, TrainConfig(**{**t, "lambda1": lam1}))
+    return pf_product_norm(result.model, ds.x, default_probes(ds.y, data["m"]))
+
+
+@pytest.mark.parametrize("variant, trains", [
+    ("fresh", 2), ("checkpoint_in", 3), ("evaluate_only", 2),
+])
+def test_deep_sweep_reuses_the_trained_config(monkeypatch, tmp_path, variant, trains):
+    # the sweep entry at the run's own lambda1 is the run itself when the run
+    # trained a fresh model; after a checkpoint or without training, every
+    # entry trains its own fresh model
+    cfg = json.loads(json.dumps(DEEP))
+    cfg["dataset"]["seed"] = 17
+    deep = cfg["deep_model"]
+    deep["train"].update(seed=23, iters=8)
+    deep["lambda1_sweep"] = [0.0, 0.1]
+    del deep["refine"]
+    if variant == "checkpoint_in":
+        ckpt = json.loads(json.dumps(cfg))
+        ckpt["deep_model"]["train"]["seed"] = 29
+        ckpt["deep_model"]["checkpoint_out"] = "model.json"
+        run("deep-vvrkhs", ckpt, None, tmp_path)
+        deep["checkpoint_in"] = "model.json"
+    elif variant == "evaluate_only":
+        deep["evaluate_only"] = True
+    calls = []
+    train = cli.train
+    monkeypatch.setattr(cli, "train", lambda *a, **k: calls.append(a) or train(*a, **k))
+    metrics = run("deep-vvrkhs", cfg, None, tmp_path)["metrics"]
+    assert len(calls) == trains
+    sweep = metrics["lambda1_sweep"]
+    assert [s["lambda1"] for s in sweep] == [0.0, 0.1]
+    for entry in sweep:
+        assert entry["final_pf_norm"] == _independent_sweep_pf(cfg, entry["lambda1"])
+    if variant == "fresh":
+        assert sweep[1]["final_pf_norm"] == metrics["pf_bound"]["pf_norm"]
+    else:
+        assert sweep[1]["final_pf_norm"] != metrics["pf_bound"]["pf_norm"]
+
+
 def test_spectral_subcommand(tmp_path):
     record = run("spectral-report", SPECTRAL, None, tmp_path)
     metrics = record["metrics"]
@@ -449,25 +507,70 @@ _RUN_IN_PROCESS = """
 import json, sys
 from pathlib import Path
 from opbounds.cli import render_record, run
-record = run("bound-compare", json.loads(sys.argv[1]), None, Path("."))
+record = run(sys.argv[1], json.loads(sys.argv[2]), None, Path("."))
 sys.stdout.write(render_record(record, "json"))
 """
 
 
-def test_library_run_bytes_independent_of_blas_threads():
-    # a library caller whose numpy loaded with two OpenBLAS threads and no
-    # other BLAS setting: cli.run itself must pin BLAS to one thread
+def _library_run_per_blas_threads(subcommand, config):
+    """Records of a library caller whose numpy loaded with one, then two
+    OpenBLAS threads and no other BLAS setting."""
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     payloads = []
     for threads in ("1", "2"):
         proc = subprocess.run(
-            [sys.executable, "-c", _RUN_IN_PROCESS, json.dumps(_wide_bound_compare())],
+            [sys.executable, "-c", _RUN_IN_PROCESS, subcommand, json.dumps(config)],
             capture_output=True, text=True,
             env={**env, "OPENBLAS_NUM_THREADS": threads},
         )
         assert proc.returncode == 0, proc.stderr
         payloads.append(proc.stdout)
+    return payloads
+
+
+def test_library_run_bytes_independent_of_blas_threads():
+    # cli.run itself must pin BLAS to one thread
+    payloads = _library_run_per_blas_threads("bound-compare", _wide_bound_compare())
     assert payloads[0] == payloads[1]
+
+
+def test_matern_run_bytes_independent_of_blas_threads():
+    # scipy first loads inside this run, after the BLAS pin has cached the
+    # OpenBLAS copies loaded so far, so scipy's own copy keeps two threads; the
+    # record must not depend on it.  Unpinned, this n=300 record differs in
+    # the last bits between one and two threads.
+    cfg = json.loads(json.dumps(SKETCH_REGRESS))
+    cfg["dataset"]["n"] = 300
+    cfg["kernel"] = {"family": "matern", "bandwidth": 1.0, "smoothness": 1.5}
+    cfg["loss"] = {"family": "squared"}
+    cfg["sketch"]["rows"] = 40
+    payloads = _library_run_per_blas_threads("sketch-regress", cfg)
+    assert payloads[0] == payloads[1]
+
+
+_SCIPY_MODULES = """
+import json, sys
+from pathlib import Path
+import opbounds.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_modules()
+opbounds.cli.run("bound-compare", json.loads(sys.argv[1]), None, Path("."))
+print(json.dumps([after_import, scipy_modules()]))
+"""
+
+
+def test_gaussian_runs_import_no_scipy():
+    # scipy is most of the package's import time and only Matern/Sobolev
+    # kernels use it
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_MODULES, json.dumps(BOUND_COMPARE)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
 
 
 def test_run_pins_blas_and_restores_thread_counts(monkeypatch, tmp_path):

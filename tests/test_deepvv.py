@@ -471,6 +471,49 @@ def test_train_builds_layers_once(monkeypatch, grad_mode):
     assert len(top_grams) == 1
 
 
+def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
+    # the first layer's cross Gram never changes, the gradient backpropagates
+    # through the cross Grams of its point's forward pass, and every
+    # transfer-product norm comes from an objective evaluation: the start and
+    # one per line-search candidate (the trajectory reuses the accepted one's)
+    rng = np.random.default_rng(54)
+    n = 8
+    x = rng.uniform(-1, 1, (n, 2))
+    y = rng.standard_normal((n, 2))
+    model = init_layered_model(x, [gauss(2)] * 3, [np.eye(2)] * 3, seed=6)
+    first_anchors = model.layers[0].anchors
+    cross, pencil = deepvv.gram_scalar_cross, deepvv._pencil_value
+    gradient_method = deepvv._Objective.gradient
+    first_grams, gradient_grams, pencils, in_gradient = [], [], [], []
+
+    def counted_cross(spec, u, z):
+        if z is first_anchors:
+            first_grams.append(u)
+        if in_gradient:
+            gradient_grams.append(u)
+        return cross(spec, u, z)
+
+    def flagged_gradient(*args):
+        in_gradient.append(True)
+        try:
+            return gradient_method(*args)
+        finally:
+            in_gradient.pop()
+
+    monkeypatch.setattr(deepvv, "gram_scalar_cross", counted_cross)
+    monkeypatch.setattr(deepvv, "_pencil_value", lambda *a: pencils.append(1) or pencil(*a))
+    monkeypatch.setattr(deepvv._Objective, "gradient", flagged_gradient)
+    cfg = TrainConfig(lambda1=0.1, lambda2=0.05, step=0.3, iters=5)
+    result = train(model, x, y, cfg)
+    assert result.iterations == 5 and len(result.trajectory) == 5
+    candidates = sum(
+        round(math.log2(cfg.step / entry["step"])) + 1 for entry in result.trajectory
+    )
+    assert len(first_grams) == 1
+    assert gradient_grams == []
+    assert len(pencils) == 1 + candidates
+
+
 def _reference_fd_gradient(model, x, y, lam1, lam2):
     coeffs = [l.coeffs.copy() for l in model.layers]
     grads = []
