@@ -17,12 +17,11 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft7Validator
 
 from . import __version__
 from ._blas import single_blas_thread
 from ._rng import derive_seed, substream
-from .complexity import McConfig, rademacher_ball_mc, trace_bound
+from .complexity import McConfig, _BallMc, _run_mc, trace_bound
 from .data import Dataset, GeneratorConfig, read_csv, synth_dataset
 from .deepvv import (
     TrainConfig,
@@ -44,15 +43,16 @@ from .kernels import (
     DecomposableKernel,
     KernelExpansion,
     ScalarKernelSpec,
+    _expansion_norm,
     check_kappa,
     gram_scalar,
 )
 from .koopman import (
     LayerSpec,
     NetworkSpec,
+    _SplitMc,
     product_bound,
     peeled_bound,
-    split_complexity_bound,
 )
 from .losses import LossSpec, lipschitz_constant
 from .sketching import SketchMatrix, SketchSpec, make_p_sparsified, satisfiability_constant
@@ -288,6 +288,10 @@ _SCHEMAS = {
 
 
 def validate_config(subcommand: str, config: dict) -> None:
+    # jsonschema loads here, not at import: it is the largest share of the
+    # time to import this module that the package controls
+    from jsonschema import Draft7Validator
+
     if subcommand not in _SCHEMAS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     errors = sorted(
@@ -432,9 +436,12 @@ def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
     mc_seed = config["mc"].get("seed", derive_seed(seed, 4))
     cfg_mc = McConfig(draws=config["mc"]["draws"], seed=mc_seed)
 
+    # every check runs before the one Monte-Carlo pass below; the data Gram
+    # serves the ball estimate and the approximation term, the mid Gram the
+    # surrogate norms, the class predictions and the approximation term
     g_k = gram_scalar(kernel.scalar, ds.x)
     check_kappa(kernel, g_k)
-    ball = rademacher_ball_mc(g_k, kernel.output, ds.n, cfg_mc)
+    ball = _BallMc(g_k, kernel.output, ds.n)
     kappa, tr_m = kernel.kappa, kernel.trace_m()
     product = product_bound(net, kappa, tr_m, ds.n)
     split_at = config.get("split", 0)
@@ -450,21 +457,23 @@ def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
         kernel.output,
         kappa=kernel.kappa,
     )
+    g_mid = gram_scalar(kernel_mid.scalar, mid)
     surrogates = []
     for i in range(n_sur):
         raw = substream(mc_seed, 1000 + i).standard_normal((ds.n, kernel.output_dim))
-        cand = KernelExpansion(kernel_mid, mid, raw)
-        norm = cand.norm()
+        norm = _expansion_norm(g_mid, raw, kernel_mid.output)
         target = net.g_norm * (i + 1) / n_sur
         scale = target / norm if norm > 0 else 0.0
         surrogates.append(KernelExpansion(kernel_mid, mid, raw * scale))
-    split_rep = split_complexity_bound(
-        net, l_prime, surrogates, ds.x, kernel, mid, kernel_mid, cfg_mc
+    split = _SplitMc(
+        net, l_prime, surrogates, ds.x, kernel, mid, kernel_mid, g_in=g_k, g_mid=g_mid
     )
+    _run_mc([ball, *split.estimators], cfg_mc)
+    ball_est, split_rep = ball.result(), split.report()
 
     metrics = {
         "trace_bound": trace_bound(kappa, tr_m, ds.n),
-        "rademacher_ball": {"estimate": ball.estimate, "stderr": ball.stderr},
+        "rademacher_ball": {"estimate": ball_est.estimate, "stderr": ball_est.stderr},
         "product": product.to_dict(),
         "split": split_rep.to_dict(),
         "peeled": {"split": split_at, "value": peeled},

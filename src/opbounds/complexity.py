@@ -10,12 +10,18 @@ assembled: the forms are computed from the factors as
 ``M = [[1.0]]``.  Sign draws come in fixed-size blocks, each from its own
 counter-based substream, and are reduced in block order: results are
 deterministic and schedule-independent.
+
+Each estimator is a per-block accumulator whose checks all run when it is
+built, before any draw.  One loop, :func:`_run_mc`, draws every block once
+and feeds it to all the estimators of a pass, and a form on a Gram that
+several of them read is computed once per block; so estimators that share a
+pass read the same signs and give the same values as when run one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,23 +92,78 @@ def _quad_forms(rows: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.einsum("iar,iar->r", w, np.matmul(out, gw))
 
 
-def _mean_stderr(block_vals: Iterator[np.ndarray], cfg: McConfig, n: int) -> McEstimate:
-    """Mean of ``cfg.draws`` values, given block by block, and its standard
-    error, both divided by n."""
-    total = 0.0
-    total_sq = 0.0
-    for vals in block_vals:
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-    mean = total / cfg.draws
-    var = max(total_sq / cfg.draws - mean * mean, 0.0)
-    se = np.sqrt(var / cfg.draws)
-    return McEstimate(estimate=mean / n, stderr=float(se) / n)
+class _Block:
+    """One sign block and the quadratic forms read from it: each (Gram, M)
+    pair is computed once, however many estimators read it.  Pairs are told
+    apart by identity, so estimators that share a Gram must hold the same
+    array object (they keep it alive for the whole pass)."""
+
+    __slots__ = ("signs", "_forms")
+
+    def __init__(self, signs: np.ndarray):
+        self.signs = signs
+        self._forms: dict = {}
+
+    def forms(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """max(sigma^T (g (x) out) sigma, 0) for every draw of the block;
+        shared between readers, so never modify it in place."""
+        key = (id(g), id(out))
+        q = self._forms.get(key)
+        if q is None:
+            q = self._forms[key] = np.maximum(_quad_forms(self.signs, g, out), 0.0)
+        return q
+
+
+def _run_mc(estimators: Sequence, cfg: McConfig) -> None:
+    """The one Monte-Carlo loop: draw every sign block of ``cfg`` once and
+    hand it to each estimator's ``add``.  One block is alive at a time; the
+    estimators share one sign width."""
+    for signs in sign_blocks(cfg.draws, estimators[0].width, cfg.seed):
+        block = _Block(signs)
+        for est in estimators:
+            est.add(block)
+
+
+class _MeanMc:
+    """Per-draw values summed block by block; ``result`` is their mean and
+    standard error, both divided by n."""
+
+    def __init__(self, n: int, width: int):
+        self.n, self.width = n, width
+        self.draws = 0
+        self.total = 0.0
+        self.total_sq = 0.0
+
+    def _add_values(self, vals: np.ndarray) -> None:
+        self.draws += vals.shape[0]
+        self.total += float(vals.sum())
+        self.total_sq += float((vals * vals).sum())
+
+    def result(self) -> McEstimate:
+        mean = self.total / self.draws
+        var = max(self.total_sq / self.draws - mean * mean, 0.0)
+        se = np.sqrt(var / self.draws)
+        return McEstimate(estimate=mean / self.n, stderr=float(se) / self.n)
 
 
 def _check_n(n: int) -> None:
     if n < 1:
         raise InputError(f"sample size n must be >= 1, got {n}")
+
+
+class _BallMc(_MeanMc):
+    """Estimator of :func:`rademacher_ball_mc`; every check runs here, before
+    any draw."""
+
+    def __init__(self, g, out, n: int):
+        g, out = _matrix(g, "Gram"), _matrix(out, "output matrix")
+        _check_n(n)
+        _check_psd(g, out)
+        super().__init__(n, g.shape[0] * out.shape[0])
+        self.g, self.out = g, out
+
+    def add(self, block: _Block) -> None:
+        self._add_values(np.sqrt(block.forms(self.g, self.out)))
 
 
 def rademacher_ball_mc(g, out, n: int, cfg: McConfig) -> McEstimate:
@@ -112,12 +173,9 @@ def rademacher_ball_mc(g, out, n: int, cfg: McConfig) -> McEstimate:
     ``g`` is the scalar Gram G_k and ``out`` the output matrix M of a
     decomposable kernel; pass a dense operator Gram as ``g`` with
     ``out = [[1.0]]``."""
-    g, out = _matrix(g, "Gram"), _matrix(out, "output matrix")
-    _check_n(n)
-    _check_psd(g, out)
-    blocks = sign_blocks(cfg.draws, g.shape[0] * out.shape[0], cfg.seed)
-    vals = (np.sqrt(np.maximum(_quad_forms(b, g, out), 0.0)) for b in blocks)
-    return _mean_stderr(vals, cfg, n)
+    ball = _BallMc(g, out, n)
+    _run_mc([ball], cfg)
+    return ball.result()
 
 
 def rademacher_ball_exact(g_op: np.ndarray, n: int) -> float:
@@ -142,6 +200,30 @@ def trace_bound(kappa: float, tr_m: float, n: int) -> float:
     return float(np.sqrt(kappa * tr_m / n))
 
 
+class _ClassMc(_MeanMc):
+    """Estimator of :func:`rademacher_class_mc` over the class's predictions
+    at the n points, each an (n, m) array checked here, before any draw."""
+
+    def __init__(self, predictions: Iterable, n: int, m: int):
+        rows = []
+        for vals in predictions:
+            vals = np.asarray(vals, dtype=float)
+            if vals.shape != (n, m):
+                raise InputError(
+                    f"predictor returned shape {vals.shape}, expected {(n, m)}"
+                )
+            if not np.all(np.isfinite(vals)):
+                raise NumericError("predictor returned non-finite values")
+            rows.append(vals.ravel())
+        if not rows:
+            raise InputError("predictor list must be nonempty")
+        super().__init__(n, n * m)
+        self.flat = np.array(rows)
+
+    def add(self, block: _Block) -> None:
+        self._add_values(np.abs(block.signs @ self.flat.T).max(axis=1))
+
+
 def rademacher_class_mc(
     predictors: Sequence[Callable],
     data,
@@ -155,19 +237,7 @@ def rademacher_class_mc(
     return its n predictions as an (n, m) array (row i is f(x_i)), e.g.
     ``KernelExpansion.at``.
     """
-    if not predictors:
-        raise InputError("predictor list must be nonempty")
     x = as_points(data)
-    n = x.shape[0]
-    flat = np.empty((len(predictors), n * m))
-    for k, f in enumerate(predictors):
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape != (n, m):
-            raise InputError(
-                f"predictor returned shape {vals.shape}, expected {(n, m)}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("predictor returned non-finite values")
-        flat[k] = vals.ravel()
-    blocks = sign_blocks(cfg.draws, n * m, cfg.seed)
-    return _mean_stderr((np.abs(b @ flat.T).max(axis=1) for b in blocks), cfg, n)
+    est = _ClassMc((f(x) for f in predictors), x.shape[0], m)
+    _run_mc([est], cfg)
+    return est.result()

@@ -31,10 +31,10 @@ import numpy as np
 from .complexity import (
     McConfig,
     McEstimate,
+    _ClassMc,
     _matrix,
     _quad_forms,
-    rademacher_class_mc,
-    sign_blocks,
+    _run_mc,
     trace_bound,
 )
 from .errors import DegenerateInputError, InputError, NonInjectiveError
@@ -294,6 +294,72 @@ def peeled_bound(net: NetworkSpec, split: int) -> float:
     return total
 
 
+class _ApproxMc:
+    """Estimator of :func:`approximation_term_mc`, fed one sign block at a
+    time; every check and the loop-invariant surrogate terms are done when it
+    is built, before any draw."""
+
+    def __init__(self, upper_class: list[KernelExpansion], g_in, g_mid, out):
+        if not upper_class:
+            raise InputError("upper class must be nonempty")
+        g_in, g_mid = _matrix(g_in, "input Gram"), _matrix(g_mid, "mid Gram")
+        out = _matrix(out, "output matrix")
+        if g_in.shape != g_mid.shape:
+            raise InputError("input and mid Grams must have equal shape")
+        n, m = g_mid.shape[0], out.shape[0]
+        self.width = n * m
+        self.g_in, self.g_mid, self.out = g_in, g_mid, out
+        coeff_mat = np.empty((len(upper_class), self.width))
+        self.coeff_g = np.empty_like(coeff_mat)  # loop-invariant half of <h', u~_n>
+        for k, h in enumerate(upper_class):
+            if h.coeffs.size != self.width:
+                raise InputError(
+                    "surrogate coefficients must align with the mid Gram blocks"
+                )
+            c = h.coeffs.reshape(n, m)
+            coeff_mat[k] = c.ravel()
+            self.coeff_g[k] = (g_mid @ c @ out).ravel()
+        self.norms_sq = _quad_forms(coeff_mat, g_mid, out)
+        # beta_h for every h in the class
+        self.norms = np.sqrt(np.maximum(self.norms_sq, 0.0))
+        self.q_floor = self.width * np.finfo(float).eps * np.trace(g_mid) * np.trace(out)
+        self.sum_sup = np.zeros(len(upper_class))
+        self.draws = 0
+        self.rejected = 0
+        self.gammas: list[np.ndarray] = []
+
+    def add(self, block) -> None:
+        self.draws += block.signs.shape[0]
+        q_in = block.forms(self.g_in, self.out)
+        q_mid = block.forms(self.g_mid, self.out)
+        ok = q_mid > self.q_floor
+        self.rejected += int((~ok).sum())
+        if not np.any(ok):
+            return
+        q_in, q_mid = q_in[ok], q_mid[ok]
+        gamma = np.sqrt(q_in / q_mid)
+        self.gammas.append(gamma)
+        t = gamma / np.sqrt(q_mid)  # gamma / ||u~_n||
+        # (n_class, draws): <h', u~_n>.  compress keeps it C-ordered, unlike a
+        # boolean index; the layout sets the order of the sum over draws below
+        inner = (self.coeff_g @ block.signs.T).compress(ok, axis=1)
+        norms = self.norms
+        # sup over h'' of ||h'||^2 - 2 t beta <h', u~> + gamma^2 beta^2
+        quad = (
+            self.norms_sq[:, None, None]
+            - 2.0 * t[None, :, None] * inner[:, :, None] * norms[None, None, :]
+            + (gamma**2)[None, :, None] * (norms**2)[None, None, :]
+        )
+        self.sum_sup += quad.max(axis=2).sum(axis=1)
+
+    def result(self) -> tuple[float, int, np.ndarray]:
+        used = self.draws - self.rejected
+        if used == 0:
+            raise DegenerateInputError("all draws rejected: mid Gram is degenerate")
+        value = float(np.sqrt(np.maximum(self.sum_sup / used, 0.0).min()))
+        return value, self.rejected, np.concatenate(self.gammas)
+
+
 def approximation_term_mc(
     upper_class: list[KernelExpansion],
     g_in,
@@ -321,57 +387,97 @@ def approximation_term_mc(
     an exactly degenerate draw can round to ~1e-16 and give gamma ~ 1e8) are
     rejected and counted.  Returns (value, rejected_draws, per-draw gammas).
     """
-    if not upper_class:
-        raise InputError("upper class must be nonempty")
-    g_in, g_mid = _matrix(g_in, "input Gram"), _matrix(g_mid, "mid Gram")
-    out = _matrix(out, "output matrix")
-    if g_in.shape != g_mid.shape:
-        raise InputError("input and mid Grams must have equal shape")
-    n, m = g_mid.shape[0], out.shape[0]
-    width = n * m
-    coeff_mat = np.empty((len(upper_class), width))
-    coeff_g = np.empty_like(coeff_mat)  # loop-invariant half of <h', u~_n>
-    for k, h in enumerate(upper_class):
-        if h.coeffs.size != width:
-            raise InputError(
-                "surrogate coefficients must align with the mid Gram blocks"
-            )
-        c = h.coeffs.reshape(n, m)
-        coeff_mat[k] = c.ravel()
-        coeff_g[k] = (g_mid @ c @ out).ravel()
-    norms_sq = _quad_forms(coeff_mat, g_mid, out)
-    norms = np.sqrt(np.maximum(norms_sq, 0.0))  # beta_h for every h in the class
-    q_floor = width * np.finfo(float).eps * np.trace(g_mid) * np.trace(out)
+    approx = _ApproxMc(upper_class, g_in, g_mid, out)
+    _run_mc([approx], cfg)
+    return approx.result()
 
-    sum_sup = np.zeros(len(upper_class))
-    rejected = 0
-    gammas = []
-    for block in sign_blocks(cfg.draws, width, cfg.seed):
-        q_in = np.maximum(_quad_forms(block, g_in, out), 0.0)
-        q_mid = np.maximum(_quad_forms(block, g_mid, out), 0.0)
-        ok = q_mid > q_floor
-        rejected += int((~ok).sum())
-        if not np.any(ok):
-            continue
-        q_in, q_mid = q_in[ok], q_mid[ok]
-        gamma = np.sqrt(q_in / q_mid)
-        gammas.append(gamma)
-        t = gamma / np.sqrt(q_mid)  # gamma / ||u~_n||
-        # (n_class, draws): <h', u~_n>.  compress keeps it C-ordered, unlike a
-        # boolean index; the layout sets the order of the sum over draws below
-        inner = (coeff_g @ block.T).compress(ok, axis=1)
-        # sup over h'' of ||h'||^2 - 2 t beta <h', u~> + gamma^2 beta^2
-        quad = (
-            norms_sq[:, None, None]
-            - 2.0 * t[None, :, None] * inner[:, :, None] * norms[None, None, :]
-            + (gamma**2)[None, :, None] * (norms**2)[None, None, :]
+
+class _SplitMc:
+    """The split bound of :func:`split_complexity_bound` up to its draws:
+    every check done, the lower-layer factors computed and the class and
+    approximation estimators built.  Run ``estimators`` through one
+    Monte-Carlo pass, then read :meth:`report`.
+
+    ``g_in`` and ``g_mid``, when given, must be the scalar Grams of
+    ``kernel_in`` at ``data`` and of ``kernel_mid`` at ``mid_points``;
+    otherwise they are assembled here.  The class predictions are read off
+    the mid Gram (``g_mid @ c @ M`` per surrogate), since the surrogates are
+    anchored at the mid points."""
+
+    def __init__(
+        self,
+        net: NetworkSpec,
+        l_prime: int,
+        upper_class: list[KernelExpansion],
+        data,
+        kernel_in: DecomposableKernel,
+        mid_points,
+        kernel_mid: DecomposableKernel,
+        g_in: np.ndarray | None = None,
+        g_mid: np.ndarray | None = None,
+    ):
+        if not (1 <= l_prime <= net.depth):
+            raise InputError(f"l_prime={l_prime} outside [1, {net.depth}]")
+        if not upper_class:
+            raise InputError("upper class must be nonempty")
+        x = as_points(data, kernel_in.scalar.dimension)
+        mid = as_points(mid_points, kernel_mid.scalar.dimension)
+        if mid.shape[0] != x.shape[0]:
+            raise InputError("mid points must pair one-to-one with the data")
+        if not np.array_equal(kernel_in.output, kernel_mid.output):
+            raise InputError("input and mid kernels must share the output matrix M")
+        for h in upper_class:
+            if h.kernel is not kernel_mid and not (
+                h.kernel.scalar == kernel_mid.scalar
+                and np.array_equal(h.kernel.output, kernel_mid.output)
+            ):
+                raise InputError("surrogates must use the mid-space kernel")
+            if h.anchors.shape != mid.shape or not np.allclose(h.anchors, mid):
+                raise InputError("surrogates must be anchored at the mid points")
+
+        self.factors = _layer_factors(net, l_prime)
+        self.eta = 1.0
+        for f in self.factors:
+            self.eta *= f.product()
+
+        if g_mid is None:
+            g_mid = gram_scalar(kernel_mid.scalar, mid)
+        self.class_mc = _ClassMc(
+            (g_mid @ h.coeffs @ h.kernel.output for h in upper_class),
+            mid.shape[0],
+            kernel_in.output_dim,
         )
-        sum_sup += quad.max(axis=2).sum(axis=1)
-    used = cfg.draws - rejected
-    if used == 0:
-        raise DegenerateInputError("all draws rejected: mid Gram is degenerate")
-    value = float(np.sqrt(np.maximum(sum_sup / used, 0.0).min()))
-    return value, rejected, np.concatenate(gammas)
+        if g_in is None:
+            g_in = gram_scalar(kernel_in.scalar, x)
+        check_kappa(kernel_in, g_in)
+        check_kappa(kernel_mid, g_mid)
+        self.approx_mc = _ApproxMc(upper_class, g_in, g_mid, kernel_mid.output)
+        self.estimators = (self.class_mc, self.approx_mc)
+        self.kernel_in, self.n = kernel_in, x.shape[0]
+
+    def report(self) -> BoundReport:
+        class_est: McEstimate = self.class_mc.result()
+        approx, rejected, gammas = self.approx_mc.result()
+        root = trace_bound(self.kernel_in.kappa, self.kernel_in.trace_m(), self.n)
+        total = self.eta * (class_est.estimate + root * approx)
+        return BoundReport(
+            family="split",
+            total=total,
+            per_layer=tuple(self.factors),
+            extras={
+                "eta_product": self.eta,
+                "class_estimate": class_est.estimate,
+                "class_stderr": class_est.stderr,
+                "approximation_term": approx,
+                "approximation_rejected_draws": rejected,
+                "trace_root": root,
+                "gamma_mean": float(gammas.mean()),
+                "note": (
+                    "upper class is a finite surrogate kernel-expansion family; "
+                    "lower-layer factors evaluated at the given weights"
+                ),
+            },
+        )
 
 
 def split_complexity_bound(
@@ -390,60 +496,9 @@ def split_complexity_bound(
     The upper class is a finite surrogate family of kernel expansions anchored
     at ``mid_points`` under ``kernel_mid``; this surrogacy is declared in the
     report.  The input-space Gram at ``data`` and the mid-space Gram at
-    ``mid_points`` drive the coupled sign draws of the approximation term.
+    ``mid_points`` drive the coupled sign draws of the approximation term; the
+    class estimate reads the same draws, all in one Monte-Carlo pass.
     """
-    if not (1 <= l_prime <= net.depth):
-        raise InputError(f"l_prime={l_prime} outside [1, {net.depth}]")
-    if not upper_class:
-        raise InputError("upper class must be nonempty")
-    x = as_points(data, kernel_in.scalar.dimension)
-    mid = as_points(mid_points, kernel_mid.scalar.dimension)
-    if mid.shape[0] != x.shape[0]:
-        raise InputError("mid points must pair one-to-one with the data")
-    if not np.array_equal(kernel_in.output, kernel_mid.output):
-        raise InputError("input and mid kernels must share the output matrix M")
-    for h in upper_class:
-        if h.kernel is not kernel_mid and not (
-            h.kernel.scalar == kernel_mid.scalar
-            and np.array_equal(h.kernel.output, kernel_mid.output)
-        ):
-            raise InputError("surrogates must use the mid-space kernel")
-        if h.anchors.shape != mid.shape or not np.allclose(h.anchors, mid):
-            raise InputError("surrogates must be anchored at the mid points")
-
-    factors = _layer_factors(net, l_prime)
-    eta = 1.0
-    for f in factors:
-        eta *= f.product()
-
-    m = kernel_in.output_dim
-    class_est: McEstimate = rademacher_class_mc(
-        [h.at for h in upper_class], mid, m, cfg
-    )
-    g_in = gram_scalar(kernel_in.scalar, x)
-    check_kappa(kernel_in, g_in)
-    g_mid = gram_scalar(kernel_mid.scalar, mid)
-    check_kappa(kernel_mid, g_mid)
-    approx, rejected, gammas = approximation_term_mc(
-        upper_class, g_in, g_mid, kernel_mid.output, cfg
-    )
-    root = trace_bound(kernel_in.kappa, kernel_in.trace_m(), x.shape[0])
-    total = eta * (class_est.estimate + root * approx)
-    return BoundReport(
-        family="split",
-        total=total,
-        per_layer=tuple(factors),
-        extras={
-            "eta_product": eta,
-            "class_estimate": class_est.estimate,
-            "class_stderr": class_est.stderr,
-            "approximation_term": approx,
-            "approximation_rejected_draws": rejected,
-            "trace_root": root,
-            "gamma_mean": float(gammas.mean()),
-            "note": (
-                "upper class is a finite surrogate kernel-expansion family; "
-                "lower-layer factors evaluated at the given weights"
-            ),
-        },
-    )
+    split = _SplitMc(net, l_prime, upper_class, data, kernel_in, mid_points, kernel_mid)
+    _run_mc(split.estimators, cfg)
+    return split.report()

@@ -111,6 +111,68 @@ def test_bound_compare_never_builds_the_dense_operator_gram(monkeypatch, tmp_pat
     assert render_record(record, "json") == expected
 
 
+def test_bound_compare_assembles_each_scalar_gram_once(monkeypatch, tmp_path):
+    # the data Gram serves the ball estimate and the approximation term; the
+    # mid Gram the surrogate norms, the class predictions and the
+    # approximation term
+    from opbounds import kernels
+
+    n = 20
+    cfg = json.loads(json.dumps(BOUND_COMPARE))
+    cfg["dataset"]["n"] = n
+    cfg["split_bound"]["surrogates"] = 4
+    profiles = []
+    profile = kernels._radial_profile
+
+    def counted_profile(spec, sq_dist):
+        profiles.append(np.shape(sq_dist))
+        return profile(spec, sq_dist)
+
+    monkeypatch.setattr(kernels, "_radial_profile", counted_profile)
+    run("bound-compare", cfg, None, tmp_path)
+    assert profiles.count((n, n)) == 2
+
+
+def test_bound_compare_draws_each_sign_block_once(monkeypatch, tmp_path):
+    # n=20 and 1,100 draws: blocks of 512, 512 and 76 draws.  Each is drawn
+    # once and read by one quadratic form on the data Gram and one on the mid
+    # Gram, shared by the ball, class and approximation estimates
+    from opbounds import complexity, koopman
+
+    n, m, draws = 20, 2, 1100
+    cfg = json.loads(json.dumps(BOUND_COMPARE))
+    cfg["dataset"]["n"] = n
+    cfg["mc"]["draws"] = draws
+    streams, grams, forms = [], [], []
+    substream, gram, quad_forms = complexity.substream, cli.gram_scalar, complexity._quad_forms
+
+    def counted_substream(seed, counter):
+        streams.append(counter)
+        return substream(seed, counter)
+
+    def counted_gram(*args, **kwargs):
+        grams.append(gram(*args, **kwargs))
+        return grams[-1]
+
+    def counted_forms(rows, g, out):
+        if rows.shape == (512, n * m) or rows.shape == (76, n * m):
+            forms.append((rows, g))  # keeps each block alive, so ids stay unique
+        return quad_forms(rows, g, out)
+
+    monkeypatch.setattr(complexity, "substream", counted_substream)
+    monkeypatch.setattr(cli, "gram_scalar", counted_gram)
+    monkeypatch.setattr(complexity, "_quad_forms", counted_forms)
+    monkeypatch.setattr(koopman, "_quad_forms", counted_forms)
+    run("bound-compare", cfg, None, tmp_path)
+    assert streams == [0, 1, 2]
+    g_data, g_mid = grams
+    blocks = {id(rows): rows for rows, _ in forms}
+    assert sorted(len(b) for b in blocks.values()) == [76, 512, 512]
+    for key in blocks:
+        read = sorted(id(g) for rows, g in forms if id(rows) == key)
+        assert read == sorted([id(g_data), id(g_mid)])
+
+
 def test_bound_compare_rejects_kappa_below_a_kernel_value(tmp_path):
     cfg = json.loads(json.dumps(BOUND_COMPARE))
     cfg["kernel"]["kappa"] = 0.5
@@ -571,6 +633,29 @@ def test_gaussian_runs_import_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], []]
+
+
+_JSONSCHEMA_LOADS = """
+import sys
+import opbounds.cli
+from opbounds.errors import ConfigError
+
+print("jsonschema" in sys.modules)
+try:
+    opbounds.cli.validate_config("bound-compare", {"surprise": 1})
+except ConfigError:
+    print("ConfigError")
+print("jsonschema" in sys.modules)
+"""
+
+
+def test_cli_import_loads_no_jsonschema():
+    # jsonschema loads on the first validation, not with the module
+    proc = subprocess.run(
+        [sys.executable, "-c", _JSONSCHEMA_LOADS], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "ConfigError", "True"]
 
 
 def test_run_pins_blas_and_restores_thread_counts(monkeypatch, tmp_path):

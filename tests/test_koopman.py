@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opbounds.complexity import McConfig, _quad_forms, rademacher_class_mc, sign_blocks
-from opbounds.errors import DegenerateInputError, InputError, NonInjectiveError
+from opbounds import complexity
+from opbounds.complexity import (
+    McConfig,
+    _BallMc,
+    _ClassMc,
+    _quad_forms,
+    _run_mc,
+    rademacher_ball_mc,
+    rademacher_class_mc,
+    sign_blocks,
+)
+from opbounds.errors import DegenerateInputError, InputError, NonInjectiveError, NotPsdError
 from opbounds.kernels import (
     DecomposableKernel,
     KernelExpansion,
@@ -19,6 +29,7 @@ from opbounds.kernels import (
 from opbounds.koopman import (
     LayerSpec,
     NetworkSpec,
+    _ApproxMc,
     approximation_term_mc,
     check_injectivity_class,
     det_quarter_root,
@@ -592,6 +603,79 @@ def test_approx_term_degenerate_inputs(case):
     value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, out, cfg)
     assert np.isfinite(value) and np.all(np.isfinite(gammas))
     assert 0 <= rejected < cfg.draws and gammas.size == cfg.draws - rejected
+
+
+@st.composite
+def joint_pass_cases(draw):
+    """Inputs of one bound-compare pass: a data Gram G (indefinite in one
+    case), a mid Gram (zero in one case, so every draw is rejected), an m x m
+    output matrix of rank r <= m and 1-4 surrogates, over 1-1,200 draws so
+    blocks cross the 512-draw boundary."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, m))
+    kind = draw(st.sampled_from(["psd", "zero mid", "indefinite G"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.standard_normal((rank, rank + 2))
+    out = np.zeros((m, m))
+    out[:rank, :rank] = b @ b.T
+    b_in = rng.standard_normal((n, n + 2))
+    g = b_in @ b_in.T
+    if kind == "indefinite G":
+        g[0, 0] = -1.0 - g[0, 0]
+    b_mid = rng.standard_normal((n, n + 2))
+    g_mid = np.zeros((n, n)) if kind == "zero mid" else b_mid @ b_mid.T
+    kernel = DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), out, kappa=1.0)
+    pts = rng.uniform(-1, 1, (n, 1))
+    upper = [
+        KernelExpansion(kernel, pts, rng.standard_normal((n, m)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    cfg = McConfig(draws=draw(st.integers(1, 1200)), seed=draw(st.integers(0, 2**31 - 1)))
+    return kind, upper, g, g_mid, out, cfg
+
+
+def _refuse_draws(*args, **kwargs):
+    raise AssertionError("sign block drawn before the checks passed")
+
+
+@settings(max_examples=100, deadline=None)
+@given(joint_pass_cases())
+def test_joint_pass_equals_estimators_run_one_by_one(case):
+    # one pass feeding the ball, class and approximation estimators the same
+    # blocks (the ball and the approximation term share the data-Gram forms)
+    # gives exactly what each public estimator gives on its own
+    kind, upper, g, g_mid, out, cfg = case
+    n, m = g.shape[0], out.shape[0]
+    preds = [g_mid @ h.coeffs @ h.kernel.output for h in upper]
+    if kind == "indefinite G":
+        blocks = complexity.sign_blocks
+        complexity.sign_blocks = _refuse_draws
+        try:
+            with pytest.raises(NotPsdError):
+                _BallMc(g, out, n)
+            with pytest.raises(NotPsdError):
+                rademacher_ball_mc(g, out, n, cfg)
+        finally:
+            complexity.sign_blocks = blocks
+        return
+    ball, cls = _BallMc(g, out, n), _ClassMc(preds, n, m)
+    approx = _ApproxMc(upper, g, g_mid, out)
+    _run_mc([ball, cls, approx], cfg)
+    assert ball.result() == rademacher_ball_mc(g, out, n, cfg)
+    x = np.zeros((n, 1))
+    assert cls.result() == rademacher_class_mc([lambda _, v=v: v for v in preds], x, m, cfg)
+    try:
+        alone = approximation_term_mc(upper, g, g_mid, out, cfg)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            approx.result()
+        assert kind == "zero mid" and approx.rejected == cfg.draws
+        return
+    assert kind != "zero mid"
+    value, rejected, gammas = approx.result()
+    assert (value, rejected) == alone[:2]
+    assert np.array_equal(gammas, alone[2])
 
 
 # --- split bound ---------------------------------------------------------------------
