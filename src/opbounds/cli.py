@@ -26,16 +26,13 @@ from .data import Dataset, GeneratorConfig, read_csv, synth_dataset
 from .deepvv import (
     TrainConfig,
     TrainResult,
-    default_probes,
+    _Objective,
+    _train,
     init_layered_model,
     model_from_dict,
     model_to_dict,
-    objective_terms,
-    pf_complexity_bound,
-    pf_product_norm,
     refine_kernel,
     separable_bound,
-    train,
 )
 from .erm import FitConfig, empirical_risk, excess_risk_bound_rhs, fit_full, fit_sketched
 from .errors import ConfigError, OpboundsError, RefinementOrderError
@@ -583,17 +580,21 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
             model = model_from_dict(json.load(fh))
     else:
         model = init_layered_model(ds.x, kernels, outputs, seed=train_seed)
-    init_terms = objective_terms(model, ds.x, ds.y, t_cfg.lambda1, t_cfg.lambda2)
+    # one objective per trained model: G_bottom is whitened once for the
+    # initial and final terms, the training and the bound
+    problem = _Objective(model, ds.x, ds.y)
     if deep.get("evaluate_only", False):
         result = TrainResult(model=model)
+        first = last = problem.forward(model.coeffs)
     else:
-        result = train(model, ds.x, ds.y, t_cfg)
-    final_terms = objective_terms(result.model, ds.x, ds.y, t_cfg.lambda1, t_cfg.lambda2)
+        result, first, last = _train(problem, t_cfg)
+    init_terms = problem.terms(first, t_cfg.lambda1, t_cfg.lambda2)
+    final_terms = problem.terms(last, t_cfg.lambda1, t_cfg.lambda2)
+    last.drop_grams()  # its norms are set; what follows needs at most its levels
 
     kappa = 1.0  # gaussian layer kernels are normalized at zero distance
     tr_m1 = float(np.trace(result.model.layers[0].output))
-    probes = default_probes(ds.y, result.model.output_dim)
-    pf_rep = pf_complexity_bound(result.model, ds.x, probes)
+    pf_rep = problem.pf_bound(last)
     pf, top = pf_rep["pf_norm"], pf_rep["top_norm"]
     sep_printed = separable_bound(kappa, tr_m1, ds.n, "printed", pf, top)
     sep_consistent = separable_bound(kappa, tr_m1, ds.n, "consistent", pf, top)
@@ -656,14 +657,18 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
     if "lambda1_sweep" in deep:
         # the entry of the config just trained from a fresh model is that run
         trained_fresh = "checkpoint_in" not in deep and not deep.get("evaluate_only", False)
+        # without a checkpoint the run's model is the fresh one
+        fresh = problem if "checkpoint_in" not in deep else _Objective(
+            init_layered_model(ds.x, kernels, outputs, seed=train_seed), ds.x, ds.y
+        )
         sweep = []
         for lam1 in deep["lambda1_sweep"]:
             if trained_fresh and lam1 == t_cfg.lambda1:
                 final_pf = pf
             else:
-                model_l = init_layered_model(ds.x, kernels, outputs, seed=train_seed)
-                res_l = train(model_l, ds.x, ds.y, replace(t_cfg, lambda1=lam1))
-                final_pf = pf_product_norm(res_l.model, ds.x, probes)
+                # only the final norm is kept, so no trajectory is recorded
+                _, _, last_l = _train(fresh, replace(t_cfg, lambda1=lam1), trajectory=False)
+                final_pf = fresh.pf_norm(last_l)
             sweep.append({"lambda1": lam1, "final_pf_norm": final_pf})
         metrics["lambda1_sweep"] = sweep
 

@@ -84,7 +84,7 @@ def _quad_forms(rows: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     All rows go through one (n x n) @ (n x mc) GEMM; M is then applied along
     the m axis and each form finished by a dot product.  A three-operand
     einsum would skip BLAS, and a batched ``G @ Sigma`` is slower than one
-    GEMM on the dense Gram."""
+    GEMM on the dense Gram.  Column-major ``rows`` are read without a copy."""
     n, m = g.shape[0], out.shape[0]
     c = rows.shape[0]
     w = np.ascontiguousarray(rows.T).reshape(n, m, c)
@@ -98,10 +98,13 @@ class _Block:
     apart by identity, so estimators that share a Gram must hold the same
     array object (they keep it alive for the whole pass)."""
 
-    __slots__ = ("signs", "_forms")
+    __slots__ = ("signs", "_signs_f", "_forms")
 
     def __init__(self, signs: np.ndarray):
         self.signs = signs
+        # column-major copy, made for the first form: its transpose is the
+        # C-ordered layout _quad_forms works on, so each block is laid out once
+        self._signs_f = None
         self._forms: dict = {}
 
     def forms(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -110,7 +113,9 @@ class _Block:
         key = (id(g), id(out))
         q = self._forms.get(key)
         if q is None:
-            q = self._forms[key] = np.maximum(_quad_forms(self.signs, g, out), 0.0)
+            if self._signs_f is None:
+                self._signs_f = np.asfortranarray(self.signs)
+            q = self._forms[key] = np.maximum(_quad_forms(self._signs_f, g, out), 0.0)
         return q
 
 
@@ -122,6 +127,7 @@ def _run_mc(estimators: Sequence, cfg: McConfig) -> None:
         block = _Block(signs)
         for est in estimators:
             est.add(block)
+        del block  # freed before the next block is drawn
 
 
 class _MeanMc:

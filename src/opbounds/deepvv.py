@@ -48,7 +48,13 @@ from .kernels import (
     gram_scalar_cross,
     make_output_matrix,
 )
-from .spectral import _pencil_basis, _pencil_value, _pencil_vector
+from .spectral import (
+    _pencil_basis,
+    _rayleigh_floor,
+    _top_eigenpair,
+    _top_eigenvalue,
+    _whiten,
+)
 
 _EIG_GAP_TOL = 1e-8
 _FD_STEP = 1e-5
@@ -235,21 +241,8 @@ def top_layer_norm(model: LayeredModel) -> float:
 def pf_complexity_bound(model: LayeredModel, xs, probes) -> dict:
     """(1/n) * pf_norm * top_norm * sqrt(sum_i Tr K_1(x_i, x_i)), with all
     factors reported; evaluated at the given model."""
-    x = as_points(xs, model.input_dim)
-    n = x.shape[0]
-    first = model.layers[0]
-    diag = np.diag(gram_scalar(first.kernel, x))
-    trace_root = float(np.sqrt(np.sum(diag) * np.trace(first.output)))
-    pf = pf_product_norm(model, x, probes)
-    top = top_layer_norm(model)
-    return {
-        "total": pf * top * trace_root / n,
-        "pf_norm": pf,
-        "top_norm": top,
-        "trace_root": trace_root,
-        "n": n,
-        "note": "evaluated at the given model",
-    }
+    problem = _Objective(model, xs, probes=probes)
+    return problem.pf_bound(problem.forward(model.coeffs))
 
 
 def separable_bound(
@@ -293,18 +286,22 @@ class _Pass:
     """One forward pass at a coefficient point, with what was computed on it.
 
     levels[j] feeds layer j through its cross Gram kmats[j]; ``pf_top`` is
-    (G_top, last-layer kernel Gram on levels[-2]).  ``pf`` and ``top`` are the
-    transfer-product and top-layer norms, set on first use."""
+    (G_top, last-layer kernel Gram on levels[-2]).  ``data``, ``pf`` and
+    ``top`` are the data term and the transfer-product and top-layer norms,
+    set on first use; ``w`` is the top eigenvector of G_top whitened by
+    G_bottom's basis, set by the analytic gradient."""
 
     coeffs: list[np.ndarray]
     levels: list[np.ndarray]
     kmats: list[np.ndarray] | None
     pf_top: tuple[np.ndarray, np.ndarray] | None = None
+    data: float | None = None
     pf: float | None = None
     top: float | None = None
+    w: np.ndarray | None = None
 
     def drop_grams(self) -> None:
-        """Free the n x q and n x n Grams; the levels and norms stay."""
+        """Free the n x q and n x n Grams; the levels, norms and w stay."""
         self.kmats = self.pf_top = None
 
 
@@ -360,18 +357,69 @@ class _Objective:
             fwd.pf_top = _pf_top(self.model, fwd.levels[-2], self.bottom[0])
         return fwd.pf_top
 
-    def pf_norm(self, fwd: _Pass) -> float:
-        """Transfer-product norm."""
+    def _whitened(self, fwd: _Pass) -> np.ndarray:
+        """G_top whitened by G_bottom's basis; not kept on the pass."""
+        return _whiten(self._pf_top(fwd)[0], self.bottom[1])
+
+    def pf_norm(self, fwd: _Pass, whitened=None) -> float:
+        """Transfer-product norm; ``whitened`` is ``_whitened(fwd)`` when
+        already built."""
         if fwd.pf is None:
-            g_top, _ = self._pf_top(fwd)
-            fwd.pf = float(np.sqrt(_pencil_value(g_top, self.bottom[1])))
+            s = self._whitened(fwd) if whitened is None else whitened
+            fwd.pf = float(np.sqrt(_top_eigenvalue(s)))
         return fwd.pf
 
+    def data_term(self, fwd: _Pass) -> float:
+        if fwd.data is None:
+            fwd.data = float(np.sum((fwd.levels[-1] - self.y) ** 2)) / self.x.shape[0]
+        return fwd.data
+
     def terms(self, fwd: _Pass, lambda1, lambda2) -> tuple[float, float, float]:
-        data = float(np.sum((fwd.levels[-1] - self.y) ** 2)) / self.x.shape[0]
+        data = self.data_term(fwd)
         pf_term = lambda1 * self.pf_norm(fwd) if lambda1 > 0 else 0.0
         top_term = lambda2 * self.top_norm(fwd) if lambda2 > 0 else 0.0
         return data, pf_term, top_term
+
+    def exceeds(self, fwd: _Pass, thresh, lambda1, lambda2, w=None) -> bool:
+        """True when ``sum(terms(fwd, lambda1, lambda2)) > thresh`` is certain
+        before the pencil eigensolve.  That sum is (data + pf_term) + top_term
+        with pf_term >= 0, and rounded sums, products and square roots are
+        monotone, so it is at least data + top_term, and at least the sum with
+        rho replaced by any lower bound on its computed value.  Given a unit
+        vector ``w`` (the top whitened eigenvector at the current point, set by
+        the analytic gradient only when lambda1 > 0), that bound is the
+        Rayleigh quotient of the whitened G_top S at w less a slack for
+        rounding (``spectral._rayleigh_floor``); a NaN bound decides nothing.
+        When neither bound decides, the transfer-product norm is computed from
+        the same S and kept on the pass for the full test."""
+        data = self.data_term(fwd)
+        top_term = lambda2 * self.top_norm(fwd) if lambda2 > 0 else 0.0
+        if data + top_term > thresh:
+            return True
+        if w is None:
+            return False
+        s = self._whitened(fwd)
+        low = _rayleigh_floor(s, w)
+        if (data + lambda1 * float(np.sqrt(max(low, 0.0)))) + top_term > thresh:
+            return True
+        self.pf_norm(fwd, s)
+        return False
+
+    def pf_bound(self, fwd: _Pass) -> dict:
+        """pf_complexity_bound at the pass's coefficients."""
+        n = self.x.shape[0]
+        first = self.model.layers[0]
+        diag = np.diag(gram_scalar(first.kernel, self.x))
+        trace_root = float(np.sqrt(np.sum(diag) * np.trace(first.output)))
+        pf, top = self.pf_norm(fwd), self.top_norm(fwd)
+        return {
+            "total": pf * top * trace_root / n,
+            "pf_norm": pf,
+            "top_norm": top,
+            "trace_root": trace_root,
+            "n": n,
+            "note": "evaluated at the given model",
+        }
 
     def gradient(self, fwd: _Pass, lambda1, lambda2, mode) -> list[np.ndarray]:
         if mode == "finite-diff":
@@ -388,8 +436,8 @@ class _Objective:
         if lambda1 > 0:
             mids = levels[-2]
             probe_bilinear, basis = self.bottom
-            g_top, k_top = self._pf_top(fwd)
-            rho, a_vec, gap = _pencil_vector(g_top, basis)
+            k_top = self._pf_top(fwd)[1]
+            rho, a_vec, fwd.w, gap = _top_eigenpair(self._whitened(fwd), basis)
             if rho > 0 and np.isfinite(gap) and gap < _EIG_GAP_TOL * rho:
                 warnings.warn(
                     "top pencil eigenvalue nearly degenerate; falling back to "
@@ -516,10 +564,27 @@ def train(model: LayeredModel, xs, ys, cfg: TrainConfig, probes=None) -> TrainRe
     """Gradient descent with backtracking on the coefficient arrays of the
     model's fixed layers; the objective never increases across accepted steps
     and the trajectory records objective, transfer-product norm, and top-layer
-    norm per accepted iteration."""
-    problem = _Objective(model, xs, ys, probes)
+    norm per accepted iteration.
+
+    Notes
+    -----
+    A line-search candidate is rejected before its pencil eigensolve when
+    its data and top-layer terms alone, or those plus lambda_1 times a
+    Rayleigh-quotient lower bound on its transfer-product norm, already
+    exceed the Armijo threshold (see ``_Objective.exceeds``); the accept and
+    reject decisions are those of the full objective."""
+    return _train(_Objective(model, xs, ys, probes), cfg)[0]
+
+
+def _train(
+    problem: _Objective, cfg: TrainConfig, trajectory: bool = True
+) -> tuple[TrainResult, _Pass, _Pass]:
+    """``train`` from the objective's model, also returning the passes at the
+    first and the last point.  Without ``trajectory`` the trajectory stays
+    empty and no per-iteration norm is computed for it."""
+    model = problem.model
     lam1, lam2 = cfg.lambda1, cfg.lambda2
-    point = problem.forward(model.coeffs)
+    first = point = problem.forward(model.coeffs)
     obj = sum(problem.terms(point, lam1, lam2))
     if not np.isfinite(obj):
         raise NumericError(f"objective is non-finite at the start ({obj})")
@@ -537,25 +602,28 @@ def train(model: LayeredModel, xs, ys, cfg: TrainConfig, probes=None) -> TrainRe
         step = cfg.step
         accepted = False
         while step >= _MIN_STEP:
+            thresh = obj - _ARMIJO * step * gnorm * gnorm
             cand = problem.forward([c - step * g for c, g in zip(point.coeffs, grads)])
-            cand_obj = sum(problem.terms(cand, lam1, lam2))
-            if np.isfinite(cand_obj) and cand_obj <= obj - _ARMIJO * step * gnorm * gnorm:
-                point, obj = cand, cand_obj
-                accepted = True
-                break
+            if not problem.exceeds(cand, thresh, lam1, lam2, point.w):
+                cand_obj = sum(problem.terms(cand, lam1, lam2))
+                if np.isfinite(cand_obj) and cand_obj <= thresh:
+                    point, obj = cand, cand_obj
+                    accepted = True
+                    break
             cand.drop_grams()
             step *= 0.5
         if not accepted:
             result.warning = "line search stalled"
             result.iterations = it - 1
             break
-        result.trajectory.append(
-            {"iteration": it, "objective": obj, "pf_norm": problem.pf_norm(point),
-             "top_norm": problem.top_norm(point), "step": step}
-        )
+        if trajectory:
+            result.trajectory.append(
+                {"iteration": it, "objective": obj, "pf_norm": problem.pf_norm(point),
+                 "top_norm": problem.top_norm(point), "step": step}
+            )
         result.iterations = it
     result.model = model.with_coeffs(point.coeffs)
-    return result
+    return result, first, point
 
 
 def capacity_diagnostics(model: LayeredModel) -> list[dict]:

@@ -124,17 +124,23 @@ class DecomposableKernel:
 
 
 def _sq_dists(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances; exactly symmetric when x is z."""
+    """Pairwise squared distances; exactly symmetric when x is z.  Computed
+    in place: (|x|^2 + |z|^2) - 2 x.z, clipped at 0."""
     gram = x @ z.T
+    gram *= 2.0
     nx = np.einsum("ij,ij->i", x, x)
     nz = np.einsum("ij,ij->i", z, z)
-    d = nx[:, None] + nz[None, :] - 2.0 * gram
-    return np.maximum(d, 0.0)
+    d = nx[:, None] + nz[None, :]
+    d -= gram
+    return np.maximum(d, 0.0, out=d)
 
 
 def _radial_profile(spec: ScalarKernelSpec, sq_dist: np.ndarray) -> np.ndarray:
+    """Kernel values from squared distances; the gaussian family overwrites
+    ``sq_dist`` with them."""
     if spec.family == "gaussian":
-        return np.exp(-spec.bandwidth * sq_dist)
+        sq_dist *= -spec.bandwidth
+        return np.exp(sq_dist, out=sq_dist)
     # matern / sobolev-radial; scipy loads here, not at import, because it
     # makes up most of the time to import the package
     from scipy.special import gamma, kv

@@ -173,11 +173,48 @@ def _pencil_basis(g_bottom: np.ndarray) -> np.ndarray:
     return vecs[:, keep] / np.sqrt(vals[keep])[None, :]
 
 
+def _whiten(g_top: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Symmetrized B^T G_top B on a whitening basis B from _pencil_basis: the
+    symmetric matrix whose top eigenvalue is the pencil's rho."""
+    whitened = basis.T @ g_top @ basis
+    return 0.5 * (whitened + whitened.T)
+
+
+def _top_eigenvalue(s: np.ndarray) -> float:
+    """rho of a whitened top matrix from _whiten, clipped at 0."""
+    w_vals = np.linalg.eigvalsh(s)
+    return float(max(w_vals[-1], 0.0)) if w_vals.size else 0.0
+
+
+#: Slack, relative to ||S||_F, taken off a Rayleigh quotient of S so that it
+#: stays below the computed top eigenvalue; the rounding errors of both are
+#: ~1e-15 relative.
+_RAYLEIGH_SLACK = 1e-9
+
+
+def _rayleigh_floor(s: np.ndarray, w: np.ndarray) -> float:
+    """Lower bound on _top_eigenvalue(s) from a unit vector w: the Rayleigh
+    quotient w^T S w, at most the top eigenvalue (Courant-Fischer), less
+    _RAYLEIGH_SLACK * ||S||_F; NaN when S is not finite."""
+    return float(w @ s @ w) - _RAYLEIGH_SLACK * float(np.linalg.norm(s))
+
+
+def _top_eigenpair(
+    s: np.ndarray, basis: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """rho of S = _whiten(G_top, basis), the maximizing vector a = B w (with
+    a^T G_bottom a = 1), the top unit eigenvector w of S and the gap to the
+    second eigenvalue of S.  w is a copy, so the eigenvector matrix is freed;
+    a is computed from its column, whose layout sets a's last bits."""
+    w_vals, w_vecs = np.linalg.eigh(s)
+    rho = float(max(w_vals[-1], 0.0))
+    gap = float(w_vals[-1] - w_vals[-2]) if w_vals.size > 1 else np.inf
+    return rho, basis @ w_vecs[:, -1], w_vecs[:, -1].copy(), gap
+
+
 def _pencil_value(g_top: np.ndarray, basis: np.ndarray) -> float:
     """Top pencil eigenvalue rho on a whitening basis from _pencil_basis."""
-    whitened = basis.T @ g_top @ basis
-    w_vals = np.linalg.eigvalsh(0.5 * (whitened + whitened.T))
-    return float(max(w_vals[-1], 0.0)) if w_vals.size else 0.0
+    return _top_eigenvalue(_whiten(g_top, basis))
 
 
 def _pencil_vector(
@@ -185,11 +222,8 @@ def _pencil_vector(
 ) -> tuple[float, np.ndarray, float]:
     """rho plus the maximizing vector a (with a^T G_bottom a = 1) and the gap
     to the second whitened eigenvalue, for derivative callers."""
-    whitened = basis.T @ g_top @ basis
-    w_vals, w_vecs = np.linalg.eigh(0.5 * (whitened + whitened.T))
-    rho = float(max(w_vals[-1], 0.0))
-    gap = float(w_vals[-1] - w_vals[-2]) if w_vals.size > 1 else np.inf
-    return rho, basis @ w_vecs[:, -1], gap
+    rho, a, _, gap = _top_eigenpair(_whiten(g_top, basis), basis)
+    return rho, a, gap
 
 
 def pencil_max(g_top: np.ndarray, g_bottom: np.ndarray) -> float:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from opbounds import _blas, cli
+from opbounds import _blas, cli, deepvv
 from opbounds.cli import main, render_record, run, validate_config
 from opbounds.errors import ConfigError, InputError, OpboundsError
 
@@ -418,8 +418,8 @@ def test_deep_sweep_reuses_the_trained_config(monkeypatch, tmp_path, variant, tr
     elif variant == "evaluate_only":
         deep["evaluate_only"] = True
     calls = []
-    train = cli.train
-    monkeypatch.setattr(cli, "train", lambda *a, **k: calls.append(a) or train(*a, **k))
+    train = cli._train
+    monkeypatch.setattr(cli, "_train", lambda *a, **k: calls.append(a) or train(*a, **k))
     metrics = run("deep-vvrkhs", cfg, None, tmp_path)["metrics"]
     assert len(calls) == trains
     sweep = metrics["lambda1_sweep"]
@@ -430,6 +430,37 @@ def test_deep_sweep_reuses_the_trained_config(monkeypatch, tmp_path, variant, tr
         assert sweep[1]["final_pf_norm"] == metrics["pf_bound"]["pf_norm"]
     else:
         assert sweep[1]["final_pf_norm"] != metrics["pf_bound"]["pf_norm"]
+
+
+def test_deep_sweep_entries_match_separately_trained_models(monkeypatch, tmp_path):
+    # a sweep entry at another lambda1 keeps only its final transfer norm, so
+    # it trains without a trajectory and computes no norm during training at
+    # lambda1 = 0; its final norm is that of a separately trained model
+    cfg = json.loads(json.dumps(DEEP))
+    cfg["dataset"]["seed"] = 19
+    deep = cfg["deep_model"]
+    deep["train"].update(seed=31, iters=8)
+    deep["lambda1_sweep"] = [0.0, 0.3]
+    del deep["refine"]
+    eigensolve, train = deepvv._top_eigenvalue, cli._train
+    solves, sweeps = [], []
+
+    def recorded_train(problem, t_cfg, trajectory=True):
+        before = len(solves)
+        out = train(problem, t_cfg, trajectory)
+        if not trajectory:
+            sweeps.append((t_cfg.lambda1, out[0].trajectory, len(solves) - before))
+        return out
+
+    monkeypatch.setattr(deepvv, "_top_eigenvalue", lambda s: solves.append(1) or eigensolve(s))
+    monkeypatch.setattr(cli, "_train", recorded_train)
+    metrics = run("deep-vvrkhs", cfg, None, tmp_path)["metrics"]
+    assert [(lam, traj) for lam, traj, _ in sweeps] == [(0.0, []), (0.3, [])]
+    assert sweeps[0][2] == 0
+    sweep = metrics["lambda1_sweep"]
+    assert [entry["lambda1"] for entry in sweep] == [0.0, 0.3]
+    for entry in sweep:
+        assert entry["final_pf_norm"] == _independent_sweep_pf(cfg, entry["lambda1"])
 
 
 def test_spectral_subcommand(tmp_path):

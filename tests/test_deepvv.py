@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opbounds import deepvv
+from opbounds import deepvv, spectral
 from opbounds.deepvv import (
     LayeredModel,
     TrainConfig,
@@ -475,16 +475,18 @@ def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
     # the first layer's cross Gram never changes, the gradient backpropagates
     # through the cross Grams of its point's forward pass, and every
     # transfer-product norm comes from an objective evaluation: the start and
-    # one per line-search candidate (the trajectory reuses the accepted one's)
+    # one per line-search candidate that the bounds checked before the
+    # eigensolve do not reject (the trajectory reuses the accepted one's)
     rng = np.random.default_rng(54)
     n = 8
     x = rng.uniform(-1, 1, (n, 2))
     y = rng.standard_normal((n, 2))
     model = init_layered_model(x, [gauss(2)] * 3, [np.eye(2)] * 3, seed=6)
     first_anchors = model.layers[0].anchors
-    cross, pencil = deepvv.gram_scalar_cross, deepvv._pencil_value
-    gradient_method = deepvv._Objective.gradient
-    first_grams, gradient_grams, pencils, in_gradient = [], [], [], []
+    cross, eigensolve = deepvv.gram_scalar_cross, deepvv._top_eigenvalue
+    gradient_method, exceeds = deepvv._Objective.gradient, deepvv._Objective.exceeds
+    first_grams, gradient_grams, eigensolves, in_gradient = [], [], [], []
+    screened = []
 
     def counted_cross(spec, u, z):
         if z is first_anchors:
@@ -500,9 +502,14 @@ def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
         finally:
             in_gradient.pop()
 
+    def recorded_exceeds(*args):
+        screened.append(exceeds(*args))
+        return screened[-1]
+
     monkeypatch.setattr(deepvv, "gram_scalar_cross", counted_cross)
-    monkeypatch.setattr(deepvv, "_pencil_value", lambda *a: pencils.append(1) or pencil(*a))
+    monkeypatch.setattr(deepvv, "_top_eigenvalue", lambda s: eigensolves.append(1) or eigensolve(s))
     monkeypatch.setattr(deepvv._Objective, "gradient", flagged_gradient)
+    monkeypatch.setattr(deepvv._Objective, "exceeds", recorded_exceeds)
     cfg = TrainConfig(lambda1=0.1, lambda2=0.05, step=0.3, iters=5)
     result = train(model, x, y, cfg)
     assert result.iterations == 5 and len(result.trajectory) == 5
@@ -511,7 +518,55 @@ def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
     )
     assert len(first_grams) == 1
     assert gradient_grams == []
-    assert len(pencils) == 1 + candidates
+    assert len(screened) == candidates
+    reached_eigensolve = screened.count(False)
+    assert reached_eigensolve < candidates  # the bounds decide some candidates
+    assert len(eigensolves) == 1 + reached_eigensolve
+
+
+@pytest.mark.filterwarnings("ignore:top pencil eigenvalue")
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    depth=st.integers(2, 4),
+    lambda1=st.sampled_from([0.1, 1.0]),
+    lambda2=st.sampled_from([0.0, 0.05]),
+    layout=st.sampled_from(["random", "duplicate points", "zero labels"]),
+)
+def test_line_search_rejects_before_eigensolve_only_what_objective_rejects(
+    seed, n, depth, lambda1, lambda2, layout
+):
+    # every candidate that the data + top bound or the Rayleigh-quotient bound
+    # rejects is rejected by the full objective too, and the Rayleigh quotient
+    # less its slack never exceeds the computed top eigenvalue
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (n, 2))
+    y = rng.standard_normal((n, 2))
+    if layout == "duplicate points":
+        x, y = np.repeat(x[:1], n, axis=0), np.repeat(y[:1], n, axis=0)
+    elif layout == "zero labels":
+        y = np.zeros((n, 2))
+    model = init_layered_model(x, [gauss(2)] * depth, [np.eye(2)] * depth, seed=seed % 1000)
+    exceeds = deepvv._Objective.exceeds
+
+    def checked_exceeds(problem, fwd, thresh, lam1, lam2, w=None):
+        rejected = exceeds(problem, fwd, thresh, lam1, lam2, w)
+        if layout == "duplicate points":
+            assert problem.bottom[1].shape[1] == 1  # one whitening direction
+        if w is not None and fwd.pf_top is not None:
+            s = spectral._whiten(fwd.pf_top[0], problem.bottom[1])
+            low = spectral._rayleigh_floor(s, w)
+            assert low <= spectral._top_eigenvalue(s) or np.isnan(low)
+        if rejected:
+            full = objective(model.with_coeffs(fwd.coeffs), x, y, lam1, lam2)
+            assert not (np.isfinite(full) and full <= thresh)
+        return rejected
+
+    cfg = TrainConfig(lambda1=lambda1, lambda2=lambda2, step=0.5, iters=4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deepvv._Objective, "exceeds", checked_exceeds)
+        train(model, x, y, cfg)
 
 
 def _reference_fd_gradient(model, x, y, lam1, lam2):
