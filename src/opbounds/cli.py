@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import __version__
 from ._blas import single_blas_thread
 from ._rng import derive_seed, substream
 from .complexity import McConfig, _BallMc, _run_mc, trace_bound
-from .data import Dataset, GeneratorConfig, read_csv, synth_dataset
+from .data import Dataset, GeneratorConfig, _read_numbers, read_csv, synth_dataset
 from .deepvv import (
     TrainConfig,
     TrainResult,
@@ -320,12 +320,29 @@ def _jsonify(obj):
     return obj
 
 
+#: Config keys whose library field has another name, by the dataclass built
+_RENAMED = {SketchSpec: {"rows": "s"}, LayerSpec: {"ratio_G": "ratio_g"}}
+
+
+def _build(cls, section: dict, **resolved):
+    """``cls`` from a config section: every key that names one of its fields
+    (after ``_RENAMED``), overridden by the values the CLI resolves.  Omitted
+    keys take the dataclass defaults."""
+    names = {f.name for f in fields(cls)}
+    renamed = _RENAMED.get(cls, {})
+    kwargs = {renamed.get(k, k): v for k, v in section.items()}
+    kwargs = {k: v for k, v in kwargs.items() if k in names}
+    return cls(**{**kwargs, **resolved})
+
+
+def _resolve(path: str, base_dir: Path) -> Path:
+    """A config path; relative ones resolve against the config directory."""
+    return base_dir / path  # an absolute path replaces base_dir
+
+
 def _load_matrix(value, base_dir: Path) -> np.ndarray:
     if isinstance(value, dict):
-        path = Path(value["csv"])
-        if not path.is_absolute():
-            path = base_dir / path
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        return _read_numbers(_resolve(value["csv"], base_dir))
     return np.asarray(value, dtype=float)
 
 
@@ -333,32 +350,15 @@ def _build_dataset(cfg: dict, seed: int, base_dir: Path) -> tuple[Dataset, dict]
     if cfg["kind"] == "csv":
         if "path" not in cfg:
             raise ConfigError("csv dataset needs a path")
-        path = Path(cfg["path"])
-        if not path.is_absolute():
-            path = base_dir / path
-        return read_csv(path, cfg["d"], cfg["m"]), {"dataset": None}
+        return read_csv(_resolve(cfg["path"], base_dir), cfg["d"], cfg["m"]), {"dataset": None}
     if "n" not in cfg:
         raise ConfigError("synthetic dataset needs n")
     used = cfg.get("seed", seed)
-    gen = GeneratorConfig(
-        n=cfg["n"],
-        d=cfg["d"],
-        m=cfg["m"],
-        noise=cfg.get("noise", 0.0),
-        teacher_anchors=cfg.get("teacher_anchors", 8),
-        teacher_bandwidth=cfg.get("teacher_bandwidth", 1.0),
-        seed=used,
-    )
-    return synth_dataset(gen), {"dataset": used}
+    return synth_dataset(_build(GeneratorConfig, cfg, seed=used)), {"dataset": used}
 
 
 def _build_kernel(cfg: dict, d: int, m: int) -> DecomposableKernel:
-    spec = ScalarKernelSpec(
-        family=cfg["family"],
-        bandwidth=cfg["bandwidth"],
-        smoothness=cfg.get("smoothness", 0.0),
-        dimension=d,
-    )
+    spec = _build(ScalarKernelSpec, cfg, dimension=d)
     out = cfg.get("output_matrix", "identity")
     if isinstance(out, str):
         m_mat = np.eye(cfg.get("output_dim", m))
@@ -367,52 +367,36 @@ def _build_kernel(cfg: dict, d: int, m: int) -> DecomposableKernel:
     return DecomposableKernel(spec, m_mat, kappa=cfg.get("kappa", 1.0))
 
 
-def _build_loss(cfg: dict) -> LossSpec:
-    return LossSpec(
-        family=cfg["family"],
-        huber_delta=cfg.get("huber_delta", 1.0),
-        quantiles=tuple(cfg.get("quantiles", ())),
-    )
-
-
 def _build_network(cfg: dict, base_dir: Path) -> NetworkSpec:
-    layers = []
-    for layer in cfg["layers"]:
-        layers.append(
-            LayerSpec(
-                weights=_load_matrix(layer["weights"], base_dir),
-                bias=np.asarray(layer["bias"], dtype=float) if "bias" in layer else None,
-                activation_koopman_norm=layer.get("activation_koopman_norm", 1.0),
-                sobolev_order_in=layer.get("sobolev_order_in", 1.0),
-                sobolev_order_out=layer.get("sobolev_order_out", 1.0),
-                ratio_g=layer.get("ratio_G", 1.0),
-            )
-        )
+    layers = tuple(
+        _build(LayerSpec, layer, weights=_load_matrix(layer["weights"], base_dir))
+        for layer in cfg["layers"]
+    )
     inj = cfg.get("injectivity_class")
-    return NetworkSpec(
-        layers=tuple(layers),
-        g_norm=cfg["g_norm"],
-        output_dim=cfg["output_dim"],
-        injectivity_class=(inj["C"], inj["D"]) if inj else None,
+    return _build(
+        NetworkSpec, cfg, layers=layers, injectivity_class=(inj["C"], inj["D"]) if inj else None
     )
 
 
-def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[SketchMatrix, float]:
-    """Sketch matrix plus the keep-probability used for the c constant."""
-    dist = cfg.get("dist", "gaussian")
-    if dist == "identity":
+def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[SketchMatrix, float, int]:
+    """Sketch matrix, the satisfiability constant c of its keep-probability,
+    and its seed (``seed`` unless the section sets one)."""
+    seed = cfg.get("seed", seed)
+    if cfg.get("dist") == "identity":
         if cfg["rows"] != n:
             raise ConfigError(f"identity sketch needs rows == n ({n})")
-        return SketchMatrix(matrix=np.eye(n)), cfg.get("p", 1.0)
-    spec = SketchSpec(
-        s=cfg["rows"],
-        n=n,
-        p=cfg.get("p", 1.0),
-        dist=dist,
-        seed=seed,
-        scale=cfg.get("scale"),
-    )
-    return make_p_sparsified(spec), spec.p
+        sketch, p = SketchMatrix(matrix=np.eye(n)), cfg.get("p", SketchSpec.p)
+    else:
+        sketch = make_p_sparsified(_build(SketchSpec, cfg, n=n, seed=seed))
+        p = sketch.spec.p
+    return sketch, satisfiability_constant(p), seed
+
+
+def _spectrum(g_k: np.ndarray, n: int, gram_eigh=None):
+    """Scaled-Gram eigendecomposition, critical radius and statistical dimension."""
+    dec = eigendecompose_scaled_gram(g_k, n, gram_eigh=gram_eigh)
+    delta_sq = critical_radius(dec.mu)
+    return dec, delta_sq, statistical_dimension(dec.mu, delta_sq)
 
 
 def _identity_pushforward(net: NetworkSpec, x: np.ndarray, upto: int) -> np.ndarray:
@@ -431,7 +415,7 @@ def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
     kernel = _build_kernel(config["kernel"], config["dataset"]["d"], config["dataset"]["m"])
     net = _build_network(config["network"], base_dir)
     mc_seed = config["mc"].get("seed", derive_seed(seed, 4))
-    cfg_mc = McConfig(draws=config["mc"]["draws"], seed=mc_seed)
+    cfg_mc = _build(McConfig, config["mc"], seed=mc_seed)
 
     # every check runs before the one Monte-Carlo pass below; the data Gram
     # serves the ball estimate and the approximation term, the mid Gram the
@@ -482,16 +466,10 @@ def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
 def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
     kernel = _build_kernel(config["kernel"], config["dataset"]["d"], config["dataset"]["m"])
-    loss = _build_loss(config["loss"])
+    loss = _build(LossSpec, config["loss"])
     fit_seed = config["fit"].get("seed", derive_seed(seed, 3))
-    fit_cfg = FitConfig(
-        lambda_n=config["fit"]["lambda_n"],
-        max_iters=config["fit"].get("max_iters", 500),
-        step_size=config["fit"].get("step_size", 1.0),
-        tol=config["fit"].get("tol", 1e-8),
-    )
-    sk_seed = config["sketch"].get("seed", derive_seed(seed, 2))
-    sketch, sk_p = _build_sketch(config["sketch"], ds.n, sk_seed)
+    fit_cfg = _build(FitConfig, config["fit"])
+    sketch, c_val, sk_seed = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
 
     # one Gram and one eigendecomposition serve both fits, both training
     # risks and the spectral report
@@ -502,10 +480,7 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     risk_full = empirical_risk(full, ds.x, ds.y, loss, gram=g_k)
     risk_sketched = empirical_risk(sketched, ds.x, ds.y, loss, gram=g_k)
 
-    dec = eigendecompose_scaled_gram(g_k, ds.n, gram_eigh=g_eigh)
-    delta_sq = critical_radius(dec.mu)
-    d_n = statistical_dimension(dec.mu, delta_sq)
-    c_val = satisfiability_constant(sk_p)
+    dec, delta_sq, d_n = _spectrum(g_k, ds.n, g_eigh)
     report = check_satisfiability(sketch, dec, d_n, delta_sq, c_val)
 
     j_l = lipschitz_constant(loss, kernel.output_dim)
@@ -549,6 +524,10 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     }
 
 
+def _objective_entry(terms: tuple[float, float, float]) -> dict:
+    return {"data": terms[0], "pf": terms[1], "top": terms[2], "total": sum(terms)}
+
+
 def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
     ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
     deep = config["deep_model"]
@@ -562,21 +541,10 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
         for bw, d_in in zip(deep["bandwidths"], dims_in)
     ]
     outputs = [np.eye(dim) for dim in deep["output_dims"]]
-    t_cfg_raw = deep["train"]
-    train_seed = t_cfg_raw.get("seed", derive_seed(seed, 5))
-    t_cfg = TrainConfig(
-        lambda1=t_cfg_raw.get("lambda1", 0.0),
-        lambda2=t_cfg_raw.get("lambda2", 0.0),
-        step=t_cfg_raw.get("step", 0.1),
-        iters=t_cfg_raw.get("iters", 100),
-        grad_mode=t_cfg_raw.get("grad_mode", "analytic"),
-        tol=t_cfg_raw.get("tol", 1e-10),
-    )
+    train_seed = deep["train"].get("seed", derive_seed(seed, 5))
+    t_cfg = _build(TrainConfig, deep["train"])
     if "checkpoint_in" in deep:
-        ckpt_path = Path(deep["checkpoint_in"])
-        if not ckpt_path.is_absolute():
-            ckpt_path = base_dir / ckpt_path
-        with open(ckpt_path) as fh:
+        with open(_resolve(deep["checkpoint_in"], base_dir)) as fh:
             model = model_from_dict(json.load(fh))
     else:
         model = init_layered_model(ds.x, kernels, outputs, seed=train_seed)
@@ -594,36 +562,33 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
 
     kappa = 1.0  # gaussian layer kernels are normalized at zero distance
     tr_m1 = float(np.trace(result.model.layers[0].output))
+
+    def bounds(pf_norm: float, top_norm: float) -> tuple[float, float, float]:
+        """pf bound and the printed and consistent separable bounds."""
+        return problem.pf_total(pf_norm, top_norm), *(
+            separable_bound(kappa, tr_m1, ds.n, mode, pf_norm, top_norm)
+            for mode in ("printed", "consistent")
+        )
+
     pf_rep = problem.pf_bound(last)
     pf, top = pf_rep["pf_norm"], pf_rep["top_norm"]
-    sep_printed = separable_bound(kappa, tr_m1, ds.n, "printed", pf, top)
-    sep_consistent = separable_bound(kappa, tr_m1, ds.n, "consistent", pf, top)
-    epochs = [
-        {
+    _, sep_printed, sep_consistent = bounds(pf, top)
+    epochs = []
+    for entry in result.trajectory:
+        pf_total, printed, consistent = bounds(entry["pf_norm"], entry["top_norm"])
+        epochs.append({
             "iteration": entry["iteration"],
             "objective": entry["objective"],
-            "pf_bound": entry["pf_norm"] * entry["top_norm"] * pf_rep["trace_root"] / ds.n,
-            "separable_printed": separable_bound(
-                kappa, tr_m1, ds.n, "printed", entry["pf_norm"], entry["top_norm"]
-            ),
-            "separable_consistent": separable_bound(
-                kappa, tr_m1, ds.n, "consistent", entry["pf_norm"], entry["top_norm"]
-            ),
+            "pf_bound": pf_total,
+            "separable_printed": printed,
+            "separable_consistent": consistent,
             "pf_norm": entry["pf_norm"],
             "top_norm": entry["top_norm"],
-        }
-        for entry in result.trajectory
-    ]
+        })
 
     metrics = {
-        "initial_objective": {
-            "data": init_terms[0], "pf": init_terms[1], "top": init_terms[2],
-            "total": sum(init_terms),
-        },
-        "final_objective": {
-            "data": final_terms[0], "pf": final_terms[1], "top": final_terms[2],
-            "total": sum(final_terms),
-        },
+        "initial_objective": _objective_entry(init_terms),
+        "final_objective": _objective_entry(final_terms),
         "iterations": result.iterations,
         "converged": result.converged,
         "epochs": epochs,
@@ -674,10 +639,7 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
 
     if "checkpoint_out" in deep:
         # written last, after every metric computed, so failures leave nothing
-        ckpt_path = Path(deep["checkpoint_out"])
-        if not ckpt_path.is_absolute():
-            ckpt_path = base_dir / ckpt_path
-        with open(ckpt_path, "w") as fh:
+        with open(_resolve(deep["checkpoint_out"], base_dir), "w") as fh:
             json.dump(_jsonify(model_to_dict(result.model)), fh, indent=2)
         metrics["checkpoint"] = deep["checkpoint_out"]
 
@@ -687,10 +649,7 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
 def _run_spectral(config: dict, seed: int, base_dir: Path) -> dict:
     ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
     kernel = _build_kernel(config["kernel"], config["dataset"]["d"], config["dataset"]["m"])
-    g_k = gram_scalar(kernel.scalar, ds.x)
-    dec = eigendecompose_scaled_gram(g_k, ds.n)
-    delta_sq = critical_radius(dec.mu)
-    d_n = statistical_dimension(dec.mu, delta_sq)
+    dec, delta_sq, d_n = _spectrum(gram_scalar(kernel.scalar, ds.x), ds.n)
     metrics = {
         "delta_sq": delta_sq,
         "d_n": d_n,
@@ -698,9 +657,7 @@ def _run_spectral(config: dict, seed: int, base_dir: Path) -> dict:
     }
     resolved = dict(seeds)
     if "sketch" in config:
-        sk_seed = config["sketch"].get("seed", derive_seed(seed, 2))
-        sketch, sk_p = _build_sketch(config["sketch"], ds.n, sk_seed)
-        c_val = satisfiability_constant(sk_p)
+        sketch, c_val, sk_seed = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
         metrics["satisfiability"] = check_satisfiability(
             sketch, dec, d_n, delta_sq, c_val
         ).to_dict()

@@ -74,6 +74,15 @@ def write_csv(path, x: np.ndarray, y: np.ndarray) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _read_numbers(path, skiprows: int = 0) -> np.ndarray:
+    """Comma-separated reals as a 2-D array; ConfigError naming the file when
+    a cell is not a number or the rows are ragged."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def read_csv(path, d: int, m: int) -> Dataset:
     with open(path) as fh:
         header = fh.readline().strip()
@@ -82,7 +91,7 @@ def read_csv(path, d: int, m: int) -> Dataset:
         raise ConfigError(
             f"dataset CSV header {header!r} does not match expected {expected!r}"
         )
-    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    body = _read_numbers(path, skiprows=1)
     if body.shape[1] != d + m:
         raise ConfigError(
             f"dataset CSV has {body.shape[1]} columns, expected {d + m}"

@@ -33,7 +33,7 @@ to finite differences when the top eigenvalue gap degenerates.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -405,19 +405,27 @@ class _Objective:
         self.pf_norm(fwd, s)
         return False
 
-    def pf_bound(self, fwd: _Pass) -> dict:
-        """pf_complexity_bound at the pass's coefficients."""
-        n = self.x.shape[0]
+    @cached_property
+    def trace_root(self) -> float:
+        """sqrt(sum_i Tr K_1(x_i, x_i)) of the first layer."""
         first = self.model.layers[0]
         diag = np.diag(gram_scalar(first.kernel, self.x))
-        trace_root = float(np.sqrt(np.sum(diag) * np.trace(first.output)))
+        return float(np.sqrt(np.sum(diag) * np.trace(first.output)))
+
+    def pf_total(self, pf: float, top: float) -> float:
+        """pf_complexity_bound's total from the transfer-product and top norms."""
+        return pf * top * self.trace_root / self.x.shape[0]
+
+    def pf_bound(self, fwd: _Pass) -> dict:
+        """pf_complexity_bound at the pass's coefficients."""
+        trace_root = self.trace_root  # its n x n Gram is freed before any pass Gram is built
         pf, top = self.pf_norm(fwd), self.top_norm(fwd)
         return {
-            "total": pf * top * trace_root / n,
+            "total": self.pf_total(pf, top),
             "pf_norm": pf,
             "top_norm": top,
             "trace_root": trace_root,
-            "n": n,
+            "n": self.x.shape[0],
             "note": "evaluated at the given model",
         }
 
@@ -657,45 +665,36 @@ def project_top_capacity(model: LayeredModel) -> LayeredModel:
 
 def model_to_dict(model: LayeredModel) -> dict:
     """JSON-ready checkpoint: kernels, output matrices, anchors, coefficients."""
-    layers = []
-    for layer in model.layers:
-        layers.append(
-            {
-                "kernel": {
-                    "family": layer.kernel.family,
-                    "bandwidth": layer.kernel.bandwidth,
-                    "smoothness": layer.kernel.smoothness,
-                    "dimension": layer.kernel.dimension,
-                },
-                "output": layer.output.tolist(),
-                "anchors": layer.anchors.tolist(),
-                "coeffs": layer.coeffs.tolist(),
-                "capacity": layer.capacity,
-            }
-        )
+    layers = [
+        {
+            "kernel": asdict(layer.kernel),
+            "output": layer.output.tolist(),
+            "anchors": layer.anchors.tolist(),
+            "coeffs": layer.coeffs.tolist(),
+            "capacity": layer.capacity,
+        }
+        for layer in model.layers
+    ]
     return {"layers": layers}
 
 
 def model_from_dict(payload: dict) -> LayeredModel:
-    layers = []
-    for entry in payload["layers"]:
-        k = entry["kernel"]
-        spec = ScalarKernelSpec(
-            family=k["family"],
-            bandwidth=k["bandwidth"],
-            smoothness=k.get("smoothness", 0.0),
-            dimension=k["dimension"],
-        )
-        layers.append(
+    """Inverse of model_to_dict; a kernel key that is omitted takes the
+    ScalarKernelSpec default, and a malformed payload raises InputError."""
+    try:
+        layers = tuple(
             VVLayer(
-                spec,
+                ScalarKernelSpec(**entry["kernel"]),
                 np.asarray(entry["output"], dtype=float),
                 np.asarray(entry["anchors"], dtype=float),
                 np.asarray(entry["coeffs"], dtype=float),
                 capacity=entry.get("capacity"),
             )
+            for entry in payload["layers"]
         )
-    return LayeredModel(tuple(layers))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
+    return LayeredModel(layers)
 
 
 def refine_kernel(model: LayeredModel, a_mat, direction: str) -> LayeredModel:

@@ -140,6 +140,14 @@ class LayerFactors:
         return self.ratio_g * self.spectral_factor * k / self.det_root
 
 
+def _factor_product(factors) -> float:
+    """prod_l of the layers' factor products, multiplied in layer order."""
+    prod = 1.0
+    for f in factors:
+        prod *= f.product()
+    return prod
+
+
 @dataclass(frozen=True)
 class BoundReport:
     family: str
@@ -148,15 +156,10 @@ class BoundReport:
     extras: dict = field(default_factory=dict)
 
     def recompute_total(self) -> float:
+        prod = _factor_product(self.per_layer)
         if self.family == "product":
-            prod = 1.0
-            for f in self.per_layer:
-                prod *= f.product()
             return self.extras["g_norm"] * self.extras["trace_root"] * prod
         if self.family == "split":
-            prod = 1.0
-            for f in self.per_layer:
-                prod *= f.product()
             return prod * (
                 self.extras["class_estimate"]
                 + self.extras["trace_root"] * self.extras["approximation_term"]
@@ -265,10 +268,7 @@ def product_bound(net: NetworkSpec, kappa: float, tr_m: float, n: int) -> BoundR
     evaluated at the given weights."""
     factors = _layer_factors(net, net.depth)
     root = trace_bound(kappa, tr_m, n)
-    prod = 1.0
-    for f in factors:
-        prod *= f.product()
-    total = net.g_norm * root * prod
+    total = net.g_norm * root * _factor_product(factors)
     return BoundReport(
         family="product",
         total=total,
@@ -436,9 +436,7 @@ class _SplitMc:
                 raise InputError("surrogates must be anchored at the mid points")
 
         self.factors = _layer_factors(net, l_prime)
-        self.eta = 1.0
-        for f in self.factors:
-            self.eta *= f.product()
+        self.eta = _factor_product(self.factors)
 
         if g_mid is None:
             g_mid = gram_scalar(kernel_mid.scalar, mid)

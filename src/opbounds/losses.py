@@ -37,11 +37,10 @@ class LossSpec:
             raise InputError(f"unknown loss family {self.family!r}")
         if self.family == "huber" and not self.huber_delta > 0:
             raise InputError("huber_delta must be positive")
-        if self.family == "pinball":
-            qs = tuple(float(q) for q in self.quantiles)
-            if not qs or any(not (0.0 < q < 1.0) for q in qs):
-                raise InputError("pinball needs quantiles in (0, 1)")
-            object.__setattr__(self, "quantiles", qs)
+        qs = tuple(float(q) for q in self.quantiles)
+        if self.family == "pinball" and (not qs or any(not (0.0 < q < 1.0) for q in qs)):
+            raise InputError("pinball needs quantiles in (0, 1)")
+        object.__setattr__(self, "quantiles", qs)
 
 
 def _residual(spec: LossSpec, z, y) -> np.ndarray:

@@ -212,20 +212,6 @@ def _top_eigenpair(
     return rho, basis @ w_vecs[:, -1], w_vecs[:, -1].copy(), gap
 
 
-def _pencil_value(g_top: np.ndarray, basis: np.ndarray) -> float:
-    """Top pencil eigenvalue rho on a whitening basis from _pencil_basis."""
-    return _top_eigenvalue(_whiten(g_top, basis))
-
-
-def _pencil_vector(
-    g_top: np.ndarray, basis: np.ndarray
-) -> tuple[float, np.ndarray, float]:
-    """rho plus the maximizing vector a (with a^T G_bottom a = 1) and the gap
-    to the second whitened eigenvalue, for derivative callers."""
-    rho, a, _, gap = _top_eigenpair(_whiten(g_top, basis), basis)
-    return rho, a, gap
-
-
 def pencil_max(g_top: np.ndarray, g_bottom: np.ndarray) -> float:
     """Largest generalized Rayleigh quotient a^T G_top a / a^T G_bottom a
     over the range of G_bottom, via whitening with a pseudo-inverse root.
@@ -238,4 +224,4 @@ def pencil_max(g_top: np.ndarray, g_bottom: np.ndarray) -> float:
     top_vals = np.linalg.eigvalsh(0.5 * (top + top.T))
     if top_vals.size and top_vals[0] < -EIG_CLIP * max(abs(top_vals[-1]), 1.0):
         raise NotPsdError(f"pencil top matrix has eigenvalue {top_vals[0]}")
-    return _pencil_value(top, basis)
+    return _top_eigenvalue(_whiten(top, basis))

@@ -38,7 +38,8 @@ from opbounds.koopman import LayerSpec, NetworkSpec, product_bound, spectral_rat
 from opbounds.losses import LossSpec
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified, satisfiability_constant
 from opbounds.spectral import (
-    _pencil_vector,
+    _top_eigenpair,
+    _whiten,
     check_satisfiability,
     critical_radius,
     eigendecompose_scaled_gram,
@@ -328,7 +329,7 @@ def test_criterion_08_gradient_check():
         probes = default_probes(y, 2)
         probe_bilinear, basis = _pf_bottom(model, x, probes)
         g_top, _ = _pf_top(model, _forward_trace(model, x, model.coeffs)[0][-2], probe_bilinear)
-        rho, _, gap = _pencil_vector(g_top, basis)
+        rho, _, _, gap = _top_eigenpair(_whiten(g_top, basis), basis)
         if not (rho > 0 and gap > 1e-6 * rho):
             continue  # eigen-gap guard: regenerate
         analytic = gradient(model, x, y, 0.3, 0.2, mode="analytic", probes=probes)

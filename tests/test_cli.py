@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,15 @@ import pytest
 
 from opbounds import _blas, cli, deepvv
 from opbounds.cli import main, render_record, run, validate_config
+from opbounds.complexity import McConfig
+from opbounds.data import GeneratorConfig
+from opbounds.deepvv import TrainConfig
+from opbounds.erm import FitConfig
 from opbounds.errors import ConfigError, InputError, OpboundsError
+from opbounds.kernels import ScalarKernelSpec
+from opbounds.koopman import LayerSpec
+from opbounds.losses import LossSpec
+from opbounds.sketching import SketchSpec
 
 BOUND_COMPARE = {
     "seed": 11,
@@ -538,6 +547,136 @@ def test_cli_error_leaves_no_output(tmp_path):
     assert not out.exists()
     err = json.loads(proc.stderr.splitlines()[0])
     assert err["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"layers": [{"kernel": {"family": "gaussian"}}]},
+        {"layers": [{"kernel": {"family": "gaussian", "bandwidth": 1.0, "dimension": 2,
+                                "width": 3}}]},
+        {"layers": [{"kernel": {"family": "gaussian", "bandwidth": 1.0, "dimension": 2}}]},
+        {"model": []},
+        [],
+    ],
+    ids=["missing-kernel-key", "unknown-kernel-key", "missing-layer-key", "no-layers", "list"],
+)
+def test_malformed_checkpoint_is_a_categorized_error(tmp_path, payload):
+    (tmp_path / "model.json").write_text(json.dumps(payload))
+    cfg = json.loads(json.dumps(DEEP))
+    cfg["deep_model"]["checkpoint_in"] = "model.json"
+    with pytest.raises(InputError, match="malformed checkpoint"):
+        run("deep-vvrkhs", cfg, None, tmp_path)
+    proc, out = _cli(tmp_path, "deep-vvrkhs", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert not out.exists()
+    assert json.loads(proc.stderr.splitlines()[0])["error"] == "input"
+
+
+def test_non_numeric_dataset_cell_is_a_config_error(tmp_path):
+    (tmp_path / "points.csv").write_text("x1,x2,y1\n0.1,0.2,0.3\n0.4,abc,0.6\n")
+    cfg = json.loads(json.dumps(SPECTRAL))
+    cfg["dataset"] = {"kind": "csv", "path": "points.csv", "d": 2, "m": 1}
+    proc, out = _cli(tmp_path, "spectral-report", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert not out.exists()
+    err = json.loads(proc.stderr.splitlines()[0])
+    assert err["error"] == "config" and "points.csv" in err["message"]
+
+
+def test_non_numeric_weights_cell_is_a_config_error(tmp_path):
+    (tmp_path / "w.csv").write_text("1.0,0.0\n0.0,one\n")
+    cfg = json.loads(json.dumps(BOUND_COMPARE))
+    cfg["network"]["layers"][0]["weights"] = {"csv": "w.csv"}
+    proc, out = _cli(tmp_path, "bound-compare", cfg)
+    assert proc.returncode == 2, proc.stderr
+    assert not out.exists()
+    err = json.loads(proc.stderr.splitlines()[0])
+    assert err["error"] == "config" and "w.csv" in err["message"]
+
+
+_DATASET = {"kind": "synthetic", "n": 12, "d": 1, "m": 2}
+
+# configs with only the keys that have no default
+MINIMAL_CONFIGS = {
+    "bound-compare": {
+        "dataset": _DATASET,
+        "kernel": {"family": "gaussian", "bandwidth": 1.0},
+        "mc": {"draws": 300},
+        "network": {"g_norm": 1.0, "output_dim": 2,
+                    "layers": [{"weights": [[1.0]]}, {"weights": [[1.0], [0.5]]}]},
+    },
+    "sketch-regress": {
+        "dataset": _DATASET,
+        "kernel": {"family": "gaussian", "bandwidth": 1.0},
+        "loss": {"family": "huber"},
+        "fit": {"lambda_n": 0.1},
+        "sketch": {"rows": 5},
+    },
+    "deep-vvrkhs": {
+        "dataset": _DATASET,
+        "deep_model": {"bandwidths": [1.0, 1.0, 1.0], "output_dims": [2, 2, 2], "train": {}},
+    },
+    "spectral-report": {
+        "dataset": _DATASET,
+        "kernel": {"family": "gaussian", "bandwidth": 1.0},
+        "sketch": {"rows": 5},
+    },
+}
+
+# (path to a config section, the library dataclass it configures)
+_SECTIONS = {
+    "dataset": (("dataset",), GeneratorConfig),
+    "kernel": (("kernel",), ScalarKernelSpec),
+    "mc": (("mc",), McConfig),
+    "layer": (("network", "layers", 0), LayerSpec),
+    "loss": (("loss",), LossSpec),
+    "fit": (("fit",), FitConfig),
+    "sketch": (("sketch",), SketchSpec),
+    "train": (("deep_model", "train"), TrainConfig),
+}
+
+
+def _spelled_out(subcommand, config):
+    """config with every omitted key of each library section set to its
+    dataclass default; seeds (derived from the master seed) and None defaults
+    stay omitted."""
+    full = json.loads(json.dumps(config))
+    added = 0
+    for path, cls in _SECTIONS.values():
+        section, schema = full, cli._SCHEMAS[subcommand]
+        try:
+            for key in path:
+                section = section[key]
+                schema = schema["items"] if isinstance(key, int) else schema["properties"][key]
+        except (KeyError, IndexError):
+            continue  # the subcommand has no such section
+        defaults = {
+            f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING and f.default is not None
+        }
+        for key in schema["properties"]:
+            name = cli._RENAMED.get(cls, {}).get(key, key)
+            if key != "seed" and key not in section and name in defaults:
+                default = defaults[name]
+                section[key] = list(default) if isinstance(default, tuple) else default
+                added += 1
+    return full, added
+
+
+@pytest.mark.filterwarnings("ignore:Sobolev order")
+@pytest.mark.parametrize("subcommand", sorted(MINIMAL_CONFIGS))
+def test_omitted_keys_take_the_library_defaults(subcommand, tmp_path):
+    minimal = MINIMAL_CONFIGS[subcommand]
+    full, added = _spelled_out(subcommand, minimal)
+    assert added >= 3
+    echoed = json.loads(json.dumps(minimal))
+    record = run(subcommand, minimal, 21, tmp_path)
+    assert minimal == echoed  # the echoed config is never mutated
+    spelled = run(subcommand, full, 21, tmp_path)
+    assert record["config"] == minimal and spelled["config"] == full
+    assert record["metrics"] == spelled["metrics"]
+    assert record["resolved_seeds"] == spelled["resolved_seeds"]
 
 
 def test_cli_seed_flag_overrides(tmp_path):
