@@ -1,7 +1,9 @@
 """Experiment harness: config validation, orchestration, report emission.
 
 Configs are JSON documents validated against per-subcommand schemas before
-any computation; unknown keys are rejected.  Records echo the config and all
+any computation; unknown keys are rejected, and so is each key that its
+section's variant (dataset kind, sketch dist, loss or kernel family,
+evaluate-only model) does not read.  Records echo the config and all
 resolved seeds, so re-running a record's config reproduces its metrics
 bit-for-bit.  Timing is printed to stderr only, keeping the output file a
 pure function of (config, seed).
@@ -35,7 +37,7 @@ from .deepvv import (
     separable_bound,
 )
 from .erm import FitConfig, empirical_risk, excess_risk_bound_rhs, fit_full, fit_sketched
-from .errors import ConfigError, OpboundsError, RefinementOrderError
+from .errors import ConfigError, InputError, OpboundsError, RefinementOrderError
 from .kernels import (
     DecomposableKernel,
     KernelExpansion,
@@ -66,6 +68,14 @@ _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _POSINT = {"type": "integer", "minimum": 1}
 
+
+def _unread(*keys: str, why: str) -> dict:
+    """The ``then`` of a Draft-7 ``if``: the section variant that the ``if``
+    selects rejects ``keys``, which it does not read, with ``why`` as the
+    error message."""
+    return {"properties": {k: {"not": {}, "description": why} for k in keys}}
+
+
 _DATASET_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -81,6 +91,15 @@ _DATASET_SCHEMA = {
         "path": {"type": "string"},
     },
     "required": ["kind", "d", "m"],
+    "if": {"properties": {"kind": {"const": "csv"}}},
+    "then": {
+        **_unread(
+            "n", "noise", "teacher_anchors", "teacher_bandwidth", "seed",
+            why="a csv dataset reads only its path, d and m",
+        ),
+        "required": ["path"],
+    },
+    "else": {**_unread("path", why="a synthetic dataset reads no path"), "required": ["n"]},
 }
 
 _MATRIX = {
@@ -95,18 +114,37 @@ _MATRIX = {
     ]
 }
 
-_KERNEL_SCHEMA = {
+# spectral-report reads only the scalar kernel: its spectrum is that of G_k / n
+_SCALAR_KERNEL_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
         "family": {"enum": ["gaussian", "matern", "sobolev-radial"]},
         "bandwidth": _POS,
         "smoothness": {"type": "number", "minimum": 0},
+    },
+    "required": ["family", "bandwidth"],
+    "if": {"properties": {"family": {"const": "gaussian"}}},
+    "then": _unread("smoothness", why="a gaussian kernel reads no smoothness"),
+}
+
+_KERNEL_SCHEMA = {
+    **_SCALAR_KERNEL_SCHEMA,
+    "properties": {
+        **_SCALAR_KERNEL_SCHEMA["properties"],
         "output_matrix": {"oneOf": [{"enum": ["identity"]}, _MATRIX["oneOf"][0]]},
         "output_dim": _POSINT,
         "kappa": _POS,
     },
-    "required": ["family", "bandwidth"],
+    "allOf": [
+        {
+            "if": {
+                "properties": {"output_matrix": {"type": "array"}},
+                "required": ["output_matrix"],
+            },
+            "then": _unread("output_dim", why="an explicit output_matrix sets the output dim"),
+        }
+    ],
 }
 
 _LOSS_SCHEMA = {
@@ -118,6 +156,16 @@ _LOSS_SCHEMA = {
         "quantiles": {"type": "array", "items": {"type": "number"}},
     },
     "required": ["family"],
+    "allOf": [
+        {
+            "if": {"properties": {"family": {"const": "pinball"}}},
+            "else": _unread("quantiles", why="only a pinball loss reads quantiles"),
+        },
+        {
+            "if": {"properties": {"family": {"const": "huber"}}},
+            "else": _unread("huber_delta", why="only a huber loss reads huber_delta"),
+        },
+    ],
 }
 
 # "identity" is a harness convenience (rows must equal n) for reproducing the
@@ -133,6 +181,10 @@ _SKETCH_SCHEMA = {
         "scale": _POS,
     },
     "required": ["rows"],
+    "if": {"properties": {"dist": {"const": "identity"}}, "required": ["dist"]},
+    "then": _unread(
+        "seed", "scale", why="an identity sketch draws no entries, so it reads no seed or scale"
+    ),
 }
 
 _FIT_SCHEMA = {
@@ -143,7 +195,6 @@ _FIT_SCHEMA = {
         "max_iters": _POSINT,
         "step_size": _POS,
         "tol": _POS,
-        "seed": {"type": "integer"},
     },
     "required": ["lambda_n"],
 }
@@ -222,6 +273,20 @@ _DEEP_SCHEMA = {
         "evaluate_only": {"type": "boolean"},
     },
     "required": ["bandwidths", "output_dims", "train"],
+    # a lambda1 sweep trains, with the train settings, even when the run does not
+    "if": {
+        "properties": {"evaluate_only": {"const": True}},
+        "required": ["evaluate_only"],
+        "not": {"required": ["lambda1_sweep"]},
+    },
+    "then": {
+        "properties": {
+            "train": _unread(
+                "step", "iters", "grad_mode", "tol",
+                why="evaluate_only without a lambda1_sweep trains nothing",
+            )
+        }
+    },
 }
 
 _SPLIT_SCHEMA = {
@@ -276,7 +341,7 @@ _SCHEMAS = {
         "properties": {
             "seed": {"type": "integer"},
             "dataset": _DATASET_SCHEMA,
-            "kernel": _KERNEL_SCHEMA,
+            "kernel": _SCALAR_KERNEL_SCHEMA,
             "sketch": _SKETCH_SCHEMA,
         },
         "required": ["dataset", "kernel"],
@@ -298,7 +363,9 @@ def validate_config(subcommand: str, config: dict) -> None:
     if errors:
         first = errors[0]
         path = "/".join(str(p) for p in first.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {first.message}")
+        # a key that its section's variant does not read fails a schema of _unread
+        why = first.schema.get("description", first.message)
+        raise ConfigError(f"config invalid at {path}: {why}")
 
 
 def _jsonify(obj):
@@ -340,37 +407,42 @@ def _resolve(path: str, base_dir: Path) -> Path:
     return base_dir / path  # an absolute path replaces base_dir
 
 
-def _load_matrix(value, base_dir: Path) -> np.ndarray:
+def _load_matrix(value, key: str, base_dir: Path) -> np.ndarray:
+    """The matrix config key ``key`` holds: inline rows, or ``{"csv": path}``."""
     if isinstance(value, dict):
         return _read_numbers(_resolve(value["csv"], base_dir))
+    if len({len(row) for row in value}) > 1:
+        raise ConfigError(f"{key}: matrix rows differ in length")
     return np.asarray(value, dtype=float)
 
 
 def _build_dataset(cfg: dict, seed: int, base_dir: Path) -> tuple[Dataset, dict]:
     if cfg["kind"] == "csv":
-        if "path" not in cfg:
-            raise ConfigError("csv dataset needs a path")
         return read_csv(_resolve(cfg["path"], base_dir), cfg["d"], cfg["m"]), {"dataset": None}
-    if "n" not in cfg:
-        raise ConfigError("synthetic dataset needs n")
     used = cfg.get("seed", seed)
     return synth_dataset(_build(GeneratorConfig, cfg, seed=used)), {"dataset": used}
 
 
-def _build_kernel(cfg: dict, d: int, m: int) -> DecomposableKernel:
-    spec = _build(ScalarKernelSpec, cfg, dimension=d)
+def _build_kernel(config: dict, base_dir: Path) -> DecomposableKernel:
+    """The config's kernel on its dataset's d inputs and m outputs."""
+    cfg, data = config["kernel"], config["dataset"]
+    spec = _build(ScalarKernelSpec, cfg, dimension=data["d"])
     out = cfg.get("output_matrix", "identity")
     if isinstance(out, str):
-        m_mat = np.eye(cfg.get("output_dim", m))
+        m_mat = np.eye(cfg.get("output_dim", data["m"]))
     else:
-        m_mat = np.asarray(out, dtype=float)
+        m_mat = _load_matrix(out, "kernel/output_matrix", base_dir)
     return DecomposableKernel(spec, m_mat, kappa=cfg.get("kappa", 1.0))
 
 
 def _build_network(cfg: dict, base_dir: Path) -> NetworkSpec:
     layers = tuple(
-        _build(LayerSpec, layer, weights=_load_matrix(layer["weights"], base_dir))
-        for layer in cfg["layers"]
+        _build(
+            LayerSpec,
+            layer,
+            weights=_load_matrix(layer["weights"], f"network/layers/{i}/weights", base_dir),
+        )
+        for i, layer in enumerate(cfg["layers"])
     )
     inj = cfg.get("injectivity_class")
     return _build(
@@ -378,18 +450,19 @@ def _build_network(cfg: dict, base_dir: Path) -> NetworkSpec:
     )
 
 
-def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[SketchMatrix, float, int]:
+def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[SketchMatrix, float, dict]:
     """Sketch matrix, the satisfiability constant c of its keep-probability,
-    and its seed (``seed`` unless the section sets one)."""
-    seed = cfg.get("seed", seed)
+    and its resolved seed (``seed`` unless the section sets one; none for the
+    identity sketch, which draws nothing)."""
     if cfg.get("dist") == "identity":
         if cfg["rows"] != n:
             raise ConfigError(f"identity sketch needs rows == n ({n})")
-        sketch, p = SketchMatrix(matrix=np.eye(n)), cfg.get("p", SketchSpec.p)
+        sketch, p, seeds = SketchMatrix(matrix=np.eye(n)), cfg.get("p", SketchSpec.p), {}
     else:
+        seed = cfg.get("seed", seed)
         sketch = make_p_sparsified(_build(SketchSpec, cfg, n=n, seed=seed))
-        p = sketch.spec.p
-    return sketch, satisfiability_constant(p), seed
+        p, seeds = sketch.spec.p, {"sketch": seed}
+    return sketch, satisfiability_constant(p), seeds
 
 
 def _spectrum(g_k: np.ndarray, n: int, gram_eigh=None):
@@ -412,8 +485,11 @@ def _identity_pushforward(net: NetworkSpec, x: np.ndarray, upto: int) -> np.ndar
 
 def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
     ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
-    kernel = _build_kernel(config["kernel"], config["dataset"]["d"], config["dataset"]["m"])
+    kernel = _build_kernel(config, base_dir)
     net = _build_network(config["network"], base_dir)
+    d = config["dataset"]["d"]
+    if net.layers[0].d_in != d:
+        raise InputError(f"first layer takes {net.layers[0].d_in} inputs; the data has d = {d}")
     mc_seed = config["mc"].get("seed", derive_seed(seed, 4))
     cfg_mc = _build(McConfig, config["mc"], seed=mc_seed)
 
@@ -465,11 +541,10 @@ def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
 
 def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
-    kernel = _build_kernel(config["kernel"], config["dataset"]["d"], config["dataset"]["m"])
+    kernel = _build_kernel(config, base_dir)
     loss = _build(LossSpec, config["loss"])
-    fit_seed = config["fit"].get("seed", derive_seed(seed, 3))
     fit_cfg = _build(FitConfig, config["fit"])
-    sketch, c_val, sk_seed = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
+    sketch, c_val, sk_seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
 
     # one Gram and one eigendecomposition serve both fits, both training
     # risks and the spectral report
@@ -518,10 +593,7 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
             "full": full.coeffs.tolist(),
             "sketched": sketched.coeffs.tolist(),
         }
-    return {
-        "metrics": metrics,
-        "resolved_seeds": {**seeds, "sketch": sk_seed, "fit": fit_seed},
-    }
+    return {"metrics": metrics, "resolved_seeds": {**seeds, **sk_seeds}}
 
 
 def _objective_entry(terms: tuple[float, float, float]) -> dict:
@@ -648,21 +720,20 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
 
 def _run_spectral(config: dict, seed: int, base_dir: Path) -> dict:
     ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
-    kernel = _build_kernel(config["kernel"], config["dataset"]["d"], config["dataset"]["m"])
-    dec, delta_sq, d_n = _spectrum(gram_scalar(kernel.scalar, ds.x), ds.n)
+    spec = _build(ScalarKernelSpec, config["kernel"], dimension=config["dataset"]["d"])
+    dec, delta_sq, d_n = _spectrum(gram_scalar(spec, ds.x), ds.n)
     metrics = {
         "delta_sq": delta_sq,
         "d_n": d_n,
         "eigenvalues_top": dec.mu[: min(32, ds.n)].tolist(),
     }
-    resolved = dict(seeds)
     if "sketch" in config:
-        sketch, c_val, sk_seed = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
+        sketch, c_val, sk_seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
         metrics["satisfiability"] = check_satisfiability(
             sketch, dec, d_n, delta_sq, c_val
         ).to_dict()
-        resolved["sketch"] = sk_seed
-    return {"metrics": metrics, "resolved_seeds": resolved}
+        seeds = {**seeds, **sk_seeds}
+    return {"metrics": metrics, "resolved_seeds": seeds}
 
 
 _RUNNERS = {

@@ -201,9 +201,9 @@ def det_quarter_root(w: np.ndarray) -> float:
             f"matrix of shape {w.shape} cannot be injective"
         )
     svals = np.linalg.svd(w, compute_uv=False)
-    if svals[-1] < _INJ_TOL * svals[0]:
+    if svals[-1] <= _INJ_TOL * svals[0]:  # "at", so the zero matrix fails too
         raise NonInjectiveError(
-            f"smallest singular value {svals[-1]} is below the injectivity "
+            f"smallest singular value {svals[-1]} is at or below the injectivity "
             f"threshold {_INJ_TOL * svals[0]}"
         )
     return float(np.prod(np.sqrt(svals)))

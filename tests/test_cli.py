@@ -2,8 +2,10 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +92,132 @@ def test_schema_type_errors_reported_with_path():
     bad["fit"]["lambda_n"] = -1.0
     with pytest.raises(ConfigError, match="fit/lambda_n"):
         validate_config("sketch-regress", bad)
+
+
+_CSV_DATASET = {"kind": "csv", "path": "points.csv", "d": 2, "m": 1}
+_MATRIX_KERNEL = {"family": "gaussian", "bandwidth": 1.0, "output_matrix": np.eye(2).tolist()}
+_EVALUATE_ONLY = {
+    "bandwidths": [1.0, 1.0, 5.0],
+    "output_dims": [2, 2, 2],
+    "evaluate_only": True,
+    "train": {"lambda1": 0.1, "lambda2": 0.1, "seed": 4},
+}
+
+# (subcommand, sections replacing those of its config, section path, key,
+# value): each key that its section's variant does not read
+UNREAD_KEYS = [
+    ("sketch-regress", {}, ("fit",), "seed", 1),
+    *[
+        ("spectral-report", {"dataset": _CSV_DATASET}, ("dataset",), key, value)
+        for key, value in [
+            ("n", 30), ("noise", 7.0), ("teacher_anchors", 4), ("teacher_bandwidth", 2.0),
+            ("seed", 3),
+        ]
+    ],
+    ("spectral-report", {}, ("dataset",), "path", "points.csv"),
+    *[
+        ("sketch-regress", {"sketch": {"rows": 20, "dist": "identity"}}, ("sketch",), key, value)
+        for key, value in [("seed", 4), ("scale", 9.0)]
+    ],
+    ("sketch-regress", {"loss": {"family": "huber"}}, ("loss",), "quantiles", [0.25, 0.75]),
+    ("sketch-regress", {}, ("loss",), "huber_delta", 1.0),
+    ("sketch-regress", {}, ("kernel",), "smoothness", 1.5),
+    ("bound-compare", {"kernel": _MATRIX_KERNEL}, ("kernel",), "output_dim", 2),
+    *[
+        ("spectral-report", {}, ("kernel",), key, value)
+        for key, value in [("output_matrix", "identity"), ("output_dim", 1), ("kappa", 1.0)]
+    ],
+    *[
+        ("deep-vvrkhs", {"deep_model": _EVALUATE_ONLY}, ("deep_model", "train"), key, value)
+        for key, value in [("step", 0.5), ("iters", 40), ("grad_mode", "finite-diff"),
+                           ("tol", 1e-6)]
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, sections, path, key, value", UNREAD_KEYS,
+    ids=[f"{sub}-{'.'.join(path)}.{key}" for sub, _, path, key, _ in UNREAD_KEYS],
+)
+def test_keys_the_section_variant_does_not_read_are_rejected(
+    subcommand, sections, path, key, value
+):
+    config = json.loads(json.dumps({**ALL_CONFIGS[subcommand], **sections}))
+    validate_config(subcommand, config)  # valid without the key
+    section = config
+    for name in path:
+        section = section[name]
+    section[key] = value
+    # the key ends the path, or, where no variant of the section has it, is unexpected
+    named = rf"at {'/'.join(path)}(/{key}: |: .*'{key}' was unexpected)"
+    with pytest.raises(ConfigError, match=named):
+        validate_config(subcommand, config)
+
+
+def _main_error(tmp_path, capsys, subcommand, config):
+    """The error record of ``main`` on ``config``, which must exit 2 and
+    write no output."""
+    cfg_path, out_path = tmp_path / "c.json", tmp_path / "r.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([subcommand, "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    assert not out_path.exists()
+    return json.loads(capsys.readouterr().err.splitlines()[0])
+
+
+def test_unread_key_exits_2_and_writes_no_output(tmp_path, capsys):
+    cfg = json.loads(json.dumps(SKETCH_REGRESS))
+    cfg["fit"]["seed"] = 1
+    err = _main_error(tmp_path, capsys, "sketch-regress", cfg)
+    assert err["error"] == "config" and "'seed'" in err["message"]
+
+
+@pytest.mark.parametrize("kind, key", [("csv", "path"), ("synthetic", "n")])
+def test_dataset_kind_requires_its_keys(kind, key):
+    cfg = json.loads(json.dumps(SPECTRAL))
+    cfg["dataset"] = {**(_CSV_DATASET if kind == "csv" else SPECTRAL["dataset"])}
+    del cfg["dataset"][key]
+    with pytest.raises(ConfigError, match=f"at dataset: '{key}' is a required property"):
+        validate_config("spectral-report", cfg)
+
+
+@pytest.mark.parametrize("key", ["network/layers/0/weights", "kernel/output_matrix"])
+def test_jagged_matrix_is_a_config_error(key, tmp_path, capsys):
+    cfg = json.loads(json.dumps(BOUND_COMPARE))
+    jagged = [[1.0], [2.0, 3.0]]
+    if key == "kernel/output_matrix":
+        cfg["kernel"]["output_matrix"] = jagged
+    else:
+        cfg["network"]["layers"][0]["weights"] = jagged
+    err = _main_error(tmp_path, capsys, "bound-compare", cfg)
+    assert err["error"] == "config" and key in err["message"]
+
+
+def test_first_layer_must_take_the_data_dimension(monkeypatch, tmp_path):
+    # three input columns on d = 2 data: a typed error before any Gram
+    cfg = json.loads(json.dumps(BOUND_COMPARE))
+    cfg["network"]["layers"] = [{"weights": np.eye(3).tolist(), "sobolev_order_in": 2.0,
+                                 "sobolev_order_out": 2.0}]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Gram assembled before the width check")
+
+    monkeypatch.setattr(cli, "gram_scalar", refuse)
+    with pytest.raises(InputError, match="takes 3 inputs; the data has d = 2"):
+        run("bound-compare", cfg, None, tmp_path)
+
+
+def test_readme_configs_are_valid():
+    # each ```json block of the README is a config of the subcommand named in
+    # the sentence before it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = list(re.finditer(r"```json\n(.*?)```", readme, re.DOTALL))
+    assert len(blocks) >= 2
+    for block in blocks:
+        paragraph = readme[: block.start()].rstrip().split("\n\n")[-1]
+        before = re.split(r"(?<=\.)\s", paragraph)[-1]
+        named = [name for name in cli.SUBCOMMANDS if f"`{name}`" in before]
+        assert len(named) == 1, before
+        validate_config(named[0], json.loads(block.group(1)))
 
 
 def test_bound_compare_identity_network(tmp_path):
@@ -376,6 +504,9 @@ def test_deep_checkpoint_roundtrip_through_cli(tmp_path):
     del cfg2["deep_model"]["checkpoint_out"]
     cfg2["deep_model"]["checkpoint_in"] = "model.json"
     cfg2["deep_model"]["evaluate_only"] = True
+    # an evaluate-only run trains nothing, so its train section takes no step or iters
+    trained = cfg["deep_model"]["train"]
+    cfg2["deep_model"]["train"] = {k: trained[k] for k in ("lambda1", "lambda2")}
     record2 = run("deep-vvrkhs", cfg2, None, tmp_path)
     assert record2["metrics"]["pf_bound"]["total"] == pytest.approx(
         record["metrics"]["pf_bound"]["total"], rel=1e-12
@@ -639,8 +770,9 @@ _SECTIONS = {
 
 def _spelled_out(subcommand, config):
     """config with every omitted key of each library section set to its
-    dataclass default; seeds (derived from the master seed) and None defaults
-    stay omitted."""
+    dataclass default; seeds (derived from the master seed), None defaults and
+    keys that the section's variant rejects (a gaussian kernel's smoothness,
+    say) stay omitted."""
     full = json.loads(json.dumps(config))
     added = 0
     for path, cls in _SECTIONS.values():
@@ -660,6 +792,12 @@ def _spelled_out(subcommand, config):
             if key != "seed" and key not in section and name in defaults:
                 default = defaults[name]
                 section[key] = list(default) if isinstance(default, tuple) else default
+                try:
+                    validate_config(subcommand, full)
+                except ConfigError as exc:  # a key this variant does not read
+                    assert f"/{key}: " in str(exc)
+                    del section[key]
+                    continue
                 added += 1
     return full, added
 

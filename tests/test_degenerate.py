@@ -1,7 +1,8 @@
-"""Library functions on degenerate inputs: one point, duplicate points, all-zero
-labels, one output, a rank-deficient output matrix M and sketches with more
-rows than points.  Each call must return finite numbers or raise a typed
-OpboundsError; a bare numpy error or a NaN fails the test."""
+"""Library functions on degenerate inputs: one point, duplicate points (in the
+input or the mid space), all-zero labels, one output, a rank-deficient output
+matrix M and sketches with more rows than points.  Each call must return
+finite numbers or raise a typed OpboundsError; a bare numpy error or a NaN
+fails the test."""
 
 import warnings
 
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opbounds.complexity import McConfig, rademacher_ball_mc
+from opbounds.deepvv import TrainConfig, init_layered_model, train
 from opbounds.erm import FitConfig, fit_full, fit_sketched
 from opbounds.errors import OpboundsError
-from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
+from opbounds.kernels import DecomposableKernel, KernelExpansion, ScalarKernelSpec, gram_scalar
+from opbounds.koopman import LayerSpec, NetworkSpec, split_complexity_bound
 from opbounds.losses import LossSpec
 from opbounds.sketching import SketchSpec, make_p_sparsified
 from opbounds.spectral import (
@@ -25,9 +28,9 @@ from opbounds.spectral import (
 
 
 @st.composite
-def degenerate_problems(draw):
+def degenerate_problems(draw, max_n=8):
     """Points, labels and a decomposable kernel, each possibly degenerate."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_n))
     d = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -134,3 +137,62 @@ def test_pencil_max_is_finite_or_typed(problem, rank):
     g_top = b @ b.T  # rank 0 gives the zero matrix
     got = _finite_or_typed(lambda: (pencil_max(g_top, g_bottom),))
     assert got is not None and got[0] >= 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_problems(max_n=6), st.integers(1, 2), st.integers(0, 1000))
+def test_deep_train_is_finite_or_typed(problem, hidden, seed):
+    x, y, kernel = problem
+    d, m = x.shape[1], y.shape[1]
+    bandwidth = kernel.scalar.bandwidth
+    kernels = [ScalarKernelSpec("gaussian", bandwidth, dimension=k) for k in (d, hidden, m)]
+    outputs = [np.eye(hidden), np.eye(m), kernel.output]  # the last M may be rank-deficient
+
+    def trained():
+        model = init_layered_model(x, kernels, outputs, seed=seed)
+        cfg = TrainConfig(lambda1=0.1, lambda2=0.1, step=0.3, iters=3)
+        result = train(model, x, y, cfg)
+        path = [[e["objective"], e["pf_norm"], e["top_norm"]] for e in result.trajectory]
+        return (*result.model.coeffs, np.reshape(path, -1))
+
+    _finite_or_typed(trained)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    degenerate_problems(), st.integers(1, 2), st.integers(1, 3), st.booleans(),
+    st.integers(1, 600), st.integers(0, 1000),
+)
+def test_split_complexity_bound_is_finite_or_typed(
+    problem, depth, n_sur, duplicate_mid, draws, seed
+):
+    x, _, kernel = problem
+    n, d = x.shape
+    rng = np.random.default_rng(seed)
+    weights = [np.eye(d) + 0.3 * rng.standard_normal((d, d)) for _ in range(depth)]
+    net = NetworkSpec(
+        layers=tuple(LayerSpec(w, sobolev_order_in=2.0, sobolev_order_out=2.0) for w in weights),
+        g_norm=1.0,
+        output_dim=kernel.output_dim,
+    )
+    mid = x
+    for w in weights:
+        mid = mid @ w.T
+    if duplicate_mid:  # every mid point is one of a few
+        mid = mid[rng.integers(0, max(1, n // 2), size=n)]
+    kernel_mid = DecomposableKernel(
+        ScalarKernelSpec("gaussian", kernel.scalar.bandwidth, dimension=d), kernel.output, 1.0
+    )
+    surrogates = [
+        KernelExpansion(kernel_mid, mid, rng.standard_normal((n, kernel.output_dim)))
+        for _ in range(n_sur)
+    ]
+
+    def bound():
+        rep = split_complexity_bound(
+            net, depth, surrogates, x, kernel, mid, kernel_mid, McConfig(draws, seed)
+        )
+        extras = rep.extras
+        return rep.total, extras["class_estimate"], extras["approximation_term"]
+
+    _finite_or_typed(bound)

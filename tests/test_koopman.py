@@ -121,6 +121,8 @@ def test_det_quarter_root_rejects_noninjective():
         det_quarter_root(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(NonInjectiveError):
         det_quarter_root(np.ones((1, 2)))
+    with pytest.raises(NonInjectiveError):
+        det_quarter_root(np.zeros((2, 2)))
 
 
 # --- injectivity class ----------------------------------------------------------
