@@ -1,9 +1,10 @@
 """Experiment harness: config validation, orchestration, report emission.
 
 Configs are JSON documents validated against per-subcommand schemas before
-any computation; unknown keys are rejected, and so is each key that its
-section's variant (dataset kind, sketch dist, loss or kernel family,
-evaluate-only model) does not read.  Records echo the config and all
+any computation; unknown keys are rejected, and so is each key that the run
+does not read for its subcommand and its sections' variants (dataset kind,
+sketch dist, loss or kernel family, evaluate-only or checkpoint model).
+Records echo the config and all
 resolved seeds, so re-running a record's config reproduces its metrics
 bit-for-bit.  Timing is printed to stderr only, keeping the output file a
 pure function of (config, seed).
@@ -76,31 +77,41 @@ def _unread(*keys: str, why: str) -> dict:
     return {"properties": {k: {"not": {}, "description": why} for k in keys}}
 
 
-_DATASET_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": ["synthetic", "csv"]},
-        "n": _POSINT,
-        "d": _POSINT,
-        "m": _POSINT,
-        "noise": {"type": "number", "minimum": 0},
-        "teacher_anchors": _POSINT,
-        "teacher_bandwidth": _POS,
-        "seed": {"type": "integer"},
-        "path": {"type": "string"},
-    },
-    "required": ["kind", "d", "m"],
-    "if": {"properties": {"kind": {"const": "csv"}}},
-    "then": {
-        **_unread(
-            "n", "noise", "teacher_anchors", "teacher_bandwidth", "seed",
-            why="a csv dataset reads only its path, d and m",
-        ),
-        "required": ["path"],
-    },
-    "else": {**_unread("path", why="a synthetic dataset reads no path"), "required": ["n"]},
-}
+def _dataset_schema(*unread: str, why: str = "") -> dict:
+    """A dataset section; a synthetic one also rejects ``unread``, the label
+    keys that its subcommand does not read (``why`` says so)."""
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {
+            "kind": {"enum": ["synthetic", "csv"]},
+            "n": _POSINT,
+            "d": _POSINT,
+            "m": _POSINT,
+            "noise": {"type": "number", "minimum": 0},
+            "teacher_anchors": _POSINT,
+            "teacher_bandwidth": _POS,
+            "seed": {"type": "integer"},
+            "path": {"type": "string"},
+        },
+        "required": ["kind", "d"],
+        "if": {"properties": {"kind": {"const": "csv"}}},
+        "then": {
+            **_unread(
+                "n", "noise", "teacher_anchors", "teacher_bandwidth", "seed",
+                why="a csv dataset reads only its path, d and m",
+            ),
+            "required": ["path", "m"],
+        },
+        "else": {
+            "properties": {
+                **_unread("path", why="a synthetic dataset reads no path")["properties"],
+                **_unread(*unread, why=why)["properties"],
+            },
+            "required": [k for k in ("n", "m") if k not in unread],
+        },
+    }
+
 
 _MATRIX = {
     "oneOf": [
@@ -133,18 +144,8 @@ _KERNEL_SCHEMA = {
     "properties": {
         **_SCALAR_KERNEL_SCHEMA["properties"],
         "output_matrix": {"oneOf": [{"enum": ["identity"]}, _MATRIX["oneOf"][0]]},
-        "output_dim": _POSINT,
         "kappa": _POS,
     },
-    "allOf": [
-        {
-            "if": {
-                "properties": {"output_matrix": {"type": "array"}},
-                "required": ["output_matrix"],
-            },
-            "then": _unread("output_dim", why="an explicit output_matrix sets the output dim"),
-        }
-    ],
 }
 
 _LOSS_SCHEMA = {
@@ -211,7 +212,6 @@ _LAYER_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "weights": _MATRIX,
-        "bias": {"type": "array", "items": _NUM},
         "activation_koopman_norm": _POS,
         "sobolev_order_in": _POS,
         "sobolev_order_out": _POS,
@@ -227,12 +227,6 @@ _NETWORK_SCHEMA = {
         "g_norm": _POS,
         "output_dim": _POSINT,
         "layers": {"type": "array", "items": _LAYER_SCHEMA, "minItems": 1},
-        "injectivity_class": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"C": _POS, "D": _POS},
-            "required": ["C", "D"],
-        },
     },
     "required": ["g_norm", "output_dim", "layers"],
 }
@@ -251,6 +245,8 @@ _TRAIN_SCHEMA = {
     },
 }
 
+_NO_FRESH_MODEL = "checkpoint_in without a lambda1_sweep builds no fresh model"
+
 _DEEP_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -258,7 +254,9 @@ _DEEP_SCHEMA = {
         "bandwidths": {"type": "array", "items": _POS, "minItems": 1},
         "output_dims": {"type": "array", "items": _POSINT, "minItems": 1},
         "train": _TRAIN_SCHEMA,
-        "lambda1_sweep": {"type": "array", "items": {"type": "number", "minimum": 0}},
+        "lambda1_sweep": {
+            "type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1
+        },
         "refine": {
             "type": "object",
             "additionalProperties": False,
@@ -272,21 +270,36 @@ _DEEP_SCHEMA = {
         "checkpoint_out": {"type": "string"},
         "evaluate_only": {"type": "boolean"},
     },
-    "required": ["bandwidths", "output_dims", "train"],
-    # a lambda1 sweep trains, with the train settings, even when the run does not
-    "if": {
-        "properties": {"evaluate_only": {"const": True}},
-        "required": ["evaluate_only"],
-        "not": {"required": ["lambda1_sweep"]},
-    },
-    "then": {
-        "properties": {
-            "train": _unread(
-                "step", "iters", "grad_mode", "tol",
-                why="evaluate_only without a lambda1_sweep trains nothing",
-            )
-        }
-    },
+    "required": ["train"],
+    "allOf": [
+        # a lambda1 sweep trains, with the train settings, even when the run does not
+        {
+            "if": {
+                "properties": {"evaluate_only": {"const": True}},
+                "required": ["evaluate_only"],
+                "not": {"required": ["lambda1_sweep"]},
+            },
+            "then": {
+                "properties": {
+                    "train": _unread(
+                        "step", "iters", "grad_mode", "tol",
+                        why="evaluate_only without a lambda1_sweep trains nothing",
+                    )
+                }
+            },
+        },
+        # only a sweep builds a fresh model after a checkpoint
+        {
+            "if": {"required": ["checkpoint_in"], "not": {"required": ["lambda1_sweep"]}},
+            "then": {
+                "properties": {
+                    **_unread("bandwidths", "output_dims", why=_NO_FRESH_MODEL)["properties"],
+                    "train": _unread("seed", why=_NO_FRESH_MODEL),
+                }
+            },
+            "else": {"required": ["bandwidths", "output_dims"]},
+        },
+    ],
 }
 
 _SPLIT_SCHEMA = {
@@ -295,13 +308,17 @@ _SPLIT_SCHEMA = {
     "properties": {"l_prime": _POSINT, "surrogates": _POSINT},
 }
 
+_NO_BOUND = "a squared-loss run has no excess-risk bound"
+
 _SCHEMAS = {
     "bound-compare": {
         "type": "object",
         "additionalProperties": False,
         "properties": {
             "seed": {"type": "integer"},
-            "dataset": _DATASET_SCHEMA,
+            "dataset": _dataset_schema(
+                "teacher_anchors", "teacher_bandwidth", why="bound-compare reads no labels"
+            ),
             "kernel": _KERNEL_SCHEMA,
             "mc": _MC_SCHEMA,
             "network": _NETWORK_SCHEMA,
@@ -315,7 +332,7 @@ _SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "seed": {"type": "integer"},
-            "dataset": _DATASET_SCHEMA,
+            "dataset": _dataset_schema(),
             "kernel": _KERNEL_SCHEMA,
             "loss": _LOSS_SCHEMA,
             "fit": _FIT_SCHEMA,
@@ -324,13 +341,28 @@ _SCHEMAS = {
             "emit_coefficients": {"type": "boolean"},
         },
         "required": ["dataset", "kernel", "loss", "fit", "sketch"],
+        # both squared-loss fits are closed-form, and its bound entry is
+        # "unbounded-loss", so kappa is only checked and conf_delta unread
+        "if": {
+            "properties": {"loss": {"properties": {"family": {"const": "squared"}}}},
+            "required": ["loss"],
+        },
+        "then": {
+            "properties": {
+                "fit": _unread(
+                    "max_iters", "step_size", "tol", why="a squared-loss fit is closed-form"
+                ),
+                "kernel": _unread("kappa", why=_NO_BOUND),
+                **_unread("conf_delta", why=_NO_BOUND)["properties"],
+            }
+        },
     },
     "deep-vvrkhs": {
         "type": "object",
         "additionalProperties": False,
         "properties": {
             "seed": {"type": "integer"},
-            "dataset": _DATASET_SCHEMA,
+            "dataset": _dataset_schema(),
             "deep_model": _DEEP_SCHEMA,
         },
         "required": ["dataset", "deep_model"],
@@ -340,7 +372,10 @@ _SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "seed": {"type": "integer"},
-            "dataset": _DATASET_SCHEMA,
+            "dataset": _dataset_schema(
+                "m", "noise", "teacher_anchors", "teacher_bandwidth",
+                why="spectral-report reads only the points",
+            ),
             "kernel": _SCALAR_KERNEL_SCHEMA,
             "sketch": _SKETCH_SCHEMA,
         },
@@ -429,7 +464,7 @@ def _build_kernel(config: dict, base_dir: Path) -> DecomposableKernel:
     spec = _build(ScalarKernelSpec, cfg, dimension=data["d"])
     out = cfg.get("output_matrix", "identity")
     if isinstance(out, str):
-        m_mat = np.eye(cfg.get("output_dim", data["m"]))
+        m_mat = np.eye(data["m"])
     else:
         m_mat = _load_matrix(out, "kernel/output_matrix", base_dir)
     return DecomposableKernel(spec, m_mat, kappa=cfg.get("kappa", 1.0))
@@ -444,10 +479,7 @@ def _build_network(cfg: dict, base_dir: Path) -> NetworkSpec:
         )
         for i, layer in enumerate(cfg["layers"])
     )
-    inj = cfg.get("injectivity_class")
-    return _build(
-        NetworkSpec, cfg, layers=layers, injectivity_class=(inj["C"], inj["D"]) if inj else None
-    )
+    return _build(NetworkSpec, cfg, layers=layers)
 
 
 def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[SketchMatrix, float, dict]:
@@ -474,12 +506,12 @@ def _spectrum(g_k: np.ndarray, n: int, gram_eigh=None):
 
 def _identity_pushforward(net: NetworkSpec, x: np.ndarray, upto: int) -> np.ndarray:
     """Push data through the first layers with identity activations; the
-    harness convention for producing mid-space points."""
+    harness convention for producing mid-space points.  The CLI takes no
+    layer bias: it would shift every mid point alike, which the radial mid
+    kernel does not see."""
     u = x
     for layer in net.layers[:upto]:
         u = u @ layer.weights.T
-        if layer.bias is not None:
-            u = u + layer.bias[None, :]
     return u
 
 
@@ -487,9 +519,11 @@ def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
     ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
     kernel = _build_kernel(config, base_dir)
     net = _build_network(config["network"], base_dir)
-    d = config["dataset"]["d"]
+    d, m = config["dataset"]["d"], config["dataset"]["m"]
     if net.layers[0].d_in != d:
         raise InputError(f"first layer takes {net.layers[0].d_in} inputs; the data has d = {d}")
+    if kernel.output_dim != m:
+        raise ConfigError(f"kernel output dim is {kernel.output_dim}; the data has m = {m}")
     mc_seed = config["mc"].get("seed", derive_seed(seed, 4))
     cfg_mc = _build(McConfig, config["mc"], seed=mc_seed)
 
@@ -522,9 +556,7 @@ def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
         target = net.g_norm * (i + 1) / n_sur
         scale = target / norm if norm > 0 else 0.0
         surrogates.append(KernelExpansion(kernel_mid, mid, raw * scale))
-    split = _SplitMc(
-        net, l_prime, surrogates, ds.x, kernel, mid, kernel_mid, g_in=g_k, g_mid=g_mid
-    )
+    split = _SplitMc(net, l_prime, surrogates, ds.x, kernel, mid, kernel_mid, g_k, g_mid)
     _run_mc([ball, *split.estimators], cfg_mc)
     ball_est, split_rep = ball.result(), split.report()
 
@@ -600,26 +632,37 @@ def _objective_entry(terms: tuple[float, float, float]) -> dict:
     return {"data": terms[0], "pf": terms[1], "top": terms[2], "total": sum(terms)}
 
 
-def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
-    ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
-    deep = config["deep_model"]
-    dims_in = [config["dataset"]["d"]] + list(deep["output_dims"][:-1])
-    if deep["output_dims"][-1] != config["dataset"]["m"]:
+def _fresh_model(config: dict, ds: Dataset, seed: int):
+    """The initial model of the config's layer bandwidths and widths, and
+    its resolved train seed."""
+    deep, data = config["deep_model"], config["dataset"]
+    if deep["output_dims"][-1] != data["m"]:
         raise ConfigError("last output dim must equal the dataset output dim")
     if len(deep["bandwidths"]) != len(deep["output_dims"]):
         raise ConfigError("bandwidths and output_dims must have equal length")
+    dims_in = [data["d"]] + list(deep["output_dims"][:-1])
     kernels = [
         ScalarKernelSpec("gaussian", bw, dimension=d_in)
         for bw, d_in in zip(deep["bandwidths"], dims_in)
     ]
     outputs = [np.eye(dim) for dim in deep["output_dims"]]
     train_seed = deep["train"].get("seed", derive_seed(seed, 5))
+    return init_layered_model(ds.x, kernels, outputs, seed=train_seed), train_seed
+
+
+def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
+    ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
+    deep = config["deep_model"]
+    # after a checkpoint only a sweep trains a fresh model
+    if "checkpoint_in" not in deep or "lambda1_sweep" in deep:
+        fresh_model, train_seed = _fresh_model(config, ds, seed)
+        seeds = {**seeds, "train": train_seed}
     t_cfg = _build(TrainConfig, deep["train"])
     if "checkpoint_in" in deep:
         with open(_resolve(deep["checkpoint_in"], base_dir)) as fh:
             model = model_from_dict(json.load(fh))
     else:
-        model = init_layered_model(ds.x, kernels, outputs, seed=train_seed)
+        model = fresh_model
     # one objective per trained model: G_bottom is whitened once for the
     # initial and final terms, the training and the bound
     problem = _Objective(model, ds.x, ds.y)
@@ -695,9 +738,7 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
         # the entry of the config just trained from a fresh model is that run
         trained_fresh = "checkpoint_in" not in deep and not deep.get("evaluate_only", False)
         # without a checkpoint the run's model is the fresh one
-        fresh = problem if "checkpoint_in" not in deep else _Objective(
-            init_layered_model(ds.x, kernels, outputs, seed=train_seed), ds.x, ds.y
-        )
+        fresh = problem if "checkpoint_in" not in deep else _Objective(fresh_model, ds.x, ds.y)
         sweep = []
         for lam1 in deep["lambda1_sweep"]:
             if trained_fresh and lam1 == t_cfg.lambda1:
@@ -715,7 +756,7 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
             json.dump(_jsonify(model_to_dict(result.model)), fh, indent=2)
         metrics["checkpoint"] = deep["checkpoint_out"]
 
-    return {"metrics": metrics, "resolved_seeds": {**seeds, "train": train_seed}}
+    return {"metrics": metrics, "resolved_seeds": seeds}
 
 
 def _run_spectral(config: dict, seed: int, base_dir: Path) -> dict:

@@ -20,7 +20,7 @@ from .kernels import DecomposableKernel, KernelExpansion, ScalarKernelSpec
 class GeneratorConfig:
     n: int
     d: int
-    m: int
+    m: int = 1
     noise: float = 0.0
     teacher_anchors: int = 8
     teacher_bandwidth: float = 1.0

@@ -315,6 +315,11 @@ class _Objective:
     def __init__(self, model: LayeredModel, xs, ys=None, probes=None):
         self.x = as_points(xs, model.input_dim)
         self.y = None if ys is None else _columns(ys)
+        if self.y is not None and self.y.shape != (self.x.shape[0], model.output_dim):
+            raise InputError(
+                f"labels of shape {self.y.shape} for {self.x.shape[0]} points and "
+                f"{model.output_dim} model outputs"
+            )
         if probes is None:
             probes = default_probes(self.y, model.output_dim)
         self.probes = _columns(probes)

@@ -75,7 +75,7 @@ class FittedModel:
     def effective_coeffs(self) -> np.ndarray:
         if self.kind == "full":
             return self.coeffs
-        return self.sketch.dense.T @ self.coeffs
+        return self.sketch.matrix.T @ self.coeffs
 
     def predict(self, x, gram=None) -> np.ndarray:
         """Rows k(x, anchors) @ A @ M; ``gram`` is k(x, anchors) when at hand
@@ -156,14 +156,14 @@ def _solve_squared_full(g_eigh, m_mat, y, lambda_n):
     return g_vecs @ a_t @ m_vecs.T
 
 
-def _solve_squared_sketched(g, m_mat, y, lambda_n, s_dense):
+def _solve_squared_sketched(k_sk, sgs, m_mat, y, lambda_n):
     # per-column systems after right-multiplying stationarity by M^-1:
     #   [(2 mu_j / n) S G^2 S^T + lambda S G S^T] gamma_j = (2/n) (S G Y V)_j
-    n = g.shape[0]
+    # on the fit's k_sk = G S^T and sgs = S G S^T; S G is k_sk^T, G symmetric
+    n = k_sk.shape[0]
     m_vals, m_vecs = np.linalg.eigh(m_mat)
-    sg = s_dense @ g
-    sg2s = sg @ sg.T
-    sgs = sg @ s_dense.T
+    sg = k_sk.T
+    sg2s = sg @ k_sk
     rhs = (2.0 / n) * (sg @ y @ m_vecs)
     cols = []
     for j, mu in enumerate(m_vals):
@@ -293,7 +293,7 @@ def fit_sketched(
     """
     pts, targets, g = _prepare(kernel, x, y, gram)
     _require_invertible_m(kernel.output)
-    s_dense = sk.dense
+    s_dense = sk.matrix
     if s_dense.shape[1] != pts.shape[0]:
         raise InputError(
             f"sketch has {s_dense.shape[1]} columns for {pts.shape[0]} points"
@@ -303,7 +303,7 @@ def fit_sketched(
     k_sk = g @ s_dense.T
     sgs = s_dense @ k_sk
     if loss.family == "squared":
-        gamma = _solve_squared_sketched(g, m_mat, targets, cfg.lambda_n, s_dense)
+        gamma = _solve_squared_sketched(k_sk, sgs, m_mat, targets, cfg.lambda_n)
         obj = _objective_sketched(m_mat, k_sk, sgs, targets, loss, cfg.lambda_n, gamma)
         resid = (
             k_sk.T @ ((2.0 / n) * (k_sk @ gamma @ m_mat - targets)) @ m_mat

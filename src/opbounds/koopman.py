@@ -106,7 +106,6 @@ class NetworkSpec:
     layers: tuple[LayerSpec, ...]
     g_norm: float
     output_dim: int
-    injectivity_class: tuple[float, float] | None = None  # (C, D)
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -220,12 +219,12 @@ class LayerInjectivity:
         return self.dimension_ok and self.norm_ok and self.det_ok
 
 
-def check_injectivity_class(net: NetworkSpec) -> tuple[list[LayerInjectivity], bool]:
+def check_injectivity_class(
+    net: NetworkSpec, c_max: float, d_min: float
+) -> tuple[list[LayerInjectivity], bool]:
     """Per-layer membership in the weight class {d_out >= d_in, ||W|| <= C,
-    det(W^T W)^(1/2) >= D}, plus the overall verdict."""
-    if net.injectivity_class is None:
-        raise InputError("network has no injectivity class set")
-    c_max, d_min = net.injectivity_class
+    det(W^T W)^(1/2) >= D} with C = ``c_max`` and D = ``d_min``, plus the
+    overall verdict."""
     verdicts = []
     for layer in net.layers:
         w = layer.weights
@@ -398,11 +397,10 @@ class _SplitMc:
     approximation estimators built.  Run ``estimators`` through one
     Monte-Carlo pass, then read :meth:`report`.
 
-    ``g_in`` and ``g_mid``, when given, must be the scalar Grams of
-    ``kernel_in`` at ``data`` and of ``kernel_mid`` at ``mid_points``;
-    otherwise they are assembled here.  The class predictions are read off
-    the mid Gram (``g_mid @ c @ M`` per surrogate), since the surrogates are
-    anchored at the mid points."""
+    ``g_in`` and ``g_mid`` must be the scalar Grams of ``kernel_in`` at
+    ``data`` and of ``kernel_mid`` at ``mid_points``.  The class predictions
+    are the approximation term's ``g_mid @ c @ M`` per surrogate, since the
+    surrogates are anchored at the mid points."""
 
     def __init__(
         self,
@@ -413,8 +411,8 @@ class _SplitMc:
         kernel_in: DecomposableKernel,
         mid_points,
         kernel_mid: DecomposableKernel,
-        g_in: np.ndarray | None = None,
-        g_mid: np.ndarray | None = None,
+        g_in: np.ndarray,
+        g_mid: np.ndarray,
     ):
         if not (1 <= l_prime <= net.depth):
             raise InputError(f"l_prime={l_prime} outside [1, {net.depth}]")
@@ -438,18 +436,11 @@ class _SplitMc:
         self.factors = _layer_factors(net, l_prime)
         self.eta = _factor_product(self.factors)
 
-        if g_mid is None:
-            g_mid = gram_scalar(kernel_mid.scalar, mid)
-        self.class_mc = _ClassMc(
-            (g_mid @ h.coeffs @ h.kernel.output for h in upper_class),
-            mid.shape[0],
-            kernel_in.output_dim,
-        )
-        if g_in is None:
-            g_in = gram_scalar(kernel_in.scalar, x)
         check_kappa(kernel_in, g_in)
         check_kappa(kernel_mid, g_mid)
         self.approx_mc = _ApproxMc(upper_class, g_in, g_mid, kernel_mid.output)
+        n, m = mid.shape[0], kernel_in.output_dim
+        self.class_mc = _ClassMc((row.reshape(n, m) for row in self.approx_mc.coeff_g), n, m)
         self.estimators = (self.class_mc, self.approx_mc)
         self.kernel_in, self.n = kernel_in, x.shape[0]
 
@@ -497,6 +488,9 @@ def split_complexity_bound(
     ``mid_points`` drive the coupled sign draws of the approximation term; the
     class estimate reads the same draws, all in one Monte-Carlo pass.
     """
-    split = _SplitMc(net, l_prime, upper_class, data, kernel_in, mid_points, kernel_mid)
+    g_in, g_mid = gram_scalar(kernel_in.scalar, data), gram_scalar(kernel_mid.scalar, mid_points)
+    split = _SplitMc(
+        net, l_prime, upper_class, data, kernel_in, mid_points, kernel_mid, g_in, g_mid
+    )
     _run_mc(split.estimators, cfg)
     return split.report()

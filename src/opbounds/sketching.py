@@ -59,19 +59,10 @@ class SketchMatrix:
     matrix: np.ndarray
     spec: SketchSpec = field(default=None)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    @property
-    def dense(self) -> np.ndarray:
-        return np.asarray(self.matrix)
-
     def write_text(self, path) -> None:
         """Rows of space-separated reals; floats printed to full precision."""
-        dense = self.dense
         with open(path, "w") as fh:
-            for row in dense:
+            for row in self.matrix:
                 fh.write(" ".join(repr(float(v)) for v in row))
                 fh.write("\n")
 
@@ -113,7 +104,7 @@ def decompose_sketch(sk: SketchMatrix) -> SketchDecomposition:
     The sub-sampling factor selects exactly the columns carrying at least one
     nonzero; the product reconstructs the sketch entrywise exactly.
     """
-    dense = sk.dense
+    dense = sk.matrix
     s, n = dense.shape
     retained = np.flatnonzero((dense != 0.0).any(axis=0))
     q = retained.size

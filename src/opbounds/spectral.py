@@ -22,6 +22,9 @@ from .sketching import SketchMatrix
 #: Absolute floor under which eigenvalues of a scaled Gram count as zero.
 EIG_CLIP = 1e-10
 
+#: Bracket width at which the critical-radius bisection stops.
+_RADIUS_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -81,7 +84,7 @@ def _psi(delta: float, mu: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.minimum(delta * delta, mu))))
 
 
-def critical_radius(mu, *, tol: float = 1e-10) -> float:
+def critical_radius(mu) -> float:
     """Minimal delta^2 with psi(delta) <= delta^2, by bisection on delta."""
     mu = np.asarray(mu, dtype=float)
     if mu.size == 0 or mu.max() <= 0.0:
@@ -91,7 +94,7 @@ def critical_radius(mu, *, tol: float = 1e-10) -> float:
     hi = max(1.0, float(np.sqrt(mu[0])))
     # psi(hi) <= sqrt(mu_1) <= max(1, mu_1) = hi^2, so the bracket is valid.
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > _RADIUS_TOL:
         mid = 0.5 * (lo + hi)
         if _psi(mid, mu) <= mid * mid:
             hi = mid
@@ -129,7 +132,7 @@ def check_satisfiability(
     n = dec.u.shape[0]
     if not (1 <= d_n <= n):
         raise InputError(f"d_n={d_n} outside [1, {n}]")
-    s_dense = sk.dense
+    s_dense = sk.matrix
     if s_dense.shape[1] != n:
         raise InputError(
             f"sketch has {s_dense.shape[1]} columns, Gram has {n} points"

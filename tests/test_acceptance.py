@@ -474,7 +474,7 @@ _DET_CONFIGS = {
     },
     "spectral-report": {
         "seed": 7,
-        "dataset": {"kind": "synthetic", "n": 20, "d": 2, "m": 1, "noise": 0.0},
+        "dataset": {"kind": "synthetic", "n": 20, "d": 2},
         "kernel": {"family": "gaussian", "bandwidth": 1.0},
         "sketch": {"rows": 10, "p": 0.5, "dist": "rademacher"},
     },

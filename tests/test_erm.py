@@ -81,7 +81,7 @@ def test_huber_descends_from_zero(fit):
         sk = make_p_sparsified(SketchSpec(s=8, n=20, p=1.0, dist="gaussian", seed=2))
         model = fit_sketched(kernel, x, y, HUBER, cfg, sk)
         at_zero = objective_sketched(
-            kernel, g, y, HUBER, cfg.lambda_n, sk.dense, np.zeros((8, 2))
+            kernel, g, y, HUBER, cfg.lambda_n, sk.matrix, np.zeros((8, 2))
         )
     assert model.diagnostics.iterations >= 1
     assert model.diagnostics.objective <= at_zero
@@ -136,7 +136,7 @@ def test_sketched_monotone_descent_from_zero():
     model = fit_sketched(kernel, x, y, PINBALL, cfg, sk)
     g = gram_scalar(kernel.scalar, x)
     at_zero = objective_sketched(
-        kernel, g, y, PINBALL, cfg.lambda_n, sk.dense, np.zeros((6, 2))
+        kernel, g, y, PINBALL, cfg.lambda_n, sk.matrix, np.zeros((6, 2))
     )
     assert model.diagnostics.objective <= at_zero
 
@@ -243,7 +243,7 @@ def test_supplied_gram_fits_match_self_assembled(seed, n, s, loss):
     # the hoisted sketched objective reports the public objective's bits
     gamma = pairs[2][1].coeffs
     assert pairs[2][1].diagnostics.objective == objective_sketched(
-        kernel, g, y, loss, cfg.lambda_n, sk.dense, gamma
+        kernel, g, y, loss, cfg.lambda_n, sk.matrix, gamma
     )
 
 

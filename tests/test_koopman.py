@@ -132,9 +132,8 @@ def test_injectivity_class_identity_passes():
         layers=(layer(np.eye(2)), layer(np.eye(2))),
         g_norm=1.0,
         output_dim=2,
-        injectivity_class=(1.0, 1.0),
     )
-    verdicts, overall = check_injectivity_class(net)
+    verdicts, overall = check_injectivity_class(net, 1.0, 1.0)
     assert overall and all(v.ok for v in verdicts)
 
 
@@ -143,9 +142,8 @@ def test_injectivity_class_dimension_flag():
         layers=(layer(np.ones((1, 2)), s_in=2.0, s_out=1.0),),
         g_norm=1.0,
         output_dim=2,
-        injectivity_class=(10.0, 0.0001),
     )
-    verdicts, overall = check_injectivity_class(net)
+    verdicts, overall = check_injectivity_class(net, 10.0, 0.0001)
     assert not overall and not verdicts[0].dimension_ok
 
 
@@ -154,9 +152,8 @@ def test_injectivity_class_norm_flag():
         layers=(layer(np.diag([2.0, 3.0])),),
         g_norm=1.0,
         output_dim=2,
-        injectivity_class=(2.5, 6.0),
     )
-    verdicts, overall = check_injectivity_class(net)
+    verdicts, overall = check_injectivity_class(net, 2.5, 6.0)
     v = verdicts[0]
     assert v.dimension_ok and v.det_ok and not v.norm_ok
     assert not overall

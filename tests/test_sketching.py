@@ -16,23 +16,23 @@ from opbounds.sketching import (
 
 def test_p_one_rademacher_entries():
     spec = SketchSpec(s=8, n=30, p=1.0, dist="rademacher", seed=42)
-    sk = make_p_sparsified(spec).dense
+    sk = make_p_sparsified(spec).matrix
     assert np.all(np.abs(sk) == 1.0 / math.sqrt(8))
 
 
 def test_determinism_same_seed():
     spec = SketchSpec(s=10, n=25, p=0.5, dist="gaussian", seed=7)
-    a = make_p_sparsified(spec).dense
-    b = make_p_sparsified(spec).dense
+    a = make_p_sparsified(spec).matrix
+    b = make_p_sparsified(spec).matrix
     assert np.array_equal(a, b)
-    c = make_p_sparsified(SketchSpec(s=10, n=25, p=0.5, dist="gaussian", seed=8)).dense
+    c = make_p_sparsified(SketchSpec(s=10, n=25, p=0.5, dist="gaussian", seed=8)).matrix
     assert not np.array_equal(a, c)
 
 
 def test_nonzero_fraction_near_p():
     spec = SketchSpec(s=50, n=500, p=0.1, dist="gaussian", seed=3)
     sk = make_p_sparsified(spec)
-    frac = np.count_nonzero(sk.dense) / (50 * 500)
+    frac = np.count_nonzero(sk.matrix) / (50 * 500)
     assert 0.08 <= frac <= 0.12
 
 
@@ -40,12 +40,11 @@ def test_dense_storage_at_every_p():
     for p in (0.1, 0.5):
         sk = make_p_sparsified(SketchSpec(s=10, n=50, p=p, seed=0))
         assert type(sk.matrix) is np.ndarray and sk.matrix.shape == (10, 50)
-        assert sk.dense is sk.matrix
 
 
 def test_scale_override():
     spec = SketchSpec(s=4, n=6, p=1.0, dist="rademacher", seed=1, scale=1.0)
-    sk = make_p_sparsified(spec).dense
+    sk = make_p_sparsified(spec).matrix
     assert np.all(np.abs(sk) == 1.0)
 
 
@@ -66,7 +65,7 @@ def test_decompose_identity_when_p_one():
     dec = decompose_sketch(sk)
     assert dec.subsample.shape == (12, 12)
     assert np.array_equal(dec.subsample, np.eye(12))
-    assert np.array_equal(dec.product(), sk.dense)
+    assert np.array_equal(dec.product(), sk.matrix)
 
 
 def test_decompose_drops_zero_columns():
@@ -86,7 +85,7 @@ def test_decompose_reconstruction_exact(seed):
     dist = "gaussian" if seed % 2 else "rademacher"
     sk = make_p_sparsified(SketchSpec(s=s, n=n, p=p, dist=dist, seed=seed))
     dec = decompose_sketch(sk)
-    assert np.array_equal(dec.product(), sk.dense)
+    assert np.array_equal(dec.product(), sk.matrix)
 
 
 def test_expected_isometry_p_one_gaussian():
@@ -94,7 +93,7 @@ def test_expected_isometry_p_one_gaussian():
     acc = np.zeros((n, n))
     for seed in range(n_seeds):
         sk = make_p_sparsified(SketchSpec(s=s, n=n, p=1.0, dist="gaussian", seed=seed))
-        acc += sk.dense.T @ sk.dense
+        acc += sk.matrix.T @ sk.matrix
     mean = acc / n_seeds
     off = mean - np.diag(np.diag(mean))
     assert np.abs(off).max() <= 5.0 / math.sqrt(n_seeds * s)
@@ -122,4 +121,4 @@ def test_text_serialization_roundtrip(tmp_path):
     path = tmp_path / "sketch.txt"
     sk.write_text(path)
     back = read_sketch_text(path)
-    assert np.array_equal(back, sk.dense)
+    assert np.array_equal(back, sk.matrix)
