@@ -12,8 +12,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "kernels": "DecomposableKernel KernelExpansion ScalarKernelSpec eval_scalar "
-    "gram_operator gram_scalar predict_expansion sobolev_norm_gaussian",
+    "kernels": "DecomposableKernel KernelExpansion ScalarKernelSpec gram_scalar "
+    "sobolev_norm_gaussian",
     "sketching": "SketchMatrix SketchSpec decompose_sketch make_p_sparsified "
     "satisfiability_constant",
     "spectral": "SpectralReport check_satisfiability critical_radius "
@@ -21,14 +21,12 @@ _EXPORTS = {
     "losses": "LossSpec lipschitz_constant loss_subgradient loss_value",
     "erm": "FitConfig FittedModel empirical_risk excess_risk_bound_rhs fit_full "
     "fit_sketched",
-    "complexity": "McConfig rademacher_ball_exact rademacher_ball_mc "
-    "rademacher_class_mc trace_bound",
-    "koopman": "BoundReport LayerSpec NetworkSpec check_injectivity_class "
-    "det_quarter_root product_bound peeled_bound spectral_ratio_factor "
-    "split_complexity_bound",
-    "deepvv": "LayeredModel TrainConfig VVLayer forward init_layered_model "
-    "pf_product_norm pf_complexity_bound refine_kernel separable_bound "
-    "top_layer_norm train",
+    "complexity": "BallMc ClassMc McConfig rademacher_ball_exact run_mc trace_bound",
+    "koopman": "ApproxMc BoundReport LayerSpec NetworkSpec SplitMc "
+    "check_injectivity_class det_quarter_root product_bound peeled_bound "
+    "spectral_ratio_factor",
+    "deepvv": "DeepObjective LayeredModel TrainConfig VVLayer forward "
+    "init_layered_model refine_kernel separable_bound train",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

@@ -24,18 +24,18 @@ import numpy as np
 from . import __version__
 from ._blas import single_blas_thread
 from ._rng import derive_seed, substream
-from .complexity import McConfig, _BallMc, _run_mc, trace_bound
+from .complexity import BallMc, McConfig, run_mc, trace_bound
 from .data import Dataset, GeneratorConfig, _read_numbers, read_csv, synth_dataset
 from .deepvv import (
+    DeepObjective,
     TrainConfig,
     TrainResult,
-    _Objective,
-    _train,
     init_layered_model,
     model_from_dict,
     model_to_dict,
     refine_kernel,
     separable_bound,
+    train,
 )
 from .erm import FitConfig, empirical_risk, excess_risk_bound_rhs, fit_full, fit_sketched
 from .errors import ConfigError, InputError, OpboundsError, RefinementOrderError
@@ -47,13 +47,7 @@ from .kernels import (
     check_kappa,
     gram_scalar,
 )
-from .koopman import (
-    LayerSpec,
-    NetworkSpec,
-    _SplitMc,
-    product_bound,
-    peeled_bound,
-)
+from .koopman import LayerSpec, NetworkSpec, SplitMc, product_bound, peeled_bound
 from .losses import LossSpec, lipschitz_constant
 from .sketching import SketchMatrix, SketchSpec, make_p_sparsified, satisfiability_constant
 from .spectral import (
@@ -471,6 +465,13 @@ def _build_kernel(config: dict, base_dir: Path) -> DecomposableKernel:
 
 
 def _build_network(cfg: dict, base_dir: Path) -> NetworkSpec:
+    # Draft-7 cannot select the last item of an array, so this rule is checked here
+    last = len(cfg["layers"]) - 1
+    if "activation_koopman_norm" in cfg["layers"][last]:
+        raise ConfigError(
+            f"config invalid at network/layers/{last}/activation_koopman_norm: the last "
+            "layer has no activation, so no bound reads it"
+        )
     layers = tuple(
         _build(
             LayerSpec,
@@ -532,7 +533,7 @@ def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
     # surrogate norms, the class predictions and the approximation term
     g_k = gram_scalar(kernel.scalar, ds.x)
     check_kappa(kernel, g_k)
-    ball = _BallMc(g_k, kernel.output, ds.n)
+    ball = BallMc(g_k, kernel.output, ds.n)
     kappa, tr_m = kernel.kappa, kernel.trace_m()
     product = product_bound(net, kappa, tr_m, ds.n)
     split_at = config.get("split", 0)
@@ -556,9 +557,9 @@ def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
         target = net.g_norm * (i + 1) / n_sur
         scale = target / norm if norm > 0 else 0.0
         surrogates.append(KernelExpansion(kernel_mid, mid, raw * scale))
-    split = _SplitMc(net, l_prime, surrogates, ds.x, kernel, mid, kernel_mid, g_k, g_mid)
-    _run_mc([ball, *split.estimators], cfg_mc)
-    ball_est, split_rep = ball.result(), split.report()
+    split = SplitMc(net, l_prime, surrogates, ds.x, kernel, mid, kernel_mid, g_k, g_mid)
+    ball_est, *split_results = run_mc([ball, *split.estimators], cfg_mc)
+    split_rep = split.report(*split_results)
 
     metrics = {
         "trace_bound": trace_bound(kappa, tr_m, ds.n),
@@ -665,27 +666,27 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
         model = fresh_model
     # one objective per trained model: G_bottom is whitened once for the
     # initial and final terms, the training and the bound
-    problem = _Objective(model, ds.x, ds.y)
+    objective = DeepObjective(model, ds.x, ds.y)
     if deep.get("evaluate_only", False):
-        result = TrainResult(model=model)
-        first = last = problem.forward(model.coeffs)
+        point = objective.forward(model.coeffs)
+        result = TrainResult(model, point, point)
     else:
-        result, first, last = _train(problem, t_cfg)
-    init_terms = problem.terms(first, t_cfg.lambda1, t_cfg.lambda2)
-    final_terms = problem.terms(last, t_cfg.lambda1, t_cfg.lambda2)
-    last.drop_grams()  # its norms are set; what follows needs at most its levels
+        result = train(objective, t_cfg)
+    init_terms = objective.terms(result.first, t_cfg.lambda1, t_cfg.lambda2)
+    final_terms = objective.terms(result.last, t_cfg.lambda1, t_cfg.lambda2)
+    result.last.drop_grams()  # its norms are set; what follows needs at most its levels
 
     kappa = 1.0  # gaussian layer kernels are normalized at zero distance
     tr_m1 = float(np.trace(result.model.layers[0].output))
 
     def bounds(pf_norm: float, top_norm: float) -> tuple[float, float, float]:
         """pf bound and the printed and consistent separable bounds."""
-        return problem.pf_total(pf_norm, top_norm), *(
+        return objective.pf_total(pf_norm, top_norm), *(
             separable_bound(kappa, tr_m1, ds.n, mode, pf_norm, top_norm)
             for mode in ("printed", "consistent")
         )
 
-    pf_rep = problem.pf_bound(last)
+    pf_rep = objective.pf_bound(result.last)
     pf, top = pf_rep["pf_norm"], pf_rep["top_norm"]
     _, sep_printed, sep_consistent = bounds(pf, top)
     epochs = []
@@ -738,15 +739,15 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
         # the entry of the config just trained from a fresh model is that run
         trained_fresh = "checkpoint_in" not in deep and not deep.get("evaluate_only", False)
         # without a checkpoint the run's model is the fresh one
-        fresh = problem if "checkpoint_in" not in deep else _Objective(fresh_model, ds.x, ds.y)
+        fresh = DeepObjective(fresh_model, ds.x, ds.y) if "checkpoint_in" in deep else objective
         sweep = []
         for lam1 in deep["lambda1_sweep"]:
             if trained_fresh and lam1 == t_cfg.lambda1:
                 final_pf = pf
             else:
                 # only the final norm is kept, so no trajectory is recorded
-                _, _, last_l = _train(fresh, replace(t_cfg, lambda1=lam1), trajectory=False)
-                final_pf = fresh.pf_norm(last_l)
+                swept = train(fresh, replace(t_cfg, lambda1=lam1), trajectory=False)
+                final_pf = fresh.pf_norm(swept.last)
             sweep.append({"lambda1": lam1, "final_pf_norm": final_pf})
         metrics["lambda1_sweep"] = sweep
 

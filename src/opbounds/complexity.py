@@ -11,23 +11,24 @@ assembled: the forms are computed from the factors as
 counter-based substream, and are reduced in block order: results are
 deterministic and schedule-independent.
 
-Each estimator is a per-block accumulator whose checks all run when it is
-built, before any draw.  One loop, :func:`_run_mc`, draws every block once
+Each estimator (:class:`BallMc`, :class:`ClassMc`, and the split bound's
+``koopman.ApproxMc``) is a per-block accumulator whose checks all run when it
+is built, before any draw.  One loop, :func:`run_mc`, draws every block once
 and feeds it to all the estimators of a pass, and a form on a Gram that
 several of them read is computed once per block; so estimators that share a
 pass read the same signs and give the same values as when run one by one.
+A single estimate is ``(est,) = run_mc([BallMc(g, out, n)], cfg)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from ._rng import substream
 from .errors import InputError, NotPsdError, NumericError
-from .kernels import as_points
 
 _BLOCK = 512
 
@@ -92,7 +93,7 @@ def _quad_forms(rows: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.einsum("iar,iar->r", w, np.matmul(out, gw))
 
 
-class _Block:
+class SignBlock:
     """One sign block and the quadratic forms read from it: each (Gram, M)
     pair is computed once, however many estimators read it.  Pairs are told
     apart by identity, so estimators that share a Gram must hold the same
@@ -119,15 +120,17 @@ class _Block:
         return q
 
 
-def _run_mc(estimators: Sequence, cfg: McConfig) -> None:
-    """The one Monte-Carlo loop: draw every sign block of ``cfg`` once and
-    hand it to each estimator's ``add``.  One block is alive at a time; the
-    estimators share one sign width."""
+def run_mc(estimators: Sequence, cfg: McConfig) -> list:
+    """The one Monte-Carlo loop: draw every sign block of ``cfg`` once, hand
+    it to each estimator's ``add``, and return each estimator's ``result()``
+    in order.  One block is alive at a time; the estimators share one sign
+    width, their ``width`` attribute."""
     for signs in sign_blocks(cfg.draws, estimators[0].width, cfg.seed):
-        block = _Block(signs)
+        block = SignBlock(signs)
         for est in estimators:
             est.add(block)
         del block  # freed before the next block is drawn
+    return [est.result() for est in estimators]
 
 
 class _MeanMc:
@@ -157,9 +160,13 @@ def _check_n(n: int) -> None:
         raise InputError(f"sample size n must be >= 1, got {n}")
 
 
-class _BallMc(_MeanMc):
-    """Estimator of :func:`rademacher_ball_mc`; every check runs here, before
-    any draw."""
+class BallMc(_MeanMc):
+    """(1/n) E sqrt(sigma^T (G (x) M) sigma) over Rademacher sigma, with its
+    Monte-Carlo standard error.
+
+    ``g`` is the scalar Gram G_k and ``out`` the output matrix M of a
+    decomposable kernel; pass a dense operator Gram as ``g`` with
+    ``out = [[1.0]]``.  Every check runs here, before any draw."""
 
     def __init__(self, g, out, n: int):
         g, out = _matrix(g, "Gram"), _matrix(out, "output matrix")
@@ -168,20 +175,8 @@ class _BallMc(_MeanMc):
         super().__init__(n, g.shape[0] * out.shape[0])
         self.g, self.out = g, out
 
-    def add(self, block: _Block) -> None:
+    def add(self, block: SignBlock) -> None:
         self._add_values(np.sqrt(block.forms(self.g, self.out)))
-
-
-def rademacher_ball_mc(g, out, n: int, cfg: McConfig) -> McEstimate:
-    """(1/n) E sqrt(sigma^T (G (x) M) sigma) over Rademacher sigma, with its
-    Monte-Carlo standard error.
-
-    ``g`` is the scalar Gram G_k and ``out`` the output matrix M of a
-    decomposable kernel; pass a dense operator Gram as ``g`` with
-    ``out = [[1.0]]``."""
-    ball = _BallMc(g, out, n)
-    _run_mc([ball], cfg)
-    return ball.result()
 
 
 def rademacher_ball_exact(g_op: np.ndarray, n: int) -> float:
@@ -206,9 +201,14 @@ def trace_bound(kappa: float, tr_m: float, n: int) -> float:
     return float(np.sqrt(kappa * tr_m / n))
 
 
-class _ClassMc(_MeanMc):
-    """Estimator of :func:`rademacher_class_mc` over the class's predictions
-    at the n points, each an (n, m) array checked here, before any draw."""
+class ClassMc(_MeanMc):
+    """(1/n) E max_f |sum_i <sigma_i, f(x_i)>| over a finite class, with its
+    Monte-Carlo standard error.
+
+    Lower-bounds the complexity of any class containing the listed functions.
+    ``predictions`` holds, per function, its n predictions as an (n, m) array
+    (row i is f(x_i)), e.g. ``KernelExpansion.at(x)``; it is read once, here,
+    and checked before any draw."""
 
     def __init__(self, predictions: Iterable, n: int, m: int):
         rows = []
@@ -216,34 +216,15 @@ class _ClassMc(_MeanMc):
             vals = np.asarray(vals, dtype=float)
             if vals.shape != (n, m):
                 raise InputError(
-                    f"predictor returned shape {vals.shape}, expected {(n, m)}"
+                    f"predictions of shape {vals.shape}, expected {(n, m)}"
                 )
             if not np.all(np.isfinite(vals)):
-                raise NumericError("predictor returned non-finite values")
+                raise NumericError("predictions contain non-finite values")
             rows.append(vals.ravel())
         if not rows:
-            raise InputError("predictor list must be nonempty")
+            raise InputError("the class must be nonempty")
         super().__init__(n, n * m)
         self.flat = np.array(rows)
 
-    def add(self, block: _Block) -> None:
+    def add(self, block: SignBlock) -> None:
         self._add_values(np.abs(block.signs @ self.flat.T).max(axis=1))
-
-
-def rademacher_class_mc(
-    predictors: Sequence[Callable],
-    data,
-    m: int,
-    cfg: McConfig,
-) -> McEstimate:
-    """(1/n) E max_f |sum_i <sigma_i, f(x_i)>| over a finite class.
-
-    Lower-bounds the complexity of any class containing the listed functions.
-    Each predictor is called once, on the whole (n, d) point batch, and must
-    return its n predictions as an (n, m) array (row i is f(x_i)), e.g.
-    ``KernelExpansion.at``.
-    """
-    x = as_points(data)
-    est = _ClassMc((f(x) for f in predictors), x.shape[0], m)
-    _run_mc([est], cfg)
-    return est.result()

@@ -17,17 +17,18 @@ plain gradient descent with backtracking on
 
 Kernels, output matrices and anchors stay fixed; training moves only the
 coefficient arrays, one per layer, and builds a model from them once, at the
-end.  Three quantities do not depend on the coefficients, so one ``train()``
-call computes each once and reuses it for every objective, gradient and
-trajectory norm: the whitening basis of G_bottom, the first layer's cross
-Gram k_1(x, anchors_1), and the last layer's anchor Gram.  Each coefficient
-point gets one forward pass, which keeps every layer's cross Gram; the
-gradient backpropagates through those Grams, and the accepted line-search
-candidate's pass, with its transfer-product and top-layer norms, serves the
-trajectory entry and the next gradient.  The analytic gradient
-differentiates the top pencil eigenvalue through the simple-eigenvalue
-formula d rho = a^T dG_top a (the whitening basis is fixed) and falls back
-to finite differences when the top eigenvalue gap degenerates.
+end.  Three quantities do not depend on the coefficients, so one
+:class:`DeepObjective` computes each once and reuses it for every objective,
+gradient and norm of every ``train`` call on it: the whitening basis of
+G_bottom, the first layer's cross Gram k_1(x, anchors_1), and the last
+layer's anchor Gram.  Each coefficient point gets one forward pass, which
+keeps every layer's cross Gram; the gradient backpropagates through those
+Grams, and the accepted line-search candidate's pass, with its
+transfer-product and top-layer norms, serves the trajectory entry and the
+next gradient.  The analytic gradient differentiates the top pencil
+eigenvalue through the simple-eigenvalue formula d rho = a^T dG_top a (the
+whitening basis is fixed) and falls back to finite differences when the top
+eigenvalue gap degenerates.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class VVLayer:
     output: np.ndarray
     anchors: np.ndarray
     coeffs: np.ndarray
-    capacity: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "output", make_output_matrix(self.output))
@@ -84,8 +84,6 @@ class VVLayer:
                 f"{self.anchors.shape[0]} anchors and output dim {self.output.shape[0]}"
             )
         object.__setattr__(self, "coeffs", c)
-        if self.capacity is not None and not self.capacity > 0:
-            raise InputError("capacity must be positive when set")
 
     @property
     def out_dim(self) -> int:
@@ -149,21 +147,19 @@ def init_layered_model(
     kernels: list[ScalarKernelSpec],
     outputs: list[np.ndarray],
     seed: int = 0,
-    capacities: list[float | None] | None = None,
 ) -> LayeredModel:
     """Build a model anchored at the training inputs propagated layer-wise,
     with coefficients i.i.d. uniform in [-0.1, 0.1] from the seed."""
     pts = as_points(x, kernels[0].dimension)
     if len(kernels) != len(outputs):
         raise InputError("kernels and output matrices must pair up")
-    caps = capacities if capacities is not None else [None] * len(kernels)
     layers = []
     u = pts
     for j, (spec, m_mat) in enumerate(zip(kernels, outputs)):
         g = substream(seed, j)
         m_mat = make_output_matrix(m_mat)
         c = g.uniform(-0.1, 0.1, size=(u.shape[0], m_mat.shape[0]))
-        layer = VVLayer(spec, m_mat, u, c, capacity=caps[j])
+        layer = VVLayer(spec, m_mat, u, c)
         layers.append(layer)
         u = layer.apply(u)
     return LayeredModel(tuple(layers))
@@ -227,24 +223,6 @@ def _pf_top(model: LayeredModel, mids: np.ndarray, probe_bilinear: np.ndarray):
     return k_top * probe_bilinear, k_top
 
 
-def pf_product_norm(model: LayeredModel, xs, probes) -> float:
-    """Norm of the transfer-operator product restricted to the probe span."""
-    problem = _Objective(model, xs, probes=probes)
-    return problem.pf_norm(problem.forward(model.coeffs))
-
-
-def top_layer_norm(model: LayeredModel) -> float:
-    """RKHS norm of the last layer."""
-    return model.layers[-1].rkhs_norm()
-
-
-def pf_complexity_bound(model: LayeredModel, xs, probes) -> dict:
-    """(1/n) * pf_norm * top_norm * sqrt(sum_i Tr K_1(x_i, x_i)), with all
-    factors reported; evaluated at the given model."""
-    problem = _Objective(model, xs, probes=probes)
-    return problem.pf_bound(problem.forward(model.coeffs))
-
-
 def separable_bound(
     kappa: float, tr_m1: float, n: int, mode: str, pf_norm: float, top_norm: float
 ) -> float:
@@ -282,7 +260,7 @@ class TrainConfig:
 
 
 @dataclass
-class _Pass:
+class Pass:
     """One forward pass at a coefficient point, with what was computed on it.
 
     levels[j] feeds layer j through its cross Gram kmats[j]; ``pf_top`` is
@@ -305,12 +283,15 @@ class _Pass:
         self.kmats = self.pf_top = None
 
 
-class _Objective:
-    """Training objective of one model's fixed layers on fixed inputs, labels
-    and probes.  ``forward`` takes a list of coefficient arrays, one per
-    layer, and the other methods take its pass; G_bottom is whitened and the
-    first layer's cross Gram and last layer's anchor Gram assembled on first
-    use."""
+class DeepObjective:
+    """Training objective (see the module docstring) of one model's fixed
+    layers on fixed inputs, labels and probes.  ``forward`` takes a list of
+    coefficient arrays, one per layer (the model's own are ``model.coeffs``),
+    and the other methods take its pass and keep what they compute on it.
+    Labels are needed only for the data term and the gradient; probes
+    default to ``default_probes`` of the labels, so without labels they must
+    be given.  G_bottom is whitened and the first layer's cross Gram and last
+    layer's anchor Gram assembled once per objective, on first use."""
 
     def __init__(self, model: LayeredModel, xs, ys=None, probes=None):
         self.x = as_points(xs, model.input_dim)
@@ -321,6 +302,8 @@ class _Objective:
                 f"{model.output_dim} model outputs"
             )
         if probes is None:
+            if self.y is None:
+                raise InputError("probes are required when no labels are given")
             probes = default_probes(self.y, model.output_dim)
         self.probes = _columns(probes)
         self.model = model
@@ -346,10 +329,10 @@ class _Objective:
         last = self.model.layers[-1]
         return gram_scalar(last.kernel, last.anchors)
 
-    def forward(self, coeffs) -> _Pass:
-        return _Pass(coeffs, *_forward_trace(self.model, self.x, coeffs, self.first_gram))
+    def forward(self, coeffs) -> Pass:
+        return Pass(coeffs, *_forward_trace(self.model, self.x, coeffs, self.first_gram))
 
-    def top_norm(self, fwd: _Pass) -> float:
+    def top_norm(self, fwd: Pass) -> float:
         """RKHS norm of the last layer."""
         if fwd.top is None:
             fwd.top = _expansion_norm(
@@ -357,16 +340,16 @@ class _Objective:
             )
         return fwd.top
 
-    def _pf_top(self, fwd: _Pass) -> tuple[np.ndarray, np.ndarray]:
+    def _pf_top(self, fwd: Pass) -> tuple[np.ndarray, np.ndarray]:
         if fwd.pf_top is None:
             fwd.pf_top = _pf_top(self.model, fwd.levels[-2], self.bottom[0])
         return fwd.pf_top
 
-    def _whitened(self, fwd: _Pass) -> np.ndarray:
+    def _whitened(self, fwd: Pass) -> np.ndarray:
         """G_top whitened by G_bottom's basis; not kept on the pass."""
         return _whiten(self._pf_top(fwd)[0], self.bottom[1])
 
-    def pf_norm(self, fwd: _Pass, whitened=None) -> float:
+    def pf_norm(self, fwd: Pass, whitened=None) -> float:
         """Transfer-product norm; ``whitened`` is ``_whitened(fwd)`` when
         already built."""
         if fwd.pf is None:
@@ -374,18 +357,20 @@ class _Objective:
             fwd.pf = float(np.sqrt(_top_eigenvalue(s)))
         return fwd.pf
 
-    def data_term(self, fwd: _Pass) -> float:
+    def data_term(self, fwd: Pass) -> float:
+        if self.y is None:
+            raise InputError("the data term needs labels")
         if fwd.data is None:
             fwd.data = float(np.sum((fwd.levels[-1] - self.y) ** 2)) / self.x.shape[0]
         return fwd.data
 
-    def terms(self, fwd: _Pass, lambda1, lambda2) -> tuple[float, float, float]:
+    def terms(self, fwd: Pass, lambda1, lambda2) -> tuple[float, float, float]:
         data = self.data_term(fwd)
         pf_term = lambda1 * self.pf_norm(fwd) if lambda1 > 0 else 0.0
         top_term = lambda2 * self.top_norm(fwd) if lambda2 > 0 else 0.0
         return data, pf_term, top_term
 
-    def exceeds(self, fwd: _Pass, thresh, lambda1, lambda2, w=None) -> bool:
+    def exceeds(self, fwd: Pass, thresh, lambda1, lambda2, w=None) -> bool:
         """True when ``sum(terms(fwd, lambda1, lambda2)) > thresh`` is certain
         before the pencil eigensolve.  That sum is (data + pf_term) + top_term
         with pf_term >= 0, and rounded sums, products and square roots are
@@ -418,11 +403,12 @@ class _Objective:
         return float(np.sqrt(np.sum(diag) * np.trace(first.output)))
 
     def pf_total(self, pf: float, top: float) -> float:
-        """pf_complexity_bound's total from the transfer-product and top norms."""
+        """``pf_bound``'s total from the transfer-product and top norms."""
         return pf * top * self.trace_root / self.x.shape[0]
 
-    def pf_bound(self, fwd: _Pass) -> dict:
-        """pf_complexity_bound at the pass's coefficients."""
+    def pf_bound(self, fwd: Pass) -> dict:
+        """(1/n) * pf_norm * top_norm * sqrt(sum_i Tr K_1(x_i, x_i)) at the
+        pass's coefficients, with all factors reported."""
         trace_root = self.trace_root  # its n x n Gram is freed before any pass Gram is built
         pf, top = self.pf_norm(fwd), self.top_norm(fwd)
         return {
@@ -434,7 +420,23 @@ class _Objective:
             "note": "evaluated at the given model",
         }
 
-    def gradient(self, fwd: _Pass, lambda1, lambda2, mode) -> list[np.ndarray]:
+    def gradient(self, fwd: Pass, lambda1, lambda2, mode) -> list[np.ndarray]:
+        """Gradient of the objective with respect to every coefficient array
+        at the pass; ``mode`` is "analytic" (gaussian layer kernels only) or
+        "finite-diff".
+
+        Notes
+        -----
+        The transfer-product term differentiates rho, the top pencil
+        eigenvalue, as d rho = a^T dG_top a with a the G_bottom-normalized
+        eigenvector; this is the simple-eigenvalue perturbation formula and is
+        exact to first order because the whitening basis depends only on
+        G_bottom.  When the top eigenvalue gap falls below 1e-8 relative, the
+        whole gradient falls back to central finite differences (step
+        1e-5 * (1 + |parameter|)) with a warning.
+        """
+        if self.y is None:
+            raise InputError("the gradient needs labels")
         if mode == "finite-diff":
             return _fd_gradient(self, fwd.coeffs, lambda1, lambda2)
         if mode != "analytic":
@@ -487,20 +489,6 @@ class _Objective:
         return grads
 
 
-def objective_terms(
-    model: LayeredModel, xs, ys, lambda1: float, lambda2: float, probes=None
-) -> tuple[float, float, float]:
-    """(data term, lambda1 * pf norm, lambda2 * top norm)."""
-    problem = _Objective(model, xs, ys, probes)
-    return problem.terms(problem.forward(model.coeffs), lambda1, lambda2)
-
-
-def objective(
-    model: LayeredModel, xs, ys, lambda1: float, lambda2: float, probes=None
-) -> float:
-    return sum(objective_terms(model, xs, ys, lambda1, lambda2, probes))
-
-
 def _require_gaussian(model: LayeredModel) -> None:
     for j, layer in enumerate(model.layers, start=1):
         if layer.kernel.family != "gaussian":
@@ -522,32 +510,7 @@ def _backprop_layer(
     return grad_c, grad_u
 
 
-def gradient(
-    model: LayeredModel,
-    xs,
-    ys,
-    lambda1: float,
-    lambda2: float,
-    mode: str = "analytic",
-    probes=None,
-) -> list[np.ndarray]:
-    """Gradient of the training objective with respect to every coefficient
-    matrix.
-
-    Notes
-    -----
-    The transfer-product term differentiates rho, the top pencil eigenvalue,
-    as d rho = a^T dG_top a with a the G_bottom-normalized eigenvector; this
-    is the simple-eigenvalue perturbation formula and is exact to first order
-    because the whitening basis depends only on G_bottom.  When the top
-    eigenvalue gap falls below 1e-8 relative, the whole gradient falls back to
-    central finite differences (step 1e-5 * (1 + |parameter|)) with a warning.
-    """
-    problem = _Objective(model, xs, ys, probes)
-    return problem.gradient(problem.forward(model.coeffs), lambda1, lambda2, mode)
-
-
-def _fd_gradient(problem: _Objective, coeffs: list[np.ndarray], lambda1, lambda2):
+def _fd_gradient(problem: DeepObjective, coeffs: list[np.ndarray], lambda1, lambda2):
     grads = []
     for j, c in enumerate(coeffs):
         g = np.zeros_like(c)
@@ -566,44 +529,42 @@ def _fd_gradient(problem: _Objective, coeffs: list[np.ndarray], lambda1, lambda2
 
 @dataclass
 class TrainResult:
+    """The trained model, the passes at the first and the last coefficient
+    point, and the per-iteration trajectory."""
+
     model: LayeredModel
+    first: Pass
+    last: Pass
     trajectory: list[dict] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
     warning: str | None = None
 
 
-def train(model: LayeredModel, xs, ys, cfg: TrainConfig, probes=None) -> TrainResult:
+def train(objective: DeepObjective, cfg: TrainConfig, trajectory: bool = True) -> TrainResult:
     """Gradient descent with backtracking on the coefficient arrays of the
-    model's fixed layers; the objective never increases across accepted steps
-    and the trajectory records objective, transfer-product norm, and top-layer
-    norm per accepted iteration.
+    objective's model, from the model's own coefficients; the objective never
+    increases across accepted steps.  The trajectory records objective,
+    transfer-product norm, top-layer norm and step per accepted iteration;
+    without ``trajectory`` it stays empty and no per-iteration norm is
+    computed for it.
 
     Notes
     -----
     A line-search candidate is rejected before its pencil eigensolve when
     its data and top-layer terms alone, or those plus lambda_1 times a
     Rayleigh-quotient lower bound on its transfer-product norm, already
-    exceed the Armijo threshold (see ``_Objective.exceeds``); the accept and
-    reject decisions are those of the full objective."""
-    return _train(_Objective(model, xs, ys, probes), cfg)[0]
-
-
-def _train(
-    problem: _Objective, cfg: TrainConfig, trajectory: bool = True
-) -> tuple[TrainResult, _Pass, _Pass]:
-    """``train`` from the objective's model, also returning the passes at the
-    first and the last point.  Without ``trajectory`` the trajectory stays
-    empty and no per-iteration norm is computed for it."""
-    model = problem.model
+    exceed the Armijo threshold (see ``DeepObjective.exceeds``); the accept
+    and reject decisions are those of the full objective."""
+    model = objective.model
     lam1, lam2 = cfg.lambda1, cfg.lambda2
-    first = point = problem.forward(model.coeffs)
-    obj = sum(problem.terms(point, lam1, lam2))
+    point = objective.forward(model.coeffs)
+    obj = sum(objective.terms(point, lam1, lam2))
     if not np.isfinite(obj):
         raise NumericError(f"objective is non-finite at the start ({obj})")
-    result = TrainResult(model=model)
+    result = TrainResult(model, point, point)
     for it in range(1, cfg.iters + 1):
-        grads = problem.gradient(point, lam1, lam2, cfg.grad_mode)
+        grads = objective.gradient(point, lam1, lam2, cfg.grad_mode)
         # only one candidate's Grams are alive during the line search, which
         # keeps the peak memory of a step at that of its gradient
         point.drop_grams()
@@ -616,9 +577,9 @@ def _train(
         accepted = False
         while step >= _MIN_STEP:
             thresh = obj - _ARMIJO * step * gnorm * gnorm
-            cand = problem.forward([c - step * g for c, g in zip(point.coeffs, grads)])
-            if not problem.exceeds(cand, thresh, lam1, lam2, point.w):
-                cand_obj = sum(problem.terms(cand, lam1, lam2))
+            cand = objective.forward([c - step * g for c, g in zip(point.coeffs, grads)])
+            if not objective.exceeds(cand, thresh, lam1, lam2, point.w):
+                cand_obj = sum(objective.terms(cand, lam1, lam2))
                 if np.isfinite(cand_obj) and cand_obj <= thresh:
                     point, obj = cand, cand_obj
                     accepted = True
@@ -631,41 +592,12 @@ def _train(
             break
         if trajectory:
             result.trajectory.append(
-                {"iteration": it, "objective": obj, "pf_norm": problem.pf_norm(point),
-                 "top_norm": problem.top_norm(point), "step": step}
+                {"iteration": it, "objective": obj, "pf_norm": objective.pf_norm(point),
+                 "top_norm": objective.top_norm(point), "step": step}
             )
         result.iterations = it
-    result.model = model.with_coeffs(point.coeffs)
-    return result, first, point
-
-
-def capacity_diagnostics(model: LayeredModel) -> list[dict]:
-    """Per-layer capacity report.  Capacities are advisory: the last layer's
-    bound applies to its RKHS norm, and `within` is None when no capacity is
-    set."""
-    out = []
-    for j, layer in enumerate(model.layers):
-        norm = layer.rkhs_norm()
-        entry = {"layer": j + 1, "capacity": layer.capacity, "rkhs_norm": norm}
-        if layer.capacity is None:
-            entry["within"] = None
-        else:
-            entry["within"] = bool(norm <= layer.capacity)
-        out.append(entry)
-    return out
-
-
-def project_top_capacity(model: LayeredModel) -> LayeredModel:
-    """Rescale the last layer's coefficients onto its capacity ball when the
-    top-layer norm exceeds it; otherwise return the model unchanged."""
-    last = model.layers[-1]
-    if last.capacity is None:
-        return model
-    norm = last.rkhs_norm()
-    if norm <= last.capacity:
-        return model
-    scaled = replace(last, coeffs=last.coeffs * (last.capacity / norm))
-    return LayeredModel(tuple(model.layers[:-1]) + (scaled,))
+    result.model, result.last = model.with_coeffs(point.coeffs), point
+    return result
 
 
 def model_to_dict(model: LayeredModel) -> dict:
@@ -676,7 +608,6 @@ def model_to_dict(model: LayeredModel) -> dict:
             "output": layer.output.tolist(),
             "anchors": layer.anchors.tolist(),
             "coeffs": layer.coeffs.tolist(),
-            "capacity": layer.capacity,
         }
         for layer in model.layers
     ]
@@ -685,21 +616,26 @@ def model_to_dict(model: LayeredModel) -> dict:
 
 def model_from_dict(payload: dict) -> LayeredModel:
     """Inverse of model_to_dict; a kernel key that is omitted takes the
-    ScalarKernelSpec default, and a malformed payload raises InputError."""
+    ScalarKernelSpec default, and a malformed payload raises InputError.
+    Older checkpoints carry a layer ``"capacity": null``, which loads; a set
+    capacity raises InputError, since no model reads one any more."""
     try:
-        layers = tuple(
-            VVLayer(
+        layers = []
+        for j, entry in enumerate(payload["layers"], start=1):
+            if entry.get("capacity") is not None:
+                raise InputError(
+                    f"checkpoint layer {j} sets capacity {entry['capacity']!r}; "
+                    "layer capacities are no longer supported"
+                )
+            layers.append(VVLayer(
                 ScalarKernelSpec(**entry["kernel"]),
                 np.asarray(entry["output"], dtype=float),
                 np.asarray(entry["anchors"], dtype=float),
                 np.asarray(entry["coeffs"], dtype=float),
-                capacity=entry.get("capacity"),
-            )
-            for entry in payload["layers"]
-        )
+            ))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from exc
-    return LayeredModel(layers)
+    return LayeredModel(tuple(layers))
 
 
 def refine_kernel(model: LayeredModel, a_mat, direction: str) -> LayeredModel:

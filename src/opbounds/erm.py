@@ -395,10 +395,3 @@ def excess_risk_bound_rhs(
     t3 = 8.0 * l_val * math.sqrt(kappa * tr_m / n)
     t4 = 2.0 * math.sqrt(8.0 * math.log(4.0 / conf_delta) / n)
     return ExcessRiskBound(t1 + t2 + t3 + t4, big_c, (t1, t2, t3, t4))
-
-
-def coefficient_norm(model: FittedModel) -> float:
-    """Squared RKHS norm Tr(G A M A^T) of a fitted model, for shrinkage checks."""
-    g = gram_scalar(model.kernel.scalar, model.anchors)
-    a = model.effective_coeffs()
-    return float(np.sum((g @ a) * (a @ model.kernel.output)))

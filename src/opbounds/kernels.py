@@ -156,15 +156,6 @@ def _radial_profile(spec: ScalarKernelSpec, sq_dist: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(out), out, 0.0)
 
 
-def eval_scalar(spec: ScalarKernelSpec, x, x_prime) -> float:
-    """Evaluate the scalar kernel at a single pair of points."""
-    xa = as_points(x, spec.dimension)
-    xb = as_points(x_prime, spec.dimension)
-    if xa.shape[0] != 1 or xb.shape[0] != 1:
-        raise InputError("eval_scalar expects single points")
-    return float(_radial_profile(spec, _sq_dists(xa, xb))[0, 0])
-
-
 def gram_scalar(spec: ScalarKernelSpec, pts) -> np.ndarray:
     """n x n scalar Gram matrix; symmetric, PSD up to ``PSD_TOL * n``."""
     x = as_points(pts, spec.dimension)
@@ -187,27 +178,6 @@ def check_kappa(kernel: DecomposableKernel, g_scalar: np.ndarray) -> None:
         raise InputError(
             f"kappa={kernel.kappa} is below a probed kernel value {probed}"
         )
-
-
-def gram_operator(kernel: DecomposableKernel, pts) -> np.ndarray:
-    """nm x nm operator-valued Gram: exact Kronecker product G_k (x) M."""
-    g = gram_scalar(kernel.scalar, pts)
-    check_kappa(kernel, g)
-    return np.kron(g, kernel.output)
-
-
-def predict_expansion(kernel: DecomposableKernel, anchors, coeffs, x) -> np.ndarray:
-    """Evaluate the kernel expansion sum_j k(x, x_j) M alpha_j at one point."""
-    z = as_points(anchors, kernel.scalar.dimension)
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 2 or c.shape[0] != z.shape[0]:
-        raise InputError(
-            f"coeffs shape {c.shape} does not match {z.shape[0]} anchors"
-        )
-    if c.shape[1] != kernel.output_dim:
-        raise InputError("coeffs column count must equal the output dimension")
-    kvec = gram_scalar_cross(kernel.scalar, x, z)[0]
-    return kernel.output @ (c.T @ kvec)
 
 
 def expansion_matrix(kernel: DecomposableKernel, anchors, coeffs, x) -> np.ndarray:
@@ -245,9 +215,6 @@ class KernelExpansion:
                 f"{self.anchors.shape[0]} anchors in R^{self.kernel.output_dim}"
             )
         object.__setattr__(self, "coeffs", c)
-
-    def __call__(self, x) -> np.ndarray:
-        return predict_expansion(self.kernel, self.anchors, self.coeffs, x)
 
     def at(self, x) -> np.ndarray:
         return expansion_matrix(self.kernel, self.anchors, self.coeffs, x)

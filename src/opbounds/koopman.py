@@ -1,17 +1,18 @@
 """Composition-operator generalization bounds for multi-output networks.
 
-A network is described layer by layer (weights, bias, a user-supplied norm for
-the activation's composition operator, Sobolev orders, and a restriction-norm
+A network is described layer by layer (weights, a user-supplied norm for the
+activation's composition operator, Sobolev orders, and a restriction-norm
 ratio defaulting to 1).  Three calculators are provided:
 
 * :func:`product_bound` — product-form complexity bound for injective weights,
   evaluated at the given weights (a member of the weight class, hence a lower
   bound on the class supremum; reports carry the per-layer factors so totals
   are auditable).
-* :func:`split_complexity_bound` — splits the network after ``l_prime``
-  layers, combining the product factor of the lower block with a Monte-Carlo
-  complexity estimate of a finite surrogate class for the upper block plus an
-  approximation term.
+* :class:`SplitMc` — splits the network after ``l_prime`` layers, combining
+  the product factor of the lower block with a Monte-Carlo complexity
+  estimate of a finite surrogate class for the upper block plus an
+  approximation term (:class:`ApproxMc`), from one ``complexity.run_mc``
+  pass.
 * :func:`peeled_bound` — the norm-product form ``prod Frobenius * prod
   spectral`` with the universal constant fixed to 1.
 
@@ -28,23 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexity import (
-    McConfig,
-    McEstimate,
-    _ClassMc,
-    _matrix,
-    _quad_forms,
-    _run_mc,
-    trace_bound,
-)
+from .complexity import ClassMc, McEstimate, _matrix, _quad_forms, trace_bound
 from .errors import DegenerateInputError, InputError, NonInjectiveError
-from .kernels import (
-    DecomposableKernel,
-    KernelExpansion,
-    as_points,
-    check_kappa,
-    gram_scalar,
-)
+from .kernels import DecomposableKernel, KernelExpansion, as_points, check_kappa
 
 _INJ_TOL = 1e-12
 
@@ -60,7 +47,6 @@ class LayerSpec:
     """
 
     weights: np.ndarray
-    bias: np.ndarray | None = None
     activation_koopman_norm: float = 1.0
     sobolev_order_in: float = 1.0
     sobolev_order_out: float = 1.0
@@ -73,13 +59,6 @@ class LayerSpec:
         if not np.all(np.isfinite(w)):
             raise InputError("layer weights contain non-finite entries")
         object.__setattr__(self, "weights", w)
-        if self.bias is not None:
-            b = np.asarray(self.bias, dtype=float).ravel()
-            if b.size != w.shape[0]:
-                raise InputError(
-                    f"bias length {b.size} does not match layer width {w.shape[0]}"
-                )
-            object.__setattr__(self, "bias", b)
         if not self.activation_koopman_norm > 0:
             raise InputError("activation_koopman_norm must be positive")
         if not self.ratio_g > 0:
@@ -293,10 +272,30 @@ def peeled_bound(net: NetworkSpec, split: int) -> float:
     return total
 
 
-class _ApproxMc:
-    """Estimator of :func:`approximation_term_mc`, fed one sign block at a
-    time; every check and the loop-invariant surrogate terms are done when it
-    is built, before any draw."""
+class ApproxMc:
+    """Monte-Carlo approximation term of the split bound, fed one sign block
+    at a time by ``complexity.run_mc``; every check and the loop-invariant
+    surrogate terms are done when it is built, before any draw.
+
+    The operator Grams are ``g_in (x) out`` over the data and
+    ``g_mid (x) out`` over the mid points, given by their factors: the
+    n x n scalar Grams ``g_in``, ``g_mid`` and the m x m output matrix
+    ``out`` (dense nm x nm Grams are the case ``out = [[1.0]]``).  Sign
+    draws have width n*m; every quadratic form is ``<Sigma, G Sigma M>``.
+
+    Per sign draw, with u_n and u~_n the sign-weighted kernel sums in the
+    input and mid spaces, gamma = ||u_n|| / ||u~_n||; for each candidate h'
+    the inner supremum over h'' of
+
+        ||h' - (gamma ||h''|| / ||u~_n||) u~_n||^2
+
+    is expanded through Gram inner products; the result is the minimum over
+    h' of the root-mean over draws.  Draws with ||u~_n||^2 at or below the
+    round-off floor ``width * eps * trace(g_mid) * trace(out)`` (float64 eps;
+    an exactly degenerate draw can round to ~1e-16 and give gamma ~ 1e8) are
+    rejected and counted.  ``result()`` is (value, rejected_draws, per-draw
+    gammas).
+    """
 
     def __init__(self, upper_class: list[KernelExpansion], g_in, g_mid, out):
         if not upper_class:
@@ -359,48 +358,23 @@ class _ApproxMc:
         return value, self.rejected, np.concatenate(self.gammas)
 
 
-def approximation_term_mc(
-    upper_class: list[KernelExpansion],
-    g_in,
-    g_mid,
-    out,
-    cfg: McConfig,
-) -> tuple[float, int, np.ndarray]:
-    """Monte-Carlo approximation term of the split bound.
+class SplitMc:
+    """Layer-split bound: prod_{l <= l'} eta_l * (class complexity of the
+    upper surrogate family + trace root * approximation term).
 
-    The operator Grams are ``g_in (x) out`` over the data and
-    ``g_mid (x) out`` over the mid points, given by their factors: the
-    n x n scalar Grams ``g_in``, ``g_mid`` and the m x m output matrix
-    ``out`` (dense nm x nm Grams are the case ``out = [[1.0]]``).  Sign
-    draws have width n*m; every quadratic form is ``<Sigma, G Sigma M>``.
+    The upper class is a finite surrogate family of kernel expansions anchored
+    at ``mid_points`` under ``kernel_mid``; this surrogacy is declared in the
+    report.  ``g_in`` and ``g_mid`` must be the scalar Grams of ``kernel_in``
+    at ``data`` and of ``kernel_mid`` at ``mid_points``; they drive the
+    coupled sign draws of the approximation term.  The class predictions are
+    the approximation term's ``g_mid @ c @ M`` per surrogate, since the
+    surrogates are anchored at the mid points, so the class estimate reads
+    the same draws.
 
-    Per sign draw, with u_n and u~_n the sign-weighted kernel sums in the
-    input and mid spaces, gamma = ||u_n|| / ||u~_n||; for each candidate h'
-    the inner supremum over h'' of
-
-        ||h' - (gamma ||h''|| / ||u~_n||) u~_n||^2
-
-    is expanded through Gram inner products; the result is the minimum over
-    h' of the root-mean over draws.  Draws with ||u~_n||^2 at or below the
-    round-off floor ``width * eps * trace(g_mid) * trace(out)`` (float64 eps;
-    an exactly degenerate draw can round to ~1e-16 and give gamma ~ 1e8) are
-    rejected and counted.  Returns (value, rejected_draws, per-draw gammas).
-    """
-    approx = _ApproxMc(upper_class, g_in, g_mid, out)
-    _run_mc([approx], cfg)
-    return approx.result()
-
-
-class _SplitMc:
-    """The split bound of :func:`split_complexity_bound` up to its draws:
-    every check done, the lower-layer factors computed and the class and
-    approximation estimators built.  Run ``estimators`` through one
-    Monte-Carlo pass, then read :meth:`report`.
-
-    ``g_in`` and ``g_mid`` must be the scalar Grams of ``kernel_in`` at
-    ``data`` and of ``kernel_mid`` at ``mid_points``.  The class predictions
-    are the approximation term's ``g_mid @ c @ M`` per surrogate, since the
-    surrogates are anchored at the mid points."""
+    Building it does every check and computes the lower-layer factors; then
+    ``split.report(*run_mc(split.estimators, cfg))`` runs the class and
+    approximation estimators through one Monte-Carlo pass, which may also
+    carry other estimators of the same sign width."""
 
     def __init__(
         self,
@@ -438,15 +412,15 @@ class _SplitMc:
 
         check_kappa(kernel_in, g_in)
         check_kappa(kernel_mid, g_mid)
-        self.approx_mc = _ApproxMc(upper_class, g_in, g_mid, kernel_mid.output)
+        approx_mc = ApproxMc(upper_class, g_in, g_mid, kernel_mid.output)
         n, m = mid.shape[0], kernel_in.output_dim
-        self.class_mc = _ClassMc((row.reshape(n, m) for row in self.approx_mc.coeff_g), n, m)
-        self.estimators = (self.class_mc, self.approx_mc)
+        class_mc = ClassMc((row.reshape(n, m) for row in approx_mc.coeff_g), n, m)
+        self.estimators = (class_mc, approx_mc)
         self.kernel_in, self.n = kernel_in, x.shape[0]
 
-    def report(self) -> BoundReport:
-        class_est: McEstimate = self.class_mc.result()
-        approx, rejected, gammas = self.approx_mc.result()
+    def report(self, class_est: McEstimate, approx_result: tuple) -> BoundReport:
+        """The bound from the ``result()`` of each of ``estimators``, in order."""
+        approx, rejected, gammas = approx_result
         root = trace_bound(self.kernel_in.kappa, self.kernel_in.trace_m(), self.n)
         total = self.eta * (class_est.estimate + root * approx)
         return BoundReport(
@@ -467,30 +441,3 @@ class _SplitMc:
                 ),
             },
         )
-
-
-def split_complexity_bound(
-    net: NetworkSpec,
-    l_prime: int,
-    upper_class: list[KernelExpansion],
-    data,
-    kernel_in: DecomposableKernel,
-    mid_points,
-    kernel_mid: DecomposableKernel,
-    cfg: McConfig,
-) -> BoundReport:
-    """Layer-split bound: prod_{l <= l'} eta_l * (class complexity of the
-    upper surrogate family + trace root * approximation term).
-
-    The upper class is a finite surrogate family of kernel expansions anchored
-    at ``mid_points`` under ``kernel_mid``; this surrogacy is declared in the
-    report.  The input-space Gram at ``data`` and the mid-space Gram at
-    ``mid_points`` drive the coupled sign draws of the approximation term; the
-    class estimate reads the same draws, all in one Monte-Carlo pass.
-    """
-    g_in, g_mid = gram_scalar(kernel_in.scalar, data), gram_scalar(kernel_mid.scalar, mid_points)
-    split = _SplitMc(
-        net, l_prime, upper_class, data, kernel_in, mid_points, kernel_mid, g_in, g_mid
-    )
-    _run_mc(split.estimators, cfg)
-    return split.report()

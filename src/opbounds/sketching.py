@@ -59,17 +59,6 @@ class SketchMatrix:
     matrix: np.ndarray
     spec: SketchSpec = field(default=None)
 
-    def write_text(self, path) -> None:
-        """Rows of space-separated reals; floats printed to full precision."""
-        with open(path, "w") as fh:
-            for row in self.matrix:
-                fh.write(" ".join(repr(float(v)) for v in row))
-                fh.write("\n")
-
-
-def read_sketch_text(path) -> np.ndarray:
-    return np.loadtxt(path, ndmin=2)
-
 
 def make_p_sparsified(spec: SketchSpec) -> SketchMatrix:
     """Generate the sketch for ``spec``; deterministic given the seed."""

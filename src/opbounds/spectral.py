@@ -103,11 +103,6 @@ def critical_radius(mu) -> float:
     return hi * hi
 
 
-def psi_value(delta: float, mu) -> float:
-    """Expose psi for boundary-condition checks."""
-    return _psi(float(delta), np.asarray(mu, dtype=float))
-
-
 def statistical_dimension(mu, delta_sq: float) -> int:
     """Minimal 1-based index j with mu_j <= delta_sq; n if none qualifies."""
     mu = np.asarray(mu, dtype=float)

@@ -1,0 +1,36 @@
+"""Reference computations the tests check the library against.
+
+None of these is library API: the library never assembles the Kronecker
+operator Gram, evaluates one kernel pair at a time or restates psi.
+"""
+
+import math
+
+import numpy as np
+
+from opbounds.kernels import check_kappa, gram_scalar, gram_scalar_cross
+
+
+def eval_scalar(spec, x, x_prime) -> float:
+    """The scalar kernel at a single pair of points."""
+    return float(gram_scalar_cross(spec, x, x_prime)[0, 0])
+
+
+def gram_operator(kernel, pts) -> np.ndarray:
+    """nm x nm operator-valued Gram: the exact Kronecker product G_k (x) M."""
+    g = gram_scalar(kernel.scalar, pts)
+    check_kappa(kernel, g)
+    return np.kron(g, kernel.output)
+
+
+def psi_value(delta: float, mu) -> float:
+    """psi(delta) = sqrt(mean_j min(delta^2, mu_j)), the function whose fixed
+    point delta^2 is the critical radius."""
+    return math.sqrt(float(np.mean(np.minimum(delta * delta, np.asarray(mu, dtype=float)))))
+
+
+def coefficient_norm(model) -> float:
+    """Squared RKHS norm Tr(G A M A^T) of a fitted model."""
+    g = gram_scalar(model.kernel.scalar, model.anchors)
+    a = model.effective_coeffs()
+    return float(np.sum((g @ a) * (a @ model.kernel.output)))

@@ -15,8 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from opbounds.complexity import McConfig, rademacher_ball_mc, trace_bound
+from opbounds.complexity import BallMc, McConfig, run_mc, trace_bound
 from opbounds.deepvv import (
+    DeepObjective,
     LayeredModel,
     TrainConfig,
     VVLayer,
@@ -24,9 +25,7 @@ from opbounds.deepvv import (
     _pf_bottom,
     _pf_top,
     default_probes,
-    gradient,
     init_layered_model,
-    pf_product_norm,
     refine_kernel,
     separable_bound,
     train,
@@ -44,9 +43,9 @@ from opbounds.spectral import (
     critical_radius,
     eigendecompose_scaled_gram,
     pencil_max,
-    psi_value,
     statistical_dimension,
 )
+from oracles import psi_value
 
 
 def record(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -73,7 +72,7 @@ def test_criterion_01_ball_mc_below_trace_bound():
             ScalarKernelSpec("gaussian", 1.0, dimension=d), m_mat, kappa=1.0
         )
         g_k = gram_scalar(kernel.scalar, pts)
-        est = rademacher_ball_mc(g_k, m_mat, n, McConfig(draws=10_000, seed=trial))
+        (est,) = run_mc([BallMc(g_k, m_mat, n)], McConfig(draws=10_000, seed=trial))
         bound = trace_bound(1.0, float(np.trace(m_mat)), n)
         ok = ok and est.estimate <= bound + 3 * est.stderr
     cpu = time.process_time() - started_cpu
@@ -292,7 +291,8 @@ def test_criterion_07_pencil_oracle_and_pf_identity():
     )
     with pytest.warns(UserWarning, match="layers"):
         model = LayeredModel((lay,))
-    pf = pf_product_norm(model, x, rng.standard_normal((n, 2)))
+    objective = DeepObjective(model, x, probes=rng.standard_normal((n, 2)))
+    pf = objective.pf_norm(objective.forward(model.coeffs))
     ok = ok and abs(pf - 1.0) <= 1e-12
     record(7, "pencil maximizer dominates sampled quotients; identity case is 1", ok)
 
@@ -332,8 +332,11 @@ def test_criterion_08_gradient_check():
         rho, _, _, gap = _top_eigenpair(_whiten(g_top, basis), basis)
         if not (rho > 0 and gap > 1e-6 * rho):
             continue  # eigen-gap guard: regenerate
-        analytic = gradient(model, x, y, 0.3, 0.2, mode="analytic", probes=probes)
-        fd = gradient(model, x, y, 0.3, 0.2, mode="finite-diff", probes=probes)
+        objective = DeepObjective(model, x, y, probes)
+        analytic, fd = (
+            objective.gradient(objective.forward(model.coeffs), 0.3, 0.2, mode)
+            for mode in ("analytic", "finite-diff")
+        )
         scale = max(float(np.abs(np.concatenate([g.ravel() for g in fd])).max()), 1e-12)
         err = max(float(np.abs(a - f).max()) for a, f in zip(analytic, fd)) / scale
         worst = max(worst, err)
@@ -355,7 +358,7 @@ def test_criterion_09_training_contract():
         spec = ScalarKernelSpec("gaussian", 1.0, dimension=2)
         model = init_layered_model(x, [spec] * 3, [np.eye(2)] * 3, seed=seed)
         cfg = TrainConfig(lambda1=0.1, lambda2=0.1, step=0.4, iters=25)
-        result = train(model, x, y, cfg)
+        result = train(DeepObjective(model, x, y), cfg)
         objs = [e["objective"] for e in result.trajectory]
         ok = ok and all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
@@ -369,12 +372,11 @@ def test_criterion_09_training_contract():
         ScalarKernelSpec("gaussian", 1.0, dimension=2),
         ScalarKernelSpec("gaussian", 5.0, dimension=2),
     ]
-    probes = default_probes(y, 2)
     finals = []
     for lam1 in (0.0, 0.1, 1.0):
-        model = init_layered_model(x, specs, [np.eye(2)] * 3, seed=11)
-        result = train(model, x, y, TrainConfig(lambda1=lam1, step=0.5, iters=150))
-        finals.append(pf_product_norm(result.model, x, probes))
+        objective = DeepObjective(init_layered_model(x, specs, [np.eye(2)] * 3, seed=11), x, y)
+        result = train(objective, TrainConfig(lambda1=lam1, step=0.5, iters=150))
+        finals.append(objective.pf_norm(result.last))
     sweep_ok = finals[1] <= finals[0] + 1e-9 and finals[2] <= finals[1] + 1e-9
     ok = ok and sweep_ok and finals[2] < finals[0] - 1e-3  # non-vacuous spread
     record(9, "objective nonincreasing; final PF norms nonincreasing in lambda1",

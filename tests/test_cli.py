@@ -218,6 +218,19 @@ def test_train_seed_after_a_checkpoint_exits_2_and_writes_no_output(tmp_path, ca
     assert err["message"].startswith("config invalid at deep_model/train/seed: ")
 
 
+def test_last_layer_activation_norm_exits_2_and_writes_no_output(tmp_path, capsys):
+    # the last layer has no activation, so no bound would read its norm
+    cfg = json.loads(json.dumps(BOUND_COMPARE))
+    cfg["network"]["layers"].append(
+        {"weights": np.eye(2).tolist(), "activation_koopman_norm": 1.5}
+    )
+    err = _main_error(tmp_path, capsys, "bound-compare", cfg)
+    assert err["error"] == "config"
+    assert err["message"].startswith(
+        "config invalid at network/layers/1/activation_koopman_norm: "
+    )
+
+
 def _declared_paths(schema, prefix=()):
     """Every property path that ``schema`` declares, nested sections, layer
     items (``[]``) and a matrix's ``{"csv": path}`` form included.  The
@@ -332,7 +345,7 @@ SWEEP_BASES = [
 # values the sweep sets at each declared path; each differs from the library
 # or CLI default, so setting it on a config without the key changes the run.
 # A layer key is set on the first layer; the last one, which has no
-# activation, reads no activation_koopman_norm.
+# activation, rejects activation_koopman_norm at run time.
 SWEEP_VALUES = {
     "seed": [12345],
     "dataset": [{"kind": "synthetic", "n": 9, "d": 2, "m": 2}],
@@ -555,17 +568,14 @@ def test_bound_compare_identity_network(tmp_path):
 
 
 def test_bound_compare_never_builds_the_dense_operator_gram(monkeypatch, tmp_path):
-    # G_k (x) M is never materialized: with np.kron and gram_operator
-    # disabled, the run still produces the same record bytes
-    from opbounds import kernels
-
+    # G_k (x) M is never materialized: with np.kron disabled, the run still
+    # produces the same record bytes
     expected = render_record(run("bound-compare", BOUND_COMPARE, None, tmp_path), "json")
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense operator Gram built on the bound-compare path")
 
     monkeypatch.setattr(np, "kron", refuse)
-    monkeypatch.setattr(kernels, "gram_operator", refuse)
     record = run("bound-compare", BOUND_COMPARE, None, tmp_path)
     assert render_record(record, "json") == expected
 
@@ -842,10 +852,11 @@ def test_deep_checkpoint_roundtrip_through_cli(tmp_path):
 
 
 def _independent_sweep_pf(cfg, lam1):
-    """pf_product_norm after a train() from a fresh model at ``lam1``."""
+    """The transfer-product norm, from a fresh objective, of the model that
+    train() gives from a fresh model at ``lam1``."""
     from opbounds.data import GeneratorConfig, synth_dataset
     from opbounds.deepvv import (
-        TrainConfig, default_probes, init_layered_model, pf_product_norm, train,
+        DeepObjective, TrainConfig, default_probes, init_layered_model, train,
     )
     from opbounds.kernels import ScalarKernelSpec
 
@@ -859,8 +870,9 @@ def _independent_sweep_pf(cfg, lam1):
     outputs = [np.eye(d) for d in deep["output_dims"]]
     t = {k: v for k, v in deep["train"].items() if k != "seed"}
     model = init_layered_model(ds.x, kernels, outputs, seed=deep["train"]["seed"])
-    result = train(model, ds.x, ds.y, TrainConfig(**{**t, "lambda1": lam1}))
-    return pf_product_norm(result.model, ds.x, default_probes(ds.y, data["m"]))
+    trained = train(DeepObjective(model, ds.x, ds.y), TrainConfig(**{**t, "lambda1": lam1})).model
+    fresh = DeepObjective(trained, ds.x, probes=default_probes(ds.y, data["m"]))
+    return fresh.pf_norm(fresh.forward(trained.coeffs))
 
 
 @pytest.mark.parametrize("variant, trains", [
@@ -885,8 +897,8 @@ def test_deep_sweep_reuses_the_trained_config(monkeypatch, tmp_path, variant, tr
     elif variant == "evaluate_only":
         deep["evaluate_only"] = True
     calls = []
-    train = cli._train
-    monkeypatch.setattr(cli, "_train", lambda *a, **k: calls.append(a) or train(*a, **k))
+    train = cli.train
+    monkeypatch.setattr(cli, "train", lambda *a, **k: calls.append(a) or train(*a, **k))
     metrics = run("deep-vvrkhs", cfg, None, tmp_path)["metrics"]
     assert len(calls) == trains
     sweep = metrics["lambda1_sweep"]
@@ -909,18 +921,18 @@ def test_deep_sweep_entries_match_separately_trained_models(monkeypatch, tmp_pat
     deep["train"].update(seed=31, iters=8)
     deep["lambda1_sweep"] = [0.0, 0.3]
     del deep["refine"]
-    eigensolve, train = deepvv._top_eigenvalue, cli._train
+    eigensolve, train = deepvv._top_eigenvalue, cli.train
     solves, sweeps = [], []
 
-    def recorded_train(problem, t_cfg, trajectory=True):
+    def recorded_train(objective, t_cfg, trajectory=True):
         before = len(solves)
-        out = train(problem, t_cfg, trajectory)
+        out = train(objective, t_cfg, trajectory)
         if not trajectory:
-            sweeps.append((t_cfg.lambda1, out[0].trajectory, len(solves) - before))
+            sweeps.append((t_cfg.lambda1, out.trajectory, len(solves) - before))
         return out
 
     monkeypatch.setattr(deepvv, "_top_eigenvalue", lambda s: solves.append(1) or eigensolve(s))
-    monkeypatch.setattr(cli, "_train", recorded_train)
+    monkeypatch.setattr(cli, "train", recorded_train)
     metrics = run("deep-vvrkhs", cfg, None, tmp_path)["metrics"]
     assert [(lam, traj) for lam, traj, _ in sweeps] == [(0.0, []), (0.3, [])]
     assert sweeps[0][2] == 0

@@ -7,22 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opbounds.complexity import (
+    BallMc,
+    ClassMc,
     McConfig,
     _check_psd,
     _quad_forms,
     rademacher_ball_exact,
-    rademacher_ball_mc,
-    rademacher_class_mc,
+    run_mc,
     trace_bound,
 )
 from opbounds.errors import InputError, NotPsdError
-from opbounds.kernels import (
-    DecomposableKernel,
-    KernelExpansion,
-    ScalarKernelSpec,
-    gram_operator,
-    gram_scalar,
-)
+from opbounds.kernels import DecomposableKernel, KernelExpansion, ScalarKernelSpec, gram_scalar
+from oracles import gram_operator
+
+
+def ball_mc(g, out, n, cfg):
+    (est,) = run_mc([BallMc(g, out, n)], cfg)
+    return est
+
+
+def class_mc(predictions, n, m, cfg):
+    (est,) = run_mc([ClassMc(predictions, n, m)], cfg)
+    return est
 
 
 def random_psd(k, rng, jitter=0.0):
@@ -69,8 +75,8 @@ def factor_cases(draw):
 def test_ball_mc_factor_form_matches_dense_gram(case):
     g, out, cfg = case
     n = g.shape[0]
-    factor = rademacher_ball_mc(g, out, n, cfg)
-    dense = rademacher_ball_mc(np.kron(g, out), [[1.0]], n, cfg)
+    factor = ball_mc(g, out, n, cfg)
+    dense = ball_mc(np.kron(g, out), [[1.0]], n, cfg)
     assert factor.estimate == pytest.approx(dense.estimate, rel=1e-12)
     assert factor.stderr == pytest.approx(dense.stderr, rel=1e-6, abs=1e-7 * dense.estimate)
 
@@ -129,20 +135,20 @@ def test_ball_mc_degenerate_inputs(case):
         pts = np.repeat(pts[:2], 3, axis=0)
     g = np.zeros((6, 6)) if case == "zero g" else gram_scalar(spec, pts)
     n = g.shape[0]
-    est = rademacher_ball_mc(g, out, n, McConfig(draws=700, seed=16))
+    est = ball_mc(g, out, n, McConfig(draws=700, seed=16))
     assert np.isfinite(est.estimate) and np.isfinite(est.stderr)
     jensen = math.sqrt(np.trace(g) * np.trace(out)) / n
     assert 0.0 <= est.estimate <= jensen + 3 * est.stderr + 1e-12
 
 
 def test_single_point_scalar_ball():
-    est = rademacher_ball_mc(np.array([[1.0]]), [[1.0]], 1, McConfig(draws=200, seed=0))
+    est = ball_mc(np.array([[1.0]]), [[1.0]], 1, McConfig(draws=200, seed=0))
     assert est.estimate == pytest.approx(1.0)
     assert est.stderr == pytest.approx(0.0, abs=1e-15)
 
 
 def test_zero_gram():
-    est = rademacher_ball_mc(np.zeros((4, 4)), [[1.0]], 2, McConfig(draws=100, seed=0))
+    est = ball_mc(np.zeros((4, 4)), [[1.0]], 2, McConfig(draws=100, seed=0))
     assert est.estimate == 0.0
 
 
@@ -154,7 +160,7 @@ def test_ball_below_trace_bound():
         ScalarKernelSpec("gaussian", 1.0, dimension=2), np.eye(m), kappa=1.0
     )
     g = gram_scalar(kernel.scalar, pts)
-    est = rademacher_ball_mc(g, kernel.output, n, McConfig(draws=4000, seed=1))
+    est = ball_mc(g, kernel.output, n, McConfig(draws=4000, seed=1))
     assert est.estimate <= trace_bound(1.0, float(m), n) + 3 * est.stderr
 
 
@@ -177,7 +183,7 @@ def test_mc_matches_exact_within_stderr():
     rng = np.random.default_rng(3)
     g = random_psd(10, rng)
     exact = rademacher_ball_exact(g, 5)
-    est = rademacher_ball_mc(g, [[1.0]], 5, McConfig(draws=20_000, seed=4))
+    est = ball_mc(g, [[1.0]], 5, McConfig(draws=20_000, seed=4))
     assert abs(est.estimate - exact) <= 3 * est.stderr
 
 
@@ -209,8 +215,8 @@ def test_mc_permutation_invariance_within_noise():
     p_blocks = np.kron(np.eye(n)[perm], np.eye(m))
     g_perm = p_blocks @ g @ p_blocks.T
     cfg = McConfig(draws=8000, seed=7)
-    a = rademacher_ball_mc(g, [[1.0]], n, cfg)
-    b = rademacher_ball_mc(g_perm, [[1.0]], n, cfg)
+    a = ball_mc(g, [[1.0]], n, cfg)
+    b = ball_mc(g_perm, [[1.0]], n, cfg)
     assert abs(a.estimate - b.estimate) <= 3 * (a.stderr + b.stderr)
 
 
@@ -218,16 +224,16 @@ def test_determinism_and_seed_sensitivity():
     rng = np.random.default_rng(8)
     g = random_psd(8, rng)
     cfg = McConfig(draws=500, seed=9)
-    a = rademacher_ball_mc(g, [[1.0]], 4, cfg)
-    b = rademacher_ball_mc(g, [[1.0]], 4, cfg)
+    a = ball_mc(g, [[1.0]], 4, cfg)
+    b = ball_mc(g, [[1.0]], 4, cfg)
     assert a == b
-    c = rademacher_ball_mc(g, [[1.0]], 4, McConfig(draws=500, seed=10))
+    c = ball_mc(g, [[1.0]], 4, McConfig(draws=500, seed=10))
     assert a.estimate != c.estimate
 
 
 def test_ball_rejects_non_psd():
     with pytest.raises(NotPsdError):
-        rademacher_ball_mc(np.diag([1.0, -1.0]), [[1.0]], 2, McConfig(draws=10, seed=0))
+        ball_mc(np.diag([1.0, -1.0]), [[1.0]], 2, McConfig(draws=10, seed=0))
 
 
 def test_trace_bound_values():
@@ -239,28 +245,16 @@ def test_trace_bound_values():
 
 
 def test_class_zero_predictor():
-    data = np.zeros((3, 2))
-    est = rademacher_class_mc(
-        [lambda x: np.zeros((len(x), 2))], data, 2, McConfig(draws=50, seed=0)
-    )
+    est = class_mc([np.zeros((3, 2))], 3, 2, McConfig(draws=50, seed=0))
     assert est.estimate == 0.0
 
 
 def test_class_sign_symmetry():
     rng = np.random.default_rng(11)
-    data = rng.standard_normal((5, 2))
     vals = rng.standard_normal((5, 2))
-
-    def f(x):
-        rows = [int(np.flatnonzero((data == pt).all(axis=1))[0]) for pt in x]
-        return vals[rows]
-
-    def neg_f(x):
-        return -f(x)
-
     cfg = McConfig(draws=600, seed=12)
-    pair = rademacher_class_mc([f, neg_f], data, 2, cfg)
-    single = rademacher_class_mc([f], data, 2, cfg)
+    pair = class_mc([vals, -vals], 5, 2, cfg)
+    single = class_mc([vals], 5, 2, cfg)
     assert pair.estimate == pytest.approx(single.estimate, rel=1e-12)
 
 
@@ -271,25 +265,26 @@ def test_class_contained_in_ball():
     kernel = DecomposableKernel(
         ScalarKernelSpec("gaussian", 1.0, dimension=2), np.eye(m), kappa=1.0
     )
-    predictors = []
+    predictions = []
     for k in range(50):
         coeffs = np.random.default_rng(100 + k).standard_normal((n, m))
         exp = KernelExpansion(kernel, pts, coeffs)
         norm = exp.norm()
-        predictors.append(KernelExpansion(kernel, pts, coeffs / norm).at)
+        predictions.append(KernelExpansion(kernel, pts, coeffs / norm).at(pts))
     g = gram_scalar(kernel.scalar, pts)
     cfg = McConfig(draws=3000, seed=14)
-    ball = rademacher_ball_mc(g, kernel.output, n, cfg)
-    cls = rademacher_class_mc(predictors, pts, m, cfg)
+    ball, cls = run_mc([BallMc(g, kernel.output, n), ClassMc(predictions, n, m)], cfg)
     assert cls.estimate <= ball.estimate + 3 * (ball.stderr + cls.stderr)
 
 
 def test_class_requires_nonempty():
     with pytest.raises(InputError):
-        rademacher_class_mc([], np.zeros((2, 1)), 1, McConfig(draws=10, seed=0))
+        ClassMc([], 2, 1)
 
 
 def test_class_calls_each_predictor_once_on_the_whole_batch():
+    # the predictions are read once, when the estimator is built, so a
+    # generator that calls each predictor on the whole batch serves
     data = np.random.default_rng(17).standard_normal((7, 2))
     calls = []
 
@@ -300,11 +295,12 @@ def test_class_calls_each_predictor_once_on_the_whole_batch():
 
         return f
 
-    rademacher_class_mc([make(k) for k in range(3)], data, 2, McConfig(draws=600, seed=18))
+    est = ClassMc((f(data) for f in [make(k) for k in range(3)]), 7, 2)
     assert calls == [(0, (7, 2)), (1, (7, 2)), (2, (7, 2))]
+    run_mc([est], McConfig(draws=600, seed=18))
+    assert len(calls) == 3
 
 
 def test_class_rejects_per_row_predictor_shape():
-    data = np.zeros((3, 2))
     with pytest.raises(InputError):
-        rademacher_class_mc([lambda x: np.zeros(2)], data, 2, McConfig(draws=10, seed=0))
+        ClassMc([np.zeros(2)], 3, 2)

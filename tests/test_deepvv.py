@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,26 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opbounds import deepvv, spectral
+from opbounds.complexity import ClassMc, McConfig, run_mc
 from opbounds.deepvv import (
+    DeepObjective,
     LayeredModel,
     TrainConfig,
     VVLayer,
     default_probes,
     forward,
-    gradient,
     init_layered_model,
-    objective,
-    objective_terms,
-    pf_product_norm,
-    pf_complexity_bound,
+    model_from_dict,
+    model_to_dict,
     refine_kernel,
     separable_bound,
-    top_layer_norm,
     train,
 )
 from opbounds.errors import InputError, RefinementOrderError
 from opbounds.kernels import ScalarKernelSpec, gram_scalar
-from opbounds.complexity import McConfig, rademacher_class_mc
 
 pytestmark = pytest.mark.filterwarnings("ignore:model has .* layers")
 
@@ -50,6 +48,40 @@ def make_model(seed, dims=(2, 3, 2), n_anchor=5, bw=1.0, uniform_m=False, m_scal
         layers.append(VVLayer(gauss(d_in, bw), m_mat, anchors, coeffs))
         d_in = d_out
     return LayeredModel(tuple(layers))
+
+
+# one-shot evaluations at a model's own coefficients, each from a fresh
+# objective; the model-rebuilding training reference below is made of them
+
+
+def at_model(model, x, y=None, probes=None):
+    """A fresh objective of the model and its pass at the model's coefficients."""
+    obj = DeepObjective(model, x, y, probes)
+    return obj, obj.forward(model.coeffs)
+
+
+def objective(model, x, y, lam1, lam2):
+    obj, fwd = at_model(model, x, y)
+    return sum(obj.terms(fwd, lam1, lam2))
+
+
+def pf_norm(model, x, probes):
+    obj, fwd = at_model(model, x, probes=probes)
+    return obj.pf_norm(fwd)
+
+
+def pf_bound(model, x, probes):
+    obj, fwd = at_model(model, x, probes=probes)
+    return obj.pf_bound(fwd)
+
+
+def gradient(model, x, y, lam1, lam2, mode):
+    obj, fwd = at_model(model, x, y)
+    return obj.gradient(fwd, lam1, lam2, mode)
+
+
+def top_norm(model):
+    return model.layers[-1].rkhs_norm()
 
 
 # --- forward -------------------------------------------------------------------
@@ -100,7 +132,7 @@ def test_pf_norm_identity_map_equal_kernels():
     lay = VVLayer(gauss(2), np.eye(2), x, 0.3 * rng.standard_normal((n, 2)))
     model = LayeredModel((lay,))
     probes = rng.standard_normal((n, 2))
-    assert pf_product_norm(model, x, probes) == pytest.approx(1.0, abs=1e-12)
+    assert pf_norm(model, x, probes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pf_norm_scaled_kernel():
@@ -114,7 +146,7 @@ def test_pf_norm_scaled_kernel():
     # both Grams use the output bilinear form; scaling the scalar kernel
     # instead isolates the pencil scaling
     g_bot = gram_scalar(gauss(2), x) * (probes @ (4.0 * np.eye(2)) @ probes.T)
-    assert pf_product_norm(model, x, probes) == pytest.approx(1.0, abs=1e-12)
+    assert pf_norm(model, x, probes) == pytest.approx(1.0, abs=1e-12)
     from opbounds.spectral import pencil_max
 
     assert math.sqrt(pencil_max(4.0 * g_bot, g_bot)) == pytest.approx(2.0, rel=1e-12)
@@ -126,7 +158,7 @@ def test_pf_norm_dominates_sampled_rayleigh():
     x = rng.uniform(-1, 1, (n, 2))
     model = make_model(7, dims=(2, 3, 2), n_anchor=n)
     probes = rng.standard_normal((n, 2))
-    rho = pf_product_norm(model, x, probes) ** 2
+    rho = pf_norm(model, x, probes) ** 2
     first, last = model.layers[0], model.layers[-1]
     bilinear = probes @ last.output @ probes.T
     g_bot = gram_scalar(first.kernel, x) * bilinear
@@ -147,8 +179,8 @@ def test_pf_norm_invariant_under_reindexing():
     model = make_model(9, dims=(2, 2, 2), n_anchor=4)
     probes = rng.standard_normal((n, 2))
     perm = rng.permutation(n)
-    a = pf_product_norm(model, x, probes)
-    b = pf_product_norm(model, x[perm], probes[perm])
+    a = pf_norm(model, x, probes)
+    b = pf_norm(model, x[perm], probes[perm])
     assert a == pytest.approx(b, rel=1e-10)
 
 
@@ -156,7 +188,23 @@ def test_pf_norm_rejects_zero_probes():
     model = make_model(10)
     x = np.zeros((2, 2))
     with pytest.raises(InputError):
-        pf_product_norm(model, x, np.zeros((2, 2)))
+        pf_norm(model, x, np.zeros((2, 2)))
+
+
+def test_objective_without_labels_is_typed():
+    # without labels the probes must be given, and only the norms are defined
+    rng = np.random.default_rng(56)
+    x = rng.uniform(-1, 1, (4, 2))
+    model = make_model(57, dims=(2, 2, 2))
+    with pytest.raises(InputError, match="probes are required"):
+        DeepObjective(model, x)
+    obj, fwd = at_model(model, x, probes=rng.standard_normal((4, 2)))
+    assert np.isfinite(obj.pf_bound(fwd)["total"])
+    with pytest.raises(InputError, match="labels"):
+        obj.terms(fwd, 0.1, 0.1)
+    for mode in ("analytic", "finite-diff"):
+        with pytest.raises(InputError, match="labels"):
+            obj.gradient(fwd, 0.1, 0.1, mode)
 
 
 def test_default_probes_fallback():
@@ -172,11 +220,11 @@ def test_default_probes_fallback():
 def test_top_layer_norm_cases():
     anchors = np.array([[0.0, 0.0]])
     zero = VVLayer(gauss(2), np.eye(2), anchors, np.zeros((1, 2)))
-    assert top_layer_norm(LayeredModel((zero,))) == 0.0
+    assert top_norm(LayeredModel((zero,))) == 0.0
     single = VVLayer(gauss(2), np.eye(2), anchors, np.array([[3.0, 4.0]]))
-    assert top_layer_norm(LayeredModel((single,))) == pytest.approx(5.0, rel=1e-12)
+    assert top_norm(LayeredModel((single,))) == pytest.approx(5.0, rel=1e-12)
     scaled = VVLayer(gauss(2), np.eye(2), anchors, np.array([[-7.5, 10.0]]))
-    assert top_layer_norm(LayeredModel((scaled,))) == pytest.approx(12.5, rel=1e-12)
+    assert top_norm(LayeredModel((scaled,))) == pytest.approx(12.5, rel=1e-12)
 
 
 def test_pf_complexity_bound_factorization_and_zero_top():
@@ -185,7 +233,7 @@ def test_pf_complexity_bound_factorization_and_zero_top():
     x = rng.uniform(-1, 1, (n, 2))
     model = make_model(12, dims=(2, 3, 2), n_anchor=4, uniform_m=True)
     probes = rng.standard_normal((n, 2))
-    rep = pf_complexity_bound(model, x, probes)
+    rep = pf_bound(model, x, probes)
     recomputed = rep["pf_norm"] * rep["top_norm"] * rep["trace_root"] / rep["n"]
     assert rep["total"] == pytest.approx(recomputed, rel=1e-12)
     # k1(x, x) = 1, so the trace root is sqrt(n * Tr M1)
@@ -195,7 +243,7 @@ def test_pf_complexity_bound_factorization_and_zero_top():
         [l.coeffs if j < model.depth - 1 else np.zeros_like(l.coeffs)
          for j, l in enumerate(model.layers)]
     )
-    assert pf_complexity_bound(zero_top, x, probes)["total"] == 0.0
+    assert pf_bound(zero_top, x, probes)["total"] == 0.0
 
 
 def test_pf_bound_dominates_sampled_subfamily():
@@ -212,15 +260,15 @@ def test_pf_bound_dominates_sampled_subfamily():
     for model in models:
         pts = np.repeat(x, m, axis=0)
         basis = np.tile(np.eye(m), (n, 1))
-        reps.append(pf_complexity_bound(model, pts, basis))
+        reps.append(pf_bound(model, pts, basis))
     # the canonical-span trace root overcounts each point m times; rescale to
     # the per-point trace root used by the statement
     totals = []
     for model, rep in zip(models, reps):
         tr = math.sqrt(n * np.trace(model.layers[0].output))
         totals.append(rep["pf_norm"] * rep["top_norm"] * tr / n)
-    funcs = [lambda pts, mdl=model: forward(mdl, pts) for model in models]
-    est = rademacher_class_mc(funcs, x, m, McConfig(draws=1500, seed=14))
+    predictions = [forward(model, x) for model in models]
+    (est,) = run_mc([ClassMc(predictions, n, m)], McConfig(draws=1500, seed=14))
     assert est.estimate <= max(totals) + 3 * est.stderr
 
 
@@ -242,7 +290,7 @@ def test_separable_consistent_equals_pf_bound_when_kernel_normalized():
     x = rng.uniform(-1, 1, (n, 2))
     model = make_model(16, dims=(2, 2, 2), n_anchor=4, uniform_m=True)
     probes = rng.standard_normal((n, 2))
-    rep = pf_complexity_bound(model, x, probes)
+    rep = pf_bound(model, x, probes)
     tr_m1 = float(np.trace(model.layers[0].output))
     rem = separable_bound(1.0, tr_m1, n, "consistent", rep["pf_norm"], rep["top_norm"])
     assert rem == pytest.approx(rep["total"], rel=1e-12)
@@ -268,7 +316,7 @@ def test_objective_increases_with_lambda2():
     x = rng.uniform(-1, 1, (n, 2))
     y = rng.standard_normal((n, 2))
     model = make_model(20, dims=(2, 2, 2), n_anchor=4)
-    assert top_layer_norm(model) > 0
+    assert top_norm(model) > 0
     o1 = objective(model, x, y, 0.0, 1.0)
     o2 = objective(model, x, y, 0.0, 2.0)
     assert o2 > o1
@@ -280,9 +328,10 @@ def test_objective_terms_reported():
     x = rng.uniform(-1, 1, (n, 2))
     y = rng.standard_normal((n, 2))
     model = make_model(22, dims=(2, 2, 2), n_anchor=4)
-    data, pf_t, top_t = objective_terms(model, x, y, 0.5, 0.25)
-    assert pf_t == pytest.approx(0.5 * pf_product_norm(model, x, default_probes(y, 2)))
-    assert top_t == pytest.approx(0.25 * top_layer_norm(model))
+    obj, fwd = at_model(model, x, y)
+    data, pf_t, top_t = obj.terms(fwd, 0.5, 0.25)
+    assert pf_t == pytest.approx(0.5 * pf_norm(model, x, default_probes(y, 2)))
+    assert top_t == pytest.approx(0.25 * top_norm(model))
     assert objective(model, x, y, 0.5, 0.25) == pytest.approx(data + pf_t + top_t)
 
 
@@ -299,7 +348,7 @@ def test_gradient_zero_model_data_term():
     m_mat = np.eye(2)
     lay = VVLayer(gauss(2), m_mat, anchors, np.zeros((4, 2)))
     model = LayeredModel((lay,))
-    grads = gradient(model, x, y, 0.0, 0.0, mode="analytic")
+    grads = gradient(model, x, y, 0.0, 0.0, "analytic")
     from opbounds.kernels import gram_scalar_cross
 
     kmat = gram_scalar_cross(gauss(2), x, anchors)
@@ -316,8 +365,8 @@ def test_gradient_matches_finite_differences(seed):
     x = rng.uniform(-1, 1, (n, 2))
     y = rng.standard_normal((n, 2))
     lam1, lam2 = 0.3, 0.2
-    analytic = gradient(model, x, y, lam1, lam2, mode="analytic")
-    fd = gradient(model, x, y, lam1, lam2, mode="finite-diff")
+    analytic = gradient(model, x, y, lam1, lam2, "analytic")
+    fd = gradient(model, x, y, lam1, lam2, "finite-diff")
     scale = max(float(np.abs(np.concatenate([g.ravel() for g in fd])).max()), 1e-12)
     for ga, gf in zip(analytic, fd):
         assert np.abs(ga - gf).max() / scale <= 1e-5
@@ -331,8 +380,8 @@ def test_gradient_single_layer_falls_back_near_degeneracy():
     x = rng.uniform(-1, 1, (5, 2))
     y = rng.standard_normal((5, 2))
     with pytest.warns(UserWarning, match="degenerate"):
-        analytic = gradient(model, x, y, 0.5, 0.0, mode="analytic")
-    fd = gradient(model, x, y, 0.5, 0.0, mode="finite-diff")
+        analytic = gradient(model, x, y, 0.5, 0.0, "analytic")
+    fd = gradient(model, x, y, 0.5, 0.0, "finite-diff")
     for ga, gf in zip(analytic, fd):
         assert np.allclose(ga, gf, atol=1e-12)
 
@@ -343,7 +392,7 @@ def test_gradient_zero_at_exact_interpolant():
     x = rng.uniform(-1, 1, (n, 2))
     model = make_model(26, dims=(2, 2, 2), n_anchor=4)
     y = forward(model, x)
-    grads = gradient(model, x, y, 0.0, 0.0, mode="analytic")
+    grads = gradient(model, x, y, 0.0, 0.0, "analytic")
     assert all(np.abs(g).max() <= 1e-8 for g in grads)
 
 
@@ -358,8 +407,8 @@ def test_gradient_requires_gaussian_for_analytic():
     x = rng.uniform(-1, 1, (4, 2))
     y = rng.standard_normal((4, 2))
     with pytest.raises(InputError):
-        gradient(model, x, y, 0.0, 0.0, mode="analytic")
-    fd = gradient(model, x, y, 0.0, 0.0, mode="finite-diff")
+        gradient(model, x, y, 0.0, 0.0, "analytic")
+    fd = gradient(model, x, y, 0.0, 0.0, "finite-diff")
     assert fd[0].shape == (3, 2)
 
 
@@ -372,7 +421,7 @@ def test_train_objective_nonincreasing():
     y = rng.standard_normal((n, 2))
     model = init_layered_model(x, [gauss(2), gauss(2), gauss(2)], [np.eye(2)] * 3, seed=0)
     cfg = TrainConfig(lambda1=0.1, lambda2=0.1, step=0.5, iters=30, grad_mode="analytic")
-    result = train(model, x, y, cfg)
+    result = train(DeepObjective(model, x, y), cfg)
     objs = [e["objective"] for e in result.trajectory]
     assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
     assert objs[-1] <= objective(model, x, y, 0.1, 0.1)
@@ -385,12 +434,12 @@ def test_train_strong_regularization_shrinks_norms():
     y = rng.standard_normal((n, 2))
     model = init_layered_model(x, [gauss(2), gauss(2), gauss(2)], [np.eye(2)] * 3, seed=1)
     probes = default_probes(y, 2)
-    pf0 = pf_product_norm(model, x, probes)
-    top0 = top_layer_norm(model)
+    pf0 = pf_norm(model, x, probes)
+    top0 = top_norm(model)
     cfg = TrainConfig(lambda1=1e3, lambda2=1e3, step=1e-4, iters=60, grad_mode="analytic")
-    result = train(model, x, y, cfg)
-    assert pf_product_norm(result.model, x, probes) < pf0
-    assert top_layer_norm(result.model) < top0
+    result = train(DeepObjective(model, x, y), cfg)
+    assert pf_norm(result.model, x, probes) < pf0
+    assert top_norm(result.model) < top0
 
 
 def test_train_terminates_at_optimum():
@@ -400,7 +449,7 @@ def test_train_terminates_at_optimum():
     model = init_layered_model(x, [gauss(2), gauss(2)], [np.eye(2)] * 2, seed=2)
     zeroed = model.with_coeffs([np.zeros_like(l.coeffs) for l in model.layers])
     y = np.zeros((n, 2))
-    result = train(zeroed, x, y, TrainConfig(step=0.5, iters=50))
+    result = train(DeepObjective(zeroed, x, y), TrainConfig(step=0.5, iters=50))
     assert result.converged
     assert result.iterations == 0
 
@@ -411,8 +460,11 @@ def test_train_deterministic():
     x = rng.uniform(-1, 1, (n, 2))
     y = rng.standard_normal((n, 2))
     cfg = TrainConfig(lambda1=0.05, lambda2=0.05, step=0.3, iters=15)
-    r1 = train(init_layered_model(x, [gauss(2)] * 3, [np.eye(2)] * 3, seed=3), x, y, cfg)
-    r2 = train(init_layered_model(x, [gauss(2)] * 3, [np.eye(2)] * 3, seed=3), x, y, cfg)
+    def trained():
+        model = init_layered_model(x, [gauss(2)] * 3, [np.eye(2)] * 3, seed=3)
+        return train(DeepObjective(model, x, y), cfg)
+
+    r1, r2 = trained(), trained()
     assert all(
         np.array_equal(a.coeffs, b.coeffs)
         for a, b in zip(r1.model.layers, r2.model.layers)
@@ -424,8 +476,9 @@ def test_train_deterministic():
 )
 def test_train_whitens_g_bottom_once(monkeypatch, lambda1, grad_mode):
     # G_bottom depends only on x, the probes, the first kernel and M~, so one
-    # train() call whitens it once for all its objectives, gradients and
-    # trajectory norms, and they agree with the one-shot public functions
+    # objective whitens it once for all the objectives, gradients and
+    # trajectory norms of a train() call, and they agree with a fresh
+    # objective at the trained model
     rng = np.random.default_rng(32)
     n = 6
     x = rng.uniform(-1, 1, (n, 2))
@@ -435,10 +488,10 @@ def test_train_whitens_g_bottom_once(monkeypatch, lambda1, grad_mode):
     calls = []
     monkeypatch.setattr(deepvv, "_pencil_basis", lambda g: calls.append(g) or whiten(g))
     cfg = TrainConfig(lambda1=lambda1, lambda2=0.05, step=0.3, iters=4, grad_mode=grad_mode)
-    result = train(model, x, y, cfg)
+    result = train(DeepObjective(model, x, y), cfg)
     assert result.iterations == 4 and len(calls) == 1
     last = result.trajectory[-1]
-    assert last["pf_norm"] == pf_product_norm(result.model, x, default_probes(y, 2))
+    assert last["pf_norm"] == pf_norm(result.model, x, default_probes(y, 2))
     assert last["objective"] == objective(result.model, x, y, lambda1, 0.05)
 
 
@@ -465,7 +518,7 @@ def test_train_builds_layers_once(monkeypatch, grad_mode):
     monkeypatch.setattr(deepvv, "make_output_matrix", lambda m: validations.append(m) or make(m))
     monkeypatch.setattr(deepvv, "gram_scalar", counted_gram)
     cfg = TrainConfig(lambda1=0.1, lambda2=0.05, step=0.3, iters=5, grad_mode=grad_mode)
-    result = train(model, x, y, cfg)
+    result = train(DeepObjective(model, x, y), cfg)
     assert result.iterations == 5
     assert len(validations) <= model.depth
     assert len(top_grams) == 1
@@ -484,7 +537,7 @@ def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
     model = init_layered_model(x, [gauss(2)] * 3, [np.eye(2)] * 3, seed=6)
     first_anchors = model.layers[0].anchors
     cross, eigensolve = deepvv.gram_scalar_cross, deepvv._top_eigenvalue
-    gradient_method, exceeds = deepvv._Objective.gradient, deepvv._Objective.exceeds
+    gradient_method, exceeds = deepvv.DeepObjective.gradient, deepvv.DeepObjective.exceeds
     first_grams, gradient_grams, eigensolves, in_gradient = [], [], [], []
     screened = []
 
@@ -508,10 +561,10 @@ def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
 
     monkeypatch.setattr(deepvv, "gram_scalar_cross", counted_cross)
     monkeypatch.setattr(deepvv, "_top_eigenvalue", lambda s: eigensolves.append(1) or eigensolve(s))
-    monkeypatch.setattr(deepvv._Objective, "gradient", flagged_gradient)
-    monkeypatch.setattr(deepvv._Objective, "exceeds", recorded_exceeds)
+    monkeypatch.setattr(deepvv.DeepObjective, "gradient", flagged_gradient)
+    monkeypatch.setattr(deepvv.DeepObjective, "exceeds", recorded_exceeds)
     cfg = TrainConfig(lambda1=0.1, lambda2=0.05, step=0.3, iters=5)
-    result = train(model, x, y, cfg)
+    result = train(DeepObjective(model, x, y), cfg)
     assert result.iterations == 5 and len(result.trajectory) == 5
     candidates = sum(
         round(math.log2(cfg.step / entry["step"])) + 1 for entry in result.trajectory
@@ -548,7 +601,7 @@ def test_line_search_rejects_before_eigensolve_only_what_objective_rejects(
     elif layout == "zero labels":
         y = np.zeros((n, 2))
     model = init_layered_model(x, [gauss(2)] * depth, [np.eye(2)] * depth, seed=seed % 1000)
-    exceeds = deepvv._Objective.exceeds
+    exceeds = deepvv.DeepObjective.exceeds
 
     def checked_exceeds(problem, fwd, thresh, lam1, lam2, w=None):
         rejected = exceeds(problem, fwd, thresh, lam1, lam2, w)
@@ -565,8 +618,8 @@ def test_line_search_rejects_before_eigensolve_only_what_objective_rejects(
 
     cfg = TrainConfig(lambda1=lambda1, lambda2=lambda2, step=0.5, iters=4)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(deepvv._Objective, "exceeds", checked_exceeds)
-        train(model, x, y, cfg)
+        mp.setattr(deepvv.DeepObjective, "exceeds", checked_exceeds)
+        train(DeepObjective(model, x, y), cfg)
 
 
 def _reference_fd_gradient(model, x, y, lam1, lam2):
@@ -587,7 +640,7 @@ def _reference_fd_gradient(model, x, y, lam1, lam2):
 
 def _reference_train(model, x, y, cfg):
     """The training loop on whole models rebuilt for every candidate and every
-    finite-difference bump, with one public one-shot call per objective,
+    finite-difference bump, with a fresh objective for every objective value,
     gradient and trajectory norm."""
     probes = default_probes(y, model.output_dim)
     lam1, lam2 = cfg.lambda1, cfg.lambda2
@@ -597,7 +650,7 @@ def _reference_train(model, x, y, cfg):
         if cfg.grad_mode == "finite-diff":
             grads = _reference_fd_gradient(current, x, y, lam1, lam2)
         else:
-            grads = gradient(current, x, y, lam1, lam2, mode="analytic")
+            grads = gradient(current, x, y, lam1, lam2, "analytic")
         gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
         if gnorm <= cfg.tol:
             break
@@ -615,8 +668,8 @@ def _reference_train(model, x, y, cfg):
             break
         trajectory.append(
             {"iteration": it, "objective": obj,
-             "pf_norm": pf_product_norm(current, x, probes),
-             "top_norm": top_layer_norm(current), "step": step}
+             "pf_norm": pf_norm(current, x, probes),
+             "top_norm": top_norm(current), "step": step}
         )
     return current, trajectory
 
@@ -638,7 +691,7 @@ def test_train_matches_model_rebuilding_reference(seed, depth, lambda1, lambda2,
     model = make_model(seed, dims=(2,) + (3,) * (depth - 1) + (2,), n_anchor=4)
     cfg = TrainConfig(lambda1=lambda1, lambda2=lambda2, step=0.3, iters=3,
                       grad_mode=grad_mode)
-    result = train(model, x, y, cfg)
+    result = train(DeepObjective(model, x, y), cfg)
     ref_model, ref_trajectory = _reference_train(model, x, y, cfg)
     assert all(
         np.array_equal(a, b) for a, b in zip(result.model.coeffs, ref_model.coeffs)
@@ -658,8 +711,8 @@ def test_lambda1_sweep_nonincreasing_pf():
     for lam1 in (0.0, 0.1, 1.0):
         model = init_layered_model(x, specs, [np.eye(2)] * 3, seed=4)
         cfg = TrainConfig(lambda1=lam1, lambda2=0.0, step=0.5, iters=120)
-        result = train(model, x, y, cfg)
-        finals.append(pf_product_norm(result.model, x, probes))
+        result = train(DeepObjective(model, x, y), cfg)
+        finals.append(pf_norm(result.model, x, probes))
     assert finals[1] <= finals[0] + 1e-9
     assert finals[2] <= finals[1] + 1e-9
     assert finals[2] < finals[0] - 1e-3  # regularization visibly binds
@@ -700,10 +753,6 @@ def test_refine_rejects_wrong_order():
 
 
 def test_checkpoint_roundtrip():
-    import json
-
-    from opbounds.deepvv import model_from_dict, model_to_dict
-
     model = make_model(50, dims=(2, 3, 2), n_anchor=4)
     payload = json.loads(json.dumps(model_to_dict(model)))
     back = model_from_dict(payload)
@@ -711,26 +760,24 @@ def test_checkpoint_roundtrip():
     assert np.array_equal(forward(model, x), forward(back, x))
 
 
-def test_capacity_diagnostics_and_projection():
-    from opbounds.deepvv import capacity_diagnostics, project_top_capacity
+def test_checkpoint_with_null_capacity_loads():
+    # checkpoints written while layers had a capacity carry "capacity": null
+    model = make_model(52, dims=(2, 3, 2), n_anchor=4)
+    payload = json.loads(json.dumps(model_to_dict(model)))
+    assert all("capacity" not in entry for entry in payload["layers"])
+    for entry in payload["layers"]:
+        entry["capacity"] = None
+    back = model_from_dict(payload)
+    x = np.random.default_rng(53).uniform(-1, 1, (5, 2))
+    assert np.array_equal(forward(model, x), forward(back, x))
 
-    rng = np.random.default_rng(52)
-    anchors = rng.uniform(-1, 1, (3, 2))
-    over = VVLayer(gauss(2), np.eye(2), anchors, 2.0 * rng.standard_normal((3, 2)),
-                   capacity=0.5)
-    under = VVLayer(gauss(2), np.eye(2), anchors, 0.01 * rng.standard_normal((3, 2)),
-                    capacity=10.0)
-    plain = VVLayer(gauss(2), np.eye(2), anchors, rng.standard_normal((3, 2)))
-    model = LayeredModel((under, plain, over))
-    diag = capacity_diagnostics(model)
-    assert diag[0]["within"] is True
-    assert diag[1]["within"] is None
-    assert diag[2]["within"] is False
-    projected = project_top_capacity(model)
-    assert top_layer_norm(projected) == pytest.approx(0.5, rel=1e-12)
-    # already-feasible models come back unchanged
-    again = project_top_capacity(projected)
-    assert np.allclose(again.layers[-1].coeffs, projected.layers[-1].coeffs, atol=1e-15)
+
+def test_checkpoint_with_a_set_capacity_is_rejected():
+    # a bound someone set is not dropped silently
+    payload = json.loads(json.dumps(model_to_dict(make_model(54, dims=(2, 3, 2)))))
+    payload["layers"][1]["capacity"] = 0.5
+    with pytest.raises(InputError, match="layer 2 sets capacity 0.5"):
+        model_from_dict(payload)
 
 
 def test_refine_accepts_exactly_psd_ordered():

@@ -10,12 +10,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opbounds.complexity import McConfig, rademacher_ball_mc
-from opbounds.deepvv import TrainConfig, init_layered_model, train
+from opbounds.complexity import BallMc, McConfig, run_mc
+from opbounds.deepvv import DeepObjective, TrainConfig, init_layered_model, train
 from opbounds.erm import FitConfig, fit_full, fit_sketched
 from opbounds.errors import OpboundsError
 from opbounds.kernels import DecomposableKernel, KernelExpansion, ScalarKernelSpec, gram_scalar
-from opbounds.koopman import LayerSpec, NetworkSpec, split_complexity_bound
+from opbounds.koopman import LayerSpec, NetworkSpec, SplitMc
 from opbounds.losses import LossSpec
 from opbounds.sketching import SketchSpec, make_p_sparsified
 from opbounds.spectral import (
@@ -102,7 +102,7 @@ def test_rademacher_ball_mc_is_finite_or_typed(problem, draws, seed):
     x, _, kernel = problem
     g = gram_scalar(kernel.scalar, x)
     got = _finite_or_typed(
-        lambda: rademacher_ball_mc(g, kernel.output, x.shape[0], McConfig(draws, seed))
+        lambda: run_mc([BallMc(g, kernel.output, x.shape[0])], McConfig(draws, seed))[0]
     )
     assert got is not None
     assert got.estimate >= 0.0 and got.stderr >= 0.0
@@ -151,7 +151,7 @@ def test_deep_train_is_finite_or_typed(problem, hidden, seed):
     def trained():
         model = init_layered_model(x, kernels, outputs, seed=seed)
         cfg = TrainConfig(lambda1=0.1, lambda2=0.1, step=0.3, iters=3)
-        result = train(model, x, y, cfg)
+        result = train(DeepObjective(model, x, y), cfg)
         path = [[e["objective"], e["pf_norm"], e["top_norm"]] for e in result.trajectory]
         return (*result.model.coeffs, np.reshape(path, -1))
 
@@ -189,9 +189,9 @@ def test_split_complexity_bound_is_finite_or_typed(
     ]
 
     def bound():
-        rep = split_complexity_bound(
-            net, depth, surrogates, x, kernel, mid, kernel_mid, McConfig(draws, seed)
-        )
+        g_in, g_mid = gram_scalar(kernel.scalar, x), gram_scalar(kernel_mid.scalar, mid)
+        split = SplitMc(net, depth, surrogates, x, kernel, mid, kernel_mid, g_in, g_mid)
+        rep = split.report(*run_mc(split.estimators, McConfig(draws, seed)))
         extras = rep.extras
         return rep.total, extras["class_estimate"], extras["approximation_term"]
 

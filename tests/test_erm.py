@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from opbounds.erm import (
     ExcessRiskBound,
     FitConfig,
-    coefficient_norm,
     empirical_risk,
     excess_risk_bound_rhs,
     fit_full,
@@ -20,6 +19,7 @@ from opbounds.errors import InputError, NumericError, OpboundsError, UnboundedLo
 from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
 from opbounds.losses import LossSpec, loss_value
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
+from oracles import coefficient_norm
 
 SQUARED = LossSpec("squared")
 PINBALL = LossSpec("pinball", quantiles=(0.25, 0.75))

@@ -8,13 +8,12 @@ from opbounds.kernels import (
     DecomposableKernel,
     KernelExpansion,
     ScalarKernelSpec,
-    eval_scalar,
-    gram_operator,
+    check_kappa,
     gram_scalar,
     make_output_matrix,
-    predict_expansion,
     sobolev_norm_gaussian,
 )
+from oracles import eval_scalar, gram_operator
 
 GAUSS2 = ScalarKernelSpec("gaussian", 1.0, dimension=2)
 
@@ -124,7 +123,7 @@ def test_gram_operator_identity_output_blocks():
 def test_kappa_validated_on_gram_assembly():
     kernel = DecomposableKernel(GAUSS2, np.eye(2), kappa=0.5)
     with pytest.raises(InputError):
-        gram_operator(kernel, [[0.0, 0.0], [1.0, 1.0]])
+        check_kappa(kernel, gram_scalar(GAUSS2, [[0.0, 0.0], [1.0, 1.0]]))
 
 
 def test_output_matrix_validation():
@@ -144,21 +143,21 @@ def test_predict_expansion_matches_loop_oracle():
     expected = np.zeros(2)
     for j in range(3):
         expected += eval_scalar(GAUSS2, x, anchors[j]) * (m_mat @ coeffs[j])
-    got = predict_expansion(kernel, anchors, coeffs, x)
-    assert np.allclose(got, expected, atol=1e-12)
+    got = KernelExpansion(kernel, anchors, coeffs).at(x)
+    assert got.shape == (1, 2)
+    assert np.allclose(got[0], expected, atol=1e-12)
 
 
 def test_predict_expansion_trivial_cases():
     kernel = DecomposableKernel(GAUSS2, np.eye(2), kappa=1.0)
     anchors = [[0.2, 0.4]]
-    assert np.array_equal(
-        predict_expansion(kernel, anchors, np.zeros((1, 2)), [0.0, 0.0]), np.zeros(2)
-    )
+    zero = KernelExpansion(kernel, anchors, np.zeros((1, 2)))
+    assert np.array_equal(zero.at([0.0, 0.0]), np.zeros((1, 2)))
     alpha = np.array([[3.0, -1.0]])
-    got = predict_expansion(kernel, anchors, alpha, anchors[0])
-    assert np.allclose(got, alpha[0], atol=1e-14)
+    got = KernelExpansion(kernel, anchors, alpha).at(anchors[0])
+    assert np.allclose(got, alpha, atol=1e-14)
     with pytest.raises(InputError):
-        predict_expansion(kernel, anchors, np.zeros((2, 2)), [0.0, 0.0])
+        KernelExpansion(kernel, anchors, np.zeros((2, 2)))
 
 
 def test_predict_expansion_linear_in_coeffs():
@@ -167,10 +166,10 @@ def test_predict_expansion_linear_in_coeffs():
     kernel = DecomposableKernel(GAUSS2, random_psd(2, rng), kappa=1.0)
     c1, c2 = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
     x = rng.standard_normal(2)
-    lhs = predict_expansion(kernel, anchors, 2.0 * c1 + c2, x)
-    rhs = 2.0 * predict_expansion(kernel, anchors, c1, x) + predict_expansion(
-        kernel, anchors, c2, x
-    )
+    lhs = KernelExpansion(kernel, anchors, 2.0 * c1 + c2).at(x)
+    rhs = 2.0 * KernelExpansion(kernel, anchors, c1).at(x) + KernelExpansion(
+        kernel, anchors, c2
+    ).at(x)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 

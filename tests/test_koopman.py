@@ -7,43 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opbounds import complexity
-from opbounds.complexity import (
-    McConfig,
-    _BallMc,
-    _ClassMc,
-    _quad_forms,
-    _run_mc,
-    rademacher_ball_mc,
-    rademacher_class_mc,
-    sign_blocks,
-)
+from opbounds.complexity import BallMc, ClassMc, McConfig, _quad_forms, run_mc, sign_blocks
 from opbounds.errors import DegenerateInputError, InputError, NonInjectiveError, NotPsdError
 from opbounds.kernels import (
     DecomposableKernel,
     KernelExpansion,
     ScalarKernelSpec,
-    gram_operator,
     gram_scalar,
     sobolev_norm_gaussian,
 )
 from opbounds.koopman import (
+    ApproxMc,
     LayerSpec,
     NetworkSpec,
-    _ApproxMc,
-    approximation_term_mc,
+    SplitMc,
     check_injectivity_class,
     det_quarter_root,
     product_bound,
     peeled_bound,
     spectral_ratio_factor,
-    split_complexity_bound,
 )
+from oracles import gram_operator
 
 
-def layer(w, s_in=2.0, s_out=2.0, koopman=1.0, ratio=1.0, bias=None):
+def layer(w, s_in=2.0, s_out=2.0, koopman=1.0, ratio=1.0):
     return LayerSpec(
         weights=np.asarray(w, dtype=float),
-        bias=bias,
         activation_koopman_norm=koopman,
         sobolev_order_in=s_in,
         sobolev_order_out=s_out,
@@ -205,7 +194,9 @@ def test_product_bound_total_recomputable_from_factors():
 
 
 def _gaussian_bump_net(rng, d, s):
-    """Random two-layer net with square weights and identity activations."""
+    """Random two-layer net with square weights and identity activations,
+    and the bump f it computes; f shifts its argument like a layer bias,
+    which the bound does not read."""
     ws, bs = [], []
     for _ in range(2):
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -215,8 +206,7 @@ def _gaussian_bump_net(rng, d, s):
     u = rng.standard_normal(2)
     u /= np.linalg.norm(u)
     layers = tuple(
-        layer(w, s_in=s, s_out=s, koopman=1.0, ratio=1.0, bias=b)
-        for w, b in zip(ws, bs)
+        layer(w, s_in=s, s_out=s, koopman=1.0, ratio=1.0) for w in ws
     )
     w_total = ws[1] @ ws[0]
     shift = ws[1] @ bs[0] + bs[1]
@@ -240,7 +230,7 @@ def test_product_bound_dominates_sampled_subfamily_mc():
         nets.append(net)
         funcs.append(f)
     bounds = [product_bound(net, kappa=1.0, tr_m=float(m), n=n).total for net in nets]
-    est = rademacher_class_mc(funcs, data, m, McConfig(draws=2000, seed=6))
+    (est,) = run_mc([ClassMc([f(data) for f in funcs], n, m)], McConfig(draws=2000, seed=6))
     assert est.estimate <= max(bounds) + 3 * est.stderr
 
 
@@ -284,6 +274,12 @@ def test_peeled_examples_and_monotonicity():
 
 # --- approximation term -----------------------------------------------------------
 
+def approx_term(upper, g_in, g_mid, out, cfg):
+    """(value, rejected draws, gammas) of the approximation term alone."""
+    (result,) = run_mc([ApproxMc(upper, g_in, g_mid, out)], cfg)
+    return result
+
+
 def _mid_setup(rng, n=8, m=2, d=2):
     pts = rng.uniform(-1, 1, (n, d))
     kernel = DecomposableKernel(
@@ -296,7 +292,7 @@ def test_approx_term_zero_class():
     rng = np.random.default_rng(7)
     pts, kernel, g_mid = _mid_setup(rng)
     zero = KernelExpansion(kernel, pts, np.zeros((8, 2)))
-    value, rejected, _ = approximation_term_mc(
+    value, rejected, _ = approx_term(
         [zero], g_mid, g_mid, [[1.0]], McConfig(draws=64, seed=0)
     )
     assert value == 0.0
@@ -307,7 +303,7 @@ def test_approx_term_equal_grams_gives_unit_gamma():
     rng = np.random.default_rng(8)
     pts, kernel, g_mid = _mid_setup(rng)
     h = KernelExpansion(kernel, pts, rng.standard_normal((8, 2)))
-    _, _, gammas = approximation_term_mc([h], g_mid, g_mid, [[1.0]], McConfig(draws=128, seed=1))
+    _, _, gammas = approx_term([h], g_mid, g_mid, [[1.0]], McConfig(draws=128, seed=1))
     assert np.allclose(gammas, 1.0, atol=1e-10)
 
 
@@ -321,7 +317,7 @@ def test_approx_term_matches_bruteforce_expansion():
     h1 = KernelExpansion(kernel, pts, rng.standard_normal((8, 2)))
     h2 = KernelExpansion(kernel, pts, rng.standard_normal((8, 2)))
     cfg = McConfig(draws=200, seed=2)
-    value, rejected, _ = approximation_term_mc([h1, h2], g_in, g_mid, [[1.0]], cfg)
+    value, rejected, _ = approx_term([h1, h2], g_in, g_mid, [[1.0]], cfg)
     assert rejected == 0
 
     # independent oracle: per draw, evaluate the candidate norm directly as a
@@ -357,7 +353,7 @@ def test_approx_term_rejects_degenerate_draws():
     h = KernelExpansion(kernel, pts, rng.standard_normal((2, 2)))
     v = np.array([1.0, -1.0, 1.0, -1.0])
     g_rank1 = np.outer(v, v)
-    value, rejected, gammas = approximation_term_mc(
+    value, rejected, gammas = approx_term(
         [h], g_rank1, g_rank1, [[1.0]], McConfig(draws=256, seed=3)
     )
     assert rejected > 0
@@ -367,7 +363,7 @@ def test_approx_term_rejects_degenerate_draws():
     from opbounds.errors import DegenerateInputError
 
     with pytest.raises(DegenerateInputError):
-        approximation_term_mc(
+        approx_term(
             [h], np.zeros((4, 4)), np.zeros((4, 4)), [[1.0]], McConfig(draws=16, seed=0)
         )
 
@@ -431,7 +427,7 @@ def approx_term_cases(draw):
 @given(approx_term_cases())
 def test_approx_term_matches_einsum_reference(case):
     upper, g_in, g_mid, cfg = case
-    value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, [[1.0]], cfg)
+    value, rejected, gammas = approx_term(upper, g_in, g_mid, [[1.0]], cfg)
     ref_value, ref_rejected, ref_gammas = einsum_reference_approx_term(
         upper, g_in, g_mid, cfg
     )
@@ -452,7 +448,7 @@ def test_approx_term_rejects_draws_on_duplicate_mid_points():
     g_in = gram_operator(kernel, pts)
     upper = [KernelExpansion(kernel, mid, rng.standard_normal((2, 2))) for _ in range(2)]
     cfg = McConfig(draws=1100, seed=4)
-    value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, [[1.0]], cfg)
+    value, rejected, gammas = approx_term(upper, g_in, g_mid, [[1.0]], cfg)
     opposite = sum(
         int(np.all(block[:, :2] == -block[:, 2:], axis=1).sum())
         for block in sign_blocks(cfg.draws, 4, cfg.seed)
@@ -494,7 +490,7 @@ def test_approx_term_rejects_round_off_degenerate_draws():
             degenerate += int(cancel.sum())
             kept = _quad_forms(block[cancel], g_mid, np.ones((1, 1))) > 0.0
             round_off_kept += int(kept.sum())
-        value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, [[1.0]], cfg)
+        value, rejected, gammas = approx_term(upper, g_in, g_mid, [[1.0]], cfg)
         assert rejected == degenerate, layout
         assert gammas.size == cfg.draws - rejected
         assert gammas.max() < 1e3 and value < 1e3, layout
@@ -513,7 +509,7 @@ def test_approx_term_cpu_time_at_width_600():
     upper = [KernelExpansion(kernel, pts, rng.standard_normal((300, 2))) for _ in range(4)]
     started_cpu = time.process_time()
     started = time.perf_counter()
-    value, rejected, gammas = approximation_term_mc(
+    value, rejected, gammas = approx_term(
         upper, g_in, g_mid, [[1.0]], McConfig(draws=4096, seed=5)
     )
     cpu = time.process_time() - started_cpu
@@ -562,12 +558,12 @@ def test_approx_term_factor_form_matches_dense_gram(case):
     upper, g_in, g_mid, out, cfg = case
     dense_in, dense_mid = np.kron(g_in, out), np.kron(g_mid, out)
     try:
-        dense = approximation_term_mc(upper, dense_in, dense_mid, [[1.0]], cfg)
+        dense = approx_term(upper, dense_in, dense_mid, [[1.0]], cfg)
     except DegenerateInputError:
         with pytest.raises(DegenerateInputError):
-            approximation_term_mc(upper, g_in, g_mid, out, cfg)
+            approx_term(upper, g_in, g_mid, out, cfg)
         return
-    value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, out, cfg)
+    value, rejected, gammas = approx_term(upper, g_in, g_mid, out, cfg)
     assert rejected == dense[1]
     assert value == pytest.approx(dense[0], rel=1e-12)
     np.testing.assert_allclose(gammas, dense[2], rtol=1e-12, atol=0.0)
@@ -597,9 +593,9 @@ def test_approx_term_degenerate_inputs(case):
     cfg = McConfig(draws=700, seed=25)
     if case == "zero g":
         with pytest.raises(DegenerateInputError):
-            approximation_term_mc(upper, np.zeros_like(g_in), np.zeros_like(g_mid), out, cfg)
+            approx_term(upper, np.zeros_like(g_in), np.zeros_like(g_mid), out, cfg)
         return
-    value, rejected, gammas = approximation_term_mc(upper, g_in, g_mid, out, cfg)
+    value, rejected, gammas = approx_term(upper, g_in, g_mid, out, cfg)
     assert np.isfinite(value) and np.all(np.isfinite(gammas))
     assert 0 <= rejected < cfg.draws and gammas.size == cfg.draws - rejected
 
@@ -652,32 +648,37 @@ def test_joint_pass_equals_estimators_run_one_by_one(case):
         complexity.sign_blocks = _refuse_draws
         try:
             with pytest.raises(NotPsdError):
-                _BallMc(g, out, n)
-            with pytest.raises(NotPsdError):
-                rademacher_ball_mc(g, out, n, cfg)
+                BallMc(g, out, n)
         finally:
             complexity.sign_blocks = blocks
         return
-    ball, cls = _BallMc(g, out, n), _ClassMc(preds, n, m)
-    approx = _ApproxMc(upper, g, g_mid, out)
-    _run_mc([ball, cls, approx], cfg)
-    assert ball.result() == rademacher_ball_mc(g, out, n, cfg)
-    x = np.zeros((n, 1))
-    assert cls.result() == rademacher_class_mc([lambda _, v=v: v for v in preds], x, m, cfg)
-    try:
-        alone = approximation_term_mc(upper, g, g_mid, out, cfg)
-    except DegenerateInputError:
+
+    def estimators():
+        return [BallMc(g, out, n), ClassMc(preds, n, m), ApproxMc(upper, g, g_mid, out)]
+
+    joint = estimators()
+    if kind == "zero mid":
         with pytest.raises(DegenerateInputError):
-            approx.result()
-        assert kind == "zero mid" and approx.rejected == cfg.draws
+            run_mc(joint, cfg)
+        assert joint[2].rejected == cfg.draws
+        for est, alone in zip(joint[:2], estimators()):
+            assert est.result() == run_mc([alone], cfg)[0]
         return
-    assert kind != "zero mid"
-    value, rejected, gammas = approx.result()
-    assert (value, rejected) == alone[:2]
-    assert np.array_equal(gammas, alone[2])
+    ball, cls, (value, rejected, gammas) = run_mc(joint, cfg)
+    alone = [run_mc([est], cfg)[0] for est in estimators()]
+    assert ball == alone[0] and cls == alone[1]
+    assert (value, rejected) == alone[2][:2]
+    assert np.array_equal(gammas, alone[2][2])
 
 
 # --- split bound ---------------------------------------------------------------------
+
+def split_bound(net, l_prime, upper, data, kernel_in, mid, kernel_mid, cfg):
+    """The split bound's report from one Monte-Carlo pass, as the CLI runs it."""
+    g_in, g_mid = gram_scalar(kernel_in.scalar, data), gram_scalar(kernel_mid.scalar, mid)
+    split = SplitMc(net, l_prime, upper, data, kernel_in, mid, kernel_mid, g_in, g_mid)
+    return split.report(*run_mc(split.estimators, cfg))
+
 
 def _split_setup(rng, identity_layers=True, n=10, d=2, m=2):
     data = rng.uniform(-1, 1, (n, d))
@@ -706,7 +707,7 @@ def test_split_bound_full_split_reduces_toward_product_bound():
     g_sur = KernelExpansion(kernel_mid, mid, raw)
     g_sur = KernelExpansion(kernel_mid, mid, raw * (net.g_norm / g_sur.norm()))
     cfg = McConfig(draws=400, seed=3)
-    rep = split_complexity_bound(
+    rep = split_bound(
         net, net.depth, [g_sur], data, kernel_in, mid, kernel_mid, cfg
     )
     product = product_bound(net, kernel_in.kappa, kernel_in.trace_m(), 10)
@@ -716,7 +717,7 @@ def test_split_bound_full_split_reduces_toward_product_bound():
     eta_l1 = product.total / (product.extras["g_norm"] * product.extras["trace_root"])
     assert eta_t2 == pytest.approx(eta_l1, rel=1e-12)
     # approximation term obeys the norm bound ||g|| E^(1/2)[(1+gamma)^2]
-    _, _, gammas = approximation_term_mc(
+    _, _, gammas = approx_term(
         [g_sur],
         gram_operator(kernel_in, data),
         gram_operator(kernel_mid, mid),
@@ -732,7 +733,7 @@ def test_split_bound_zero_upper_class():
     rng = np.random.default_rng(11)
     net, data, kernel_in, mid, kernel_mid = _split_setup(rng)
     zero = KernelExpansion(kernel_mid, mid, np.zeros((10, 2)))
-    rep = split_complexity_bound(
+    rep = split_bound(
         net, 1, [zero], data, kernel_in, mid[: len(mid)], kernel_mid,
         McConfig(draws=64, seed=4),
     )
@@ -746,7 +747,7 @@ def test_split_bound_identity_layers_neutral():
     net, data, kernel_in, mid, kernel_mid = _split_setup(rng, identity_layers=True)
     surrogate = KernelExpansion(kernel_mid, mid, 0.3 * rng.standard_normal((10, 2)))
     cfg = McConfig(draws=256, seed=5)
-    rep = split_complexity_bound(net, 2, [surrogate], data, kernel_in, mid, kernel_mid, cfg)
+    rep = split_bound(net, 2, [surrogate], data, kernel_in, mid, kernel_mid, cfg)
     assert rep.extras["eta_product"] == pytest.approx(1.0, rel=1e-12)
     bracket = (
         rep.extras["class_estimate"]
@@ -759,12 +760,12 @@ def test_split_bound_rejects_empty_class_and_bad_anchors():
     rng = np.random.default_rng(13)
     net, data, kernel_in, mid, kernel_mid = _split_setup(rng)
     with pytest.raises(InputError):
-        split_complexity_bound(
+        split_bound(
             net, 1, [], data, kernel_in, mid, kernel_mid, McConfig(draws=8, seed=0)
         )
     bad = KernelExpansion(kernel_mid, mid + 1.0, np.zeros((10, 2)))
     with pytest.raises(InputError):
-        split_complexity_bound(
+        split_bound(
             net, 1, [bad], data, kernel_in, mid, kernel_mid, McConfig(draws=8, seed=0)
         )
 
@@ -775,6 +776,6 @@ def test_split_bound_rejects_kernels_with_different_output_matrices():
     scaled_in = DecomposableKernel(kernel_in.scalar, 2.0 * np.eye(2), kappa=1.0)
     surrogate = KernelExpansion(kernel_mid, mid, rng.standard_normal((10, 2)))
     with pytest.raises(InputError, match="output matrix"):
-        split_complexity_bound(
+        split_bound(
             net, 1, [surrogate], data, scaled_in, mid, kernel_mid, McConfig(draws=8, seed=0)
         )

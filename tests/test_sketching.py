@@ -9,7 +9,6 @@ from opbounds.sketching import (
     SketchSpec,
     decompose_sketch,
     make_p_sparsified,
-    read_sketch_text,
     satisfiability_constant,
 )
 
@@ -114,11 +113,3 @@ def test_satisfiability_constant_values():
         satisfiability_constant(0.0)
     with pytest.raises(InputError):
         satisfiability_constant(1.5)
-
-
-def test_text_serialization_roundtrip(tmp_path):
-    sk = make_p_sparsified(SketchSpec(s=5, n=9, p=0.6, dist="gaussian", seed=2))
-    path = tmp_path / "sketch.txt"
-    sk.write_text(path)
-    back = read_sketch_text(path)
-    assert np.array_equal(back, sk.matrix)

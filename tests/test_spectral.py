@@ -15,9 +15,9 @@ from opbounds.spectral import (
     critical_radius,
     eigendecompose_scaled_gram,
     pencil_max,
-    psi_value,
     statistical_dimension,
 )
+from oracles import psi_value
 
 
 def random_psd(k, rng, jitter=0.0):
