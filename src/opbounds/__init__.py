@@ -25,7 +25,7 @@ _EXPORTS = {
     "koopman": "ApproxMc BoundReport LayerSpec NetworkSpec SplitMc "
     "check_injectivity_class det_quarter_root product_bound peeled_bound "
     "spectral_ratio_factor",
-    "deepvv": "DeepObjective LayeredModel TrainConfig VVLayer forward "
+    "deepvv": "DeepObjective LayeredModel TrainConfig forward "
     "init_layered_model refine_kernel separable_bound train",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

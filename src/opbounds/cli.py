@@ -41,7 +41,6 @@ from .erm import FitConfig, empirical_risk, excess_risk_bound_rhs, fit_full, fit
 from .errors import ConfigError, InputError, OpboundsError, RefinementOrderError
 from .kernels import (
     DecomposableKernel,
-    KernelExpansion,
     ScalarKernelSpec,
     _expansion_norm,
     check_kappa,
@@ -208,7 +207,6 @@ _LAYER_SCHEMA = {
         "weights": _MATRIX,
         "activation_koopman_norm": _POS,
         "sobolev_order_in": _POS,
-        "sobolev_order_out": _POS,
         "ratio_G": _POS,
     },
     "required": ["weights"],
@@ -543,21 +541,16 @@ def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
     l_prime = sb_cfg.get("l_prime", net.depth)
     n_sur = sb_cfg.get("surrogates", 3)
     mid = _identity_pushforward(net, ds.x, l_prime)
-    d_mid = mid.shape[1]
-    kernel_mid = DecomposableKernel(
-        ScalarKernelSpec("gaussian", kernel.scalar.bandwidth, dimension=d_mid),
-        kernel.output,
-        kappa=kernel.kappa,
-    )
-    g_mid = gram_scalar(kernel_mid.scalar, mid)
-    surrogates = []
+    spec_mid = ScalarKernelSpec("gaussian", kernel.scalar.bandwidth, dimension=mid.shape[1])
+    g_mid = gram_scalar(spec_mid, mid)
+    coeffs = np.empty((n_sur, ds.n, kernel.output_dim))
     for i in range(n_sur):
         raw = substream(mc_seed, 1000 + i).standard_normal((ds.n, kernel.output_dim))
-        norm = _expansion_norm(g_mid, raw, kernel_mid.output)
+        norm = _expansion_norm(g_mid, raw, kernel.output)
         target = net.g_norm * (i + 1) / n_sur
         scale = target / norm if norm > 0 else 0.0
-        surrogates.append(KernelExpansion(kernel_mid, mid, raw * scale))
-    split = SplitMc(net, l_prime, surrogates, ds.x, kernel, mid, kernel_mid, g_k, g_mid)
+        coeffs[i] = raw * scale
+    split = SplitMc(net, l_prime, coeffs, kernel, g_k, g_mid)
     ball_est, *split_results = run_mc([ball, *split.estimators], cfg_mc)
     split_rep = split.report(*split_results)
 

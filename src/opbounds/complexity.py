@@ -207,8 +207,10 @@ class ClassMc(_MeanMc):
 
     Lower-bounds the complexity of any class containing the listed functions.
     ``predictions`` holds, per function, its n predictions as an (n, m) array
-    (row i is f(x_i)), e.g. ``KernelExpansion.at(x)``; it is read once, here,
-    and checked before any draw."""
+    (row i is f(x_i)): ``KernelExpansion.at(x)``, or ``G c M`` for an
+    expansion with coefficients c anchored at the points themselves, as the
+    split bound's surrogates are.  It is read once, here, and checked before
+    any draw."""
 
     def __init__(self, predictions: Iterable, n: int, m: int):
         rows = []

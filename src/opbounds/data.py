@@ -13,7 +13,7 @@ import numpy as np
 
 from ._rng import substream
 from .errors import ConfigError, InputError
-from .kernels import DecomposableKernel, KernelExpansion, ScalarKernelSpec
+from .kernels import KernelExpansion, ScalarKernelSpec
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,8 @@ def synth_dataset(cfg: GeneratorConfig) -> Dataset:
     anchors = substream(cfg.seed, 1).uniform(-1.0, 1.0, size=(cfg.teacher_anchors, cfg.d))
     coeffs = substream(cfg.seed, 2).standard_normal((cfg.teacher_anchors, cfg.m))
     coeffs /= np.sqrt(cfg.teacher_anchors)
-    kernel = DecomposableKernel(
-        scalar=ScalarKernelSpec("gaussian", cfg.teacher_bandwidth, dimension=cfg.d),
-        output=np.eye(cfg.m),
-        kappa=1.0,
-    )
-    teacher = KernelExpansion(kernel, anchors, coeffs)
+    spec = ScalarKernelSpec("gaussian", cfg.teacher_bandwidth, dimension=cfg.d)
+    teacher = KernelExpansion(spec, np.eye(cfg.m), anchors, coeffs)
     clean = teacher.at(xs)
     noise = cfg.noise * substream(cfg.seed, 3).standard_normal((cfg.n, cfg.m))
     return Dataset(x=xs, y=clean + noise, teacher=teacher)

@@ -1,10 +1,10 @@
 """Deep vector-valued RKHS models with transfer-operator regularization.
 
-A model is a stack of kernel-expansion layers f_j(x) = sum_i k_j(x, z_i) M_j
-c_i with fixed anchors and trainable coefficients, so every RKHS norm stays
-Gram-computable.  The product of the layer transfer operators, restricted to
-the span of the probe features, has norm sqrt(pencil_max(G_top, G_bottom))
-with
+A model is a stack of ``kernels.KernelExpansion`` layers f_j(x) = sum_i
+k_j(x, z_i) M_j c_i with fixed anchors and trainable coefficients, so every
+RKHS norm stays Gram-computable.  The product of the layer transfer
+operators, restricted to the span of the probe features, has norm
+sqrt(pencil_max(G_top, G_bottom)) with
 
     G_bottom[i, j] = k_1(x_i, x_j) * y_i^T M~ y_j
     G_top[i, j]    = k_L(h(x_i), h(x_j)) * y_i^T M~ y_j
@@ -42,6 +42,7 @@ import numpy as np
 from ._rng import substream
 from .errors import InputError, NumericError, RefinementOrderError
 from .kernels import (
+    KernelExpansion,
     ScalarKernelSpec,
     _expansion_norm,
     as_points,
@@ -64,42 +65,8 @@ _MIN_STEP = 1e-14
 
 
 @dataclass(frozen=True)
-class VVLayer:
-    """One kernel-expansion layer: x -> sum_i k(x, z_i) M c_i."""
-
-    kernel: ScalarKernelSpec
-    output: np.ndarray
-    anchors: np.ndarray
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "output", make_output_matrix(self.output))
-        object.__setattr__(
-            self, "anchors", as_points(self.anchors, self.kernel.dimension)
-        )
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.anchors.shape[0], self.output.shape[0]):
-            raise InputError(
-                f"coeffs shape {c.shape} incompatible with "
-                f"{self.anchors.shape[0]} anchors and output dim {self.output.shape[0]}"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def out_dim(self) -> int:
-        return self.output.shape[0]
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return gram_scalar_cross(self.kernel, u, self.anchors) @ self.coeffs @ self.output
-
-    def rkhs_norm(self) -> float:
-        g = gram_scalar(self.kernel, self.anchors)
-        return _expansion_norm(g, self.coeffs, self.output)
-
-
-@dataclass(frozen=True)
 class LayeredModel:
-    layers: tuple[VVLayer, ...]
+    layers: tuple[KernelExpansion, ...]
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -159,9 +126,9 @@ def init_layered_model(
         g = substream(seed, j)
         m_mat = make_output_matrix(m_mat)
         c = g.uniform(-0.1, 0.1, size=(u.shape[0], m_mat.shape[0]))
-        layer = VVLayer(spec, m_mat, u, c)
+        layer = KernelExpansion(spec, m_mat, u, c)
         layers.append(layer)
-        u = layer.apply(u)
+        u = layer.at(u)
     return LayeredModel(tuple(layers))
 
 
@@ -499,7 +466,7 @@ def _require_gaussian(model: LayeredModel) -> None:
 
 
 def _backprop_layer(
-    layer: VVLayer, c: np.ndarray, u: np.ndarray, kmat: np.ndarray, gbar: np.ndarray
+    layer: KernelExpansion, c: np.ndarray, u: np.ndarray, kmat: np.ndarray, gbar: np.ndarray
 ):
     """Given d obj / d out for one layer at coefficients ``c``, return
     (d obj / d C, d obj / d u)."""
@@ -627,7 +594,7 @@ def model_from_dict(payload: dict) -> LayeredModel:
                     f"checkpoint layer {j} sets capacity {entry['capacity']!r}; "
                     "layer capacities are no longer supported"
                 )
-            layers.append(VVLayer(
+            layers.append(KernelExpansion(
                 ScalarKernelSpec(**entry["kernel"]),
                 np.asarray(entry["output"], dtype=float),
                 np.asarray(entry["anchors"], dtype=float),

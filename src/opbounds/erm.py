@@ -63,17 +63,18 @@ class FitDiagnostics:
 
 @dataclass
 class FittedModel:
-    """Representer-form model; ``kind`` selects the prediction path."""
+    """Representer-form model: a full fit (``sketch`` is None) with
+    coefficients A (n x m), or a sketched fit with Gamma (s x m) and A =
+    S^T Gamma."""
 
-    kind: str  # "full" | "sketched"
-    coeffs: np.ndarray  # A (n x m) or Gamma (s x m)
+    coeffs: np.ndarray
     kernel: DecomposableKernel
     anchors: np.ndarray
     diagnostics: FitDiagnostics
     sketch: SketchMatrix | None = None
 
     def effective_coeffs(self) -> np.ndarray:
-        if self.kind == "full":
+        if self.sketch is None:
             return self.coeffs
         return self.sketch.matrix.T @ self.coeffs
 
@@ -266,7 +267,7 @@ def fit_full(
         obj = objective_full(kernel, g, targets, loss, cfg.lambda_n, a)
         resid = g @ ((2.0 / n) * (g @ a @ m_mat - targets) + cfg.lambda_n * a) @ m_mat
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), 0, True)
-        return FittedModel("full", a, kernel, pts, diag)
+        return FittedModel(a, kernel, pts, diag)
 
     def objective(a):
         return objective_full(kernel, g, targets, loss, cfg.lambda_n, a)
@@ -279,7 +280,7 @@ def fit_full(
     prox = _diag_prox(gram_eigh, m_mat, cfg.lambda_n)
     start = np.zeros_like(targets)
     coeffs, diag = _descend(objective, loss_grad, prox, start, cfg)
-    return FittedModel("full", coeffs, kernel, pts, diag)
+    return FittedModel(coeffs, kernel, pts, diag)
 
 
 def fit_sketched(
@@ -310,7 +311,7 @@ def fit_sketched(
             + cfg.lambda_n * sgs @ gamma @ m_mat
         )
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), 0, True)
-        return FittedModel("sketched", gamma, kernel, pts, diag, sketch=sk)
+        return FittedModel(gamma, kernel, pts, diag, sketch=sk)
 
     def objective(gamma):
         return _objective_sketched(m_mat, k_sk, sgs, targets, loss, cfg.lambda_n, gamma)
@@ -323,7 +324,7 @@ def fit_sketched(
     prox = _diag_prox(np.linalg.eigh(0.5 * (sgs + sgs.T)), m_mat, cfg.lambda_n)
     start = np.zeros((s_dense.shape[0], kernel.output_dim))
     coeffs, diag = _descend(objective, loss_grad, prox, start, cfg)
-    return FittedModel("sketched", coeffs, kernel, pts, diag, sketch=sk)
+    return FittedModel(coeffs, kernel, pts, diag, sketch=sk)
 
 
 def empirical_risk(model, x, y, loss: LossSpec, gram=None) -> float:

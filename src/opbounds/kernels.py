@@ -3,7 +3,9 @@
 A decomposable kernel is ``K(x, x') = k(x, x') * M`` for a scalar radial
 kernel ``k`` and a symmetric PSD matrix ``M``; its Gram over ``n`` points is
 the Kronecker product ``G_K = G_k (x) M``.  Point sets are plain ``(n, d)``
-float arrays, validated by :func:`as_points`.
+float arrays, validated by :func:`as_points`.  A finite expansion
+``x -> sum_i k(x, z_i) M c_i`` is a :class:`KernelExpansion`, which holds no
+kappa: no expansion reads one.
 
 Conventions:
 
@@ -180,14 +182,6 @@ def check_kappa(kernel: DecomposableKernel, g_scalar: np.ndarray) -> None:
         )
 
 
-def expansion_matrix(kernel: DecomposableKernel, anchors, coeffs, x) -> np.ndarray:
-    """Evaluate the expansion at many points; rows are predictions."""
-    z = as_points(anchors, kernel.scalar.dimension)
-    c = np.asarray(coeffs, dtype=float)
-    kmat = gram_scalar_cross(kernel.scalar, x, z)
-    return kmat @ c @ kernel.output
-
-
 def _expansion_norm(g: np.ndarray, coeffs: np.ndarray, output: np.ndarray) -> float:
     """RKHS norm sqrt(sum_ij g_ij c_i^T M c_j) of an expansion whose anchor
     Gram is ``g``."""
@@ -197,32 +191,39 @@ def _expansion_norm(g: np.ndarray, coeffs: np.ndarray, output: np.ndarray) -> fl
 
 @dataclass(frozen=True)
 class KernelExpansion:
-    """A finite kernel expansion f = sum_j k(., z_j) M c_j, the workhorse
-    surrogate for functions whose RKHS norms must stay Gram-computable."""
+    """A finite kernel expansion x -> sum_i k(x, z_i) M c_i, such as a deep
+    vvRKHS layer or the synthetic teacher; its RKHS norm is Gram-computable."""
 
-    kernel: DecomposableKernel
+    kernel: ScalarKernelSpec
+    output: np.ndarray
     anchors: np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "output", make_output_matrix(self.output))
         object.__setattr__(
-            self, "anchors", as_points(self.anchors, self.kernel.scalar.dimension)
+            self, "anchors", as_points(self.anchors, self.kernel.dimension)
         )
         c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.anchors.shape[0], self.kernel.output_dim):
+        if c.shape != (self.anchors.shape[0], self.output.shape[0]):
             raise InputError(
                 f"coeffs shape {c.shape} incompatible with "
-                f"{self.anchors.shape[0]} anchors in R^{self.kernel.output_dim}"
+                f"{self.anchors.shape[0]} anchors and output dim {self.output.shape[0]}"
             )
         object.__setattr__(self, "coeffs", c)
 
+    @property
+    def out_dim(self) -> int:
+        return self.output.shape[0]
+
     def at(self, x) -> np.ndarray:
-        return expansion_matrix(self.kernel, self.anchors, self.coeffs, x)
+        """Values at a batch of points; rows are predictions."""
+        return gram_scalar_cross(self.kernel, x, self.anchors) @ self.coeffs @ self.output
 
     def norm(self) -> float:
         """RKHS norm sqrt(sum_ij k(z_i, z_j) c_i^T M c_j)."""
-        g = gram_scalar(self.kernel.scalar, self.anchors)
-        return _expansion_norm(g, self.coeffs, self.kernel.output)
+        g = gram_scalar(self.kernel, self.anchors)
+        return _expansion_norm(g, self.coeffs, self.output)
 
 
 def sobolev_norm_gaussian(d: int, s: float) -> float:

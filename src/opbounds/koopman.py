@@ -12,7 +12,8 @@ ratio defaulting to 1).  Three calculators are provided:
   the product factor of the lower block with a Monte-Carlo complexity
   estimate of a finite surrogate class for the upper block plus an
   approximation term (:class:`ApproxMc`), from one ``complexity.run_mc``
-  pass.
+  pass.  The surrogates are kernel expansions anchored at the mid points,
+  passed as one (K, n, m) coefficient stack.
 * :func:`peeled_bound` — the norm-product form ``prod Frobenius * prod
   spectral`` with the universal constant fixed to 1.
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .complexity import ClassMc, McEstimate, _matrix, _quad_forms, trace_bound
 from .errors import DegenerateInputError, InputError, NonInjectiveError
-from .kernels import DecomposableKernel, KernelExpansion, as_points, check_kappa
+from .kernels import DecomposableKernel, check_kappa
 
 _INJ_TOL = 1e-12
 
@@ -49,7 +50,6 @@ class LayerSpec:
     weights: np.ndarray
     activation_koopman_norm: float = 1.0
     sobolev_order_in: float = 1.0
-    sobolev_order_out: float = 1.0
     ratio_g: float = 1.0
 
     def __post_init__(self):
@@ -63,8 +63,7 @@ class LayerSpec:
             raise InputError("activation_koopman_norm must be positive")
         if not self.ratio_g > 0:
             raise InputError("ratio_G must be positive")
-        d_in, d_out = w.shape[1], w.shape[0]
-        if self.sobolev_order_in <= d_in / 2 or self.sobolev_order_out <= d_out / 2:
+        if self.sobolev_order_in <= w.shape[1] / 2:
             warnings.warn(
                 "Sobolev order at or below d/2; the layer function space is "
                 "not reproducing there",
@@ -282,6 +281,9 @@ class ApproxMc:
     n x n scalar Grams ``g_in``, ``g_mid`` and the m x m output matrix
     ``out`` (dense nm x nm Grams are the case ``out = [[1.0]]``).  Sign
     draws have width n*m; every quadratic form is ``<Sigma, G Sigma M>``.
+    The surrogate class is the (K, n, m) stack ``coeffs``: surrogate k is
+    the kernel expansion over the mid points with coefficients
+    ``coeffs[k]``, so its RKHS norm is ``sqrt(<c, g_mid c out>)``.
 
     Per sign draw, with u_n and u~_n the sign-weighted kernel sums in the
     input and mid spaces, gamma = ||u_n|| / ||u~_n||; for each candidate h'
@@ -297,31 +299,28 @@ class ApproxMc:
     gammas).
     """
 
-    def __init__(self, upper_class: list[KernelExpansion], g_in, g_mid, out):
-        if not upper_class:
-            raise InputError("upper class must be nonempty")
+    def __init__(self, coeffs, g_in, g_mid, out):
         g_in, g_mid = _matrix(g_in, "input Gram"), _matrix(g_mid, "mid Gram")
         out = _matrix(out, "output matrix")
         if g_in.shape != g_mid.shape:
             raise InputError("input and mid Grams must have equal shape")
         n, m = g_mid.shape[0], out.shape[0]
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim != 3 or coeffs.shape[0] < 1 or coeffs.shape[1:] != (n, m):
+            raise InputError(
+                f"surrogate coefficients must be a nonempty (K, {n}, {m}) stack over "
+                f"the mid Gram blocks, got shape {coeffs.shape}"
+            )
         self.width = n * m
         self.g_in, self.g_mid, self.out = g_in, g_mid, out
-        coeff_mat = np.empty((len(upper_class), self.width))
-        self.coeff_g = np.empty_like(coeff_mat)  # loop-invariant half of <h', u~_n>
-        for k, h in enumerate(upper_class):
-            if h.coeffs.size != self.width:
-                raise InputError(
-                    "surrogate coefficients must align with the mid Gram blocks"
-                )
-            c = h.coeffs.reshape(n, m)
-            coeff_mat[k] = c.ravel()
-            self.coeff_g[k] = (g_mid @ c @ out).ravel()
+        coeff_mat = coeffs.reshape(coeffs.shape[0], self.width)
+        # loop-invariant half of <h', u~_n>
+        self.coeff_g = (g_mid @ coeffs @ out).reshape(coeff_mat.shape)
         self.norms_sq = _quad_forms(coeff_mat, g_mid, out)
         # beta_h for every h in the class
         self.norms = np.sqrt(np.maximum(self.norms_sq, 0.0))
         self.q_floor = self.width * np.finfo(float).eps * np.trace(g_mid) * np.trace(out)
-        self.sum_sup = np.zeros(len(upper_class))
+        self.sum_sup = np.zeros(coeffs.shape[0])
         self.draws = 0
         self.rejected = 0
         self.gammas: list[np.ndarray] = []
@@ -362,67 +361,48 @@ class SplitMc:
     """Layer-split bound: prod_{l <= l'} eta_l * (class complexity of the
     upper surrogate family + trace root * approximation term).
 
-    The upper class is a finite surrogate family of kernel expansions anchored
-    at ``mid_points`` under ``kernel_mid``; this surrogacy is declared in the
-    report.  ``g_in`` and ``g_mid`` must be the scalar Grams of ``kernel_in``
-    at ``data`` and of ``kernel_mid`` at ``mid_points``; they drive the
-    coupled sign draws of the approximation term.  The class predictions are
-    the approximation term's ``g_mid @ c @ M`` per surrogate, since the
-    surrogates are anchored at the mid points, so the class estimate reads
-    the same draws.
+    The upper class is a finite surrogate family of kernel expansions
+    h_k = sum_i k_mid(., mid_i) M c_ki anchored at the mid points, given as
+    the (K, n, m) stack ``coeffs`` of their coefficients; this surrogacy is
+    declared in the report.  ``g_in`` and ``g_mid`` are the n x n scalar
+    Grams of the data and of the mid points, paired one-to-one; they drive
+    the coupled sign draws of the approximation term.  ``kernel`` is the data
+    kernel: its output matrix M serves both spaces and its kappa bounds both
+    Grams.  The class predictions are the approximation term's ``g_mid @ c @
+    M`` per surrogate, since the surrogates are anchored at the mid points,
+    so the class estimate reads the same draws.
 
-    Building it does every check and computes the lower-layer factors; then
-    ``split.report(*run_mc(split.estimators, cfg))`` runs the class and
-    approximation estimators through one Monte-Carlo pass, which may also
-    carry other estimators of the same sign width."""
+    Building it does every check and computes the lower-layer factors and
+    the trace root; then ``split.report(*run_mc(split.estimators, cfg))``
+    runs the class and approximation estimators through one Monte-Carlo
+    pass, which may also carry other estimators of the same sign width."""
 
     def __init__(
         self,
         net: NetworkSpec,
         l_prime: int,
-        upper_class: list[KernelExpansion],
-        data,
-        kernel_in: DecomposableKernel,
-        mid_points,
-        kernel_mid: DecomposableKernel,
+        coeffs,
+        kernel: DecomposableKernel,
         g_in: np.ndarray,
         g_mid: np.ndarray,
     ):
         if not (1 <= l_prime <= net.depth):
             raise InputError(f"l_prime={l_prime} outside [1, {net.depth}]")
-        if not upper_class:
-            raise InputError("upper class must be nonempty")
-        x = as_points(data, kernel_in.scalar.dimension)
-        mid = as_points(mid_points, kernel_mid.scalar.dimension)
-        if mid.shape[0] != x.shape[0]:
-            raise InputError("mid points must pair one-to-one with the data")
-        if not np.array_equal(kernel_in.output, kernel_mid.output):
-            raise InputError("input and mid kernels must share the output matrix M")
-        for h in upper_class:
-            if h.kernel is not kernel_mid and not (
-                h.kernel.scalar == kernel_mid.scalar
-                and np.array_equal(h.kernel.output, kernel_mid.output)
-            ):
-                raise InputError("surrogates must use the mid-space kernel")
-            if h.anchors.shape != mid.shape or not np.allclose(h.anchors, mid):
-                raise InputError("surrogates must be anchored at the mid points")
-
         self.factors = _layer_factors(net, l_prime)
         self.eta = _factor_product(self.factors)
 
-        check_kappa(kernel_in, g_in)
-        check_kappa(kernel_mid, g_mid)
-        approx_mc = ApproxMc(upper_class, g_in, g_mid, kernel_mid.output)
-        n, m = mid.shape[0], kernel_in.output_dim
+        approx_mc = ApproxMc(coeffs, g_in, g_mid, kernel.output)
+        check_kappa(kernel, approx_mc.g_in)
+        check_kappa(kernel, approx_mc.g_mid)
+        n, m = approx_mc.g_mid.shape[0], kernel.output_dim
         class_mc = ClassMc((row.reshape(n, m) for row in approx_mc.coeff_g), n, m)
         self.estimators = (class_mc, approx_mc)
-        self.kernel_in, self.n = kernel_in, x.shape[0]
+        self.root = trace_bound(kernel.kappa, kernel.trace_m(), n)
 
     def report(self, class_est: McEstimate, approx_result: tuple) -> BoundReport:
         """The bound from the ``result()`` of each of ``estimators``, in order."""
         approx, rejected, gammas = approx_result
-        root = trace_bound(self.kernel_in.kappa, self.kernel_in.trace_m(), self.n)
-        total = self.eta * (class_est.estimate + root * approx)
+        total = self.eta * (class_est.estimate + self.root * approx)
         return BoundReport(
             family="split",
             total=total,
@@ -433,7 +413,7 @@ class SplitMc:
                 "class_stderr": class_est.stderr,
                 "approximation_term": approx,
                 "approximation_rejected_draws": rejected,
-                "trace_root": root,
+                "trace_root": self.root,
                 "gamma_mean": float(gammas.mean()),
                 "note": (
                     "upper class is a finite surrogate kernel-expansion family; "

@@ -20,7 +20,6 @@ from opbounds.deepvv import (
     DeepObjective,
     LayeredModel,
     TrainConfig,
-    VVLayer,
     _forward_trace,
     _pf_bottom,
     _pf_top,
@@ -32,7 +31,7 @@ from opbounds.deepvv import (
 )
 from opbounds.erm import FitConfig, excess_risk_bound_rhs, fit_full, fit_sketched
 from opbounds.errors import RefinementOrderError
-from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
+from opbounds.kernels import DecomposableKernel, KernelExpansion, ScalarKernelSpec, gram_scalar
 from opbounds.koopman import LayerSpec, NetworkSpec, product_bound, spectral_ratio_factor
 from opbounds.losses import LossSpec
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified, satisfiability_constant
@@ -84,7 +83,7 @@ def test_criterion_01_ball_mc_below_trace_bound():
 
 def test_criterion_02_product_bound_identity_exact():
     net = NetworkSpec(
-        layers=(LayerSpec(weights=np.eye(3), sobolev_order_in=2.0, sobolev_order_out=2.0),),
+        layers=(LayerSpec(weights=np.eye(3), sobolev_order_in=2.0),),
         g_norm=1.0,
         output_dim=2,
     )
@@ -285,7 +284,7 @@ def test_criterion_07_pencil_oracle_and_pf_identity():
     rng = np.random.default_rng(123)
     n = 6
     x = rng.uniform(-1, 1, (n, 2))
-    lay = VVLayer(
+    lay = KernelExpansion(
         ScalarKernelSpec("gaussian", 1.0, dimension=2), np.eye(2), x,
         0.3 * rng.standard_normal((n, 2)),
     )
@@ -305,8 +304,8 @@ def _random_deep_model(seed, dims, n_anchor=4):
         anchors = rng.uniform(-1, 1, (n_anchor, d_in))
         coeffs = 0.3 * rng.standard_normal((n_anchor, d_out))
         layers.append(
-            VVLayer(ScalarKernelSpec("gaussian", 1.0, dimension=d_in),
-                    np.eye(d_out), anchors, coeffs)
+            KernelExpansion(ScalarKernelSpec("gaussian", 1.0, dimension=d_in),
+                            np.eye(d_out), anchors, coeffs)
         )
         d_in = d_out
     return LayeredModel(tuple(layers))
@@ -419,8 +418,8 @@ def test_criterion_11_refinement_ordering():
         if np.linalg.eigvalsh(a_mat)[0] < 0:
             continue  # candidate must itself be a valid output matrix
         layers = tuple(
-            VVLayer(ScalarKernelSpec("gaussian", 1.0, dimension=2), m_mat,
-                    anchors, 0.2 * rng.standard_normal((n_anchor, 2)))
+            KernelExpansion(ScalarKernelSpec("gaussian", 1.0, dimension=2), m_mat,
+                            anchors, 0.2 * rng.standard_normal((n_anchor, 2)))
             for _ in range(3)
         )
         model = LayeredModel(layers)
@@ -453,8 +452,7 @@ _DET_CONFIGS = {
         "network": {
             "g_norm": 1.0,
             "output_dim": 2,
-            "layers": [{"weights": [[1.0, 0.0], [0.0, 1.0]],
-                        "sobolev_order_in": 2.0, "sobolev_order_out": 2.0}],
+            "layers": [{"weights": [[1.0, 0.0], [0.0, 1.0]], "sobolev_order_in": 2.0}],
         },
     },
     "sketch-regress": {

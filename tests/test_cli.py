@@ -33,8 +33,7 @@ BOUND_COMPARE = {
         "g_norm": 1.0,
         "output_dim": 2,
         "layers": [
-            {"weights": [[1.0, 0.0], [0.0, 1.0]], "sobolev_order_in": 2.0,
-             "sobolev_order_out": 2.0}
+            {"weights": [[1.0, 0.0], [0.0, 1.0]], "sobolev_order_in": 2.0}
         ],
     },
     "split": 0,
@@ -141,6 +140,7 @@ UNREAD_KEYS = [
     ],
     ("bound-compare", {}, ("network",), "injectivity_class", {"C": 0.001, "D": 1e6}),
     ("bound-compare", {}, ("network", "layers", 0), "bias", [0.1, -0.2]),
+    ("bound-compare", {}, ("network", "layers", 0), "sobolev_order_out", 2.0),
     *[
         ("spectral-report", {}, ("dataset",), key, value)
         for key, value in [("m", 2), ("noise", 7.0), ("teacher_anchors", 4),
@@ -393,7 +393,6 @@ SWEEP_VALUES = {
     "network.layers[].weights.csv": ["w.csv"],
     "network.layers[].activation_koopman_norm": [2.5],
     "network.layers[].sobolev_order_in": [3.0],
-    "network.layers[].sobolev_order_out": [3.0],
     "network.layers[].ratio_G": [1.7],
     "split": [2],
     "split_bound": [{"surrogates": 4}],
@@ -426,8 +425,6 @@ ACCEPTED_NO_OPS = [
      "labels are unread; the bound-split benchmark config carries it"),
     ("bound-compare", "network.output_dim",
      "no bound reads it; the bound-split benchmark config carries it"),
-    ("bound-compare", "network.layers[].sobolev_order_out",
-     "only the warning that the layer space is not reproducing reads it"),
 ]
 
 
@@ -530,8 +527,7 @@ def test_jagged_matrix_is_a_config_error(key, tmp_path, capsys):
 def test_first_layer_must_take_the_data_dimension(monkeypatch, tmp_path):
     # three input columns on d = 2 data: a typed error before any Gram
     cfg = json.loads(json.dumps(BOUND_COMPARE))
-    cfg["network"]["layers"] = [{"weights": np.eye(3).tolist(), "sobolev_order_in": 2.0,
-                                 "sobolev_order_out": 2.0}]
+    cfg["network"]["layers"] = [{"weights": np.eye(3).tolist(), "sobolev_order_in": 2.0}]
 
     def refuse(*args, **kwargs):
         raise AssertionError("Gram assembled before the width check")

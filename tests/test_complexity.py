@@ -268,9 +268,11 @@ def test_class_contained_in_ball():
     predictions = []
     for k in range(50):
         coeffs = np.random.default_rng(100 + k).standard_normal((n, m))
-        exp = KernelExpansion(kernel, pts, coeffs)
+        exp = KernelExpansion(kernel.scalar, kernel.output, pts, coeffs)
         norm = exp.norm()
-        predictions.append(KernelExpansion(kernel, pts, coeffs / norm).at(pts))
+        predictions.append(
+            KernelExpansion(kernel.scalar, kernel.output, pts, coeffs / norm).at(pts)
+        )
     g = gram_scalar(kernel.scalar, pts)
     cfg = McConfig(draws=3000, seed=14)
     ball, cls = run_mc([BallMc(g, kernel.output, n), ClassMc(predictions, n, m)], cfg)

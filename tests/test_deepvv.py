@@ -12,7 +12,6 @@ from opbounds.deepvv import (
     DeepObjective,
     LayeredModel,
     TrainConfig,
-    VVLayer,
     default_probes,
     forward,
     init_layered_model,
@@ -23,7 +22,7 @@ from opbounds.deepvv import (
     train,
 )
 from opbounds.errors import InputError, RefinementOrderError
-from opbounds.kernels import ScalarKernelSpec, gram_scalar
+from opbounds.kernels import KernelExpansion, ScalarKernelSpec, gram_scalar
 
 pytestmark = pytest.mark.filterwarnings("ignore:model has .* layers")
 
@@ -45,7 +44,7 @@ def make_model(seed, dims=(2, 3, 2), n_anchor=5, bw=1.0, uniform_m=False, m_scal
         else:
             b = rng.standard_normal((d_out, d_out))
             m_mat = b @ b.T + 0.5 * np.eye(d_out)
-        layers.append(VVLayer(gauss(d_in, bw), m_mat, anchors, coeffs))
+        layers.append(KernelExpansion(gauss(d_in, bw), m_mat, anchors, coeffs))
         d_in = d_out
     return LayeredModel(tuple(layers))
 
@@ -81,7 +80,7 @@ def gradient(model, x, y, lam1, lam2, mode):
 
 
 def top_norm(model):
-    return model.layers[-1].rkhs_norm()
+    return model.layers[-1].norm()
 
 
 # --- forward -------------------------------------------------------------------
@@ -110,14 +109,14 @@ def test_forward_middle_interpolation_identity():
     rng = np.random.default_rng(3)
     n = 5
     x = rng.uniform(-1, 1, (n, 2))
-    first = VVLayer(gauss(2), np.eye(2), x, 0.4 * rng.standard_normal((n, 2)))
-    u = first.apply(x)
+    first = KernelExpansion(gauss(2), np.eye(2), x, 0.4 * rng.standard_normal((n, 2)))
+    u = first.at(x)
     g_mid = gram_scalar(gauss(2, 2.0), u)
     interp_coeffs = np.linalg.solve(g_mid, u)  # K C = U with M = I
-    middle = VVLayer(gauss(2, 2.0), np.eye(2), u, interp_coeffs)
-    top = VVLayer(gauss(2, 0.7), np.eye(2), u, 0.5 * rng.standard_normal((n, 2)))
+    middle = KernelExpansion(gauss(2, 2.0), np.eye(2), u, interp_coeffs)
+    top = KernelExpansion(gauss(2, 0.7), np.eye(2), u, 0.5 * rng.standard_normal((n, 2)))
     model = LayeredModel((first, middle, top))
-    direct = top.apply(first.apply(x))
+    direct = top.at(first.at(x))
     assert np.allclose(forward(model, x), direct, atol=1e-8)
 
 
@@ -129,7 +128,7 @@ def test_pf_norm_identity_map_equal_kernels():
     rng = np.random.default_rng(4)
     n = 5
     x = rng.uniform(-1, 1, (n, 2))
-    lay = VVLayer(gauss(2), np.eye(2), x, 0.3 * rng.standard_normal((n, 2)))
+    lay = KernelExpansion(gauss(2), np.eye(2), x, 0.3 * rng.standard_normal((n, 2)))
     model = LayeredModel((lay,))
     probes = rng.standard_normal((n, 2))
     assert pf_norm(model, x, probes) == pytest.approx(1.0, abs=1e-12)
@@ -140,7 +139,7 @@ def test_pf_norm_scaled_kernel():
     rng = np.random.default_rng(5)
     n = 4
     x = rng.uniform(-1, 1, (n, 2))
-    lay = VVLayer(gauss(2), 4.0 * np.eye(2), x, np.zeros((n, 2)))
+    lay = KernelExpansion(gauss(2), 4.0 * np.eye(2), x, np.zeros((n, 2)))
     model = LayeredModel((lay,))
     probes = rng.standard_normal((n, 2))
     # both Grams use the output bilinear form; scaling the scalar kernel
@@ -164,7 +163,7 @@ def test_pf_norm_dominates_sampled_rayleigh():
     g_bot = gram_scalar(first.kernel, x) * bilinear
     mids = x
     for lay in model.layers[:-1]:
-        mids = lay.apply(mids)
+        mids = lay.at(mids)
     g_top = gram_scalar(last.kernel, mids) * bilinear
     vecs = rng.standard_normal((10_000, n))
     num = np.einsum("ij,jk,ik->i", vecs, g_top, vecs)
@@ -219,11 +218,11 @@ def test_default_probes_fallback():
 
 def test_top_layer_norm_cases():
     anchors = np.array([[0.0, 0.0]])
-    zero = VVLayer(gauss(2), np.eye(2), anchors, np.zeros((1, 2)))
+    zero = KernelExpansion(gauss(2), np.eye(2), anchors, np.zeros((1, 2)))
     assert top_norm(LayeredModel((zero,))) == 0.0
-    single = VVLayer(gauss(2), np.eye(2), anchors, np.array([[3.0, 4.0]]))
+    single = KernelExpansion(gauss(2), np.eye(2), anchors, np.array([[3.0, 4.0]]))
     assert top_norm(LayeredModel((single,))) == pytest.approx(5.0, rel=1e-12)
-    scaled = VVLayer(gauss(2), np.eye(2), anchors, np.array([[-7.5, 10.0]]))
+    scaled = KernelExpansion(gauss(2), np.eye(2), anchors, np.array([[-7.5, 10.0]]))
     assert top_norm(LayeredModel((scaled,))) == pytest.approx(12.5, rel=1e-12)
 
 
@@ -346,7 +345,7 @@ def test_gradient_zero_model_data_term():
     y = rng.standard_normal((n, 2))
     anchors = rng.uniform(-1, 1, (4, 2))
     m_mat = np.eye(2)
-    lay = VVLayer(gauss(2), m_mat, anchors, np.zeros((4, 2)))
+    lay = KernelExpansion(gauss(2), m_mat, anchors, np.zeros((4, 2)))
     model = LayeredModel((lay,))
     grads = gradient(model, x, y, 0.0, 0.0, "analytic")
     from opbounds.kernels import gram_scalar_cross
@@ -399,7 +398,7 @@ def test_gradient_zero_at_exact_interpolant():
 def test_gradient_requires_gaussian_for_analytic():
     rng = np.random.default_rng(27)
     anchors = rng.uniform(-1, 1, (3, 2))
-    lay = VVLayer(
+    lay = KernelExpansion(
         ScalarKernelSpec("matern", 1.0, smoothness=1.5, dimension=2),
         np.eye(2), anchors, np.zeros((3, 2)),
     )

@@ -14,7 +14,7 @@ from opbounds.complexity import BallMc, McConfig, run_mc
 from opbounds.deepvv import DeepObjective, TrainConfig, init_layered_model, train
 from opbounds.erm import FitConfig, fit_full, fit_sketched
 from opbounds.errors import OpboundsError
-from opbounds.kernels import DecomposableKernel, KernelExpansion, ScalarKernelSpec, gram_scalar
+from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
 from opbounds.koopman import LayerSpec, NetworkSpec, SplitMc
 from opbounds.losses import LossSpec
 from opbounds.sketching import SketchSpec, make_p_sparsified
@@ -171,7 +171,7 @@ def test_split_complexity_bound_is_finite_or_typed(
     rng = np.random.default_rng(seed)
     weights = [np.eye(d) + 0.3 * rng.standard_normal((d, d)) for _ in range(depth)]
     net = NetworkSpec(
-        layers=tuple(LayerSpec(w, sobolev_order_in=2.0, sobolev_order_out=2.0) for w in weights),
+        layers=tuple(LayerSpec(w, sobolev_order_in=2.0) for w in weights),
         g_norm=1.0,
         output_dim=kernel.output_dim,
     )
@@ -180,17 +180,12 @@ def test_split_complexity_bound_is_finite_or_typed(
         mid = mid @ w.T
     if duplicate_mid:  # every mid point is one of a few
         mid = mid[rng.integers(0, max(1, n // 2), size=n)]
-    kernel_mid = DecomposableKernel(
-        ScalarKernelSpec("gaussian", kernel.scalar.bandwidth, dimension=d), kernel.output, 1.0
-    )
-    surrogates = [
-        KernelExpansion(kernel_mid, mid, rng.standard_normal((n, kernel.output_dim)))
-        for _ in range(n_sur)
-    ]
+    spec_mid = ScalarKernelSpec("gaussian", kernel.scalar.bandwidth, dimension=d)
+    coeffs = np.stack([rng.standard_normal((n, kernel.output_dim)) for _ in range(n_sur)])
 
     def bound():
-        g_in, g_mid = gram_scalar(kernel.scalar, x), gram_scalar(kernel_mid.scalar, mid)
-        split = SplitMc(net, depth, surrogates, x, kernel, mid, kernel_mid, g_in, g_mid)
+        g_in, g_mid = gram_scalar(kernel.scalar, x), gram_scalar(spec_mid, mid)
+        split = SplitMc(net, depth, coeffs, kernel, g_in, g_mid)
         rep = split.report(*run_mc(split.estimators, McConfig(draws, seed)))
         extras = rep.extras
         return rep.total, extras["class_estimate"], extras["approximation_term"]

@@ -137,38 +137,36 @@ def test_predict_expansion_matches_loop_oracle():
     rng = np.random.default_rng(13)
     anchors = rng.standard_normal((3, 2))
     m_mat = random_psd(2, rng)
-    kernel = DecomposableKernel(GAUSS2, m_mat, kappa=1.0)
     coeffs = rng.standard_normal((3, 2))
     x = rng.standard_normal(2)
     expected = np.zeros(2)
     for j in range(3):
         expected += eval_scalar(GAUSS2, x, anchors[j]) * (m_mat @ coeffs[j])
-    got = KernelExpansion(kernel, anchors, coeffs).at(x)
+    got = KernelExpansion(GAUSS2, m_mat, anchors, coeffs).at(x)
     assert got.shape == (1, 2)
     assert np.allclose(got[0], expected, atol=1e-12)
 
 
 def test_predict_expansion_trivial_cases():
-    kernel = DecomposableKernel(GAUSS2, np.eye(2), kappa=1.0)
     anchors = [[0.2, 0.4]]
-    zero = KernelExpansion(kernel, anchors, np.zeros((1, 2)))
+    zero = KernelExpansion(GAUSS2, np.eye(2), anchors, np.zeros((1, 2)))
     assert np.array_equal(zero.at([0.0, 0.0]), np.zeros((1, 2)))
     alpha = np.array([[3.0, -1.0]])
-    got = KernelExpansion(kernel, anchors, alpha).at(anchors[0])
+    got = KernelExpansion(GAUSS2, np.eye(2), anchors, alpha).at(anchors[0])
     assert np.allclose(got, alpha, atol=1e-14)
     with pytest.raises(InputError):
-        KernelExpansion(kernel, anchors, np.zeros((2, 2)))
+        KernelExpansion(GAUSS2, np.eye(2), anchors, np.zeros((2, 2)))
 
 
 def test_predict_expansion_linear_in_coeffs():
     rng = np.random.default_rng(17)
     anchors = rng.standard_normal((4, 2))
-    kernel = DecomposableKernel(GAUSS2, random_psd(2, rng), kappa=1.0)
+    m_mat = random_psd(2, rng)
     c1, c2 = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
     x = rng.standard_normal(2)
-    lhs = KernelExpansion(kernel, anchors, 2.0 * c1 + c2).at(x)
-    rhs = 2.0 * KernelExpansion(kernel, anchors, c1).at(x) + KernelExpansion(
-        kernel, anchors, c2
+    lhs = KernelExpansion(GAUSS2, m_mat, anchors, 2.0 * c1 + c2).at(x)
+    rhs = 2.0 * KernelExpansion(GAUSS2, m_mat, anchors, c1).at(x) + KernelExpansion(
+        GAUSS2, m_mat, anchors, c2
     ).at(x)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -177,9 +175,8 @@ def test_expansion_norm_matches_direct_sum():
     rng = np.random.default_rng(19)
     anchors = rng.standard_normal((4, 2))
     m_mat = random_psd(2, rng)
-    kernel = DecomposableKernel(GAUSS2, m_mat, kappa=1.0)
     coeffs = rng.standard_normal((4, 2))
-    exp = KernelExpansion(kernel, anchors, coeffs)
+    exp = KernelExpansion(GAUSS2, m_mat, anchors, coeffs)
     acc = 0.0
     for i in range(4):
         for j in range(4):

@@ -30,12 +30,11 @@ from opbounds.koopman import (
 from oracles import gram_operator
 
 
-def layer(w, s_in=2.0, s_out=2.0, koopman=1.0, ratio=1.0):
+def layer(w, s_in=2.0, koopman=1.0, ratio=1.0):
     return LayerSpec(
         weights=np.asarray(w, dtype=float),
         activation_koopman_norm=koopman,
         sobolev_order_in=s_in,
-        sobolev_order_out=s_out,
         ratio_g=ratio,
     )
 
@@ -128,7 +127,7 @@ def test_injectivity_class_identity_passes():
 
 def test_injectivity_class_dimension_flag():
     net = NetworkSpec(
-        layers=(layer(np.ones((1, 2)), s_in=2.0, s_out=1.0),),
+        layers=(layer(np.ones((1, 2)), s_in=2.0),),
         g_norm=1.0,
         output_dim=2,
     )
@@ -151,7 +150,7 @@ def test_injectivity_class_norm_flag():
 # --- product bound -------------------------------------------------------------------
 
 def test_product_bound_identity_network_is_trace_bound():
-    net = NetworkSpec(layers=(layer(np.eye(3), s_in=2.0, s_out=2.0),), g_norm=1.0, output_dim=2)
+    net = NetworkSpec(layers=(layer(np.eye(3), s_in=2.0),), g_norm=1.0, output_dim=2)
     rep = product_bound(net, kappa=1.0, tr_m=2.0, n=100)
     expected = math.sqrt(2.0 / 100.0)
     assert abs(rep.total - expected) <= 1e-12 * expected
@@ -161,8 +160,8 @@ def test_product_bound_identity_network_is_trace_bound():
 def test_product_bound_scaling_probe_1d():
     # W = (2) in one dimension, s_in = 1: ratio factor 2, det root sqrt(2),
     # so the bound picks up a factor sqrt(2)
-    base = NetworkSpec(layers=(layer([[1.0]], s_in=1.0, s_out=1.0),), g_norm=1.0, output_dim=1)
-    scaled = NetworkSpec(layers=(layer([[2.0]], s_in=1.0, s_out=1.0),), g_norm=1.0, output_dim=1)
+    base = NetworkSpec(layers=(layer([[1.0]], s_in=1.0),), g_norm=1.0, output_dim=1)
+    scaled = NetworkSpec(layers=(layer([[2.0]], s_in=1.0),), g_norm=1.0, output_dim=1)
     b0 = product_bound(base, 1.0, 1.0, 50).total
     b1 = product_bound(scaled, 1.0, 1.0, 50).total
     assert b1 / b0 == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -182,8 +181,7 @@ def test_product_bound_scaling_probe_2d():
 def test_product_bound_total_recomputable_from_factors():
     rng = np.random.default_rng(4)
     layers = tuple(
-        layer(rng.standard_normal((3, 3)) + 2 * np.eye(3), s_in=2.0, s_out=2.0,
-              koopman=1.5, ratio=0.8)
+        layer(rng.standard_normal((3, 3)) + 2 * np.eye(3), s_in=2.0, koopman=1.5, ratio=0.8)
         for _ in range(3)
     )
     net = NetworkSpec(layers=layers, g_norm=2.0, output_dim=2)
@@ -206,7 +204,7 @@ def _gaussian_bump_net(rng, d, s):
     u = rng.standard_normal(2)
     u /= np.linalg.norm(u)
     layers = tuple(
-        layer(w, s_in=s, s_out=s, koopman=1.0, ratio=1.0) for w in ws
+        layer(w, s_in=s, koopman=1.0, ratio=1.0) for w in ws
     )
     w_total = ws[1] @ ws[0]
     shift = ws[1] @ bs[0] + bs[1]
@@ -274,10 +272,17 @@ def test_peeled_examples_and_monotonicity():
 
 # --- approximation term -----------------------------------------------------------
 
-def approx_term(upper, g_in, g_mid, out, cfg):
-    """(value, rejected draws, gammas) of the approximation term alone."""
-    (result,) = run_mc([ApproxMc(upper, g_in, g_mid, out)], cfg)
+def approx_term(coeffs, g_in, g_mid, out, cfg):
+    """(value, rejected draws, gammas) of the approximation term alone, for
+    the (K, n, m) surrogate coefficient stack ``coeffs``."""
+    (result,) = run_mc([ApproxMc(coeffs, g_in, g_mid, out)], cfg)
     return result
+
+
+def dense_stack(*coeffs):
+    """The stack of coefficient arrays as columns over a dense nm x nm Gram
+    (output matrix [[1.0]])."""
+    return np.stack([np.reshape(c, (-1, 1)) for c in coeffs])
 
 
 def _mid_setup(rng, n=8, m=2, d=2):
@@ -290,10 +295,10 @@ def _mid_setup(rng, n=8, m=2, d=2):
 
 def test_approx_term_zero_class():
     rng = np.random.default_rng(7)
-    pts, kernel, g_mid = _mid_setup(rng)
-    zero = KernelExpansion(kernel, pts, np.zeros((8, 2)))
+    _, _, g_mid = _mid_setup(rng)
+    zero = dense_stack(np.zeros((8, 2)))
     value, rejected, _ = approx_term(
-        [zero], g_mid, g_mid, [[1.0]], McConfig(draws=64, seed=0)
+        zero, g_mid, g_mid, [[1.0]], McConfig(draws=64, seed=0)
     )
     assert value == 0.0
     assert rejected == 0
@@ -301,28 +306,27 @@ def test_approx_term_zero_class():
 
 def test_approx_term_equal_grams_gives_unit_gamma():
     rng = np.random.default_rng(8)
-    pts, kernel, g_mid = _mid_setup(rng)
-    h = KernelExpansion(kernel, pts, rng.standard_normal((8, 2)))
-    _, _, gammas = approx_term([h], g_mid, g_mid, [[1.0]], McConfig(draws=128, seed=1))
+    _, _, g_mid = _mid_setup(rng)
+    h = dense_stack(rng.standard_normal((8, 2)))
+    _, _, gammas = approx_term(h, g_mid, g_mid, [[1.0]], McConfig(draws=128, seed=1))
     assert np.allclose(gammas, 1.0, atol=1e-10)
 
 
 def test_approx_term_matches_bruteforce_expansion():
     rng = np.random.default_rng(9)
-    pts, kernel, g_mid = _mid_setup(rng)
+    pts, _, g_mid = _mid_setup(rng)
     other = DecomposableKernel(
         ScalarKernelSpec("gaussian", 0.5, dimension=2), np.eye(2), kappa=1.0
     )
     g_in = gram_operator(other, pts)
-    h1 = KernelExpansion(kernel, pts, rng.standard_normal((8, 2)))
-    h2 = KernelExpansion(kernel, pts, rng.standard_normal((8, 2)))
+    h1, h2 = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
     cfg = McConfig(draws=200, seed=2)
-    value, rejected, _ = approx_term([h1, h2], g_in, g_mid, [[1.0]], cfg)
+    value, rejected, _ = approx_term(dense_stack(h1, h2), g_in, g_mid, [[1.0]], cfg)
     assert rejected == 0
 
     # independent oracle: per draw, evaluate the candidate norm directly as a
     # coefficient-space quadratic form (c' - t beta sigma)^T G_mid (...)
-    coeffs = [h1.coeffs.ravel(), h2.coeffs.ravel()]
+    coeffs = [h1.ravel(), h2.ravel()]
     betas = [
         math.sqrt(c @ g_mid @ c) for c in coeffs
     ]
@@ -349,12 +353,11 @@ def test_approx_term_rejects_degenerate_draws():
     # rank-one mid Gram: the quadratic form vanishes whenever the signs are
     # orthogonal to the generating vector, and those draws must be rejected
     rng = np.random.default_rng(21)
-    pts, kernel, _ = _mid_setup(rng, n=2, m=2)
-    h = KernelExpansion(kernel, pts, rng.standard_normal((2, 2)))
+    h = dense_stack(rng.standard_normal((2, 2)))
     v = np.array([1.0, -1.0, 1.0, -1.0])
     g_rank1 = np.outer(v, v)
     value, rejected, gammas = approx_term(
-        [h], g_rank1, g_rank1, [[1.0]], McConfig(draws=256, seed=3)
+        h, g_rank1, g_rank1, [[1.0]], McConfig(draws=256, seed=3)
     )
     assert rejected > 0
     assert np.isfinite(value)
@@ -364,17 +367,17 @@ def test_approx_term_rejects_degenerate_draws():
 
     with pytest.raises(DegenerateInputError):
         approx_term(
-            [h], np.zeros((4, 4)), np.zeros((4, 4)), [[1.0]], McConfig(draws=16, seed=0)
+            h, np.zeros((4, 4)), np.zeros((4, 4)), [[1.0]], McConfig(draws=16, seed=0)
         )
 
 
-def einsum_reference_approx_term(upper_class, g_in, g_mid, cfg):
+def einsum_reference_approx_term(coeffs, g_in, g_mid, cfg):
     """The approximation term as first written: every quadratic form is a
     three-operand einsum, evaluated without BLAS."""
-    coeff_mat = np.stack([h.coeffs.ravel() for h in upper_class])
+    coeff_mat = coeffs.reshape(len(coeffs), -1)
     norms_sq = np.einsum("ij,jk,ik->i", coeff_mat, g_mid, coeff_mat)
     norms = np.sqrt(np.maximum(norms_sq, 0.0))
-    sum_sup = np.zeros(len(upper_class))
+    sum_sup = np.zeros(len(coeffs))
     used = 0
     rejected = 0
     gammas = []
@@ -412,13 +415,7 @@ def approx_term_cases(draw):
     width = n * m
     b_in = rng.standard_normal((width, width + 2))
     b_mid = rng.standard_normal((width, width + 2))
-    kernel = DecomposableKernel(
-        ScalarKernelSpec("gaussian", 1.0, dimension=1), np.eye(m), kappa=1.0
-    )
-    pts = rng.uniform(-1, 1, (n, 1))
-    upper = [
-        KernelExpansion(kernel, pts, rng.standard_normal((n, m))) for _ in range(n_class)
-    ]
+    upper = dense_stack(*(rng.standard_normal((n, m)) for _ in range(n_class)))
     cfg = McConfig(draws=draws, seed=draw(st.integers(0, 2**31 - 1)))
     return upper, b_in @ b_in.T, b_mid @ b_mid.T, cfg
 
@@ -446,7 +443,7 @@ def test_approx_term_rejects_draws_on_duplicate_mid_points():
     g_mid = gram_operator(kernel, mid)
     assert np.array_equal(g_mid, np.kron(np.ones((2, 2)), np.eye(2)))
     g_in = gram_operator(kernel, pts)
-    upper = [KernelExpansion(kernel, mid, rng.standard_normal((2, 2))) for _ in range(2)]
+    upper = dense_stack(*(rng.standard_normal((2, 2)) for _ in range(2)))
     cfg = McConfig(draws=1100, seed=4)
     value, rejected, gammas = approx_term(upper, g_in, g_mid, [[1.0]], cfg)
     opposite = sum(
@@ -481,7 +478,7 @@ def test_approx_term_rejects_round_off_degenerate_draws():
         mid = np.concatenate([pts, pts])[order]
         g_mid = gram_operator(kernel, mid)
         g_in = gram_operator(kernel, rng.uniform(-1, 1, (12, 2)))
-        upper = [KernelExpansion(kernel, mid, rng.standard_normal((12, 1))) for _ in range(2)]
+        upper = np.stack([rng.standard_normal((12, 1)) for _ in range(2)])
         degenerate = 0
         for block in sign_blocks(cfg.draws, 12, cfg.seed):
             pair_sums = np.zeros((block.shape[0], 6))
@@ -501,12 +498,12 @@ def test_approx_term_cpu_time_at_width_600():
     # a guard against quadratic forms that bypass BLAS: the three-operand
     # einsum needs about 5 s of CPU here, one GEMM per sign block about 0.25 s
     rng = np.random.default_rng(23)
-    pts, kernel, g_mid = _mid_setup(rng, n=300, m=2)
+    pts, _, g_mid = _mid_setup(rng, n=300, m=2)
     other = DecomposableKernel(
         ScalarKernelSpec("gaussian", 0.5, dimension=2), np.eye(2), kappa=1.0
     )
     g_in = gram_operator(other, pts)
-    upper = [KernelExpansion(kernel, pts, rng.standard_normal((300, 2))) for _ in range(4)]
+    upper = dense_stack(*(rng.standard_normal((300, 2)) for _ in range(4)))
     started_cpu = time.process_time()
     started = time.perf_counter()
     value, rejected, gammas = approx_term(
@@ -542,12 +539,9 @@ def factor_approx_cases(draw):
     else:
         b_mid = rng.standard_normal((n, n + 2))
         g_mid = b_mid @ b_mid.T
-    kernel = DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), out, kappa=1.0)
-    pts = rng.uniform(-1, 1, (n, 1))
-    upper = [
-        KernelExpansion(kernel, pts, rng.standard_normal((n, m)))
-        for _ in range(draw(st.integers(1, 4)))
-    ]
+    upper = np.stack([
+        rng.standard_normal((n, m)) for _ in range(draw(st.integers(1, 4)))
+    ])
     cfg = McConfig(draws=draw(st.integers(1, 1300)), seed=draw(st.integers(0, 2**31 - 1)))
     return upper, b_in @ b_in.T, g_mid, out, cfg
 
@@ -558,7 +552,7 @@ def test_approx_term_factor_form_matches_dense_gram(case):
     upper, g_in, g_mid, out, cfg = case
     dense_in, dense_mid = np.kron(g_in, out), np.kron(g_mid, out)
     try:
-        dense = approx_term(upper, dense_in, dense_mid, [[1.0]], cfg)
+        dense = approx_term(dense_stack(*upper), dense_in, dense_mid, [[1.0]], cfg)
     except DegenerateInputError:
         with pytest.raises(DegenerateInputError):
             approx_term(upper, g_in, g_mid, out, cfg)
@@ -586,8 +580,7 @@ def test_approx_term_degenerate_inputs(case):
     elif case == "duplicate points":
         pts = np.repeat(pts[:2], 3, axis=0)
     n, m = pts.shape[0], out.shape[0]
-    kernel = DecomposableKernel(spec, out, kappa=1.0)
-    upper = [KernelExpansion(kernel, pts, rng.standard_normal((n, m))) for _ in range(3)]
+    upper = np.stack([rng.standard_normal((n, m)) for _ in range(3)])
     g_mid = gram_scalar(spec, pts)
     g_in = gram_scalar(ScalarKernelSpec("gaussian", 0.5, dimension=2), pts)
     cfg = McConfig(draws=700, seed=25)
@@ -620,12 +613,9 @@ def joint_pass_cases(draw):
         g[0, 0] = -1.0 - g[0, 0]
     b_mid = rng.standard_normal((n, n + 2))
     g_mid = np.zeros((n, n)) if kind == "zero mid" else b_mid @ b_mid.T
-    kernel = DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), out, kappa=1.0)
-    pts = rng.uniform(-1, 1, (n, 1))
-    upper = [
-        KernelExpansion(kernel, pts, rng.standard_normal((n, m)))
-        for _ in range(draw(st.integers(1, 4)))
-    ]
+    upper = np.stack([
+        rng.standard_normal((n, m)) for _ in range(draw(st.integers(1, 4)))
+    ])
     cfg = McConfig(draws=draw(st.integers(1, 1200)), seed=draw(st.integers(0, 2**31 - 1)))
     return kind, upper, g, g_mid, out, cfg
 
@@ -642,7 +632,7 @@ def test_joint_pass_equals_estimators_run_one_by_one(case):
     # gives exactly what each public estimator gives on its own
     kind, upper, g, g_mid, out, cfg = case
     n, m = g.shape[0], out.shape[0]
-    preds = [g_mid @ h.coeffs @ h.kernel.output for h in upper]
+    preds = [g_mid @ c @ out for c in upper]
     if kind == "indefinite G":
         blocks = complexity.sign_blocks
         complexity.sign_blocks = _refuse_draws
@@ -673,10 +663,11 @@ def test_joint_pass_equals_estimators_run_one_by_one(case):
 
 # --- split bound ---------------------------------------------------------------------
 
-def split_bound(net, l_prime, upper, data, kernel_in, mid, kernel_mid, cfg):
-    """The split bound's report from one Monte-Carlo pass, as the CLI runs it."""
-    g_in, g_mid = gram_scalar(kernel_in.scalar, data), gram_scalar(kernel_mid.scalar, mid)
-    split = SplitMc(net, l_prime, upper, data, kernel_in, mid, kernel_mid, g_in, g_mid)
+def split_bound(net, l_prime, coeffs, data, kernel, mid, cfg):
+    """The split bound's report from one Monte-Carlo pass, as the CLI runs it:
+    the mid Gram takes the data kernel's scalar kernel at the mid points."""
+    g_in, g_mid = gram_scalar(kernel.scalar, data), gram_scalar(kernel.scalar, mid)
+    split = SplitMc(net, l_prime, coeffs, kernel, g_in, g_mid)
     return split.report(*run_mc(split.estimators, cfg))
 
 
@@ -686,31 +677,26 @@ def _split_setup(rng, identity_layers=True, n=10, d=2, m=2):
         ws = [np.eye(d), np.eye(d)]
     else:
         ws = [np.eye(d) + 0.3 * rng.standard_normal((d, d)) for _ in range(2)]
-    layers = tuple(layer(w, s_in=2.0, s_out=2.0) for w in ws)
-    kernel_in = DecomposableKernel(
+    layers = tuple(layer(w, s_in=2.0) for w in ws)
+    kernel = DecomposableKernel(
         ScalarKernelSpec("gaussian", 1.0, dimension=d), np.eye(m), kappa=1.0
     )
     net = NetworkSpec(layers=layers, g_norm=1.5, output_dim=m)
     mid = data.copy()
     for w in ws:
         mid = mid @ w.T
-    kernel_mid = DecomposableKernel(
-        ScalarKernelSpec("gaussian", 1.0, dimension=d), np.eye(m), kappa=1.0
-    )
-    return net, data, kernel_in, mid, kernel_mid
+    return net, data, kernel, mid
 
 
 def test_split_bound_full_split_reduces_toward_product_bound():
     rng = np.random.default_rng(10)
-    net, data, kernel_in, mid, kernel_mid = _split_setup(rng, identity_layers=False)
+    net, data, kernel, mid = _split_setup(rng, identity_layers=False)
     raw = rng.standard_normal((10, 2))
-    g_sur = KernelExpansion(kernel_mid, mid, raw)
-    g_sur = KernelExpansion(kernel_mid, mid, raw * (net.g_norm / g_sur.norm()))
+    g_sur = KernelExpansion(kernel.scalar, kernel.output, mid, raw)
+    g_sur = KernelExpansion(kernel.scalar, kernel.output, mid, raw * (net.g_norm / g_sur.norm()))
     cfg = McConfig(draws=400, seed=3)
-    rep = split_bound(
-        net, net.depth, [g_sur], data, kernel_in, mid, kernel_mid, cfg
-    )
-    product = product_bound(net, kernel_in.kappa, kernel_in.trace_m(), 10)
+    rep = split_bound(net, net.depth, g_sur.coeffs[None], data, kernel, mid, cfg)
+    product = product_bound(net, kernel.kappa, kernel.trace_m(), 10)
     # same eta product structure: both carry the per-layer factors with no
     # activation norm on the final layer
     eta_t2 = rep.extras["eta_product"]
@@ -718,9 +704,9 @@ def test_split_bound_full_split_reduces_toward_product_bound():
     assert eta_t2 == pytest.approx(eta_l1, rel=1e-12)
     # approximation term obeys the norm bound ||g|| E^(1/2)[(1+gamma)^2]
     _, _, gammas = approx_term(
-        [g_sur],
-        gram_operator(kernel_in, data),
-        gram_operator(kernel_mid, mid),
+        dense_stack(g_sur.coeffs),
+        gram_operator(kernel, data),
+        gram_operator(kernel, mid),
         [[1.0]],
         cfg,
     )
@@ -731,12 +717,9 @@ def test_split_bound_full_split_reduces_toward_product_bound():
 
 def test_split_bound_zero_upper_class():
     rng = np.random.default_rng(11)
-    net, data, kernel_in, mid, kernel_mid = _split_setup(rng)
-    zero = KernelExpansion(kernel_mid, mid, np.zeros((10, 2)))
-    rep = split_bound(
-        net, 1, [zero], data, kernel_in, mid[: len(mid)], kernel_mid,
-        McConfig(draws=64, seed=4),
-    )
+    net, data, kernel, mid = _split_setup(rng)
+    zero = np.zeros((1, 10, 2))
+    rep = split_bound(net, 1, zero, data, kernel, mid, McConfig(draws=64, seed=4))
     assert rep.extras["class_estimate"] == 0.0
     assert rep.extras["approximation_term"] == 0.0
     assert rep.total == 0.0
@@ -744,10 +727,10 @@ def test_split_bound_zero_upper_class():
 
 def test_split_bound_identity_layers_neutral():
     rng = np.random.default_rng(12)
-    net, data, kernel_in, mid, kernel_mid = _split_setup(rng, identity_layers=True)
-    surrogate = KernelExpansion(kernel_mid, mid, 0.3 * rng.standard_normal((10, 2)))
+    net, data, kernel, mid = _split_setup(rng, identity_layers=True)
+    surrogate = 0.3 * rng.standard_normal((1, 10, 2))
     cfg = McConfig(draws=256, seed=5)
-    rep = split_bound(net, 2, [surrogate], data, kernel_in, mid, kernel_mid, cfg)
+    rep = split_bound(net, 2, surrogate, data, kernel, mid, cfg)
     assert rep.extras["eta_product"] == pytest.approx(1.0, rel=1e-12)
     bracket = (
         rep.extras["class_estimate"]
@@ -756,26 +739,28 @@ def test_split_bound_identity_layers_neutral():
     assert rep.total == pytest.approx(bracket, rel=1e-12)
 
 
-def test_split_bound_rejects_empty_class_and_bad_anchors():
+BAD_STACKS = {
+    "empty": np.zeros((0, 10, 2)),
+    "not 3-D": np.zeros((10, 2)),
+    "wrong n": np.zeros((2, 9, 2)),
+    "wrong m": np.zeros((2, 10, 3)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_STACKS)
+def test_approx_term_rejects_bad_coefficient_stacks(case):
+    g = gram_scalar(ScalarKernelSpec("gaussian", 1.0, dimension=2), np.eye(10, 2))
+    with pytest.raises(InputError, match="stack"):
+        ApproxMc(BAD_STACKS[case], g, g, np.eye(2))
+
+
+def test_split_bound_rejects_bad_coefficient_stacks():
     rng = np.random.default_rng(13)
-    net, data, kernel_in, mid, kernel_mid = _split_setup(rng)
-    with pytest.raises(InputError):
-        split_bound(
-            net, 1, [], data, kernel_in, mid, kernel_mid, McConfig(draws=8, seed=0)
-        )
-    bad = KernelExpansion(kernel_mid, mid + 1.0, np.zeros((10, 2)))
-    with pytest.raises(InputError):
-        split_bound(
-            net, 1, [bad], data, kernel_in, mid, kernel_mid, McConfig(draws=8, seed=0)
-        )
-
-
-def test_split_bound_rejects_kernels_with_different_output_matrices():
-    rng = np.random.default_rng(14)
-    net, data, kernel_in, mid, kernel_mid = _split_setup(rng)
-    scaled_in = DecomposableKernel(kernel_in.scalar, 2.0 * np.eye(2), kappa=1.0)
-    surrogate = KernelExpansion(kernel_mid, mid, rng.standard_normal((10, 2)))
-    with pytest.raises(InputError, match="output matrix"):
-        split_bound(
-            net, 1, [surrogate], data, scaled_in, mid, kernel_mid, McConfig(draws=8, seed=0)
-        )
+    net, data, kernel, mid = _split_setup(rng)
+    g_in, g_mid = gram_scalar(kernel.scalar, data), gram_scalar(kernel.scalar, mid)
+    for coeffs in BAD_STACKS.values():
+        with pytest.raises(InputError, match="stack"):
+            SplitMc(net, 1, coeffs, kernel, g_in, g_mid)
+    # mid points that do not pair one-to-one with the data
+    with pytest.raises(InputError, match="equal shape"):
+        SplitMc(net, 1, np.zeros((1, 10, 2)), kernel, g_in, g_mid[:9, :9])
