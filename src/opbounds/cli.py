@@ -43,7 +43,6 @@ from .kernels import (
     DecomposableKernel,
     ScalarKernelSpec,
     _expansion_norm,
-    check_kappa,
     gram_scalar,
 )
 from .koopman import LayerSpec, NetworkSpec, SplitMc, product_bound, peeled_bound
@@ -137,7 +136,6 @@ _KERNEL_SCHEMA = {
     "properties": {
         **_SCALAR_KERNEL_SCHEMA["properties"],
         "output_matrix": {"oneOf": [{"enum": ["identity"]}, _MATRIX["oneOf"][0]]},
-        "kappa": _POS,
     },
 }
 
@@ -172,13 +170,10 @@ _SKETCH_SCHEMA = {
         "p": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "dist": {"enum": ["rademacher", "gaussian", "identity"]},
         "seed": {"type": "integer"},
-        "scale": _POS,
     },
     "required": ["rows"],
     "if": {"properties": {"dist": {"const": "identity"}}, "required": ["dist"]},
-    "then": _unread(
-        "seed", "scale", why="an identity sketch draws no entries, so it reads no seed or scale"
-    ),
+    "then": _unread("seed", why="an identity sketch draws no entries, so it reads no seed"),
 }
 
 _FIT_SCHEMA = {
@@ -334,7 +329,7 @@ _SCHEMAS = {
         },
         "required": ["dataset", "kernel", "loss", "fit", "sketch"],
         # both squared-loss fits are closed-form, and its bound entry is
-        # "unbounded-loss", so kappa is only checked and conf_delta unread
+        # "unbounded-loss", so conf_delta is unread
         "if": {
             "properties": {"loss": {"properties": {"family": {"const": "squared"}}}},
             "required": ["loss"],
@@ -344,7 +339,6 @@ _SCHEMAS = {
                 "fit": _unread(
                     "max_iters", "step_size", "tol", why="a squared-loss fit is closed-form"
                 ),
-                "kernel": _unread("kappa", why=_NO_BOUND),
                 **_unread("conf_delta", why=_NO_BOUND)["properties"],
             }
         },
@@ -459,7 +453,7 @@ def _build_kernel(config: dict, base_dir: Path) -> DecomposableKernel:
         m_mat = np.eye(data["m"])
     else:
         m_mat = _load_matrix(out, "kernel/output_matrix", base_dir)
-    return DecomposableKernel(spec, m_mat, kappa=cfg.get("kappa", 1.0))
+    return DecomposableKernel(spec, m_mat)
 
 
 def _build_network(cfg: dict, base_dir: Path) -> NetworkSpec:
@@ -491,8 +485,8 @@ def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[SketchMatrix, float, di
         sketch, p, seeds = SketchMatrix(matrix=np.eye(n)), cfg.get("p", SketchSpec.p), {}
     else:
         seed = cfg.get("seed", seed)
-        sketch = make_p_sparsified(_build(SketchSpec, cfg, n=n, seed=seed))
-        p, seeds = sketch.spec.p, {"sketch": seed}
+        spec = _build(SketchSpec, cfg, n=n, seed=seed)
+        sketch, p, seeds = make_p_sparsified(spec), spec.p, {"sketch": seed}
     return sketch, satisfiability_constant(p), seeds
 
 
@@ -530,9 +524,8 @@ def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
     # serves the ball estimate and the approximation term, the mid Gram the
     # surrogate norms, the class predictions and the approximation term
     g_k = gram_scalar(kernel.scalar, ds.x)
-    check_kappa(kernel, g_k)
     ball = BallMc(g_k, kernel.output, ds.n)
-    kappa, tr_m = kernel.kappa, kernel.trace_m()
+    kappa, tr_m = kernel.scalar.kappa, kernel.trace_m()
     product = product_bound(net, kappa, tr_m, ds.n)
     split_at = config.get("split", 0)
     peeled = peeled_bound(net, split_at)
@@ -592,7 +585,7 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
             lambda_n=fit_cfg.lambda_n,
             m_opnorm=float(np.linalg.norm(kernel.output, 2)),
             delta_sq=delta_sq,
-            kappa=kernel.kappa,
+            kappa=kernel.scalar.kappa,
             tr_m=kernel.trace_m(),
             n=ds.n,
             conf_delta=config.get("conf_delta", 0.05),
@@ -669,7 +662,7 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
     final_terms = objective.terms(result.last, t_cfg.lambda1, t_cfg.lambda2)
     result.last.drop_grams()  # its norms are set; what follows needs at most its levels
 
-    kappa = 1.0  # gaussian layer kernels are normalized at zero distance
+    kappa = result.model.layers[0].kernel.kappa
     tr_m1 = float(np.trace(result.model.layers[0].output))
 
     def bounds(pf_norm: float, top_norm: float) -> tuple[float, float, float]:

@@ -505,7 +505,6 @@ class TrainResult:
     trajectory: list[dict] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-    warning: str | None = None
 
 
 def train(objective: DeepObjective, cfg: TrainConfig, trajectory: bool = True) -> TrainResult:
@@ -553,8 +552,7 @@ def train(objective: DeepObjective, cfg: TrainConfig, trajectory: bool = True) -
                     break
             cand.drop_grams()
             step *= 0.5
-        if not accepted:
-            result.warning = "line search stalled"
+        if not accepted:  # the line search stalled
             result.iterations = it - 1
             break
         if trajectory:

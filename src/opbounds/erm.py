@@ -108,7 +108,7 @@ def _prepare(kernel: DecomposableKernel, x, y, gram=None):
             raise InputError(f"Gram shape {g.shape} does not match {pts.shape[0]} points")
         if not np.all(np.isfinite(g)):
             raise NumericError("Gram matrix contains non-finite entries")
-    check_kappa(kernel, g)
+        check_kappa(kernel.scalar, g)
     return pts, targets, g
 
 
@@ -244,7 +244,7 @@ def fit_full(
     loss : squared (direct solve) or Lipschitz (proximal subgradient descent).
     cfg : ridge weight and solver controls.
     gram : the n x n scalar Gram k(x_i, x_j), reused instead of assembled; it
-        is checked for shape, finite entries and ``kernel.kappa``.
+        is checked for shape, finite entries and the scalar kernel's kappa.
     gram_eigh : ``np.linalg.eigh`` of that Gram, reused by the squared solve
         and the proximal map instead of a fresh eigendecomposition; it is
         accepted only together with ``gram``.

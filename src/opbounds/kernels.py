@@ -4,8 +4,9 @@ A decomposable kernel is ``K(x, x') = k(x, x') * M`` for a scalar radial
 kernel ``k`` and a symmetric PSD matrix ``M``; its Gram over ``n`` points is
 the Kronecker product ``G_K = G_k (x) M``.  Point sets are plain ``(n, d)``
 float arrays, validated by :func:`as_points`.  A finite expansion
-``x -> sum_i k(x, z_i) M c_i`` is a :class:`KernelExpansion`, which holds no
-kappa: no expansion reads one.
+``x -> sum_i k(x, z_i) M c_i`` is a :class:`KernelExpansion`.  The bound
+``kappa = sup_x k(x, x)`` that the trace terms read is
+:attr:`ScalarKernelSpec.kappa`, a fact of the kernel rather than a setting.
 
 Conventions:
 
@@ -82,6 +83,13 @@ class ScalarKernelSpec:
             return self.smoothness - self.dimension / 2
         raise InputError(f"{self.family} kernel has no Matern smoothness")
 
+    @property
+    def kappa(self) -> float:
+        """sup_x k(x, x).  Every family is normalized to 1 at zero distance
+        and nonincreasing in distance, so it is 1 and no kernel value
+        exceeds it."""
+        return 1.0
+
 
 def make_output_matrix(m: np.ndarray) -> np.ndarray:
     """Validate an output matrix: exactly symmetric, PSD up to tolerance."""
@@ -101,21 +109,13 @@ def make_output_matrix(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecomposableKernel:
-    """K = k * M with a stored uniform bound kappa on the scalar kernel.
-
-    ``kappa`` is validated against the probed pairs on every Gram assembly
-    rather than derived symbolically, so user-supplied values are honoured but
-    never silently wrong.
-    """
+    """K = k * M; its kappa is the scalar kernel's."""
 
     scalar: ScalarKernelSpec
     output: np.ndarray
-    kappa: float
 
     def __post_init__(self):
         object.__setattr__(self, "output", make_output_matrix(self.output))
-        if not (self.kappa > 0 and np.isfinite(self.kappa)):
-            raise InputError("kappa must be a positive real")
 
     @property
     def output_dim(self) -> int:
@@ -174,11 +174,13 @@ def gram_scalar_cross(spec: ScalarKernelSpec, x, z) -> np.ndarray:
     return _radial_profile(spec, _sq_dists(xa, za))
 
 
-def check_kappa(kernel: DecomposableKernel, g_scalar: np.ndarray) -> None:
+def check_kappa(spec: ScalarKernelSpec, g_scalar: np.ndarray) -> None:
+    """Reject a caller's Gram with an entry above ``spec.kappa``: it is no
+    Gram of that kernel."""
     probed = float(g_scalar.max()) if g_scalar.size else 0.0
-    if probed > kernel.kappa * (1.0 + 1e-12):
+    if probed > spec.kappa * (1.0 + 1e-12):
         raise InputError(
-            f"kappa={kernel.kappa} is below a probed kernel value {probed}"
+            f"Gram entry {probed} exceeds the kernel's kappa={spec.kappa}"
         )
 
 

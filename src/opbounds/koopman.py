@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexity import ClassMc, McEstimate, _matrix, _quad_forms, trace_bound
-from .errors import DegenerateInputError, InputError, NonInjectiveError
+from .errors import DegenerateInputError, InputError, NonInjectiveError, NumericError
 from .kernels import DecomposableKernel, check_kappa
 
 _INJ_TOL = 1e-12
@@ -83,7 +83,6 @@ class LayerSpec:
 class NetworkSpec:
     layers: tuple[LayerSpec, ...]
     g_norm: float
-    output_dim: int
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -97,8 +96,6 @@ class NetworkSpec:
         object.__setattr__(self, "layers", layers)
         if not self.g_norm > 0:
             raise InputError("g_norm must be positive")
-        if self.output_dim < 1:
-            raise InputError("output_dim must be a positive integer")
 
     @property
     def depth(self) -> int:
@@ -311,6 +308,8 @@ class ApproxMc:
                 f"surrogate coefficients must be a nonempty (K, {n}, {m}) stack over "
                 f"the mid Gram blocks, got shape {coeffs.shape}"
             )
+        if not np.all(np.isfinite(coeffs)):
+            raise NumericError("surrogate coefficients contain non-finite entries")
         self.width = n * m
         self.g_in, self.g_mid, self.out = g_in, g_mid, out
         coeff_mat = coeffs.reshape(coeffs.shape[0], self.width)
@@ -392,12 +391,12 @@ class SplitMc:
         self.eta = _factor_product(self.factors)
 
         approx_mc = ApproxMc(coeffs, g_in, g_mid, kernel.output)
-        check_kappa(kernel, approx_mc.g_in)
-        check_kappa(kernel, approx_mc.g_mid)
+        check_kappa(kernel.scalar, approx_mc.g_in)
+        check_kappa(kernel.scalar, approx_mc.g_mid)
         n, m = approx_mc.g_mid.shape[0], kernel.output_dim
         class_mc = ClassMc((row.reshape(n, m) for row in approx_mc.coeff_g), n, m)
         self.estimators = (class_mc, approx_mc)
-        self.root = trace_bound(kernel.kappa, kernel.trace_m(), n)
+        self.root = trace_bound(kernel.scalar.kappa, kernel.trace_m(), n)
 
     def report(self, class_est: McEstimate, approx_result: tuple) -> BoundReport:
         """The bound from the ``result()`` of each of ``estimators``, in order."""

@@ -2,8 +2,9 @@
 
 A sketch is an ``s x n`` matrix with entries ``b_ij * z_ij / sqrt(s * p)``
 where ``b_ij ~ Bernoulli(p)`` and ``z_ij`` is Rademacher or standard normal.
-The scaling makes ``E[S^T S] = I_n``; it can be overridden through
-``SketchSpec.scale`` for callers that want a different isometry convention.
+The scaling makes ``E[S^T S] = I_n``, which the satisfiability constant of
+``p`` assumes.  Rescaling S would leave the span of ``S^T``, where a sketched
+estimator lives, unchanged, so no other scaling is offered.
 
 Rows are generated from independent counter-based substreams, so the matrix
 is a pure function of the spec regardless of generation order.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ class SketchSpec:
     p: float = 1.0
     dist: str = "gaussian"
     seed: int = 0
-    scale: float | None = None  # override for 1/sqrt(s*p)
 
     def __post_init__(self):
         if self.s < 1 or self.n < 1:
@@ -45,24 +45,17 @@ class SketchSpec:
                 stacklevel=3,
             )
 
-    @property
-    def entry_scale(self) -> float:
-        if self.scale is not None:
-            return self.scale
-        return 1.0 / math.sqrt(self.s * self.p)
-
 
 @dataclass(frozen=True)
 class SketchMatrix:
     """Realized sketch, stored as a dense ndarray."""
 
     matrix: np.ndarray
-    spec: SketchSpec = field(default=None)
 
 
 def make_p_sparsified(spec: SketchSpec) -> SketchMatrix:
     """Generate the sketch for ``spec``; deterministic given the seed."""
-    scale = spec.entry_scale
+    scale = 1.0 / math.sqrt(spec.s * spec.p)
     rows = []
     for i in range(spec.s):
         g = substream(spec.seed, i)
@@ -72,7 +65,7 @@ def make_p_sparsified(spec: SketchSpec) -> SketchMatrix:
             z = g.standard_normal(spec.n)
         keep = g.random(spec.n) < spec.p
         rows.append(np.where(keep, z * scale, 0.0))
-    return SketchMatrix(matrix=np.asarray(rows), spec=spec)
+    return SketchMatrix(matrix=np.asarray(rows))
 
 
 @dataclass(frozen=True)

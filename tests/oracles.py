@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from opbounds.kernels import check_kappa, gram_scalar, gram_scalar_cross
+from opbounds.kernels import gram_scalar, gram_scalar_cross
 
 
 def eval_scalar(spec, x, x_prime) -> float:
@@ -18,9 +18,7 @@ def eval_scalar(spec, x, x_prime) -> float:
 
 def gram_operator(kernel, pts) -> np.ndarray:
     """nm x nm operator-valued Gram: the exact Kronecker product G_k (x) M."""
-    g = gram_scalar(kernel.scalar, pts)
-    check_kappa(kernel, g)
-    return np.kron(g, kernel.output)
+    return np.kron(gram_scalar(kernel.scalar, pts), kernel.output)
 
 
 def psi_value(delta: float, mu) -> float:

@@ -68,7 +68,7 @@ def test_criterion_01_ball_mc_below_trace_bound():
         b = rng.standard_normal((m, m))
         m_mat = b @ b.T
         kernel = DecomposableKernel(
-            ScalarKernelSpec("gaussian", 1.0, dimension=d), m_mat, kappa=1.0
+            ScalarKernelSpec("gaussian", 1.0, dimension=d), m_mat
         )
         g_k = gram_scalar(kernel.scalar, pts)
         (est,) = run_mc([BallMc(g_k, m_mat, n)], McConfig(draws=10_000, seed=trial))
@@ -85,7 +85,6 @@ def test_criterion_02_product_bound_identity_exact():
     net = NetworkSpec(
         layers=(LayerSpec(weights=np.eye(3), sobolev_order_in=2.0),),
         g_norm=1.0,
-        output_dim=2,
     )
     rep = product_bound(net, kappa=1.0, tr_m=2.0, n=100)
     expected = math.sqrt(2.0 / 100.0)
@@ -138,10 +137,9 @@ def test_criterion_04_identity_sketch_equivalence():
         kernel = DecomposableKernel(
             ScalarKernelSpec("gaussian", 1.0, dimension=d),
             b @ b.T + 0.5 * np.eye(m),
-            kappa=1.0,
         )
         cfg = FitConfig(lambda_n=0.05)
-        identity = SketchMatrix(matrix=np.eye(n), spec=SketchSpec(s=n, n=n, seed=0))
+        identity = SketchMatrix(matrix=np.eye(n))
         full = fit_full(kernel, x, y, LossSpec("squared"), cfg)
         sketched = fit_sketched(kernel, x, y, LossSpec("squared"), cfg, identity)
         gap = float(np.abs(full.predict(x) - sketched.predict(x)).max())

@@ -26,8 +26,7 @@ from opbounds.sketching import SketchSpec
 BOUND_COMPARE = {
     "seed": 11,
     "dataset": {"kind": "synthetic", "n": 16, "d": 2, "m": 2, "noise": 0.1},
-    "kernel": {"family": "gaussian", "bandwidth": 1.0, "output_matrix": "identity",
-               "kappa": 1.0},
+    "kernel": {"family": "gaussian", "bandwidth": 1.0, "output_matrix": "identity"},
     "mc": {"draws": 400},
     "network": {
         "g_norm": 1.0,
@@ -117,10 +116,7 @@ UNREAD_KEYS = [
         ]
     ],
     ("spectral-report", {}, ("dataset",), "path", "points.csv"),
-    *[
-        ("sketch-regress", {"sketch": {"rows": 20, "dist": "identity"}}, ("sketch",), key, value)
-        for key, value in [("seed", 4), ("scale", 9.0)]
-    ],
+    ("sketch-regress", {"sketch": {"rows": 20, "dist": "identity"}}, ("sketch",), "seed", 4),
     ("sketch-regress", {"loss": {"family": "huber"}}, ("loss",), "quantiles", [0.25, 0.75]),
     ("sketch-regress", {}, ("loss",), "huber_delta", 1.0),
     ("sketch-regress", {}, ("kernel",), "smoothness", 1.5),
@@ -150,7 +146,6 @@ UNREAD_KEYS = [
         ("sketch-regress", _SQUARED, ("fit",), key, value)
         for key, value in [("max_iters", 1), ("step_size", 9.0), ("tol", 0.3)]
     ],
-    ("sketch-regress", _SQUARED, ("kernel",), "kappa", 2.0),
     ("sketch-regress", _SQUARED, (), "conf_delta", 0.2),
     ("deep-vvrkhs", {"deep_model": _CHECKPOINT}, ("deep_model", "train"), "seed", 4),
     *[
@@ -158,6 +153,16 @@ UNREAD_KEYS = [
         for key, value in [("bandwidths", [1.0, 1.0, 5.0]), ("output_dims", [2, 2, 2])]
     ],
     ("deep-vvrkhs", {"deep_model": _EVALUATE_ONLY}, ("deep_model",), "lambda1_sweep", []),
+    # kappa is a fact of the kernel and the sketch scaling is fixed: no
+    # subcommand takes either
+    *[
+        (subcommand, {}, ("kernel",), "kappa", 1.0)
+        for subcommand in ("bound-compare", "sketch-regress")
+    ],
+    *[
+        (subcommand, {}, ("sketch",), "scale", 0.9)
+        for subcommand in ("sketch-regress", "spectral-report")
+    ],
 ]
 
 
@@ -203,11 +208,17 @@ def _main_error(tmp_path, capsys, subcommand, config):
     return json.loads(capsys.readouterr().err.splitlines()[0])
 
 
-def test_unread_key_exits_2_and_writes_no_output(tmp_path, capsys):
-    cfg = json.loads(json.dumps(SKETCH_REGRESS))
-    cfg["fit"]["seed"] = 1
-    err = _main_error(tmp_path, capsys, "sketch-regress", cfg)
-    assert err["error"] == "config" and "'seed'" in err["message"]
+@pytest.mark.parametrize(
+    "subcommand, section, key",
+    [("sketch-regress", "fit", "seed"),
+     ("bound-compare", "kernel", "kappa"), ("sketch-regress", "kernel", "kappa"),
+     ("sketch-regress", "sketch", "scale"), ("spectral-report", "sketch", "scale")],
+)
+def test_unread_key_exits_2_and_writes_no_output(subcommand, section, key, tmp_path, capsys):
+    cfg = json.loads(json.dumps(ALL_CONFIGS[subcommand]))
+    cfg[section][key] = 1
+    err = _main_error(tmp_path, capsys, subcommand, cfg)
+    assert err["error"] == "config" and f"'{key}'" in err["message"]
 
 
 def test_train_seed_after_a_checkpoint_exits_2_and_writes_no_output(tmp_path, capsys):
@@ -363,7 +374,6 @@ SWEEP_VALUES = {
     "kernel.bandwidth": [0.6],
     "kernel.smoothness": [2.5],
     "kernel.output_matrix": [[[2.0, 0.5], [0.5, 1.0]]],
-    "kernel.kappa": [2.0],
     "loss": [{"family": "huber", "huber_delta": 0.1}],
     "loss.family": ["squared", "huber"],
     "loss.huber_delta": [0.05],
@@ -378,7 +388,6 @@ SWEEP_VALUES = {
     "sketch.p": [0.8],
     "sketch.dist": ["rademacher", "identity"],
     "sketch.seed": [77],
-    "sketch.scale": [0.9],
     "conf_delta": [0.2],
     "emit_coefficients": [True],
     "mc": [{"draws": 32}],
@@ -636,13 +645,6 @@ def test_bound_compare_draws_each_sign_block_once(monkeypatch, tmp_path):
     for key in blocks:
         read = sorted(id(g) for rows, g in forms if id(rows) == key)
         assert read == sorted([id(g_data), id(g_mid)])
-
-
-def test_bound_compare_rejects_kappa_below_a_kernel_value(tmp_path):
-    cfg = json.loads(json.dumps(BOUND_COMPARE))
-    cfg["kernel"]["kappa"] = 0.5
-    with pytest.raises(InputError, match="kappa"):
-        run("bound-compare", cfg, None, tmp_path)
 
 
 @pytest.mark.parametrize(

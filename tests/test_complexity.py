@@ -157,7 +157,7 @@ def test_ball_below_trace_bound():
     n, m = 16, 2
     pts = rng.uniform(-1, 1, (n, 2))
     kernel = DecomposableKernel(
-        ScalarKernelSpec("gaussian", 1.0, dimension=2), np.eye(m), kappa=1.0
+        ScalarKernelSpec("gaussian", 1.0, dimension=2), np.eye(m)
     )
     g = gram_scalar(kernel.scalar, pts)
     est = ball_mc(g, kernel.output, n, McConfig(draws=4000, seed=1))
@@ -192,7 +192,7 @@ def test_exact_permutation_invariance():
     n, m = 3, 2
     pts = rng.standard_normal((n, 2))
     kernel = DecomposableKernel(
-        ScalarKernelSpec("gaussian", 0.8, dimension=2), random_psd(m, rng), kappa=1.0
+        ScalarKernelSpec("gaussian", 0.8, dimension=2), random_psd(m, rng)
     )
     g = gram_operator(kernel, pts)
     perm = np.array([2, 0, 1])
@@ -208,7 +208,7 @@ def test_mc_permutation_invariance_within_noise():
     n, m = 12, 2
     pts = rng.standard_normal((n, 2))
     kernel = DecomposableKernel(
-        ScalarKernelSpec("gaussian", 0.8, dimension=2), np.eye(m), kappa=1.0
+        ScalarKernelSpec("gaussian", 0.8, dimension=2), np.eye(m)
     )
     g = gram_operator(kernel, pts)
     perm = rng.permutation(n)
@@ -263,7 +263,7 @@ def test_class_contained_in_ball():
     n, m = 10, 2
     pts = rng.uniform(-1, 1, (n, 2))
     kernel = DecomposableKernel(
-        ScalarKernelSpec("gaussian", 1.0, dimension=2), np.eye(m), kappa=1.0
+        ScalarKernelSpec("gaussian", 1.0, dimension=2), np.eye(m)
     )
     predictions = []
     for k in range(50):

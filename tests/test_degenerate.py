@@ -42,7 +42,7 @@ def degenerate_problems(draw, max_n=8):
     b = rng.standard_normal((m, rank))
     out = b @ b.T if rank < m else b @ b.T + 0.1 * np.eye(m)
     bandwidth = draw(st.sampled_from([1e-3, 1.0, 50.0]))
-    kernel = DecomposableKernel(ScalarKernelSpec("gaussian", bandwidth, dimension=d), out, 1.0)
+    kernel = DecomposableKernel(ScalarKernelSpec("gaussian", bandwidth, dimension=d), out)
     return x, y, kernel
 
 
@@ -173,7 +173,6 @@ def test_split_complexity_bound_is_finite_or_typed(
     net = NetworkSpec(
         layers=tuple(LayerSpec(w, sobolev_order_in=2.0) for w in weights),
         g_norm=1.0,
-        output_dim=kernel.output_dim,
     )
     mid = x
     for w in weights:

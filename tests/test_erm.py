@@ -36,7 +36,7 @@ def make_problem(seed, n=12, d=2, m=2, pd_output=True):
     else:
         m_mat = np.eye(m)
     kernel = DecomposableKernel(
-        ScalarKernelSpec("gaussian", 1.0, dimension=d), m_mat, kappa=1.0
+        ScalarKernelSpec("gaussian", 1.0, dimension=d), m_mat
     )
     return kernel, x, y
 
@@ -123,7 +123,7 @@ def test_identity_sketch_equivalence(seed):
     kernel, x, y = make_problem(seed, n=10)
     cfg = FitConfig(lambda_n=0.08)
     n = x.shape[0]
-    identity = SketchMatrix(matrix=np.eye(n), spec=SketchSpec(s=n, n=n, seed=0))
+    identity = SketchMatrix(matrix=np.eye(n))
     full = fit_full(kernel, x, y, SQUARED, cfg)
     sketched = fit_sketched(kernel, x, y, SQUARED, cfg, identity)
     assert np.abs(full.predict(x) - sketched.predict(x)).max() <= 1e-8
@@ -149,7 +149,7 @@ def test_quarter_sketch_risk_within_factor_two():
     y = np.stack([np.sin(x @ np.array([1.0, 0.5])), np.cos(x @ np.array([0.3, -1.0]))], axis=1)
     y += 0.1 * rng.standard_normal((n, m))
     kernel = DecomposableKernel(
-        ScalarKernelSpec("gaussian", 1.0, dimension=d), np.eye(m), kappa=1.0
+        ScalarKernelSpec("gaussian", 1.0, dimension=d), np.eye(m)
     )
     cfg = FitConfig(lambda_n=0.1)
     sk = make_p_sparsified(SketchSpec(s=n // 4, n=n, p=1.0, dist="gaussian", seed=11))
@@ -180,7 +180,7 @@ def test_ridge_shrinkage_monotone_in_lambda():
 def test_singular_output_matrix_rejected():
     kernel, x, y = make_problem(2, pd_output=False)
     singular = DecomposableKernel(
-        kernel.scalar, np.diag([1.0, 0.0]), kappa=1.0
+        kernel.scalar, np.diag([1.0, 0.0])
     )
     with pytest.raises(InputError):
         fit_full(singular, x, y, SQUARED, FitConfig(lambda_n=0.1))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opbounds.errors import InputError, NotPsdError
 from opbounds.kernels import (
@@ -10,6 +12,7 @@ from opbounds.kernels import (
     ScalarKernelSpec,
     check_kappa,
     gram_scalar,
+    gram_scalar_cross,
     make_output_matrix,
     sobolev_norm_gaussian,
 )
@@ -88,7 +91,7 @@ def test_gram_operator_matches_elementwise_bruteforce():
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((3, 2))
     m_mat = random_psd(2, rng)
-    kernel = DecomposableKernel(GAUSS2, m_mat, kappa=1.0)
+    kernel = DecomposableKernel(GAUSS2, m_mat)
     g_k = gram_scalar(GAUSS2, pts)
     g_op = gram_operator(kernel, pts)
     n, m = 3, 2
@@ -103,7 +106,7 @@ def test_gram_operator_single_point_and_trace():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((4, 2))
     m_mat = random_psd(3, rng)
-    kernel = DecomposableKernel(GAUSS2, m_mat, kappa=1.0)
+    kernel = DecomposableKernel(GAUSS2, m_mat)
     single = gram_operator(kernel, pts[:1])
     assert np.allclose(single, m_mat)  # k(x, x) = 1
     g_k = gram_scalar(GAUSS2, pts)
@@ -114,16 +117,50 @@ def test_gram_operator_single_point_and_trace():
 def test_gram_operator_identity_output_blocks():
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((3, 2))
-    kernel = DecomposableKernel(GAUSS2, np.eye(2), kappa=1.0)
+    kernel = DecomposableKernel(GAUSS2, np.eye(2))
     g_k = gram_scalar(GAUSS2, pts)
     g_op = gram_operator(kernel, pts)
     assert np.array_equal(g_op, np.kron(g_k, np.eye(2)))
 
 
-def test_kappa_validated_on_gram_assembly():
-    kernel = DecomposableKernel(GAUSS2, np.eye(2), kappa=0.5)
-    with pytest.raises(InputError):
-        check_kappa(kernel, gram_scalar(GAUSS2, [[0.0, 0.0], [1.0, 1.0]]))
+def test_check_kappa_rejects_a_gram_above_kappa():
+    g = gram_scalar(GAUSS2, [[0.0, 0.0], [1.0, 1.0]])
+    check_kappa(GAUSS2, g)
+    with pytest.raises(InputError, match="kappa"):
+        check_kappa(GAUSS2, 2.0 * g)
+
+
+@st.composite
+def kernels_and_points(draw):
+    """A kernel of each family (matern at several nu) and two point sets
+    in its dimension, the first with duplicated rows."""
+    d = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(["gaussian", "matern", "sobolev-radial"]))
+    if family == "gaussian":
+        smoothness = 0.0
+    elif family == "matern":
+        smoothness = draw(st.sampled_from([0.5, 1.5, 2.5, 0.3, 3.7]))
+    else:
+        smoothness = d / 2 + draw(st.sampled_from([0.5, 1.0, 1.5, 2.25]))
+    spec = ScalarKernelSpec(family, draw(st.floats(0.05, 20.0)), smoothness, d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([1e-6, 1.0, 10.0]))
+    x = spread * rng.uniform(-1, 1, (draw(st.integers(1, 12)), d))
+    x = np.concatenate([x, x[: draw(st.integers(0, x.shape[0]))]])
+    z = spread * rng.uniform(-1, 1, (draw(st.integers(1, 6)), d))
+    return spec, x, z
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernels_and_points())
+def test_no_kernel_value_exceeds_kappa(case):
+    # bounded from above only: self-distances that round to a tiny positive
+    # value put diagonal entries just below kappa
+    spec, x, z = case
+    bound = spec.kappa * (1.0 + 1e-12)
+    assert gram_scalar(spec, x).max() <= bound
+    assert gram_scalar_cross(spec, x, z).max() <= bound
+    assert gram_scalar_cross(spec, x, x).max() <= bound
 
 
 def test_output_matrix_validation():

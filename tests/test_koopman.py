@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from opbounds import complexity
 from opbounds.complexity import BallMc, ClassMc, McConfig, _quad_forms, run_mc, sign_blocks
-from opbounds.errors import DegenerateInputError, InputError, NonInjectiveError, NotPsdError
+from opbounds.errors import (
+    DegenerateInputError, InputError, NonInjectiveError, NotPsdError, NumericError
+)
 from opbounds.kernels import (
     DecomposableKernel,
     KernelExpansion,
@@ -119,7 +121,6 @@ def test_injectivity_class_identity_passes():
     net = NetworkSpec(
         layers=(layer(np.eye(2)), layer(np.eye(2))),
         g_norm=1.0,
-        output_dim=2,
     )
     verdicts, overall = check_injectivity_class(net, 1.0, 1.0)
     assert overall and all(v.ok for v in verdicts)
@@ -129,7 +130,6 @@ def test_injectivity_class_dimension_flag():
     net = NetworkSpec(
         layers=(layer(np.ones((1, 2)), s_in=2.0),),
         g_norm=1.0,
-        output_dim=2,
     )
     verdicts, overall = check_injectivity_class(net, 10.0, 0.0001)
     assert not overall and not verdicts[0].dimension_ok
@@ -139,7 +139,6 @@ def test_injectivity_class_norm_flag():
     net = NetworkSpec(
         layers=(layer(np.diag([2.0, 3.0])),),
         g_norm=1.0,
-        output_dim=2,
     )
     verdicts, overall = check_injectivity_class(net, 2.5, 6.0)
     v = verdicts[0]
@@ -150,7 +149,7 @@ def test_injectivity_class_norm_flag():
 # --- product bound -------------------------------------------------------------------
 
 def test_product_bound_identity_network_is_trace_bound():
-    net = NetworkSpec(layers=(layer(np.eye(3), s_in=2.0),), g_norm=1.0, output_dim=2)
+    net = NetworkSpec(layers=(layer(np.eye(3), s_in=2.0),), g_norm=1.0)
     rep = product_bound(net, kappa=1.0, tr_m=2.0, n=100)
     expected = math.sqrt(2.0 / 100.0)
     assert abs(rep.total - expected) <= 1e-12 * expected
@@ -160,8 +159,8 @@ def test_product_bound_identity_network_is_trace_bound():
 def test_product_bound_scaling_probe_1d():
     # W = (2) in one dimension, s_in = 1: ratio factor 2, det root sqrt(2),
     # so the bound picks up a factor sqrt(2)
-    base = NetworkSpec(layers=(layer([[1.0]], s_in=1.0),), g_norm=1.0, output_dim=1)
-    scaled = NetworkSpec(layers=(layer([[2.0]], s_in=1.0),), g_norm=1.0, output_dim=1)
+    base = NetworkSpec(layers=(layer([[1.0]], s_in=1.0),), g_norm=1.0)
+    scaled = NetworkSpec(layers=(layer([[2.0]], s_in=1.0),), g_norm=1.0)
     b0 = product_bound(base, 1.0, 1.0, 50).total
     b1 = product_bound(scaled, 1.0, 1.0, 50).total
     assert b1 / b0 == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -171,8 +170,8 @@ def test_product_bound_scaling_probe_1d():
 def test_product_bound_scaling_probe_2d():
     # for W = 2 I_2 with s_in = 1 the ratio factor and the quarter root both
     # double, so the bound is unchanged
-    base = NetworkSpec(layers=(layer(np.eye(2), s_in=1.0),), g_norm=1.0, output_dim=1)
-    scaled = NetworkSpec(layers=(layer(2.0 * np.eye(2), s_in=1.0),), g_norm=1.0, output_dim=1)
+    base = NetworkSpec(layers=(layer(np.eye(2), s_in=1.0),), g_norm=1.0)
+    scaled = NetworkSpec(layers=(layer(2.0 * np.eye(2), s_in=1.0),), g_norm=1.0)
     b0 = product_bound(base, 1.0, 1.0, 50).total
     b1 = product_bound(scaled, 1.0, 1.0, 50).total
     assert b1 == pytest.approx(b0, rel=1e-12)
@@ -184,7 +183,7 @@ def test_product_bound_total_recomputable_from_factors():
         layer(rng.standard_normal((3, 3)) + 2 * np.eye(3), s_in=2.0, koopman=1.5, ratio=0.8)
         for _ in range(3)
     )
-    net = NetworkSpec(layers=layers, g_norm=2.0, output_dim=2)
+    net = NetworkSpec(layers=layers, g_norm=2.0)
     rep = product_bound(net, kappa=1.3, tr_m=2.4, n=64)
     assert rep.recompute_total() == pytest.approx(rep.total, rel=1e-12)
     assert rep.per_layer[-1].koopman_norm is None
@@ -214,7 +213,7 @@ def _gaussian_bump_net(rng, d, s):
         return np.exp(-np.sum(z * z, axis=1))[:, None] * u
 
     g_norm = float(np.linalg.norm(u)) * sobolev_norm_gaussian(d, s)
-    net = NetworkSpec(layers=layers, g_norm=g_norm, output_dim=2)
+    net = NetworkSpec(layers=layers, g_norm=g_norm)
     return net, f
 
 
@@ -234,7 +233,7 @@ def test_product_bound_dominates_sampled_subfamily_mc():
 
 def test_product_bound_rejects_noninjective_layer():
     net = NetworkSpec(
-        layers=(layer(np.diag([1.0, 0.0]), s_in=2.0),), g_norm=1.0, output_dim=1
+        layers=(layer(np.diag([1.0, 0.0]), s_in=2.0),), g_norm=1.0
     )
     with pytest.raises(NonInjectiveError):
         product_bound(net, 1.0, 1.0, 10)
@@ -245,7 +244,7 @@ def test_product_bound_rejects_noninjective_layer():
 def test_peeled_identity_layers():
     k, big_l = 3, 4
     net = NetworkSpec(
-        layers=tuple(layer(np.eye(k)) for _ in range(big_l)), g_norm=1.0, output_dim=2
+        layers=tuple(layer(np.eye(k)) for _ in range(big_l)), g_norm=1.0
     )
     for split in range(big_l + 1):
         assert peeled_bound(net, split) == pytest.approx(
@@ -255,12 +254,12 @@ def test_peeled_identity_layers():
 
 def test_peeled_examples_and_monotonicity():
     net = NetworkSpec(
-        layers=(layer(np.diag([2.0, 3.0]), s_in=2.0),), g_norm=1.0, output_dim=2
+        layers=(layer(np.diag([2.0, 3.0]), s_in=2.0),), g_norm=1.0
     )
     assert peeled_bound(net, 0) == pytest.approx(math.sqrt(13.0), rel=1e-12)
     assert peeled_bound(net, 1) == pytest.approx(3.0, rel=1e-12)
     scaled = NetworkSpec(
-        layers=(layer(2.0 * np.diag([2.0, 3.0]), s_in=2.0),), g_norm=1.0, output_dim=2
+        layers=(layer(2.0 * np.diag([2.0, 3.0]), s_in=2.0),), g_norm=1.0
     )
     for split in (0, 1):
         assert peeled_bound(scaled, split) == pytest.approx(
@@ -288,7 +287,7 @@ def dense_stack(*coeffs):
 def _mid_setup(rng, n=8, m=2, d=2):
     pts = rng.uniform(-1, 1, (n, d))
     kernel = DecomposableKernel(
-        ScalarKernelSpec("gaussian", 1.0, dimension=d), np.eye(m), kappa=1.0
+        ScalarKernelSpec("gaussian", 1.0, dimension=d), np.eye(m)
     )
     return pts, kernel, gram_operator(kernel, pts)
 
@@ -316,7 +315,7 @@ def test_approx_term_matches_bruteforce_expansion():
     rng = np.random.default_rng(9)
     pts, _, g_mid = _mid_setup(rng)
     other = DecomposableKernel(
-        ScalarKernelSpec("gaussian", 0.5, dimension=2), np.eye(2), kappa=1.0
+        ScalarKernelSpec("gaussian", 0.5, dimension=2), np.eye(2)
     )
     g_in = gram_operator(other, pts)
     h1, h2 = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
@@ -467,7 +466,7 @@ def test_approx_term_rejects_round_off_degenerate_draws():
     # ||u~_n|| = 0 in exact arithmetic, but its GEMM quadratic form can come
     # out at about 1e-16; such draws must be rejected, not kept with gamma ~ 1e8
     kernel = DecomposableKernel(
-        ScalarKernelSpec("gaussian", 1.0, dimension=2), np.eye(1), kappa=1.0
+        ScalarKernelSpec("gaussian", 1.0, dimension=2), np.eye(1)
     )
     cfg = McConfig(draws=1024, seed=7)
     round_off_kept = 0
@@ -500,7 +499,7 @@ def test_approx_term_cpu_time_at_width_600():
     rng = np.random.default_rng(23)
     pts, _, g_mid = _mid_setup(rng, n=300, m=2)
     other = DecomposableKernel(
-        ScalarKernelSpec("gaussian", 0.5, dimension=2), np.eye(2), kappa=1.0
+        ScalarKernelSpec("gaussian", 0.5, dimension=2), np.eye(2)
     )
     g_in = gram_operator(other, pts)
     upper = dense_stack(*(rng.standard_normal((300, 2)) for _ in range(4)))
@@ -679,9 +678,9 @@ def _split_setup(rng, identity_layers=True, n=10, d=2, m=2):
         ws = [np.eye(d) + 0.3 * rng.standard_normal((d, d)) for _ in range(2)]
     layers = tuple(layer(w, s_in=2.0) for w in ws)
     kernel = DecomposableKernel(
-        ScalarKernelSpec("gaussian", 1.0, dimension=d), np.eye(m), kappa=1.0
+        ScalarKernelSpec("gaussian", 1.0, dimension=d), np.eye(m)
     )
-    net = NetworkSpec(layers=layers, g_norm=1.5, output_dim=m)
+    net = NetworkSpec(layers=layers, g_norm=1.5)
     mid = data.copy()
     for w in ws:
         mid = mid @ w.T
@@ -696,7 +695,7 @@ def test_split_bound_full_split_reduces_toward_product_bound():
     g_sur = KernelExpansion(kernel.scalar, kernel.output, mid, raw * (net.g_norm / g_sur.norm()))
     cfg = McConfig(draws=400, seed=3)
     rep = split_bound(net, net.depth, g_sur.coeffs[None], data, kernel, mid, cfg)
-    product = product_bound(net, kernel.kappa, kernel.trace_m(), 10)
+    product = product_bound(net, kernel.scalar.kappa, kernel.trace_m(), 10)
     # same eta product structure: both carry the per-layer factors with no
     # activation norm on the final layer
     eta_t2 = rep.extras["eta_product"]
@@ -739,27 +738,30 @@ def test_split_bound_identity_layers_neutral():
     assert rep.total == pytest.approx(bracket, rel=1e-12)
 
 
+# case -> (coefficient stack over 10 points and 2 outputs, error, message)
 BAD_STACKS = {
-    "empty": np.zeros((0, 10, 2)),
-    "not 3-D": np.zeros((10, 2)),
-    "wrong n": np.zeros((2, 9, 2)),
-    "wrong m": np.zeros((2, 10, 3)),
+    "empty": (np.zeros((0, 10, 2)), InputError, "stack"),
+    "not 3-D": (np.zeros((10, 2)), InputError, "stack"),
+    "wrong n": (np.zeros((2, 9, 2)), InputError, "stack"),
+    "wrong m": (np.zeros((2, 10, 3)), InputError, "stack"),
+    "non-finite": (np.full((2, 10, 2), np.nan), NumericError, "non-finite"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_STACKS)
 def test_approx_term_rejects_bad_coefficient_stacks(case):
     g = gram_scalar(ScalarKernelSpec("gaussian", 1.0, dimension=2), np.eye(10, 2))
-    with pytest.raises(InputError, match="stack"):
-        ApproxMc(BAD_STACKS[case], g, g, np.eye(2))
+    coeffs, error, message = BAD_STACKS[case]
+    with pytest.raises(error, match=message):
+        ApproxMc(coeffs, g, g, np.eye(2))
 
 
 def test_split_bound_rejects_bad_coefficient_stacks():
     rng = np.random.default_rng(13)
     net, data, kernel, mid = _split_setup(rng)
     g_in, g_mid = gram_scalar(kernel.scalar, data), gram_scalar(kernel.scalar, mid)
-    for coeffs in BAD_STACKS.values():
-        with pytest.raises(InputError, match="stack"):
+    for coeffs, error, message in BAD_STACKS.values():
+        with pytest.raises(error, match=message):
             SplitMc(net, 1, coeffs, kernel, g_in, g_mid)
     # mid points that do not pair one-to-one with the data
     with pytest.raises(InputError, match="equal shape"):

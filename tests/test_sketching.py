@@ -41,10 +41,10 @@ def test_dense_storage_at_every_p():
         assert type(sk.matrix) is np.ndarray and sk.matrix.shape == (10, 50)
 
 
-def test_scale_override():
-    spec = SketchSpec(s=4, n=6, p=1.0, dist="rademacher", seed=1, scale=1.0)
+def test_kept_entries_scaled_by_inverse_root_s_p():
+    spec = SketchSpec(s=4, n=40, p=0.25, dist="rademacher", seed=1)
     sk = make_p_sparsified(spec).matrix
-    assert np.all(np.abs(sk) == 1.0)
+    assert set(np.abs(sk[sk != 0.0])) == {1.0 / math.sqrt(4 * 0.25)}
 
 
 def test_invalid_specs():
