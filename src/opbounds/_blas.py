@@ -7,10 +7,11 @@ paths in ``/proc/self/maps`` and their thread-count functions, and cached.
 
 numpy's copy is always among them, and it is the one that suffices: every
 product and decomposition in the library is a numpy call.  The library loads
-scipy only when a Matern or Sobolev kernel or ``sobolev_norm_gaussian`` first
-runs, so scipy's copy is pinned only if the process loaded scipy before its
-first run.  Leaving it unpinned moves no bit, because the library calls scipy
-only for ``kv``, ``gamma`` and ``quad``, which make no BLAS calls.
+scipy only when a Matern or Sobolev kernel of non-half-integer smoothness or
+``sobolev_norm_gaussian`` first runs, so scipy's copy is pinned only if the
+process loaded scipy before its first run.  Leaving it unpinned moves no
+bit, because the library calls scipy only for ``kv``, ``gamma`` and ``quad``,
+which make no BLAS calls.
 The thread count is process-wide, so runs in concurrent threads share it.
 """
 

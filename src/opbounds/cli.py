@@ -173,7 +173,9 @@ _SKETCH_SCHEMA = {
     },
     "required": ["rows"],
     "if": {"properties": {"dist": {"const": "identity"}}, "required": ["dist"]},
-    "then": _unread("seed", why="an identity sketch draws no entries, so it reads no seed"),
+    "then": _unread(
+        "seed", "p", why="an identity sketch draws no entries, so it reads no seed or p"
+    ),
 }
 
 _FIT_SCHEMA = {
@@ -477,12 +479,13 @@ def _build_network(cfg: dict, base_dir: Path) -> NetworkSpec:
 
 def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[SketchMatrix, float, dict]:
     """Sketch matrix, the satisfiability constant c of its keep-probability,
-    and its resolved seed (``seed`` unless the section sets one; none for the
-    identity sketch, which draws nothing)."""
+    and its resolved seed (``seed`` unless the section sets one).  The
+    identity sketch draws nothing and keeps every entry: no seed, and the
+    default p = 1."""
     if cfg.get("dist") == "identity":
         if cfg["rows"] != n:
             raise ConfigError(f"identity sketch needs rows == n ({n})")
-        sketch, p, seeds = SketchMatrix(matrix=np.eye(n)), cfg.get("p", SketchSpec.p), {}
+        sketch, p, seeds = SketchMatrix(matrix=np.eye(n)), SketchSpec.p, {}
     else:
         seed = cfg.get("seed", seed)
         spec = _build(SketchSpec, cfg, n=n, seed=seed)

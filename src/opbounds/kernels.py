@@ -20,7 +20,10 @@ Conventions:
   are defined up to the usual kernel-normalization constant.
 
 Gram assembly is vectorized and entrywise pure, so results are independent of
-any evaluation schedule.
+any evaluation schedule.  Half-integer Matern smoothnesses (nu = 0.5, 1.5,
+2.5, for ``sobolev-radial`` too) have closed forms and are computed in place
+on the squared distances; every other nu goes through ``scipy.special.kv``,
+and only then does scipy load.
 """
 
 from __future__ import annotations
@@ -138,16 +141,18 @@ def _sq_dists(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _radial_profile(spec: ScalarKernelSpec, sq_dist: np.ndarray) -> np.ndarray:
-    """Kernel values from squared distances; the gaussian family overwrites
-    ``sq_dist`` with them."""
+    """Kernel values from squared distances.  The gaussian family and the
+    half-integer Matern smoothnesses overwrite ``sq_dist`` with them."""
     if spec.family == "gaussian":
         sq_dist *= -spec.bandwidth
         return np.exp(sq_dist, out=sq_dist)
-    # matern / sobolev-radial; scipy loads here, not at import, because it
+    nu = spec.matern_nu
+    if nu in (0.5, 1.5, 2.5):
+        return _half_integer_matern(nu, spec.bandwidth, sq_dist)
+    # other smoothnesses need kv; scipy loads here, not at import, because it
     # makes up most of the time to import the package
     from scipy.special import gamma, kv
 
-    nu = spec.matern_nu
     r = np.sqrt(sq_dist) / spec.bandwidth
     arg = np.sqrt(2.0 * nu) * r
     out = np.ones_like(arg)
@@ -156,6 +161,30 @@ def _radial_profile(spec: ScalarKernelSpec, sq_dist: np.ndarray) -> np.ndarray:
     out[pos] = (2.0 ** (1.0 - nu) / gamma(nu)) * (a**nu) * kv(nu, a)
     # kv underflows to 0 for large arguments, which is the correct limit
     return np.where(np.isfinite(out), out, 0.0)
+
+
+def _half_integer_matern(nu: float, bandwidth: float, sq_dist: np.ndarray) -> np.ndarray:
+    """Matern values for nu in (0.5, 1.5, 2.5) in closed form,
+    ``e^(-a)``, ``(1 + a) e^(-a)`` and ``(1 + a + a^2/3) e^(-a)`` with
+    ``a = sqrt(2 nu) r / bandwidth`` (Rasmussen & Williams 2006, sec. 4.2).
+    Overwrites ``sq_dist`` with them and allocates at most one more array."""
+    a = np.sqrt(sq_dist, out=sq_dist)
+    a /= bandwidth
+    a *= np.sqrt(2.0 * nu)
+    # e^(-a) is exactly 0 from a ~ 745 on; capping a there keeps the
+    # polynomial finite (an infinite a would make inf * 0 = nan)
+    np.minimum(a, 1e3, out=a)
+    if nu == 0.5:
+        return np.exp(np.negative(a, out=a), out=a)
+    if nu == 1.5:
+        poly = a + 1.0
+    else:  # 1 + a (1 + a/3), by Horner
+        poly = a / 3.0
+        poly += 1.0
+        poly *= a
+        poly += 1.0
+    np.exp(np.negative(a, out=a), out=a)
+    return np.multiply(a, poly, out=a)
 
 
 def gram_scalar(spec: ScalarKernelSpec, pts) -> np.ndarray:

@@ -66,7 +66,10 @@ def eigendecompose_scaled_gram(
     g = np.asarray(g_k, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InputError(f"Gram matrix must be square, got {g.shape}")
-    if np.abs(g - g.T).max(initial=0.0) > 1e-12 * max(1.0, np.abs(g).max(initial=0.0)):
+    # one n x n temporary: |g - g^T| in place, and max |g| from max and min
+    asym = g - g.T
+    asym = np.abs(asym, out=asym).max(initial=0.0)
+    if asym > 1e-12 * max(1.0, g.max(initial=0.0), -g.min(initial=0.0)):
         raise InputError("Gram matrix is not symmetric")
     vals, vecs = np.linalg.eigh(g) if gram_eigh is None else gram_eigh
     if np.shape(vals) != g.shape[:1] or np.shape(vecs) != g.shape:

@@ -1,12 +1,14 @@
 """Reference computations the tests check the library against.
 
 None of these is library API: the library never assembles the Kronecker
-operator Gram, evaluates one kernel pair at a time or restates psi.
+operator Gram, evaluates one kernel pair at a time, restates psi or takes
+half-integer Matern values from ``kv``.
 """
 
 import math
 
 import numpy as np
+from scipy.special import gamma, kv
 
 from opbounds.kernels import gram_scalar, gram_scalar_cross
 
@@ -14,6 +16,21 @@ from opbounds.kernels import gram_scalar, gram_scalar_cross
 def eval_scalar(spec, x, x_prime) -> float:
     """The scalar kernel at a single pair of points."""
     return float(gram_scalar_cross(spec, x, x_prime)[0, 0])
+
+
+def matern_profile_kv(spec, sq_dist) -> np.ndarray:
+    """Matern kernel values from squared distances through scipy's ``kv``,
+    for any smoothness nu: the library's path for non-half-integer nu and the
+    reference for its closed forms.  ``kv`` underflows to 0 for large
+    arguments, which is the correct limit."""
+    nu = spec.matern_nu
+    r = np.sqrt(sq_dist) / spec.bandwidth
+    arg = np.sqrt(2.0 * nu) * r
+    out = np.ones_like(arg)
+    pos = arg > 0
+    a = arg[pos]
+    out[pos] = (2.0 ** (1.0 - nu) / gamma(nu)) * (a**nu) * kv(nu, a)
+    return np.where(np.isfinite(out), out, 0.0)
 
 
 def gram_operator(kernel, pts) -> np.ndarray:

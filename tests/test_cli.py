@@ -116,7 +116,10 @@ UNREAD_KEYS = [
         ]
     ],
     ("spectral-report", {}, ("dataset",), "path", "points.csv"),
-    ("sketch-regress", {"sketch": {"rows": 20, "dist": "identity"}}, ("sketch",), "seed", 4),
+    *[
+        ("sketch-regress", {"sketch": {"rows": 20, "dist": "identity"}}, ("sketch",), key, value)
+        for key, value in [("seed", 4), ("p", 0.5)]
+    ],
     ("sketch-regress", {"loss": {"family": "huber"}}, ("loss",), "quantiles", [0.25, 0.75]),
     ("sketch-regress", {}, ("loss",), "huber_delta", 1.0),
     ("sketch-regress", {}, ("kernel",), "smoothness", 1.5),
@@ -1243,16 +1246,22 @@ def test_library_run_bytes_independent_of_blas_threads():
     assert payloads[0] == payloads[1]
 
 
-def test_matern_run_bytes_independent_of_blas_threads():
-    # scipy first loads inside this run, after the BLAS pin has cached the
-    # OpenBLAS copies loaded so far, so scipy's own copy keeps two threads; the
-    # record must not depend on it.  Unpinned, this n=300 record differs in
-    # the last bits between one and two threads.
+def _matern_sketch_regress(nu, n):
+    """A squared-loss sketch-regress config with a Matern kernel."""
     cfg = json.loads(json.dumps(SKETCH_REGRESS))
-    cfg["dataset"]["n"] = 300
-    cfg["kernel"] = {"family": "matern", "bandwidth": 1.0, "smoothness": 1.5}
+    cfg["dataset"]["n"] = n
+    cfg["kernel"] = {"family": "matern", "bandwidth": 1.0, "smoothness": nu}
     cfg["loss"] = {"family": "squared"}
     cfg["fit"] = {"lambda_n": cfg["fit"]["lambda_n"]}
+    return cfg
+
+
+def test_matern_run_bytes_independent_of_blas_threads():
+    # scipy first loads inside this run (nu = 1.2 needs kv), after the BLAS
+    # pin has cached the OpenBLAS copies loaded so far, so scipy's own copy
+    # keeps two threads; the record must not depend on it.  Unpinned, an
+    # n=300 Matern record differs in the last bits between one and two threads.
+    cfg = _matern_sketch_regress(1.2, 300)
     cfg["sketch"]["rows"] = 40
     payloads = _library_run_per_blas_threads("sketch-regress", cfg)
     assert payloads[0] == payloads[1]
@@ -1267,20 +1276,28 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 after_import = scipy_modules()
-opbounds.cli.run("bound-compare", json.loads(sys.argv[1]), None, Path("."))
+opbounds.cli.run(sys.argv[1], json.loads(sys.argv[2]), None, Path("."))
 print(json.dumps([after_import, scipy_modules()]))
 """
 
 
-def test_gaussian_runs_import_no_scipy():
-    # scipy is most of the package's import time and only Matern/Sobolev
-    # kernels use it
+@pytest.mark.parametrize(
+    "subcommand, config, loads",
+    [("bound-compare", BOUND_COMPARE, False),
+     ("sketch-regress", _matern_sketch_regress(1.5, 20), False),
+     ("sketch-regress", _matern_sketch_regress(1.2, 20), True)],
+    ids=["gaussian", "matern-1.5", "matern-1.2"],
+)
+def test_scipy_loads_only_for_kv(subcommand, config, loads):
+    # scipy is most of the package's import time, and only Matern/Sobolev
+    # kernels of non-half-integer smoothness use it (for kv)
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_MODULES, json.dumps(BOUND_COMPARE)],
+        [sys.executable, "-c", _SCIPY_MODULES, subcommand, json.dumps(config)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], []]
+    after_import, after_run = json.loads(proc.stdout)
+    assert after_import == [] and ("scipy" in after_run) == loads
 
 
 _JSONSCHEMA_LOADS = """

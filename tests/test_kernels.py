@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from opbounds.kernels import (
     make_output_matrix,
     sobolev_norm_gaussian,
 )
-from oracles import eval_scalar, gram_operator
+from oracles import eval_scalar, gram_operator, matern_profile_kv
 
 GAUSS2 = ScalarKernelSpec("gaussian", 1.0, dimension=2)
 
@@ -58,6 +59,73 @@ def test_sobolev_radial_is_matern_with_shifted_order():
     assert eval_scalar(spec, x, z) == pytest.approx(eval_scalar(mat, x, z), rel=1e-12)
     with pytest.raises(InputError):
         ScalarKernelSpec("sobolev-radial", 1.0, smoothness=1.0, dimension=2)
+
+
+# nu = 0.5, 1.5, 2.5, and sobolev-radial at nu = s - d/2 = 0.5 and 1.5
+HALF_INTEGER_SPECS = [
+    *[ScalarKernelSpec("matern", 1.0, smoothness=nu) for nu in (0.5, 1.5, 2.5)],
+    ScalarKernelSpec("sobolev-radial", 1.0, smoothness=2.0, dimension=3),
+    ScalarKernelSpec("sobolev-radial", 1.0, smoothness=2.5, dimension=2),
+]
+
+
+def _profile_at(spec, r):
+    """Kernel values at distances ``r`` from the origin, and the squared
+    distances that the library computes for them (exactly ``r * r``)."""
+    z = np.zeros((r.size, spec.dimension))
+    z[:, 0] = r
+    return gram_scalar_cross(spec, np.zeros((1, spec.dimension)), z)[0], r * r
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(HALF_INTEGER_SPECS),
+    st.floats(0.05, 20.0),
+    st.lists(
+        st.one_of(st.floats(0.0, 800.0),
+                  st.sampled_from([0.0, 5e-324, 1e-8, 700.0, 745.5, 746.0, 1e300])),
+        min_size=1, max_size=40,
+    ),
+)
+def test_half_integer_matern_matches_kv(spec, bandwidth, args):
+    # args are a = sqrt(2 nu) r / bandwidth, from 0 to past where kv
+    # underflows (a ~ 700) and e^(-a) does (a ~ 745)
+    spec = ScalarKernelSpec(spec.family, bandwidth, spec.smoothness, spec.dimension)
+    got, sq = _profile_at(spec, np.array(args) * bandwidth / math.sqrt(2.0 * spec.matern_nu))
+    want = matern_profile_kv(spec, sq)
+    big = want > 1e-300
+    assert np.all(np.abs(got[big] - want[big]) <= 1e-13 * want[big])
+    # past that, kv has underflowed: the closed form is as negligible, and
+    # exactly 0 once e^(-a) underflows too.  At tiny a (nu = 2.5, a < ~1e-123)
+    # kv overflows instead and the oracle reads 0; the kernel there is 1.
+    a = np.sqrt(sq) / bandwidth * math.sqrt(2.0 * spec.matern_nu)
+    assert np.all(got[~big & (a >= 1.0)] <= 1e-297)
+    assert np.all(got[a >= 746.0] == 0.0)
+    assert np.all(got[~big & (a < 1.0)] == 1.0)
+
+
+@pytest.mark.parametrize("spec", [
+    ScalarKernelSpec("matern", 0.7, smoothness=1.2),
+    ScalarKernelSpec("sobolev-radial", 0.7, smoothness=2.25, dimension=2),  # nu = 1.25
+])
+def test_other_smoothness_is_kv_bit_for_bit(spec):
+    got, sq = _profile_at(spec, np.linspace(0.0, 600.0, 4001))
+    assert np.array_equal(got, matern_profile_kv(spec, sq))
+
+
+def test_half_integer_matern_gram_peak_memory():
+    # the squared distances and at most one more n x n buffer
+    n = 400
+    x = np.random.default_rng(3).uniform(-1, 1, (n, 3))
+    spec = ScalarKernelSpec("matern", 0.5, smoothness=1.5, dimension=3)
+    gram_scalar(spec, x)
+    tracemalloc.start()
+    try:
+        gram_scalar(spec, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8
 
 
 def test_eval_scalar_symmetric_and_validates():
@@ -158,7 +226,9 @@ def test_no_kernel_value_exceeds_kappa(case):
     # value put diagonal entries just below kappa
     spec, x, z = case
     bound = spec.kappa * (1.0 + 1e-12)
-    assert gram_scalar(spec, x).max() <= bound
+    g = gram_scalar(spec, x)
+    assert np.array_equal(g, g.T)
+    check_kappa(spec, g)
     assert gram_scalar_cross(spec, x, z).max() <= bound
     assert gram_scalar_cross(spec, x, x).max() <= bound
 

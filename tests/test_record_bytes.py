@@ -73,7 +73,7 @@ RELOAD = {
 DIGESTS = {
     "bound-compare": "351e797196b49b8160107b79cb1b5b38b2ad1c7a115526db332612b4a5c10c9f",
     "sketch-regress": "0fc8e9240aac9f412b2a81c5b5155231fb7c682db8a8575c11923e720124858b",
-    "spectral-report": "24202a6a9c358f05892fb2596e79abd400e010b4dcaa4914bc01657e60c850c4",
+    "spectral-report": "9d36eb54421a982a4e2dbf6b859e2cecc2a9e8c6c0df4bd45ef778d3971eab32",
     "deep-vvrkhs": "24e1e3f8fde506b99e5acba1bcc14abdf457f1be42c91990b34c5abf1d8e9339",
     "checkpoint": "9b23b4a562fc5a214725fc123247cc6a9b4aac3642ae948ddc609104c161e8cd",
     "checkpoint-reload": "8ad6444d2c8f87fcb6663316ae5a5b18ab7051330dbd6fa2d9304861a0e576e3",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,31 @@ def test_eigendecompose_rejects_non_psd():
         eigendecompose_scaled_gram(np.diag([1.0, -1.0]), 2)
     with pytest.raises(InputError):
         eigendecompose_scaled_gram(np.array([[1.0, 0.5], [0.2, 1.0]]), 2)
+
+
+def test_eigendecompose_peak_memory_and_symmetry_check():
+    # the symmetry check holds one n x n temporary at a time, so the peak
+    # above the inputs is about the reordered eigenvectors alone
+    from opbounds.kernels import ScalarKernelSpec, gram_scalar
+
+    n = 400
+    x = np.random.default_rng(5).uniform(-1, 1, (n, 3))
+    g = gram_scalar(ScalarKernelSpec("matern", 0.5, smoothness=1.5, dimension=3), x)
+    eig = np.linalg.eigh(g)
+    tracemalloc.start()
+    try:
+        eigendecompose_scaled_gram(g, n, gram_eigh=eig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 8
+    g[0, 1] += 1e-9
+    with pytest.raises(InputError, match="not symmetric"):
+        eigendecompose_scaled_gram(g, n, gram_eigh=eig)
+    # the tolerance scales with max |g|, here a negative entry
+    for off, error in [(5e-11, InputError), (5e-12, NotPsdError)]:
+        with pytest.raises(error):
+            eigendecompose_scaled_gram(np.array([[-10.0, 0.0], [off, 1.0]]), 2)
 
 
 @st.composite
