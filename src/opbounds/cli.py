@@ -372,6 +372,16 @@ _SCHEMAS = {
 }
 
 
+def _non_finite(value, path: tuple = ()):
+    """The paths of the NaNs and infinities in a JSON value: ``json.load``
+    reads them, and NaN passes every schema bound."""
+    if isinstance(value, float) and not np.isfinite(value):
+        yield path
+    elif isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _non_finite(item, (*path, key))
+
+
 def validate_config(subcommand: str, config: dict) -> None:
     # jsonschema loads here, not at import: it is the largest share of the
     # time to import this module that the package controls
@@ -379,6 +389,8 @@ def validate_config(subcommand: str, config: dict) -> None:
 
     if subcommand not in _SCHEMAS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    for bad in _non_finite(config):
+        raise ConfigError(f"config invalid at {'/'.join(map(str, bad))}: not a finite number")
     errors = sorted(
         Draft7Validator(_SCHEMAS[subcommand]).iter_errors(config),
         key=lambda e: list(e.absolute_path),

@@ -28,7 +28,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ._rng import substream
-from .errors import InputError, NotPsdError, NumericError
+from .errors import InputError, NumericError
+from .kernels import finite_matrix, require_psd
 
 _BLOCK = 512
 
@@ -56,25 +57,13 @@ def sign_blocks(total: int, width: int, seed: int) -> Iterator[np.ndarray]:
         yield g.integers(0, 2, size=(count, width)) * 2.0 - 1.0
 
 
-def _matrix(a, name: str) -> np.ndarray:
-    """``a`` as a float array, checked to be square, nonempty and finite."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise InputError(f"{name} must be square and nonempty, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InputError(f"{name} contains non-finite entries")
-    return a
-
-
 def _check_psd(g: np.ndarray, out: np.ndarray) -> None:
     """Raise NotPsdError unless G (x) M is PSD; its eigenvalues are the
     pairwise products of the factors' eigenvalues."""
     vals = np.outer(
         np.linalg.eigvalsh(0.5 * (g + g.T)), np.linalg.eigvalsh(0.5 * (out + out.T))
     )
-    scale = max(abs(vals.max()), 1.0)
-    if vals.min() < -1e-10 * scale:
-        raise NotPsdError(f"Gram has eigenvalue {vals.min()}, not PSD")
+    require_psd(vals, "Gram")
 
 
 def _quad_forms(rows: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -169,7 +158,7 @@ class BallMc(_MeanMc):
     ``out = [[1.0]]``.  Every check runs here, before any draw."""
 
     def __init__(self, g, out, n: int):
-        g, out = _matrix(g, "Gram"), _matrix(out, "output matrix")
+        g, out = finite_matrix(g, "Gram"), finite_matrix(out, "output matrix")
         _check_n(n)
         _check_psd(g, out)
         super().__init__(n, g.shape[0] * out.shape[0])
@@ -182,7 +171,7 @@ class BallMc(_MeanMc):
 def rademacher_ball_exact(g_op: np.ndarray, n: int) -> float:
     """Exact expectation by enumerating all sign patterns of a dense operator
     Gram; nm <= 16 only."""
-    g = _matrix(g_op, "operator Gram")
+    g = finite_matrix(g_op, "operator Gram")
     _check_n(n)
     width = g.shape[0]
     if width > 16:

@@ -72,11 +72,16 @@ def write_csv(path, x: np.ndarray, y: np.ndarray) -> None:
 
 def _read_numbers(path, skiprows: int = 0) -> np.ndarray:
     """Comma-separated reals as a 2-D array; ConfigError naming the file when
-    a cell is not a number or the rows are ragged."""
+    a cell is not a finite number or the rows are ragged."""
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+        body = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(body))
+    if bad.size:
+        row, col = bad[0] + 1
+        raise ConfigError(f"{path}: the cell in data row {row}, column {col} is not finite")
+    return body
 
 
 def read_csv(path, d: int, m: int) -> Dataset:

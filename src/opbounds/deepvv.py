@@ -49,6 +49,7 @@ from .kernels import (
     gram_scalar,
     gram_scalar_cross,
     make_output_matrix,
+    require_psd,
 )
 from .spectral import (
     _pencil_basis,
@@ -606,7 +607,7 @@ def model_from_dict(payload: dict) -> LayeredModel:
 def refine_kernel(model: LayeredModel, a_mat, direction: str) -> LayeredModel:
     """Replace every layer's output matrix by A, after verifying the
     eigenvalue ordering: shrink requires M_j - A PSD, enlarge requires
-    A - M_j PSD (min eigenvalue >= -1e-10)."""
+    A - M_j PSD (``kernels.require_psd``)."""
     if direction not in ("shrink", "enlarge"):
         raise InputError(f"unknown refinement direction {direction!r}")
     a_mat = make_output_matrix(a_mat)
@@ -618,11 +619,7 @@ def refine_kernel(model: LayeredModel, a_mat, direction: str) -> LayeredModel:
                 f"refinement matrix has {a_mat.shape}"
             )
         diff = layer.output - a_mat if direction == "shrink" else a_mat - layer.output
-        min_eig = float(np.linalg.eigvalsh(diff)[0])
-        if min_eig < -1e-10:
-            raise RefinementOrderError(
-                f"refinement ordering violated at layer {j}: minimum "
-                f"eigenvalue of the {direction} difference is {min_eig}"
-            )
+        why = f"refinement ordering violated at layer {j}: the {direction} difference"
+        require_psd(np.linalg.eigvalsh(diff), why, RefinementOrderError)
         new_layers.append(replace(layer, output=a_mat))
     return LayeredModel(tuple(new_layers))

@@ -36,7 +36,8 @@ from .errors import InputError, NotPsdError, NumericError
 
 _FAMILIES = ("gaussian", "matern", "sobolev-radial")
 
-#: Relative tolerance (times n) for PSD checks on assembled Gram matrices.
+#: The one PSD tolerance: eigenvalues ``vals`` are those of a PSD matrix when
+#: ``min(vals) >= -PSD_TOL * max(|max(vals)|, 1)`` (see :func:`require_psd`).
 PSD_TOL = 1e-10
 
 
@@ -66,8 +67,8 @@ class ScalarKernelSpec:
             raise InputError(f"unknown kernel family {self.family!r}")
         if not (self.bandwidth > 0 and np.isfinite(self.bandwidth)):
             raise InputError("bandwidth must be a positive real")
-        if self.smoothness < 0:
-            raise InputError("smoothness must be nonnegative")
+        if not (self.smoothness >= 0 and np.isfinite(self.smoothness)):
+            raise InputError("smoothness must be a finite nonnegative real")
         if self.dimension < 1:
             raise InputError("dimension must be a positive integer")
         if self.family == "matern" and self.smoothness <= 0:
@@ -94,19 +95,33 @@ class ScalarKernelSpec:
         return 1.0
 
 
+def finite_matrix(a, name: str, square: bool = True) -> np.ndarray:
+    """``a`` as a float array, checked to be a nonempty, finite matrix, and
+    square unless ``square`` is False."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.size == 0 or (square and a.shape[0] != a.shape[1]):
+        shape = "square nonempty" if square else "nonempty"
+        raise InputError(f"{name} must be a {shape} matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{name} contains non-finite entries")
+    return a
+
+
+def require_psd(vals, name: str, error=NotPsdError) -> None:
+    """Raise ``error`` unless the eigenvalues ``vals`` of ``name`` are those of
+    a PSD matrix up to round-off: ``min >= -PSD_TOL * max(|max|, 1)``."""
+    vals = np.asarray(vals)
+    low, high = float(vals.min()), float(vals.max())
+    if not low >= -PSD_TOL * max(abs(high), 1.0):  # NaN fails too
+        raise error(f"{name} has eigenvalue {low}, not PSD")
+
+
 def make_output_matrix(m: np.ndarray) -> np.ndarray:
     """Validate an output matrix: exactly symmetric, PSD up to tolerance."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"output matrix must be square, got shape {m.shape}")
+    m = finite_matrix(m, "output matrix")
     if not np.array_equal(m, m.T):
         raise InputError("output matrix must be exactly symmetric")
-    if not np.all(np.isfinite(m)):
-        raise InputError("output matrix contains non-finite entries")
-    scale = np.linalg.norm(m, 2) if m.size else 0.0
-    min_eig = np.linalg.eigvalsh(m)[0] if m.size else 0.0
-    if min_eig < -PSD_TOL * max(scale, 1.0):
-        raise NotPsdError(f"output matrix has eigenvalue {min_eig}, not PSD")
+    require_psd(np.linalg.eigvalsh(m), "output matrix")
     return m
 
 
@@ -130,7 +145,13 @@ class DecomposableKernel:
 
 def _sq_dists(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Pairwise squared distances; exactly symmetric when x is z.  Computed
-    in place: (|x|^2 + |z|^2) - 2 x.z, clipped at 0."""
+    in place: (|x|^2 + |z|^2) - 2 x.z, clipped at 0.  None is NaN: the cross
+    term is bounded by 2 d max|x_ik| max|z_jk|, checked once to be finite, so
+    an overflow can only give +inf, which every family maps to 0."""
+    # Python floats: the product overflows to inf without a warning
+    extent = float(np.abs(x).max(initial=0.0)) * float(np.abs(z).max(initial=0.0))
+    if not np.isfinite(2.0 * x.shape[1] * extent):
+        raise NumericError("squared distances overflow: the points are too large")
     gram = x @ z.T
     gram *= 2.0
     nx = np.einsum("ij,ij->i", x, x)
@@ -158,9 +179,13 @@ def _radial_profile(spec: ScalarKernelSpec, sq_dist: np.ndarray) -> np.ndarray:
     out = np.ones_like(arg)
     pos = arg > 0
     a = arg[pos]
-    out[pos] = (2.0 ** (1.0 - nu) / gamma(nu)) * (a**nu) * kv(nu, a)
-    # kv underflows to 0 for large arguments, which is the correct limit
-    return np.where(np.isfinite(out), out, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[pos] = (2.0 ** (1.0 - nu) / gamma(nu)) * (a**nu) * kv(nu, a)
+    # a non-finite product is a limit: at tiny arguments a**nu underflows and
+    # kv overflows (the value tends to 1), at huge ones kv underflows (to 0)
+    bad = ~np.isfinite(out)
+    out[bad] = np.where(arg[bad] < 1.0, 1.0, 0.0)
+    return out
 
 
 def _half_integer_matern(nu: float, bandwidth: float, sq_dist: np.ndarray) -> np.ndarray:
@@ -188,12 +213,11 @@ def _half_integer_matern(nu: float, bandwidth: float, sq_dist: np.ndarray) -> np
 
 
 def gram_scalar(spec: ScalarKernelSpec, pts) -> np.ndarray:
-    """n x n scalar Gram matrix; symmetric, PSD up to ``PSD_TOL * n``."""
+    """n x n scalar Gram matrix; symmetric, PSD up to ``PSD_TOL * n``.  Its
+    entries are finite, since no distance is NaN (``_sq_dists``) and every
+    family maps a distance, +inf included, to a finite value."""
     x = as_points(pts, spec.dimension)
-    g = _radial_profile(spec, _sq_dists(x, x))
-    if not np.all(np.isfinite(g)):
-        raise NumericError("Gram matrix contains non-finite entries")
-    return g
+    return _radial_profile(spec, _sq_dists(x, x))
 
 
 def gram_scalar_cross(spec: ScalarKernelSpec, x, z) -> np.ndarray:

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexity import ClassMc, McEstimate, _matrix, _quad_forms, trace_bound
+from .complexity import ClassMc, McEstimate, _quad_forms, trace_bound
 from .errors import DegenerateInputError, InputError, NonInjectiveError, NumericError
-from .kernels import DecomposableKernel, check_kappa
+from .kernels import DecomposableKernel, check_kappa, finite_matrix
 
 _INJ_TOL = 1e-12
 
@@ -53,11 +53,7 @@ class LayerSpec:
     ratio_g: float = 1.0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2:
-            raise InputError("layer weights must be a matrix")
-        if not np.all(np.isfinite(w)):
-            raise InputError("layer weights contain non-finite entries")
+        w = finite_matrix(self.weights, "layer weights", square=False)
         object.__setattr__(self, "weights", w)
         if not self.activation_koopman_norm > 0:
             raise InputError("activation_koopman_norm must be positive")
@@ -159,8 +155,7 @@ class BoundReport:
 
 def spectral_ratio_factor(w: np.ndarray, s_in: float) -> float:
     """max(1, sigma_max(W))^s_in; warns and returns 1 for the zero matrix."""
-    w = np.asarray(w, dtype=float)
-    smax = float(np.linalg.norm(w, 2)) if w.size else 0.0
+    smax = float(np.linalg.norm(finite_matrix(w, "weights", square=False), 2))
     if smax == 0.0:
         warnings.warn("zero weight matrix has a degenerate range", stacklevel=2)
         return 1.0
@@ -169,7 +164,7 @@ def spectral_ratio_factor(w: np.ndarray, s_in: float) -> float:
 
 def det_quarter_root(w: np.ndarray) -> float:
     """det(W^T W)^(1/4) via singular values, with an injectivity check."""
-    w = np.asarray(w, dtype=float)
+    w = finite_matrix(w, "weights", square=False)
     if w.shape[0] < w.shape[1]:
         raise NonInjectiveError(
             f"matrix of shape {w.shape} cannot be injective"
@@ -297,8 +292,8 @@ class ApproxMc:
     """
 
     def __init__(self, coeffs, g_in, g_mid, out):
-        g_in, g_mid = _matrix(g_in, "input Gram"), _matrix(g_mid, "mid Gram")
-        out = _matrix(out, "output matrix")
+        g_in, g_mid = finite_matrix(g_in, "input Gram"), finite_matrix(g_mid, "mid Gram")
+        out = finite_matrix(out, "output matrix")
         if g_in.shape != g_mid.shape:
             raise InputError("input and mid Grams must have equal shape")
         n, m = g_mid.shape[0], out.shape[0]

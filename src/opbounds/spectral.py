@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError, NotPsdError
+from .errors import DegenerateInputError, InputError
+from .kernels import finite_matrix, require_psd
 from .sketching import SketchMatrix
-
-#: Absolute floor under which eigenvalues of a scaled Gram count as zero.
-EIG_CLIP = 1e-10
 
 #: Bracket width at which the critical-radius bisection stops.
 _RADIUS_TOL = 1e-10
@@ -63,9 +61,7 @@ def eigendecompose_scaled_gram(
     The spectrum is ``np.linalg.eigh(g_k)`` with eigenvalues divided by n;
     ``gram_eigh`` supplies that eigendecomposition instead of computing it.
     """
-    g = np.asarray(g_k, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise InputError(f"Gram matrix must be square, got {g.shape}")
+    g = finite_matrix(g_k, "Gram matrix")
     # one n x n temporary: |g - g^T| in place, and max |g| from max and min
     asym = g - g.T
     asym = np.abs(asym, out=asym).max(initial=0.0)
@@ -78,8 +74,7 @@ def eigendecompose_scaled_gram(
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
-    if vals.size and vals[-1] < -EIG_CLIP:
-        raise NotPsdError(f"scaled Gram has eigenvalue {vals[-1]} < -{EIG_CLIP}")
+    require_psd(vals, "scaled Gram")
     return SpectralDecomposition(u=vecs, mu=np.maximum(vals, 0.0), n=int(n))
 
 
@@ -163,13 +158,11 @@ PENCIL_NULL_TOL = 1e-12
 def _pencil_basis(g_bottom: np.ndarray) -> np.ndarray:
     """Pseudo-inverse root B of G_bottom on its range (B^T G_bottom B = I), the
     whitening basis of the pencil; raises when G_bottom is zero or not PSD."""
-    bot = np.asarray(g_bottom, dtype=float)
-    vals, vecs = np.linalg.eigh(0.5 * (bot + bot.T))
-    lam_max = vals[-1] if vals.size else 0.0
+    vals, vecs = np.linalg.eigh(0.5 * (g_bottom + g_bottom.T))
+    lam_max = vals[-1]
     if lam_max <= 0.0:
         raise DegenerateInputError("pencil bottom matrix is identically zero")
-    if vals[0] < -EIG_CLIP * max(lam_max, 1.0):
-        raise NotPsdError(f"pencil bottom matrix has eigenvalue {vals[0]}")
+    require_psd(vals, "pencil bottom matrix")
     keep = vals > PENCIL_NULL_TOL * lam_max
     return vecs[:, keep] / np.sqrt(vals[keep])[None, :]
 
@@ -217,12 +210,10 @@ def pencil_max(g_top: np.ndarray, g_bottom: np.ndarray) -> float:
     """Largest generalized Rayleigh quotient a^T G_top a / a^T G_bottom a
     over the range of G_bottom, via whitening with a pseudo-inverse root.
     """
-    top = np.asarray(g_top, dtype=float)
-    bot = np.asarray(g_bottom, dtype=float)
-    if top.shape != bot.shape or top.ndim != 2 or top.shape[0] != top.shape[1]:
-        raise InputError("pencil matrices must be square and of equal shape")
+    top = finite_matrix(g_top, "pencil top matrix")
+    bot = finite_matrix(g_bottom, "pencil bottom matrix")
+    if top.shape != bot.shape:
+        raise InputError("pencil matrices must be of equal shape")
     basis = _pencil_basis(bot)
-    top_vals = np.linalg.eigvalsh(0.5 * (top + top.T))
-    if top_vals.size and top_vals[0] < -EIG_CLIP * max(abs(top_vals[-1]), 1.0):
-        raise NotPsdError(f"pencil top matrix has eigenvalue {top_vals[0]}")
+    require_psd(np.linalg.eigvalsh(0.5 * (top + top.T)), "pencil top matrix")
     return _top_eigenvalue(_whiten(top, basis))

@@ -536,6 +536,42 @@ def test_jagged_matrix_is_a_config_error(key, tmp_path, capsys):
     assert err["error"] == "config" and key in err["message"]
 
 
+@pytest.mark.parametrize("subcommand, path, value", [
+    ("sketch-regress", ("dataset", "noise"), math.nan),
+    ("bound-compare", ("network", "layers", 0, "sobolev_order_in"), math.nan),
+    ("sketch-regress", ("fit", "lambda_n"), math.inf),
+    ("bound-compare", ("kernel", "output_matrix", 1, 0), -math.inf),
+])
+def test_non_finite_config_number_is_a_config_error(subcommand, path, value, tmp_path, capsys):
+    # json.load reads NaN and Infinity, and NaN passes every schema bound
+    cfg = json.loads(json.dumps(BOUND_COMPARE if subcommand == "bound-compare" else SKETCH_REGRESS))
+    if path[:2] == ("kernel", "output_matrix"):
+        cfg["kernel"]["output_matrix"] = np.eye(2).tolist()
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    err = _main_error(tmp_path, capsys, subcommand, cfg)
+    assert err["error"] == "config"
+    assert f"at {'/'.join(map(str, path))}: not a finite number" in err["message"]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_csv_cell_is_a_config_error(cell, tmp_path, capsys):
+    from opbounds.data import write_csv
+
+    rng = np.random.default_rng(4)
+    write_csv(tmp_path / "points.csv", rng.uniform(-1, 1, (20, 2)), rng.standard_normal((20, 2)))
+    lines = (tmp_path / "points.csv").read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:-1] + [cell])  # a label cell
+    (tmp_path / "points.csv").write_text("\n".join(lines) + "\n")
+    cfg = json.loads(json.dumps(SKETCH_REGRESS))
+    cfg["dataset"] = {"kind": "csv", "path": "points.csv", "d": 2, "m": 2}
+    err = _main_error(tmp_path, capsys, "sketch-regress", cfg)
+    assert err["error"] == "config"
+    assert "points.csv: the cell in data row 3, column 4 is not finite" in err["message"]
+
+
 def test_first_layer_must_take_the_data_dimension(monkeypatch, tmp_path):
     # three input columns on d = 2 data: a typed error before any Gram
     cfg = json.loads(json.dumps(BOUND_COMPARE))

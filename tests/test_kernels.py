@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opbounds.errors import InputError, NotPsdError
+from opbounds.errors import InputError, NotPsdError, NumericError
 from opbounds.kernels import (
     DecomposableKernel,
     KernelExpansion,
@@ -111,6 +111,58 @@ def test_half_integer_matern_matches_kv(spec, bandwidth, args):
 def test_other_smoothness_is_kv_bit_for_bit(spec):
     got, sq = _profile_at(spec, np.linspace(0.0, 600.0, 4001))
     assert np.array_equal(got, matern_profile_kv(spec, sq))
+
+
+@pytest.mark.parametrize("bandwidth", [1e-3, 1.0, 1e280])
+@pytest.mark.parametrize("nu", [1.2, 2.25, 3.7])
+def test_kv_matern_keeps_its_limits(nu, bandwidth):
+    # where a^nu kv(nu, a) is not finite it is a limit: at tiny a, a^nu
+    # underflows and kv overflows (the kernel tends to 1); at huge a kv
+    # underflows (to 0).  Distances reach 1e300, whose squares overflow.
+    spec = ScalarKernelSpec("matern", bandwidth, smoothness=nu)
+    got, _ = _profile_at(spec, np.concatenate([[0.0], np.logspace(-300, 300, 601)]))
+    assert np.all((got >= 0.0) & (got <= 1.0 + 1e-12))
+    assert np.all(np.diff(got) <= 1e-12)
+
+
+def test_kv_matern_is_one_at_a_tiny_argument():
+    g = gram_scalar(ScalarKernelSpec("matern", 1e280, 1.2, 1), [[0.0], [1.0]])
+    assert g[0, 1] == pytest.approx(1.0, rel=1e-12)
+
+
+_HUGE = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, 1e150, -1e154, 1e155, 1e200, -1e300, 1.7e308]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([
+        ScalarKernelSpec("gaussian", 1.0, dimension=2),
+        ScalarKernelSpec("matern", 1.0, 1.5, 2),
+        ScalarKernelSpec("matern", 1.0, 1.2, 2),
+    ]),
+    st.lists(st.tuples(_HUGE, _HUGE), min_size=1, max_size=4),
+    st.lists(st.tuples(_HUGE, _HUGE), min_size=1, max_size=4),
+)
+def test_huge_coordinates_give_kernel_values_or_a_numeric_error(spec, x, z):
+    # a distance computation that would overflow into NaN raises instead;
+    # every value that is returned is a kernel value
+    for pts in ((x, z), (x, x)):
+        small = max(abs(c) for p in pts for c in np.ravel(p)) <= 1e150
+        try:
+            g = gram_scalar_cross(spec, *pts) if pts[1] is z else gram_scalar(spec, x)
+        except NumericError:
+            assert not small
+            continue
+        assert np.all(np.isfinite(g)) and g.min() >= 0.0 and g.max() <= 1.0 + 1e-12
+
+
+def test_cross_gram_overflow_is_a_numeric_error():
+    spec = ScalarKernelSpec("gaussian", 1.0)
+    with pytest.raises(NumericError):
+        gram_scalar_cross(spec, [[1e200]], [[0.0], [1e200]])
 
 
 def test_half_integer_matern_gram_peak_memory():

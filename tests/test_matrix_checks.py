@@ -1,0 +1,132 @@
+"""The library's one square-matrix check and one PSD rule.
+
+Every public entry point that takes a square matrix rejects NaN, +-inf, a
+non-square and an empty matrix with a typed OpboundsError
+(``kernels.finite_matrix``); the layer-weight functions take rectangular
+weights and reject non-finite or empty ones.  Every PSD verdict goes through
+``kernels.require_psd``, so each site accepts a smallest eigenvalue at 0.9
+times its tolerance ``PSD_TOL * max(|lambda_max|, 1)`` and rejects one at 1.1
+times it.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from opbounds.complexity import BallMc, rademacher_ball_exact
+from opbounds.deepvv import LayeredModel, refine_kernel
+from opbounds.errors import NotPsdError, OpboundsError, RefinementOrderError
+from opbounds.kernels import (
+    PSD_TOL,
+    KernelExpansion,
+    ScalarKernelSpec,
+    make_output_matrix,
+    require_psd,
+)
+from opbounds.koopman import ApproxMc, det_quarter_root, spectral_ratio_factor
+from opbounds.spectral import eigendecompose_scaled_gram, pencil_max
+
+I2 = np.eye(2)
+
+
+def _model(m_mat):
+    """A three-layer model on R^k whose layers all have output matrix m_mat."""
+    k = m_mat.shape[0]
+    layer = KernelExpansion(
+        ScalarKernelSpec("gaussian", 1.0, dimension=k), m_mat, np.zeros((1, k)), np.zeros((1, k))
+    )
+    return LayeredModel((layer,) * 3)
+
+
+#: Each public entry point as a function of the one square matrix varied.
+SQUARE_ENTRY_POINTS = {
+    "make_output_matrix": make_output_matrix,
+    "BallMc Gram": lambda a: BallMc(a, [[1.0]], 2),
+    "BallMc output matrix": lambda a: BallMc(I2, a, 2),
+    "rademacher_ball_exact": lambda a: rademacher_ball_exact(a, 2),
+    "ApproxMc input Gram": lambda a: ApproxMc(np.zeros((1, 2, 2)), a, I2, I2),
+    "ApproxMc mid Gram": lambda a: ApproxMc(np.zeros((1, 2, 2)), I2, a, I2),
+    "ApproxMc output matrix": lambda a: ApproxMc(np.zeros((1, 2, 2)), I2, I2, a),
+    "eigendecompose_scaled_gram": lambda a: eigendecompose_scaled_gram(a, 2),
+    "pencil_max top": lambda a: pencil_max(a, I2),
+    "pencil_max bottom": lambda a: pencil_max(I2, a),
+    "refine_kernel": lambda a: refine_kernel(_model(I2), a, "shrink"),
+}
+
+BAD_SQUARE = {
+    "nan": [[1.0, 0.0], [0.0, math.nan]],
+    "+inf": [[math.inf, 0.0], [0.0, 1.0]],
+    "-inf": [[1.0, 0.0], [0.0, -math.inf]],
+    "non-square": np.ones((2, 3)),
+    "empty": np.zeros((0, 0)),
+}
+
+WEIGHT_FUNCTIONS = {
+    "det_quarter_root": det_quarter_root,
+    "spectral_ratio_factor": lambda w: spectral_ratio_factor(w, 2.0),
+}
+
+BAD_WEIGHTS = {
+    "nan": [[1.0, 0.0], [0.0, math.nan], [1.0, 1.0]],
+    "+inf": [[1.0, 0.0], [0.0, 1.0], [math.inf, 1.0]],
+    "-inf": [[-math.inf, 0.0], [0.0, 1.0], [1.0, 1.0]],
+    "empty": np.zeros((0, 0)),
+}
+
+
+@pytest.fixture(autouse=True)
+def _quiet():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the depth-3 advice of LayeredModel
+        yield
+
+
+@pytest.mark.parametrize("bad", BAD_SQUARE)
+@pytest.mark.parametrize("entry", SQUARE_ENTRY_POINTS)
+def test_square_matrix_entry_points_reject_bad_matrices(entry, bad):
+    with pytest.raises(OpboundsError):
+        SQUARE_ENTRY_POINTS[entry](np.asarray(BAD_SQUARE[bad]))
+
+
+@pytest.mark.parametrize("bad", BAD_WEIGHTS)
+@pytest.mark.parametrize("entry", WEIGHT_FUNCTIONS)
+def test_weight_functions_reject_bad_weights(entry, bad):
+    call = WEIGHT_FUNCTIONS[entry]
+    assert np.isfinite(call(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])))  # tall is fine
+    with pytest.raises(OpboundsError):
+        call(np.asarray(BAD_WEIGHTS[bad]))
+
+
+#: Each PSD site as a function of the eigenvalues (lambda_max, lambda_min) of
+#: the matrix it judges, with the error it raises.
+PSD_SITES = {
+    "make_output_matrix": (lambda v: make_output_matrix(np.diag(v)), NotPsdError),
+    "BallMc": (lambda v: BallMc(np.diag(v), [[1.0]], 2), NotPsdError),
+    "eigendecompose_scaled_gram": (lambda v: eigendecompose_scaled_gram(np.diag(v), 1), NotPsdError),
+    "pencil_max top": (lambda v: pencil_max(np.diag(v), I2), NotPsdError),
+    "pencil_max bottom": (lambda v: pencil_max(I2, np.diag(v)), NotPsdError),
+    # M - A = diag(v) up to the rounding of 1 - (1 - lambda_min), ~1e-16
+    "refine_kernel": (
+        lambda v: refine_kernel(
+            _model(np.diag([2.0 * v[0], 1.0])), np.diag([v[0], 1.0 - v[1]]), "shrink"
+        ),
+        RefinementOrderError,
+    ),
+}
+
+
+@pytest.mark.parametrize("lam_max", [0.5, 4.0])
+@pytest.mark.parametrize("site", PSD_SITES)
+def test_every_psd_site_has_the_same_boundary(site, lam_max):
+    call, error = PSD_SITES[site]
+    edge = PSD_TOL * max(lam_max, 1.0)
+    call(np.array([lam_max, -0.9 * edge]))
+    with pytest.raises(error):
+        call(np.array([lam_max, -1.1 * edge]))
+
+
+def test_nan_eigenvalues_are_not_psd():
+    with pytest.raises(NotPsdError):
+        require_psd([1.0, math.nan], "matrix")

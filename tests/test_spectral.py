@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opbounds.errors import DegenerateInputError, InputError, NotPsdError
+from opbounds.kernels import PSD_TOL
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
 from opbounds.spectral import (
-    EIG_CLIP,
     PENCIL_NULL_TOL,
     _pencil_basis,
     _top_eigenpair,
@@ -317,10 +317,10 @@ def two_copy_pencil_max(g_top, g_bottom):
     lam_max = vals[-1] if vals.size else 0.0
     if lam_max <= 0.0:
         raise DegenerateInputError("pencil bottom matrix is identically zero")
-    if vals[0] < -EIG_CLIP * max(lam_max, 1.0):
+    if vals[0] < -PSD_TOL * max(lam_max, 1.0):
         raise NotPsdError(f"pencil bottom matrix has eigenvalue {vals[0]}")
     top_vals = np.linalg.eigvalsh(0.5 * (top + top.T))
-    if top_vals.size and top_vals[0] < -EIG_CLIP * max(abs(top_vals[-1]), 1.0):
+    if top_vals.size and top_vals[0] < -PSD_TOL * max(abs(top_vals[-1]), 1.0):
         raise NotPsdError(f"pencil top matrix has eigenvalue {top_vals[0]}")
     keep = vals > PENCIL_NULL_TOL * lam_max
     basis = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
