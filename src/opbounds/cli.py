@@ -505,9 +505,9 @@ def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[SketchMatrix, float, di
     return sketch, satisfiability_constant(p), seeds
 
 
-def _spectrum(g_k: np.ndarray, n: int, gram_eigh=None):
-    """Scaled-Gram eigendecomposition, critical radius and statistical dimension."""
-    dec = eigendecompose_scaled_gram(g_k, n, gram_eigh=gram_eigh)
+def _spectrum(g_k: np.ndarray, n: int):
+    """Scaled-Gram decomposition, critical radius and statistical dimension."""
+    dec = eigendecompose_scaled_gram(g_k, n)
     delta_sq = critical_radius(dec.mu)
     return dec, delta_sq, statistical_dimension(dec.mu, delta_sq)
 
@@ -580,16 +580,15 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     fit_cfg = _build(FitConfig, config["fit"])
     sketch, c_val, sk_seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
 
-    # one Gram and one eigendecomposition serve both fits, both training
-    # risks and the spectral report
+    # one Gram and one tridiagonal form serve both fits, both training risks
+    # and the spectral report
     g_k = gram_scalar(kernel.scalar, ds.x)
-    g_eigh = np.linalg.eigh(g_k)
-    full = fit_full(kernel, ds.x, ds.y, loss, fit_cfg, gram=g_k, gram_eigh=g_eigh)
+    dec, delta_sq, d_n = _spectrum(g_k, ds.n)
+    full = fit_full(kernel, ds.x, ds.y, loss, fit_cfg, spectrum=dec)
     sketched = fit_sketched(kernel, ds.x, ds.y, loss, fit_cfg, sketch, gram=g_k)
     risk_full = empirical_risk(full, ds.x, ds.y, loss, gram=g_k)
     risk_sketched = empirical_risk(sketched, ds.x, ds.y, loss, gram=g_k)
 
-    dec, delta_sq, d_n = _spectrum(g_k, ds.n, g_eigh)
     report = check_satisfiability(sketch, dec, d_n, delta_sq, c_val)
 
     j_l = lipschitz_constant(loss, kernel.output_dim)

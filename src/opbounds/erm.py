@@ -29,6 +29,7 @@ from .errors import InputError, NumericError, UnboundedLossError
 from .kernels import DecomposableKernel, as_points, check_kappa, gram_scalar, gram_scalar_cross
 from .losses import UNBOUNDED, LossSpec, loss_subgradient, loss_value
 from .sketching import SketchMatrix
+from .spectral import SpectralDecomposition, eigendecompose_scaled_gram
 
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-14
@@ -147,14 +148,13 @@ def _objective_sketched(m_mat, k_sk, sgs, y, loss, lambda_n, gamma) -> float:
     return data + 0.5 * lambda_n * float(np.sum((sgs @ gamma) * (gamma @ m_mat)))
 
 
-def _solve_squared_full(g_eigh, m_mat, y, lambda_n):
-    # stationarity: G A M + (n lambda / 2) A = Y, solved in the eigenbases
-    g_vals, g_vecs = g_eigh
-    c = 0.5 * g_vals.shape[0] * lambda_n
+def _solve_squared_full(spectrum, m_mat, y, lambda_n):
+    # stationarity: G A M + (n lambda / 2) A = Y; in M's eigenbasis V each
+    # column of A V solves a ridge system (mu_j G + (n lambda / 2) I) on G's
+    # tridiagonal form
     m_vals, m_vecs = np.linalg.eigh(m_mat)
-    y_t = g_vecs.T @ y @ m_vecs
-    a_t = y_t / (np.outer(g_vals, m_vals) + c)
-    return g_vecs @ a_t @ m_vecs.T
+    c = 0.5 * spectrum.size * lambda_n
+    return spectrum.ridge_solve(m_vals, c, y @ m_vecs) @ m_vecs.T
 
 
 def _solve_squared_sketched(k_sk, sgs, m_mat, y, lambda_n):
@@ -233,7 +233,7 @@ def _descend(objective, loss_grad, prox, start, cfg):
 
 def fit_full(
     kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig,
-    gram=None, gram_eigh=None,
+    gram=None, spectrum: SpectralDecomposition | None = None,
 ) -> FittedModel:
     """Fit the full representer program.
 
@@ -245,25 +245,22 @@ def fit_full(
     cfg : ridge weight and solver controls.
     gram : the n x n scalar Gram k(x_i, x_j), reused instead of assembled; it
         is checked for shape, finite entries and the scalar kernel's kappa.
-    gram_eigh : ``np.linalg.eigh`` of that Gram, reused by the squared solve
-        and the proximal map instead of a fresh eigendecomposition; it is
-        accepted only together with ``gram``.
+    spectrum : ``eigendecompose_scaled_gram`` of that Gram, whose Gram then
+        serves as ``gram``; the squared solve reuses its tridiagonal form
+        instead of reducing the Gram again.
     """
-    if gram_eigh is not None and gram is None:
-        raise InputError("gram_eigh needs the Gram it decomposes")
+    if spectrum is not None:
+        if gram is not None and gram is not spectrum.gram:
+            raise InputError("spectrum decomposes another Gram than gram")
+        gram = spectrum.gram
     pts, targets, g = _prepare(kernel, x, y, gram)
     _require_invertible_m(kernel.output)
     m_mat = kernel.output
     n = pts.shape[0]
-    if gram_eigh is None:
-        gram_eigh = np.linalg.eigh(g)
-    elif np.shape(gram_eigh[0]) != (n,) or np.shape(gram_eigh[1]) != g.shape:
-        raise InputError(
-            f"Gram eigenpairs of shapes {np.shape(gram_eigh[0])}, "
-            f"{np.shape(gram_eigh[1])} for {n} points"
-        )
     if loss.family == "squared":
-        a = _solve_squared_full(gram_eigh, m_mat, targets, cfg.lambda_n)
+        if spectrum is None:
+            spectrum = eigendecompose_scaled_gram(g, n)
+        a = _solve_squared_full(spectrum, m_mat, targets, cfg.lambda_n)
         obj = objective_full(kernel, g, targets, loss, cfg.lambda_n, a)
         resid = g @ ((2.0 / n) * (g @ a @ m_mat - targets) + cfg.lambda_n * a) @ m_mat
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), 0, True)
@@ -277,7 +274,7 @@ def fit_full(
         xi = loss_subgradient(loss, preds, targets)
         return g @ (xi / n) @ m_mat
 
-    prox = _diag_prox(gram_eigh, m_mat, cfg.lambda_n)
+    prox = _diag_prox(np.linalg.eigh(g), m_mat, cfg.lambda_n)
     start = np.zeros_like(targets)
     coeffs, diag = _descend(objective, loss_grad, prox, start, cfg)
     return FittedModel(coeffs, kernel, pts, diag)

@@ -8,6 +8,11 @@ The critical radius delta_n^2 is the minimal delta^2 >= 0 with
 where mu are the eigenvalues of G_k / n.  Since psi(delta)/delta is
 nonincreasing while delta is increasing, the satisfying set is an interval
 [delta*, inf) and bisection on delta is exact.
+
+The Gram is reduced once to Householder tridiagonal form G_k = Q T Q^T
+(Golub & Van Loan, Matrix Computations, sec. 8.3), and its spectrum, its top
+eigenvectors and its ridge solves are all read from that form: no n x n
+eigenvector matrix is built.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError
+from ._blas import lapack
+from .errors import DegenerateInputError, InputError, NumericError
 from .kernels import finite_matrix, require_psd
 from .sketching import SketchMatrix
 
@@ -24,13 +30,88 @@ from .sketching import SketchMatrix
 _RADIUS_TOL = 1e-10
 
 
+def _lapack(name: str, *args, **kwargs):
+    """Outputs of scipy's LAPACK routine ``name`` (one array, or a list)
+    without the trailing ``info``, which must be 0."""
+    *out, info = getattr(lapack(), name)(*args, **kwargs)
+    if info != 0:
+        raise NumericError(f"LAPACK {name} failed with info = {info}")
+    return out[0] if len(out) == 1 else out
+
+
+def _compact_reflectors(a: np.ndarray) -> np.ndarray:
+    """The block a[1:, :-1] of a square F-ordered ``a``, moved to the front of
+    a's own buffer as an F-ordered array: the reflectors that ``dsytrd``
+    (lower) leaves in ``a``, in the layout that ``dormqr`` reads."""
+    size = a.shape[0]
+    k = size - 1
+    flat = a.reshape(-1, order="F")
+    # column j moves back by j + 1 entries, so no column overwrites a later one
+    for j in range(k):
+        flat[j * k : j * k + k] = flat[j * size + 1 : j * size + size]
+    return flat[: k * k].reshape((k, k), order="F")
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Orthogonal eigenvectors and descending eigenvalues of G_k / n."""
+    """G_k = Q T Q^T in Householder tridiagonal form, and the descending,
+    zero-clipped eigenvalues ``mu`` of G_k / n.
 
-    u: np.ndarray
+    ``gram`` is G_k itself (held, not copied).  T has diagonal ``diag`` and
+    off-diagonal ``off``; ``off`` holds one unread 0 when G_k is 1 x 1, since
+    scipy's wrappers of the tridiagonal routines take no empty array.  Q is
+    the product of the Householder reflectors ``reflectors`` and ``tau``, in
+    the layout of LAPACK ``dormqr`` acting on rows 2..n.
+    """
+
+    gram: np.ndarray
     mu: np.ndarray
     n: int
+    diag: np.ndarray
+    off: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Number of points of the Gram."""
+        return self.diag.size
+
+    def _apply_q(self, c: np.ndarray, trans: bytes) -> np.ndarray:
+        """Q c (``trans`` b"N") or Q^T c (b"T") for c of shape (size, k)."""
+        out = np.array(c, dtype=float, order="F")
+        if self.size > 1:
+            rows = np.asfortranarray(out[1:])
+            args = (b"L", trans, self.reflectors, self.tau, rows)
+            lwork = int(_lapack("dormqr", *args, -1)[1][0])
+            out[1:] = _lapack("dormqr", *args, lwork, overwrite_c=1)[0]
+        return out
+
+    def top_vectors(self, k: int) -> np.ndarray:
+        """Orthonormal eigenvectors of the k largest eigenvalues of G_k as
+        columns, in descending eigenvalue order: bisection and inverse
+        iteration on T (``dstebz``, ``dstein``), then Q."""
+        size = self.size
+        if not 1 <= k <= size:
+            raise InputError(f"k={k} outside [1, {size}]")
+        found, w, block, split = _lapack(
+            "dstebz", self.diag, self.off, 2, 0.0, 0.0, size - k + 1, size, 0.0, b"B"
+        )
+        if found != k:
+            raise NumericError(f"LAPACK dstebz found {found} of the top {k} eigenvalues")
+        z = _lapack("dstein", self.diag, self.off, w[:k], block, split)
+        return self._apply_q(z[:, np.argsort(-w[:k], kind="stable")], b"N")
+
+    def ridge_solve(self, scales, shift: float, rhs: np.ndarray) -> np.ndarray:
+        """Column j of (scales[j] G_k + shift I)^-1 rhs[:, j], by ``dptsv`` on
+        scales[j] T + shift I between Q^T and Q; each of these matrices must
+        be positive definite."""
+        x = self._apply_q(rhs, b"T")
+        for j, scale in enumerate(scales):
+            x[:, j : j + 1] = _lapack(
+                "dptsv", scale * self.diag + shift, scale * self.off, x[:, j : j + 1]
+            )[2]
+        return self._apply_q(x, b"N")
 
 
 @dataclass(frozen=True)
@@ -53,33 +134,39 @@ class SpectralReport:
         }
 
 
-def eigendecompose_scaled_gram(
-    g_k: np.ndarray, n: int, gram_eigh=None
-) -> SpectralDecomposition:
-    """Eigendecomposition of G_k / n with descending, zero-clipped spectrum.
-
-    The spectrum is ``np.linalg.eigh(g_k)`` with eigenvalues divided by n;
-    ``gram_eigh`` supplies that eigendecomposition instead of computing it.
-    """
+def eigendecompose_scaled_gram(g_k: np.ndarray, n: int) -> SpectralDecomposition:
+    """Tridiagonal form of the checked Gram G_k (one blocked ``dsytrd``) and
+    the descending, zero-clipped eigenvalues of G_k / n (``dsterf`` on T)."""
     g = finite_matrix(g_k, "Gram matrix")
     # one n x n temporary: |g - g^T| in place, and max |g| from max and min
     asym = g - g.T
     asym = np.abs(asym, out=asym).max(initial=0.0)
     if asym > 1e-12 * max(1.0, g.max(initial=0.0), -g.min(initial=0.0)):
         raise InputError("Gram matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(g) if gram_eigh is None else gram_eigh
-    if np.shape(vals) != g.shape[:1] or np.shape(vecs) != g.shape:
-        raise InputError(f"eigenpairs of shapes {np.shape(vals)}, {np.shape(vecs)} for Gram {g.shape}")
-    vals = vals / float(n)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    size = g.shape[0]
+    # g is symmetric, so its F-ordered copy is g; dsytrd overwrites the copy
+    # with T and the reflectors, and the workspace query makes it blocked
+    work = np.array(g, order="F")
+    lwork = int(_lapack("dsytrd_lwork", size, lower=1))
+    _, diag, off, tau = _lapack("dsytrd", work, lower=1, lwork=lwork, overwrite_a=1)
+    if size == 1:
+        off = np.zeros(1)
+    vals = _lapack("dsterf", diag, off) / float(n)
     require_psd(vals, "scaled Gram")
-    return SpectralDecomposition(u=vecs, mu=np.maximum(vals, 0.0), n=int(n))
+    return SpectralDecomposition(
+        gram=g,
+        mu=np.maximum(vals[::-1], 0.0),
+        n=int(n),
+        diag=diag,
+        off=off,
+        reflectors=_compact_reflectors(work),
+        tau=tau,
+    )
 
 
 def _psi(delta: float, mu: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.minimum(delta * delta, mu))))
+    # the bits of np.mean at half its call overhead
+    return float(np.sqrt(np.minimum(delta * delta, mu).sum() / mu.size))
 
 
 def critical_radius(mu) -> float:
@@ -120,9 +207,12 @@ def check_satisfiability(
     """Spectral-norm test of the sketch against the top/tail eigenspaces.
 
     Satisfiable iff ``||(S U1)^T S U1 - I|| <= 1/2`` and
-    ``||S U2 D2^(1/2)|| <= c * delta_n``, both in operator norm.
+    ``||S U2 D2^(1/2)|| <= c * delta_n``, both in operator norm.  The tail
+    vectors U2 are never formed: ``S U2 D2 U2^T S^T`` is
+    ``S (G_k / n) S^T - (S U1) D1 (S U1)^T``, whose cancellation costs about
+    n * eps relative since delta_n^2 is at least of order 1/n.
     """
-    n = dec.u.shape[0]
+    n = dec.size
     if not (1 <= d_n <= n):
         raise InputError(f"d_n={d_n} outside [1, {n}]")
     s_dense = sk.matrix
@@ -130,13 +220,11 @@ def check_satisfiability(
         raise InputError(
             f"sketch has {s_dense.shape[1]} columns, Gram has {n} points"
         )
-    u1 = dec.u[:, :d_n]
-    su1 = s_dense @ u1
+    su1 = s_dense @ dec.top_vectors(d_n)
     norm1 = float(np.linalg.norm(su1.T @ su1 - np.eye(d_n), 2))
     if d_n < n:
-        u2 = dec.u[:, d_n:]
-        tail_scale = np.sqrt(dec.mu[d_n:])
-        norm2 = float(np.linalg.norm((s_dense @ u2) * tail_scale[None, :], 2))
+        tail = (s_dense @ dec.gram @ s_dense.T) / dec.n - (su1 * dec.mu[:d_n]) @ su1.T
+        norm2 = float(np.sqrt(max(np.linalg.eigvalsh(tail)[-1], 0.0)))
     else:
         norm2 = 0.0
     delta_n = float(np.sqrt(max(delta_sq, 0.0)))

@@ -733,18 +733,21 @@ def test_sketch_regress_identity_equivalence(tmp_path):
     assert metrics["excess_risk_bound"].get("error") == "unbounded-loss"
 
 
-def test_sketch_regress_one_gram_and_one_eigh(monkeypatch, tmp_path):
-    # squared loss at n=90: the n x n Gram is assembled once and decomposed
-    # once, shared by both fits, both training risks and the spectral report
-    from opbounds import kernels
+def test_sketch_regress_one_gram_and_one_dsytrd(monkeypatch, tmp_path):
+    # squared loss at n=90: the n x n Gram is assembled once and reduced to
+    # tridiagonal form once, shared by both fits, both training risks and the
+    # spectral report; no n x n eigh runs, nor in a spectral-report
+    from opbounds import _blas, kernels
 
     n = 90
     cfg = json.loads(json.dumps(SKETCH_REGRESS))
     cfg["dataset"]["n"] = n
     cfg["loss"] = {"family": "squared"}
     cfg["fit"] = {"lambda_n": cfg["fit"]["lambda_n"]}
-    profiles, eighs = [], []
+    profiles, eighs, reductions = [], [], []
     profile, eigh = kernels._radial_profile, np.linalg.eigh
+    lapack = _blas.lapack()
+    dsytrd = lapack.dsytrd
 
     def counted_profile(spec, sq_dist):
         profiles.append(np.shape(sq_dist))
@@ -754,11 +757,21 @@ def test_sketch_regress_one_gram_and_one_eigh(monkeypatch, tmp_path):
         eighs.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
+    def counted_dsytrd(a, *args, **kwargs):
+        reductions.append(np.shape(a))
+        return dsytrd(a, *args, **kwargs)
+
     monkeypatch.setattr(kernels, "_radial_profile", counted_profile)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    run("sketch-regress", cfg, None, tmp_path)
-    assert profiles.count((n, n)) == 1
-    assert eighs.count((n, n)) == 1
+    monkeypatch.setattr(lapack, "dsytrd", counted_dsytrd)
+    spectral = json.loads(json.dumps(SPECTRAL))
+    spectral["dataset"]["n"] = n
+    for subcommand, config in [("sketch-regress", cfg), ("spectral-report", spectral)]:
+        del profiles[:], eighs[:], reductions[:]
+        run(subcommand, config, None, tmp_path)
+        assert profiles.count((n, n)) == 1
+        assert reductions == [(n, n)]
+        assert (n, n) not in eighs
 
 
 def _csv_dataset(tmp_path, x, y):
@@ -1303,6 +1316,26 @@ def test_matern_run_bytes_independent_of_blas_threads():
     assert payloads[0] == payloads[1]
 
 
+@pytest.mark.parametrize("subcommand", ["sketch-regress", "spectral-report"])
+def test_lapack_run_bytes_independent_of_blas_threads(subcommand):
+    # nu = 1.5 has a closed form, so scipy first loads inside this run, for
+    # the LAPACK of the tridiagonal eigensolver, after the BLAS pin has cached
+    # the OpenBLAS copies loaded so far; dsytrd and dormqr run on scipy's own
+    # copy, which must be pinned all the same
+    if subcommand == "sketch-regress":
+        cfg = _matern_sketch_regress(1.5, 300)
+        cfg["sketch"]["rows"] = 40
+    else:
+        cfg = {
+            "seed": 7,
+            "dataset": {"kind": "synthetic", "n": 300, "d": 2},
+            "kernel": {"family": "matern", "bandwidth": 1.0, "smoothness": 1.5},
+            "sketch": {"rows": 40, "p": 0.5, "dist": "rademacher"},
+        }
+    payloads = _library_run_per_blas_threads(subcommand, cfg)
+    assert payloads[0] == payloads[1]
+
+
 _SCIPY_MODULES = """
 import json, sys
 from pathlib import Path
@@ -1319,21 +1352,24 @@ print(json.dumps([after_import, scipy_modules()]))
 
 @pytest.mark.parametrize(
     "subcommand, config, loads",
-    [("bound-compare", BOUND_COMPARE, False),
-     ("sketch-regress", _matern_sketch_regress(1.5, 20), False),
-     ("sketch-regress", _matern_sketch_regress(1.2, 20), True)],
+    [("bound-compare", BOUND_COMPARE, []),
+     ("sketch-regress", _matern_sketch_regress(1.5, 20), ["scipy.linalg.lapack"]),
+     ("sketch-regress", _matern_sketch_regress(1.2, 20), ["scipy.linalg.lapack", "scipy.special"])],
     ids=["gaussian", "matern-1.5", "matern-1.2"],
 )
 def test_scipy_loads_only_for_kv(subcommand, config, loads):
-    # scipy is most of the package's import time, and only Matern/Sobolev
-    # kernels of non-half-integer smoothness use it (for kv)
+    # scipy is most of the package's import time: importing the CLI loads
+    # none of it, the tridiagonal eigensolver loads its LAPACK, and only
+    # Matern/Sobolev kernels of non-half-integer smoothness load
+    # scipy.special (for kv)
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_MODULES, subcommand, json.dumps(config)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     after_import, after_run = json.loads(proc.stdout)
-    assert after_import == [] and ("scipy" in after_run) == loads
+    assert after_import == []
+    assert [m for m in ("scipy.linalg.lapack", "scipy.special") if m in after_run] == loads
 
 
 _JSONSCHEMA_LOADS = """

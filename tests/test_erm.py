@@ -19,7 +19,8 @@ from opbounds.errors import InputError, NumericError, OpboundsError, UnboundedLo
 from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
 from opbounds.losses import LossSpec, loss_value
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
-from oracles import coefficient_norm
+from opbounds.spectral import eigendecompose_scaled_gram
+from oracles import coefficient_norm, solve_squared_full
 
 SQUARED = LossSpec("squared")
 PINBALL = LossSpec("pinball", quantiles=(0.25, 0.75))
@@ -231,7 +232,7 @@ def test_supplied_gram_fits_match_self_assembled(seed, n, s, loss):
     g = gram_scalar(kernel.scalar, x)
     own_full = fit_full(kernel, x, y, loss, cfg)
     pairs = [
-        (own_full, fit_full(kernel, x, y, loss, cfg, gram=g, gram_eigh=np.linalg.eigh(g))),
+        (own_full, fit_full(kernel, x, y, loss, cfg, spectrum=eigendecompose_scaled_gram(g, n))),
         (own_full, fit_full(kernel, x, y, loss, cfg, gram=g)),
         (fit_sketched(kernel, x, y, loss, cfg, sk),
          fit_sketched(kernel, x, y, loss, cfg, sk, gram=g)),
@@ -245,6 +246,24 @@ def test_supplied_gram_fits_match_self_assembled(seed, n, s, loss):
     assert pairs[2][1].diagnostics.objective == objective_sketched(
         kernel, g, y, loss, cfg.lambda_n, sk.matrix, gamma
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    m=st.integers(1, 3),
+    repeats=st.integers(0, 10),
+    lambda_n=st.sampled_from([1e-3, 0.05, 1.0]),
+)
+def test_squared_full_solve_matches_dense_eigh(seed, n, m, repeats, lambda_n):
+    # the ridge solves on the tridiagonal form against the solve in the dense
+    # eigenbases of G and M, at n = 1 and 2, m = 1 and on repeated points too
+    kernel, x, y = make_problem(seed, n=n, m=m)
+    x[: min(repeats, n)] = x[0]
+    model = fit_full(kernel, x, y, SQUARED, FitConfig(lambda_n=lambda_n))
+    want = solve_squared_full(gram_scalar(kernel.scalar, x), kernel.output, y, lambda_n)
+    assert np.abs(model.coeffs - want).max() <= 1e-10 * max(np.abs(want).max(), 1e-300)
 
 
 @pytest.mark.parametrize("fit", ["full", "sketched"])
@@ -269,15 +288,15 @@ def test_supplied_gram_errors_are_typed(fit):
                 fit_sketched(kernel, x, y, SQUARED, cfg, sk, gram=gram)
         assert isinstance(info.value, OpboundsError)
     if fit == "full":
-        vals, vecs = np.linalg.eigh(g)
-        eigh_cases = [
-            (g, np.linalg.eigh(g[:9, :9]), "eigenpairs"),
-            (g, (vals[:9], vecs), "eigenpairs"),
-            (None, (vals, vecs), "needs the Gram"),
+        # the spectrum brings its own Gram, checked as gram is
+        spectrum_cases = [
+            (g, eigendecompose_scaled_gram(g.copy(), 10), "another Gram"),
+            (None, eigendecompose_scaled_gram(g[:9, :9], 9), "Gram shape"),
+            (None, eigendecompose_scaled_gram(2.0 * g, 10), "kappa"),
         ]
-        for gram, gram_eigh, match in eigh_cases:
+        for gram, spectrum, match in spectrum_cases:
             with pytest.raises(InputError, match=match):
-                fit_full(kernel, x, y, SQUARED, cfg, gram=gram, gram_eigh=gram_eigh)
+                fit_full(kernel, x, y, SQUARED, cfg, gram=gram, spectrum=spectrum)
     model = fit_full(kernel, x, y, SQUARED, cfg)
     with pytest.raises(InputError, match="Gram shape"):
         empirical_risk(model, x, y, SQUARED, gram=g[:, :9])

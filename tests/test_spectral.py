@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opbounds.errors import DegenerateInputError, InputError, NotPsdError
+from opbounds import _blas
+from opbounds.errors import DegenerateInputError, InputError, NotPsdError, NumericError
 from opbounds.kernels import PSD_TOL
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
 from opbounds.spectral import (
@@ -19,7 +20,7 @@ from opbounds.spectral import (
     pencil_max,
     statistical_dimension,
 )
-from oracles import psi_value
+from oracles import psi_value, satisfiability_norms, scaled_gram_eigh
 
 
 def random_psd(k, rng, jitter=0.0):
@@ -47,7 +48,8 @@ def test_eigendecompose_reconstructs():
     rng = np.random.default_rng(1)
     g = random_psd(6, rng)
     dec = eigendecompose_scaled_gram(g, 6)
-    recon = dec.u @ np.diag(dec.mu) @ dec.u.T
+    u = dec.top_vectors(6)
+    recon = u @ np.diag(dec.mu) @ u.T
     assert np.abs(recon - g / 6).max() <= 1e-10
     assert np.all(np.diff(dec.mu) <= 0)
 
@@ -60,24 +62,25 @@ def test_eigendecompose_rejects_non_psd():
 
 
 def test_eigendecompose_peak_memory_and_symmetry_check():
-    # the symmetry check holds one n x n temporary at a time, so the peak
-    # above the inputs is about the reordered eigenvectors alone
+    # the symmetry check holds one n x n temporary at a time, and it is freed
+    # before the tridiagonal reduction overwrites its one n x n working copy,
+    # so the peak above the input is about that copy alone
     from opbounds.kernels import ScalarKernelSpec, gram_scalar
 
     n = 400
     x = np.random.default_rng(5).uniform(-1, 1, (n, 3))
     g = gram_scalar(ScalarKernelSpec("matern", 0.5, smoothness=1.5, dimension=3), x)
-    eig = np.linalg.eigh(g)
+    _blas.lapack()  # the import of scipy's LAPACK is no part of the peak
     tracemalloc.start()
     try:
-        eigendecompose_scaled_gram(g, n, gram_eigh=eig)
+        eigendecompose_scaled_gram(g, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * n * n * 8
     g[0, 1] += 1e-9
     with pytest.raises(InputError, match="not symmetric"):
-        eigendecompose_scaled_gram(g, n, gram_eigh=eig)
+        eigendecompose_scaled_gram(g, n)
     # the tolerance scales with max |g|, here a negative entry
     for off, error in [(5e-11, InputError), (5e-12, NotPsdError)]:
         with pytest.raises(error):
@@ -100,25 +103,68 @@ def kernel_grams(draw):
     return gram_scalar(spec, x)
 
 
+#: Relative eigengap (to mu_1) above which a top-k subspace is compared.
+_GAP = 1e-4
+
+
+def _check_against_dense_eigh(g):
+    """Eigenvalues, top-k eigenpairs and top-k subspaces (where an eigengap
+    exists) of the tridiagonal form against a dense eigh."""
+    n = g.shape[0]
+    dec = eigendecompose_scaled_gram(g, n)
+    mu, u = scaled_gram_eigh(g, n)
+    scale = max(mu[0], 1e-300)
+    assert np.all(np.diff(dec.mu) <= 0) and np.all(dec.mu >= 0)
+    assert np.abs(dec.mu - np.maximum(mu, 0.0)).max() <= 1e-12 * scale
+    for k in sorted({1, n // 2, n} - {0}):
+        top = dec.top_vectors(k)
+        assert top.shape == (n, k)
+        assert np.abs(top.T @ top - np.eye(k)).max() <= 1e-10
+        # eigenpair residuals hold with or without a gap
+        resid = g @ top - top * (n * dec.mu[:k])
+        assert np.abs(resid).max() <= 1e-10 * n * scale
+        if k == n or mu[k - 1] - mu[k] > _GAP * scale:
+            want = u[:, :k]
+            assert np.abs(top @ top.T - want @ want.T).max() <= 1e-8
+    return dec
+
+
 @settings(max_examples=200, deadline=None)
 @given(kernel_grams())
-def test_decomposition_from_gram_eigh_matches_own(g):
-    n = g.shape[0]
-    own = eigendecompose_scaled_gram(g, n)
-    shared = eigendecompose_scaled_gram(g, n, gram_eigh=np.linalg.eigh(g))
-    assert np.array_equal(shared.mu, own.mu)
-    assert np.array_equal(shared.u, own.u)
+def test_decomposition_matches_dense_eigh(g):
+    _check_against_dense_eigh(g)
 
 
-def test_decomposition_from_gram_eigh_checks():
-    indefinite = np.diag([1.0, -1.0])
+def test_decomposition_checks_its_gram():
     with pytest.raises(NotPsdError):
-        eigendecompose_scaled_gram(indefinite, 2, gram_eigh=np.linalg.eigh(indefinite))
-    with pytest.raises(InputError, match="eigenpairs"):
-        eigendecompose_scaled_gram(np.eye(3), 3, gram_eigh=np.linalg.eigh(np.eye(2)))
-    vals, vecs = np.linalg.eigh(np.eye(3))
-    with pytest.raises(InputError, match="eigenpairs"):
-        eigendecompose_scaled_gram(np.eye(3), 3, gram_eigh=(vals[:2], vecs))
+        eigendecompose_scaled_gram(np.diag([1.0, -1.0]), 2)
+    with pytest.raises(InputError, match="non-finite"):
+        eigendecompose_scaled_gram(np.array([[1.0, np.nan], [np.nan, 1.0]]), 2)
+    with pytest.raises(InputError, match="square"):
+        eigendecompose_scaled_gram(np.ones((2, 3)), 2)
+    dec = eigendecompose_scaled_gram(np.eye(3), 3)
+    for k in (0, 4):
+        with pytest.raises(InputError, match="outside"):
+            dec.top_vectors(k)
+
+
+@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstebz", "dstein", "dormqr", "dptsv"])
+def test_lapack_failure_is_a_numeric_error(routine, monkeypatch):
+    # a LAPACK routine reports failure through its trailing info, which the
+    # library turns into a typed error instead of returning its output
+    lapack = _blas.lapack()
+    real = getattr(lapack, routine)
+
+    def failing(*args, **kwargs):
+        *out, _ = real(*args, **kwargs)
+        return (*out, 1)
+
+    g = random_psd(6, np.random.default_rng(0), jitter=0.1)
+    monkeypatch.setattr(lapack, routine, failing)
+    with pytest.raises(NumericError, match=routine):
+        dec = eigendecompose_scaled_gram(g, 6)
+        dec.top_vectors(2)
+        dec.ridge_solve([1.0], 0.5, np.ones((6, 1)))
 
 
 # --- critical radius ---------------------------------------------------------
@@ -194,7 +240,7 @@ def _spectral_setup(seed, n=24):
 
 def test_satisfiability_identity_sketch():
     dec, d_sq, d_n = _spectral_setup(0)
-    n = dec.u.shape[0]
+    n = dec.size
     sk = SketchMatrix(matrix=np.eye(n))
     rep = check_satisfiability(sk, dec, d_n, d_sq, c=1.0)
     assert rep.norm1 <= 1e-10
@@ -205,7 +251,7 @@ def test_satisfiability_identity_sketch():
 
 def test_satisfiability_zero_sketch():
     dec, d_sq, d_n = _spectral_setup(1)
-    n = dec.u.shape[0]
+    n = dec.size
     sk = SketchMatrix(matrix=np.zeros((4, n)))
     rep = check_satisfiability(sk, dec, d_n, d_sq, c=10.0)
     assert rep.norm1 == pytest.approx(1.0)
@@ -214,7 +260,7 @@ def test_satisfiability_zero_sketch():
 
 def test_satisfiability_verdict_is_pure_function():
     dec, d_sq, d_n = _spectral_setup(2)
-    n = dec.u.shape[0]
+    n = dec.size
     sk = make_p_sparsified(SketchSpec(s=n, n=n, p=1.0, seed=0))
     rep = check_satisfiability(sk, dec, d_n, d_sq, c=5.0)
     expected = rep.norm1 <= 0.5 and rep.norm2 <= 5.0 * np.sqrt(d_sq)
@@ -223,11 +269,11 @@ def test_satisfiability_verdict_is_pure_function():
 
 def test_satisfiability_rejects_bad_dn():
     dec, d_sq, _ = _spectral_setup(3)
-    sk = SketchMatrix(matrix=np.eye(dec.u.shape[0]))
+    sk = SketchMatrix(matrix=np.eye(dec.size))
     with pytest.raises(InputError):
         check_satisfiability(sk, dec, 0, d_sq, c=1.0)
     with pytest.raises(InputError):
-        check_satisfiability(sk, dec, dec.u.shape[0] + 1, d_sq, c=1.0)
+        check_satisfiability(sk, dec, dec.size + 1, d_sq, c=1.0)
 
 
 def test_satisfiability_dn_equals_n():
@@ -242,6 +288,79 @@ def test_satisfiability_dn_equals_n():
     rep = check_satisfiability(sk, dec, d_n, d_sq, c=1.0)
     assert rep.norm2 == 0.0
     assert rep.satisfiable
+
+
+def _check_report_against_dense(g, sk, c):
+    """The satisfiability report of the tridiagonal form against the norms of
+    the full eigenvector matrix: norm1 and norm2 where the top-d_n subspace
+    has an eigengap, the verdict where neither norm is near its threshold."""
+    n = g.shape[0]
+    dec = eigendecompose_scaled_gram(g, n)
+    d_sq = critical_radius(dec.mu)
+    d_n = statistical_dimension(dec.mu, d_sq)
+    rep = check_satisfiability(sk, dec, d_n, d_sq, c)
+    norm1, norm2 = satisfiability_norms(sk.matrix, g, n, d_n)
+    mu = dec.mu
+    s_sq = max(float(np.linalg.norm(sk.matrix, 2)) ** 2, 1.0)
+    tol1 = 1e-8 * s_sq
+    tol2_sq = 1e-8 * s_sq * max(mu[0], 1e-300)
+    if d_n == n or mu[d_n - 1] - mu[d_n] > _GAP * mu[0]:
+        assert abs(rep.norm1 - norm1) <= tol1
+        assert abs(rep.norm2**2 - norm2**2) <= tol2_sq
+        threshold2 = c * np.sqrt(d_sq)
+        if abs(norm1 - 0.5) > tol1 and abs(norm2**2 - threshold2**2) > tol2_sq:
+            assert rep.satisfiable == (norm1 <= 0.5 and norm2 <= threshold2)
+    if d_n == n:
+        assert rep.norm2 == 0.0
+    return rep
+
+
+@pytest.mark.filterwarnings("ignore:sketch has more rows")
+@settings(max_examples=150, deadline=None)
+@given(
+    g=kernel_grams(),
+    s=st.integers(1, 50),
+    p=st.sampled_from([0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_satisfiability_matches_full_eigenvectors(g, s, p, seed):
+    n = g.shape[0]
+    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=p, dist="gaussian", seed=seed))
+    _check_report_against_dense(g, sk, c=2.0)
+
+
+def _degenerate_gram(case):
+    from opbounds.kernels import ScalarKernelSpec, gram_scalar
+
+    rng = np.random.default_rng(11)
+    spec = ScalarKernelSpec("matern", 0.5, smoothness=1.5, dimension=2)
+    if case == "near-identity":
+        # one tight cluster of eigenvalues 4, above delta^2 = 1, so d_n = n
+        b = rng.standard_normal((12, 12))
+        return 4.0 * 12 * (np.eye(12) + 1e-10 * (b + b.T))
+    n = {"n=1": 1, "n=2": 2, "s>n": 15}.get(case, 5)
+    x = rng.uniform(-1, 1, (n, 2))
+    if case == "duplicate points":
+        x = np.repeat(x, 4, axis=0)
+    return gram_scalar(spec, x)
+
+
+@pytest.mark.filterwarnings("ignore:sketch has more rows")
+@pytest.mark.parametrize("case", ["n=1", "n=2", "duplicate points", "near-identity", "s>n"])
+def test_tridiagonal_form_degenerate_inputs(case):
+    g = _degenerate_gram(case)
+    n = g.shape[0]
+    dec = _check_against_dense_eigh(g)
+    s = n + 7 if case == "s>n" else max(n // 2, 1)
+    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=1.0, dist="gaussian", seed=3))
+    rep = _check_report_against_dense(g, sk, c=2.0)
+    assert (rep.d_n == n) == (case in ("n=1", "near-identity"))
+    # one ridge solve per column scale, against the dense solve
+    rhs = np.random.default_rng(2).standard_normal((n, 2))
+    got = dec.ridge_solve([0.5, 2.0], 0.1, rhs)
+    for j, scale in enumerate([0.5, 2.0]):
+        want = np.linalg.solve(scale * g + 0.1 * np.eye(n), rhs[:, j])
+        assert np.abs(got[:, j] - want).max() <= 1e-9 * np.abs(want).max()
 
 
 # --- pencil ------------------------------------------------------------------
