@@ -12,21 +12,18 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "kernels": "DecomposableKernel KernelExpansion ScalarKernelSpec gram_scalar "
-    "sobolev_norm_gaussian",
-    "sketching": "SketchMatrix SketchSpec decompose_sketch make_p_sparsified "
-    "satisfiability_constant",
+    "kernels": "DecomposableKernel KernelExpansion ScalarKernelSpec gram_scalar",
+    "sketching": "SketchMatrix SketchSpec make_p_sparsified satisfiability_constant",
     "spectral": "SpectralReport check_satisfiability critical_radius "
     "eigendecompose_scaled_gram pencil_max statistical_dimension",
     "losses": "LossSpec lipschitz_constant loss_subgradient loss_value",
     "erm": "FitConfig FittedModel empirical_risk excess_risk_bound_rhs fit_full "
     "fit_sketched",
-    "complexity": "BallMc ClassMc McConfig rademacher_ball_exact run_mc trace_bound",
-    "koopman": "ApproxMc BoundReport LayerSpec NetworkSpec SplitMc "
-    "check_injectivity_class det_quarter_root product_bound peeled_bound "
-    "spectral_ratio_factor",
-    "deepvv": "DeepObjective LayeredModel TrainConfig forward "
-    "init_layered_model refine_kernel separable_bound train",
+    "complexity": "BallMc ClassMc McConfig run_mc trace_bound",
+    "koopman": "ApproxMc BoundReport LayerSpec NetworkSpec SplitMc det_quarter_root "
+    "product_bound peeled_bound spectral_ratio_factor",
+    "deepvv": "DeepObjective LayeredModel TrainConfig init_layered_model "
+    "refine_kernel separable_bound train",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

@@ -15,9 +15,8 @@ eigensolver of ``spectral`` (``dsytrd``, ``dsterf``, ``dstebz``, ``dstein``,
 and then scans ``/proc/self/maps`` once more, so scipy's copy joins the cached
 ones whether that import or an earlier one (``scipy.special`` for ``kv``)
 loaded it; inside a run it is pinned at once and restored when the run ends.
-``kv``, ``gamma`` and ``quad``, the library's other scipy calls, make no BLAS
-calls.  The thread count is process-wide, so runs in concurrent threads share
-it.
+``kv`` and ``gamma``, the library's other scipy calls, make no BLAS calls.
+The thread count is process-wide, so runs in concurrent threads share it.
 """
 
 import ctypes

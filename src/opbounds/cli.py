@@ -593,7 +593,7 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
 
     j_l = lipschitz_constant(loss, kernel.output_dim)
     if np.isfinite(j_l):
-        rhs = excess_risk_bound_rhs(
+        bound_entry = asdict(excess_risk_bound_rhs(
             j_l=j_l,
             c=c_val,
             lambda_n=fit_cfg.lambda_n,
@@ -603,8 +603,7 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
             tr_m=kernel.trace_m(),
             n=ds.n,
             conf_delta=config.get("conf_delta", 0.05),
-        )
-        bound_entry = {"value": rhs.value, "big_c": rhs.big_c, "terms": list(rhs.terms)}
+        ))
     else:
         bound_entry = {
             "error": "unbounded-loss",
@@ -616,7 +615,7 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
         "risk_sketched": risk_sketched,
         "diagnostics_full": asdict(full.diagnostics),
         "diagnostics_sketched": asdict(sketched.diagnostics),
-        "satisfiability": report.to_dict(),
+        "satisfiability": asdict(report),
         "excess_risk_bound": bound_entry,
     }
     if ds.teacher is not None:
@@ -771,9 +770,9 @@ def _run_spectral(config: dict, seed: int, base_dir: Path) -> dict:
     }
     if "sketch" in config:
         sketch, c_val, sk_seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
-        metrics["satisfiability"] = check_satisfiability(
-            sketch, dec, d_n, delta_sq, c_val
-        ).to_dict()
+        metrics["satisfiability"] = asdict(
+            check_satisfiability(sketch, dec, d_n, delta_sq, c_val)
+        )
         seeds = {**seeds, **sk_seeds}
     return {"metrics": metrics, "resolved_seeds": seeds}
 

@@ -144,11 +144,6 @@ class _MeanMc:
         return McEstimate(estimate=mean / self.n, stderr=float(se) / self.n)
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise InputError(f"sample size n must be >= 1, got {n}")
-
-
 class BallMc(_MeanMc):
     """(1/n) E sqrt(sigma^T (G (x) M) sigma) over Rademacher sigma, with its
     Monte-Carlo standard error.
@@ -159,28 +154,14 @@ class BallMc(_MeanMc):
 
     def __init__(self, g, out, n: int):
         g, out = finite_matrix(g, "Gram"), finite_matrix(out, "output matrix")
-        _check_n(n)
+        if n < 1:
+            raise InputError(f"sample size n must be >= 1, got {n}")
         _check_psd(g, out)
         super().__init__(n, g.shape[0] * out.shape[0])
         self.g, self.out = g, out
 
     def add(self, block: SignBlock) -> None:
         self._add_values(np.sqrt(block.forms(self.g, self.out)))
-
-
-def rademacher_ball_exact(g_op: np.ndarray, n: int) -> float:
-    """Exact expectation by enumerating all sign patterns of a dense operator
-    Gram; nm <= 16 only."""
-    g = finite_matrix(g_op, "operator Gram")
-    _check_n(n)
-    width = g.shape[0]
-    if width > 16:
-        raise InputError(f"exact enumeration limited to width 16, got {width}")
-    codes = np.arange(1 << width, dtype=np.uint32)
-    bits = (codes[:, None] >> np.arange(width)[None, :]) & 1
-    signs = bits * 2.0 - 1.0
-    quad = np.maximum(_quad_forms(signs, g, np.ones((1, 1))), 0.0)
-    return float(np.mean(np.sqrt(quad))) / n
 
 
 def trace_bound(kappa: float, tr_m: float, n: int) -> float:

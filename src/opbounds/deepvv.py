@@ -133,11 +133,6 @@ def init_layered_model(
     return LayeredModel(tuple(layers))
 
 
-def forward(model: LayeredModel, x) -> np.ndarray:
-    """Evaluate the composition on a batch; rows are outputs."""
-    return _forward_trace(model, x, model.coeffs)[0][-1]
-
-
 def _forward_trace(
     model: LayeredModel, x, coeffs: list[np.ndarray], first_gram=None
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -134,16 +134,9 @@ def objective_full(
     return data + penalty
 
 
-def objective_sketched(
-    kernel: DecomposableKernel, g: np.ndarray, y: np.ndarray,
-    loss: LossSpec, lambda_n: float, s_dense: np.ndarray, gamma: np.ndarray,
-) -> float:
-    k_sk = g @ s_dense.T
-    return _objective_sketched(kernel.output, k_sk, s_dense @ k_sk, y, loss, lambda_n, gamma)
-
-
 def _objective_sketched(m_mat, k_sk, sgs, y, loss, lambda_n, gamma) -> float:
-    # objective_sketched on the loop-invariant k_sk = G S^T and sgs = S G S^T
+    # the sketched objective at Gamma, on the loop-invariant k_sk = G S^T and
+    # sgs = S G S^T
     data = _mean_loss(loss, k_sk @ gamma @ m_mat, y)
     return data + 0.5 * lambda_n * float(np.sum((sgs @ gamma) * (gamma @ m_mat)))
 
@@ -362,14 +355,13 @@ def excess_risk_bound_rhs(
     tr_m: float,
     n: int,
     conf_delta: float,
-    l_lip: float | None = None,
 ) -> ExcessRiskBound:
     """High-probability excess-risk gap of the sketched estimator:
 
         J * C * sqrt(lambda_n + ||M|| delta_n^2) + lambda_n / 2
-        + 8 L sqrt(kappa Tr(M) / n) + 2 sqrt(8 log(4/delta) / n),
+        + 8 J sqrt(kappa Tr(M) / n) + 2 sqrt(8 log(4/delta) / n),
 
-    with C = 1 + sqrt(6) * c.  ``l_lip`` defaults to the loss constant J.
+    with C = 1 + sqrt(6) * c.
     """
     if not (0.0 < conf_delta < 1.0):
         raise InputError("confidence level conf_delta must be in (0, 1)")
@@ -386,10 +378,9 @@ def excess_risk_bound_rhs(
             raise InputError(f"{name} must be nonnegative, got {val}")
     if delta_sq < 0 or n < 1:
         raise InputError("delta_sq must be >= 0 and n >= 1")
-    l_val = j_l if l_lip is None else l_lip
     big_c = 1.0 + math.sqrt(6.0) * c
     t1 = j_l * big_c * math.sqrt(lambda_n + m_opnorm * delta_sq)
     t2 = 0.5 * lambda_n
-    t3 = 8.0 * l_val * math.sqrt(kappa * tr_m / n)
+    t3 = 8.0 * j_l * math.sqrt(kappa * tr_m / n)
     t4 = 2.0 * math.sqrt(8.0 * math.log(4.0 / conf_delta) / n)
     return ExcessRiskBound(t1 + t2 + t3 + t4, big_c, (t1, t2, t3, t4))

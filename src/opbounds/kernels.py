@@ -280,31 +280,3 @@ class KernelExpansion:
         g = gram_scalar(self.kernel, self.anchors)
         return _expansion_norm(g, self.coeffs, self.output)
 
-
-def sobolev_norm_gaussian(d: int, s: float) -> float:
-    """Sobolev norm of the Gaussian bump x -> exp(-||x||^2) on R^d.
-
-    Computed as the square root of
-
-        2^(-d) * S_{d-1} * int_0^inf (1 + r^2)^s exp(-r^2/2) r^(d-1) dr
-
-    with S_{d-1} the unit-sphere surface area, by adaptive quadrature at
-    relative tolerance 1e-9.
-    """
-    if d < 1:
-        raise InputError("dimension must be a positive integer")
-    if s < 0:
-        raise InputError("Sobolev order must be nonnegative")
-    from scipy import integrate
-    from scipy.special import gamma
-
-    def integrand(r: float) -> float:
-        return (1.0 + r * r) ** s * np.exp(-0.5 * r * r) * r ** (d - 1)
-
-    value, err = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-9, limit=200)
-    if not np.isfinite(value) or (value > 0 and err > 1e-7 * value):
-        raise NumericError(
-            f"radial quadrature did not converge (value={value}, abserr={err})"
-        )
-    surface = 2.0 * np.pi ** (d / 2.0) / gamma(d / 2.0)
-    return float(np.sqrt(2.0 ** (-d) * surface * value))

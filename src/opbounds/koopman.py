@@ -154,11 +154,8 @@ class BoundReport:
 
 
 def spectral_ratio_factor(w: np.ndarray, s_in: float) -> float:
-    """max(1, sigma_max(W))^s_in; warns and returns 1 for the zero matrix."""
+    """max(1, sigma_max(W))^s_in."""
     smax = float(np.linalg.norm(finite_matrix(w, "weights", square=False), 2))
-    if smax == 0.0:
-        warnings.warn("zero weight matrix has a degenerate range", stacklevel=2)
-        return 1.0
     return float(max(1.0, smax) ** s_in)
 
 
@@ -176,37 +173,6 @@ def det_quarter_root(w: np.ndarray) -> float:
             f"threshold {_INJ_TOL * svals[0]}"
         )
     return float(np.prod(np.sqrt(svals)))
-
-
-@dataclass(frozen=True)
-class LayerInjectivity:
-    dimension_ok: bool
-    norm_ok: bool
-    det_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.dimension_ok and self.norm_ok and self.det_ok
-
-
-def check_injectivity_class(
-    net: NetworkSpec, c_max: float, d_min: float
-) -> tuple[list[LayerInjectivity], bool]:
-    """Per-layer membership in the weight class {d_out >= d_in, ||W|| <= C,
-    det(W^T W)^(1/2) >= D} with C = ``c_max`` and D = ``d_min``, plus the
-    overall verdict."""
-    verdicts = []
-    for layer in net.layers:
-        w = layer.weights
-        dim_ok = w.shape[0] >= w.shape[1]
-        norm_ok = float(np.linalg.norm(w, 2)) <= c_max
-        if dim_ok:
-            svals = np.linalg.svd(w, compute_uv=False)
-            det_ok = float(np.prod(svals)) >= d_min
-        else:
-            det_ok = False
-        verdicts.append(LayerInjectivity(dim_ok, norm_ok, det_ok))
-    return verdicts, all(v.ok for v in verdicts)
 
 
 def _layer_factors(net: NetworkSpec, upto: int) -> list[LayerFactors]:

@@ -68,34 +68,6 @@ def make_p_sparsified(spec: SketchSpec) -> SketchMatrix:
     return SketchMatrix(matrix=np.asarray(rows))
 
 
-@dataclass(frozen=True)
-class SketchDecomposition:
-    """S written as (sub-Gaussian s x q) @ (sub-sampling q x n)."""
-
-    subgaussian: np.ndarray
-    subsample: np.ndarray
-    retained_columns: np.ndarray
-
-    def product(self) -> np.ndarray:
-        return self.subgaussian @ self.subsample
-
-
-def decompose_sketch(sk: SketchMatrix) -> SketchDecomposition:
-    """Split the sketch into sub-Gaussian and reduced sub-sampling factors.
-
-    The sub-sampling factor selects exactly the columns carrying at least one
-    nonzero; the product reconstructs the sketch entrywise exactly.
-    """
-    dense = sk.matrix
-    s, n = dense.shape
-    retained = np.flatnonzero((dense != 0.0).any(axis=0))
-    q = retained.size
-    subsample = np.zeros((q, n))
-    subsample[np.arange(q), retained] = 1.0
-    subgaussian = dense[:, retained].copy()
-    return SketchDecomposition(subgaussian, subsample, retained)
-
-
 def satisfiability_constant(p: float) -> float:
     """Constant c for which the p-sparsified sketch passes the spectral
     satisfiability test with high probability: (2/sqrt(p))(1 + sqrt(log 5)) + 1.

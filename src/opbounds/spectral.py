@@ -123,16 +123,6 @@ class SpectralReport:
     c_used: float
     satisfiable: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "delta_sq": self.delta_sq,
-            "d_n": self.d_n,
-            "norm1": self.norm1,
-            "norm2": self.norm2,
-            "c_used": self.c_used,
-            "satisfiable": self.satisfiable,
-        }
-
 
 def eigendecompose_scaled_gram(g_k: np.ndarray, n: int) -> SpectralDecomposition:
     """Tridiagonal form of the checked Gram G_k (one blocked ``dsytrd``) and

@@ -2,15 +2,19 @@
 
 None of these is library API: the library never assembles the Kronecker
 operator Gram, evaluates one kernel pair at a time, restates psi, takes
-half-integer Matern values from ``kv`` or builds the full eigenvector matrix
-of a Gram.
+half-integer Matern values from ``kv``, builds the full eigenvector matrix
+of a Gram, enumerates every sign pattern, integrates a Sobolev norm, chains
+a layered model outside a training pass or forms the sketched objective's
+``G S^T`` anew at each evaluation.
 """
 
 import math
 
 import numpy as np
+from scipy import integrate
 from scipy.special import gamma, kv
 
+from opbounds.erm import _objective_sketched
 from opbounds.kernels import gram_scalar, gram_scalar_cross
 
 
@@ -81,3 +85,47 @@ def satisfiability_norms(s_dense, g, n, d_n):
         return norm1, 0.0
     tail = (s_dense @ u[:, d_n:]) * np.sqrt(np.maximum(mu[d_n:], 0.0))[None, :]
     return norm1, float(np.linalg.norm(tail, 2))
+
+
+def rademacher_ball_exact(g_op, n) -> float:
+    """(1/n) E sqrt(sigma^T G sigma) for a dense operator Gram G, exactly:
+    the mean over all 2^width sign patterns, so width <= 16."""
+    g = np.asarray(g_op, dtype=float)
+    width = g.shape[0]
+    assert width <= 16, f"exact enumeration limited to width 16, got {width}"
+    codes = np.arange(1 << width, dtype=np.uint32)
+    signs = ((codes[:, None] >> np.arange(width)[None, :]) & 1) * 2.0 - 1.0
+    quad = np.einsum("ri,ij,rj->r", signs, g, signs)
+    return float(np.mean(np.sqrt(np.maximum(quad, 0.0)))) / n
+
+
+def sobolev_norm_gaussian(d: int, s: float) -> float:
+    """Sobolev norm of the Gaussian bump x -> exp(-||x||^2) on R^d: the
+    square root of
+
+        2^(-d) * S_{d-1} * int_0^inf (1 + r^2)^s exp(-r^2/2) r^(d-1) dr
+
+    with S_{d-1} the unit-sphere surface area, by adaptive quadrature at
+    relative tolerance 1e-9."""
+
+    def integrand(r: float) -> float:
+        return (1.0 + r * r) ** s * np.exp(-0.5 * r * r) * r ** (d - 1)
+
+    value, err = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-9, limit=200)
+    assert np.isfinite(value) and err <= 1e-7 * value, (value, err)
+    surface = 2.0 * np.pi ** (d / 2.0) / gamma(d / 2.0)
+    return float(np.sqrt(2.0 ** (-d) * surface * value))
+
+
+def forward(model, x) -> np.ndarray:
+    """A layered model's outputs on a batch, each layer's ``at`` applied to
+    the previous layer's values."""
+    for layer in model.layers:
+        x = layer.at(x)
+    return x
+
+
+def objective_sketched(kernel, g, y, loss, lambda_n, s_dense, gamma_) -> float:
+    """The sketched ERM objective at Gamma from the scalar Gram and the sketch."""
+    k_sk = g @ s_dense.T
+    return _objective_sketched(kernel.output, k_sk, s_dense @ k_sk, y, loss, lambda_n, gamma_)

@@ -384,7 +384,7 @@ def test_criterion_10_excess_risk_arithmetic():
     # independent hand derivation, frozen: 7.1507228645737
     got = excess_risk_bound_rhs(
         j_l=1.0, c=5.5373, lambda_n=0.01, m_opnorm=1.0, delta_sq=0.1,
-        kappa=1.0, tr_m=2.0, n=100, conf_delta=0.05, l_lip=1.0,
+        kappa=1.0, tr_m=2.0, n=100, conf_delta=0.05,
     )
     ok = abs(got.value - 7.1507228645737) <= 1e-3
     record(10, "excess-risk bound reproduces the hand-derived value ~7.15", ok,

@@ -12,13 +12,12 @@ from opbounds.complexity import (
     McConfig,
     _check_psd,
     _quad_forms,
-    rademacher_ball_exact,
     run_mc,
     trace_bound,
 )
 from opbounds.errors import InputError, NotPsdError
 from opbounds.kernels import DecomposableKernel, KernelExpansion, ScalarKernelSpec, gram_scalar
-from oracles import gram_operator
+from oracles import gram_operator, rademacher_ball_exact
 
 
 def ball_mc(g, out, n, cfg):

@@ -13,14 +13,13 @@ from opbounds.erm import (
     fit_full,
     fit_sketched,
     objective_full,
-    objective_sketched,
 )
 from opbounds.errors import InputError, NumericError, OpboundsError, UnboundedLossError
 from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
 from opbounds.losses import LossSpec, loss_value
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
 from opbounds.spectral import eigendecompose_scaled_gram
-from oracles import coefficient_norm, solve_squared_full
+from oracles import coefficient_norm, objective_sketched, solve_squared_full
 
 SQUARED = LossSpec("squared")
 PINBALL = LossSpec("pinball", quantiles=(0.25, 0.75))
@@ -320,7 +319,7 @@ def test_excess_risk_bound_matches_hand_derivation():
     assert hand == pytest.approx(HAND_DERIVED_RHS, abs=1e-6)
     got = excess_risk_bound_rhs(
         j_l=1.0, c=c, lambda_n=0.01, m_opnorm=1.0, delta_sq=0.1,
-        kappa=1.0, tr_m=2.0, n=100, conf_delta=0.05, l_lip=1.0,
+        kappa=1.0, tr_m=2.0, n=100, conf_delta=0.05,
     )
     assert isinstance(got, ExcessRiskBound)
     assert got.value == pytest.approx(hand, rel=1e-12)

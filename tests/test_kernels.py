@@ -15,9 +15,8 @@ from opbounds.kernels import (
     gram_scalar,
     gram_scalar_cross,
     make_output_matrix,
-    sobolev_norm_gaussian,
 )
-from oracles import eval_scalar, gram_operator, matern_profile_kv
+from oracles import eval_scalar, gram_operator, matern_profile_kv, sobolev_norm_gaussian
 
 GAUSS2 = ScalarKernelSpec("gaussian", 1.0, dimension=2)
 

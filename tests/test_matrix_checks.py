@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opbounds.complexity import BallMc, rademacher_ball_exact
+from opbounds.complexity import BallMc
 from opbounds.deepvv import LayeredModel, refine_kernel
 from opbounds.errors import NotPsdError, OpboundsError, RefinementOrderError
 from opbounds.kernels import (
@@ -45,7 +45,6 @@ SQUARE_ENTRY_POINTS = {
     "make_output_matrix": make_output_matrix,
     "BallMc Gram": lambda a: BallMc(a, [[1.0]], 2),
     "BallMc output matrix": lambda a: BallMc(I2, a, 2),
-    "rademacher_ball_exact": lambda a: rademacher_ball_exact(a, 2),
     "ApproxMc input Gram": lambda a: ApproxMc(np.zeros((1, 2, 2)), a, I2, I2),
     "ApproxMc mid Gram": lambda a: ApproxMc(np.zeros((1, 2, 2)), I2, a, I2),
     "ApproxMc output matrix": lambda a: ApproxMc(np.zeros((1, 2, 2)), I2, I2, a),

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from opbounds.errors import InputError
-from opbounds.sketching import (
-    SketchMatrix,
-    SketchSpec,
-    decompose_sketch,
-    make_p_sparsified,
-    satisfiability_constant,
-)
+from opbounds.sketching import SketchSpec, make_p_sparsified, satisfiability_constant
 
 
 def test_p_one_rademacher_entries():
@@ -56,35 +50,6 @@ def test_invalid_specs():
         SketchSpec(s=4, n=6, dist="uniform")
     with pytest.warns(UserWarning):
         SketchSpec(s=10, n=6)
-
-
-def test_decompose_identity_when_p_one():
-    spec = SketchSpec(s=6, n=12, p=1.0, dist="rademacher", seed=5)
-    sk = make_p_sparsified(spec)
-    dec = decompose_sketch(sk)
-    assert dec.subsample.shape == (12, 12)
-    assert np.array_equal(dec.subsample, np.eye(12))
-    assert np.array_equal(dec.product(), sk.matrix)
-
-
-def test_decompose_drops_zero_columns():
-    dense = np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 0.0]])
-    dec = decompose_sketch(SketchMatrix(matrix=dense))
-    assert list(dec.retained_columns) == [0, 2]
-    assert dec.subgaussian.shape == (2, 2)
-    assert np.array_equal(dec.product(), dense)
-
-
-@pytest.mark.parametrize("seed", range(100))
-def test_decompose_reconstruction_exact(seed):
-    rng = np.random.default_rng(seed)
-    s = int(rng.integers(2, 12))
-    n = int(rng.integers(s, 40))
-    p = float(rng.uniform(0.03, 1.0))
-    dist = "gaussian" if seed % 2 else "rademacher"
-    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=p, dist=dist, seed=seed))
-    dec = decompose_sketch(sk)
-    assert np.array_equal(dec.product(), sk.matrix)
 
 
 def test_expected_isometry_p_one_gaussian():
