@@ -4,8 +4,10 @@ None of these is library API: the library never assembles the Kronecker
 operator Gram, evaluates one kernel pair at a time, restates psi, takes
 half-integer Matern values from ``kv``, builds the full eigenvector matrix
 of a Gram, enumerates every sign pattern, integrates a Sobolev norm, chains
-a layered model outside a training pass or forms the sketched objective's
-``G S^T`` anew at each evaluation.
+a layered model outside a training pass, forms the sketched objective's
+``G S^T`` anew at each evaluation, factors a sketch into its sub-Gaussian
+and sub-sampling parts or sorts a network's layers into the injective
+weight class.
 """
 
 import math
@@ -129,3 +131,28 @@ def objective_sketched(kernel, g, y, loss, lambda_n, s_dense, gamma_) -> float:
     """The sketched ERM objective at Gamma from the scalar Gram and the sketch."""
     k_sk = g @ s_dense.T
     return _objective_sketched(kernel.output, k_sk, s_dense @ k_sk, y, loss, lambda_n, gamma_)
+
+
+def decompose_sketch(sk):
+    """S written as (sub-Gaussian s x q) @ (sub-sampling q x n): the
+    sub-sampling factor selects exactly the q columns of S that carry a
+    nonzero, so the product reconstructs S entrywise.  Returns the two
+    factors and the retained column indices."""
+    dense = sk.matrix
+    retained = np.flatnonzero((dense != 0.0).any(axis=0))
+    subsample = np.zeros((retained.size, dense.shape[1]))
+    subsample[np.arange(retained.size), retained] = 1.0
+    return dense[:, retained].copy(), subsample, retained
+
+
+def injectivity_class(net, c_max, d_min):
+    """Per-layer (dimension_ok, norm_ok, det_ok) for the weight class
+    {d_out >= d_in, ||W|| <= C, det(W^T W)^(1/2) >= D}, from a dense SVD."""
+    verdicts = []
+    for layer in net.layers:
+        w = layer.weights
+        svals = np.linalg.svd(w, compute_uv=False)
+        dim_ok = w.shape[0] >= w.shape[1]
+        det_ok = dim_ok and float(np.prod(svals)) >= d_min
+        verdicts.append((dim_ok, float(svals[0]) <= c_max, det_ok))
+    return verdicts

@@ -27,7 +27,7 @@ from opbounds.koopman import (
     peeled_bound,
     spectral_ratio_factor,
 )
-from oracles import gram_operator, sobolev_norm_gaussian
+from oracles import gram_operator, injectivity_class, sobolev_norm_gaussian
 
 
 def layer(w, s_in=2.0, koopman=1.0, ratio=1.0):
@@ -110,6 +110,31 @@ def test_det_quarter_root_rejects_noninjective():
         det_quarter_root(np.ones((1, 2)))
     with pytest.raises(NonInjectiveError):
         det_quarter_root(np.zeros((2, 2)))
+
+
+# --- injectivity class ----------------------------------------------------------
+
+def test_injectivity_class_identity_passes():
+    net = NetworkSpec(layers=(layer(np.eye(2)), layer(np.eye(2))), g_norm=1.0)
+    assert injectivity_class(net, 1.0, 1.0) == [(True, True, True)] * 2
+    assert det_quarter_root(np.eye(2)) == 1.0
+
+
+def test_injectivity_class_dimension_flag():
+    w = np.ones((1, 2))
+    net = NetworkSpec(layers=(layer(w, s_in=2.0),), g_norm=1.0)
+    dim_ok, _, det_ok = injectivity_class(net, 10.0, 0.0001)[0]
+    assert not dim_ok and not det_ok
+    with pytest.raises(NonInjectiveError):
+        det_quarter_root(w)
+
+
+def test_injectivity_class_norm_flag():
+    w = np.diag([2.0, 3.0])
+    net = NetworkSpec(layers=(layer(w),), g_norm=1.0)
+    assert injectivity_class(net, 2.5, 6.0) == [(True, False, True)]
+    assert spectral_ratio_factor(w, 1.0) == pytest.approx(3.0, rel=1e-12)
+    assert det_quarter_root(w) ** 4 == pytest.approx(36.0, rel=1e-12)
 
 
 # --- product bound -------------------------------------------------------------------

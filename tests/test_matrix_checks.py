@@ -2,7 +2,7 @@
 
 Every public entry point that takes a square matrix rejects NaN, +-inf, a
 non-square and an empty matrix with a typed OpboundsError
-(``kernels.finite_matrix``); the layer-weight functions take rectangular
+(``kernels.finite_matrix``, or the fits' check of a supplied Gram); the layer-weight functions take rectangular
 weights and reject non-finite or empty ones.  Every PSD verdict goes through
 ``kernels.require_psd``, so each site accepts a smallest eigenvalue at 0.9
 times its tolerance ``PSD_TOL * max(|lambda_max|, 1)`` and rejects one at 1.1
@@ -17,15 +17,18 @@ import pytest
 
 from opbounds.complexity import BallMc
 from opbounds.deepvv import LayeredModel, refine_kernel
+from opbounds.erm import FitConfig, fit_full
 from opbounds.errors import NotPsdError, OpboundsError, RefinementOrderError
 from opbounds.kernels import (
     PSD_TOL,
+    DecomposableKernel,
     KernelExpansion,
     ScalarKernelSpec,
     make_output_matrix,
     require_psd,
 )
 from opbounds.koopman import ApproxMc, det_quarter_root, spectral_ratio_factor
+from opbounds.losses import LossSpec
 from opbounds.spectral import eigendecompose_scaled_gram, pencil_max
 
 I2 = np.eye(2)
@@ -45,6 +48,11 @@ SQUARE_ENTRY_POINTS = {
     "make_output_matrix": make_output_matrix,
     "BallMc Gram": lambda a: BallMc(a, [[1.0]], 2),
     "BallMc output matrix": lambda a: BallMc(I2, a, 2),
+    "fit_full gram": lambda a: fit_full(
+        DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), I2),
+        np.zeros((2, 1)), np.zeros((2, 2)), LossSpec("squared"), FitConfig(lambda_n=1.0),
+        gram=a,
+    ),
     "ApproxMc input Gram": lambda a: ApproxMc(np.zeros((1, 2, 2)), a, I2, I2),
     "ApproxMc mid Gram": lambda a: ApproxMc(np.zeros((1, 2, 2)), I2, a, I2),
     "ApproxMc output matrix": lambda a: ApproxMc(np.zeros((1, 2, 2)), I2, I2, a),

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from opbounds.errors import InputError
-from opbounds.sketching import SketchSpec, make_p_sparsified, satisfiability_constant
+from opbounds.sketching import (
+    SketchMatrix,
+    SketchSpec,
+    make_p_sparsified,
+    satisfiability_constant,
+)
+from oracles import decompose_sketch
 
 
 def test_p_one_rademacher_entries():
@@ -50,6 +56,37 @@ def test_invalid_specs():
         SketchSpec(s=4, n=6, dist="uniform")
     with pytest.warns(UserWarning):
         SketchSpec(s=10, n=6)
+
+
+def test_decompose_identity_when_p_one():
+    sk = make_p_sparsified(SketchSpec(s=6, n=12, p=1.0, dist="rademacher", seed=5))
+    sub_gaussian, subsample, _ = decompose_sketch(sk)
+    assert np.array_equal(subsample, np.eye(12))
+    assert np.array_equal(sub_gaussian @ subsample, sk.matrix)
+
+
+def test_decompose_drops_zero_columns():
+    dense = np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 0.0]])
+    sub_gaussian, subsample, retained = decompose_sketch(SketchMatrix(matrix=dense))
+    assert list(retained) == [0, 2]
+    assert sub_gaussian.shape == (2, 2)
+    assert np.array_equal(sub_gaussian @ subsample, dense)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_decompose_reconstruction_exact(seed):
+    rng = np.random.default_rng(seed)
+    s = int(rng.integers(2, 12))
+    n = int(rng.integers(s, 40))
+    p = float(rng.uniform(0.03, 1.0))
+    dist = "gaussian" if seed % 2 else "rademacher"
+    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=p, dist=dist, seed=seed))
+    sub_gaussian, subsample, _ = decompose_sketch(sk)
+    assert np.array_equal(sub_gaussian @ subsample, sk.matrix)
+    assert np.all((sub_gaussian != 0.0).any(axis=0))
+    if dist == "rademacher":
+        kept = np.abs(sub_gaussian[sub_gaussian != 0.0])
+        assert np.all(kept == 1.0 / math.sqrt(s * p))
 
 
 def test_expected_isometry_p_one_gaussian():
