@@ -14,9 +14,12 @@ deterministic and schedule-independent.
 Each estimator (:class:`BallMc`, :class:`ClassMc`, and the split bound's
 ``koopman.ApproxMc``) is a per-block accumulator whose checks all run when it
 is built, before any draw.  One loop, :func:`run_mc`, draws every block once
-and feeds it to all the estimators of a pass, and a form on a Gram that
-several of them read is computed once per block; so estimators that share a
-pass read the same signs and give the same values as when run one by one.
+and reduces it to the sign products and quadratic forms its estimators read,
+each computed once per block however many of them read it; so estimators
+that share a pass read the same signs and give the same values as when run
+one by one.  A block's working set is two arrays of its size (draws x n*m
+floats): the signs and their products, then a column-major copy of the signs
+and one ``G Sigma`` per form; no array of that size outlives its block.
 A single estimate is ``(est,) = run_mc([BallMc(g, out, n)], cfg)``.
 """
 
@@ -49,12 +52,19 @@ class McEstimate(NamedTuple):
     stderr: float
 
 
+def _draw(g: np.random.Generator, count: int, width: int) -> np.ndarray:
+    """One block of +-1 draws; besides the int64 draws only one float array
+    is made."""
+    signs = g.integers(0, 2, size=(count, width)) * 2.0
+    signs -= 1.0
+    return signs
+
+
 def sign_blocks(total: int, width: int, seed: int) -> Iterator[np.ndarray]:
-    """Blocks of +-1 draws of shape (block, width); block c uses substream c."""
+    """Blocks of +-1 draws of shape (block, width); block c uses substream c.
+    The generator keeps no reference to a block it has yielded."""
     for c, start in enumerate(range(0, total, _BLOCK)):
-        g = substream(seed, c)
-        count = min(_BLOCK, total - start)
-        yield g.integers(0, 2, size=(count, width)) * 2.0 - 1.0
+        yield _draw(substream(seed, c), min(_BLOCK, total - start), width)
 
 
 def _check_psd(g: np.ndarray, out: np.ndarray) -> None:
@@ -72,59 +82,86 @@ def _quad_forms(rows: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``np.kron(g, out)``).
 
     All rows go through one (n x n) @ (n x mc) GEMM; M is then applied along
-    the m axis and each form finished by a dot product.  A three-operand
-    einsum would skip BLAS, and a batched ``G @ Sigma`` is slower than one
-    GEMM on the dense Gram.  Column-major ``rows`` are read without a copy."""
+    the m axis in place, 16 points at a time, so ``G Sigma`` is the one
+    array of the size of ``rows`` made here, and each form is finished by a
+    dot product.  A three-operand einsum would skip BLAS, and a batched
+    ``G @ Sigma`` is slower than one GEMM on the dense Gram.  Column-major
+    ``rows`` are read without a copy."""
     n, m = g.shape[0], out.shape[0]
     c = rows.shape[0]
     w = np.ascontiguousarray(rows.T).reshape(n, m, c)
     gw = (g @ w.reshape(n, m * c)).reshape(n, m, c)
-    return np.einsum("iar,iar->r", w, np.matmul(out, gw))
+    for i in range(0, n, 16):
+        gw[i : i + 16] = np.matmul(out, gw[i : i + 16])
+    return np.einsum("iar,iar->r", w, gw)
 
 
 class SignBlock:
-    """One sign block and the quadratic forms read from it: each (Gram, M)
-    pair is computed once, however many estimators read it.  Pairs are told
-    apart by identity, so estimators that share a Gram must hold the same
-    array object (they keep it alive for the whole pass)."""
+    """What the estimators of a pass read from one sign block: the sign
+    products ``signs @ mat.T`` and the quadratic forms
+    ``max(sigma^T (g (x) out) sigma, 0)``, each computed once however many
+    estimators read it.  Matrices are told apart by identity, so estimators
+    that share one must hold the same array object (they keep it alive for
+    the whole pass).  The values are shared between readers, so never modify
+    them in place."""
 
-    __slots__ = ("signs", "_signs_f", "_forms")
+    __slots__ = ("draws", "_products", "_forms")
 
-    def __init__(self, signs: np.ndarray):
-        self.signs = signs
-        # column-major copy, made for the first form: its transpose is the
-        # C-ordered layout _quad_forms works on, so each block is laid out once
-        self._signs_f = None
-        self._forms: dict = {}
+    def __init__(self, draws: int, products: dict, forms: dict):
+        self.draws = draws
+        self._products = products
+        self._forms = forms
+
+    def product(self, mat: np.ndarray) -> np.ndarray:
+        """(draws, K) products of the signs with the K rows of ``mat``."""
+        return self._products[id(mat)]
 
     def forms(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """max(sigma^T (g (x) out) sigma, 0) for every draw of the block;
-        shared between readers, so never modify it in place."""
-        key = (id(g), id(out))
-        q = self._forms.get(key)
-        if q is None:
-            if self._signs_f is None:
-                self._signs_f = np.asfortranarray(self.signs)
-            q = self._forms[key] = np.maximum(_quad_forms(self._signs_f, g, out), 0.0)
-        return q
+        """max(sigma^T (g (x) out) sigma, 0) for every draw of the block."""
+        return self._forms[id(g), id(out)]
+
+
+def _sign_block_reads(estimators: Sequence, cfg: McConfig) -> Iterator[SignBlock]:
+    """Every sign block of ``cfg``, reduced to what ``estimators`` read.
+
+    The products come from the row-major signs; then the one column-major
+    copy replaces them and every form is read from it.  So a block holds at
+    most two arrays of its size at a time, and none once it is yielded."""
+    mats = {id(mat): mat for est in estimators for mat in est.products}
+    pairs = {(id(g), id(out)): (g, out) for est in estimators for g, out in est.pairs}
+    for signs in sign_blocks(cfg.draws, estimators[0].width, cfg.seed):
+        draws = signs.shape[0]
+        products = {key: signs @ mat.T for key, mat in mats.items()}
+        # the transpose of a column-major copy is the C-ordered layout
+        # _quad_forms works on; rebinding frees the row-major signs
+        signs = np.asfortranarray(signs)
+        forms = {
+            key: np.maximum(_quad_forms(signs, g, out), 0.0) for key, (g, out) in pairs.items()
+        }
+        del signs  # not kept while the block is read and the next one drawn
+        yield SignBlock(draws, products, forms)
 
 
 def run_mc(estimators: Sequence, cfg: McConfig) -> list:
     """The one Monte-Carlo loop: draw every sign block of ``cfg`` once, hand
     it to each estimator's ``add``, and return each estimator's ``result()``
-    in order.  One block is alive at a time; the estimators share one sign
-    width, their ``width`` attribute."""
-    for signs in sign_blocks(cfg.draws, estimators[0].width, cfg.seed):
-        block = SignBlock(signs)
+    in order.  The estimators share one sign width, their ``width``
+    attribute, and name what they read from a block in their ``products``
+    (matrices) and ``pairs`` ((Gram, M) pairs) attributes.  A block's
+    working set is two arrays of its size: the signs with their products,
+    then the column-major signs with one ``G Sigma``."""
+    for block in _sign_block_reads(estimators, cfg):
         for est in estimators:
             est.add(block)
-        del block  # freed before the next block is drawn
     return [est.result() for est in estimators]
 
 
 class _MeanMc:
     """Per-draw values summed block by block; ``result`` is their mean and
     standard error, both divided by n."""
+
+    products: tuple = ()
+    pairs: tuple = ()
 
     def __init__(self, n: int, width: int):
         self.n, self.width = n, width
@@ -159,6 +196,7 @@ class BallMc(_MeanMc):
         _check_psd(g, out)
         super().__init__(n, g.shape[0] * out.shape[0])
         self.g, self.out = g, out
+        self.pairs = ((g, out),)
 
     def add(self, block: SignBlock) -> None:
         self._add_values(np.sqrt(block.forms(self.g, self.out)))
@@ -198,5 +236,9 @@ class ClassMc(_MeanMc):
         super().__init__(n, n * m)
         self.flat = np.array(rows)
 
+    @property
+    def products(self) -> tuple:
+        return (self.flat,)
+
     def add(self, block: SignBlock) -> None:
-        self._add_values(np.abs(block.signs @ self.flat.T).max(axis=1))
+        self._add_values(np.abs(block.product(self.flat)).max(axis=1))

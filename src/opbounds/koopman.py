@@ -125,17 +125,6 @@ class BoundReport:
     per_layer: tuple[LayerFactors, ...] = ()
     extras: dict = field(default_factory=dict)
 
-    def recompute_total(self) -> float:
-        prod = _factor_product(self.per_layer)
-        if self.family == "product":
-            return self.extras["g_norm"] * self.extras["trace_root"] * prod
-        if self.family == "split":
-            return prod * (
-                self.extras["class_estimate"]
-                + self.extras["trace_root"] * self.extras["approximation_term"]
-            )
-        return self.total
-
     def to_dict(self) -> dict:
         return {
             "family": self.family,
@@ -273,9 +262,11 @@ class ApproxMc:
             raise NumericError("surrogate coefficients contain non-finite entries")
         self.width = n * m
         self.g_in, self.g_mid, self.out = g_in, g_mid, out
+        self.pairs = ((g_in, out), (g_mid, out))
         coeff_mat = coeffs.reshape(coeffs.shape[0], self.width)
         # loop-invariant half of <h', u~_n>
         self.coeff_g = (g_mid @ coeffs @ out).reshape(coeff_mat.shape)
+        self.products = (self.coeff_g,)
         self.norms_sq = _quad_forms(coeff_mat, g_mid, out)
         # beta_h for every h in the class
         self.norms = np.sqrt(np.maximum(self.norms_sq, 0.0))
@@ -286,9 +277,18 @@ class ApproxMc:
         self.gammas: list[np.ndarray] = []
 
     def add(self, block) -> None:
-        self.draws += block.signs.shape[0]
-        q_in = block.forms(self.g_in, self.out)
-        q_mid = block.forms(self.g_mid, self.out)
+        self._add_draws(
+            block.draws,
+            block.forms(self.g_in, self.out),
+            block.forms(self.g_mid, self.out),
+            block.product(self.coeff_g).T,
+        )
+
+    def _add_draws(self, draws: int, q_in, q_mid, inner) -> None:
+        """Accumulate a block from its data and mid forms and the (K, draws)
+        inner products ``inner`` of the surrogates' ``coeff_g`` rows with its
+        signs."""
+        self.draws += draws
         ok = q_mid > self.q_floor
         self.rejected += int((~ok).sum())
         if not np.any(ok):
@@ -297,9 +297,9 @@ class ApproxMc:
         gamma = np.sqrt(q_in / q_mid)
         self.gammas.append(gamma)
         t = gamma / np.sqrt(q_mid)  # gamma / ||u~_n||
-        # (n_class, draws): <h', u~_n>.  compress keeps it C-ordered, unlike a
+        # (n_class, draws): <h', u~_n>.  compress makes it C-ordered, unlike a
         # boolean index; the layout sets the order of the sum over draws below
-        inner = (self.coeff_g @ block.signs.T).compress(ok, axis=1)
+        inner = inner.compress(ok, axis=1)
         norms = self.norms
         # sup over h'' of ||h'||^2 - 2 t beta <h', u~> + gamma^2 beta^2
         quad = (
@@ -330,7 +330,7 @@ class SplitMc:
     kernel: its output matrix M serves both spaces and its kappa bounds both
     Grams.  The class predictions are the approximation term's ``g_mid @ c @
     M`` per surrogate, since the surrogates are anchored at the mid points,
-    so the class estimate reads the same draws.
+    so the class estimate reads the same draws and the same sign products.
 
     Building it does every check and computes the lower-layer factors and
     the trace root; then ``split.report(*run_mc(split.estimators, cfg))``
@@ -356,6 +356,9 @@ class SplitMc:
         check_kappa(kernel.scalar, approx_mc.g_mid)
         n, m = approx_mc.g_mid.shape[0], kernel.output_dim
         class_mc = ClassMc((row.reshape(n, m) for row in approx_mc.coeff_g), n, m)
+        # equal values; one array object, so each sign block computes the one
+        # product that both estimators read
+        class_mc.flat = approx_mc.coeff_g
         self.estimators = (class_mc, approx_mc)
         self.root = trace_bound(kernel.scalar.kappa, kernel.trace_m(), n)
 

@@ -6,8 +6,9 @@ half-integer Matern values from ``kv``, builds the full eigenvector matrix
 of a Gram, enumerates every sign pattern, integrates a Sobolev norm, chains
 a layered model outside a training pass, forms the sketched objective's
 ``G S^T`` anew at each evaluation, factors a sketch into its sub-Gaussian
-and sub-sampling parts or sorts a network's layers into the injective
-weight class.
+and sub-sampling parts, sorts a network's layers into the injective
+weight class, keeps a sign block's row-major signs while its forms are
+computed or recomputes a bound report's total from its parts.
 """
 
 import math
@@ -16,8 +17,11 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma, kv
 
+from opbounds._rng import substream
+from opbounds.complexity import _BLOCK, BallMc, ClassMc
 from opbounds.erm import _objective_sketched
 from opbounds.kernels import gram_scalar, gram_scalar_cross
+from opbounds.koopman import _factor_product
 
 
 def eval_scalar(spec, x, x_prime) -> float:
@@ -156,3 +160,70 @@ def injectivity_class(net, c_max, d_min):
         det_ok = dim_ok and float(np.prod(svals)) >= d_min
         verdicts.append((dim_ok, float(svals[0]) <= c_max, det_ok))
     return verdicts
+
+
+def recompute_total(report) -> float:
+    """A product or split bound report's total from its per-layer factors and
+    extras; any other family's stated total."""
+    prod = _factor_product(report.per_layer)
+    if report.family == "product":
+        return report.extras["g_norm"] * report.extras["trace_root"] * prod
+    if report.family == "split":
+        return prod * (
+            report.extras["class_estimate"]
+            + report.extras["trace_root"] * report.extras["approximation_term"]
+        )
+    return report.total
+
+
+def quad_forms_full(rows, g, out) -> np.ndarray:
+    """sigma^T (G (x) M) sigma for every row of ``rows``, with M applied to
+    the whole ``G Sigma`` at once, into a second array of its size."""
+    n, m = g.shape[0], out.shape[0]
+    c = rows.shape[0]
+    w = np.ascontiguousarray(rows.T).reshape(n, m, c)
+    gw = (g @ w.reshape(n, m * c)).reshape(n, m, c)
+    return np.einsum("iar,iar->r", w, np.matmul(out, gw))
+
+
+class SignBlockLazy:
+    """One sign block that keeps its row-major signs and computes each
+    (Gram, M) form on its first request, from a column-major copy made for
+    the first form."""
+
+    def __init__(self, signs):
+        self.signs = signs
+        self._signs_f = None
+        self._forms = {}
+
+    def forms(self, g, out):
+        key = (id(g), id(out))
+        if key not in self._forms:
+            if self._signs_f is None:
+                self._signs_f = np.asfortranarray(self.signs)
+            self._forms[key] = np.maximum(quad_forms_full(self._signs_f, g, out), 0.0)
+        return self._forms[key]
+
+
+def run_mc_lazy(estimators, cfg) -> list:
+    """The Monte-Carlo pass with every block alive in full while it is read:
+    signs drawn as ``ints * 2.0 - 1.0``, forms made on request, and the class
+    and approximation terms each taking their own sign product (``signs @
+    flat.T`` and ``coeff_g @ signs.T``)."""
+    for c, start in enumerate(range(0, cfg.draws, _BLOCK)):
+        count = min(_BLOCK, cfg.draws - start)
+        signs = substream(cfg.seed, c).integers(0, 2, size=(count, estimators[0].width))
+        block = SignBlockLazy(signs * 2.0 - 1.0)
+        for est in estimators:
+            if isinstance(est, BallMc):
+                est._add_values(np.sqrt(block.forms(est.g, est.out)))
+            elif isinstance(est, ClassMc):
+                est._add_values(np.abs(block.signs @ est.flat.T).max(axis=1))
+            else:
+                est._add_draws(
+                    count,
+                    block.forms(est.g_in, est.out),
+                    block.forms(est.g_mid, est.out),
+                    est.coeff_g @ block.signs.T,
+                )
+    return [est.result() for est in estimators]

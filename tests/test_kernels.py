@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opbounds.complexity import BallMc, McConfig, run_mc
 from opbounds.errors import InputError, NotPsdError, NumericError
 from opbounds.kernels import (
     DecomposableKernel,
@@ -16,6 +17,7 @@ from opbounds.kernels import (
     gram_scalar_cross,
     make_output_matrix,
 )
+from opbounds.koopman import LayerSpec, NetworkSpec, SplitMc
 from oracles import eval_scalar, gram_operator, matern_profile_kv, sobolev_norm_gaussian
 
 GAUSS2 = ScalarKernelSpec("gaussian", 1.0, dimension=2)
@@ -177,6 +179,37 @@ def test_half_integer_matern_gram_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * n * n * 8
+
+
+def test_split_pass_peak_memory():
+    # a 512-draw sign block of width n*m holds at most two arrays of its size
+    # at a time (the signs, then their column-major copy with G Sigma), and
+    # none outlives it
+    n, m, draws = 100, 3, 1024
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal((m, m))
+    kernel = DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=2), b @ b.T)
+    data = rng.uniform(-1, 1, (n, 2))
+    g_in, g_mid = gram_scalar(kernel.scalar, data), gram_scalar(kernel.scalar, 0.9 * data)
+    net = NetworkSpec(
+        tuple(LayerSpec(s * np.eye(2), sobolev_order_in=2.0) for s in (0.9, 1.0)), g_norm=1.0
+    )
+    coeffs = rng.standard_normal((4, n, m))
+
+    def estimators():
+        split = SplitMc(net, 1, coeffs, kernel, g_in, g_mid)
+        return [BallMc(g_in, kernel.output, n), *split.estimators]
+
+    cfg = McConfig(draws=draws, seed=9)
+    run_mc(estimators(), cfg)
+    pass_estimators = estimators()
+    tracemalloc.start()
+    try:
+        run_mc(pass_estimators, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 512 * n * m * 8
 
 
 def test_eval_scalar_symmetric_and_validates():

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opbounds import complexity
@@ -27,7 +27,9 @@ from opbounds.koopman import (
     peeled_bound,
     spectral_ratio_factor,
 )
-from oracles import gram_operator, injectivity_class, sobolev_norm_gaussian
+from oracles import (
+    gram_operator, injectivity_class, recompute_total, run_mc_lazy, sobolev_norm_gaussian
+)
 
 
 def layer(w, s_in=2.0, koopman=1.0, ratio=1.0):
@@ -176,7 +178,7 @@ def test_product_bound_total_recomputable_from_factors():
     )
     net = NetworkSpec(layers=layers, g_norm=2.0)
     rep = product_bound(net, kappa=1.3, tr_m=2.4, n=64)
-    assert rep.recompute_total() == pytest.approx(rep.total, rel=1e-12)
+    assert recompute_total(rep) == pytest.approx(rep.total, rel=1e-12)
     assert rep.per_layer[-1].koopman_norm is None
     assert rep.per_layer[0].koopman_norm == 1.5
 
@@ -651,6 +653,59 @@ def test_joint_pass_equals_estimators_run_one_by_one(case):
     assert np.array_equal(gammas, alone[2][2])
 
 
+def _split_pass(seed, n, m, rank, surrogates):
+    """A factory of the estimators of a bound-compare pass as the CLI builds
+    them: the data ball estimate and a SplitMc on n points, with a random
+    m x m output matrix of rank ``rank`` (not the identity)."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((m, rank))
+    kernel = DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=2), b @ b.T)
+    w = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
+    net = NetworkSpec((layer(w), layer(np.eye(2))), g_norm=1.0)
+    data = rng.uniform(-1, 1, (n, 2))
+    g_in, g_mid = gram_scalar(kernel.scalar, data), gram_scalar(kernel.scalar, data @ w.T)
+    coeffs = rng.standard_normal((surrogates, n, m))
+
+    def estimators():
+        split = SplitMc(net, 1, coeffs, kernel, g_in, g_mid)
+        return [BallMc(g_in, kernel.output, n), *split.estimators]
+
+    return estimators
+
+
+@st.composite
+def split_pass_cases(draw):
+    """A split pass on n <= 30 points, m <= 3, 1-4 surrogates and 1-1,200
+    draws."""
+    m = draw(st.integers(1, 3))
+    estimators = _split_pass(
+        draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 30)), m,
+        draw(st.integers(1, m)), draw(st.integers(1, 4)),
+    )
+    cfg = McConfig(draws=draw(st.integers(1, 1200)), seed=draw(st.integers(0, 2**31 - 1)))
+    return estimators, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_pass_cases())
+@example((_split_pass(1, 20, 3, 3, 3), McConfig(draws=513, seed=1)))  # tail block of 1
+@example((_split_pass(2, 20, 3, 2, 4), McConfig(draws=1100, seed=2)))  # tail of 76
+@example((_split_pass(3, 30, 2, 2, 1), McConfig(draws=600, seed=3)))  # tail of 88
+@example((_split_pass(4, 1, 1, 1, 2), McConfig(draws=1, seed=4)))
+def test_split_pass_equals_pass_with_full_blocks(case):
+    # products from the row-major signs, one column-major copy, M applied in
+    # place and one sign product shared by the class and approximation
+    # terms give the bits of a pass that keeps every block in full
+    estimators, cfg = case
+    ball, cls, (value, rejected, gammas) = run_mc(estimators(), cfg)
+    want_ball, want_cls, (want_value, want_rejected, want_gammas) = run_mc_lazy(
+        estimators(), cfg
+    )
+    assert ball == want_ball and cls == want_cls
+    assert (value, rejected) == (want_value, want_rejected)
+    assert gammas.tobytes() == want_gammas.tobytes()
+
+
 # --- split bound ---------------------------------------------------------------------
 
 def split_bound(net, l_prime, coeffs, data, kernel, mid, cfg):
@@ -702,7 +757,7 @@ def test_split_bound_full_split_reduces_toward_product_bound():
     )
     cap = g_sur.norm() * math.sqrt(np.mean((1.0 + gammas) ** 2))
     assert rep.extras["approximation_term"] <= cap * (1 + 1e-9)
-    assert rep.recompute_total() == pytest.approx(rep.total, rel=1e-12)
+    assert recompute_total(rep) == pytest.approx(rep.total, rel=1e-12)
 
 
 def test_split_bound_zero_upper_class():

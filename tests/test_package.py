@@ -22,7 +22,6 @@ def test_every_exported_name_resolves():
 UNREACHED = {
     "spectral.pencil_max": "the benchmark's tracer times it as the pencil layer",
     "kernels.KernelExpansion.norm": "the one-shot RKHS norm the cached top norm is tested against",
-    "koopman.BoundReport.recompute_total": "audits a report's total from its per-layer factors",
     "data.write_csv": "writes the dataset CSV that read_csv reads; no run writes a dataset",
 }
 
