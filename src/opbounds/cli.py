@@ -505,9 +505,9 @@ def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[SketchMatrix, float, di
     return sketch, satisfiability_constant(p), seeds
 
 
-def _spectrum(g_k: np.ndarray, n: int):
+def _spectrum(g_k: np.ndarray):
     """Scaled-Gram decomposition, critical radius and statistical dimension."""
-    dec = eigendecompose_scaled_gram(g_k, n)
+    dec = eigendecompose_scaled_gram(g_k)
     delta_sq = critical_radius(dec.mu)
     return dec, delta_sq, statistical_dimension(dec.mu, delta_sq)
 
@@ -583,7 +583,7 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     # one Gram and one tridiagonal form serve both fits, both training risks
     # and the spectral report
     g_k = gram_scalar(kernel.scalar, ds.x)
-    dec, delta_sq, d_n = _spectrum(g_k, ds.n)
+    dec, delta_sq, d_n = _spectrum(g_k)
     full = fit_full(kernel, ds.x, ds.y, loss, fit_cfg, spectrum=dec)
     sketched = fit_sketched(kernel, ds.x, ds.y, loss, fit_cfg, sketch, gram=g_k)
     risk_full = empirical_risk(full, ds.x, ds.y, loss, gram=g_k)
@@ -762,7 +762,7 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
 def _run_spectral(config: dict, seed: int, base_dir: Path) -> dict:
     ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
     spec = _build(ScalarKernelSpec, config["kernel"], dimension=config["dataset"]["d"])
-    dec, delta_sq, d_n = _spectrum(gram_scalar(spec, ds.x), ds.n)
+    dec, delta_sq, d_n = _spectrum(gram_scalar(spec, ds.x))
     metrics = {
         "delta_sq": delta_sq,
         "d_n": d_n,

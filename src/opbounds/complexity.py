@@ -217,22 +217,25 @@ class ClassMc(_MeanMc):
     ``predictions`` holds, per function, its n predictions as an (n, m) array
     (row i is f(x_i)): ``KernelExpansion.at(x)``, or ``G c M`` for an
     expansion with coefficients c anchored at the points themselves, as the
-    split bound's surrogates are.  It is read once, here, and checked before
-    any draw."""
+    split bound's surrogates are; n and m are read from the first.  It is
+    read once, here, and checked before any draw."""
 
-    def __init__(self, predictions: Iterable, n: int, m: int):
-        rows = []
+    def __init__(self, predictions: Iterable):
+        rows, shape = [], None
         for vals in predictions:
             vals = np.asarray(vals, dtype=float)
-            if vals.shape != (n, m):
+            shape = vals.shape if shape is None else shape
+            if vals.ndim != 2 or vals.size == 0 or vals.shape != shape:
                 raise InputError(
-                    f"predictions of shape {vals.shape}, expected {(n, m)}"
+                    f"predictions of shape {vals.shape}, expected a nonempty (n, m) "
+                    f"array of the first one's shape {shape}"
                 )
             if not np.all(np.isfinite(vals)):
                 raise NumericError("predictions contain non-finite values")
             rows.append(vals.ravel())
         if not rows:
             raise InputError("the class must be nonempty")
+        n, m = shape
         super().__init__(n, n * m)
         self.flat = np.array(rows)
 

@@ -59,17 +59,6 @@ def synth_dataset(cfg: GeneratorConfig) -> Dataset:
     return Dataset(x=xs, y=clean + noise, teacher=teacher)
 
 
-def write_csv(path, x: np.ndarray, y: np.ndarray) -> None:
-    n, d = x.shape
-    m = y.shape[1]
-    header = ",".join([f"x{i + 1}" for i in range(d)] + [f"y{j + 1}" for j in range(m)])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(n):
-            row = list(x[i]) + list(y[i])
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def _read_numbers(path, skiprows: int = 0) -> np.ndarray:
     """Comma-separated reals as a 2-D array; ConfigError naming the file when
     a cell is not a finite number or the rows are ragged."""

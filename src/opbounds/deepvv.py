@@ -3,8 +3,8 @@
 A model is a stack of ``kernels.KernelExpansion`` layers f_j(x) = sum_i
 k_j(x, z_i) M_j c_i with fixed anchors and trainable coefficients, so every
 RKHS norm stays Gram-computable.  The product of the layer transfer
-operators, restricted to the span of the probe features, has norm
-sqrt(pencil_max(G_top, G_bottom)) with
+operators, restricted to the span of the probe features, has norm sqrt(rho),
+rho the largest a^T G_top a / a^T G_bottom a over the range of G_bottom, with
 
     G_bottom[i, j] = k_1(x_i, x_j) * y_i^T M~ y_j
     G_top[i, j]    = k_L(h(x_i), h(x_j)) * y_i^T M~ y_j
@@ -45,6 +45,7 @@ from .kernels import (
     KernelExpansion,
     ScalarKernelSpec,
     _expansion_norm,
+    as_labels,
     as_points,
     gram_scalar,
     gram_scalar_cross,
@@ -150,34 +151,16 @@ def _forward_trace(
     return levels, kmats
 
 
-def _columns(a) -> np.ndarray:
-    """Float array of labels or probes, a 1-D input read as one column."""
-    a = np.asarray(a, dtype=float)
-    return a[:, None] if a.ndim == 1 else a
-
-
-def default_probes(y, m: int) -> np.ndarray:
+def default_probes(y) -> np.ndarray:
     """Data labels as probe vectors, with canonical-basis rows replacing any
     zero labels so the probe span never degenerates."""
-    probes = _columns(y).copy()
+    probes = as_labels(y).copy()
+    m = probes.shape[1]
     zero = np.linalg.norm(probes, axis=1) == 0.0
     for i in np.flatnonzero(zero):
         probes[i] = 0.0
         probes[i, i % m] = 1.0
     return probes
-
-
-def _pf_bottom(model: LayeredModel, x: np.ndarray, probes: np.ndarray):
-    """(probe bilinear matrix, whitening basis of G_bottom)."""
-    m_tilde = model.layers[-1].output
-    if probes.shape[1] != m_tilde.shape[0]:
-        raise InputError(
-            f"probes live in R^{probes.shape[1]} but the output space is "
-            f"R^{m_tilde.shape[0]}"
-        )
-    probe_bilinear = probes @ m_tilde @ probes.T
-    g_bottom = gram_scalar(model.layers[0].kernel, x) * probe_bilinear
-    return probe_bilinear, _pencil_basis(g_bottom)
 
 
 def _pf_top(model: LayeredModel, mids: np.ndarray, probe_bilinear: np.ndarray):
@@ -248,37 +231,31 @@ class Pass:
 
 class DeepObjective:
     """Training objective (see the module docstring) of one model's fixed
-    layers on fixed inputs, labels and probes.  ``forward`` takes a list of
-    coefficient arrays, one per layer (the model's own are ``model.coeffs``),
-    and the other methods take its pass and keep what they compute on it.
-    Labels are needed only for the data term and the gradient; probes
-    default to ``default_probes`` of the labels, so without labels they must
-    be given.  G_bottom is whitened and the first layer's cross Gram and last
-    layer's anchor Gram assembled once per objective, on first use."""
+    layers on fixed inputs and labels, with the labels' ``default_probes``
+    as probes.  ``forward`` takes a list of coefficient arrays, one per layer
+    (the model's own are ``model.coeffs``), and the other methods take its
+    pass and keep what they compute on it.  G_bottom is whitened and the
+    first layer's cross Gram and last layer's anchor Gram assembled once per
+    objective, on first use."""
 
-    def __init__(self, model: LayeredModel, xs, ys=None, probes=None):
+    def __init__(self, model: LayeredModel, xs, ys):
         self.x = as_points(xs, model.input_dim)
-        self.y = None if ys is None else _columns(ys)
-        if self.y is not None and self.y.shape != (self.x.shape[0], model.output_dim):
+        self.y = as_labels(ys)
+        if self.y.shape != (self.x.shape[0], model.output_dim):
             raise InputError(
                 f"labels of shape {self.y.shape} for {self.x.shape[0]} points and "
                 f"{model.output_dim} model outputs"
             )
-        if probes is None:
-            if self.y is None:
-                raise InputError("probes are required when no labels are given")
-            probes = default_probes(self.y, model.output_dim)
-        self.probes = _columns(probes)
+        self.probes = default_probes(self.y)
         self.model = model
 
     @cached_property
     def bottom(self) -> tuple[np.ndarray, np.ndarray]:
-        """(probe bilinear matrix, whitening basis of G_bottom)."""
-        if self.probes.shape[0] != self.x.shape[0]:
-            raise InputError("one probe vector per point is required")
-        if np.any(np.linalg.norm(self.probes, axis=1) == 0.0):
-            raise InputError("probe vectors must be nonzero")
-        return _pf_bottom(self.model, self.x, self.probes)
+        """(probe bilinear matrix, whitening basis of G_bottom): one nonzero
+        probe per point, in the last layer's output space."""
+        probe_bilinear = self.probes @ self.model.layers[-1].output @ self.probes.T
+        g_bottom = gram_scalar(self.model.layers[0].kernel, self.x) * probe_bilinear
+        return probe_bilinear, _pencil_basis(g_bottom)
 
     @cached_property
     def first_gram(self) -> np.ndarray:
@@ -321,8 +298,6 @@ class DeepObjective:
         return fwd.pf
 
     def data_term(self, fwd: Pass) -> float:
-        if self.y is None:
-            raise InputError("the data term needs labels")
         if fwd.data is None:
             fwd.data = float(np.sum((fwd.levels[-1] - self.y) ** 2)) / self.x.shape[0]
         return fwd.data
@@ -398,8 +373,6 @@ class DeepObjective:
         whole gradient falls back to central finite differences (step
         1e-5 * (1 + |parameter|)) with a warning.
         """
-        if self.y is None:
-            raise InputError("the gradient needs labels")
         if mode == "finite-diff":
             return _fd_gradient(self, fwd.coeffs, lambda1, lambda2)
         if mode != "analytic":

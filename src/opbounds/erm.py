@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, UnboundedLossError
-from .kernels import DecomposableKernel, as_points, check_kappa, gram_scalar, gram_scalar_cross
+from .kernels import (
+    DecomposableKernel, as_labels, as_points, check_kappa, gram_scalar, gram_scalar_cross,
+)
 from .losses import UNBOUNDED, LossSpec, loss_subgradient, loss_value
 from .sketching import SketchMatrix
 from .spectral import SpectralDecomposition, eigendecompose_scaled_gram
@@ -91,9 +93,7 @@ class FittedModel:
 
 def _prepare(kernel: DecomposableKernel, x, y, gram=None):
     pts = as_points(x, kernel.scalar.dimension)
-    targets = np.asarray(y, dtype=float)
-    if targets.ndim == 1:
-        targets = targets[:, None]
+    targets = as_labels(y)
     if targets.shape != (pts.shape[0], kernel.output_dim):
         raise InputError(
             f"targets shape {targets.shape} incompatible with "
@@ -226,7 +226,7 @@ def _descend(objective, loss_grad, prox, start, cfg):
 
 def fit_full(
     kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig,
-    gram=None, spectrum: SpectralDecomposition | None = None,
+    spectrum: SpectralDecomposition | None = None,
 ) -> FittedModel:
     """Fit the full representer program.
 
@@ -236,23 +236,19 @@ def fit_full(
     x, y : training inputs (n, d) and targets (n, m).
     loss : squared (direct solve) or Lipschitz (proximal subgradient descent).
     cfg : ridge weight and solver controls.
-    gram : the n x n scalar Gram k(x_i, x_j), reused instead of assembled; it
-        is checked for shape, finite entries and the scalar kernel's kappa.
-    spectrum : ``eigendecompose_scaled_gram`` of that Gram, whose Gram then
-        serves as ``gram``; the squared solve reuses its tridiagonal form
-        instead of reducing the Gram again.
+    spectrum : ``eigendecompose_scaled_gram`` of the n x n scalar Gram
+        k(x_i, x_j), whose Gram is reused instead of assembled (checked for
+        shape, finite entries and the scalar kernel's kappa) and whose
+        tridiagonal form the squared solve reuses instead of reducing the
+        Gram again.
     """
-    if spectrum is not None:
-        if gram is not None and gram is not spectrum.gram:
-            raise InputError("spectrum decomposes another Gram than gram")
-        gram = spectrum.gram
-    pts, targets, g = _prepare(kernel, x, y, gram)
+    pts, targets, g = _prepare(kernel, x, y, None if spectrum is None else spectrum.gram)
     _require_invertible_m(kernel.output)
     m_mat = kernel.output
     n = pts.shape[0]
     if loss.family == "squared":
         if spectrum is None:
-            spectrum = eigendecompose_scaled_gram(g, n)
+            spectrum = eigendecompose_scaled_gram(g)
         a = _solve_squared_full(spectrum, m_mat, targets, cfg.lambda_n)
         obj = objective_full(kernel, g, targets, loss, cfg.lambda_n, a)
         resid = g @ ((2.0 / n) * (g @ a @ m_mat - targets) + cfg.lambda_n * a) @ m_mat
@@ -280,7 +276,8 @@ def fit_sketched(
     """Fit the sketched program on the Gamma parameterization.
 
     ``gram`` is the n x n scalar Gram k(x_i, x_j), reused instead of
-    assembled and checked as in :func:`fit_full`.
+    assembled; it is checked for shape, finite entries and the scalar
+    kernel's kappa.
     """
     pts, targets, g = _prepare(kernel, x, y, gram)
     _require_invertible_m(kernel.output)
@@ -322,9 +319,7 @@ def empirical_risk(model, x, y, loss: LossSpec, gram=None) -> float:
     ``gram`` is k(x, anchors) for a FittedModel, as in ``predict``, and is
     rejected for a predictor."""
     pts = as_points(x)
-    targets = np.asarray(y, dtype=float)
-    if targets.ndim == 1:
-        targets = targets[:, None]
+    targets = as_labels(y)
     if pts.shape[0] == 0:
         raise InputError("data must be nonempty")
     if isinstance(model, FittedModel):

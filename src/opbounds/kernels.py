@@ -3,7 +3,8 @@
 A decomposable kernel is ``K(x, x') = k(x, x') * M`` for a scalar radial
 kernel ``k`` and a symmetric PSD matrix ``M``; its Gram over ``n`` points is
 the Kronecker product ``G_K = G_k (x) M``.  Point sets are plain ``(n, d)``
-float arrays, validated by :func:`as_points`.  A finite expansion
+float arrays, validated by :func:`as_points`, and labels ``(n, m)`` float
+arrays, validated by :func:`as_labels`.  A finite expansion
 ``x -> sum_i k(x, z_i) M c_i`` is a :class:`KernelExpansion`.  The bound
 ``kappa = sup_x k(x, x)`` that the trace terms read is
 :attr:`ScalarKernelSpec.kappa`, a fact of the kernel rather than a setting.
@@ -51,6 +52,19 @@ def as_points(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and pts.shape[1] != dim:
         raise InputError(f"points have dimension {pts.shape[1]}, expected {dim}")
     return pts
+
+
+def as_labels(y) -> np.ndarray:
+    """Validate and return labels as an (n, m) float64 array; a 1-D input is
+    read as one column."""
+    labels = np.asarray(y, dtype=float)
+    if labels.ndim == 1:
+        labels = labels[:, None]
+    if labels.ndim != 2:
+        raise InputError(f"labels must be 1-D or 2-D, got shape {labels.shape}")
+    if not np.all(np.isfinite(labels)):
+        raise InputError("labels contain non-finite entries")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -265,6 +279,8 @@ class KernelExpansion:
                 f"coeffs shape {c.shape} incompatible with "
                 f"{self.anchors.shape[0]} anchors and output dim {self.output.shape[0]}"
             )
+        if not np.all(np.isfinite(c)):
+            raise InputError("expansion coeffs contain non-finite entries")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -274,9 +290,3 @@ class KernelExpansion:
     def at(self, x) -> np.ndarray:
         """Values at a batch of points; rows are predictions."""
         return gram_scalar_cross(self.kernel, x, self.anchors) @ self.coeffs @ self.output
-
-    def norm(self) -> float:
-        """RKHS norm sqrt(sum_ij k(z_i, z_j) c_i^T M c_j)."""
-        g = gram_scalar(self.kernel, self.anchors)
-        return _expansion_norm(g, self.coeffs, self.output)
-

@@ -355,7 +355,7 @@ class SplitMc:
         check_kappa(kernel.scalar, approx_mc.g_in)
         check_kappa(kernel.scalar, approx_mc.g_mid)
         n, m = approx_mc.g_mid.shape[0], kernel.output_dim
-        class_mc = ClassMc((row.reshape(n, m) for row in approx_mc.coeff_g), n, m)
+        class_mc = ClassMc(row.reshape(n, m) for row in approx_mc.coeff_g)
         # equal values; one array object, so each sign block computes the one
         # product that both estimators read
         class_mc.flat = approx_mc.coeff_g

@@ -1,5 +1,6 @@
 """Spectra of scaled Gram matrices: critical radius, statistical dimension,
-sketch satisfiability, and the symmetric pencil maximizer.
+sketch satisfiability, and the whitening of a symmetric pencil on which the
+deep objective evaluates its transfer-product norm.
 
 The critical radius delta_n^2 is the minimal delta^2 >= 0 with
 
@@ -55,7 +56,7 @@ def _compact_reflectors(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """G_k = Q T Q^T in Householder tridiagonal form, and the descending,
-    zero-clipped eigenvalues ``mu`` of G_k / n.
+    zero-clipped eigenvalues ``mu`` of G_k / n, n the number of points.
 
     ``gram`` is G_k itself (held, not copied).  T has diagonal ``diag`` and
     off-diagonal ``off``; ``off`` holds one unread 0 when G_k is 1 x 1, since
@@ -66,7 +67,6 @@ class SpectralDecomposition:
 
     gram: np.ndarray
     mu: np.ndarray
-    n: int
     diag: np.ndarray
     off: np.ndarray
     reflectors: np.ndarray
@@ -124,7 +124,7 @@ class SpectralReport:
     satisfiable: bool
 
 
-def eigendecompose_scaled_gram(g_k: np.ndarray, n: int) -> SpectralDecomposition:
+def eigendecompose_scaled_gram(g_k: np.ndarray) -> SpectralDecomposition:
     """Tridiagonal form of the checked Gram G_k (one blocked ``dsytrd``) and
     the descending, zero-clipped eigenvalues of G_k / n (``dsterf`` on T)."""
     g = finite_matrix(g_k, "Gram matrix")
@@ -141,12 +141,11 @@ def eigendecompose_scaled_gram(g_k: np.ndarray, n: int) -> SpectralDecomposition
     _, diag, off, tau = _lapack("dsytrd", work, lower=1, lwork=lwork, overwrite_a=1)
     if size == 1:
         off = np.zeros(1)
-    vals = _lapack("dsterf", diag, off) / float(n)
+    vals = _lapack("dsterf", diag, off) / float(size)
     require_psd(vals, "scaled Gram")
     return SpectralDecomposition(
         gram=g,
         mu=np.maximum(vals[::-1], 0.0),
-        n=int(n),
         diag=diag,
         off=off,
         reflectors=_compact_reflectors(work),
@@ -213,7 +212,7 @@ def check_satisfiability(
     su1 = s_dense @ dec.top_vectors(d_n)
     norm1 = float(np.linalg.norm(su1.T @ su1 - np.eye(d_n), 2))
     if d_n < n:
-        tail = (s_dense @ dec.gram @ s_dense.T) / dec.n - (su1 * dec.mu[:d_n]) @ su1.T
+        tail = (s_dense @ dec.gram @ s_dense.T) / n - (su1 * dec.mu[:d_n]) @ su1.T
         norm2 = float(np.sqrt(max(np.linalg.eigvalsh(tail)[-1], 0.0)))
     else:
         norm2 = 0.0
@@ -282,16 +281,3 @@ def _top_eigenpair(
     rho = float(max(w_vals[-1], 0.0))
     gap = float(w_vals[-1] - w_vals[-2]) if w_vals.size > 1 else np.inf
     return rho, basis @ w_vecs[:, -1], w_vecs[:, -1].copy(), gap
-
-
-def pencil_max(g_top: np.ndarray, g_bottom: np.ndarray) -> float:
-    """Largest generalized Rayleigh quotient a^T G_top a / a^T G_bottom a
-    over the range of G_bottom, via whitening with a pseudo-inverse root.
-    """
-    top = finite_matrix(g_top, "pencil top matrix")
-    bot = finite_matrix(g_bottom, "pencil bottom matrix")
-    if top.shape != bot.shape:
-        raise InputError("pencil matrices must be of equal shape")
-    basis = _pencil_basis(bot)
-    require_psd(np.linalg.eigvalsh(0.5 * (top + top.T)), "pencil top matrix")
-    return _top_eigenvalue(_whiten(top, basis))

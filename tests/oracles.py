@@ -8,7 +8,9 @@ a layered model outside a training pass, forms the sketched objective's
 ``G S^T`` anew at each evaluation, factors a sketch into its sub-Gaussian
 and sub-sampling parts, sorts a network's layers into the injective
 weight class, keeps a sign block's row-major signs while its forms are
-computed or recomputes a bound report's total from its parts.
+computed, recomputes a bound report's total from its parts, maximizes a
+pencil's Rayleigh quotient apart from a deep objective, takes an
+expansion's RKHS norm from its own anchor Gram or writes a dataset CSV.
 """
 
 import math
@@ -20,8 +22,16 @@ from scipy.special import gamma, kv
 from opbounds._rng import substream
 from opbounds.complexity import _BLOCK, BallMc, ClassMc
 from opbounds.erm import _objective_sketched
-from opbounds.kernels import gram_scalar, gram_scalar_cross
+from opbounds.errors import InputError
+from opbounds.kernels import (
+    _expansion_norm,
+    finite_matrix,
+    gram_scalar,
+    gram_scalar_cross,
+    require_psd,
+)
 from opbounds.koopman import _factor_product
+from opbounds.spectral import _pencil_basis, _top_eigenvalue, _whiten
 
 
 def eval_scalar(spec, x, x_prime) -> float:
@@ -227,3 +237,34 @@ def run_mc_lazy(estimators, cfg) -> list:
                     est.coeff_g @ block.signs.T,
                 )
     return [est.result() for est in estimators]
+
+
+def pencil_max(g_top, g_bottom) -> float:
+    """Largest generalized Rayleigh quotient a^T G_top a / a^T G_bottom a
+    over the range of G_bottom, via whitening with a pseudo-inverse root:
+    the pencil value a deep objective's transfer-product norm is the root of."""
+    top = finite_matrix(g_top, "pencil top matrix")
+    bot = finite_matrix(g_bottom, "pencil bottom matrix")
+    if top.shape != bot.shape:
+        raise InputError("pencil matrices must be of equal shape")
+    basis = _pencil_basis(bot)
+    require_psd(np.linalg.eigvalsh(0.5 * (top + top.T)), "pencil top matrix")
+    return _top_eigenvalue(_whiten(top, basis))
+
+
+def expansion_norm(expansion) -> float:
+    """RKHS norm sqrt(sum_ij k(z_i, z_j) c_i^T M c_j) of a KernelExpansion,
+    from the Gram of its anchors."""
+    g = gram_scalar(expansion.kernel, expansion.anchors)
+    return _expansion_norm(g, expansion.coeffs, expansion.output)
+
+
+def write_csv(path, x, y) -> None:
+    """The dataset CSV ``x1,...,xd,y1,...,ym`` that ``data.read_csv`` reads,
+    every value in its shortest round-trip repr."""
+    d, m = x.shape[1], y.shape[1]
+    header = ",".join([f"x{i + 1}" for i in range(d)] + [f"y{j + 1}" for j in range(m)])
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in np.hstack([x, y]).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")

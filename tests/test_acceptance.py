@@ -20,10 +20,6 @@ from opbounds.deepvv import (
     DeepObjective,
     LayeredModel,
     TrainConfig,
-    _forward_trace,
-    _pf_bottom,
-    _pf_top,
-    default_probes,
     init_layered_model,
     refine_kernel,
     separable_bound,
@@ -37,14 +33,12 @@ from opbounds.losses import LossSpec
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified, satisfiability_constant
 from opbounds.spectral import (
     _top_eigenpair,
-    _whiten,
     check_satisfiability,
     critical_radius,
     eigendecompose_scaled_gram,
-    pencil_max,
     statistical_dimension,
 )
-from oracles import psi_value
+from oracles import pencil_max, psi_value
 
 
 def record(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -204,7 +198,7 @@ def test_criterion_05_satisfiability_frequency():
         n = 200
         pts = rng.uniform(-1, 1, (n, 2))
         g_k = gram_scalar(ScalarKernelSpec("gaussian", 1.0, dimension=2), pts)
-        dec = eigendecompose_scaled_gram(g_k, n)
+        dec = eigendecompose_scaled_gram(g_k)
         delta_sq = critical_radius(dec.mu)
         d_n = statistical_dimension(dec.mu, delta_sq)
         d_ns.append(d_n)
@@ -288,7 +282,7 @@ def test_criterion_07_pencil_oracle_and_pf_identity():
     )
     with pytest.warns(UserWarning, match="layers"):
         model = LayeredModel((lay,))
-    objective = DeepObjective(model, x, probes=rng.standard_normal((n, 2)))
+    objective = DeepObjective(model, x, rng.standard_normal((n, 2)))  # labels as probes
     pf = objective.pf_norm(objective.forward(model.coeffs))
     ok = ok and abs(pf - 1.0) <= 1e-12
     record(7, "pencil maximizer dominates sampled quotients; identity case is 1", ok)
@@ -323,13 +317,11 @@ def test_criterion_08_gradient_check():
         n = 6
         x = rng.uniform(-1, 1, (n, 2))
         y = rng.standard_normal((n, 2))
-        probes = default_probes(y, 2)
-        probe_bilinear, basis = _pf_bottom(model, x, probes)
-        g_top, _ = _pf_top(model, _forward_trace(model, x, model.coeffs)[0][-2], probe_bilinear)
-        rho, _, _, gap = _top_eigenpair(_whiten(g_top, basis), basis)
+        objective = DeepObjective(model, x, y)
+        fwd = objective.forward(model.coeffs)
+        rho, _, _, gap = _top_eigenpair(objective._whitened(fwd), objective.bottom[1])
         if not (rho > 0 and gap > 1e-6 * rho):
             continue  # eigen-gap guard: regenerate
-        objective = DeepObjective(model, x, y, probes)
         analytic, fd = (
             objective.gradient(objective.forward(model.coeffs), 0.3, 0.2, mode)
             for mode in ("analytic", "finite-diff")

@@ -442,7 +442,7 @@ ACCEPTED_NO_OPS = [
 
 def _sweep_files(tmp_path):
     """The CSV datasets, weights and checkpoints that the sweep configs name."""
-    from opbounds.data import write_csv
+    from oracles import write_csv
 
     rng = np.random.default_rng(13)
     for name in ("points_a.csv", "points_b.csv"):
@@ -558,7 +558,7 @@ def test_non_finite_config_number_is_a_config_error(subcommand, path, value, tmp
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_non_finite_csv_cell_is_a_config_error(cell, tmp_path, capsys):
-    from opbounds.data import write_csv
+    from oracles import write_csv
 
     rng = np.random.default_rng(4)
     write_csv(tmp_path / "points.csv", rng.uniform(-1, 1, (20, 2)), rng.standard_normal((20, 2)))
@@ -775,7 +775,7 @@ def test_sketch_regress_one_gram_and_one_dsytrd(monkeypatch, tmp_path):
 
 
 def _csv_dataset(tmp_path, x, y):
-    from opbounds.data import write_csv
+    from oracles import write_csv
 
     write_csv(tmp_path / "points.csv", x, y)
     return {"kind": "csv", "path": "points.csv", "d": x.shape[1], "m": y.shape[1]}
@@ -905,9 +905,7 @@ def _independent_sweep_pf(cfg, lam1):
     """The transfer-product norm, from a fresh objective, of the model that
     train() gives from a fresh model at ``lam1``."""
     from opbounds.data import GeneratorConfig, synth_dataset
-    from opbounds.deepvv import (
-        DeepObjective, TrainConfig, default_probes, init_layered_model, train,
-    )
+    from opbounds.deepvv import DeepObjective, TrainConfig, init_layered_model, train
     from opbounds.kernels import ScalarKernelSpec
 
     data, deep = cfg["dataset"], cfg["deep_model"]
@@ -921,7 +919,7 @@ def _independent_sweep_pf(cfg, lam1):
     t = {k: v for k, v in deep["train"].items() if k != "seed"}
     model = init_layered_model(ds.x, kernels, outputs, seed=deep["train"]["seed"])
     trained = train(DeepObjective(model, ds.x, ds.y), TrainConfig(**{**t, "lambda1": lam1})).model
-    fresh = DeepObjective(trained, ds.x, probes=default_probes(ds.y, data["m"]))
+    fresh = DeepObjective(trained, ds.x, ds.y)
     return fresh.pf_norm(fresh.forward(trained.coeffs))
 
 
@@ -1013,7 +1011,8 @@ def test_weights_loaded_from_csv(tmp_path):
 
 
 def test_csv_dataset_ingestion(tmp_path):
-    from opbounds.data import GeneratorConfig, synth_dataset, write_csv
+    from opbounds.data import GeneratorConfig, synth_dataset
+    from oracles import write_csv
 
     ds = synth_dataset(GeneratorConfig(n=24, d=2, m=1, noise=0.0, seed=7))
     csv_path = tmp_path / "points.csv"
@@ -1091,6 +1090,31 @@ def test_malformed_checkpoint_is_a_categorized_error(tmp_path, payload):
     assert proc.returncode == 2, proc.stderr
     assert not out.exists()
     assert json.loads(proc.stderr.splitlines()[0])["error"] == "input"
+
+
+@pytest.mark.parametrize("layer", [0, 1, 2])
+def test_non_finite_checkpoint_coeffs_exit_2_and_write_no_output(tmp_path, capsys, layer):
+    # a NaN coefficient is rejected where the layer is built, whichever
+    # layer carries it, before any bound is evaluated
+    cfg = {
+        "seed": 3,
+        "dataset": {"kind": "synthetic", "n": 8, "d": 2, "m": 2, "noise": 0.1},
+        "deep_model": {
+            "bandwidths": [1.0, 1.0, 1.0], "output_dims": [2, 2, 2],
+            "train": {"lambda1": 0.1, "lambda2": 0.1, "step": 0.5, "iters": 2},
+            "checkpoint_out": "model.json",
+        },
+    }
+    run("deep-vvrkhs", cfg, None, tmp_path)
+    ckpt = json.loads((tmp_path / "model.json").read_text())
+    ckpt["layers"][layer]["coeffs"][0][0] = math.nan
+    (tmp_path / "model.json").write_text(json.dumps(ckpt))
+    cfg["deep_model"] = {
+        "checkpoint_in": "model.json", "evaluate_only": True,
+        "train": {"lambda1": 0.1, "lambda2": 0.1},
+    }
+    err = _main_error(tmp_path, capsys, "deep-vvrkhs", cfg)
+    assert err["error"] == "input" and "coeffs contain non-finite" in err["message"]
 
 
 def test_non_numeric_dataset_cell_is_a_config_error(tmp_path):

@@ -17,7 +17,7 @@ from opbounds.complexity import (
 )
 from opbounds.errors import InputError, NotPsdError
 from opbounds.kernels import DecomposableKernel, KernelExpansion, ScalarKernelSpec, gram_scalar
-from oracles import gram_operator, rademacher_ball_exact
+from oracles import expansion_norm, gram_operator, rademacher_ball_exact
 
 
 def ball_mc(g, out, n, cfg):
@@ -25,8 +25,8 @@ def ball_mc(g, out, n, cfg):
     return est
 
 
-def class_mc(predictions, n, m, cfg):
-    (est,) = run_mc([ClassMc(predictions, n, m)], cfg)
+def class_mc(predictions, cfg):
+    (est,) = run_mc([ClassMc(predictions)], cfg)
     return est
 
 
@@ -244,7 +244,7 @@ def test_trace_bound_values():
 
 
 def test_class_zero_predictor():
-    est = class_mc([np.zeros((3, 2))], 3, 2, McConfig(draws=50, seed=0))
+    est = class_mc([np.zeros((3, 2))], McConfig(draws=50, seed=0))
     assert est.estimate == 0.0
 
 
@@ -252,8 +252,8 @@ def test_class_sign_symmetry():
     rng = np.random.default_rng(11)
     vals = rng.standard_normal((5, 2))
     cfg = McConfig(draws=600, seed=12)
-    pair = class_mc([vals, -vals], 5, 2, cfg)
-    single = class_mc([vals], 5, 2, cfg)
+    pair = class_mc([vals, -vals], cfg)
+    single = class_mc([vals], cfg)
     assert pair.estimate == pytest.approx(single.estimate, rel=1e-12)
 
 
@@ -268,19 +268,19 @@ def test_class_contained_in_ball():
     for k in range(50):
         coeffs = np.random.default_rng(100 + k).standard_normal((n, m))
         exp = KernelExpansion(kernel.scalar, kernel.output, pts, coeffs)
-        norm = exp.norm()
+        norm = expansion_norm(exp)
         predictions.append(
             KernelExpansion(kernel.scalar, kernel.output, pts, coeffs / norm).at(pts)
         )
     g = gram_scalar(kernel.scalar, pts)
     cfg = McConfig(draws=3000, seed=14)
-    ball, cls = run_mc([BallMc(g, kernel.output, n), ClassMc(predictions, n, m)], cfg)
+    ball, cls = run_mc([BallMc(g, kernel.output, n), ClassMc(predictions)], cfg)
     assert cls.estimate <= ball.estimate + 3 * (ball.stderr + cls.stderr)
 
 
 def test_class_requires_nonempty():
     with pytest.raises(InputError):
-        ClassMc([], 2, 1)
+        ClassMc([])
 
 
 def test_class_calls_each_predictor_once_on_the_whole_batch():
@@ -296,12 +296,17 @@ def test_class_calls_each_predictor_once_on_the_whole_batch():
 
         return f
 
-    est = ClassMc((f(data) for f in [make(k) for k in range(3)]), 7, 2)
+    est = ClassMc((f(data) for f in [make(k) for k in range(3)]))
     assert calls == [(0, (7, 2)), (1, (7, 2)), (2, (7, 2))]
     run_mc([est], McConfig(draws=600, seed=18))
     assert len(calls) == 3
 
 
 def test_class_rejects_per_row_predictor_shape():
+    # n and m are read from the first prediction, which must be an (n, m)
+    # array, and every later one must share its shape
     with pytest.raises(InputError):
-        ClassMc([np.zeros(2)], 3, 2)
+        ClassMc([np.zeros(2)])
+    with pytest.raises(InputError, match="first"):
+        ClassMc([np.zeros((3, 2)), np.zeros((2, 3))])
+    assert ClassMc([np.zeros((3, 2))] * 2).width == 6

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from opbounds.data import Dataset, GeneratorConfig, read_csv, synth_dataset, write_csv
+from opbounds.data import Dataset, GeneratorConfig, read_csv, synth_dataset
 from opbounds.erm import empirical_risk
 from opbounds.errors import ConfigError
 from opbounds.losses import LossSpec
+from oracles import write_csv
 
 SQUARED = LossSpec("squared")
 

@@ -22,7 +22,7 @@ from opbounds.deepvv import (
 )
 from opbounds.errors import InputError, RefinementOrderError
 from opbounds.kernels import KernelExpansion, ScalarKernelSpec, gram_scalar
-from oracles import forward
+from oracles import expansion_norm, forward, pencil_max
 
 pytestmark = pytest.mark.filterwarnings("ignore:model has .* layers")
 
@@ -53,9 +53,11 @@ def make_model(seed, dims=(2, 3, 2), n_anchor=5, bw=1.0, uniform_m=False, m_scal
 # objective; the model-rebuilding training reference below is made of them
 
 
-def at_model(model, x, y=None, probes=None):
-    """A fresh objective of the model and its pass at the model's coefficients."""
-    obj = DeepObjective(model, x, y, probes)
+def at_model(model, x, y):
+    """A fresh objective of the model on labels y and its pass at the model's
+    coefficients.  Its probes are ``default_probes(y)``, which is y when no
+    row of y is zero, so labels stand in for nonzero probes."""
+    obj = DeepObjective(model, x, y)
     return obj, obj.forward(model.coeffs)
 
 
@@ -65,12 +67,12 @@ def objective(model, x, y, lam1, lam2):
 
 
 def pf_norm(model, x, probes):
-    obj, fwd = at_model(model, x, probes=probes)
+    obj, fwd = at_model(model, x, probes)
     return obj.pf_norm(fwd)
 
 
 def pf_bound(model, x, probes):
-    obj, fwd = at_model(model, x, probes=probes)
+    obj, fwd = at_model(model, x, probes)
     return obj.pf_bound(fwd)
 
 
@@ -80,13 +82,13 @@ def gradient(model, x, y, lam1, lam2, mode):
 
 
 def top_norm(model):
-    return model.layers[-1].norm()
+    return expansion_norm(model.layers[-1])
 
 
 def outputs(model, x):
     """The model's outputs on x: the last level of the library's pass at its
     coefficients."""
-    return at_model(model, x, probes=np.ones((len(x), model.output_dim)))[1].levels[-1]
+    return at_model(model, x, np.ones((len(x), model.output_dim)))[1].levels[-1]
 
 
 # --- forward -------------------------------------------------------------------
@@ -152,8 +154,6 @@ def test_pf_norm_scaled_kernel():
     # instead isolates the pencil scaling
     g_bot = gram_scalar(gauss(2), x) * (probes @ (4.0 * np.eye(2)) @ probes.T)
     assert pf_norm(model, x, probes) == pytest.approx(1.0, abs=1e-12)
-    from opbounds.spectral import pencil_max
-
     assert math.sqrt(pencil_max(4.0 * g_bot, g_bot)) == pytest.approx(2.0, rel=1e-12)
 
 
@@ -189,32 +189,9 @@ def test_pf_norm_invariant_under_reindexing():
     assert a == pytest.approx(b, rel=1e-10)
 
 
-def test_pf_norm_rejects_zero_probes():
-    model = make_model(10)
-    x = np.zeros((2, 2))
-    with pytest.raises(InputError):
-        pf_norm(model, x, np.zeros((2, 2)))
-
-
-def test_objective_without_labels_is_typed():
-    # without labels the probes must be given, and only the norms are defined
-    rng = np.random.default_rng(56)
-    x = rng.uniform(-1, 1, (4, 2))
-    model = make_model(57, dims=(2, 2, 2))
-    with pytest.raises(InputError, match="probes are required"):
-        DeepObjective(model, x)
-    obj, fwd = at_model(model, x, probes=rng.standard_normal((4, 2)))
-    assert np.isfinite(obj.pf_bound(fwd)["total"])
-    with pytest.raises(InputError, match="labels"):
-        obj.terms(fwd, 0.1, 0.1)
-    for mode in ("analytic", "finite-diff"):
-        with pytest.raises(InputError, match="labels"):
-            obj.gradient(fwd, 0.1, 0.1, mode)
-
-
 def test_default_probes_fallback():
     y = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
-    probes = default_probes(y, 2)
+    probes = default_probes(y)
     assert np.array_equal(probes[0], [1.0, 0.0])
     assert np.array_equal(probes[1], [0.0, 1.0])  # canonical e_{2} for row 1
     assert np.array_equal(probes[2], [0.0, 2.0])
@@ -273,7 +250,7 @@ def test_pf_bound_dominates_sampled_subfamily():
         tr = math.sqrt(n * np.trace(model.layers[0].output))
         totals.append(rep["pf_norm"] * rep["top_norm"] * tr / n)
     predictions = [forward(model, x) for model in models]
-    (est,) = run_mc([ClassMc(predictions, n, m)], McConfig(draws=1500, seed=14))
+    (est,) = run_mc([ClassMc(predictions)], McConfig(draws=1500, seed=14))
     assert est.estimate <= max(totals) + 3 * est.stderr
 
 
@@ -335,7 +312,7 @@ def test_objective_terms_reported():
     model = make_model(22, dims=(2, 2, 2), n_anchor=4)
     obj, fwd = at_model(model, x, y)
     data, pf_t, top_t = obj.terms(fwd, 0.5, 0.25)
-    assert pf_t == pytest.approx(0.5 * pf_norm(model, x, default_probes(y, 2)))
+    assert pf_t == pytest.approx(0.5 * pf_norm(model, x, default_probes(y)))
     assert top_t == pytest.approx(0.25 * top_norm(model))
     assert objective(model, x, y, 0.5, 0.25) == pytest.approx(data + pf_t + top_t)
 
@@ -438,7 +415,7 @@ def test_train_strong_regularization_shrinks_norms():
     x = rng.uniform(-1, 1, (n, 2))
     y = rng.standard_normal((n, 2))
     model = init_layered_model(x, [gauss(2), gauss(2), gauss(2)], [np.eye(2)] * 3, seed=1)
-    probes = default_probes(y, 2)
+    probes = default_probes(y)
     pf0 = pf_norm(model, x, probes)
     top0 = top_norm(model)
     cfg = TrainConfig(lambda1=1e3, lambda2=1e3, step=1e-4, iters=60, grad_mode="analytic")
@@ -496,7 +473,7 @@ def test_train_whitens_g_bottom_once(monkeypatch, lambda1, grad_mode):
     result = train(DeepObjective(model, x, y), cfg)
     assert result.iterations == 4 and len(calls) == 1
     last = result.trajectory[-1]
-    assert last["pf_norm"] == pf_norm(result.model, x, default_probes(y, 2))
+    assert last["pf_norm"] == pf_norm(result.model, x, default_probes(y))
     assert last["objective"] == objective(result.model, x, y, lambda1, 0.05)
 
 
@@ -647,7 +624,7 @@ def _reference_train(model, x, y, cfg):
     """The training loop on whole models rebuilt for every candidate and every
     finite-difference bump, with a fresh objective for every objective value,
     gradient and trajectory norm."""
-    probes = default_probes(y, model.output_dim)
+    probes = default_probes(y)
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     current, obj = model, objective(model, x, y, lam1, lam2)
     trajectory = []
@@ -710,7 +687,7 @@ def test_lambda1_sweep_nonincreasing_pf():
     n = 8
     x = rng.uniform(-1, 1, (n, 2))
     y = rng.standard_normal((n, 2))
-    probes = default_probes(y, 2)
+    probes = default_probes(y)
     specs = [gauss(2), gauss(2), gauss(2, 5.0)]  # sharp top kernel: pf moves
     finals = []
     for lam1 in (0.0, 0.1, 1.0):

@@ -22,9 +22,9 @@ from opbounds.spectral import (
     check_satisfiability,
     critical_radius,
     eigendecompose_scaled_gram,
-    pencil_max,
     statistical_dimension,
 )
+from oracles import pencil_max
 
 
 @st.composite
@@ -116,7 +116,7 @@ def test_spectrum_chain_is_finite_or_typed(problem, rows, p, seed):
     g = gram_scalar(kernel.scalar, x)
 
     def chain():
-        dec = eigendecompose_scaled_gram(g, n)
+        dec = eigendecompose_scaled_gram(g)
         delta_sq = critical_radius(dec.mu)
         d_n = statistical_dimension(dec.mu, delta_sq)
         sketch = make_p_sparsified(SketchSpec(s=rows, n=n, p=p, seed=seed))

@@ -229,10 +229,9 @@ def test_supplied_gram_fits_match_self_assembled(seed, n, s, loss):
     cfg = FitConfig(lambda_n=0.05, max_iters=15, step_size=0.5, tol=1e-9)
     sk = make_p_sparsified(SketchSpec(s=s, n=n, p=1.0, dist="gaussian", seed=seed))
     g = gram_scalar(kernel.scalar, x)
-    own_full = fit_full(kernel, x, y, loss, cfg)
     pairs = [
-        (own_full, fit_full(kernel, x, y, loss, cfg, spectrum=eigendecompose_scaled_gram(g, n))),
-        (own_full, fit_full(kernel, x, y, loss, cfg, gram=g)),
+        (fit_full(kernel, x, y, loss, cfg),
+         fit_full(kernel, x, y, loss, cfg, spectrum=eigendecompose_scaled_gram(g))),
         (fit_sketched(kernel, x, y, loss, cfg, sk),
          fit_sketched(kernel, x, y, loss, cfg, sk, gram=g)),
     ]
@@ -241,8 +240,8 @@ def test_supplied_gram_fits_match_self_assembled(seed, n, s, loss):
         assert own.diagnostics == shared.diagnostics
         assert empirical_risk(own, x, y, loss) == empirical_risk(shared, x, y, loss, gram=g)
     # the hoisted sketched objective reports the public objective's bits
-    gamma = pairs[2][1].coeffs
-    assert pairs[2][1].diagnostics.objective == objective_sketched(
+    gamma = pairs[1][1].coeffs
+    assert pairs[1][1].diagnostics.objective == objective_sketched(
         kernel, g, y, loss, cfg.lambda_n, sk.matrix, gamma
     )
 
@@ -265,8 +264,7 @@ def test_squared_full_solve_matches_dense_eigh(seed, n, m, repeats, lambda_n):
     assert np.abs(model.coeffs - want).max() <= 1e-10 * max(np.abs(want).max(), 1e-300)
 
 
-@pytest.mark.parametrize("fit", ["full", "sketched"])
-def test_supplied_gram_errors_are_typed(fit):
+def test_supplied_gram_errors_are_typed():
     kernel, x, y = make_problem(8, n=10)
     cfg = FitConfig(lambda_n=0.05)
     sk = make_p_sparsified(SketchSpec(s=4, n=10, p=1.0, dist="gaussian", seed=1))
@@ -281,21 +279,16 @@ def test_supplied_gram_errors_are_typed(fit):
     ]
     for gram, kind, match in cases:
         with pytest.raises(kind, match=match) as info:
-            if fit == "full":
-                fit_full(kernel, x, y, SQUARED, cfg, gram=gram)
-            else:
-                fit_sketched(kernel, x, y, SQUARED, cfg, sk, gram=gram)
+            fit_sketched(kernel, x, y, SQUARED, cfg, sk, gram=gram)
         assert isinstance(info.value, OpboundsError)
-    if fit == "full":
-        # the spectrum brings its own Gram, checked as gram is
-        spectrum_cases = [
-            (g, eigendecompose_scaled_gram(g.copy(), 10), "another Gram"),
-            (None, eigendecompose_scaled_gram(g[:9, :9], 9), "Gram shape"),
-            (None, eigendecompose_scaled_gram(2.0 * g, 10), "kappa"),
-        ]
-        for gram, spectrum, match in spectrum_cases:
-            with pytest.raises(InputError, match=match):
-                fit_full(kernel, x, y, SQUARED, cfg, gram=gram, spectrum=spectrum)
+    # fit_full receives a Gram only with its spectrum, and checks it alike
+    spectrum_cases = [
+        (eigendecompose_scaled_gram(g[:9, :9]), "Gram shape"),
+        (eigendecompose_scaled_gram(2.0 * g), "kappa"),
+    ]
+    for spectrum, match in spectrum_cases:
+        with pytest.raises(InputError, match=match):
+            fit_full(kernel, x, y, SQUARED, cfg, spectrum=spectrum)
     model = fit_full(kernel, x, y, SQUARED, cfg)
     with pytest.raises(InputError, match="Gram shape"):
         empirical_risk(model, x, y, SQUARED, gram=g[:, :9])

@@ -18,7 +18,9 @@ from opbounds.kernels import (
     make_output_matrix,
 )
 from opbounds.koopman import LayerSpec, NetworkSpec, SplitMc
-from oracles import eval_scalar, gram_operator, matern_profile_kv, sobolev_norm_gaussian
+from oracles import (
+    eval_scalar, expansion_norm, gram_operator, matern_profile_kv, sobolev_norm_gaussian
+)
 
 GAUSS2 = ScalarKernelSpec("gaussian", 1.0, dimension=2)
 
@@ -374,7 +376,7 @@ def test_expansion_norm_matches_direct_sum():
             acc += eval_scalar(GAUSS2, anchors[i], anchors[j]) * (
                 coeffs[i] @ m_mat @ coeffs[j]
             )
-    assert exp.norm() == pytest.approx(math.sqrt(acc), rel=1e-12)
+    assert expansion_norm(exp) == pytest.approx(math.sqrt(acc), rel=1e-12)
 
 
 def test_sobolev_norm_s_zero_closed_form():

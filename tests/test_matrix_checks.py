@@ -2,8 +2,10 @@
 
 Every public entry point that takes a square matrix rejects NaN, +-inf, a
 non-square and an empty matrix with a typed OpboundsError
-(``kernels.finite_matrix``, or the fits' check of a supplied Gram); the layer-weight functions take rectangular
-weights and reject non-finite or empty ones.  Every PSD verdict goes through
+(``kernels.finite_matrix``, or the fits' check of a supplied Gram); the
+layer-weight functions take rectangular weights and reject non-finite or
+empty ones, and every entry point that takes labels rejects non-finite ones
+(``kernels.as_labels``).  Every PSD verdict goes through
 ``kernels.require_psd``, so each site accepts a smallest eigenvalue at 0.9
 times its tolerance ``PSD_TOL * max(|lambda_max|, 1)`` and rejects one at 1.1
 times it.
@@ -16,9 +18,9 @@ import numpy as np
 import pytest
 
 from opbounds.complexity import BallMc
-from opbounds.deepvv import LayeredModel, refine_kernel
-from opbounds.erm import FitConfig, fit_full
-from opbounds.errors import NotPsdError, OpboundsError, RefinementOrderError
+from opbounds.deepvv import DeepObjective, LayeredModel, refine_kernel
+from opbounds.erm import FitConfig, empirical_risk, fit_full, fit_sketched
+from opbounds.errors import InputError, NotPsdError, OpboundsError, RefinementOrderError
 from opbounds.kernels import (
     PSD_TOL,
     DecomposableKernel,
@@ -29,7 +31,8 @@ from opbounds.kernels import (
 )
 from opbounds.koopman import ApproxMc, det_quarter_root, spectral_ratio_factor
 from opbounds.losses import LossSpec
-from opbounds.spectral import eigendecompose_scaled_gram, pencil_max
+from opbounds.sketching import SketchMatrix
+from opbounds.spectral import _pencil_basis, eigendecompose_scaled_gram
 
 I2 = np.eye(2)
 
@@ -48,17 +51,15 @@ SQUARE_ENTRY_POINTS = {
     "make_output_matrix": make_output_matrix,
     "BallMc Gram": lambda a: BallMc(a, [[1.0]], 2),
     "BallMc output matrix": lambda a: BallMc(I2, a, 2),
-    "fit_full gram": lambda a: fit_full(
+    "fit_sketched gram": lambda a: fit_sketched(
         DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), I2),
         np.zeros((2, 1)), np.zeros((2, 2)), LossSpec("squared"), FitConfig(lambda_n=1.0),
-        gram=a,
+        SketchMatrix(I2), gram=a,
     ),
     "ApproxMc input Gram": lambda a: ApproxMc(np.zeros((1, 2, 2)), a, I2, I2),
     "ApproxMc mid Gram": lambda a: ApproxMc(np.zeros((1, 2, 2)), I2, a, I2),
     "ApproxMc output matrix": lambda a: ApproxMc(np.zeros((1, 2, 2)), I2, I2, a),
-    "eigendecompose_scaled_gram": lambda a: eigendecompose_scaled_gram(a, 2),
-    "pencil_max top": lambda a: pencil_max(a, I2),
-    "pencil_max bottom": lambda a: pencil_max(I2, a),
+    "eigendecompose_scaled_gram": eigendecompose_scaled_gram,
     "refine_kernel": lambda a: refine_kernel(_model(I2), a, "shrink"),
 }
 
@@ -111,9 +112,11 @@ def test_weight_functions_reject_bad_weights(entry, bad):
 PSD_SITES = {
     "make_output_matrix": (lambda v: make_output_matrix(np.diag(v)), NotPsdError),
     "BallMc": (lambda v: BallMc(np.diag(v), [[1.0]], 2), NotPsdError),
-    "eigendecompose_scaled_gram": (lambda v: eigendecompose_scaled_gram(np.diag(v), 1), NotPsdError),
-    "pencil_max top": (lambda v: pencil_max(np.diag(v), I2), NotPsdError),
-    "pencil_max bottom": (lambda v: pencil_max(I2, np.diag(v)), NotPsdError),
+    # the scaled Gram G/2 is diag(v) exactly
+    "eigendecompose_scaled_gram": (
+        lambda v: eigendecompose_scaled_gram(np.diag(2.0 * v)), NotPsdError
+    ),
+    "pencil bottom": (lambda v: _pencil_basis(np.diag(v)), NotPsdError),
     # M - A = diag(v) up to the rounding of 1 - (1 - lambda_min), ~1e-16
     "refine_kernel": (
         lambda v: refine_kernel(
@@ -137,3 +140,35 @@ def test_every_psd_site_has_the_same_boundary(site, lam_max):
 def test_nan_eigenvalues_are_not_psd():
     with pytest.raises(NotPsdError):
         require_psd([1.0, math.nan], "matrix")
+
+
+#: Each entry point that takes labels as a function of the (2, 2) labels.
+LABEL_ENTRY_POINTS = {
+    **{
+        f"fit_full {loss.family}": lambda y, loss=loss: fit_full(
+            DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), I2),
+            np.zeros((2, 1)), y, loss, FitConfig(lambda_n=1.0, max_iters=2),
+        )
+        for loss in (LossSpec("squared"), LossSpec("pinball", quantiles=(0.5, 0.5)))
+    },
+    "fit_sketched": lambda y: fit_sketched(
+        DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), I2),
+        np.zeros((2, 1)), y, LossSpec("pinball", quantiles=(0.5, 0.5)),
+        FitConfig(lambda_n=1.0, max_iters=2), SketchMatrix(I2),
+    ),
+    "empirical_risk": lambda y: empirical_risk(
+        lambda pts: np.zeros((len(pts), 2)), np.zeros((2, 1)), y, LossSpec("squared")
+    ),
+    "DeepObjective": lambda y: DeepObjective(_model(I2), np.zeros((2, 2)), y),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+def test_label_entry_points_reject_non_finite_labels(entry, bad):
+    call = LABEL_ENTRY_POINTS[entry]
+    labels = np.array([[0.5, -1.0], [2.0, 0.25]])
+    call(labels)
+    labels[1, 0] = bad
+    with pytest.raises(InputError, match="labels contain non-finite"):
+        call(labels)

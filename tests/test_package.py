@@ -6,6 +6,7 @@ import sys
 from functools import cached_property
 
 import numpy as np
+import pytest
 
 import opbounds
 from opbounds import cli
@@ -16,14 +17,6 @@ def test_every_exported_name_resolves():
     for name in opbounds.__all__:
         obj = getattr(opbounds, name)
         assert obj.__module__ == f"opbounds.{opbounds._MODULE_OF[name]}", name
-
-
-#: Public names that no run reaches, each kept for a reason of its own.
-UNREACHED = {
-    "spectral.pencil_max": "the benchmark's tracer times it as the pencil layer",
-    "kernels.KernelExpansion.norm": "the one-shot RKHS norm the cached top norm is tested against",
-    "data.write_csv": "writes the dataset CSV that read_csv reads; no run writes a dataset",
-}
 
 
 def _code(member):
@@ -46,8 +39,10 @@ def _cache_calls(member) -> int:
 
 
 def _public_functions() -> dict:
-    """Name -> member of every public module-level function and public method
-    (properties included) defined under ``opbounds``."""
+    """Name -> member of every public module-level function, public method
+    (properties included) and hand-written ``__init__`` of a public class
+    defined under ``opbounds``.  A dataclass's generated ``__init__`` is
+    compiled from no source file of the package, so it is left out."""
     found = {}
     for info in pkgutil.iter_modules(opbounds.__path__, "opbounds."):
         if info.name == "opbounds.__main__":
@@ -59,11 +54,26 @@ def _public_functions() -> dict:
                 continue
             if inspect.isclass(obj):
                 for attr, member in vars(obj).items():
-                    if not attr.startswith("_") and _code(member) is not None:
+                    code = _code(member)
+                    if code is None:
+                        continue
+                    if not attr.startswith("_") or (
+                        attr == "__init__" and code.co_filename == mod.__file__
+                    ):
                         found[f"{short}.{name}.{attr}"] = member
             elif _code(obj) is not None:
                 found[f"{short}.{name}"] = obj
     return found
+
+
+def _none_defaults(member) -> tuple:
+    """Names of the parameters of ``member`` whose default is None."""
+    if isinstance(member, (property, cached_property)):
+        return ()
+    if isinstance(member, (staticmethod, classmethod)):
+        member = member.__func__
+    params = inspect.signature(inspect.unwrap(member)).parameters.values()
+    return tuple(p.name for p in params if p.default is None)
 
 
 def _configs(tmp_path) -> list:
@@ -131,18 +141,27 @@ def _configs(tmp_path) -> list:
     ]
 
 
-def test_every_public_function_is_reached_by_a_run(tmp_path):
-    # a public name that only tests call is a test oracle, not library API:
-    # it belongs in tests/oracles.py
+@pytest.fixture(scope="module")
+def profiled(tmp_path_factory):
+    """(public members, codes entered, set None-default parameters, calls of
+    each ``functools.cache`` member) over the runs of ``_configs``.  A
+    parameter counts as set when a call enters its function with a value
+    other than None for it."""
+    tmp_path = tmp_path_factory.mktemp("runs")
     public = _public_functions()
-    assert set(UNREACHED) <= set(public), set(UNREACHED) - set(public)
+    watched = {_code(m): (name, _none_defaults(m)) for name, m in public.items()}
     runs = _configs(tmp_path)
     before = {name: _cache_calls(member) for name, member in public.items()}
-    entered = set()
+    entered, set_params = set(), set()
 
     def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
+        if event != "call":
+            return
+        entered.add(frame.f_code)
+        name, params = watched.get(frame.f_code, (None, ()))
+        if params:
+            local = frame.f_locals
+            set_params.update(f"{name}({p})" for p in params if local.get(p) is not None)
 
     outer = sys.getprofile()
     sys.setprofile(profile)
@@ -156,8 +175,25 @@ def test_every_public_function_is_reached_by_a_run(tmp_path):
     finally:
         sys.setprofile(outer)
     assert codes == [0] * len(runs)
+    calls = {name: _cache_calls(member) - before[name] for name, member in public.items()}
+    return public, entered, set_params, calls
+
+
+def test_every_public_function_is_reached_by_a_run(profiled):
+    # a public name that only tests call is a test oracle, not library API:
+    # it belongs in tests/oracles.py
+    public, entered, _, calls = profiled
     missed = {
         name for name, member in public.items()
-        if _code(member) not in entered and _cache_calls(member) == before[name]
+        if _code(member) not in entered and calls[name] == 0
     }
-    assert missed == set(UNREACHED), sorted(missed ^ set(UNREACHED))
+    assert missed == set(), sorted(missed)
+
+
+def test_every_none_default_parameter_is_set_by_a_run(profiled):
+    # a parameter that no run sets is a second way in that only tests use:
+    # the function should take its one way in
+    public, _, set_params, _ = profiled
+    params = {f"{name}({p})" for name, member in public.items() for p in _none_defaults(member)}
+    assert params, "no parameter with a None default found"
+    assert params - set_params == set(), sorted(params - set_params)

@@ -17,10 +17,9 @@ from opbounds.spectral import (
     check_satisfiability,
     critical_radius,
     eigendecompose_scaled_gram,
-    pencil_max,
     statistical_dimension,
 )
-from oracles import psi_value, satisfiability_norms, scaled_gram_eigh
+from oracles import pencil_max, psi_value, satisfiability_norms, scaled_gram_eigh
 
 
 def random_psd(k, rng, jitter=0.0):
@@ -32,14 +31,14 @@ def random_psd(k, rng, jitter=0.0):
 
 def test_eigendecompose_identity():
     n = 6
-    dec = eigendecompose_scaled_gram(np.eye(n), n)
+    dec = eigendecompose_scaled_gram(np.eye(n))
     assert np.allclose(dec.mu, 1.0 / n)
 
 
 def test_eigendecompose_rank_one():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(5)
-    dec = eigendecompose_scaled_gram(np.outer(v, v), 5)
+    dec = eigendecompose_scaled_gram(np.outer(v, v))
     assert dec.mu[0] == pytest.approx(v @ v / 5, rel=1e-12)
     assert np.all(dec.mu[1:] <= 1e-12)
 
@@ -47,7 +46,7 @@ def test_eigendecompose_rank_one():
 def test_eigendecompose_reconstructs():
     rng = np.random.default_rng(1)
     g = random_psd(6, rng)
-    dec = eigendecompose_scaled_gram(g, 6)
+    dec = eigendecompose_scaled_gram(g)
     u = dec.top_vectors(6)
     recon = u @ np.diag(dec.mu) @ u.T
     assert np.abs(recon - g / 6).max() <= 1e-10
@@ -56,9 +55,9 @@ def test_eigendecompose_reconstructs():
 
 def test_eigendecompose_rejects_non_psd():
     with pytest.raises(NotPsdError):
-        eigendecompose_scaled_gram(np.diag([1.0, -1.0]), 2)
+        eigendecompose_scaled_gram(np.diag([1.0, -1.0]))
     with pytest.raises(InputError):
-        eigendecompose_scaled_gram(np.array([[1.0, 0.5], [0.2, 1.0]]), 2)
+        eigendecompose_scaled_gram(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
 def test_eigendecompose_peak_memory_and_symmetry_check():
@@ -73,18 +72,18 @@ def test_eigendecompose_peak_memory_and_symmetry_check():
     _blas.lapack()  # the import of scipy's LAPACK is no part of the peak
     tracemalloc.start()
     try:
-        eigendecompose_scaled_gram(g, n)
+        eigendecompose_scaled_gram(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * n * n * 8
     g[0, 1] += 1e-9
     with pytest.raises(InputError, match="not symmetric"):
-        eigendecompose_scaled_gram(g, n)
+        eigendecompose_scaled_gram(g)
     # the tolerance scales with max |g|, here a negative entry
     for off, error in [(5e-11, InputError), (5e-12, NotPsdError)]:
         with pytest.raises(error):
-            eigendecompose_scaled_gram(np.array([[-10.0, 0.0], [off, 1.0]]), 2)
+            eigendecompose_scaled_gram(np.array([[-10.0, 0.0], [off, 1.0]]))
 
 
 @st.composite
@@ -111,7 +110,7 @@ def _check_against_dense_eigh(g):
     """Eigenvalues, top-k eigenpairs and top-k subspaces (where an eigengap
     exists) of the tridiagonal form against a dense eigh."""
     n = g.shape[0]
-    dec = eigendecompose_scaled_gram(g, n)
+    dec = eigendecompose_scaled_gram(g)
     mu, u = scaled_gram_eigh(g, n)
     scale = max(mu[0], 1e-300)
     assert np.all(np.diff(dec.mu) <= 0) and np.all(dec.mu >= 0)
@@ -137,12 +136,12 @@ def test_decomposition_matches_dense_eigh(g):
 
 def test_decomposition_checks_its_gram():
     with pytest.raises(NotPsdError):
-        eigendecompose_scaled_gram(np.diag([1.0, -1.0]), 2)
+        eigendecompose_scaled_gram(np.diag([1.0, -1.0]))
     with pytest.raises(InputError, match="non-finite"):
-        eigendecompose_scaled_gram(np.array([[1.0, np.nan], [np.nan, 1.0]]), 2)
+        eigendecompose_scaled_gram(np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(InputError, match="square"):
-        eigendecompose_scaled_gram(np.ones((2, 3)), 2)
-    dec = eigendecompose_scaled_gram(np.eye(3), 3)
+        eigendecompose_scaled_gram(np.ones((2, 3)))
+    dec = eigendecompose_scaled_gram(np.eye(3))
     for k in (0, 4):
         with pytest.raises(InputError, match="outside"):
             dec.top_vectors(k)
@@ -162,7 +161,7 @@ def test_lapack_failure_is_a_numeric_error(routine, monkeypatch):
     g = random_psd(6, np.random.default_rng(0), jitter=0.1)
     monkeypatch.setattr(lapack, routine, failing)
     with pytest.raises(NumericError, match=routine):
-        dec = eigendecompose_scaled_gram(g, 6)
+        dec = eigendecompose_scaled_gram(g)
         dec.top_vectors(2)
         dec.ridge_solve([1.0], 0.5, np.ones((6, 1)))
 
@@ -232,7 +231,7 @@ def test_statistical_dimension_monotone():
 def _spectral_setup(seed, n=24):
     rng = np.random.default_rng(seed)
     g = random_psd(n, rng)
-    dec = eigendecompose_scaled_gram(g, n)
+    dec = eigendecompose_scaled_gram(g)
     d_sq = critical_radius(dec.mu)
     d_n = statistical_dimension(dec.mu, d_sq)
     return dec, d_sq, d_n
@@ -280,7 +279,7 @@ def test_satisfiability_dn_equals_n():
     # flat spectrum scaled so no eigenvalue falls below delta^2
     n = 12
     g = 4.0 * n * np.eye(n)  # mu = 4 each; delta^2 = 2 < 4 -> d_n = n
-    dec = eigendecompose_scaled_gram(g, n)
+    dec = eigendecompose_scaled_gram(g)
     d_sq = critical_radius(dec.mu)
     d_n = statistical_dimension(dec.mu, d_sq)
     assert d_n == n
@@ -295,7 +294,7 @@ def _check_report_against_dense(g, sk, c):
     the full eigenvector matrix: norm1 and norm2 where the top-d_n subspace
     has an eigengap, the verdict where neither norm is near its threshold."""
     n = g.shape[0]
-    dec = eigendecompose_scaled_gram(g, n)
+    dec = eigendecompose_scaled_gram(g)
     d_sq = critical_radius(dec.mu)
     d_n = statistical_dimension(dec.mu, d_sq)
     rep = check_satisfiability(sk, dec, d_n, d_sq, c)
