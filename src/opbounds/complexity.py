@@ -9,7 +9,9 @@ assembled: the forms are computed from the factors as
 (n, m) reshape of ``sigma``, and a dense nm x nm Gram is the case
 ``M = [[1.0]]``.  Sign draws come in fixed-size blocks, each from its own
 counter-based substream, and are reduced in block order: results are
-deterministic and schedule-independent.
+deterministic and schedule-independent.  A block's signs are read from the
+raw bits of its generator (``_rng.rademacher``), bit for bit the values of
+an integer draw.
 
 Each estimator (:class:`BallMc`, :class:`ClassMc`, and the split bound's
 ``koopman.ApproxMc``) is a per-block accumulator whose checks all run when it
@@ -17,10 +19,12 @@ is built, before any draw.  One loop, :func:`run_mc`, draws every block once
 and reduces it to the sign products and quadratic forms its estimators read,
 each computed once per block however many of them read it; so estimators
 that share a pass read the same signs and give the same values as when run
-one by one.  A block's working set is two arrays of its size (draws x n*m
-floats): the signs and their products, then a column-major copy of the signs
-and one ``G Sigma`` per form; no array of that size outlives its block.
-A single estimate is ``(est,) = run_mc([BallMc(g, out, n)], cfg)``.
+one by one.  A pass allocates two arrays of block size (draws x n*m floats)
+and reuses them for every block: the signs are drawn into the row-major
+one and read for the products, copied into the column-major one for the
+forms, and each form's ``G Sigma`` is written over the row-major signs; no
+other array of that size is made.  A single estimate is
+``(est,) = run_mc([BallMc(g, out, n)], cfg)``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import rademacher, substream
 from .errors import InputError, NumericError
 from .kernels import finite_matrix, require_psd
 
@@ -52,19 +56,14 @@ class McEstimate(NamedTuple):
     stderr: float
 
 
-def _draw(g: np.random.Generator, count: int, width: int) -> np.ndarray:
-    """One block of +-1 draws; besides the int64 draws only one float array
-    is made."""
-    signs = g.integers(0, 2, size=(count, width)) * 2.0
-    signs -= 1.0
-    return signs
-
-
 def sign_blocks(total: int, width: int, seed: int) -> Iterator[np.ndarray]:
     """Blocks of +-1 draws of shape (block, width); block c uses substream c.
-    The generator keeps no reference to a block it has yielded."""
+    Every block is written into the one row-major array allocated here, so a
+    yielded block is overwritten by the next: read it before drawing on."""
+    buf = np.empty(min(total, _BLOCK) * width)
     for c, start in enumerate(range(0, total, _BLOCK)):
-        yield _draw(substream(seed, c), min(_BLOCK, total - start), width)
+        count = min(_BLOCK, total - start)
+        yield rademacher(substream(seed, c), buf[: count * width].reshape(count, width))
 
 
 def _check_psd(g: np.ndarray, out: np.ndarray) -> None:
@@ -76,23 +75,28 @@ def _check_psd(g: np.ndarray, out: np.ndarray) -> None:
     require_psd(vals, "Gram")
 
 
-def _quad_forms(rows: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _quad_forms(rows: np.ndarray, g: np.ndarray, out: np.ndarray, work=None) -> np.ndarray:
     """sigma^T (G (x) M) sigma = <Sigma, G Sigma M^T> for every row sigma of
     ``rows``, read as the row-major (n, m) matrix Sigma (the index order of
     ``np.kron(g, out)``).
 
-    All rows go through one (n x n) @ (n x mc) GEMM; M is then applied along
-    the m axis in place, 16 points at a time, so ``G Sigma`` is the one
-    array of the size of ``rows`` made here, and each form is finished by a
-    dot product.  A three-operand einsum would skip BLAS, and a batched
-    ``G @ Sigma`` is slower than one GEMM on the dense Gram.  Column-major
-    ``rows`` are read without a copy."""
+    All rows go through one (n x n) @ (n x mc) GEMM, written into ``work``
+    (a C-contiguous array of ``rows.size`` floats) when given; M is then
+    applied along the m axis in place, 16 points at a time, unless M is
+    exactly the identity, whose product changes no value.  So ``G Sigma`` is
+    the one array of the size of ``rows`` made here, none when ``work`` is
+    given, and each form is finished by a dot product.  A three-operand
+    einsum would skip BLAS, and a batched ``G @ Sigma`` is slower than one
+    GEMM on the dense Gram.  Column-major ``rows`` are read without a copy."""
     n, m = g.shape[0], out.shape[0]
     c = rows.shape[0]
     w = np.ascontiguousarray(rows.T).reshape(n, m, c)
-    gw = (g @ w.reshape(n, m * c)).reshape(n, m, c)
-    for i in range(0, n, 16):
-        gw[i : i + 16] = np.matmul(out, gw[i : i + 16])
+    if work is not None:
+        work = work.reshape(n, m * c)
+    gw = np.matmul(g, w.reshape(n, m * c), out=work).reshape(n, m, c)
+    if not np.array_equal(out, np.eye(m)):
+        for i in range(0, n, 16):
+            gw[i : i + 16] = np.matmul(out, gw[i : i + 16])
     return np.einsum("iar,iar->r", w, gw)
 
 
@@ -124,21 +128,26 @@ class SignBlock:
 def _sign_block_reads(estimators: Sequence, cfg: McConfig) -> Iterator[SignBlock]:
     """Every sign block of ``cfg``, reduced to what ``estimators`` read.
 
-    The products come from the row-major signs; then the one column-major
-    copy replaces them and every form is read from it.  So a block holds at
-    most two arrays of its size at a time, and none once it is yielded."""
+    Two arrays of block size serve the whole pass: the row-major one that
+    :func:`sign_blocks` draws into and one column-major array allocated
+    here.  The products are read from the row-major signs, which are then
+    copied to the column-major array for the forms and overwritten by each
+    form's ``G Sigma``; a yielded block holds neither."""
     mats = {id(mat): mat for est in estimators for mat in est.products}
     pairs = {(id(g), id(out)): (g, out) for est in estimators for g, out in est.pairs}
-    for signs in sign_blocks(cfg.draws, estimators[0].width, cfg.seed):
+    width = estimators[0].width
+    cols = np.empty(min(cfg.draws, _BLOCK) * width)
+    for signs in sign_blocks(cfg.draws, width, cfg.seed):
         draws = signs.shape[0]
         products = {key: signs @ mat.T for key, mat in mats.items()}
-        # the transpose of a column-major copy is the C-ordered layout
-        # _quad_forms works on; rebinding frees the row-major signs
-        signs = np.asfortranarray(signs)
+        # the transpose of a column-major array is the C-ordered layout
+        # _quad_forms works on
+        signs_f = cols[: signs.size].reshape(width, draws).T
+        signs_f[...] = signs
         forms = {
-            key: np.maximum(_quad_forms(signs, g, out), 0.0) for key, (g, out) in pairs.items()
+            key: np.maximum(_quad_forms(signs_f, g, out, signs), 0.0)
+            for key, (g, out) in pairs.items()
         }
-        del signs  # not kept while the block is read and the next one drawn
         yield SignBlock(draws, products, forms)
 
 
@@ -147,9 +156,9 @@ def run_mc(estimators: Sequence, cfg: McConfig) -> list:
     it to each estimator's ``add``, and return each estimator's ``result()``
     in order.  The estimators share one sign width, their ``width``
     attribute, and name what they read from a block in their ``products``
-    (matrices) and ``pairs`` ((Gram, M) pairs) attributes.  A block's
-    working set is two arrays of its size: the signs with their products,
-    then the column-major signs with one ``G Sigma``."""
+    (matrices) and ``pairs`` ((Gram, M) pairs) attributes.  The pass holds
+    two arrays of block size, reused by every block (see
+    :func:`_sign_block_reads`)."""
     for block in _sign_block_reads(estimators, cfg):
         for est in estimators:
             est.add(block)

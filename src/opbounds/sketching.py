@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import rademacher, substream
 from .errors import InputError
 
 _DISTS = ("rademacher", "gaussian")
@@ -60,7 +60,7 @@ def make_p_sparsified(spec: SketchSpec) -> SketchMatrix:
     for i in range(spec.s):
         g = substream(spec.seed, i)
         if spec.dist == "rademacher":
-            z = g.integers(0, 2, size=spec.n) * 2.0 - 1.0
+            z = rademacher(g, np.empty(spec.n))
         else:
             z = g.standard_normal(spec.n)
         keep = g.random(spec.n) < spec.p

@@ -7,10 +7,11 @@ of a Gram, enumerates every sign pattern, integrates a Sobolev norm, chains
 a layered model outside a training pass, forms the sketched objective's
 ``G S^T`` anew at each evaluation, factors a sketch into its sub-Gaussian
 and sub-sampling parts, sorts a network's layers into the injective
-weight class, keeps a sign block's row-major signs while its forms are
-computed, recomputes a bound report's total from its parts, maximizes a
-pencil's Rayleigh quotient apart from a deep objective, takes an
-expansion's RKHS norm from its own anchor Gram or writes a dataset CSV.
+weight class, draws signs as integers and converts them to floats, keeps
+a sign block's row-major signs while its forms are computed, recomputes a
+bound report's total from its parts, maximizes a pencil's Rayleigh quotient
+apart from a deep objective, takes an expansion's RKHS norm from its own
+anchor Gram or writes a dataset CSV.
 """
 
 import math
@@ -196,6 +197,12 @@ def quad_forms_full(rows, g, out) -> np.ndarray:
     return np.einsum("iar,iar->r", w, np.matmul(out, gw))
 
 
+def rademacher_integers(g, shape) -> np.ndarray:
+    """+-1 draws of shape ``shape`` as the library first drew them: integer
+    draws of 0 or 1, converted to floats."""
+    return g.integers(0, 2, size=shape) * 2.0 - 1.0
+
+
 class SignBlockLazy:
     """One sign block that keeps its row-major signs and computes each
     (Gram, M) form on its first request, from a column-major copy made for
@@ -217,13 +224,13 @@ class SignBlockLazy:
 
 def run_mc_lazy(estimators, cfg) -> list:
     """The Monte-Carlo pass with every block alive in full while it is read:
-    signs drawn as ``ints * 2.0 - 1.0``, forms made on request, and the class
-    and approximation terms each taking their own sign product (``signs @
-    flat.T`` and ``coeff_g @ signs.T``)."""
+    signs drawn by :func:`rademacher_integers`, forms made on request with M
+    always applied, and the class and approximation terms each taking their
+    own sign product (``signs @ flat.T`` and ``coeff_g @ signs.T``)."""
     for c, start in enumerate(range(0, cfg.draws, _BLOCK)):
         count = min(_BLOCK, cfg.draws - start)
-        signs = substream(cfg.seed, c).integers(0, 2, size=(count, estimators[0].width))
-        block = SignBlockLazy(signs * 2.0 - 1.0)
+        signs = rademacher_integers(substream(cfg.seed, c), (count, estimators[0].width))
+        block = SignBlockLazy(signs)
         for est in estimators:
             if isinstance(est, BallMc):
                 est._add_values(np.sqrt(block.forms(est.g, est.out)))

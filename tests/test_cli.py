@@ -667,10 +667,10 @@ def test_bound_compare_draws_each_sign_block_once(monkeypatch, tmp_path):
         grams.append(gram(*args, **kwargs))
         return grams[-1]
 
-    def counted_forms(rows, g, out):
+    def counted_forms(rows, g, out, *work):
         if rows.shape == (512, n * m) or rows.shape == (76, n * m):
             forms.append((rows, g))  # keeps each block alive, so ids stay unique
-        return quad_forms(rows, g, out)
+        return quad_forms(rows, g, out, *work)
 
     monkeypatch.setattr(complexity, "substream", counted_substream)
     monkeypatch.setattr(cli, "gram_scalar", counted_gram)

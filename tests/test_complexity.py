@@ -6,18 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opbounds._rng import rademacher, substream
 from opbounds.complexity import (
+    _BLOCK,
     BallMc,
     ClassMc,
     McConfig,
     _check_psd,
     _quad_forms,
     run_mc,
+    sign_blocks,
     trace_bound,
 )
 from opbounds.errors import InputError, NotPsdError
 from opbounds.kernels import DecomposableKernel, KernelExpansion, ScalarKernelSpec, gram_scalar
-from oracles import expansion_norm, gram_operator, rademacher_ball_exact
+from oracles import (
+    expansion_norm,
+    gram_operator,
+    quad_forms_full,
+    rademacher_ball_exact,
+    rademacher_integers,
+)
 
 
 def ball_mc(g, out, n, cfg):
@@ -51,6 +60,57 @@ def test_quad_forms_match_per_row_products(width, m, rows, seed):
     dense = np.kron(g, out)
     expected = np.array([sigma @ dense @ sigma for sigma in signs])
     np.testing.assert_allclose(_quad_forms(signs, g, out), expected, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    draws=st.integers(1, 512),
+    width=st.integers(1, 600),
+    seed=st.integers(0, 2**64 - 1),
+    counter=st.integers(0, 2**16),
+)
+def test_rademacher_equals_integer_draw(draws, width, seed, counter):
+    # the raw-bit draw gives the bits of the integer draw, odd totals
+    # included, and leaves the generator where a sketch row's next
+    # ``random`` call reads the same values after either draw
+    g_raw, g_int = substream(seed, counter), substream(seed, counter)
+    got = rademacher(g_raw, np.empty((draws, width)))
+    want = rademacher_integers(g_int, (draws, width))
+    assert got.tobytes() == want.tobytes()
+    assert g_raw.random(3).tobytes() == g_int.random(3).tobytes()
+
+
+@pytest.mark.parametrize("total, width", [(1, 1), (512, 3), (1100, 7), (1537, 600)])
+def test_sign_blocks_draw_block_c_from_substream_c(total, width):
+    counts = []
+    for c, block in enumerate(sign_blocks(total, width, 11)):
+        counts.append(len(block))
+        want = rademacher_integers(substream(11, c), (len(block), width))
+        assert block.flags.c_contiguous and block.tobytes() == want.tobytes()
+    assert counts == [min(_BLOCK, total - start) for start in range(0, total, _BLOCK)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    width=st.integers(1, 30),
+    m=st.integers(1, 3),
+    rows=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quad_forms_identity_m_and_work_array_change_no_bit(width, m, rows, seed):
+    # multiplying by the identity changes no value, and a given work array
+    # receives the G Sigma a fresh one would
+    rng = np.random.default_rng(seed)
+    g = random_psd(width, rng)
+    signs = np.asfortranarray(rademacher_integers(rng, (rows, width * m)))
+    want = quad_forms_full(signs, g, np.eye(m))
+    work = np.empty((rows, width * m))
+    assert _quad_forms(signs, g, np.eye(m)).tobytes() == want.tobytes()
+    assert _quad_forms(signs, g, np.eye(m), work).tobytes() == want.tobytes()
+    out = random_psd(m, rng)
+    assert (
+        _quad_forms(signs, g, out, work).tobytes() == _quad_forms(signs, g, out).tobytes()
+    )
 
 
 @st.composite

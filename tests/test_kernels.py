@@ -184,34 +184,38 @@ def test_half_integer_matern_gram_peak_memory():
 
 
 def test_split_pass_peak_memory():
-    # a 512-draw sign block of width n*m holds at most two arrays of its size
-    # at a time (the signs, then their column-major copy with G Sigma), and
-    # none outlives it
-    n, m, draws = 100, 3, 1024
+    # a pass of three sign blocks of width n*m, the last one partial, holds
+    # two arrays of block size (the row-major signs, where each G Sigma is
+    # written too, and their column-major copy) and no third one, with M
+    # applied and with the identity M skipped; on top of them only the size
+    # of the Grams and a fixed slack (the M step's 16 points at a time, a
+    # draw's raw words, the estimators' per-block arrays)
+    n, m, draws = 100, 3, 1100
     rng = np.random.default_rng(4)
     b = rng.standard_normal((m, m))
-    kernel = DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=2), b @ b.T)
     data = rng.uniform(-1, 1, (n, 2))
-    g_in, g_mid = gram_scalar(kernel.scalar, data), gram_scalar(kernel.scalar, 0.9 * data)
     net = NetworkSpec(
         tuple(LayerSpec(s * np.eye(2), sobolev_order_in=2.0) for s in (0.9, 1.0)), g_norm=1.0
     )
     coeffs = rng.standard_normal((4, n, m))
-
-    def estimators():
-        split = SplitMc(net, 1, coeffs, kernel, g_in, g_mid)
-        return [BallMc(g_in, kernel.output, n), *split.estimators]
-
     cfg = McConfig(draws=draws, seed=9)
-    run_mc(estimators(), cfg)
-    pass_estimators = estimators()
-    tracemalloc.start()
-    try:
-        run_mc(pass_estimators, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * 512 * n * m * 8
+    for out in (b @ b.T, np.eye(m)):
+        kernel = DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=2), out)
+        g_in, g_mid = gram_scalar(kernel.scalar, data), gram_scalar(kernel.scalar, 0.9 * data)
+
+        def estimators():
+            split = SplitMc(net, 1, coeffs, kernel, g_in, g_mid)
+            return [BallMc(g_in, kernel.output, n), *split.estimators]
+
+        run_mc(estimators(), cfg)
+        pass_estimators = estimators()
+        tracemalloc.start()
+        try:
+            run_mc(pass_estimators, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 512 * n * m * 8 + g_in.nbytes + g_mid.nbytes + 256_000, peak
 
 
 def test_eval_scalar_symmetric_and_validates():

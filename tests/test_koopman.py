@@ -661,10 +661,11 @@ def test_joint_pass_equals_estimators_run_one_by_one(case):
 def _split_pass(seed, n, m, rank, surrogates):
     """A factory of the estimators of a bound-compare pass as the CLI builds
     them: the data ball estimate and a SplitMc on n points, with a random
-    m x m output matrix of rank ``rank`` (not the identity)."""
+    m x m output matrix of rank ``rank``, or the identity when ``rank`` is 0."""
     rng = np.random.default_rng(seed)
     b = rng.standard_normal((m, rank))
-    kernel = DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=2), b @ b.T)
+    out = b @ b.T if rank else np.eye(m)
+    kernel = DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=2), out)
     w = np.eye(2) + 0.3 * rng.standard_normal((2, 2))
     net = NetworkSpec((layer(w), layer(np.eye(2))), g_norm=1.0)
     data = rng.uniform(-1, 1, (n, 2))
@@ -680,12 +681,12 @@ def _split_pass(seed, n, m, rank, surrogates):
 
 @st.composite
 def split_pass_cases(draw):
-    """A split pass on n <= 30 points, m <= 3, 1-4 surrogates and 1-1,200
-    draws."""
+    """A split pass on n <= 30 points, m <= 3 (M of any rank, or the
+    identity), 1-4 surrogates and 1-1,200 draws."""
     m = draw(st.integers(1, 3))
     estimators = _split_pass(
         draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 30)), m,
-        draw(st.integers(1, m)), draw(st.integers(1, 4)),
+        draw(st.integers(0, m)), draw(st.integers(1, 4)),
     )
     cfg = McConfig(draws=draw(st.integers(1, 1200)), seed=draw(st.integers(0, 2**31 - 1)))
     return estimators, cfg
@@ -697,10 +698,13 @@ def split_pass_cases(draw):
 @example((_split_pass(2, 20, 3, 2, 4), McConfig(draws=1100, seed=2)))  # tail of 76
 @example((_split_pass(3, 30, 2, 2, 1), McConfig(draws=600, seed=3)))  # tail of 88
 @example((_split_pass(4, 1, 1, 1, 2), McConfig(draws=1, seed=4)))
+@example((_split_pass(5, 20, 3, 0, 4), McConfig(draws=1100, seed=5)))  # M = I
+@example((_split_pass(6, 1, 1, 0, 2), McConfig(draws=3, seed=6)))  # M = [[1.0]]
 def test_split_pass_equals_pass_with_full_blocks(case):
-    # products from the row-major signs, one column-major copy, M applied in
-    # place and one sign product shared by the class and approximation
-    # terms give the bits of a pass that keeps every block in full
+    # raw-bit signs, products from the row-major signs, one column-major
+    # copy, M applied in place unless it is the identity, and one sign
+    # product shared by the class and approximation terms give the bits of a
+    # pass that draws integer signs and keeps every block in full
     estimators, cfg = case
     ball, cls, (value, rejected, gammas) = run_mc(estimators(), cfg)
     want_ball, want_cls, (want_value, want_rejected, want_gammas) = run_mc_lazy(

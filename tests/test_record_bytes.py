@@ -36,6 +36,14 @@ BOUND_COMPARE = {
     "split_bound": {"l_prime": 1, "surrogates": 3},
 }
 
+# the same run under a non-identity (tridiagonal) output matrix, so the
+# Monte-Carlo forms apply M rather than skip it
+BOUND_COMPARE_M = {
+    **BOUND_COMPARE,
+    "kernel": {**BOUND_COMPARE["kernel"],
+               "output_matrix": [[1.0, 0.3, 0.0], [0.3, 1.0, 0.3], [0.0, 0.3, 1.0]]},
+}
+
 SKETCH_REGRESS = {
     "dataset": {"kind": "synthetic", "n": 16, "d": 2, "m": 2, "noise": 0.1},
     "kernel": {"family": "gaussian", "bandwidth": 1.0},
@@ -72,6 +80,7 @@ RELOAD = {
 
 DIGESTS = {
     "bound-compare": "351e797196b49b8160107b79cb1b5b38b2ad1c7a115526db332612b4a5c10c9f",
+    "bound-compare-m": "3f99c58264682ededfdbfaf075756d4b34f9bddb3eb47333e545fac0a67b39f4",
     "sketch-regress": "37493425a1a023366d4d8f89e1069d6883cfbb7f0c45f972438f952ad40073e7",
     "spectral-report": "2cf4b9f060f58aa3b8fc2d71ffd9aa3bd9744aa87a3d2cdef57358b99d61c0bf",
     "deep-vvrkhs": "24e1e3f8fde506b99e5acba1bcc14abdf457f1be42c91990b34c5abf1d8e9339",
@@ -95,6 +104,11 @@ def _record_digest(subcommand, config, base_dir) -> str:
 )
 def test_record_bytes(subcommand, config, tmp_path):
     assert _record_digest(subcommand, config, tmp_path) == DIGESTS[subcommand]
+
+
+def test_bound_compare_record_bytes_under_tridiagonal_m(tmp_path):
+    digest = _record_digest("bound-compare", BOUND_COMPARE_M, tmp_path)
+    assert digest == DIGESTS["bound-compare-m"]
 
 
 def test_deep_record_checkpoint_and_reload_bytes(tmp_path):
