@@ -38,7 +38,9 @@ from .deepvv import (
     train,
 )
 from .erm import FitConfig, empirical_risk, excess_risk_bound_rhs, fit_full, fit_sketched
-from .errors import ConfigError, InputError, OpboundsError, RefinementOrderError
+from .errors import (
+    ConfigError, InputError, OpboundsError, RefinementOrderError, UnboundedLossError,
+)
 from .kernels import (
     DecomposableKernel,
     ScalarKernelSpec,
@@ -591,10 +593,9 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
 
     report = check_satisfiability(sketch, dec, d_n, delta_sq, c_val)
 
-    j_l = lipschitz_constant(loss, kernel.output_dim)
-    if np.isfinite(j_l):
+    try:
         bound_entry = asdict(excess_risk_bound_rhs(
-            j_l=j_l,
+            j_l=lipschitz_constant(loss, kernel.output_dim),
             c=c_val,
             lambda_n=fit_cfg.lambda_n,
             m_opnorm=float(np.linalg.norm(kernel.output, 2)),
@@ -604,11 +605,8 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
             n=ds.n,
             conf_delta=config.get("conf_delta", 0.05),
         ))
-    else:
-        bound_entry = {
-            "error": "unbounded-loss",
-            "message": "excess-risk bound needs a Lipschitz loss",
-        }
+    except UnboundedLossError as exc:
+        bound_entry = {"error": exc.category, "message": str(exc)}
 
     metrics = {
         "risk_full": risk_full,
@@ -677,29 +675,21 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
 
     kappa = result.model.layers[0].kernel.kappa
     tr_m1 = float(np.trace(result.model.layers[0].output))
-
-    def bounds(pf_norm: float, top_norm: float) -> tuple[float, float, float]:
-        """pf bound and the printed and consistent separable bounds."""
-        return objective.pf_total(pf_norm, top_norm), *(
-            separable_bound(kappa, tr_m1, ds.n, mode, pf_norm, top_norm)
-            for mode in ("printed", "consistent")
-        )
-
     pf_rep = objective.pf_bound(result.last)
     pf, top = pf_rep["pf_norm"], pf_rep["top_norm"]
-    _, sep_printed, sep_consistent = bounds(pf, top)
-    epochs = []
-    for entry in result.trajectory:
-        pf_total, printed, consistent = bounds(entry["pf_norm"], entry["top_norm"])
-        epochs.append({
+    epochs = [
+        {
             "iteration": entry["iteration"],
             "objective": entry["objective"],
-            "pf_bound": pf_total,
-            "separable_printed": printed,
-            "separable_consistent": consistent,
+            "pf_bound": objective.pf_total(entry["pf_norm"], entry["top_norm"]),
+            "separable_printed": separable_bound(
+                kappa, tr_m1, ds.n, entry["pf_norm"], entry["top_norm"]
+            ),
             "pf_norm": entry["pf_norm"],
             "top_norm": entry["top_norm"],
-        })
+        }
+        for entry in result.trajectory
+    ]
 
     metrics = {
         "initial_objective": _objective_entry(init_terms),
@@ -708,7 +698,7 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
         "converged": result.converged,
         "epochs": epochs,
         "pf_bound": pf_rep,
-        "separable": {"printed": sep_printed, "consistent": sep_consistent},
+        "separable": {"printed": separable_bound(kappa, tr_m1, ds.n, pf, top)},
     }
 
     if "refine" in deep:
@@ -718,13 +708,11 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
         try:
             refined = refine_kernel(result.model, a_mat, direction)
             tr_a = float(np.trace(refined.layers[0].output))
-            after = separable_bound(kappa, tr_a, ds.n, "consistent", pf, top)
             metrics["refinement"] = {
                 "direction": direction,
                 "scale": scale,
                 "accepted": True,
-                "separable_consistent_before": sep_consistent,
-                "separable_consistent_after_frozen_factors": after,
+                "pf_bound_after_frozen_factors": trace_bound(kappa, tr_a, ds.n) * pf * top,
             }
         except RefinementOrderError as exc:
             metrics["refinement"] = {

@@ -29,6 +29,12 @@ next gradient.  The analytic gradient differentiates the top pencil
 eigenvalue through the simple-eigenvalue formula d rho = a^T dG_top a (the
 whitening basis is fixed) and falls back to finite differences when the top
 eigenvalue gap degenerates.
+
+The Perron-Frobenius bound of a model is pf_norm * top_norm * trace_root, with
+trace_root = sqrt(kappa_1 Tr M_1 / n) the ``complexity.trace_bound`` of the
+first layer, the factor that ``koopman``'s product and split bounds call by
+the same name.  ``separable_bound`` is the paper's printed convention,
+sqrt(kappa_1 Tr M_1) / n in place of trace_root.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from ._rng import substream
+from .complexity import trace_bound
 from .errors import InputError, NumericError, RefinementOrderError
 from .kernels import (
     KernelExpansion,
@@ -170,21 +177,13 @@ def _pf_top(model: LayeredModel, mids: np.ndarray, probe_bilinear: np.ndarray):
 
 
 def separable_bound(
-    kappa: float, tr_m1: float, n: int, mode: str, pf_norm: float, top_norm: float
+    kappa: float, tr_m1: float, n: int, pf_norm: float, top_norm: float
 ) -> float:
-    """Separable-kernel complexity bound in two conventions, from its
-    transfer-product and top-layer factors.
-
-    ``printed`` uses sqrt(kappa Tr(M1)) / n; ``consistent`` uses
-    sqrt(kappa Tr(M1) / n), the specialization of the general product bound.
-    """
-    if mode not in ("printed", "consistent"):
-        raise InputError(f"unknown mode {mode!r}")
-    if mode == "printed":
-        lead = np.sqrt(kappa * tr_m1) / n
-    else:
-        lead = np.sqrt(kappa * tr_m1 / n)
-    return float(lead * pf_norm * top_norm)
+    """Separable-kernel complexity bound in the paper's printed convention,
+    sqrt(kappa Tr(M1)) / n * pf_norm * top_norm.  The convention consistent
+    with the general product bound, sqrt(kappa Tr(M1) / n) in place of the
+    lead factor, is ``DeepObjective.pf_total``."""
+    return float(np.sqrt(kappa * tr_m1) / n * pf_norm * top_norm)
 
 
 @dataclass(frozen=True)
@@ -335,26 +334,23 @@ class DeepObjective:
 
     @cached_property
     def trace_root(self) -> float:
-        """sqrt(sum_i Tr K_1(x_i, x_i)) of the first layer."""
+        """``complexity.trace_bound`` of the first layer: sqrt(kappa_1 Tr M_1 / n)."""
         first = self.model.layers[0]
-        diag = np.diag(gram_scalar(first.kernel, self.x))
-        return float(np.sqrt(np.sum(diag) * np.trace(first.output)))
+        return trace_bound(first.kernel.kappa, float(np.trace(first.output)), self.x.shape[0])
 
     def pf_total(self, pf: float, top: float) -> float:
         """``pf_bound``'s total from the transfer-product and top norms."""
-        return pf * top * self.trace_root / self.x.shape[0]
+        return pf * top * self.trace_root
 
     def pf_bound(self, fwd: Pass) -> dict:
-        """(1/n) * pf_norm * top_norm * sqrt(sum_i Tr K_1(x_i, x_i)) at the
-        pass's coefficients, with all factors reported."""
-        trace_root = self.trace_root  # its n x n Gram is freed before any pass Gram is built
+        """pf_norm * top_norm * trace_root at the pass's coefficients, with
+        all three factors reported."""
         pf, top = self.pf_norm(fwd), self.top_norm(fwd)
         return {
             "total": self.pf_total(pf, top),
             "pf_norm": pf,
             "top_norm": top,
-            "trace_root": trace_root,
-            "n": self.x.shape[0],
+            "trace_root": self.trace_root,
             "note": "evaluated at the given model",
         }
 

@@ -9,13 +9,15 @@ and sketching reparameterizes A = S^T Gamma with Gamma (s x m):
     min_G  (1/n) sum_i loss([G S^T Gamma M]_i, y_i)
            + (lambda_n / 2) Tr(S G S^T Gamma M Gamma^T)
 
-For the squared loss both programs are quadratic and solved exactly through
-the stationarity system.  Lipschitz losses use deterministic full-batch
-proximal subgradient descent: a subgradient step on the data term followed by
-the exact proximal map of the ridge term (a diagonal solve in the joint
-eigenbases of the Gram and output matrices), with a backtracking line search,
-so the objective is nonincreasing across accepted steps and runs are
-reproducible.
+Both are one program in theta, (1/n) sum_i loss([K theta M]_i, y_i) +
+(lambda_n / 2) Tr(P theta M theta^T): the full fit is (K, P) = (G, G) and the
+sketched fit (G S^T, S G S^T).  For the squared loss it is quadratic and solved
+exactly through the stationarity system.  Lipschitz losses use deterministic
+full-batch proximal subgradient descent from zero: a subgradient step
+K^T (xi / n) M on the data term followed by the exact proximal map of the
+ridge term (a diagonal solve in the joint eigenbases of P and the output
+matrix), with a backtracking line search, so the objective is nonincreasing
+across accepted steps and runs are reproducible.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexity import trace_bound
 from .errors import InputError, NumericError, UnboundedLossError
 from .kernels import (
     DecomposableKernel, as_labels, as_points, check_kappa, gram_scalar, gram_scalar_cross,
@@ -124,21 +127,14 @@ def _mean_loss(loss: LossSpec, preds: np.ndarray, y: np.ndarray) -> float:
     return sum(loss_value(loss, preds, y).tolist()) / y.shape[0]
 
 
-def objective_full(
-    kernel: DecomposableKernel, g: np.ndarray, y: np.ndarray,
-    loss: LossSpec, lambda_n: float, a: np.ndarray,
-) -> float:
-    ga = g @ a
-    data = _mean_loss(loss, ga @ kernel.output, y)
-    penalty = 0.5 * lambda_n * float(np.sum(ga * (a @ kernel.output)))
-    return data + penalty
-
-
-def _objective_sketched(m_mat, k_sk, sgs, y, loss, lambda_n, gamma) -> float:
-    # the sketched objective at Gamma, on the loop-invariant k_sk = G S^T and
-    # sgs = S G S^T
-    data = _mean_loss(loss, k_sk @ gamma @ m_mat, y)
-    return data + 0.5 * lambda_n * float(np.sum((sgs @ gamma) * (gamma @ m_mat)))
+def _objective(k, p, m_mat, y, loss, lambda_n, theta) -> float:
+    """(1/n) sum_i loss([K theta M]_i, y_i) + (lambda_n / 2) Tr(P theta M theta^T):
+    the full program at (K, P) = (G, G) and theta = A, the sketched one at
+    (G S^T, S G S^T) and theta = Gamma.  ``k is p`` forms G A once."""
+    k_theta = k @ theta
+    p_theta = k_theta if p is k else p @ theta
+    data = _mean_loss(loss, k_theta @ m_mat, y)
+    return data + 0.5 * lambda_n * float(np.sum(p_theta * (theta @ m_mat)))
 
 
 def _solve_squared_full(spectrum, m_mat, y, lambda_n):
@@ -224,6 +220,23 @@ def _descend(objective, loss_grad, prox, start, cfg):
     return coeffs, FitDiagnostics(obj, residual, iters, converged, warning)
 
 
+def _fit_lipschitz(k, kt, p, m_mat, y, loss: LossSpec, cfg: FitConfig):
+    """(coeffs, diagnostics) of ``_descend`` from zero on ``_objective(k, p,
+    ...)``; ``kt`` is K^T, read by the data-term gradient K^T (xi / n) M."""
+    n = y.shape[0]
+
+    def objective(theta):
+        return _objective(k, p, m_mat, y, loss, cfg.lambda_n, theta)
+
+    def loss_grad(theta):
+        xi = loss_subgradient(loss, k @ theta @ m_mat, y)
+        return kt @ (xi / n) @ m_mat
+
+    # P = K is the Gram, exactly symmetric, so its eigh needs no n x n copy
+    prox = _diag_prox(np.linalg.eigh(p if p is k else 0.5 * (p + p.T)), m_mat, cfg.lambda_n)
+    return _descend(objective, loss_grad, prox, np.zeros((k.shape[1], m_mat.shape[0])), cfg)
+
+
 def fit_full(
     kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig,
     spectrum: SpectralDecomposition | None = None,
@@ -250,22 +263,11 @@ def fit_full(
         if spectrum is None:
             spectrum = eigendecompose_scaled_gram(g)
         a = _solve_squared_full(spectrum, m_mat, targets, cfg.lambda_n)
-        obj = objective_full(kernel, g, targets, loss, cfg.lambda_n, a)
+        obj = _objective(g, g, m_mat, targets, loss, cfg.lambda_n, a)
         resid = g @ ((2.0 / n) * (g @ a @ m_mat - targets) + cfg.lambda_n * a) @ m_mat
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), 0, True)
         return FittedModel(a, kernel, pts, diag)
-
-    def objective(a):
-        return objective_full(kernel, g, targets, loss, cfg.lambda_n, a)
-
-    def loss_grad(a):
-        preds = g @ a @ m_mat
-        xi = loss_subgradient(loss, preds, targets)
-        return g @ (xi / n) @ m_mat
-
-    prox = _diag_prox(np.linalg.eigh(g), m_mat, cfg.lambda_n)
-    start = np.zeros_like(targets)
-    coeffs, diag = _descend(objective, loss_grad, prox, start, cfg)
+    coeffs, diag = _fit_lipschitz(g, g, g, m_mat, targets, loss, cfg)
     return FittedModel(coeffs, kernel, pts, diag)
 
 
@@ -292,25 +294,14 @@ def fit_sketched(
     sgs = s_dense @ k_sk
     if loss.family == "squared":
         gamma = _solve_squared_sketched(k_sk, sgs, m_mat, targets, cfg.lambda_n)
-        obj = _objective_sketched(m_mat, k_sk, sgs, targets, loss, cfg.lambda_n, gamma)
+        obj = _objective(k_sk, sgs, m_mat, targets, loss, cfg.lambda_n, gamma)
         resid = (
             k_sk.T @ ((2.0 / n) * (k_sk @ gamma @ m_mat - targets)) @ m_mat
             + cfg.lambda_n * sgs @ gamma @ m_mat
         )
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), 0, True)
         return FittedModel(gamma, kernel, pts, diag, sketch=sk)
-
-    def objective(gamma):
-        return _objective_sketched(m_mat, k_sk, sgs, targets, loss, cfg.lambda_n, gamma)
-
-    def loss_grad(gamma):
-        preds = k_sk @ gamma @ m_mat
-        xi = loss_subgradient(loss, preds, targets)
-        return (k_sk.T @ xi / n) @ m_mat
-
-    prox = _diag_prox(np.linalg.eigh(0.5 * (sgs + sgs.T)), m_mat, cfg.lambda_n)
-    start = np.zeros((s_dense.shape[0], kernel.output_dim))
-    coeffs, diag = _descend(objective, loss_grad, prox, start, cfg)
+    coeffs, diag = _fit_lipschitz(k_sk, k_sk.T, sgs, m_mat, targets, loss, cfg)
     return FittedModel(coeffs, kernel, pts, diag, sketch=sk)
 
 
@@ -376,6 +367,6 @@ def excess_risk_bound_rhs(
     big_c = 1.0 + math.sqrt(6.0) * c
     t1 = j_l * big_c * math.sqrt(lambda_n + m_opnorm * delta_sq)
     t2 = 0.5 * lambda_n
-    t3 = 8.0 * j_l * math.sqrt(kappa * tr_m / n)
+    t3 = 8.0 * j_l * trace_bound(kappa, tr_m, n)
     t4 = 2.0 * math.sqrt(8.0 * math.log(4.0 / conf_delta) / n)
     return ExcessRiskBound(t1 + t2 + t3 + t4, big_c, (t1, t2, t3, t4))

@@ -22,7 +22,7 @@ from scipy.special import gamma, kv
 
 from opbounds._rng import substream
 from opbounds.complexity import _BLOCK, BallMc, ClassMc
-from opbounds.erm import _objective_sketched
+from opbounds.erm import _objective
 from opbounds.errors import InputError
 from opbounds.kernels import (
     _expansion_norm,
@@ -145,7 +145,7 @@ def forward(model, x) -> np.ndarray:
 def objective_sketched(kernel, g, y, loss, lambda_n, s_dense, gamma_) -> float:
     """The sketched ERM objective at Gamma from the scalar Gram and the sketch."""
     k_sk = g @ s_dense.T
-    return _objective_sketched(kernel.output, k_sk, s_dense @ k_sk, y, loss, lambda_n, gamma_)
+    return _objective(k_sk, s_dense @ k_sk, kernel.output, y, loss, lambda_n, gamma_)
 
 
 def decompose_sketch(sk):

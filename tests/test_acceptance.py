@@ -22,7 +22,6 @@ from opbounds.deepvv import (
     TrainConfig,
     init_layered_model,
     refine_kernel,
-    separable_bound,
     train,
 )
 from opbounds.erm import FitConfig, excess_risk_bound_rhs, fit_full, fit_sketched
@@ -424,9 +423,9 @@ def test_criterion_11_refinement_ordering():
         ok = ok and got == ordered
         checked += 1
     ok = ok and accepted > 0 and rejected > 0
-    # trace scaling of the consistent bound at frozen factors
-    before = separable_bound(1.0, 2.0, 50, "consistent", pf_norm=1.7, top_norm=0.9)
-    after = separable_bound(1.0, 1.0, 50, "consistent", pf_norm=1.7, top_norm=0.9)
+    # trace scaling of the pf bound at frozen factors
+    before = trace_bound(1.0, 2.0, 50) * 1.7 * 0.9
+    after = trace_bound(1.0, 1.0, 50) * 1.7 * 0.9
     scaling_ok = abs(after - before * math.sqrt(1.0 / 2.0)) <= 1e-10 * before
     ok = ok and scaling_ok
     record(11, "refinement accepts exactly PSD-ordered matrices; bound scales "

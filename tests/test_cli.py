@@ -13,11 +13,11 @@ import pytest
 
 from opbounds import _blas, cli, deepvv
 from opbounds.cli import main, render_record, run, validate_config
-from opbounds.complexity import McConfig
+from opbounds.complexity import McConfig, trace_bound
 from opbounds.data import GeneratorConfig
 from opbounds.deepvv import TrainConfig
-from opbounds.erm import FitConfig
-from opbounds.errors import ConfigError, InputError, OpboundsError
+from opbounds.erm import FitConfig, excess_risk_bound_rhs
+from opbounds.errors import ConfigError, InputError, OpboundsError, UnboundedLossError
 from opbounds.kernels import ScalarKernelSpec
 from opbounds.koopman import LayerSpec
 from opbounds.losses import LossSpec
@@ -730,7 +730,10 @@ def test_sketch_regress_identity_equivalence(tmp_path):
     record = run("sketch-regress", cfg, None, tmp_path)
     metrics = record["metrics"]
     assert metrics["risk_full"] == pytest.approx(metrics["risk_sketched"], abs=1e-8)
-    assert metrics["excess_risk_bound"].get("error") == "unbounded-loss"
+    # the entry is the library's own unbounded-loss error, category and message
+    with pytest.raises(UnboundedLossError) as exc:
+        excess_risk_bound_rhs(math.inf, 1.0, 0.1, 1.0, 0.1, 1.0, 2.0, 10, 0.05)
+    assert metrics["excess_risk_bound"] == {"error": "unbounded-loss", "message": str(exc.value)}
 
 
 def test_sketch_regress_one_gram_and_one_dsytrd(monkeypatch, tmp_path):
@@ -844,25 +847,26 @@ def test_deep_subcommand_contracts(tmp_path):
     metrics = record["metrics"]
     objs = [e["objective"] for e in metrics["epochs"]]
     assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
-    # per-epoch bounds recompute from that epoch's factors; the last epoch
-    # matches the final report
-    last = metrics["epochs"][-1]
+    # the pf bound is the product of its listed factors, at the end and per
+    # epoch, and its trace root is trace_bound(kappa, Tr M1, n) with kappa = 1,
+    # Tr M1 = 2 and n = 10; the last epoch matches the final report
     pf_rep = metrics["pf_bound"]
-    assert last["pf_bound"] == pytest.approx(
-        last["pf_norm"] * last["top_norm"] * pf_rep["trace_root"] / 10, rel=1e-12
-    )
-    assert last["pf_bound"] == pytest.approx(pf_rep["total"], rel=1e-10)
-    assert last["separable_consistent"] == pytest.approx(
-        metrics["separable"]["consistent"], rel=1e-10
-    )
+    root = pf_rep["trace_root"]
+    assert root == trace_bound(1.0, 2.0, 10)
+    assert pf_rep["total"] == pf_rep["pf_norm"] * pf_rep["top_norm"] * root
+    for epoch in metrics["epochs"]:
+        assert epoch["pf_bound"] == epoch["pf_norm"] * epoch["top_norm"] * root
+    last = metrics["epochs"][-1]
+    assert last["pf_bound"] == pf_rep["total"]
+    assert last["separable_printed"] == metrics["separable"]["printed"]
     sweep = metrics["lambda1_sweep"]
     assert [s["lambda1"] for s in sweep] == [0.0, 0.1, 1.0]
     pf = [s["final_pf_norm"] for s in sweep]
     assert pf[1] <= pf[0] + 1e-9 and pf[2] <= pf[1] + 1e-9
     ref = metrics["refinement"]
     assert ref["accepted"] is True
-    assert ref["separable_consistent_after_frozen_factors"] == pytest.approx(
-        ref["separable_consistent_before"] / math.sqrt(2.0), rel=1e-10
+    assert ref["pf_bound_after_frozen_factors"] == pytest.approx(
+        pf_rep["total"] / math.sqrt(2.0), rel=1e-10
     )
 
 

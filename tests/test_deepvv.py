@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opbounds import deepvv, spectral
-from opbounds.complexity import ClassMc, McConfig, run_mc
+from opbounds.complexity import ClassMc, McConfig, run_mc, trace_bound
 from opbounds.deepvv import (
     DeepObjective,
     LayeredModel,
@@ -216,11 +216,14 @@ def test_pf_complexity_bound_factorization_and_zero_top():
     model = make_model(12, dims=(2, 3, 2), n_anchor=4, uniform_m=True)
     probes = rng.standard_normal((n, 2))
     rep = pf_bound(model, x, probes)
-    recomputed = rep["pf_norm"] * rep["top_norm"] * rep["trace_root"] / rep["n"]
-    assert rep["total"] == pytest.approx(recomputed, rel=1e-12)
-    # k1(x, x) = 1, so the trace root is sqrt(n * Tr M1)
+    assert rep["total"] == rep["pf_norm"] * rep["top_norm"] * rep["trace_root"]
+    # kappa = 1, so the trace root is sqrt(Tr M1 / n), never below the
+    # per-point form sqrt(sum_i k1(x_i, x_i) Tr M1) / n
     tr_m1 = float(np.trace(model.layers[0].output))
-    assert rep["trace_root"] == pytest.approx(math.sqrt(n * tr_m1), rel=1e-12)
+    assert rep["trace_root"] == trace_bound(1.0, tr_m1, n)
+    assert rep["trace_root"] == pytest.approx(math.sqrt(tr_m1 / n), rel=1e-12)
+    diag = np.diag(gram_scalar(model.layers[0].kernel, x))
+    assert rep["trace_root"] >= math.sqrt(np.sum(diag) * tr_m1) / n
     zero_top = model.with_coeffs(
         [l.coeffs if j < model.depth - 1 else np.zeros_like(l.coeffs)
          for j, l in enumerate(model.layers)]
@@ -254,28 +257,15 @@ def test_pf_bound_dominates_sampled_subfamily():
     assert est.estimate <= max(totals) + 3 * est.stderr
 
 
-def test_separable_bound_modes_and_consistency():
-    assert separable_bound(
-        1.0, 2.0, 100, "printed", pf_norm=1.0, top_norm=1.0
-    ) == pytest.approx(math.sqrt(2.0) / 100, rel=1e-12)
-    assert separable_bound(
-        1.0, 2.0, 100, "consistent", pf_norm=1.0, top_norm=1.0
-    ) == pytest.approx(math.sqrt(0.02), rel=1e-12)
-    assert separable_bound(1.0, 2.0, 10, "printed", pf_norm=0.0, top_norm=5.0) == 0.0
-    with pytest.raises(InputError):
-        separable_bound(1.0, 2.0, 10, "verbatim", pf_norm=1.0, top_norm=1.0)
-
-
-def test_separable_consistent_equals_pf_bound_when_kernel_normalized():
-    rng = np.random.default_rng(15)
-    n = 7
-    x = rng.uniform(-1, 1, (n, 2))
-    model = make_model(16, dims=(2, 2, 2), n_anchor=4, uniform_m=True)
-    probes = rng.standard_normal((n, 2))
-    rep = pf_bound(model, x, probes)
-    tr_m1 = float(np.trace(model.layers[0].output))
-    rem = separable_bound(1.0, tr_m1, n, "consistent", rep["pf_norm"], rep["top_norm"])
-    assert rem == pytest.approx(rep["total"], rel=1e-12)
+def test_separable_bound_printed_convention():
+    assert separable_bound(1.0, 2.0, 100, pf_norm=1.0, top_norm=1.0) == pytest.approx(
+        math.sqrt(2.0) / 100, rel=1e-12
+    )
+    # the consistent convention, trace_bound times the norms, is sqrt(n) larger
+    assert separable_bound(1.0, 2.0, 100, pf_norm=1.3, top_norm=0.7) == pytest.approx(
+        trace_bound(1.0, 2.0, 100) * 1.3 * 0.7 / 10, rel=1e-12
+    )
+    assert separable_bound(1.0, 2.0, 10, pf_norm=0.0, top_norm=5.0) == 0.0
 
 
 # --- objective ------------------------------------------------------------------
@@ -717,8 +707,8 @@ def test_refine_half_matrix_scales_bound():
     tr_before = float(np.trace(m_mat))
     tr_after = float(np.trace(refined.layers[0].output))
     assert tr_after == pytest.approx(tr_before / 2)
-    before = separable_bound(1.0, tr_before, 10, "consistent", pf_norm=1.3, top_norm=0.7)
-    after = separable_bound(1.0, tr_after, 10, "consistent", pf_norm=1.3, top_norm=0.7)
+    before = trace_bound(1.0, tr_before, 10) * 1.3 * 0.7
+    after = trace_bound(1.0, tr_after, 10) * 1.3 * 0.7
     assert after == pytest.approx(before / math.sqrt(2.0), rel=1e-10)
 
 

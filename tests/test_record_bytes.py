@@ -83,9 +83,9 @@ DIGESTS = {
     "bound-compare-m": "3f99c58264682ededfdbfaf075756d4b34f9bddb3eb47333e545fac0a67b39f4",
     "sketch-regress": "37493425a1a023366d4d8f89e1069d6883cfbb7f0c45f972438f952ad40073e7",
     "spectral-report": "2cf4b9f060f58aa3b8fc2d71ffd9aa3bd9744aa87a3d2cdef57358b99d61c0bf",
-    "deep-vvrkhs": "24e1e3f8fde506b99e5acba1bcc14abdf457f1be42c91990b34c5abf1d8e9339",
+    "deep-vvrkhs": "86973b59b9a3b395e3cee1762aaf489581ad98dd1367c1ee3b31ee28b660341b",
     "checkpoint": "9b23b4a562fc5a214725fc123247cc6a9b4aac3642ae948ddc609104c161e8cd",
-    "checkpoint-reload": "8ad6444d2c8f87fcb6663316ae5a5b18ab7051330dbd6fa2d9304861a0e576e3",
+    "checkpoint-reload": "6117f4ec5d76ebea787dde355272ae5a9c698b74ffb02a500bd3be6a4b69b7dc",
 }
 
 
