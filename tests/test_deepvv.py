@@ -268,6 +268,20 @@ def test_separable_bound_printed_convention():
     assert separable_bound(1.0, 2.0, 10, pf_norm=0.0, top_norm=5.0) == 0.0
 
 
+def test_separable_consistent_equals_pf_bound_when_kernel_normalized():
+    # the consistent convention, sqrt(n) times the printed one, is the pf bound
+    # pf_bound reports from the model's first layer and the sample size
+    rng = np.random.default_rng(15)
+    n = 7
+    x = rng.uniform(-1, 1, (n, 2))
+    model = make_model(16, dims=(2, 2, 2), n_anchor=4, uniform_m=True)
+    probes = rng.standard_normal((n, 2))
+    rep = pf_bound(model, x, probes)
+    tr_m1 = float(np.trace(model.layers[0].output))
+    printed = separable_bound(1.0, tr_m1, n, rep["pf_norm"], rep["top_norm"])
+    assert printed * math.sqrt(n) == pytest.approx(rep["total"], rel=1e-12)
+
+
 # --- objective ------------------------------------------------------------------
 
 def test_objective_zero_cases():
