@@ -11,13 +11,15 @@ and sketching reparameterizes A = S^T Gamma with Gamma (s x m):
 
 Both are one program in theta, (1/n) sum_i loss([K theta M]_i, y_i) +
 (lambda_n / 2) Tr(P theta M theta^T): the full fit is (K, P) = (G, G) and the
-sketched fit (G S^T, S G S^T).  For the squared loss it is quadratic and solved
-exactly through the stationarity system.  Lipschitz losses use deterministic
-full-batch proximal subgradient descent from zero: a subgradient step
-K^T (xi / n) M on the data term followed by the exact proximal map of the
-ridge term (a diagonal solve in the joint eigenbases of P and the output
-matrix), with a backtracking line search, so the objective is nonincreasing
-across accepted steps and runs are reproducible.
+sketched fit (G S^T, S G S^T).  For the squared loss it is quadratic and
+solved through the stationarity system: the sketched program exactly, the
+full one on the Gram's spectral decomposition (exact on its eigenvectors at
+hand, by deflated conjugate gradients on the rest).  Lipschitz losses use
+deterministic full-batch proximal subgradient descent from zero: a
+subgradient step K^T (xi / n) M on the data term followed by the exact
+proximal map of the ridge term (a diagonal solve in the joint eigenbases of P
+and the output matrix), with a backtracking line search, so the objective is
+nonincreasing across accepted steps and runs are reproducible.
 """
 
 from __future__ import annotations
@@ -138,12 +140,13 @@ def _objective(k, p, m_mat, y, loss, lambda_n, theta) -> float:
 
 
 def _solve_squared_full(spectrum, m_mat, y, lambda_n):
-    # stationarity: G A M + (n lambda / 2) A = Y; in M's eigenbasis V each
-    # column of A V solves a ridge system (mu_j G + (n lambda / 2) I) on G's
-    # tridiagonal form
+    """(A, CG iterations): stationarity G A M + (n lambda / 2) A = Y; in M's
+    eigenbasis V each column of A V solves a ridge system
+    (mu_j G + (n lambda / 2) I) on G's spectral decomposition."""
     m_vals, m_vecs = np.linalg.eigh(m_mat)
     c = 0.5 * spectrum.size * lambda_n
-    return spectrum.ridge_solve(m_vals, c, y @ m_vecs) @ m_vecs.T
+    sol, iters = spectrum.ridge_solve(m_vals, c, y @ m_vecs)
+    return sol @ m_vecs.T, iters
 
 
 def _solve_squared_sketched(k_sk, sgs, m_mat, y, lambda_n):
@@ -220,9 +223,10 @@ def _descend(objective, loss_grad, prox, start, cfg):
     return coeffs, FitDiagnostics(obj, residual, iters, converged, warning)
 
 
-def _fit_lipschitz(k, kt, p, m_mat, y, loss: LossSpec, cfg: FitConfig):
+def _fit_lipschitz(k, kt, p, p_eigh, m_mat, y, loss: LossSpec, cfg: FitConfig):
     """(coeffs, diagnostics) of ``_descend`` from zero on ``_objective(k, p,
-    ...)``; ``kt`` is K^T, read by the data-term gradient K^T (xi / n) M."""
+    ...)``; ``kt`` is K^T, read by the data-term gradient K^T (xi / n) M, and
+    ``p_eigh`` is ``np.linalg.eigh`` of P, read by the proximal map."""
     n = y.shape[0]
 
     def objective(theta):
@@ -232,8 +236,7 @@ def _fit_lipschitz(k, kt, p, m_mat, y, loss: LossSpec, cfg: FitConfig):
         xi = loss_subgradient(loss, k @ theta @ m_mat, y)
         return kt @ (xi / n) @ m_mat
 
-    # P = K is the Gram, exactly symmetric, so its eigh needs no n x n copy
-    prox = _diag_prox(np.linalg.eigh(p if p is k else 0.5 * (p + p.T)), m_mat, cfg.lambda_n)
+    prox = _diag_prox(p_eigh, m_mat, cfg.lambda_n)
     return _descend(objective, loss_grad, prox, np.zeros((k.shape[1], m_mat.shape[0])), cfg)
 
 
@@ -252,8 +255,8 @@ def fit_full(
     spectrum : ``eigendecompose_scaled_gram`` of the n x n scalar Gram
         k(x_i, x_j), whose Gram is reused instead of assembled (checked for
         shape, finite entries and the scalar kernel's kappa) and whose
-        tridiagonal form the squared solve reuses instead of reducing the
-        Gram again.
+        eigenpairs the squared solve, and the proximal map when they are the
+        whole spectrum, reuse instead of decomposing the Gram again.
     """
     pts, targets, g = _prepare(kernel, x, y, None if spectrum is None else spectrum.gram)
     _require_invertible_m(kernel.output)
@@ -262,12 +265,16 @@ def fit_full(
     if loss.family == "squared":
         if spectrum is None:
             spectrum = eigendecompose_scaled_gram(g)
-        a = _solve_squared_full(spectrum, m_mat, targets, cfg.lambda_n)
+        a, iters = _solve_squared_full(spectrum, m_mat, targets, cfg.lambda_n)
         obj = _objective(g, g, m_mat, targets, loss, cfg.lambda_n, a)
         resid = g @ ((2.0 / n) * (g @ a @ m_mat - targets) + cfg.lambda_n * a) @ m_mat
-        diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), 0, True)
+        diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), iters, True)
         return FittedModel(a, kernel, pts, diag)
-    coeffs, diag = _fit_lipschitz(g, g, g, m_mat, targets, loss, cfg)
+    if spectrum is not None and spectrum.vals.size == n:
+        g_eigh = spectrum.vals, spectrum.vecs
+    else:
+        g_eigh = np.linalg.eigh(g)  # the Gram is exactly symmetric: no n x n copy
+    coeffs, diag = _fit_lipschitz(g, g, g, g_eigh, m_mat, targets, loss, cfg)
     return FittedModel(coeffs, kernel, pts, diag)
 
 
@@ -301,7 +308,8 @@ def fit_sketched(
         )
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), 0, True)
         return FittedModel(gamma, kernel, pts, diag, sketch=sk)
-    coeffs, diag = _fit_lipschitz(k_sk, k_sk.T, sgs, m_mat, targets, loss, cfg)
+    sgs_eigh = np.linalg.eigh(0.5 * (sgs + sgs.T))
+    coeffs, diag = _fit_lipschitz(k_sk, k_sk.T, sgs, sgs_eigh, m_mat, targets, loss, cfg)
     return FittedModel(coeffs, kernel, pts, diag, sketch=sk)
 
 

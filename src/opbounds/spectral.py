@@ -8,110 +8,109 @@ The critical radius delta_n^2 is the minimal delta^2 >= 0 with
 
 where mu are the eigenvalues of G_k / n.  Since psi(delta)/delta is
 nonincreasing while delta is increasing, the satisfying set is an interval
-[delta*, inf) and bisection on delta is exact.
-
-The Gram is reduced once to Householder tridiagonal form G_k = Q T Q^T
-(Golub & Van Loan, Matrix Computations, sec. 8.3), and its spectrum, its top
-eigenvectors and its ridge solves are all read from that form: no n x n
-eigenvector matrix is built.
+[delta*, inf) and bisection on delta is exact.  By the trace identity
+n psi(delta)^2 = tr(G_k) / n - sum_{mu_i > delta^2} (mu_i - delta^2), it
+needs only tr(G_k) and the eigenvalues above delta^2.  So a Gram of more than
+N_DENSE points yields just its top eigenpairs, to Lanczos with full
+reorthogonalization (Golub & Van Loan, *Matrix Computations*, sec. 10.3), and
+its ridge solves run conjugate gradients deflated by them (Saad, Yeung, Erhel
+& Guyomarc'h 2000, *A deflated version of the conjugate gradient algorithm*).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._blas import lapack
 from .errors import DegenerateInputError, InputError, NumericError
-from .kernels import finite_matrix, require_psd
+from .kernels import finite_matrix, require_psd, require_psd_cholesky
 from .sketching import SketchMatrix
 
 #: Bracket width at which the critical-radius bisection stops.
 _RADIUS_TOL = 1e-10
 
+#: Largest Gram decomposed in full by ``eigh``.  On one BLAS thread (Matern
+#: nu = 1.5, d = 3) it took 0.4, 6.1 and 105 ms at n = 64, 256 and 768, and
+#: Lanczos for 16 eigenpairs with the Cholesky verdict 2.0, 3.9 and 32 ms;
+#: they cross at n = 128-192, so the exact dense path costs at most 2 ms more.
+N_DENSE = 256
 
-def _lapack(name: str, *args, **kwargs):
-    """Outputs of scipy's LAPACK routine ``name`` (one array, or a list)
-    without the trailing ``info``, which must be 0."""
-    *out, info = getattr(lapack(), name)(*args, **kwargs)
-    if info != 0:
-        raise NumericError(f"LAPACK {name} failed with info = {info}")
-    return out[0] if len(out) == 1 else out
-
-
-def _compact_reflectors(a: np.ndarray) -> np.ndarray:
-    """The block a[1:, :-1] of a square F-ordered ``a``, moved to the front of
-    a's own buffer as an F-ordered array: the reflectors that ``dsytrd``
-    (lower) leaves in ``a``, in the layout that ``dormqr`` reads."""
-    size = a.shape[0]
-    k = size - 1
-    flat = a.reshape(-1, order="F")
-    # column j moves back by j + 1 entries, so no column overwrites a later one
-    for j in range(k):
-        flat[j * k : j * k + k] = flat[j * size + 1 : j * size + size]
-    return flat[: k * k].reshape((k, k), order="F")
+#: Eigenpairs the first Lanczos run computes.  The ``sketch-squared-large``
+#: benchmark Gram (Matern nu = 1.5, n = 1,500) has d_n = 11; Lanczos took
+#: 0.05 s there for 16 eigenpairs and 0.074-0.084 s for 32.
+LANCZOS_START = 16
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """G_k = Q T Q^T in Householder tridiagonal form, and the descending,
-    zero-clipped eigenvalues ``mu`` of G_k / n, n the number of points.
-
-    ``gram`` is G_k itself (held, not copied).  T has diagonal ``diag`` and
-    off-diagonal ``off``; ``off`` holds one unread 0 when G_k is 1 x 1, since
-    scipy's wrappers of the tridiagonal routines take no empty array.  Q is
-    the product of the Householder reflectors ``reflectors`` and ``tau``, in
-    the layout of LAPACK ``dormqr`` acting on rows 2..n.
-    """
+    """Eigenpairs ``vals``, ``vecs`` of the Gram G_k (``gram``, held, not
+    copied) in the ascending order of ``np.linalg.eigh``: all n of them, or
+    the top ones that Lanczos found."""
 
     gram: np.ndarray
-    mu: np.ndarray
-    diag: np.ndarray
-    off: np.ndarray
-    reflectors: np.ndarray
-    tau: np.ndarray
+    vals: np.ndarray
+    vecs: np.ndarray
 
     @property
     def size(self) -> int:
         """Number of points of the Gram."""
-        return self.diag.size
+        return self.gram.shape[0]
 
-    def _apply_q(self, c: np.ndarray, trans: bytes) -> np.ndarray:
-        """Q c (``trans`` b"N") or Q^T c (b"T") for c of shape (size, k)."""
-        out = np.array(c, dtype=float, order="F")
-        if self.size > 1:
-            rows = np.asfortranarray(out[1:])
-            args = (b"L", trans, self.reflectors, self.tau, rows)
-            lwork = int(_lapack("dormqr", *args, -1)[1][0])
-            out[1:] = _lapack("dormqr", *args, lwork, overwrite_c=1)[0]
-        return out
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """The eigenvalues at hand of G_k / n, descending and clipped at 0."""
+        return np.maximum(self.vals[::-1] / float(self.size), 0.0)
+
+    @cached_property
+    def delta_sq(self) -> float:
+        """The critical radius, with the rest of tr(G_k) / n as the tail of
+        ``mu``; exact when the smallest of ``mu`` is at or below it."""
+        tail = float(np.trace(self.gram)) / self.size - float(self.mu.sum())
+        return critical_radius(self.mu, self.size, tail if self.vals.size < self.size else 0.0)
 
     def top_vectors(self, k: int) -> np.ndarray:
         """Orthonormal eigenvectors of the k largest eigenvalues of G_k as
-        columns, in descending eigenvalue order: bisection and inverse
-        iteration on T (``dstebz``, ``dstein``), then Q."""
-        size = self.size
-        if not 1 <= k <= size:
-            raise InputError(f"k={k} outside [1, {size}]")
-        found, w, block, split = _lapack(
-            "dstebz", self.diag, self.off, 2, 0.0, 0.0, size - k + 1, size, 0.0, b"B"
-        )
-        if found != k:
-            raise NumericError(f"LAPACK dstebz found {found} of the top {k} eigenvalues")
-        z = _lapack("dstein", self.diag, self.off, w[:k], block, split)
-        return self._apply_q(z[:, np.argsort(-w[:k], kind="stable")], b"N")
+        columns, in descending eigenvalue order."""
+        if not 1 <= k <= self.vals.size:
+            raise InputError(f"k={k} outside [1, {self.vals.size}]")
+        return self.vecs[:, ::-1][:, :k]
 
-    def ridge_solve(self, scales, shift: float, rhs: np.ndarray) -> np.ndarray:
-        """Column j of (scales[j] G_k + shift I)^-1 rhs[:, j], by ``dptsv`` on
-        scales[j] T + shift I between Q^T and Q; each of these matrices must
-        be positive definite."""
-        x = self._apply_q(rhs, b"T")
-        for j, scale in enumerate(scales):
-            x[:, j : j + 1] = _lapack(
-                "dptsv", scale * self.diag + shift, scale * self.off, x[:, j : j + 1]
-            )[2]
-        return self._apply_q(x, b"N")
+    def ridge_solve(self, scales, shift: float, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+        """(x, iterations): column j of x is (scales[j] G_k + shift I)^-1
+        rhs[:, j], each matrix positive definite, exact on ``vecs`` and by CG
+        deflated by them (Saad et al. 2000, Algorithm 3.6) on their complement
+        to a relative residual of 1e-13, all columns at once."""
+        g, w, scales = self.gram, self.vecs, np.asarray(scales, dtype=float)
+        if self.vals.size == self.size:
+            return w @ ((w.T @ rhs) / (np.outer(self.vals, scales) + shift)), 0
+        # rotate w so that w^T G w, and so each coarse system w^T A_j w, is diagonal
+        gw = g @ w
+        theta, rot = np.linalg.eigh(0.5 * (w.T @ gw + gw.T @ w))
+        w, gw = w @ rot, gw @ rot
+        coarse = np.outer(theta, scales) + shift
+
+        def deflate(r):  # r_j - w (w^T A_j w)^-1 (A_j w)^T r_j for every column j
+            return r - w @ (((gw.T @ r) * scales + shift * (w.T @ r)) / coarse)
+
+        y = (w.T @ rhs) / coarse
+        x = w @ y
+        r = rhs - (gw @ y) * scales - shift * x
+        p = deflate(r)
+        rr = np.einsum("ij,ij->j", r, r)
+        stop = 1e-26 * np.einsum("ij,ij->j", rhs, rhs)  # relative residual 1e-13
+        for it in range(self.size):
+            live = rr > stop
+            if not live.any():
+                return x, it
+            q = (g @ p) * scales + shift * p
+            alpha = np.divide(rr, np.einsum("ij,ij->j", p, q), out=np.zeros_like(rr), where=live)
+            x += alpha * p
+            r -= alpha * q
+            rr, rr_old = np.einsum("ij,ij->j", r, r), rr
+            p = deflate(r) + np.divide(rr, rr_old, out=np.zeros_like(rr), where=live) * p
+        raise NumericError(f"deflated CG missed relative residual 1e-13 in {it + 1} steps")
 
 
 @dataclass(frozen=True)
@@ -124,53 +123,84 @@ class SpectralReport:
     satisfiable: bool
 
 
-def eigendecompose_scaled_gram(g_k: np.ndarray) -> SpectralDecomposition:
-    """Tridiagonal form of the checked Gram G_k (one blocked ``dsytrd``) and
-    the descending, zero-clipped eigenvalues of G_k / n (``dsterf`` on T)."""
+def _lanczos(g: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues of the symmetric G, ascending, and their
+    eigenvectors as columns: Lanczos from a seeded random vector (which, unlike
+    a structured one, is orthogonal to no eigenvector), every new vector
+    orthogonalized twice against all before (so no copies of converged Ritz
+    values arise), restarted from another seeded one when an invariant
+    subspace is found, until the top k Ritz residuals |beta_j s_ji| are at
+    most 1e-15 max|theta| or the Krylov space is all of R^n."""
+    n = g.shape[0]
+    rows = np.empty((min(n, 2 * k + 32), n))  # the Lanczos vectors
+    alpha, beta = [], []
+    w = np.random.default_rng(0).standard_normal(n)
+    v = w / np.linalg.norm(w)
+    for j in range(n):
+        if j == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty((min(n, 2 * j) - j, n))])
+        rows[j] = v
+        w = g @ v
+        alpha.append(float(v @ w))
+        q = rows[: j + 1]
+        for _ in range(2):
+            w -= (q @ w) @ q
+        b = float(np.linalg.norm(w))
+        breakdown = b <= 1e-12 * max(map(abs, alpha))
+        if j + 1 >= k and ((j + 1) % 8 == 0 or breakdown or j + 1 == n):
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            if j + 1 == n or np.all(b * np.abs(s[-1, -k:]) <= 1e-15 * np.abs(theta).max()):
+                return theta[-k:], q.T @ s[:, -k:]
+        beta.append(0.0 if breakdown else b)
+        if breakdown:
+            w = np.random.default_rng(j + 1).standard_normal(n)
+            for _ in range(2):
+                w -= (q @ w) @ q
+        v = w / np.linalg.norm(w)
+
+
+def eigendecompose_scaled_gram(g_k: np.ndarray, top: int = LANCZOS_START) -> SpectralDecomposition:
+    """The checked Gram G_k (finite, symmetric, PSD up to round-off) with all
+    its eigenpairs up to N_DENSE points; above, the ``top`` largest from
+    Lanczos, doubled until the smallest eigenvalue of G_k / n is at or below
+    the critical radius, or all of them once twice their number reaches n."""
     g = finite_matrix(g_k, "Gram matrix")
     # one n x n temporary: |g - g^T| in place, and max |g| from max and min
     asym = g - g.T
     asym = np.abs(asym, out=asym).max(initial=0.0)
     if asym > 1e-12 * max(1.0, g.max(initial=0.0), -g.min(initial=0.0)):
         raise InputError("Gram matrix is not symmetric")
-    size = g.shape[0]
-    # g is symmetric, so its F-ordered copy is g; dsytrd overwrites the copy
-    # with T and the reflectors, and the workspace query makes it blocked
-    work = np.array(g, order="F")
-    lwork = int(_lapack("dsytrd_lwork", size, lower=1))
-    _, diag, off, tau = _lapack("dsytrd", work, lower=1, lwork=lwork, overwrite_a=1)
-    if size == 1:
-        off = np.zeros(1)
-    vals = _lapack("dsterf", diag, off) / float(size)
-    require_psd(vals, "scaled Gram")
-    return SpectralDecomposition(
-        gram=g,
-        mu=np.maximum(vals[::-1], 0.0),
-        diag=diag,
-        off=off,
-        reflectors=_compact_reflectors(work),
-        tau=tau,
-    )
+    size, k = g.shape[0], top
+    while size > N_DENSE and 2 * k < size:
+        vals, vecs = _lanczos(g, k)
+        if k == top:  # the n x n copy that the verdict overwrites is freed on return
+            require_psd_cholesky(g / float(size), vals[-1] / size, "scaled Gram")
+        dec = SpectralDecomposition(g, vals, vecs)
+        if dec.mu[-1] <= dec.delta_sq:
+            return dec
+        k *= 2
+    vals, vecs = np.linalg.eigh(g)
+    require_psd(vals / float(size), "scaled Gram")
+    return SpectralDecomposition(g, vals, vecs)
 
 
-def _psi(delta: float, mu: np.ndarray) -> float:
-    # the bits of np.mean at half its call overhead
-    return float(np.sqrt(np.minimum(delta * delta, mu).sum() / mu.size))
-
-
-def critical_radius(mu) -> float:
-    """Minimal delta^2 with psi(delta) <= delta^2, by bisection on delta."""
+def critical_radius(mu, n: int | None = None, tail: float = 0.0) -> float:
+    """Minimal delta^2 with psi(delta) <= delta^2, by bisection on delta, for
+    the n eigenvalues of G_k / n whose largest are ``mu``, descending (all of
+    them when ``n`` is None), and whose others sum to ``tail``: psi(delta)^2 =
+    (tail + sum_i min(delta^2, mu_i)) / n, exact for delta^2 >= min(mu)."""
     mu = np.asarray(mu, dtype=float)
     if mu.size == 0 or mu.max() <= 0.0:
         return 0.0
     if np.any(mu < 0):
         raise InputError("eigenvalues must be nonnegative")
-    hi = max(1.0, float(np.sqrt(mu[0])))
+    n, tail = mu.size if n is None else n, max(tail, 0.0)
     # psi(hi) <= sqrt(mu_1) <= max(1, mu_1) = hi^2, so the bracket is valid.
-    lo = 0.0
+    lo, hi = 0.0, max(1.0, float(np.sqrt(mu[0])))
     while hi - lo > _RADIUS_TOL:
         mid = 0.5 * (lo + hi)
-        if _psi(mid, mu) <= mid * mid:
+        # psi(mid): with tail 0 and n = mu.size, the bits of np.mean
+        if float(np.sqrt((tail + np.minimum(mid * mid, mu).sum()) / n)) <= mid * mid:
             hi = mid
         else:
             lo = mid

@@ -3,7 +3,8 @@
 None of these is library API: the library never assembles the Kronecker
 operator Gram, evaluates one kernel pair at a time, restates psi, takes
 half-integer Matern values from ``kv``, builds the full eigenvector matrix
-of a Gram, enumerates every sign pattern, integrates a Sobolev norm, chains
+of a Gram, bisects for the critical radius over a whole spectrum, solves a
+ridge system densely, enumerates every sign pattern, integrates a Sobolev norm, chains
 a layered model outside a training pass, forms the sketched objective's
 ``G S^T`` anew at each evaluation, factors a sketch into its sub-Gaussian
 and sub-sampling parts, sorts a network's layers into the injective
@@ -78,6 +79,37 @@ def scaled_gram_eigh(g, n):
     eigenvectors of G, from a dense ``eigh``."""
     vals, vecs = np.linalg.eigh(g)
     return vals[::-1] / float(n), vecs[:, ::-1]
+
+
+def dense_critical_radius(g):
+    """(delta_n^2, d_n) of a Gram over n points from its whole spectrum: the
+    clipped eigenvalues of G / n from ``eigvalsh``, the bisection on delta of
+    psi(delta) = sqrt(mean_i min(delta^2, mu_i)) <= delta^2 to a bracket of
+    1e-10, and the first 1-based index j with mu_j <= delta_n^2 (n if none)."""
+    n = g.shape[0]
+    mu = np.maximum(np.linalg.eigvalsh(g)[::-1] / float(n), 0.0)
+    if mu.max() <= 0.0:
+        delta_sq = 0.0
+    else:
+        hi, lo = max(1.0, float(np.sqrt(mu[0]))), 0.0
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            if float(np.sqrt(np.minimum(mid * mid, mu).sum() / n)) <= mid * mid:
+                hi = mid
+            else:
+                lo = mid
+        delta_sq = hi * hi
+    below = np.flatnonzero(mu <= delta_sq)
+    return delta_sq, int(below[0]) + 1 if below.size else n
+
+
+def dense_ridge_solve(g, scales, shift, rhs):
+    """Column j of (scales[j] G + shift I)^-1 rhs[:, j] by a dense LU solve."""
+    eye = np.eye(g.shape[0])
+    return np.stack(
+        [np.linalg.solve(scale * g + shift * eye, rhs[:, j]) for j, scale in enumerate(scales)],
+        axis=1,
+    )
 
 
 def solve_squared_full(g, m_mat, y, lambda_n):

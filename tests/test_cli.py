@@ -736,21 +736,21 @@ def test_sketch_regress_identity_equivalence(tmp_path):
     assert metrics["excess_risk_bound"] == {"error": "unbounded-loss", "message": str(exc.value)}
 
 
-def test_sketch_regress_one_gram_and_one_dsytrd(monkeypatch, tmp_path):
-    # squared loss at n=90: the n x n Gram is assembled once and reduced to
-    # tridiagonal form once, shared by both fits, both training risks and the
-    # spectral report; no n x n eigh runs, nor in a spectral-report
-    from opbounds import _blas, kernels
+@pytest.mark.parametrize("n, loss", [(300, "squared"), (90, "pinball")])
+def test_sketch_regress_one_gram_and_one_decomposition(n, loss, monkeypatch, tmp_path):
+    # the n x n Gram is assembled once and decomposed once, shared by both
+    # fits, both training risks and the spectral report, and so in a
+    # spectral-report: above N_DENSE by one Lanczos run and no n x n eigh, up
+    # to it by one n x n eigh, which the pinball fit's proximal map reuses
+    from opbounds import kernels, spectral
 
-    n = 90
     cfg = json.loads(json.dumps(SKETCH_REGRESS))
     cfg["dataset"]["n"] = n
-    cfg["loss"] = {"family": "squared"}
-    cfg["fit"] = {"lambda_n": cfg["fit"]["lambda_n"]}
-    profiles, eighs, reductions = [], [], []
-    profile, eigh = kernels._radial_profile, np.linalg.eigh
-    lapack = _blas.lapack()
-    dsytrd = lapack.dsytrd
+    if loss == "squared":
+        cfg["loss"] = {"family": "squared"}
+        cfg["fit"] = {"lambda_n": cfg["fit"]["lambda_n"]}
+    profiles, eighs, lanczos_runs = [], [], []
+    profile, eigh, lanczos = kernels._radial_profile, np.linalg.eigh, spectral._lanczos
 
     def counted_profile(spec, sq_dist):
         profiles.append(np.shape(sq_dist))
@@ -760,21 +760,25 @@ def test_sketch_regress_one_gram_and_one_dsytrd(monkeypatch, tmp_path):
         eighs.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
-    def counted_dsytrd(a, *args, **kwargs):
-        reductions.append(np.shape(a))
-        return dsytrd(a, *args, **kwargs)
+    def counted_lanczos(a, k):
+        lanczos_runs.append(np.shape(a))
+        return lanczos(a, k)
 
     monkeypatch.setattr(kernels, "_radial_profile", counted_profile)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(lapack, "dsytrd", counted_dsytrd)
-    spectral = json.loads(json.dumps(SPECTRAL))
-    spectral["dataset"]["n"] = n
-    for subcommand, config in [("sketch-regress", cfg), ("spectral-report", spectral)]:
-        del profiles[:], eighs[:], reductions[:]
+    monkeypatch.setattr(spectral, "_lanczos", counted_lanczos)
+    report = json.loads(json.dumps(SPECTRAL))
+    report["dataset"]["n"] = n
+    for subcommand, config in [("sketch-regress", cfg), ("spectral-report", report)]:
+        del profiles[:], eighs[:], lanczos_runs[:]
         run(subcommand, config, None, tmp_path)
         assert profiles.count((n, n)) == 1
-        assert reductions == [(n, n)]
-        assert (n, n) not in eighs
+        if n > spectral.N_DENSE:
+            assert lanczos_runs == [(n, n)]
+            assert (n, n) not in eighs
+        else:
+            assert lanczos_runs == []
+            assert eighs.count((n, n)) == 1
 
 
 def _csv_dataset(tmp_path, x, y):
@@ -1345,11 +1349,12 @@ def test_matern_run_bytes_independent_of_blas_threads():
 
 
 @pytest.mark.parametrize("subcommand", ["sketch-regress", "spectral-report"])
-def test_lapack_run_bytes_independent_of_blas_threads(subcommand):
-    # nu = 1.5 has a closed form, so scipy first loads inside this run, for
-    # the LAPACK of the tridiagonal eigensolver, after the BLAS pin has cached
-    # the OpenBLAS copies loaded so far; dsytrd and dormqr run on scipy's own
-    # copy, which must be pinned all the same
+def test_lapack_run_bytes_independent_of_blas_threads(subcommand, monkeypatch, tmp_path):
+    # at n = 300 > N_DENSE the spectrum comes from Lanczos, the PSD verdict
+    # from a blocked Cholesky and the squared fit from deflated CG, whose
+    # GEMVs and GEMMs the pin must hold to one thread
+    from opbounds import spectral
+
     if subcommand == "sketch-regress":
         cfg = _matern_sketch_regress(1.5, 300)
         cfg["sketch"]["rows"] = 40
@@ -1360,6 +1365,15 @@ def test_lapack_run_bytes_independent_of_blas_threads(subcommand):
             "kernel": {"family": "matern", "bandwidth": 1.0, "smoothness": 1.5},
             "sketch": {"rows": 40, "p": 0.5, "dist": "rademacher"},
         }
+    lanczos, runs = spectral._lanczos, []
+
+    def counted_lanczos(a, k):
+        runs.append(np.shape(a))
+        return lanczos(a, k)
+
+    monkeypatch.setattr(spectral, "_lanczos", counted_lanczos)
+    run(subcommand, cfg, None, tmp_path)
+    assert runs == [(300, 300)]
     payloads = _library_run_per_blas_threads(subcommand, cfg)
     assert payloads[0] == payloads[1]
 
@@ -1378,18 +1392,22 @@ print(json.dumps([after_import, scipy_modules()]))
 """
 
 
+_SCIPY_PARTS = ("scipy.linalg", "scipy.sparse", "scipy.special")
+
+
 @pytest.mark.parametrize(
     "subcommand, config, loads",
     [("bound-compare", BOUND_COMPARE, []),
-     ("sketch-regress", _matern_sketch_regress(1.5, 20), ["scipy.linalg.lapack"]),
-     ("sketch-regress", _matern_sketch_regress(1.2, 20), ["scipy.linalg.lapack", "scipy.special"])],
-    ids=["gaussian", "matern-1.5", "matern-1.2"],
+     ("sketch-regress", _matern_sketch_regress(1.5, 20), []),
+     ("sketch-regress", _matern_sketch_regress(1.2, 20), ["scipy.special"]),
+     ("sketch-regress", _matern_sketch_regress(1.5, 300), [])],
+    ids=["gaussian", "matern-1.5", "matern-1.2", "matern-1.5-lanczos"],
 )
 def test_scipy_loads_only_for_kv(subcommand, config, loads):
     # scipy is most of the package's import time: importing the CLI loads
-    # none of it, the tridiagonal eigensolver loads its LAPACK, and only
-    # Matern/Sobolev kernels of non-half-integer smoothness load
-    # scipy.special (for kv)
+    # none of it, nor does the spectrum of a Gram below or above N_DENSE
+    # points, and only Matern/Sobolev kernels of non-half-integer smoothness
+    # load scipy.special (for kv)
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_MODULES, subcommand, json.dumps(config)],
         capture_output=True, text=True,
@@ -1397,7 +1415,7 @@ def test_scipy_loads_only_for_kv(subcommand, config, loads):
     assert proc.returncode == 0, proc.stderr
     after_import, after_run = json.loads(proc.stdout)
     assert after_import == []
-    assert [m for m in ("scipy.linalg.lapack", "scipy.special") if m in after_run] == loads
+    assert [m for m in _SCIPY_PARTS if m in after_run] == loads
 
 
 _JSONSCHEMA_LOADS = """

@@ -255,8 +255,8 @@ def test_supplied_gram_fits_match_self_assembled(seed, n, s, loss):
     lambda_n=st.sampled_from([1e-3, 0.05, 1.0]),
 )
 def test_squared_full_solve_matches_dense_eigh(seed, n, m, repeats, lambda_n):
-    # the ridge solves on the tridiagonal form against the solve in the dense
-    # eigenbases of G and M, at n = 1 and 2, m = 1 and on repeated points too
+    # the ridge solves on the spectral decomposition against the solve in the
+    # dense eigenbases of G and M, at n = 1 and 2, m = 1 and on repeated points
     kernel, x, y = make_problem(seed, n=n, m=m)
     x[: min(repeats, n)] = x[0]
     model = fit_full(kernel, x, y, SQUARED, FitConfig(lambda_n=lambda_n))

@@ -10,6 +10,7 @@ import pytest
 
 import opbounds
 from opbounds import cli
+from opbounds.spectral import N_DENSE
 
 
 def test_every_exported_name_resolves():
@@ -78,8 +79,8 @@ def _none_defaults(member) -> tuple:
 
 def _configs(tmp_path) -> list:
     """(subcommand, config, format) of small runs of every subcommand: each
-    loss family, a CSV dataset, both gradient modes, a checkpoint written and
-    read back, sweeps and a refinement."""
+    loss family, a CSV dataset, a Gram above N_DENSE points, both gradient
+    modes, a checkpoint written and read back, sweeps and a refinement."""
     rng = np.random.default_rng(0)
     rows = np.hstack([rng.uniform(-1, 1, (10, 2)), rng.standard_normal((10, 2))])
     (tmp_path / "points.csv").write_text(
@@ -128,6 +129,10 @@ def _configs(tmp_path) -> list:
             "dataset": synth, "kernel": {"family": "gaussian", "bandwidth": 1.0},
             "loss": {"family": "squared"}, "fit": {"lambda_n": 0.05},
             "sketch": {"rows": 8, "dist": "identity"}, "emit_coefficients": True,
+        }, "json"),
+        ("sketch-regress", {
+            **sketch, "dataset": {**synth, "n": N_DENSE + 44}, "loss": {"family": "squared"},
+            "fit": {"lambda_n": 0.05},
         }, "json"),
         ("deep-vvrkhs", {"dataset": synth, "deep_model": deep}, "json"),
         ("deep-vvrkhs", {"dataset": synth, "deep_model": {

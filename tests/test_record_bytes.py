@@ -81,8 +81,8 @@ RELOAD = {
 DIGESTS = {
     "bound-compare": "351e797196b49b8160107b79cb1b5b38b2ad1c7a115526db332612b4a5c10c9f",
     "bound-compare-m": "3f99c58264682ededfdbfaf075756d4b34f9bddb3eb47333e545fac0a67b39f4",
-    "sketch-regress": "37493425a1a023366d4d8f89e1069d6883cfbb7f0c45f972438f952ad40073e7",
-    "spectral-report": "2cf4b9f060f58aa3b8fc2d71ffd9aa3bd9744aa87a3d2cdef57358b99d61c0bf",
+    "sketch-regress": "2773904cfa897e16f7fbd4888a8c289c2f2ec00ac226ef13dcf79bd4252b2ec7",
+    "spectral-report": "31dcaa46daeafecbab90cc8146e7235de93c2c0d45eb86893e07a5329d027021",
     "deep-vvrkhs": "86973b59b9a3b395e3cee1762aaf489581ad98dd1367c1ee3b31ee28b660341b",
     "checkpoint": "9b23b4a562fc5a214725fc123247cc6a9b4aac3642ae948ddc609104c161e8cd",
     "checkpoint-reload": "6117f4ec5d76ebea787dde355272ae5a9c698b74ffb02a500bd3be6a4b69b7dc",

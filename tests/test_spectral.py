@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opbounds import _blas
+from opbounds import spectral
 from opbounds.errors import DegenerateInputError, InputError, NotPsdError, NumericError
-from opbounds.kernels import PSD_TOL
+from opbounds.kernels import PSD_TOL, require_psd, require_psd_cholesky
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
 from opbounds.spectral import (
+    N_DENSE,
     PENCIL_NULL_TOL,
     _pencil_basis,
     _top_eigenpair,
@@ -19,7 +20,14 @@ from opbounds.spectral import (
     eigendecompose_scaled_gram,
     statistical_dimension,
 )
-from oracles import pencil_max, psi_value, satisfiability_norms, scaled_gram_eigh
+from oracles import (
+    dense_critical_radius,
+    dense_ridge_solve,
+    pencil_max,
+    psi_value,
+    satisfiability_norms,
+    scaled_gram_eigh,
+)
 
 
 def random_psd(k, rng, jitter=0.0):
@@ -62,14 +70,14 @@ def test_eigendecompose_rejects_non_psd():
 
 def test_eigendecompose_peak_memory_and_symmetry_check():
     # the symmetry check holds one n x n temporary at a time, and it is freed
-    # before the tridiagonal reduction overwrites its one n x n working copy,
-    # so the peak above the input is about that copy alone
+    # before the Cholesky verdict overwrites its one n x n copy, which is
+    # freed on return, so the peak above the input is about that copy alone
     from opbounds.kernels import ScalarKernelSpec, gram_scalar
 
     n = 400
+    assert n > N_DENSE
     x = np.random.default_rng(5).uniform(-1, 1, (n, 3))
     g = gram_scalar(ScalarKernelSpec("matern", 0.5, smoothness=1.5, dimension=3), x)
-    _blas.lapack()  # the import of scipy's LAPACK is no part of the peak
     tracemalloc.start()
     try:
         eigendecompose_scaled_gram(g)
@@ -108,7 +116,7 @@ _GAP = 1e-4
 
 def _check_against_dense_eigh(g):
     """Eigenvalues, top-k eigenpairs and top-k subspaces (where an eigengap
-    exists) of the tridiagonal form against a dense eigh."""
+    exists) of the decomposition against a dense eigh."""
     n = g.shape[0]
     dec = eigendecompose_scaled_gram(g)
     mu, u = scaled_gram_eigh(g, n)
@@ -145,25 +153,6 @@ def test_decomposition_checks_its_gram():
     for k in (0, 4):
         with pytest.raises(InputError, match="outside"):
             dec.top_vectors(k)
-
-
-@pytest.mark.parametrize("routine", ["dsytrd", "dsterf", "dstebz", "dstein", "dormqr", "dptsv"])
-def test_lapack_failure_is_a_numeric_error(routine, monkeypatch):
-    # a LAPACK routine reports failure through its trailing info, which the
-    # library turns into a typed error instead of returning its output
-    lapack = _blas.lapack()
-    real = getattr(lapack, routine)
-
-    def failing(*args, **kwargs):
-        *out, _ = real(*args, **kwargs)
-        return (*out, 1)
-
-    g = random_psd(6, np.random.default_rng(0), jitter=0.1)
-    monkeypatch.setattr(lapack, routine, failing)
-    with pytest.raises(NumericError, match=routine):
-        dec = eigendecompose_scaled_gram(g)
-        dec.top_vectors(2)
-        dec.ridge_solve([1.0], 0.5, np.ones((6, 1)))
 
 
 # --- critical radius ---------------------------------------------------------
@@ -290,7 +279,7 @@ def test_satisfiability_dn_equals_n():
 
 
 def _check_report_against_dense(g, sk, c):
-    """The satisfiability report of the tridiagonal form against the norms of
+    """The satisfiability report of the decomposition against the norms of
     the full eigenvector matrix: norm1 and norm2 where the top-d_n subspace
     has an eigengap, the verdict where neither norm is near its threshold."""
     n = g.shape[0]
@@ -346,7 +335,7 @@ def _degenerate_gram(case):
 
 @pytest.mark.filterwarnings("ignore:sketch has more rows")
 @pytest.mark.parametrize("case", ["n=1", "n=2", "duplicate points", "near-identity", "s>n"])
-def test_tridiagonal_form_degenerate_inputs(case):
+def test_decomposition_degenerate_inputs(case):
     g = _degenerate_gram(case)
     n = g.shape[0]
     dec = _check_against_dense_eigh(g)
@@ -356,10 +345,190 @@ def test_tridiagonal_form_degenerate_inputs(case):
     assert (rep.d_n == n) == (case in ("n=1", "near-identity"))
     # one ridge solve per column scale, against the dense solve
     rhs = np.random.default_rng(2).standard_normal((n, 2))
-    got = dec.ridge_solve([0.5, 2.0], 0.1, rhs)
+    got, iterations = dec.ridge_solve([0.5, 2.0], 0.1, rhs)
+    assert iterations == 0
     for j, scale in enumerate([0.5, 2.0]):
         want = np.linalg.solve(scale * g + 0.1 * np.eye(n), rhs[:, j])
         assert np.abs(got[:, j] - want).max() <= 1e-9 * np.abs(want).max()
+
+
+# --- the decomposition against a dense reference -----------------------------
+
+@st.composite
+def small_grams(draw):
+    """Kernel Grams of up to 60 points, some repeated, or one of the
+    degenerate Grams."""
+    from opbounds.kernels import ScalarKernelSpec, gram_scalar
+
+    case = draw(st.sampled_from(
+        ["kernel", "n=1", "n=2", "duplicate points", "near-identity", "s>n"]
+    ))
+    if case != "kernel":
+        return _degenerate_gram(case)
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1, 1, (n, 2))
+    x[: draw(st.integers(0, n // 2))] = x[0]
+    spec = draw(st.sampled_from([
+        ScalarKernelSpec("gaussian", 2.0, dimension=2),
+        ScalarKernelSpec("matern", 0.5, smoothness=1.5, dimension=2),
+        ScalarKernelSpec("matern", 0.05, smoothness=0.5, dimension=2),
+    ]))
+    return gram_scalar(spec, x)
+
+
+def _check_against_dense_reference(g):
+    """delta_n^2 and d_n of the decomposition equal those of the whole
+    spectrum, and its ridge solves agree with dense ones within 1e-10.  The
+    bisection brackets delta in [0, max(1, sqrt(mu_1))], so delta_n^2 is
+    bit-equal where mu_1 <= 1 (every Gram of a kernel with kappa = 1) and
+    carries the last bits of the eigensolver's mu_1 elsewhere."""
+    n = g.shape[0]
+    dec = eigendecompose_scaled_gram(g)
+    delta_sq = dec.delta_sq
+    want_sq, want_dn = dense_critical_radius(g)
+    assert statistical_dimension(dec.mu, delta_sq) == want_dn
+    if dec.mu[0] <= 1.0:
+        assert delta_sq == want_sq
+    else:
+        assert delta_sq == pytest.approx(want_sq, rel=1e-14)
+    rhs = np.random.default_rng(n).standard_normal((n, 3))
+    scales, shift = [0.5, 1.0, 2.0], 0.1 * n
+    got, _ = dec.ridge_solve(scales, shift, rhs)
+    want = dense_ridge_solve(g, scales, shift, rhs)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    return dec
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_grams())
+def test_radius_and_ridge_solve_match_dense_reference(g):
+    _check_against_dense_reference(g)
+
+
+def _clustered_points(n, clusters, d, rng):
+    """n points in ``clusters`` tight clusters: a Gram with about
+    ``clusters`` eigenvalues near n / clusters and a small rest."""
+    centers = rng.uniform(-1, 1, (clusters, d))
+    return centers[np.arange(n) % clusters] + 1e-3 * rng.standard_normal((n, d))
+
+
+@pytest.mark.parametrize("n", [300, 600])
+@pytest.mark.parametrize("kind", ["gaussian", "matern-1.5", "matern-0.5-clusters"])
+def test_lanczos_decomposition_matches_dense_reference(kind, n, monkeypatch):
+    # above N_DENSE the top eigenpairs come from Lanczos; at n = 600 the 20
+    # clusters give d_n = 21, so the first 16 eigenpairs miss delta_n^2 and k
+    # doubles (at n = 300, delta_n^2 lies above the clusters' eigenvalues)
+    from opbounds.kernels import ScalarKernelSpec, gram_scalar
+
+    assert n > N_DENSE
+    rng = np.random.default_rng(n)
+    spec, x = {
+        "gaussian": (
+            ScalarKernelSpec("gaussian", 2.0, dimension=2), lambda: rng.uniform(-1, 1, (n, 2))
+        ),
+        "matern-1.5": (
+            ScalarKernelSpec("matern", 0.5, smoothness=1.5, dimension=3),
+            lambda: rng.uniform(-1, 1, (n, 3)),
+        ),
+        "matern-0.5-clusters": (
+            ScalarKernelSpec("matern", 0.05, smoothness=0.5, dimension=2),
+            lambda: _clustered_points(n, 20, 2, rng),
+        ),
+    }[kind]
+    g = gram_scalar(spec, x())
+    lanczos, ks = spectral._lanczos, []
+
+    def counted(a, k):
+        ks.append(k)
+        return lanczos(a, k)
+
+    monkeypatch.setattr(spectral, "_lanczos", counted)
+    dec = _check_against_dense_reference(g)
+    assert ks == ([16, 32] if (kind, n) == ("matern-0.5-clusters", 600) else [16])
+    assert dec.vals.size == ks[-1] < n
+    # the eigenpairs at hand are those of the dense spectrum
+    mu, u = scaled_gram_eigh(g, n)
+    k = dec.vals.size
+    assert np.abs(dec.mu - mu[:k]).max() <= 1e-12 * mu[0]
+    top = dec.top_vectors(k)
+    assert np.abs(top.T @ top - np.eye(k)).max() <= 1e-10
+    assert np.abs(g @ top - top * (n * dec.mu)).max() <= 1e-10 * n * mu[0]
+    d_n = statistical_dimension(dec.mu, dec.delta_sq)
+    assert mu[d_n - 1] - mu[d_n] > _GAP * mu[0]
+    want = u[:, :d_n]
+    assert np.abs(top[:, :d_n] @ top[:, :d_n].T - want @ want.T).max() <= 1e-8
+    # the squared fit's ridge systems take CG on the complement
+    _, iterations = dec.ridge_solve([1.0], 0.5 * n * 0.01, np.ones((n, 1)))
+    assert 0 < iterations < n
+    sk = make_p_sparsified(SketchSpec(s=40, n=n, p=0.5, dist="rademacher", seed=1))
+    _check_report_against_dense(g, sk, c=2.0)
+
+
+@pytest.mark.parametrize("case", ["zero", "identity", "rank one", "two blocks"])
+def test_lanczos_restarts_on_invariant_subspaces(case):
+    # the all-ones start vector spans an invariant subspace of each of these
+    # Grams, or lies in one, so Lanczos breaks down and restarts
+    n = N_DENSE + 44
+    g = {
+        "zero": np.zeros((n, n)),
+        "identity": np.eye(n),
+        "rank one": np.ones((n, n)),
+        "two blocks": np.kron(np.eye(2), np.ones((n // 2, n // 2))),
+    }[case]
+    dec = _check_against_dense_reference(g)
+    assert dec.vals.size == 16
+    mu, _ = scaled_gram_eigh(g, n)
+    assert np.abs(dec.mu - np.maximum(mu[:16], 0.0)).max() <= 1e-12 * max(mu[0], 1.0)
+    top = dec.top_vectors(16)
+    assert np.abs(top.T @ top - np.eye(16)).max() <= 1e-10
+
+
+@st.composite
+def psd_verdict_cases(draw):
+    """(a, lambda_max): a symmetric matrix of more than N_DENSE rows with
+    top eigenvalue lambda_max and smallest eigenvalue outside
+    [-2 tau, -tau / 2], tau = PSD_TOL * max(lambda_max, 1)."""
+    n = draw(st.integers(N_DENSE + 1, N_DENSE + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam_max = draw(st.sampled_from([0.5, 4.0, 300.0]))
+    tau = PSD_TOL * max(lam_max, 1.0)
+    lam_min = draw(st.sampled_from([0.0, 1e-3, -0.4, -2.5, -10.0, -1e6])) * tau
+    vals = np.concatenate([[lam_max, lam_min], rng.uniform(0.0, lam_max, n - 2)])
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * vals) @ q.T
+    return 0.5 * (a + a.T), lam_max
+
+
+@settings(max_examples=30, deadline=None)
+@given(psd_verdict_cases())
+def test_cholesky_verdict_equals_eigenvalue_verdict(case):
+    a, lam_max = case
+    verdicts = []
+    for judge in (
+        lambda: require_psd(np.linalg.eigvalsh(a), "matrix"),
+        lambda: require_psd_cholesky(a.copy(), lam_max, "matrix"),
+    ):
+        try:
+            judge()
+            verdicts.append(True)
+        except NotPsdError:
+            verdicts.append(False)
+    assert verdicts[0] == verdicts[1]
+
+
+@pytest.mark.parametrize("lam_max", [0.5, 4.0])
+def test_lanczos_path_has_the_psd_boundary(lam_max):
+    # the PSD_SITES boundary of tests/test_matrix_checks.py above N_DENSE:
+    # G / n is diag(v) exactly for n a power of 2, and Cholesky is exact on
+    # a diagonal
+    n = 512
+    assert n > N_DENSE
+    edge = PSD_TOL * max(lam_max, 1.0)
+    rest = np.linspace(0.0, 0.5 * lam_max, n - 2)
+    eigendecompose_scaled_gram(n * np.diag([lam_max, -0.9 * edge, *rest]))
+    with pytest.raises(NotPsdError):
+        eigendecompose_scaled_gram(n * np.diag([lam_max, -1.1 * edge, *rest]))
 
 
 # --- pencil ------------------------------------------------------------------
