@@ -54,6 +54,7 @@ from .spectral import (
     LANCZOS_START,
     check_satisfiability,
     eigendecompose_scaled_gram,
+    sketched_gram,
     statistical_dimension,
 )
 
@@ -587,15 +588,19 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     sketch, c_val, sk_seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
 
     # one Gram and one spectral decomposition serve both fits, both training
-    # risks and the spectral report
+    # risks and the spectral report, and one S G S^T the sketched fit and
+    # the report
     g_k = gram_scalar(kernel.scalar, ds.x)
     dec, delta_sq, d_n = _spectrum(g_k, LANCZOS_START)
     full = fit_full(kernel, ds.x, ds.y, loss, fit_cfg, spectrum=dec)
-    sketched = fit_sketched(kernel, ds.x, ds.y, loss, fit_cfg, sketch, gram=g_k)
+    k_sk, sgs = sketched_gram(sketch, g_k)
+    sketched = fit_sketched(
+        kernel, ds.x, ds.y, loss, fit_cfg, sketch, gram=g_k, sketched=(k_sk, sgs)
+    )
     risk_full = empirical_risk(full, ds.x, ds.y, loss, gram=g_k)
     risk_sketched = empirical_risk(sketched, ds.x, ds.y, loss, gram=g_k)
 
-    report = check_satisfiability(sketch, dec, d_n, delta_sq, c_val)
+    report = check_satisfiability(sketch, dec, d_n, delta_sq, c_val, sgs=sgs)
 
     try:
         bound_entry = asdict(excess_risk_bound_rhs(

@@ -17,12 +17,13 @@ plain gradient descent with backtracking on
 
 Kernels, output matrices and anchors stay fixed; training moves only the
 coefficient arrays, one per layer, and builds a model from them once, at the
-end.  Three quantities do not depend on the coefficients, so one
+end.  Four quantities do not depend on the coefficients, so one
 :class:`DeepObjective` computes each once and reuses it for every objective,
 gradient and norm of every ``train`` call on it: the whitening basis of
-G_bottom, the first layer's cross Gram k_1(x, anchors_1), and the last
-layer's anchor Gram.  Each coefficient point gets one forward pass, which
-keeps every layer's cross Gram; the gradient backpropagates through those
+G_bottom, the first layer's cross Gram k_1(x, anchors_1), the last layer's
+anchor Gram, and the squared norms and largest entry of every later layer's
+anchors.  Each coefficient point gets one forward pass, which keeps every
+layer's cross Gram; the gradient backpropagates through those
 Grams, and the accepted line-search candidate's pass, with its
 transfer-product and top-layer norms, serves the trajectory entry and the
 next gradient.  The analytic gradient differentiates the top pencil
@@ -51,6 +52,7 @@ from .errors import InputError, NumericError, RefinementOrderError
 from .kernels import (
     KernelExpansion,
     ScalarKernelSpec,
+    _CrossGram,
     _expansion_norm,
     as_labels,
     as_points,
@@ -139,23 +141,6 @@ def init_layered_model(
         layers.append(layer)
         u = layer.at(u)
     return LayeredModel(tuple(layers))
-
-
-def _forward_trace(
-    model: LayeredModel, x, coeffs: list[np.ndarray], first_gram=None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(levels, kmats) at the given coefficients: levels[j] feeds layer j
-    through its cross Gram kmats[j] = k_j(levels[j], anchors_j), and
-    levels[L] is the output.  ``first_gram`` is kmats[0] when already built."""
-    levels, kmats = [as_points(x, model.input_dim)], []
-    for j, (layer, c) in enumerate(zip(model.layers, coeffs)):
-        if j == 0 and first_gram is not None:
-            kmat = first_gram
-        else:
-            kmat = gram_scalar_cross(layer.kernel, levels[j], layer.anchors)
-        kmats.append(kmat)
-        levels.append(kmat @ c @ layer.output)
-    return levels, kmats
 
 
 def default_probes(y) -> np.ndarray:
@@ -268,8 +253,23 @@ class DeepObjective:
         last = self.model.layers[-1]
         return gram_scalar(last.kernel, last.anchors)
 
+    @cached_property
+    def cross_grams(self) -> list[_CrossGram]:
+        """Cross Grams against the anchors of every layer but the first."""
+        return [_CrossGram(layer.kernel, layer.anchors) for layer in self.model.layers[1:]]
+
     def forward(self, coeffs) -> Pass:
-        return Pass(coeffs, *_forward_trace(self.model, self.x, coeffs, self.first_gram))
+        """The pass at the coefficients: levels[j] feeds layer j through its
+        cross Gram kmats[j] = k_j(levels[j], anchors_j), and levels[L] is the
+        output.  kmats[0] is ``first_gram``; the levels that feed the later
+        layers are computed here, so their Grams skip ``as_points``."""
+        layers = self.model.layers
+        kmats = [self.first_gram]
+        levels = [self.x, self.first_gram @ coeffs[0] @ layers[0].output]
+        for layer, c, cross in zip(layers[1:], coeffs[1:], self.cross_grams):
+            kmats.append(cross(levels[-1]))
+            levels.append(kmats[-1] @ c @ layer.output)
+        return Pass(coeffs, levels, kmats)
 
     def top_norm(self, fwd: Pass) -> float:
         """RKHS norm of the last layer."""

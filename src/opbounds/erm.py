@@ -36,7 +36,7 @@ from .kernels import (
 )
 from .losses import UNBOUNDED, LossSpec, loss_subgradient, loss_value
 from .sketching import SketchMatrix
-from .spectral import SpectralDecomposition, eigendecompose_scaled_gram
+from .spectral import SpectralDecomposition, eigendecompose_scaled_gram, sketched_gram
 
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-14
@@ -135,6 +135,11 @@ def _objective(k, p, m_mat, y, loss, lambda_n, theta) -> float:
     (G S^T, S G S^T) and theta = Gamma.  ``k is p`` forms G A once."""
     k_theta = k @ theta
     p_theta = k_theta if p is k else p @ theta
+    return _objective_at(k_theta, p_theta, m_mat, y, loss, lambda_n, theta)
+
+
+def _objective_at(k_theta, p_theta, m_mat, y, loss, lambda_n, theta) -> float:
+    """``_objective`` from the products K theta and P theta."""
     data = _mean_loss(loss, k_theta @ m_mat, y)
     return data + 0.5 * lambda_n * float(np.sum(p_theta * (theta @ m_mat)))
 
@@ -266,8 +271,9 @@ def fit_full(
         if spectrum is None:
             spectrum = eigendecompose_scaled_gram(g)
         a, iters = _solve_squared_full(spectrum, m_mat, targets, cfg.lambda_n)
-        obj = _objective(g, g, m_mat, targets, loss, cfg.lambda_n, a)
-        resid = g @ ((2.0 / n) * (g @ a @ m_mat - targets) + cfg.lambda_n * a) @ m_mat
+        ga = g @ a
+        obj = _objective_at(ga, ga, m_mat, targets, loss, cfg.lambda_n, a)
+        resid = g @ ((2.0 / n) * (ga @ m_mat - targets) + cfg.lambda_n * a) @ m_mat
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), iters, True)
         return FittedModel(a, kernel, pts, diag)
     if spectrum is not None and spectrum.vals.size == n:
@@ -280,13 +286,14 @@ def fit_full(
 
 def fit_sketched(
     kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig, sk: SketchMatrix,
-    gram=None,
+    gram=None, sketched=None,
 ) -> FittedModel:
     """Fit the sketched program on the Gamma parameterization.
 
     ``gram`` is the n x n scalar Gram k(x_i, x_j), reused instead of
     assembled; it is checked for shape, finite entries and the scalar
-    kernel's kappa.
+    kernel's kappa.  ``sketched`` is ``spectral.sketched_gram(sk, gram)``,
+    the products (G S^T, S G S^T), when already formed.
     """
     pts, targets, g = _prepare(kernel, x, y, gram)
     _require_invertible_m(kernel.output)
@@ -297,8 +304,7 @@ def fit_sketched(
         )
     m_mat = kernel.output
     n = pts.shape[0]
-    k_sk = g @ s_dense.T
-    sgs = s_dense @ k_sk
+    k_sk, sgs = sketched_gram(sk, g) if sketched is None else sketched
     if loss.family == "squared":
         gamma = _solve_squared_sketched(k_sk, sgs, m_mat, targets, cfg.lambda_n)
         obj = _objective(k_sk, sgs, m_mat, targets, loss, cfg.lambda_n, gamma)

@@ -1378,6 +1378,37 @@ def test_lapack_run_bytes_independent_of_blas_threads(subcommand, monkeypatch, t
     assert payloads[0] == payloads[1]
 
 
+@pytest.mark.parametrize("n, loss", [(300, "squared"), (40, "pinball")])
+def test_sketch_regress_forms_s_g_st_once(n, loss, monkeypatch, tmp_path):
+    # the sketched fit and the satisfiability report read one S G S^T, and
+    # the report's norm2 is that of a fresh (S G) S^T within 1e-14 relative
+    from opbounds import spectral
+
+    cfg = _matern_sketch_regress(1.5, n)
+    cfg["sketch"]["rows"] = 40
+    if loss == "pinball":
+        cfg["loss"], cfg["fit"] = SKETCH_REGRESS["loss"], SKETCH_REGRESS["fit"]
+    fits, reports = [], []
+    fit_sketched, check = cli.fit_sketched, cli.check_satisfiability
+
+    def spied_fit(*args, **kwargs):
+        fits.append(kwargs["sketched"])
+        return fit_sketched(*args, **kwargs)
+
+    def spied_check(sk, dec, d_n, delta_sq, c, sgs):
+        reports.append((sk, dec, d_n, delta_sq, c, sgs))
+        return check(sk, dec, d_n, delta_sq, c, sgs=sgs)
+
+    monkeypatch.setattr(cli, "fit_sketched", spied_fit)
+    monkeypatch.setattr(cli, "check_satisfiability", spied_check)
+    norm2 = run("sketch-regress", cfg, None, tmp_path)["metrics"]["satisfiability"]["norm2"]
+    (sketched,), ((sk, dec, d_n, delta_sq, c, sgs),) = fits, reports
+    assert sgs is sketched[1] and d_n < n
+    fresh = (sk.matrix @ dec.gram) @ sk.matrix.T
+    want = spectral.check_satisfiability(sk, dec, d_n, delta_sq, c, sgs=fresh).norm2
+    assert norm2 > 0 and abs(norm2 - want) <= 1e-14 * want
+
+
 _SCIPY_MODULES = """
 import json, sys
 from pathlib import Path

@@ -20,8 +20,8 @@ from opbounds.deepvv import (
     separable_bound,
     train,
 )
-from opbounds.errors import InputError, RefinementOrderError
-from opbounds.kernels import KernelExpansion, ScalarKernelSpec, gram_scalar
+from opbounds.errors import InputError, NumericError, RefinementOrderError
+from opbounds.kernels import KernelExpansion, ScalarKernelSpec, gram_scalar, gram_scalar_cross
 from oracles import expansion_norm, forward, pencil_max
 
 pytestmark = pytest.mark.filterwarnings("ignore:model has .* layers")
@@ -126,6 +126,36 @@ def test_forward_middle_interpolation_identity():
     model = LayeredModel((first, middle, top))
     direct = top.at(first.at(x))
     assert np.allclose(outputs(model, x), direct, atol=1e-8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10), depth=st.integers(1, 4))
+def test_forward_grams_are_the_checked_cross_grams(seed, n, depth):
+    # the pass builds the later layers' cross Grams without as_points, from
+    # anchor norms computed once; they equal the checked ones bit for bit
+    model = make_model(seed % 1000, dims=(2,) * (depth + 1), n_anchor=4)
+    x = np.random.default_rng(seed).uniform(-1, 1, (n, 2))
+    fwd = at_model(model, x, np.ones((n, 2)))[1]
+    assert np.array_equal(fwd.levels[-1], forward(model, x))
+    for layer, u, kmat in zip(model.layers, fwd.levels, fwd.kmats):
+        assert np.array_equal(kmat, gram_scalar_cross(layer.kernel, u, layer.anchors))
+
+
+def test_forward_rejects_non_finite_and_overflowing_levels():
+    # a level the pass computes keeps the errors of the checked Gram: a
+    # non-finite entry is an InputError, a distance overflow a NumericError
+    model = make_model(4)
+    x = np.random.default_rng(5).uniform(-1, 1, (3, 2))
+    obj = DeepObjective(model, x, np.ones((3, 2)))
+    first = model.coeffs[0]
+    assert np.abs(model.layers[1].anchors).max() > 0.5
+    # the first level at 0.9 times the largest float: finite, but 2 d |u| |z|
+    # overflows against the second layer's anchors
+    huge = 0.9 * np.finfo(float).max / np.abs(obj.forward(model.coeffs).levels[1]).max()
+    for c, error, match in [(np.full_like(first, np.inf), InputError, "non-finite"),
+                            (huge * first, NumericError, "overflow")]:
+        with pytest.raises(error, match=match), np.errstate(over="ignore", invalid="ignore"):
+            obj.forward([c, *model.coeffs[1:]])
 
 
 # --- transfer-product norm -------------------------------------------------------

@@ -8,7 +8,12 @@ empty ones, and every entry point that takes labels rejects non-finite ones
 (``kernels.as_labels``).  Every PSD verdict goes through
 ``kernels.require_psd``, so each site accepts a smallest eigenvalue at 0.9
 times its tolerance ``PSD_TOL * max(|lambda_max|, 1)`` and rejects one at 1.1
-times it.
+times it.  The one exception is the spectrum of a Gram of more than
+``spectral.N_DENSE`` points: ``eigendecompose_scaled_gram`` then judges it by
+``kernels.require_psd_cholesky``, a Cholesky factor of G / n + tau I, with the
+same boundary up to a rounding band.  The PSD_SITES test here runs the 2 x 2
+dense path; the Cholesky path's boundary, at n = 512, is
+``tests/test_spectral.py::test_lanczos_path_has_the_psd_boundary``.
 """
 
 import math

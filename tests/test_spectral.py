@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opbounds import spectral
@@ -92,6 +92,44 @@ def test_eigendecompose_peak_memory_and_symmetry_check():
     for off, error in [(5e-11, InputError), (5e-12, NotPsdError)]:
         with pytest.raises(error):
             eigendecompose_scaled_gram(np.array([[-10.0, 0.0], [off, 1.0]]))
+
+
+@st.composite
+def one_asymmetric_entry(draw):
+    """(g, dense verdict): a symmetric Gram of n points, n not a multiple of
+    the symmetry tile, with one entry above the diagonal moved by 0.5 or 2
+    times the 1e-12 threshold, in a diagonal tile, an off-diagonal tile or
+    the ragged last tile row, and whether the dense |G - G^T| rule rejects
+    it."""
+    from opbounds.kernels import ScalarKernelSpec, gram_scalar
+
+    t = spectral._SYMMETRY_TILE
+    n = draw(st.integers(t + 2, 2 * t + 60).filter(lambda n: n % t > 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 300.0]))
+    spec = ScalarKernelSpec("gaussian", 2.0, dimension=2)
+    g = scale * gram_scalar(spec, rng.uniform(-1, 1, (n, 2)))
+    last = n - n % t  # first row of the ragged last tile
+    i, j = {
+        "diagonal tile": lambda: (draw(st.integers(0, t - 2)), t - 1),
+        "off-diagonal tile": lambda: (draw(st.integers(0, t - 1)), draw(st.integers(t, n - 1))),
+        "ragged last tile": lambda: (last, draw(st.integers(last + 1, n - 1))),
+    }[draw(st.sampled_from(["diagonal tile", "off-diagonal tile", "ragged last tile"]))]()
+    g[i, j] += draw(st.sampled_from([0.5, 2.0])) * 1e-12 * max(1.0, g.max(), -g.min())
+    asym = np.abs(g - g.T).max()
+    return g, asym > 1e-12 * max(1.0, g.max(), -g.min())
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_asymmetric_entry())
+def test_tiled_symmetry_check_is_the_dense_rule(case):
+    g, rejected = case
+    assert spectral._max_asymmetry(g) == np.abs(g - g.T).max()
+    try:
+        spectral.eigendecompose_scaled_gram(g)
+        assert not rejected
+    except InputError as exc:
+        assert rejected and "not symmetric" in str(exc)
 
 
 @st.composite
@@ -400,8 +438,19 @@ def _check_against_dense_reference(g):
     return dec
 
 
+def _lanczos_path_gram(n):
+    """A Matern Gram of n > N_DENSE points, decomposed by Lanczos, so its
+    ridge solves run the deflated CG on rows."""
+    from opbounds.kernels import ScalarKernelSpec, gram_scalar
+
+    assert n > N_DENSE
+    x = np.random.default_rng(n).uniform(-1, 1, (n, 3))
+    return gram_scalar(ScalarKernelSpec("matern", 0.5, smoothness=1.5, dimension=3), x)
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_grams())
+@example(_lanczos_path_gram(300))  # three right-hand sides, as m = 3 outputs
 def test_radius_and_ridge_solve_match_dense_reference(g):
     _check_against_dense_reference(g)
 
@@ -515,6 +564,23 @@ def test_cholesky_verdict_equals_eigenvalue_verdict(case):
         except NotPsdError:
             verdicts.append(False)
     assert verdicts[0] == verdicts[1]
+
+
+def test_cholesky_verdict_allocates_at_most_two_panels():
+    # the panel solves overwrite the dead panel chunk by chunk and the Schur
+    # update forms one 64-row product at a time, so beyond its input the
+    # verdict holds at most two 64 x n panels, numpy's ufunc buffers included
+    n = 600
+    b = np.random.default_rng(3).standard_normal((n, n))
+    a = b @ b.T / n
+    top = float(np.linalg.eigvalsh(a)[-1])
+    tracemalloc.start()
+    try:
+        require_psd_cholesky(a, top, "matrix")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 64 * n * 8
 
 
 @pytest.mark.parametrize("lam_max", [0.5, 4.0])
