@@ -10,12 +10,16 @@ numpy's copy is always among them, and it makes every BLAS and LAPACK call of
 the library.  scipy loads only for ``kv`` and ``gamma`` (``scipy.special``,
 for a Matern smoothness without a closed form), which make no BLAS calls, so
 a copy that scipy loads after the first pin needs none.  The thread count is
-process-wide, so runs in concurrent threads share it.
+process-wide, so runs in concurrent threads share it, and so does the one
+worker thread of :func:`_overlap`: each BLAS call it makes still runs on one
+thread, in the order of its own caller, and record bytes do not depend on
+which stage finishes first.
 """
 
 import ctypes
 import functools
 import os
+import threading
 import warnings
 from contextlib import contextmanager
 
@@ -64,3 +68,29 @@ def single_blas_thread():
     finally:
         for set_threads, count in reversed(pinned):
             set_threads(count)
+
+
+def _overlap(first, second):
+    """(first(), second()), with ``second`` on one worker thread while
+    ``first`` runs on the caller; the worker is always joined.  Raises
+    ``first``'s exception if it raised, else ``second``'s: for callables
+    that touch no shared state, the error of ``first(); second()``.  numpy
+    releases the GIL in BLAS and LAPACK, so two stages that each stream an
+    n x n Gram can run on two cores at once."""
+    outcome = {}
+
+    def work():
+        try:
+            outcome["value"] = second()
+        except BaseException as exc:  # re-raised on the caller
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=work, name="opbounds-overlap")
+    worker.start()
+    try:
+        head = first()
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome.pop("error")
+    return head, outcome["value"]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._blas import single_blas_thread
+from ._blas import _overlap, single_blas_thread
 from ._rng import derive_seed, substream
 from .complexity import BallMc, McConfig, run_mc, trace_bound
 from .data import Dataset, GeneratorConfig, _read_numbers, read_csv, synth_dataset
@@ -52,6 +52,7 @@ from .losses import LossSpec, lipschitz_constant
 from .sketching import SketchMatrix, SketchSpec, make_p_sparsified, satisfiability_constant
 from .spectral import (
     LANCZOS_START,
+    N_DENSE,
     check_satisfiability,
     eigendecompose_scaled_gram,
     sketched_gram,
@@ -592,11 +593,25 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     # the report
     g_k = gram_scalar(kernel.scalar, ds.x)
     dec, delta_sq, d_n = _spectrum(g_k, LANCZOS_START)
-    full = fit_full(kernel, ds.x, ds.y, loss, fit_cfg, spectrum=dec)
-    k_sk, sgs = sketched_gram(sketch, g_k)
-    sketched = fit_sketched(
-        kernel, ds.x, ds.y, loss, fit_cfg, sketch, gram=g_k, sketched=(k_sk, sgs)
-    )
+
+    def fit():
+        return fit_full(kernel, ds.x, ds.y, loss, fit_cfg, spectrum=dec)
+
+    def fit_on_sketch():
+        k_sk, sgs = sketched_gram(sketch, g_k)
+        model = fit_sketched(
+            kernel, ds.x, ds.y, loss, fit_cfg, sketch, gram=g_k, sketched=(k_sk, sgs)
+        )
+        return model, sgs
+
+    # above N_DENSE both fits stream the n x n Gram through BLAS, so the
+    # sketched one runs on a worker thread; below, the Lipschitz fits are
+    # Python-bound and contend for the GIL (overlapped, a pinball run at
+    # n = 64 took about 20% longer)
+    if ds.n > N_DENSE:
+        full, (sketched, sgs) = _overlap(fit, fit_on_sketch)
+    else:
+        full, (sketched, sgs) = fit(), fit_on_sketch()
     risk_full = empirical_risk(full, ds.x, ds.y, loss, gram=g_k)
     risk_sketched = empirical_risk(sketched, ds.x, ds.y, loss, gram=g_k)
 

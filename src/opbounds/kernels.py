@@ -139,34 +139,44 @@ _CHOLESKY_BLOCK = 64
 _CHOLESKY_CHUNK = 256
 
 
-def require_psd_cholesky(a: np.ndarray, top: float, name: str) -> None:
-    """Raise NotPsdError unless the symmetric ``a`` is PSD up to round-off,
-    without its spectrum: ``a + tau I`` must have a Cholesky factor, with
-    ``tau = PSD_TOL * max(top, 1)`` and ``top`` the largest eigenvalue of
-    ``a``.  It has none when lambda_min(a) < -tau, up to a rounding band of
-    order n eps ||a|| (Higham 2002, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 10), so this is the verdict of :func:`require_psd`
-    unless lambda_min(a) lies in [-2 tau, -tau / 2].  A ``top`` below the
-    true one (a Rayleigh quotient) only makes it stricter.  ``a`` is
-    overwritten: a blocked right-looking factorization A = U^T U works on its
-    upper triangle in place, a row block at a time.
+def require_psd_cholesky(a: np.ndarray, top: float, name: str, scale: float) -> None:
+    """Raise NotPsdError unless the symmetric ``a / scale`` is PSD up to
+    round-off, without its spectrum: ``a / scale + tau I`` must have a
+    Cholesky factor, with ``tau = PSD_TOL * max(top, 1)`` and ``top`` the
+    largest eigenvalue of ``a / scale``.  It has none when lambda_min <
+    -tau, up to a rounding band of order n eps ||a / scale|| (Higham 2002,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 10), so this is the
+    verdict of :func:`require_psd` unless lambda_min lies in [-2 tau,
+    -tau / 2].  A ``top`` below the true one (a Rayleigh quotient, such as
+    the largest diagonal entry) only makes it stricter.
 
+    ``a`` is left unchanged.  A blocked right-looking factorization A = U^T U
+    works on the scaled upper triangle, held as row blocks: block j is
+    ``a[j:j+64, j:] / scale`` with tau on its diagonal, dropped once it is
+    factored and has updated the blocks below it.  So the verdict holds about
+    n (n + 64) / 2 numbers, half of an n x n copy, which lets it run beside
+    Lanczos on the same Gram with no more memory than one copy would take.
     The panel U12 = L^-1 A12 of each block, L its Cholesky factor, is
-    :func:`_solve_lower_in_place`.  Its temporaries and the 64-row Schur
-    product are all that is allocated beyond ``a``."""
+    :func:`_solve_lower_in_place`; its temporaries and the 64-row Schur
+    product are all that is allocated beyond the blocks."""
     tau = PSD_TOL * max(top, 1.0)
-    a[np.diag_indices_from(a)] += tau
     n, b = a.shape[0], _CHOLESKY_BLOCK
+    blocks = []
     for j in range(0, n, b):
-        e = min(j + b, n)
+        block = a[j : j + b, j:] / scale
+        diag = np.arange(block.shape[0])
+        block[diag, diag] += tau
+        blocks.append(block)
+    for j in range(0, n, b):
+        panel = blocks.pop(0)
+        e = j + panel.shape[0]
         try:
-            lower = np.linalg.cholesky(a[j:e, j:e])
+            lower = np.linalg.cholesky(panel[:, : e - j])
         except np.linalg.LinAlgError:
             raise NotPsdError(f"{name} plus {tau} I has no Cholesky factor, not PSD") from None
-        _solve_lower_in_place(lower, a[j:e, e:])
-        for i in range(e, n, b):
-            f = min(i + b, n)
-            a[i:f, i:] -= a[j:e, i:f].T @ a[j:e, i:]
+        _solve_lower_in_place(lower, panel[:, e - j :])
+        for i, block in zip(range(e, n, b), blocks):
+            block -= panel[:, i - j : i - j + block.shape[0]].T @ panel[:, i - j :]
 
 
 def _solve_lower_in_place(lower: np.ndarray, panel: np.ndarray) -> None:

@@ -18,8 +18,11 @@ its ridge solves run conjugate gradients deflated by them (Saad, Yeung, Erhel
 Above N_DENSE the n x n Gram is read as few times as possible: its symmetry
 is checked by tiles, with no n x n temporary; its CG iterates and deflation
 basis are rows, so each product with it has a row-major left operand (the
-faster layout of thin GEMMs on OpenBLAS); and ``sketched_gram`` forms S G S^T
-once for a sketched fit and its satisfiability test.
+faster layout of thin GEMMs on OpenBLAS); ``sketched_gram`` forms S G S^T
+once for a sketched fit and its satisfiability test; and the PSD verdict runs
+beside the first Lanczos run on one worker thread.  Each BLAS call still runs
+on one thread (the pin of ``_blas`` is process-wide), so the results are the
+bytes of a sequential run.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateInputError, InputError, NumericError
+from ._blas import _overlap
+from .errors import DegenerateInputError, InputError, NotPsdError, NumericError
 from .kernels import finite_matrix, require_psd, require_psd_cholesky
 from .sketching import SketchMatrix
 
@@ -194,20 +198,45 @@ def _max_asymmetry(g: np.ndarray) -> float:
     return worst
 
 
+def _psd_rejection(g: np.ndarray, top: float, size: int) -> NotPsdError | None:
+    """The NotPsdError of the Cholesky verdict on G_k / n, or None."""
+    try:
+        require_psd_cholesky(g, top, "scaled Gram", float(size))
+    except NotPsdError as exc:
+        return exc
+    return None
+
+
 def eigendecompose_scaled_gram(g_k: np.ndarray, top: int = LANCZOS_START) -> SpectralDecomposition:
     """The checked Gram G_k (finite, symmetric, PSD up to round-off) with all
     its eigenpairs up to N_DENSE points; above, the ``top`` largest from
     Lanczos, doubled until the smallest eigenvalue of G_k / n is at or below
-    the critical radius, or all of them once twice their number reaches n."""
+    the critical radius, or all of them once twice their number reaches n.
+    Above N_DENSE the PSD verdict (``require_psd_cholesky`` of G_k / n) runs
+    on a worker thread beside the first Lanczos run, so it judges with the
+    largest diagonal entry of G_k / n as its top eigenvalue, a Rayleigh
+    quotient and so a lower bound, which can only make it stricter.  A Gram
+    it rejects is judged again with the largest Ritz value once Lanczos
+    returns, if that gives a larger tolerance, so the verdict is the one of
+    the two run in sequence.  For a Gram of a library kernel (kappa = 1)
+    both tops are at most 1 and the tolerance is PSD_TOL either way."""
     g = finite_matrix(g_k, "Gram matrix")
     # max |g| from max and min
     if _max_asymmetry(g) > 1e-12 * max(1.0, g.max(initial=0.0), -g.min(initial=0.0)):
         raise InputError("Gram matrix is not symmetric")
     size, k = g.shape[0], top
     while size > N_DENSE and 2 * k < size:
-        vals, vecs = _lanczos(g, k)
-        if k == top:  # the n x n copy that the verdict overwrites is freed on return
-            require_psd_cholesky(g / float(size), vals[-1] / size, "scaled Gram")
+        if k == top:
+            diag_max = float(np.diagonal(g).max()) / size
+            (vals, vecs), rejection = _overlap(
+                lambda: _lanczos(g, k), lambda: _psd_rejection(g, diag_max, size)
+            )
+            if rejection is not None:
+                if not vals[-1] / size > max(diag_max, 1.0):
+                    raise rejection
+                require_psd_cholesky(g, vals[-1] / size, "scaled Gram", float(size))
+        else:
+            vals, vecs = _lanczos(g, k)
         dec = SpectralDecomposition(g, vals, vecs)
         if dec.mu[-1] <= dec.delta_sq:
             return dec

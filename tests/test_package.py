@@ -3,6 +3,7 @@ import inspect
 import json
 import pkgutil
 import sys
+import threading
 from functools import cached_property
 
 import numpy as np
@@ -168,8 +169,11 @@ def profiled(tmp_path_factory):
             local = frame.f_locals
             set_params.update(f"{name}({p})" for p in params if local.get(p) is not None)
 
-    outer = sys.getprofile()
+    # sys.setprofile holds for the calling thread only; threading.setprofile
+    # covers the worker thread a run above N_DENSE points starts
+    outer, outer_threads = sys.getprofile(), threading.getprofile()
     sys.setprofile(profile)
+    threading.setprofile(profile)
     try:
         codes = []
         for i, (subcommand, config, fmt) in enumerate(runs):
@@ -179,6 +183,7 @@ def profiled(tmp_path_factory):
             codes.append(cli.main([*args, "--format", fmt]))
     finally:
         sys.setprofile(outer)
+        threading.setprofile(outer_threads)
     assert codes == [0] * len(runs)
     calls = {name: _cache_calls(member) - before[name] for name, member in public.items()}
     return public, entered, set_params, calls
