@@ -14,6 +14,12 @@ process-wide, so runs in concurrent threads share it, and so does the one
 worker thread of :func:`_overlap`: each BLAS call it makes still runs on one
 thread, in the order of its own caller, and record bytes do not depend on
 which stage finishes first.
+
+:func:`_overlap` has two callers, each for a Gram of more than
+``spectral.N_DENSE`` points: ``spectral.eigendecompose_scaled_gram`` runs the
+PSD verdict beside the first Lanczos run, and ``cli._run_sketch_regress`` the
+sketched fit beside the full fit.  Neither calls the other inside a stage, so
+at most one worker is alive at a time.
 """
 
 import ctypes

@@ -21,10 +21,11 @@ Conventions:
   are defined up to the usual kernel-normalization constant.
 
 Gram assembly is vectorized and entrywise pure, so results are independent of
-any evaluation schedule.  Half-integer Matern smoothnesses (nu = 0.5, 1.5,
-2.5, for ``sobolev-radial`` too) have closed forms and are computed in place
-on the squared distances; every other nu goes through ``scipy.special.kv``,
-and only then does scipy load.
+any evaluation schedule.  A symmetric Gram is built inside the one n x n
+array it returns, in row blocks.  Half-integer Matern smoothnesses (nu = 0.5,
+1.5, 2.5, for ``sobolev-radial`` too) have closed forms and are computed in
+place on the squared distances; every other nu goes through
+``scipy.special.kv``, and only then does scipy load.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ _FAMILIES = ("gaussian", "matern", "sobolev-radial")
 #: The one PSD tolerance: eigenvalues ``vals`` are those of a PSD matrix when
 #: ``min(vals) >= -PSD_TOL * max(|max(vals)|, 1)`` (see :func:`require_psd`).
 PSD_TOL = 1e-10
+
+#: Rows per block of a symmetric Gram's assembly (``gram_scalar``).
+_GRAM_BLOCK = 128
 
 
 def as_points(x, dim: int | None = None) -> np.ndarray:
@@ -231,19 +235,26 @@ def _extent(x: np.ndarray) -> float:
 
 
 def _sq_dists(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances; exactly symmetric when x is z.  Computed
-    in place: (|x|^2 + |z|^2) - 2 x.z, clipped at 0.  None is NaN: the cross
-    term is bounded by 2 d max|x_ik| max|z_jk|, checked once to be finite, so
-    an overflow can only give +inf, which every family maps to 0."""
+    """Pairwise squared distances between the rows of x and of z:
+    (|x|^2 + |z|^2) - 2 x.z, clipped at 0, computed in place on x.z and one
+    more array of its shape.  None is NaN: the cross term is bounded by
+    2 d max|x_ik| max|z_jk|, checked once to be finite, so an overflow can
+    only give +inf, which every family maps to 0.  ``gram_scalar`` forms the
+    same entries, with the same operations, in the one array it returns."""
     return _sq_dists_to(x, _extent(x), z, np.einsum("ij,ij->i", z, z), _extent(z))
+
+
+def _require_no_overflow(x_extent: float, z_extent: float, dim: int) -> None:
+    """Raise NumericError unless 2 d max|x| max|z|, the bound on the cross
+    term of a squared distance, is finite."""
+    # Python floats: the product overflows to inf without a warning
+    if not np.isfinite(2.0 * dim * (x_extent * z_extent)):
+        raise NumericError("squared distances overflow: the points are too large")
 
 
 def _sq_dists_to(x, x_extent, z, z_sq, z_extent) -> np.ndarray:
     """``_sq_dists(x, z)`` given max |x|, and |z_j|^2 and max |z|."""
-    # Python floats: the product overflows to inf without a warning
-    extent = x_extent * z_extent
-    if not np.isfinite(2.0 * x.shape[1] * extent):
-        raise NumericError("squared distances overflow: the points are too large")
+    _require_no_overflow(x_extent, z_extent, x.shape[1])
     gram = x @ z.T
     gram *= 2.0
     nx = np.einsum("ij,ij->i", x, x)
@@ -324,11 +335,29 @@ def _half_integer_matern(nu: float, bandwidth: float, sq_dist: np.ndarray) -> np
 
 
 def gram_scalar(spec: ScalarKernelSpec, pts) -> np.ndarray:
-    """n x n scalar Gram matrix; symmetric, PSD up to ``PSD_TOL * n``.  Its
-    entries are finite, since no distance is NaN (``_sq_dists``) and every
-    family maps a distance, +inf included, to a finite value."""
+    """n x n scalar Gram matrix; exactly symmetric, PSD up to ``PSD_TOL * n``.
+    Its entries are finite, since no distance is NaN (``_sq_dists``) and
+    every family maps a distance, +inf included, to a finite value.
+
+    It is built inside the one n x n array it returns: ``x @ x.T`` (numpy's
+    symmetric product), then each block of ``_GRAM_BLOCK`` rows becomes
+    squared distances and kernel values in place, with the operations of
+    ``_radial_profile(spec, _sq_dists(x, x))`` and so its bits.  A block
+    allocates one temporary of its size, and the Matern polynomial one more."""
     x = as_points(pts, spec.dimension)
-    return _radial_profile(spec, _sq_dists(x, x))
+    extent = _extent(x)
+    _require_no_overflow(extent, extent, x.shape[1])
+    g = x @ x.T
+    sq = np.einsum("ij,ij->i", x, x)
+    for i in range(0, g.shape[0], _GRAM_BLOCK):
+        block = g[i : i + _GRAM_BLOCK]
+        block *= 2.0
+        np.subtract(sq[i : i + block.shape[0], None] + sq[None, :], block, out=block)
+        np.maximum(block, 0.0, out=block)
+        values = _radial_profile(spec, block)
+        if values is not block:  # the kv family returns a new array
+            block[...] = values
+    return g
 
 
 def gram_scalar_cross(spec: ScalarKernelSpec, x, z) -> np.ndarray:

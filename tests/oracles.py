@@ -1,7 +1,8 @@
 """Reference computations the tests check the library against.
 
 None of these is library API: the library never assembles the Kronecker
-operator Gram, evaluates one kernel pair at a time, restates psi, takes
+operator Gram, assembles a symmetric Gram on two n x n arrays in one call,
+evaluates one kernel pair at a time, restates psi, takes
 half-integer Matern values from ``kv``, builds the full eigenvector matrix
 of a Gram, bisects for the critical radius over a whole spectrum, solves a
 ridge system densely, enumerates every sign pattern, integrates a Sobolev norm, chains
@@ -27,6 +28,9 @@ from opbounds.erm import _objective
 from opbounds.errors import InputError
 from opbounds.kernels import (
     _expansion_norm,
+    _radial_profile,
+    _sq_dists,
+    as_points,
     finite_matrix,
     gram_scalar,
     gram_scalar_cross,
@@ -39,6 +43,15 @@ from opbounds.spectral import _pencil_basis, _top_eigenvalue, _whiten
 def eval_scalar(spec, x, x_prime) -> float:
     """The scalar kernel at a single pair of points."""
     return float(gram_scalar_cross(spec, x, x_prime)[0, 0])
+
+
+def gram_two_arrays(spec, pts) -> np.ndarray:
+    """The scalar Gram in one call on the whole point set: the squared
+    distances ``x x^T`` and ``|x_i|^2 + |x_j|^2`` as two n x n arrays, then
+    the kernel profile, with the validation and errors of ``gram_scalar``.
+    ``gram_scalar`` builds it in row blocks inside one array."""
+    x = as_points(pts, spec.dimension)
+    return _radial_profile(spec, _sq_dists(x, x))
 
 
 def matern_profile_kv(spec, sq_dist) -> np.ndarray:

@@ -1,4 +1,6 @@
 import math
+import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,12 @@ from opbounds.kernels import (
 )
 from opbounds.koopman import LayerSpec, NetworkSpec, SplitMc
 from oracles import (
-    eval_scalar, expansion_norm, gram_operator, matern_profile_kv, sobolev_norm_gaussian
+    eval_scalar,
+    expansion_norm,
+    gram_operator,
+    gram_two_arrays,
+    matern_profile_kv,
+    sobolev_norm_gaussian,
 )
 
 GAUSS2 = ScalarKernelSpec("gaussian", 1.0, dimension=2)
@@ -168,11 +175,55 @@ def test_cross_gram_overflow_is_a_numeric_error():
         gram_scalar_cross(spec, [[1e200]], [[0.0], [1e200]])
 
 
-def test_half_integer_matern_gram_peak_memory():
-    # the squared distances and at most one more n x n buffer
-    n = 400
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([("gaussian", 0.0), ("matern", 0.5), ("matern", 1.5), ("matern", 2.5),
+                     ("matern", 1.2)]),
+    st.sampled_from([1, 2, 127, 128, 129, 256, 257, 300, 513]),
+    st.integers(1, 3),
+    st.floats(0.05, 5.0),
+    st.sampled_from(["distinct", "duplicates", "overflow", "non-finite"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_gram_scalar_is_the_two_array_assembly_bit_for_bit(kind, n, d, bandwidth, case, seed):
+    # row blocks in one array give the bits of the single call, on either
+    # side of a block boundary; nu = 1.2 is the kv path, whose profile is a
+    # new array.  A bad point set raises the same error, and no thread starts
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, (n, d))
+    if case == "duplicates":
+        x = x[rng.integers(0, max(n // 2, 1), n)]
+    elif case == "overflow":
+        x[rng.integers(n)] = 1e200
+    elif case == "non-finite":
+        x[rng.integers(n), rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
+    spec = ScalarKernelSpec(kind[0], bandwidth, kind[1], d)
+    before = threading.active_count()
+    try:
+        want = gram_two_arrays(spec, x)
+    except (InputError, NumericError) as exc:
+        assert case in ("overflow", "non-finite")
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            gram_scalar(spec, x)
+        assert threading.active_count() == before
+        return
+    assert case in ("distinct", "duplicates")
+    got = gram_scalar(spec, x)
+    assert threading.active_count() == before
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family, nu", [
+    ("gaussian", 0.0), ("matern", 0.5), ("matern", 1.5), ("matern", 2.5),
+])
+def test_gram_scalar_peak_memory(family, nu):
+    # the Gram is the one n x n array, and each 128-row block is written in
+    # place: beside it are at most one temporary of a block's size (the sum
+    # of squared norms), the Matern polynomial, and vectors of n entries
+    # (the squared norms, a copy of the points)
+    n = 600
     x = np.random.default_rng(3).uniform(-1, 1, (n, 3))
-    spec = ScalarKernelSpec("matern", 0.5, smoothness=1.5, dimension=3)
+    spec = ScalarKernelSpec(family, 0.5, smoothness=nu, dimension=3)
     gram_scalar(spec, x)
     tracemalloc.start()
     try:
@@ -180,7 +231,7 @@ def test_half_integer_matern_gram_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * n * n * 8
+    assert peak <= (n * n + 2 * 128 * n + 4 * n) * 8, peak
 
 
 def test_split_pass_peak_memory():

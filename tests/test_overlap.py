@@ -8,15 +8,23 @@ sequence, and no thread outlives a run, whether it succeeds or fails.
 """
 
 import json
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from opbounds import cli, spectral
+from opbounds import cli
 from opbounds._blas import _overlap
 from opbounds.errors import NotPsdError, NumericError
 from opbounds.spectral import N_DENSE, eigendecompose_scaled_gram
+
+#: Every module that calls ``_overlap``, by the name it imported.
+SITES = [
+    module for name, module in sorted(sys.modules.items())
+    if name.startswith("opbounds.") and getattr(module, "_overlap", None) is _overlap
+    and name != "opbounds._blas"
+]
 
 
 def _sequential(first, second):
@@ -106,6 +114,12 @@ SPECTRAL_300 = {
 }
 
 
+def test_every_overlap_site_is_patched():
+    assert {module.__name__ for module in SITES} == {"opbounds.cli", "opbounds.spectral"}
+
+
+# overlaps per run: the verdict beside Lanczos and, in sketch-regress, the
+# sketched fit beside the full fit
 @pytest.mark.parametrize("subcommand, config, overlaps", [
     ("sketch-regress", _sketch_regress("squared"), 2),
     ("sketch-regress", _sketch_regress("pinball"), 2),
@@ -121,8 +135,8 @@ def test_records_match_the_sequential_run(subcommand, config, overlaps, monkeypa
     before = threading.active_count()
     records = []
     for overlap in (counted, _sequential):
-        monkeypatch.setattr(spectral, "_overlap", overlap)
-        monkeypatch.setattr(cli, "_overlap", overlap)
+        for module in SITES:
+            monkeypatch.setattr(module, "_overlap", overlap)
         records.append(cli.render_record(cli.run(subcommand, config, None, tmp_path), "json"))
     assert len(calls) == overlaps
     assert threading.active_count() == before
