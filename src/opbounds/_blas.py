@@ -10,16 +10,10 @@ numpy's copy is always among them, and it makes every BLAS and LAPACK call of
 the library.  scipy loads only for ``kv`` and ``gamma`` (``scipy.special``,
 for a Matern smoothness without a closed form), which make no BLAS calls, so
 a copy that scipy loads after the first pin needs none.  The thread count is
-process-wide, so runs in concurrent threads share it, and so does the one
-worker thread of :func:`_overlap`: each BLAS call it makes still runs on one
-thread, in the order of its own caller, and record bytes do not depend on
-which stage finishes first.
-
-:func:`_overlap` has two callers, each for a Gram of more than
-``spectral.N_DENSE`` points: ``spectral.eigendecompose_scaled_gram`` runs the
-PSD verdict beside the first Lanczos run, and ``cli._run_sketch_regress`` the
-sketched fit beside the full fit.  Neither calls the other inside a stage, so
-at most one worker is alive at a time.
+process-wide, so runs in concurrent threads share it, and so does the worker
+thread of :func:`_overlap`, whose one caller is ``cli._run_sketch_regress``:
+each BLAS call there still runs on one thread, in its caller's order, and
+record bytes do not depend on which stage finishes first.
 """
 
 import ctypes

@@ -45,6 +45,7 @@ from .kernels import (
     DecomposableKernel,
     ScalarKernelSpec,
     _expansion_norm,
+    gram_error_bound,
     gram_scalar,
 )
 from .koopman import LayerSpec, NetworkSpec, SplitMc, product_bound, peeled_bound
@@ -513,10 +514,10 @@ def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[SketchMatrix, float, di
 _REPORTED_EIGENVALUES = 32
 
 
-def _spectrum(g_k: np.ndarray, top: int):
-    """Scaled-Gram decomposition with at least ``top`` eigenpairs, critical
-    radius and statistical dimension."""
-    dec = eigendecompose_scaled_gram(g_k, top)
+def _spectrum(spec: ScalarKernelSpec, x: np.ndarray, top: int):
+    """Decomposition of the scaled Gram of ``spec`` on ``x`` with at least
+    ``top`` eigenpairs, and its critical radius and statistical dimension."""
+    dec = eigendecompose_scaled_gram(gram_scalar(spec, x), top, gram_error_bound(spec, x))
     return dec, dec.delta_sq, statistical_dimension(dec.mu, dec.delta_sq)
 
 
@@ -591,8 +592,8 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     # one Gram and one spectral decomposition serve both fits, both training
     # risks and the spectral report, and one S G S^T the sketched fit and
     # the report
-    g_k = gram_scalar(kernel.scalar, ds.x)
-    dec, delta_sq, d_n = _spectrum(g_k, LANCZOS_START)
+    dec, delta_sq, d_n = _spectrum(kernel.scalar, ds.x, LANCZOS_START)
+    g_k = dec.gram
 
     def fit():
         return fit_full(kernel, ds.x, ds.y, loss, fit_cfg, spectrum=dec)
@@ -774,7 +775,7 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
 def _run_spectral(config: dict, seed: int, base_dir: Path) -> dict:
     ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
     spec = _build(ScalarKernelSpec, config["kernel"], dimension=config["dataset"]["d"])
-    dec, delta_sq, d_n = _spectrum(gram_scalar(spec, ds.x), _REPORTED_EIGENVALUES)
+    dec, delta_sq, d_n = _spectrum(spec, ds.x, _REPORTED_EIGENVALUES)
     metrics = {
         "delta_sq": delta_sq,
         "d_n": d_n,

@@ -152,17 +152,15 @@ def require_psd_cholesky(a: np.ndarray, top: float, name: str, scale: float) -> 
     *Accuracy and Stability of Numerical Algorithms*, ch. 10), so this is the
     verdict of :func:`require_psd` unless lambda_min lies in [-2 tau,
     -tau / 2].  A ``top`` below the true one (a Rayleigh quotient, such as
-    the largest diagonal entry) only makes it stricter.
+    the largest Ritz value) only makes it stricter.
 
     ``a`` is left unchanged.  A blocked right-looking factorization A = U^T U
     works on the scaled upper triangle, held as row blocks: block j is
     ``a[j:j+64, j:] / scale`` with tau on its diagonal, dropped once it is
     factored and has updated the blocks below it.  So the verdict holds about
-    n (n + 64) / 2 numbers, half of an n x n copy, which lets it run beside
-    Lanczos on the same Gram with no more memory than one copy would take.
-    The panel U12 = L^-1 A12 of each block, L its Cholesky factor, is
-    :func:`_solve_lower_in_place`; its temporaries and the 64-row Schur
-    product are all that is allocated beyond the blocks."""
+    n (n + 64) / 2 numbers, half of an n x n copy, and beyond them only the
+    64-row Schur product and the temporaries of :func:`_solve_lower_in_place`,
+    which forms each block's panel U12 = L^-1 A12, L its Cholesky factor."""
     tau = PSD_TOL * max(top, 1.0)
     n, b = a.shape[0], _CHOLESKY_BLOCK
     blocks = []
@@ -358,6 +356,34 @@ def gram_scalar(spec: ScalarKernelSpec, pts) -> np.ndarray:
         if values is not block:  # the kv family returns a new array
             block[...] = values
     return g
+
+
+def gram_error_bound(spec: ScalarKernelSpec, pts) -> float:
+    """Bound on max |``gram_scalar(spec, pts)`` - G|, G the exact Gram of the
+    float points: L_k c(d) u 2R^2 + c' u with u = 2^-53, R^2 = max |x_i|^2,
+    c(d) = 2d + 4, c' = 16 and L_k = sup |dk/d(r^2)|: the bandwidth of the
+    gaussian, 3 / (2 l^2) and 5 / (6 l^2) for Matern nu = 1.5 and 2.5 (l the
+    bandwidth); inf for any other nu (nu = 0.5 has no finite L_k, and the
+    ``kv`` path is not analysed).
+
+    c(d): x_i . x_j and |x_i|^2 err by at most gamma_d R^2 (Cauchy-Schwarz;
+    Higham 2002, *Accuracy and Stability of Numerical Algorithms*, ch. 3), the
+    sum |x_i|^2 + |x_j|^2 by 2u R^2 and the difference by u s <= 4u R^2: a
+    squared-distance error of (4d + 6) u R^2 to first order, and the last
+    2u R^2 covers the rest for d below 10^6.  k moves by at most L_k times it.
+    c': numpy's exp within 4 ulps gives the gaussian (1/e + 4) u; the Matern
+    argument's relative error 4u moves k by at most max(a^2, a^2 (1 + a) / 3)
+    e^-a 4u < 2.5u, and its polynomial, exp and product add at most 9u."""
+    x = as_points(pts, spec.dimension)
+    if spec.family == "gaussian":
+        lip = spec.bandwidth
+    else:
+        scale = {1.5: 1.5, 2.5: 5.0 / 6.0}.get(spec.matern_nu, np.inf)
+        lip = scale / spec.bandwidth / spec.bandwidth
+    u, r_sq = 2.0**-53, float(np.einsum("ij,ij->i", x, x).max())
+    if not lip * r_sq < np.inf:  # L_k or R^2 infinite or overflowed; inf * 0 too
+        return np.inf
+    return lip * (2 * x.shape[1] + 4) * u * 2.0 * r_sq + 16 * u
 
 
 def gram_scalar_cross(spec: ScalarKernelSpec, x, z) -> np.ndarray:

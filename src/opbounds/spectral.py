@@ -19,10 +19,8 @@ Above N_DENSE the n x n Gram is read as few times as possible: its symmetry
 is checked by tiles, with no n x n temporary; its CG iterates and deflation
 basis are rows, so each product with it has a row-major left operand (the
 faster layout of thin GEMMs on OpenBLAS); ``sketched_gram`` forms S G S^T
-once for a sketched fit and its satisfiability test; and the PSD verdict runs
-beside the first Lanczos run on one worker thread.  Each BLAS call still runs
-on one thread (the pin of ``_blas`` is process-wide), so the results are the
-bytes of a sequential run.
+once for a sketched fit and its satisfiability test; and the O(n^3) PSD
+verdict runs only where the caller's error bound leaves it open.
 """
 
 from __future__ import annotations
@@ -32,9 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blas import _overlap
-from .errors import DegenerateInputError, InputError, NotPsdError, NumericError
-from .kernels import finite_matrix, require_psd, require_psd_cholesky
+from .errors import DegenerateInputError, InputError, NumericError
+from .kernels import PSD_TOL, finite_matrix, require_psd, require_psd_cholesky
 from .sketching import SketchMatrix
 
 #: Bracket width at which the critical-radius bisection stops.
@@ -198,45 +195,27 @@ def _max_asymmetry(g: np.ndarray) -> float:
     return worst
 
 
-def _psd_rejection(g: np.ndarray, top: float, size: int) -> NotPsdError | None:
-    """The NotPsdError of the Cholesky verdict on G_k / n, or None."""
-    try:
-        require_psd_cholesky(g, top, "scaled Gram", float(size))
-    except NotPsdError as exc:
-        return exc
-    return None
-
-
-def eigendecompose_scaled_gram(g_k: np.ndarray, top: int = LANCZOS_START) -> SpectralDecomposition:
+def eigendecompose_scaled_gram(
+    g_k: np.ndarray, top: int = LANCZOS_START, slack: float = np.inf
+) -> SpectralDecomposition:
     """The checked Gram G_k (finite, symmetric, PSD up to round-off) with all
     its eigenpairs up to N_DENSE points; above, the ``top`` largest from
     Lanczos, doubled until the smallest eigenvalue of G_k / n is at or below
     the critical radius, or all of them once twice their number reaches n.
-    Above N_DENSE the PSD verdict (``require_psd_cholesky`` of G_k / n) runs
-    on a worker thread beside the first Lanczos run, so it judges with the
-    largest diagonal entry of G_k / n as its top eigenvalue, a Rayleigh
-    quotient and so a lower bound, which can only make it stricter.  A Gram
-    it rejects is judged again with the largest Ritz value once Lanczos
-    returns, if that gives a larger tolerance, so the verdict is the one of
-    the two run in sequence.  For a Gram of a library kernel (kappa = 1)
-    both tops are at most 1 and the tolerance is PSD_TOL either way."""
+    ``slack`` bounds max |G_k - G| for some PSD G (``kernels.gram_error_bound``;
+    the default certifies nothing), so lambda_min(G_k / n) >= -slack by Weyl.
+    Above N_DENSE the PSD verdict (``require_psd_cholesky`` of G_k / n, top
+    the largest Ritz value) runs after the first Lanczos run unless ``slack``
+    is below PSD_TOL."""
     g = finite_matrix(g_k, "Gram matrix")
     # max |g| from max and min
     if _max_asymmetry(g) > 1e-12 * max(1.0, g.max(initial=0.0), -g.min(initial=0.0)):
         raise InputError("Gram matrix is not symmetric")
     size, k = g.shape[0], top
     while size > N_DENSE and 2 * k < size:
-        if k == top:
-            diag_max = float(np.diagonal(g).max()) / size
-            (vals, vecs), rejection = _overlap(
-                lambda: _lanczos(g, k), lambda: _psd_rejection(g, diag_max, size)
-            )
-            if rejection is not None:
-                if not vals[-1] / size > max(diag_max, 1.0):
-                    raise rejection
-                require_psd_cholesky(g, vals[-1] / size, "scaled Gram", float(size))
-        else:
-            vals, vecs = _lanczos(g, k)
+        vals, vecs = _lanczos(g, k)
+        if k == top and not slack < PSD_TOL:
+            require_psd_cholesky(g, vals[-1] / size, "scaled Gram", float(size))
         dec = SpectralDecomposition(g, vals, vecs)
         if dec.mu[-1] <= dec.delta_sq:
             return dec

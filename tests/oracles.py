@@ -2,18 +2,18 @@
 
 None of these is library API: the library never assembles the Kronecker
 operator Gram, assembles a symmetric Gram on two n x n arrays in one call,
-evaluates one kernel pair at a time, restates psi, takes
-half-integer Matern values from ``kv``, builds the full eigenvector matrix
-of a Gram, bisects for the critical radius over a whole spectrum, solves a
-ridge system densely, enumerates every sign pattern, integrates a Sobolev norm, chains
-a layered model outside a training pass, forms the sketched objective's
-``G S^T`` anew at each evaluation, factors a sketch into its sub-Gaussian
-and sub-sampling parts, sorts a network's layers into the injective
-weight class, draws signs as integers and converts them to floats, keeps
-a sign block's row-major signs while its forms are computed, recomputes a
-bound report's total from its parts, maximizes a pencil's Rayleigh quotient
-apart from a deep objective, takes an expansion's RKHS norm from its own
-anchor Gram or writes a dataset CSV.
+evaluates one kernel pair at a time, computes a Gram in long double,
+restates psi, takes half-integer Matern values from ``kv``, builds the full
+eigenvector matrix of a Gram, bisects for the critical radius over a whole
+spectrum, solves a ridge system densely, enumerates every sign pattern,
+integrates a Sobolev norm, chains a layered model outside a training pass,
+forms the sketched objective's ``G S^T`` anew at each evaluation, factors a
+sketch into its sub-Gaussian and sub-sampling parts, sorts a network's
+layers into the injective weight class, draws signs as integers and converts
+them to floats, keeps a sign block's row-major signs while its forms are
+computed, recomputes a bound report's total from its parts, maximizes a
+pencil's Rayleigh quotient apart from a deep objective, takes an expansion's
+RKHS norm from its own anchor Gram or writes a dataset CSV.
 """
 
 import math
@@ -65,8 +65,26 @@ def matern_profile_kv(spec, sq_dist) -> np.ndarray:
     out = np.ones_like(arg)
     pos = arg > 0
     a = arg[pos]
-    out[pos] = (2.0 ** (1.0 - nu) / gamma(nu)) * (a**nu) * kv(nu, a)
+    # a**nu * kv may be 0 * inf, a NaN that the line below maps to 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[pos] = (2.0 ** (1.0 - nu) / gamma(nu)) * (a**nu) * kv(nu, a)
     return np.where(np.isfinite(out), out, 0.0)
+
+
+def gram_long_double(spec, pts) -> np.ndarray:
+    """The scalar Gram of the float points from direct-form squared distances
+    sum_k (x_ik - x_jk)^2 and the closed-form profile (gaussian, Matern nu =
+    1.5 or 2.5), all in ``np.longdouble``: 80-bit extended on x86_64, whose
+    rounding (2^-64 relative) is far below that of ``gram_scalar``."""
+    x = np.asarray(pts, dtype=np.longdouble)
+    diff = x[:, None, :] - x[None, :, :]
+    sq = (diff * diff).sum(axis=2)
+    if spec.family == "gaussian":
+        return np.exp(-np.longdouble(spec.bandwidth) * sq)
+    nu = spec.matern_nu
+    a = np.sqrt(np.longdouble(2.0 * nu) * sq) / np.longdouble(spec.bandwidth)
+    poly = 1 + a if nu == 1.5 else 1 + a + a * a / 3
+    return poly * np.exp(-a)
 
 
 def gram_operator(kernel, pts) -> np.ndarray:

@@ -11,18 +11,22 @@ from hypothesis import strategies as st
 from opbounds.complexity import BallMc, McConfig, run_mc
 from opbounds.errors import InputError, NotPsdError, NumericError
 from opbounds.kernels import (
+    PSD_TOL,
     DecomposableKernel,
     KernelExpansion,
     ScalarKernelSpec,
     check_kappa,
+    gram_error_bound,
     gram_scalar,
     gram_scalar_cross,
     make_output_matrix,
+    require_psd_cholesky,
 )
 from opbounds.koopman import LayerSpec, NetworkSpec, SplitMc
 from oracles import (
     eval_scalar,
     expansion_norm,
+    gram_long_double,
     gram_operator,
     gram_two_arrays,
     matern_profile_kv,
@@ -84,7 +88,9 @@ def _profile_at(spec, r):
     distances that the library computes for them (exactly ``r * r``)."""
     z = np.zeros((r.size, spec.dimension))
     z[:, 0] = r
-    return gram_scalar_cross(spec, np.zeros((1, spec.dimension)), z)[0], r * r
+    with np.errstate(over="ignore"):  # r * r is inf for r = 1e300, as in the library
+        sq = r * r
+    return gram_scalar_cross(spec, np.zeros((1, spec.dimension)), z)[0], sq
 
 
 @settings(max_examples=200, deadline=None)
@@ -372,6 +378,47 @@ def test_no_kernel_value_exceeds_kappa(case):
     check_kappa(spec, g)
     assert gram_scalar_cross(spec, x, z).max() <= bound
     assert gram_scalar_cross(spec, x, x).max() <= bound
+
+
+@st.composite
+def certified_kernels_and_points(draw):
+    """A gaussian or Matern nu = 1.5 or 2.5 kernel and up to 64 points in
+    d <= 3 dimensions, up to half of them near duplicates of others at
+    distance 1e-9, the cloud shifted by a c with |c| <= 1e3."""
+    d = draw(st.integers(1, 3))
+    family, nu = draw(st.sampled_from([("gaussian", 0.0), ("matern", 1.5), ("matern", 2.5)]))
+    spec = ScalarKernelSpec(family, draw(st.floats(0.05, 20.0)), nu, d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 64))
+    x = draw(st.sampled_from([0.1, 1.0, 10.0])) * rng.uniform(-1, 1, (n, d))
+    dups = draw(st.integers(0, n // 2))
+    step = rng.standard_normal((dups, d))
+    x[n - dups :] = x[:dups] + 1e-9 * step / np.linalg.norm(step, axis=1, keepdims=True)
+    c = rng.standard_normal(d)
+    return spec, x + draw(st.sampled_from([0.0, 1.0, 1e2, 1e3])) * c / np.linalg.norm(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certified_kernels_and_points())
+def test_gram_error_bound_holds_and_certifies_psd(case):
+    spec, x = case
+    g, slack = gram_scalar(spec, x), gram_error_bound(spec, x)
+    assert np.abs(g - gram_long_double(spec, x)).max() <= slack
+    if slack < PSD_TOL:
+        n = x.shape[0]
+        require_psd_cholesky(g, np.linalg.eigvalsh(g)[-1] / n, "Gram", float(n))
+
+
+@pytest.mark.parametrize("spec", [
+    ScalarKernelSpec("matern", 0.7, smoothness=0.5, dimension=2),
+    ScalarKernelSpec("matern", 0.7, smoothness=1.2, dimension=2),  # the kv path
+    ScalarKernelSpec("sobolev-radial", 0.7, smoothness=2.0, dimension=2),  # nu = 1.0
+    ScalarKernelSpec("matern", 1e-200, smoothness=1.5, dimension=2),  # 1 / l^2 overflows
+])
+def test_gram_error_bound_declines_other_kernels(spec):
+    # points at the origin too: R^2 = 0 must not turn an infinite L_k into NaN
+    for x in (np.zeros((3, 2)), np.eye(2)):
+        assert gram_error_bound(spec, x) == np.inf
 
 
 def test_output_matrix_validation():

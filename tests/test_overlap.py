@@ -1,23 +1,22 @@
 """``_blas._overlap``: two stages at once on one worker thread, with the
 errors and the results of running them one after the other.
 
-Above ``spectral.N_DENSE`` points the PSD verdict runs beside the first
-Lanczos run and the sketched fit beside the full fit.  Every BLAS call still
-runs on one thread, so a record is the same bytes as with the stages run in
-sequence, and no thread outlives a run, whether it succeeds or fails.
+Above ``spectral.N_DENSE`` points ``sketch-regress`` runs the sketched fit
+beside the full fit.  Every BLAS call still runs on one thread, so a record
+is the same bytes as with the stages run in sequence, and no thread outlives
+a run, whether it succeeds or fails.  ``spectral-report`` starts no thread.
 """
 
 import json
 import sys
 import threading
 
-import numpy as np
 import pytest
 
-from opbounds import cli
+from opbounds import _blas, cli
 from opbounds._blas import _overlap
-from opbounds.errors import NotPsdError, NumericError
-from opbounds.spectral import N_DENSE, eigendecompose_scaled_gram
+from opbounds.errors import NumericError
+from opbounds.spectral import N_DENSE
 
 #: Every module that calls ``_overlap``, by the name it imported.
 SITES = [
@@ -75,21 +74,6 @@ def test_overlap_joins_second_before_raising_first():
     assert done.is_set()
 
 
-def test_not_psd_gram_above_n_dense_leaves_no_thread():
-    # the verdict fails on the worker; its NotPsdError surfaces on the
-    # caller after Lanczos returns, as it did when they ran in sequence
-    n = 300
-    assert n > N_DENSE
-    rng = np.random.default_rng(11)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    g = (q * np.r_[1.0, -1e-6, rng.uniform(0.0, 1.0, n - 2)]) @ q.T
-    g = n * (0.5 * (g + g.T))
-    before = threading.active_count()
-    with pytest.raises(NotPsdError):
-        eigendecompose_scaled_gram(g)
-    assert threading.active_count() == before
-
-
 def _sketch_regress(loss):
     config = {
         "seed": 5,
@@ -115,18 +99,13 @@ SPECTRAL_300 = {
 
 
 def test_every_overlap_site_is_patched():
-    assert {module.__name__ for module in SITES} == {"opbounds.cli", "opbounds.spectral"}
+    assert {module.__name__ for module in SITES} == {"opbounds.cli"}
 
 
-# overlaps per run: the verdict beside Lanczos and, in sketch-regress, the
-# sketched fit beside the full fit
-@pytest.mark.parametrize("subcommand, config, overlaps", [
-    ("sketch-regress", _sketch_regress("squared"), 2),
-    ("sketch-regress", _sketch_regress("pinball"), 2),
-    ("spectral-report", SPECTRAL_300, 1),
-])
-def test_records_match_the_sequential_run(subcommand, config, overlaps, monkeypatch, tmp_path):
-    calls = []
+# one overlap per run: the sketched fit beside the full fit
+@pytest.mark.parametrize("loss", ["squared", "pinball"])
+def test_records_match_the_sequential_run(loss, monkeypatch, tmp_path):
+    config, calls = _sketch_regress(loss), []
 
     def counted(first, second):
         calls.append(first)
@@ -137,10 +116,31 @@ def test_records_match_the_sequential_run(subcommand, config, overlaps, monkeypa
     for overlap in (counted, _sequential):
         for module in SITES:
             monkeypatch.setattr(module, "_overlap", overlap)
-        records.append(cli.render_record(cli.run(subcommand, config, None, tmp_path), "json"))
-    assert len(calls) == overlaps
+        records.append(cli.render_record(cli.run("sketch-regress", config, None, tmp_path), "json"))
+    assert len(calls) == 1
     assert threading.active_count() == before
     assert records[0] == records[1]
+
+
+def test_spectral_report_above_n_dense_starts_no_thread(monkeypatch, tmp_path):
+    assert SPECTRAL_300["dataset"]["n"] > N_DENSE
+    calls, starts, start = [], [], threading.Thread.start
+
+    def counted(first, second):
+        calls.append(first)
+        return _overlap(first, second)
+
+    def counted_start(thread):
+        starts.append(thread.name)
+        return start(thread)
+
+    for module in [_blas, *SITES]:
+        monkeypatch.setattr(module, "_overlap", counted)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    before = threading.active_count()
+    cli.run("spectral-report", SPECTRAL_300, None, tmp_path)
+    assert calls == [] and starts == []
+    assert threading.active_count() == before
 
 
 def test_failing_sketched_fit_writes_nothing_and_leaves_no_thread(monkeypatch, tmp_path):

@@ -79,9 +79,10 @@ def _none_defaults(member) -> tuple:
 
 
 def _configs(tmp_path) -> list:
-    """(subcommand, config, format) of small runs of every subcommand: each
-    loss family, a CSV dataset, a Gram above N_DENSE points, both gradient
-    modes, a checkpoint written and read back, sweeps and a refinement."""
+    """(subcommand, config, format) of small runs of every subcommand: each loss
+    family, a CSV dataset, Grams above N_DENSE points with and without an error
+    bound that settles their PSD verdict, both gradient modes, a checkpoint
+    written and read back, sweeps and a refinement."""
     rng = np.random.default_rng(0)
     rows = np.hstack([rng.uniform(-1, 1, (10, 2)), rng.standard_normal((10, 2))])
     (tmp_path / "points.csv").write_text(
@@ -143,6 +144,11 @@ def _configs(tmp_path) -> list:
             "dataset": {"kind": "synthetic", "n": 12, "d": 2},
             "kernel": {"family": "matern", "bandwidth": 1.0, "smoothness": 1.2},
             "sketch": {"rows": 4, "p": 0.5},
+        }, "json"),
+        # nu = 0.5 has no error bound, so the Cholesky verdict runs
+        ("spectral-report", {
+            "dataset": {"kind": "synthetic", "n": N_DENSE + 44, "d": 2},
+            "kernel": {"family": "matern", "bandwidth": 1.0, "smoothness": 0.5},
         }, "json"),
     ]
 

@@ -77,25 +77,19 @@ def _peak_of(call):
         tracemalloc.stop()
 
 
-def test_eigendecompose_peak_memory_and_symmetry_check(monkeypatch):
-    # in sequence the peak above the input is Lanczos growing its row buffer
-    # (0.98 n^2 at n = 400): the symmetry check holds one pair of 128 x 128
-    # tiles at a time, and the Cholesky verdict the scaled upper triangle in
-    # 64-row blocks, about n (n + 64) / 2 numbers, with its 64-row panels.
-    # On two threads the verdict's blocks may be alive at any point of the
-    # Lanczos run, so the peak is at most the two peaks added
+def test_eigendecompose_peak_memory_and_symmetry_check():
+    # the peak above the input is Lanczos growing its row buffer (0.98 n^2
+    # at n = 400), freed before the verdict runs: the symmetry check holds
+    # one pair of 128 x 128 tiles at a time, and the Cholesky verdict (no
+    # slack given, so it runs) the scaled upper triangle in 64-row blocks,
+    # about n (n + 64) / 2 numbers, with its 64-row panels
     from opbounds.kernels import ScalarKernelSpec, gram_scalar
 
     n = 400
     assert n > N_DENSE
     x = np.random.default_rng(5).uniform(-1, 1, (n, 3))
     g = gram_scalar(ScalarKernelSpec("matern", 0.5, smoothness=1.5, dimension=3), x)
-    verdict = _peak_of(lambda: require_psd_cholesky(g, 1.0 / n, "scaled Gram", float(n)))
-    with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_overlap", lambda first, second: (first(), second()))
-        sequential = _peak_of(lambda: eigendecompose_scaled_gram(g))
-    assert sequential <= 1.1 * n * n * 8
-    assert _peak_of(lambda: eigendecompose_scaled_gram(g)) <= sequential + verdict + 0.02 * n * n * 8
+    assert _peak_of(lambda: eigendecompose_scaled_gram(g)) <= 1.1 * n * n * 8
     g[0, 1] += 1e-9
     with pytest.raises(InputError, match="not symmetric"):
         eigendecompose_scaled_gram(g)
@@ -616,9 +610,9 @@ def test_lanczos_path_has_the_psd_boundary(lam_max):
 @pytest.mark.parametrize("lam_min, accepted", [(-3e-8, True), (-3e-6, False)])
 def test_lanczos_path_rejudges_with_the_ritz_value(lam_min, accepted):
     # lambda_max(G / n) = 1000, but no diagonal entry of G / n reaches 50, so
-    # the verdict beside Lanczos judges with tau below 5e-9 and rejects both;
-    # judged again with the Ritz value (tau = 1e-7) the first passes, as it
-    # does by its eigenvalues
+    # a verdict with the largest diagonal entry as top (tau below 5e-9)
+    # rejects both; the Lanczos path judges with the Ritz value (tau = 1e-7),
+    # and there the first passes, as it does by its eigenvalues
     n = 300
     assert n > N_DENSE
     rng = np.random.default_rng(17)
@@ -635,6 +629,50 @@ def test_lanczos_path_rejudges_with_the_ritz_value(lam_min, accepted):
     else:
         with pytest.raises(NotPsdError):
             eigendecompose_scaled_gram(g)
+
+
+@pytest.mark.parametrize("slack, judged", [(None, True), (0.99 * PSD_TOL, False), (PSD_TOL, True)])
+def test_lanczos_path_judges_once_unless_certified(slack, judged, monkeypatch):
+    # the clustered Gram takes two Lanczos runs (k = 16, then 32); the
+    # verdict runs once, after the first, with its largest Ritz value as top,
+    # and only when the slack does not certify the Gram
+    from opbounds.kernels import ScalarKernelSpec, gram_scalar
+
+    n = 600
+    x = _clustered_points(n, 20, 2, np.random.default_rng(n))
+    g = gram_scalar(ScalarKernelSpec("matern", 0.05, smoothness=0.5, dimension=2), x)
+    lanczos, verdict, ritz, tops = spectral._lanczos, spectral.require_psd_cholesky, [], []
+
+    def recorded_lanczos(a, k):
+        vals, vecs = lanczos(a, k)
+        ritz.append(vals[-1])
+        return vals, vecs
+
+    def recorded_verdict(a, top, name, scale):
+        tops.append(top)
+        verdict(a, top, name, scale)
+
+    monkeypatch.setattr(spectral, "_lanczos", recorded_lanczos)
+    monkeypatch.setattr(spectral, "require_psd_cholesky", recorded_verdict)
+    eigendecompose_scaled_gram(g, **({} if slack is None else {"slack": slack}))
+    assert len(ritz) == 2
+    assert tops == ([ritz[0] / n] if judged else [])
+
+
+def test_uncertified_shifted_gaussian_gram_is_still_rejected():
+    # shifted by 3,000 the squared distances round off by ~1e-8, so the
+    # bound declines; the verdict runs and rejects the computed Gram, whose
+    # exact value is PSD
+    from opbounds.kernels import ScalarKernelSpec, gram_error_bound, gram_scalar
+
+    n = 600
+    assert n > N_DENSE
+    spec = ScalarKernelSpec("gaussian", 0.5, dimension=3)
+    x = np.random.default_rng(7).uniform(-1, 1, (n, 3)) + 3000.0
+    g, slack = gram_scalar(spec, x), gram_error_bound(spec, x)
+    assert slack >= PSD_TOL
+    with pytest.raises(NotPsdError):
+        eigendecompose_scaled_gram(g, slack=slack)
 
 
 # --- pencil ------------------------------------------------------------------
