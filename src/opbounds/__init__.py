@@ -15,7 +15,7 @@ _EXPORTS = {
     "kernels": "DecomposableKernel KernelExpansion ScalarKernelSpec gram_scalar",
     "sketching": "SketchMatrix SketchSpec make_p_sparsified satisfiability_constant",
     "spectral": "SpectralReport check_satisfiability critical_radius "
-    "eigendecompose_scaled_gram statistical_dimension",
+    "eigendecompose_scaled_gram kernel_spectrum statistical_dimension",
     "losses": "LossSpec lipschitz_constant loss_subgradient loss_value",
     "erm": "FitConfig FittedModel empirical_risk excess_risk_bound_rhs fit_full "
     "fit_sketched",

@@ -41,13 +41,7 @@ from .erm import FitConfig, empirical_risk, excess_risk_bound_rhs, fit_full, fit
 from .errors import (
     ConfigError, InputError, OpboundsError, RefinementOrderError, UnboundedLossError,
 )
-from .kernels import (
-    DecomposableKernel,
-    ScalarKernelSpec,
-    _expansion_norm,
-    gram_error_bound,
-    gram_scalar,
-)
+from .kernels import DecomposableKernel, ScalarKernelSpec, _expansion_norm, gram_scalar
 from .koopman import LayerSpec, NetworkSpec, SplitMc, product_bound, peeled_bound
 from .losses import LossSpec, lipschitz_constant
 from .sketching import SketchMatrix, SketchSpec, make_p_sparsified, satisfiability_constant
@@ -55,7 +49,7 @@ from .spectral import (
     LANCZOS_START,
     N_DENSE,
     check_satisfiability,
-    eigendecompose_scaled_gram,
+    kernel_spectrum,
     sketched_gram,
     statistical_dimension,
 )
@@ -514,13 +508,6 @@ def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[SketchMatrix, float, di
 _REPORTED_EIGENVALUES = 32
 
 
-def _spectrum(spec: ScalarKernelSpec, x: np.ndarray, top: int):
-    """Decomposition of the scaled Gram of ``spec`` on ``x`` with at least
-    ``top`` eigenpairs, and its critical radius and statistical dimension."""
-    dec = eigendecompose_scaled_gram(gram_scalar(spec, x), top, gram_error_bound(spec, x))
-    return dec, dec.delta_sq, statistical_dimension(dec.mu, dec.delta_sq)
-
-
 def _identity_pushforward(net: NetworkSpec, x: np.ndarray, upto: int) -> np.ndarray:
     """Push data through the first layers with identity activations; the
     harness convention for producing mid-space points.  The CLI takes no
@@ -592,8 +579,8 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     # one Gram and one spectral decomposition serve both fits, both training
     # risks and the spectral report, and one S G S^T the sketched fit and
     # the report
-    dec, delta_sq, d_n = _spectrum(kernel.scalar, ds.x, LANCZOS_START)
-    g_k = dec.gram
+    dec = kernel_spectrum(kernel.scalar, ds.x, LANCZOS_START)
+    g_k, delta_sq = dec.gram, dec.delta_sq
 
     def fit():
         return fit_full(kernel, ds.x, ds.y, loss, fit_cfg, spectrum=dec)
@@ -616,6 +603,7 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     risk_full = empirical_risk(full, ds.x, ds.y, loss, gram=g_k)
     risk_sketched = empirical_risk(sketched, ds.x, ds.y, loss, gram=g_k)
 
+    d_n = statistical_dimension(dec.mu, delta_sq)
     report = check_satisfiability(sketch, dec, d_n, delta_sq, c_val, sgs=sgs)
 
     try:
@@ -775,7 +763,9 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
 def _run_spectral(config: dict, seed: int, base_dir: Path) -> dict:
     ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
     spec = _build(ScalarKernelSpec, config["kernel"], dimension=config["dataset"]["d"])
-    dec, delta_sq, d_n = _spectrum(spec, ds.x, _REPORTED_EIGENVALUES)
+    dec = kernel_spectrum(spec, ds.x, _REPORTED_EIGENVALUES)
+    delta_sq = dec.delta_sq
+    d_n = statistical_dimension(dec.mu, delta_sq)
     metrics = {
         "delta_sq": delta_sq,
         "d_n": d_n,

@@ -31,12 +31,10 @@ import numpy as np
 
 from .complexity import trace_bound
 from .errors import InputError, NumericError, UnboundedLossError
-from .kernels import (
-    DecomposableKernel, as_labels, as_points, check_kappa, gram_scalar, gram_scalar_cross,
-)
+from .kernels import DecomposableKernel, as_labels, as_points, check_kappa
 from .losses import UNBOUNDED, LossSpec, loss_subgradient, loss_value
 from .sketching import SketchMatrix
-from .spectral import SpectralDecomposition, eigendecompose_scaled_gram, sketched_gram
+from .spectral import SpectralDecomposition
 
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-14
@@ -86,17 +84,15 @@ class FittedModel:
             return self.coeffs
         return self.sketch.matrix.T @ self.coeffs
 
-    def predict(self, x, gram=None) -> np.ndarray:
-        """Rows k(x, anchors) @ A @ M; ``gram`` is k(x, anchors) when at hand
-        (the training Gram when x are the anchors)."""
-        if gram is None:
-            gram = gram_scalar_cross(self.kernel.scalar, x, self.anchors)
-        elif np.shape(gram) != (as_points(x).shape[0], self.anchors.shape[0]):
+    def predict(self, gram) -> np.ndarray:
+        """Rows k(x, anchors) @ A @ M at the points x whose cross Gram
+        k(x, anchors) is ``gram`` (the training Gram when x are the anchors)."""
+        if np.ndim(gram) != 2 or np.shape(gram)[1] != self.anchors.shape[0]:
             raise InputError(f"Gram shape {np.shape(gram)} does not match points x anchors")
         return gram @ self.effective_coeffs() @ self.kernel.output
 
 
-def _prepare(kernel: DecomposableKernel, x, y, gram=None):
+def _prepare(kernel: DecomposableKernel, x, y, gram):
     pts = as_points(x, kernel.scalar.dimension)
     targets = as_labels(y)
     if targets.shape != (pts.shape[0], kernel.output_dim):
@@ -106,15 +102,12 @@ def _prepare(kernel: DecomposableKernel, x, y, gram=None):
         )
     if pts.shape[0] == 0:
         raise InputError("data must be nonempty")
-    if gram is None:
-        g = gram_scalar(kernel.scalar, pts)
-    else:
-        g = np.asarray(gram, dtype=float)
-        if g.shape != (pts.shape[0],) * 2:
-            raise InputError(f"Gram shape {g.shape} does not match {pts.shape[0]} points")
-        if not np.all(np.isfinite(g)):
-            raise NumericError("Gram matrix contains non-finite entries")
-        check_kappa(kernel.scalar, g)
+    g = np.asarray(gram, dtype=float)
+    if g.shape != (pts.shape[0],) * 2:
+        raise InputError(f"Gram shape {g.shape} does not match {pts.shape[0]} points")
+    if not np.all(np.isfinite(g)):
+        raise NumericError("Gram matrix contains non-finite entries")
+    check_kappa(kernel.scalar, g)
     return pts, targets, g
 
 
@@ -247,7 +240,7 @@ def _fit_lipschitz(k, kt, p, p_eigh, m_mat, y, loss: LossSpec, cfg: FitConfig):
 
 def fit_full(
     kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig,
-    spectrum: SpectralDecomposition | None = None,
+    spectrum: SpectralDecomposition,
 ) -> FittedModel:
     """Fit the full representer program.
 
@@ -257,26 +250,24 @@ def fit_full(
     x, y : training inputs (n, d) and targets (n, m).
     loss : squared (direct solve) or Lipschitz (proximal subgradient descent).
     cfg : ridge weight and solver controls.
-    spectrum : ``eigendecompose_scaled_gram`` of the n x n scalar Gram
-        k(x_i, x_j), whose Gram is reused instead of assembled (checked for
-        shape, finite entries and the scalar kernel's kappa) and whose
-        eigenpairs the squared solve, and the proximal map when they are the
-        whole spectrum, reuse instead of decomposing the Gram again.
+    spectrum : ``spectral.kernel_spectrum(kernel.scalar, x, top)``, the
+        decomposition of the n x n scalar Gram k(x_i, x_j).  Its Gram is
+        checked for shape, finite entries and the scalar kernel's kappa; its
+        eigenpairs serve the squared solve, and the proximal map when they
+        are the whole spectrum.
     """
-    pts, targets, g = _prepare(kernel, x, y, None if spectrum is None else spectrum.gram)
+    pts, targets, g = _prepare(kernel, x, y, spectrum.gram)
     _require_invertible_m(kernel.output)
     m_mat = kernel.output
     n = pts.shape[0]
     if loss.family == "squared":
-        if spectrum is None:
-            spectrum = eigendecompose_scaled_gram(g)
         a, iters = _solve_squared_full(spectrum, m_mat, targets, cfg.lambda_n)
         ga = g @ a
         obj = _objective_at(ga, ga, m_mat, targets, loss, cfg.lambda_n, a)
         resid = g @ ((2.0 / n) * (ga @ m_mat - targets) + cfg.lambda_n * a) @ m_mat
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), iters, True)
         return FittedModel(a, kernel, pts, diag)
-    if spectrum is not None and spectrum.vals.size == n:
+    if spectrum.vals.size == n:
         g_eigh = spectrum.vals, spectrum.vecs
     else:
         g_eigh = np.linalg.eigh(g)  # the Gram is exactly symmetric: no n x n copy
@@ -286,25 +277,24 @@ def fit_full(
 
 def fit_sketched(
     kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig, sk: SketchMatrix,
-    gram=None, sketched=None,
+    gram: np.ndarray, sketched: tuple[np.ndarray, np.ndarray],
 ) -> FittedModel:
     """Fit the sketched program on the Gamma parameterization.
 
-    ``gram`` is the n x n scalar Gram k(x_i, x_j), reused instead of
-    assembled; it is checked for shape, finite entries and the scalar
-    kernel's kappa.  ``sketched`` is ``spectral.sketched_gram(sk, gram)``,
-    the products (G S^T, S G S^T), when already formed.
+    ``gram`` is the n x n scalar Gram k(x_i, x_j), checked for shape, finite
+    entries and the scalar kernel's kappa, and ``sketched`` is
+    ``spectral.sketched_gram(sk, gram)``, the products (G S^T, S G S^T),
+    checked for their shapes.
     """
-    pts, targets, g = _prepare(kernel, x, y, gram)
+    pts, targets, _ = _prepare(kernel, x, y, gram)
     _require_invertible_m(kernel.output)
-    s_dense = sk.matrix
-    if s_dense.shape[1] != pts.shape[0]:
-        raise InputError(
-            f"sketch has {s_dense.shape[1]} columns for {pts.shape[0]} points"
-        )
+    if sk.matrix.shape[1] != pts.shape[0]:
+        raise InputError(f"sketch has {sk.matrix.shape[1]} columns for {pts.shape[0]} points")
     m_mat = kernel.output
-    n = pts.shape[0]
-    k_sk, sgs = sketched_gram(sk, g) if sketched is None else sketched
+    n, rows = pts.shape[0], sk.matrix.shape[0]
+    k_sk, sgs = sketched
+    if np.shape(k_sk) != (n, rows) or np.shape(sgs) != (rows, rows):
+        raise InputError(f"sketched products {np.shape(k_sk)}, {np.shape(sgs)} do not match S")
     if loss.family == "squared":
         gamma = _solve_squared_sketched(k_sk, sgs, m_mat, targets, cfg.lambda_n)
         obj = _objective(k_sk, sgs, m_mat, targets, loss, cfg.lambda_n, gamma)
@@ -321,14 +311,16 @@ def fit_sketched(
 
 def empirical_risk(model, x, y, loss: LossSpec, gram=None) -> float:
     """Mean loss of a FittedModel or row-wise predictor over a dataset;
-    ``gram`` is k(x, anchors) for a FittedModel, as in ``predict``, and is
-    rejected for a predictor."""
+    ``gram`` is k(x, anchors), which a FittedModel needs (see ``predict``)
+    and a predictor rejects."""
     pts = as_points(x)
     targets = as_labels(y)
     if pts.shape[0] == 0:
         raise InputError("data must be nonempty")
     if isinstance(model, FittedModel):
-        preds = model.predict(pts, gram)
+        if gram is None:
+            raise InputError("a FittedModel needs the Gram k(x, anchors)")
+        preds = model.predict(gram)
     elif gram is not None:
         raise InputError("gram applies only to a FittedModel")
     else:

@@ -1,9 +1,13 @@
 """Lipschitz losses on R^m: squared, Huber, and multi-quantile pinball.
 
 Vector losses are coordinate sums, which keeps the Lipschitz constant
-computable (Euclidean norm, hence the sqrt(m) factor).  Kink conventions are
-fixed: the pinball subgradient at zero residual is the lower branch tau - 1;
-Huber has a continuous gradient and no kink.
+computable (Euclidean norm, hence the sqrt(m) factor).  Every loss reads the
+residual u = z - y of the prediction z, and the pinball loss of quantile tau
+is max(tau u, (tau - 1) u) = tau (z - y)_+ + (1 - tau) (y - z)_+, whose
+population minimizer is the (1 - tau) conditional quantile of y, not the tau
+one of Koenker & Bassett (1978): tau = 0.9 fits the 10th percentile.  Kink
+conventions are fixed: the pinball subgradient at zero residual is the lower
+branch tau - 1; Huber has a continuous gradient and no kink.
 
 The last axis is the output coordinate axis and every other axis is a batch
 axis: a single prediction of shape (m,) gives one loss, an (n, m) matrix of
@@ -66,7 +70,8 @@ def loss_value(spec: LossSpec, z, y) -> float | np.ndarray:
 
     A row of shape (m,) gives a float; a batch of shape (..., m) gives the
     array of per-row losses, of shape (...).  Shapes must match, and a
-    pinball loss needs ``shape[-1]`` equal to its number of quantiles.
+    pinball loss needs ``shape[-1]`` equal to its number of quantiles; its
+    coordinate j fits the (1 - quantiles[j]) conditional quantile.
     """
     u = _residual(spec, z, y)
     if spec.family == "squared":
@@ -97,20 +102,16 @@ def loss_subgradient(spec: LossSpec, z, y) -> np.ndarray:
     return np.where(u > 0, tau, tau - 1.0)
 
 
-def lipschitz_constant(spec: LossSpec, m: int | None = None) -> float:
-    """Euclidean Lipschitz constant of z -> loss(z, y); inf for squared.
+def lipschitz_constant(spec: LossSpec, m: int) -> float:
+    """Euclidean Lipschitz constant of z -> loss(z, y) on R^m; inf for squared.
 
     The per-coordinate slope bound picks up a sqrt(m) factor in the Euclidean
-    norm.  For pinball the output dimension is the number of quantiles; for
-    huber it defaults to 1 unless given.
+    norm.  A pinball loss needs m equal to its number of quantiles.
     """
     if spec.family == "squared":
         return UNBOUNDED
     if spec.family == "pinball":
-        if m is not None and m != len(spec.quantiles):
+        if m != len(spec.quantiles):
             raise InputError(f"m={m} does not match {len(spec.quantiles)} quantiles")
-        m = len(spec.quantiles)
-        slope = max(max(t, 1.0 - t) for t in spec.quantiles)
-        return slope * math.sqrt(m)
-    m = 1 if m is None else int(m)
+        return max(max(t, 1.0 - t) for t in spec.quantiles) * math.sqrt(m)
     return spec.huber_delta * math.sqrt(m)

@@ -20,7 +20,9 @@ is checked by tiles, with no n x n temporary; its CG iterates and deflation
 basis are rows, so each product with it has a row-major left operand (the
 faster layout of thin GEMMs on OpenBLAS); ``sketched_gram`` forms S G S^T
 once for a sketched fit and its satisfiability test; and the O(n^3) PSD
-verdict runs only where the caller's error bound leaves it open.
+verdict runs only where the Gram's error bound leaves it open.
+``kernel_spectrum`` is the one place that assembles a kernel's Gram and
+decides, from ``kernels.gram_error_bound``, whether that verdict must run.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateInputError, InputError, NumericError
-from .kernels import PSD_TOL, finite_matrix, require_psd, require_psd_cholesky
+from .kernels import (
+    PSD_TOL, ScalarKernelSpec, finite_matrix, gram_error_bound, gram_scalar, require_psd,
+    require_psd_cholesky,
+)
 from .sketching import SketchMatrix
 
 #: Bracket width at which the critical-radius bisection stops.
@@ -225,17 +230,25 @@ def eigendecompose_scaled_gram(
     return SpectralDecomposition(g, vals, vecs)
 
 
-def critical_radius(mu, n: int | None = None, tail: float = 0.0) -> float:
+def kernel_spectrum(spec: ScalarKernelSpec, x, top: int) -> SpectralDecomposition:
+    """``eigendecompose_scaled_gram`` of the scaled Gram ``gram_scalar(spec,
+    x)``, with at least ``top`` eigenpairs, its PSD verdict settled by
+    ``gram_error_bound(spec, x)``: a Gaussian or Matern nu = 1.5 or 2.5 Gram
+    skips the O(n^3) Cholesky above N_DENSE, any other runs it."""
+    return eigendecompose_scaled_gram(gram_scalar(spec, x), top, gram_error_bound(spec, x))
+
+
+def critical_radius(mu, n: int, tail: float) -> float:
     """Minimal delta^2 with psi(delta) <= delta^2, by bisection on delta, for
-    the n eigenvalues of G_k / n whose largest are ``mu``, descending (all of
-    them when ``n`` is None), and whose others sum to ``tail``: psi(delta)^2 =
-    (tail + sum_i min(delta^2, mu_i)) / n, exact for delta^2 >= min(mu)."""
+    the n eigenvalues of G_k / n whose largest are ``mu``, descending, and
+    whose others sum to ``tail``: psi(delta)^2 = (tail + sum_i min(delta^2,
+    mu_i)) / n, exact for delta^2 >= min(mu)."""
     mu = np.asarray(mu, dtype=float)
     if mu.size == 0 or mu.max() <= 0.0:
         return 0.0
     if np.any(mu < 0):
         raise InputError("eigenvalues must be nonnegative")
-    n, tail = mu.size if n is None else n, max(tail, 0.0)
+    tail = max(tail, 0.0)
     # psi(hi) <= sqrt(mu_1) <= max(1, mu_1) = hi^2, so the bracket is valid.
     lo, hi = 0.0, max(1.0, float(np.sqrt(mu[0])))
     while hi - lo > _RADIUS_TOL:

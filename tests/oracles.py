@@ -13,7 +13,8 @@ layers into the injective weight class, draws signs as integers and converts
 them to floats, keeps a sign block's row-major signs while its forms are
 computed, recomputes a bound report's total from its parts, maximizes a
 pencil's Rayleigh quotient apart from a deep objective, takes an expansion's
-RKHS norm from its own anchor Gram or writes a dataset CSV.
+RKHS norm from its own anchor Gram, fits or predicts on Grams assembled for
+that one call alone or writes a dataset CSV.
 """
 
 import math
@@ -24,7 +25,7 @@ from scipy.special import gamma, kv
 
 from opbounds._rng import substream
 from opbounds.complexity import _BLOCK, BallMc, ClassMc
-from opbounds.erm import _objective
+from opbounds.erm import _objective, fit_full, fit_sketched
 from opbounds.errors import InputError
 from opbounds.kernels import (
     _expansion_norm,
@@ -37,7 +38,9 @@ from opbounds.kernels import (
     require_psd,
 )
 from opbounds.koopman import _factor_product
-from opbounds.spectral import _pencil_basis, _top_eigenvalue, _whiten
+from opbounds.spectral import (
+    LANCZOS_START, _pencil_basis, _top_eigenvalue, _whiten, kernel_spectrum, sketched_gram,
+)
 
 
 def eval_scalar(spec, x, x_prime) -> float:
@@ -209,6 +212,22 @@ def objective_sketched(kernel, g, y, loss, lambda_n, s_dense, gamma_) -> float:
     """The sketched ERM objective at Gamma from the scalar Gram and the sketch."""
     k_sk = g @ s_dense.T
     return _objective(k_sk, s_dense @ k_sk, kernel.output, y, loss, lambda_n, gamma_)
+
+
+def fit_full_on(kernel, x, y, loss, cfg):
+    """``fit_full`` on the spectrum ``kernel_spectrum`` forms from the points."""
+    return fit_full(kernel, x, y, loss, cfg, kernel_spectrum(kernel.scalar, x, LANCZOS_START))
+
+
+def fit_sketched_on(kernel, x, y, loss, cfg, sk):
+    """``fit_sketched`` on the Gram of the points and its sketched products."""
+    g = gram_scalar(kernel.scalar, x)
+    return fit_sketched(kernel, x, y, loss, cfg, sk, g, sketched_gram(sk, g))
+
+
+def predict_at(model, x) -> np.ndarray:
+    """A fitted model's predictions at x, from the cross Gram k(x, anchors)."""
+    return model.predict(gram_scalar_cross(model.kernel.scalar, x, model.anchors))
 
 
 def decompose_sketch(sk):

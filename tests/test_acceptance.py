@@ -24,7 +24,7 @@ from opbounds.deepvv import (
     refine_kernel,
     train,
 )
-from opbounds.erm import FitConfig, excess_risk_bound_rhs, fit_full, fit_sketched
+from opbounds.erm import FitConfig, excess_risk_bound_rhs
 from opbounds.errors import RefinementOrderError
 from opbounds.kernels import DecomposableKernel, KernelExpansion, ScalarKernelSpec, gram_scalar
 from opbounds.koopman import LayerSpec, NetworkSpec, product_bound, spectral_ratio_factor
@@ -37,7 +37,7 @@ from opbounds.spectral import (
     eigendecompose_scaled_gram,
     statistical_dimension,
 )
-from oracles import pencil_max, psi_value
+from oracles import fit_full_on, fit_sketched_on, pencil_max, predict_at, psi_value
 
 
 def record(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -133,9 +133,9 @@ def test_criterion_04_identity_sketch_equivalence():
         )
         cfg = FitConfig(lambda_n=0.05)
         identity = SketchMatrix(matrix=np.eye(n))
-        full = fit_full(kernel, x, y, LossSpec("squared"), cfg)
-        sketched = fit_sketched(kernel, x, y, LossSpec("squared"), cfg, identity)
-        gap = float(np.abs(full.predict(x) - sketched.predict(x)).max())
+        full = fit_full_on(kernel, x, y, LossSpec("squared"), cfg)
+        sketched = fit_sketched_on(kernel, x, y, LossSpec("squared"), cfg, identity)
+        gap = float(np.abs(predict_at(full, x) - predict_at(sketched, x)).max())
         worst = max(worst, gap)
         ok = ok and gap <= 1e-8
     record(4, "identity-sketch fit matches full fit on training predictions", ok,
@@ -198,7 +198,7 @@ def test_criterion_05_satisfiability_frequency():
         pts = rng.uniform(-1, 1, (n, 2))
         g_k = gram_scalar(ScalarKernelSpec("gaussian", 1.0, dimension=2), pts)
         dec = eigendecompose_scaled_gram(g_k)
-        delta_sq = critical_radius(dec.mu)
+        delta_sq = critical_radius(dec.mu, n, 0.0)
         d_n = statistical_dimension(dec.mu, delta_sq)
         d_ns.append(d_n)
         sk = make_p_sparsified(
@@ -234,13 +234,13 @@ def test_criterion_05_satisfiability_frequency():
 def test_criterion_06_critical_radius():
     ok = True
     for n in (2, 10, 100, 1000):
-        got = critical_radius(np.full(n, 0.01))
+        got = critical_radius(np.full(n, 0.01), n, 0.0)
         ok = ok and abs(got - 0.1) <= 1e-6
     for seed in range(100):
         rng = np.random.default_rng(4000 + seed)
         n = int(rng.integers(2, 80))
         mu = np.sort(rng.uniform(1e-4, 3.0, n) * rng.uniform(0.2, 1.0, n))[::-1]
-        d_sq = critical_radius(mu)
+        d_sq = critical_radius(mu, n, 0.0)
         delta = math.sqrt(d_sq)
         ok = ok and psi_value(delta, mu) <= d_sq
         if delta > 1e-8:

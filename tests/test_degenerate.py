@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from opbounds.complexity import BallMc, McConfig, run_mc
 from opbounds.deepvv import DeepObjective, TrainConfig, init_layered_model, train
-from opbounds.erm import FitConfig, fit_full, fit_sketched
+from opbounds.erm import FitConfig
 from opbounds.errors import OpboundsError
 from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
 from opbounds.koopman import LayerSpec, NetworkSpec, SplitMc
@@ -24,7 +24,7 @@ from opbounds.spectral import (
     eigendecompose_scaled_gram,
     statistical_dimension,
 )
-from oracles import pencil_max
+from oracles import fit_full_on, fit_sketched_on, pencil_max
 
 
 @st.composite
@@ -78,7 +78,7 @@ def test_fit_full_is_finite_or_typed(problem, family):
     x, y, kernel = problem
     cfg = FitConfig(lambda_n=0.1, max_iters=15)
     loss = _loss(family, y.shape[1])
-    got = _finite_or_typed(lambda: _fit_numbers(fit_full(kernel, x, y, loss, cfg)))
+    got = _finite_or_typed(lambda: _fit_numbers(fit_full_on(kernel, x, y, loss, cfg)))
     if np.linalg.eigvalsh(kernel.output)[0] > 1e-6:
         assert got is not None  # a strictly PD M is not degenerate for the fit
 
@@ -92,7 +92,7 @@ def test_fit_sketched_is_finite_or_typed(problem, family, rows, p, seed):
         sketch = make_p_sparsified(SketchSpec(s=rows, n=x.shape[0], p=p, seed=seed))
     cfg = FitConfig(lambda_n=0.1, max_iters=15)
     _finite_or_typed(
-        lambda: _fit_numbers(fit_sketched(kernel, x, y, _loss(family, y.shape[1]), cfg, sketch))
+        lambda: _fit_numbers(fit_sketched_on(kernel, x, y, _loss(family, y.shape[1]), cfg, sketch))
     )
 
 
@@ -117,7 +117,7 @@ def test_spectrum_chain_is_finite_or_typed(problem, rows, p, seed):
 
     def chain():
         dec = eigendecompose_scaled_gram(g)
-        delta_sq = critical_radius(dec.mu)
+        delta_sq = critical_radius(dec.mu, n, 0.0)
         d_n = statistical_dimension(dec.mu, delta_sq)
         sketch = make_p_sparsified(SketchSpec(s=rows, n=n, p=p, seed=seed))
         report = check_satisfiability(sketch, dec, d_n, delta_sq, 3.0)

@@ -18,8 +18,11 @@ from opbounds.errors import InputError, NumericError, OpboundsError, UnboundedLo
 from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
 from opbounds.losses import LossSpec, loss_value
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
-from opbounds.spectral import eigendecompose_scaled_gram
-from oracles import coefficient_norm, objective_sketched, solve_squared_full
+from opbounds.spectral import eigendecompose_scaled_gram, sketched_gram
+from oracles import (
+    coefficient_norm, fit_full_on, fit_sketched_on, objective_sketched, predict_at,
+    solve_squared_full,
+)
 
 SQUARED = LossSpec("squared")
 PINBALL = LossSpec("pinball", quantiles=(0.25, 0.75))
@@ -44,7 +47,7 @@ def make_problem(seed, n=12, d=2, m=2, pd_output=True):
 def test_single_point_zero_target_gives_zero_coeffs():
     kernel, x, _ = make_problem(0, n=1)
     y = np.zeros((1, 2))
-    model = fit_full(kernel, x, y, SQUARED, FitConfig(lambda_n=0.3))
+    model = fit_full_on(kernel, x, y, SQUARED, FitConfig(lambda_n=0.3))
     assert np.array_equal(model.coeffs, np.zeros((1, 2)))
 
 
@@ -52,7 +55,7 @@ def test_single_point_zero_target_gives_zero_coeffs():
 def test_squared_full_stationarity(seed):
     kernel, x, y = make_problem(seed)
     cfg = FitConfig(lambda_n=0.05)
-    model = fit_full(kernel, x, y, SQUARED, cfg)
+    model = fit_full_on(kernel, x, y, SQUARED, cfg)
     g = gram_scalar(kernel.scalar, x)
     n = x.shape[0]
     grad = g @ ((2.0 / n) * (g @ model.coeffs @ kernel.output - y)
@@ -63,7 +66,7 @@ def test_squared_full_stationarity(seed):
 def test_pinball_descends_from_zero():
     kernel, x, y = make_problem(1, n=20)
     cfg = FitConfig(lambda_n=0.05, max_iters=200, step_size=1.0, tol=1e-6)
-    model = fit_full(kernel, x, y, PINBALL, cfg)
+    model = fit_full_on(kernel, x, y, PINBALL, cfg)
     g = gram_scalar(kernel.scalar, x)
     at_zero = _objective(g, g, kernel.output, y, PINBALL, cfg.lambda_n, np.zeros_like(y))
     assert model.diagnostics.objective <= at_zero
@@ -75,11 +78,11 @@ def test_huber_descends_from_zero(fit):
     cfg = FitConfig(lambda_n=0.05, max_iters=60, step_size=0.5, tol=1e-9)
     g = gram_scalar(kernel.scalar, x)
     if fit == "full":
-        model = fit_full(kernel, x, y, HUBER, cfg)
+        model = fit_full_on(kernel, x, y, HUBER, cfg)
         at_zero = _objective(g, g, kernel.output, y, HUBER, cfg.lambda_n, np.zeros_like(y))
     else:
         sk = make_p_sparsified(SketchSpec(s=8, n=20, p=1.0, dist="gaussian", seed=2))
-        model = fit_sketched(kernel, x, y, HUBER, cfg, sk)
+        model = fit_sketched_on(kernel, x, y, HUBER, cfg, sk)
         at_zero = objective_sketched(
             kernel, g, y, HUBER, cfg.lambda_n, sk.matrix, np.zeros((8, 2))
         )
@@ -114,8 +117,8 @@ def test_objectives_match_row_by_row_reference(loss, seed):
     )
     assert objective_sketched(kernel, g, y, loss, lam, s_dense, gamma) == expected
 
-    model = fit_full(kernel, x, y, loss, FitConfig(lambda_n=lam, max_iters=5))
-    assert empirical_risk(model, x, y, loss) == _row_by_row_mean(loss, model.predict(x), y)
+    model = fit_full_on(kernel, x, y, loss, FitConfig(lambda_n=lam, max_iters=5))
+    assert empirical_risk(model, x, y, loss, gram=g) == _row_by_row_mean(loss, model.predict(g), y)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -124,16 +127,16 @@ def test_identity_sketch_equivalence(seed):
     cfg = FitConfig(lambda_n=0.08)
     n = x.shape[0]
     identity = SketchMatrix(matrix=np.eye(n))
-    full = fit_full(kernel, x, y, SQUARED, cfg)
-    sketched = fit_sketched(kernel, x, y, SQUARED, cfg, identity)
-    assert np.abs(full.predict(x) - sketched.predict(x)).max() <= 1e-8
+    full = fit_full_on(kernel, x, y, SQUARED, cfg)
+    sketched = fit_sketched_on(kernel, x, y, SQUARED, cfg, identity)
+    assert np.abs(predict_at(full, x) - predict_at(sketched, x)).max() <= 1e-8
 
 
 def test_sketched_monotone_descent_from_zero():
     kernel, x, y = make_problem(3, n=16)
     cfg = FitConfig(lambda_n=0.05, max_iters=60, step_size=0.5, tol=1e-9)
     sk = make_p_sparsified(SketchSpec(s=6, n=16, p=1.0, dist="gaussian", seed=5))
-    model = fit_sketched(kernel, x, y, PINBALL, cfg, sk)
+    model = fit_sketched_on(kernel, x, y, PINBALL, cfg, sk)
     g = gram_scalar(kernel.scalar, x)
     at_zero = objective_sketched(
         kernel, g, y, PINBALL, cfg.lambda_n, sk.matrix, np.zeros((6, 2))
@@ -153,18 +156,19 @@ def test_quarter_sketch_risk_within_factor_two():
     )
     cfg = FitConfig(lambda_n=0.1)
     sk = make_p_sparsified(SketchSpec(s=n // 4, n=n, p=1.0, dist="gaussian", seed=11))
-    full = fit_full(kernel, x, y, SQUARED, cfg)
-    sketched = fit_sketched(kernel, x, y, SQUARED, cfg, sk)
-    r_full = empirical_risk(full, x, y, SQUARED)
-    r_sketched = empirical_risk(sketched, x, y, SQUARED)
+    full = fit_full_on(kernel, x, y, SQUARED, cfg)
+    sketched = fit_sketched_on(kernel, x, y, SQUARED, cfg, sk)
+    g = gram_scalar(kernel.scalar, x)
+    r_full = empirical_risk(full, x, y, SQUARED, gram=g)
+    r_sketched = empirical_risk(sketched, x, y, SQUARED, gram=g)
     assert r_sketched <= 2.0 * r_full
 
 
 def test_solver_determinism():
     kernel, x, y = make_problem(9, n=14)
     cfg = FitConfig(lambda_n=0.02, max_iters=80, step_size=0.7, tol=1e-9)
-    a = fit_full(kernel, x, y, PINBALL, cfg)
-    b = fit_full(kernel, x, y, PINBALL, cfg)
+    a = fit_full_on(kernel, x, y, PINBALL, cfg)
+    b = fit_full_on(kernel, x, y, PINBALL, cfg)
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
@@ -172,8 +176,8 @@ def test_ridge_shrinkage_monotone_in_lambda():
     # doubling lambda_n never increases the fitted RKHS norm
     for seed in range(6):
         kernel, x, y = make_problem(20 + seed)
-        small = fit_full(kernel, x, y, SQUARED, FitConfig(lambda_n=0.03))
-        large = fit_full(kernel, x, y, SQUARED, FitConfig(lambda_n=0.06))
+        small = fit_full_on(kernel, x, y, SQUARED, FitConfig(lambda_n=0.03))
+        large = fit_full_on(kernel, x, y, SQUARED, FitConfig(lambda_n=0.06))
         assert coefficient_norm(large) <= coefficient_norm(small) + 1e-12
 
 
@@ -183,13 +187,13 @@ def test_singular_output_matrix_rejected():
         kernel.scalar, np.diag([1.0, 0.0])
     )
     with pytest.raises(InputError):
-        fit_full(singular, x, y, SQUARED, FitConfig(lambda_n=0.1))
+        fit_full_on(singular, x, y, SQUARED, FitConfig(lambda_n=0.1))
 
 
 def test_nonconverged_flagged_not_silent():
     kernel, x, y = make_problem(4, n=18)
     cfg = FitConfig(lambda_n=0.05, max_iters=2, step_size=0.5, tol=1e-14)
-    model = fit_full(kernel, x, y, PINBALL, cfg)
+    model = fit_full_on(kernel, x, y, PINBALL, cfg)
     assert not model.diagnostics.converged
     assert model.diagnostics.warning is not None
 
@@ -224,25 +228,20 @@ def test_empirical_risk_cases():
     s=st.integers(1, 18),
     loss=st.sampled_from([SQUARED, PINBALL, HUBER]),
 )
-def test_supplied_gram_fits_match_self_assembled(seed, n, s, loss):
+def test_fits_on_the_training_gram_match_the_cross_gram(seed, n, s, loss):
+    # risks through the training Gram carry the bits of risks through the
+    # cross Gram k(x, x), and the hoisted sketched objective the bits of the
+    # public objective
     kernel, x, y = make_problem(seed, n=n)
     cfg = FitConfig(lambda_n=0.05, max_iters=15, step_size=0.5, tol=1e-9)
     sk = make_p_sparsified(SketchSpec(s=s, n=n, p=1.0, dist="gaussian", seed=seed))
     g = gram_scalar(kernel.scalar, x)
-    pairs = [
-        (fit_full(kernel, x, y, loss, cfg),
-         fit_full(kernel, x, y, loss, cfg, spectrum=eigendecompose_scaled_gram(g))),
-        (fit_sketched(kernel, x, y, loss, cfg, sk),
-         fit_sketched(kernel, x, y, loss, cfg, sk, gram=g)),
-    ]
-    for own, shared in pairs:
-        assert np.array_equal(own.coeffs, shared.coeffs)
-        assert own.diagnostics == shared.diagnostics
-        assert empirical_risk(own, x, y, loss) == empirical_risk(shared, x, y, loss, gram=g)
-    # the hoisted sketched objective reports the public objective's bits
-    gamma = pairs[1][1].coeffs
-    assert pairs[1][1].diagnostics.objective == objective_sketched(
-        kernel, g, y, loss, cfg.lambda_n, sk.matrix, gamma
+    full = fit_full_on(kernel, x, y, loss, cfg)
+    for model in (full, fit_sketched_on(kernel, x, y, loss, cfg, sk)):
+        risk = _row_by_row_mean(loss, predict_at(model, x), y)
+        assert empirical_risk(model, x, y, loss, gram=g) == risk
+    assert model.diagnostics.objective == objective_sketched(
+        kernel, g, y, loss, cfg.lambda_n, sk.matrix, model.coeffs
     )
 
 
@@ -259,7 +258,7 @@ def test_squared_full_solve_matches_dense_eigh(seed, n, m, repeats, lambda_n):
     # dense eigenbases of G and M, at n = 1 and 2, m = 1 and on repeated points
     kernel, x, y = make_problem(seed, n=n, m=m)
     x[: min(repeats, n)] = x[0]
-    model = fit_full(kernel, x, y, SQUARED, FitConfig(lambda_n=lambda_n))
+    model = fit_full_on(kernel, x, y, SQUARED, FitConfig(lambda_n=lambda_n))
     want = solve_squared_full(gram_scalar(kernel.scalar, x), kernel.output, y, lambda_n)
     assert np.abs(model.coeffs - want).max() <= 1e-10 * max(np.abs(want).max(), 1e-300)
 
@@ -279,8 +278,11 @@ def test_supplied_gram_errors_are_typed():
     ]
     for gram, kind, match in cases:
         with pytest.raises(kind, match=match) as info:
-            fit_sketched(kernel, x, y, SQUARED, cfg, sk, gram=gram)
+            fit_sketched(kernel, x, y, SQUARED, cfg, sk, gram, sketched_gram(sk, g))
         assert isinstance(info.value, OpboundsError)
+    other = make_p_sparsified(SketchSpec(s=5, n=10, p=1.0, dist="gaussian", seed=1))
+    with pytest.raises(InputError, match="sketched products"):
+        fit_sketched(kernel, x, y, SQUARED, cfg, sk, g, sketched_gram(other, g))
     # fit_full receives a Gram only with its spectrum, and checks it alike
     spectrum_cases = [
         (eigendecompose_scaled_gram(g[:9, :9]), "Gram shape"),
@@ -288,11 +290,13 @@ def test_supplied_gram_errors_are_typed():
     ]
     for spectrum, match in spectrum_cases:
         with pytest.raises(InputError, match=match):
-            fit_full(kernel, x, y, SQUARED, cfg, spectrum=spectrum)
-    model = fit_full(kernel, x, y, SQUARED, cfg)
+            fit_full(kernel, x, y, SQUARED, cfg, spectrum)
+    model = fit_full_on(kernel, x, y, SQUARED, cfg)
     with pytest.raises(InputError, match="Gram shape"):
         empirical_risk(model, x, y, SQUARED, gram=g[:, :9])
-    with pytest.raises(InputError, match="FittedModel"):
+    with pytest.raises(InputError, match="needs the Gram"):
+        empirical_risk(model, x, y, SQUARED)
+    with pytest.raises(InputError, match="only to a FittedModel"):
         empirical_risk(model.predict, x, y, SQUARED, gram=g)
 
 

@@ -101,7 +101,7 @@ def test_subgradient_inequality(spec):
 
 
 @pytest.mark.parametrize(
-    "spec,m", [(HUBER, 2), (PINBALL_2, None)]
+    "spec,m", [(HUBER, 2), (PINBALL_2, 2)]
 )
 def test_lipschitz_bound_on_probes(spec, m):
     j = lipschitz_constant(spec, m)
@@ -114,11 +114,13 @@ def test_lipschitz_bound_on_probes(spec, m):
 
 
 def test_lipschitz_constants():
-    assert lipschitz_constant(PINBALL_MED) == pytest.approx(0.5)
+    assert lipschitz_constant(PINBALL_MED, 1) == pytest.approx(0.5)
     assert lipschitz_constant(LossSpec("huber", huber_delta=1.0), 1) == pytest.approx(1.0)
-    assert lipschitz_constant(PINBALL_2) == pytest.approx(0.9 * math.sqrt(2))
+    assert lipschitz_constant(PINBALL_2, 2) == pytest.approx(0.9 * math.sqrt(2))
     assert lipschitz_constant(LossSpec("huber", huber_delta=0.5), 4) == pytest.approx(1.0)
-    assert lipschitz_constant(SQUARED) == UNBOUNDED
+    assert lipschitz_constant(SQUARED, 3) == UNBOUNDED
+    with pytest.raises(InputError, match="does not match 2 quantiles"):
+        lipschitz_constant(PINBALL_2, 3)
 
 
 def test_dimension_validation():

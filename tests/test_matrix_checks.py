@@ -2,7 +2,7 @@
 
 Every public entry point that takes a square matrix rejects NaN, +-inf, a
 non-square and an empty matrix with a typed OpboundsError
-(``kernels.finite_matrix``, or the fits' check of a supplied Gram); the
+(``kernels.finite_matrix``, or the fits' check of their Gram); the
 layer-weight functions take rectangular weights and reject non-finite or
 empty ones, and every entry point that takes labels rejects non-finite ones
 (``kernels.as_labels``).  Every PSD verdict goes through
@@ -24,7 +24,7 @@ import pytest
 
 from opbounds.complexity import BallMc
 from opbounds.deepvv import DeepObjective, LayeredModel, refine_kernel
-from opbounds.erm import FitConfig, empirical_risk, fit_full, fit_sketched
+from opbounds.erm import FitConfig, empirical_risk, fit_sketched
 from opbounds.errors import InputError, NotPsdError, OpboundsError, RefinementOrderError
 from opbounds.kernels import (
     PSD_TOL,
@@ -38,6 +38,7 @@ from opbounds.koopman import ApproxMc, det_quarter_root, spectral_ratio_factor
 from opbounds.losses import LossSpec
 from opbounds.sketching import SketchMatrix
 from opbounds.spectral import _pencil_basis, eigendecompose_scaled_gram
+from oracles import fit_full_on, fit_sketched_on
 
 I2 = np.eye(2)
 
@@ -59,7 +60,7 @@ SQUARE_ENTRY_POINTS = {
     "fit_sketched gram": lambda a: fit_sketched(
         DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), I2),
         np.zeros((2, 1)), np.zeros((2, 2)), LossSpec("squared"), FitConfig(lambda_n=1.0),
-        SketchMatrix(I2), gram=a,
+        SketchMatrix(I2), a, (I2, I2),
     ),
     "ApproxMc input Gram": lambda a: ApproxMc(np.zeros((1, 2, 2)), a, I2, I2),
     "ApproxMc mid Gram": lambda a: ApproxMc(np.zeros((1, 2, 2)), I2, a, I2),
@@ -150,13 +151,13 @@ def test_nan_eigenvalues_are_not_psd():
 #: Each entry point that takes labels as a function of the (2, 2) labels.
 LABEL_ENTRY_POINTS = {
     **{
-        f"fit_full {loss.family}": lambda y, loss=loss: fit_full(
+        f"fit_full {loss.family}": lambda y, loss=loss: fit_full_on(
             DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), I2),
             np.zeros((2, 1)), y, loss, FitConfig(lambda_n=1.0, max_iters=2),
         )
         for loss in (LossSpec("squared"), LossSpec("pinball", quantiles=(0.5, 0.5)))
     },
-    "fit_sketched": lambda y: fit_sketched(
+    "fit_sketched": lambda y: fit_sketched_on(
         DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), I2),
         np.zeros((2, 1)), y, LossSpec("pinball", quantiles=(0.5, 0.5)),
         FitConfig(lambda_n=1.0, max_iters=2), SketchMatrix(I2),

@@ -5,6 +5,7 @@ import pkgutil
 import sys
 import threading
 from functools import cached_property
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,6 +77,11 @@ def _none_defaults(member) -> tuple:
         member = member.__func__
     params = inspect.signature(inspect.unwrap(member)).parameters.values()
     return tuple(p.name for p in params if p.default is None)
+
+
+def _none_default_params(public) -> set:
+    """"module.function(parameter)" of every None-default parameter."""
+    return {f"{name}({p})" for name, member in public.items() for p in _none_defaults(member)}
 
 
 def _configs(tmp_path) -> list:
@@ -155,16 +161,18 @@ def _configs(tmp_path) -> list:
 
 @pytest.fixture(scope="module")
 def profiled(tmp_path_factory):
-    """(public members, codes entered, set None-default parameters, calls of
-    each ``functools.cache`` member) over the runs of ``_configs``.  A
-    parameter counts as set when a call enters its function with a value
-    other than None for it."""
+    """(public members, codes entered, set None-default parameters, None-default
+    parameters left None, calls of each ``functools.cache`` member) over the
+    runs of ``_configs``.  A parameter counts as set when a call enters its
+    function with a value other than None for it, and as left None when a
+    call enters with None.  The last run calls ``cli.main()`` on a patched
+    ``sys.argv``, as the ``opbounds`` console script does."""
     tmp_path = tmp_path_factory.mktemp("runs")
     public = _public_functions()
     watched = {_code(m): (name, _none_defaults(m)) for name, m in public.items()}
     runs = _configs(tmp_path)
     before = {name: _cache_calls(member) for name, member in public.items()}
-    entered, set_params = set(), set()
+    entered, set_params, none_params = set(), set(), set()
 
     def profile(frame, event, arg):
         if event != "call":
@@ -173,7 +181,8 @@ def profiled(tmp_path_factory):
         name, params = watched.get(frame.f_code, (None, ()))
         if params:
             local = frame.f_locals
-            set_params.update(f"{name}({p})" for p in params if local.get(p) is not None)
+            for p in params:
+                (none_params if local.get(p) is None else set_params).add(f"{name}({p})")
 
     # sys.setprofile holds for the calling thread only; threading.setprofile
     # covers the worker thread a run above N_DENSE points starts
@@ -186,19 +195,23 @@ def profiled(tmp_path_factory):
             path = tmp_path / f"config{i}.json"
             path.write_text(json.dumps(config))
             args = [subcommand, "--config", str(path), "--out", str(tmp_path / f"out{i}")]
-            codes.append(cli.main([*args, "--format", fmt]))
+            if i < len(runs) - 1:
+                codes.append(cli.main([*args, "--format", fmt]))
+                continue
+            with mock.patch.object(sys, "argv", ["opbounds", *args, "--format", fmt]):
+                codes.append(cli.main())
     finally:
         sys.setprofile(outer)
         threading.setprofile(outer_threads)
     assert codes == [0] * len(runs)
     calls = {name: _cache_calls(member) - before[name] for name, member in public.items()}
-    return public, entered, set_params, calls
+    return public, entered, set_params, none_params, calls
 
 
 def test_every_public_function_is_reached_by_a_run(profiled):
     # a public name that only tests call is a test oracle, not library API:
     # it belongs in tests/oracles.py
-    public, entered, _, calls = profiled
+    public, entered, _, _, calls = profiled
     missed = {
         name for name, member in public.items()
         if _code(member) not in entered and calls[name] == 0
@@ -209,7 +222,13 @@ def test_every_public_function_is_reached_by_a_run(profiled):
 def test_every_none_default_parameter_is_set_by_a_run(profiled):
     # a parameter that no run sets is a second way in that only tests use:
     # the function should take its one way in
-    public, _, set_params, _ = profiled
-    params = {f"{name}({p})" for name, member in public.items() for p in _none_defaults(member)}
+    params = _none_default_params(profiled[0])
     assert params, "no parameter with a None default found"
-    assert params - set_params == set(), sorted(params - set_params)
+    assert params - profiled[2] == set(), sorted(params - profiled[2])
+
+
+def test_every_none_default_parameter_is_left_none_by_a_run(profiled):
+    # the converse: a None default that every run overrides is a branch that
+    # only tests take; the parameter should be required
+    params = _none_default_params(profiled[0])
+    assert params - profiled[3] == set(), sorted(params - profiled[3])

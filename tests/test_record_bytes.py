@@ -59,6 +59,23 @@ SPECTRAL = {
     "sketch": {"rows": 8, "p": 0.5, "dist": "rademacher"},
 }
 
+# above N_DENSE points: a certified Gram (Matern nu = 1.5) through Lanczos,
+# the deflated CG and the two fits on two threads, and an uncertified one
+# (nu = 0.5) through the Cholesky PSD verdict
+SKETCH_REGRESS_LARGE = {
+    "dataset": {"kind": "synthetic", "n": 300, "d": 3, "m": 2, "noise": 0.1},
+    "kernel": {"family": "matern", "bandwidth": 0.5, "smoothness": 1.5},
+    "loss": {"family": "squared"},
+    "fit": {"lambda_n": 0.01},
+    "sketch": {"rows": 40, "p": 0.1, "dist": "rademacher"},
+}
+
+SPECTRAL_LARGE = {
+    "dataset": {"kind": "synthetic", "n": 300, "d": 3},
+    "kernel": {"family": "matern", "bandwidth": 0.5, "smoothness": 0.5},
+    "sketch": {"rows": 40, "p": 0.5, "dist": "rademacher"},
+}
+
 DEEP = {
     "dataset": {"kind": "synthetic", "n": 12, "d": 2, "m": 2, "noise": 0.1},
     "deep_model": {
@@ -83,6 +100,8 @@ DIGESTS = {
     "bound-compare-m": "3f99c58264682ededfdbfaf075756d4b34f9bddb3eb47333e545fac0a67b39f4",
     "sketch-regress": "2773904cfa897e16f7fbd4888a8c289c2f2ec00ac226ef13dcf79bd4252b2ec7",
     "spectral-report": "31dcaa46daeafecbab90cc8146e7235de93c2c0d45eb86893e07a5329d027021",
+    "sketch-regress-large": "53b92024484d93cb476f7e31a299f67417ff68bec9a95a0934b3537c4e0b0575",
+    "spectral-report-large": "7ad0727df852eb320350d9b48712252d60e4af2dcea10b0acd48b48346e1e977",
     "deep-vvrkhs": "86973b59b9a3b395e3cee1762aaf489581ad98dd1367c1ee3b31ee28b660341b",
     "checkpoint": "9b23b4a562fc5a214725fc123247cc6a9b4aac3642ae948ddc609104c161e8cd",
     "checkpoint-reload": "6117f4ec5d76ebea787dde355272ae5a9c698b74ffb02a500bd3be6a4b69b7dc",
@@ -104,6 +123,14 @@ def _record_digest(subcommand, config, base_dir) -> str:
 )
 def test_record_bytes(subcommand, config, tmp_path):
     assert _record_digest(subcommand, config, tmp_path) == DIGESTS[subcommand]
+
+
+@pytest.mark.parametrize(
+    "subcommand, config",
+    [("sketch-regress", SKETCH_REGRESS_LARGE), ("spectral-report", SPECTRAL_LARGE)],
+)
+def test_record_bytes_above_n_dense(subcommand, config, tmp_path):
+    assert _record_digest(subcommand, config, tmp_path) == DIGESTS[f"{subcommand}-large"]
 
 
 def test_bound_compare_record_bytes_under_tridiagonal_m(tmp_path):

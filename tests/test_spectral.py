@@ -10,6 +10,7 @@ from opbounds.errors import DegenerateInputError, InputError, NotPsdError, Numer
 from opbounds.kernels import PSD_TOL, require_psd, require_psd_cholesky
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
 from opbounds.spectral import (
+    LANCZOS_START,
     N_DENSE,
     PENCIL_NULL_TOL,
     _pencil_basis,
@@ -18,6 +19,7 @@ from opbounds.spectral import (
     check_satisfiability,
     critical_radius,
     eigendecompose_scaled_gram,
+    kernel_spectrum,
     statistical_dimension,
 )
 from oracles import (
@@ -201,14 +203,14 @@ def test_decomposition_checks_its_gram():
 # --- critical radius ---------------------------------------------------------
 
 def test_critical_radius_all_zero():
-    assert critical_radius(np.zeros(8)) == 0.0
+    assert critical_radius(np.zeros(8), 8, 0.0) == 0.0
 
 
 def test_critical_radius_constant_spectrum():
     # for delta^2 >= mu the condition is sqrt(mu) <= delta^2, so delta^2 = sqrt(mu)
     for n in (2, 17, 200):
         mu = np.full(n, 0.01)
-        assert critical_radius(mu) == pytest.approx(0.1, abs=1e-9)
+        assert critical_radius(mu, n, 0.0) == pytest.approx(0.1, abs=1e-9)
 
 
 def grid_scan_radius(mu, resolution=1e-6):
@@ -221,7 +223,7 @@ def grid_scan_radius(mu, resolution=1e-6):
 
 def test_critical_radius_matches_grid_scan():
     mu = 0.5 * 2.0 ** (-np.arange(32, dtype=float))
-    fast = critical_radius(mu)
+    fast = critical_radius(mu, mu.size, 0.0)
     slow = grid_scan_radius(mu)
     assert fast == pytest.approx(slow, abs=5e-6)
 
@@ -234,7 +236,7 @@ def test_critical_radius_boundary_and_minimality(seed):
     if seed % 3 == 0:
         mu = mu * rng.uniform(0.5, 1.5) ** np.arange(n)  # mixed decay
         mu = np.sort(np.abs(mu))[::-1]
-    d_sq = critical_radius(mu)
+    d_sq = critical_radius(mu, n, 0.0)
     delta = np.sqrt(d_sq)
     assert psi_value(delta, mu) <= d_sq
     if delta > 1e-8:
@@ -264,7 +266,7 @@ def _spectral_setup(seed, n=24):
     rng = np.random.default_rng(seed)
     g = random_psd(n, rng)
     dec = eigendecompose_scaled_gram(g)
-    d_sq = critical_radius(dec.mu)
+    d_sq = critical_radius(dec.mu, dec.size, 0.0)
     d_n = statistical_dimension(dec.mu, d_sq)
     return dec, d_sq, d_n
 
@@ -312,7 +314,7 @@ def test_satisfiability_dn_equals_n():
     n = 12
     g = 4.0 * n * np.eye(n)  # mu = 4 each; delta^2 = 2 < 4 -> d_n = n
     dec = eigendecompose_scaled_gram(g)
-    d_sq = critical_radius(dec.mu)
+    d_sq = critical_radius(dec.mu, dec.size, 0.0)
     d_n = statistical_dimension(dec.mu, d_sq)
     assert d_n == n
     sk = SketchMatrix(matrix=np.eye(n))
@@ -327,7 +329,7 @@ def _check_report_against_dense(g, sk, c):
     has an eigengap, the verdict where neither norm is near its threshold."""
     n = g.shape[0]
     dec = eigendecompose_scaled_gram(g)
-    d_sq = critical_radius(dec.mu)
+    d_sq = critical_radius(dec.mu, dec.size, 0.0)
     d_n = statistical_dimension(dec.mu, d_sq)
     rep = check_satisfiability(sk, dec, d_n, d_sq, c)
     norm1, norm2 = satisfiability_norms(sk.matrix, g, n, d_n)
@@ -673,6 +675,33 @@ def test_uncertified_shifted_gaussian_gram_is_still_rejected():
     assert slack >= PSD_TOL
     with pytest.raises(NotPsdError):
         eigendecompose_scaled_gram(g, slack=slack)
+
+
+@pytest.mark.parametrize("nu, verdicts", [(1.5, 0), (0.5, 1)])
+def test_library_fit_pays_the_verdict_only_for_an_uncertified_gram(nu, verdicts, monkeypatch):
+    # a library caller fits on kernel_spectrum, so a Matern nu = 1.5 Gram,
+    # which gram_error_bound certifies, skips the O(n^3) Cholesky verdict, and
+    # a nu = 0.5 Gram, which it does not, runs it once
+    from opbounds.erm import FitConfig, fit_full
+    from opbounds.kernels import DecomposableKernel, ScalarKernelSpec
+    from opbounds.losses import LossSpec
+
+    n = 600
+    assert n > N_DENSE
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-1, 1, (n, 3)), rng.standard_normal((n, 2))
+    spec = ScalarKernelSpec("matern", 0.5, smoothness=nu, dimension=3)
+    kernel = DecomposableKernel(spec, np.eye(2))
+    verdict, calls = spectral.require_psd_cholesky, []
+
+    def recorded_verdict(*args):
+        calls.append(args)
+        verdict(*args)
+
+    monkeypatch.setattr(spectral, "require_psd_cholesky", recorded_verdict)
+    fit_full(kernel, x, y, LossSpec("squared"), FitConfig(lambda_n=0.01),
+             kernel_spectrum(spec, x, LANCZOS_START))
+    assert len(calls) == verdicts
 
 
 # --- pencil ------------------------------------------------------------------
