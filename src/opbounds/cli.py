@@ -708,6 +708,7 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
         "initial_objective": _objective_entry(init_terms),
         "final_objective": _objective_entry(final_terms),
         "iterations": result.iterations,
+        "forward_passes": result.forward_passes,
         "converged": result.converged,
         "epochs": epochs,
         "pf_bound": pf_rep,

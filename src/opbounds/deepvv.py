@@ -11,9 +11,17 @@ rho the largest a^T G_top a / a^T G_bottom a over the range of G_bottom, with
 
 where h composes all layers but the last and M~ is the output-space matrix
 (the last layer's M; in the uniform-M setting all coincide).  Training is
-plain gradient descent with backtracking on
+gradient descent with an Armijo line search on
 
     (1/n) sum ||f(x_i) - y_i||^2 + lambda_1 * pf_norm + lambda_2 * top_norm.
+
+Every trial step lies on the lattice step * 2^-j, with ``TrainConfig.step``
+the first and largest trial step.  The first iteration tries that step and
+halves.  Each later one starts at twice the last accepted step (at most
+``step``; Nocedal & Wright 2006, *Numerical Optimization*, section 3.5),
+doubles while the doubled step stays within ``step`` and is accepted, and,
+when its first trial fails, tries ``step`` once before halving, since the
+Armijo test is not monotone along the lattice.
 
 Kernels, output matrices and anchors stay fixed; training moves only the
 coefficient arrays, one per layer, and builds a model from them once, at the
@@ -25,8 +33,11 @@ anchor Gram, and the squared norms and largest entry of every later layer's
 anchors.  Each coefficient point gets one forward pass, which keeps every
 layer's cross Gram; the gradient backpropagates through those
 Grams, and the accepted line-search candidate's pass, with its
-transfer-product and top-layer norms, serves the trajectory entry and the
-next gradient.  The analytic gradient differentiates the top pencil
+transfer-product and top-layer norms and its whitened G_top, serves the
+trajectory entry and the next gradient.  At most one candidate's Grams are
+alive at a time: a candidate accepted below a doubled trial step gives its
+Grams up, and a pass is built again at its coefficients when the doubled
+step fails.  The analytic gradient differentiates the top pencil
 eigenvalue through the simple-eigenvalue formula d rho = a^T dG_top a (the
 whitening basis is fixed) and falls back to finite differences when the top
 eigenvalue gap degenerates.
@@ -175,7 +186,7 @@ def separable_bound(
 class TrainConfig:
     lambda1: float = 0.0
     lambda2: float = 0.0
-    step: float = 0.1
+    step: float = 0.1  # the first and largest trial step of every line search
     iters: int = 100
     grad_mode: str = "analytic"
     tol: float = 1e-10  # gradient-norm stop
@@ -194,23 +205,26 @@ class Pass:
     """One forward pass at a coefficient point, with what was computed on it.
 
     levels[j] feeds layer j through its cross Gram kmats[j]; ``pf_top`` is
-    (G_top, last-layer kernel Gram on levels[-2]).  ``data``, ``pf`` and
-    ``top`` are the data term and the transfer-product and top-layer norms,
-    set on first use; ``w`` is the top eigenvector of G_top whitened by
-    G_bottom's basis, set by the analytic gradient."""
+    (G_top, last-layer kernel Gram on levels[-2]) and ``s`` is G_top whitened
+    by G_bottom's basis, kept by ``DeepObjective.exceeds`` and freed by the
+    analytic gradient once it has its top eigenpair.  ``data``, ``pf`` and ``top`` are the data term and the
+    transfer-product and top-layer norms, set on first use; ``w`` is the top
+    eigenvector of ``s``, set by the analytic gradient."""
 
     coeffs: list[np.ndarray]
     levels: list[np.ndarray]
     kmats: list[np.ndarray] | None
     pf_top: tuple[np.ndarray, np.ndarray] | None = None
+    s: np.ndarray | None = None
     data: float | None = None
     pf: float | None = None
     top: float | None = None
     w: np.ndarray | None = None
 
     def drop_grams(self) -> None:
-        """Free the n x q and n x n Grams; the levels, norms and w stay."""
-        self.kmats = self.pf_top = None
+        """Free the n x q and n x n Grams and ``s``; the levels, norms and w
+        stay."""
+        self.kmats = self.pf_top = self.s = None
 
 
 class DeepObjective:
@@ -220,7 +234,8 @@ class DeepObjective:
     (the model's own are ``model.coeffs``), and the other methods take its
     pass and keep what they compute on it.  G_bottom is whitened and the
     first layer's cross Gram and last layer's anchor Gram assembled once per
-    objective, on first use."""
+    objective, on first use.  ``forward_passes`` counts the ``forward``
+    calls."""
 
     def __init__(self, model: LayeredModel, xs, ys):
         self.x = as_points(xs, model.input_dim)
@@ -232,6 +247,7 @@ class DeepObjective:
             )
         self.probes = default_probes(self.y)
         self.model = model
+        self.forward_passes = 0
 
     @cached_property
     def bottom(self) -> tuple[np.ndarray, np.ndarray]:
@@ -263,6 +279,7 @@ class DeepObjective:
         cross Gram kmats[j] = k_j(levels[j], anchors_j), and levels[L] is the
         output.  kmats[0] is ``first_gram``; the levels that feed the later
         layers are computed here, so their Grams skip ``as_points``."""
+        self.forward_passes += 1
         layers = self.model.layers
         kmats = [self.first_gram]
         levels = [self.x, self.first_gram @ coeffs[0] @ layers[0].output]
@@ -285,15 +302,14 @@ class DeepObjective:
         return fwd.pf_top
 
     def _whitened(self, fwd: Pass) -> np.ndarray:
-        """G_top whitened by G_bottom's basis; not kept on the pass."""
-        return _whiten(self._pf_top(fwd)[0], self.bottom[1])
+        """G_top whitened by G_bottom's basis: the pass's ``s`` when
+        ``exceeds`` kept it, else built anew and not kept."""
+        return _whiten(self._pf_top(fwd)[0], self.bottom[1]) if fwd.s is None else fwd.s
 
-    def pf_norm(self, fwd: Pass, whitened=None) -> float:
-        """Transfer-product norm; ``whitened`` is ``_whitened(fwd)`` when
-        already built."""
+    def pf_norm(self, fwd: Pass) -> float:
+        """Transfer-product norm."""
         if fwd.pf is None:
-            s = self._whitened(fwd) if whitened is None else whitened
-            fwd.pf = float(np.sqrt(_top_eigenvalue(s)))
+            fwd.pf = float(np.sqrt(_top_eigenvalue(self._whitened(fwd))))
         return fwd.pf
 
     def data_term(self, fwd: Pass) -> float:
@@ -317,19 +333,21 @@ class DeepObjective:
         the analytic gradient only when lambda1 > 0), that bound is the
         Rayleigh quotient of the whitened G_top S at w less a slack for
         rounding (``spectral._rayleigh_floor``); a NaN bound decides nothing.
-        When neither bound decides, the transfer-product norm is computed from
-        the same S and kept on the pass for the full test."""
+        S stays on the pass as ``s``.  When neither bound decides, the
+        transfer-product norm is computed from it and kept for the full
+        test."""
         data = self.data_term(fwd)
         top_term = lambda2 * self.top_norm(fwd) if lambda2 > 0 else 0.0
         if data + top_term > thresh:
             return True
         if w is None:
             return False
-        s = self._whitened(fwd)
-        low = _rayleigh_floor(s, w)
+        # kept for the norm below and, once accepted, for the gradient
+        fwd.s = self._whitened(fwd)
+        low = _rayleigh_floor(fwd.s, w)
         if (data + lambda1 * float(np.sqrt(max(low, 0.0)))) + top_term > thresh:
             return True
-        self.pf_norm(fwd, s)
+        self.pf_norm(fwd)
         return False
 
     @cached_property
@@ -385,6 +403,7 @@ class DeepObjective:
             probe_bilinear, basis = self.bottom
             k_top = self._pf_top(fwd)[1]
             rho, a_vec, fwd.w, gap = _top_eigenpair(self._whitened(fwd), basis)
+            fwd.s = None  # freed before the n x n t_mat below
             if rho > 0 and np.isfinite(gap) and gap < _EIG_GAP_TOL * rho:
                 warnings.warn(
                     "top pencil eigenvalue nearly degenerate; falling back to "
@@ -462,7 +481,8 @@ def _fd_gradient(problem: DeepObjective, coeffs: list[np.ndarray], lambda1, lamb
 @dataclass
 class TrainResult:
     """The trained model, the passes at the first and the last coefficient
-    point, and the per-iteration trajectory."""
+    point, the per-iteration trajectory and the objective's ``forward``
+    calls, which are the first point's one when nothing is trained."""
 
     model: LayeredModel
     first: Pass
@@ -470,18 +490,27 @@ class TrainResult:
     trajectory: list[dict] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+    forward_passes: int = 1
 
 
 def train(objective: DeepObjective, cfg: TrainConfig, trajectory: bool = True) -> TrainResult:
-    """Gradient descent with backtracking on the coefficient arrays of the
-    objective's model, from the model's own coefficients; the objective never
-    increases across accepted steps.  The trajectory records objective,
-    transfer-product norm, top-layer norm and step per accepted iteration;
-    without ``trajectory`` it stays empty and no per-iteration norm is
-    computed for it.
+    """Gradient descent with an Armijo line search on the coefficient arrays
+    of the objective's model, from the model's own coefficients; the
+    objective never increases across accepted steps.  The trajectory records
+    objective, transfer-product norm, top-layer norm and step per accepted
+    iteration; without ``trajectory`` it stays empty and no per-iteration
+    norm is computed for it.
 
     Notes
     -----
+    ``cfg.step`` is the first and largest trial step, and every trial step
+    is ``cfg.step * 2^-j``.  The first iteration tries ``cfg.step`` and
+    halves until the Armijo test passes.  Each later iteration tries
+    s0 = min(cfg.step, 2 * last accepted step) first.  When s0 passes, it
+    tries 2s while 2s <= cfg.step and keeps the largest step of that
+    accepted run.  When s0 fails, it tries ``cfg.step`` once (the Armijo
+    test is not monotone along the lattice), then halves from s0 / 2.
+
     A line-search candidate is rejected before its pencil eigensolve when
     its data and top-layer terms alone, or those plus lambda_1 times a
     Rayleigh-quotient lower bound on its transfer-product norm, already
@@ -489,11 +518,13 @@ def train(objective: DeepObjective, cfg: TrainConfig, trajectory: bool = True) -
     and reject decisions are those of the full objective."""
     model = objective.model
     lam1, lam2 = cfg.lambda1, cfg.lambda2
+    passes = objective.forward_passes
     point = objective.forward(model.coeffs)
     obj = sum(objective.terms(point, lam1, lam2))
     if not np.isfinite(obj):
         raise NumericError(f"objective is non-finite at the start ({obj})")
     result = TrainResult(model, point, point)
+    last = None
     for it in range(1, cfg.iters + 1):
         grads = objective.gradient(point, lam1, lam2, cfg.grad_mode)
         # only one candidate's Grams are alive during the line search, which
@@ -504,30 +535,62 @@ def train(objective: DeepObjective, cfg: TrainConfig, trajectory: bool = True) -
             result.converged = True
             result.iterations = it - 1
             break
-        step = cfg.step
-        accepted = False
-        while step >= _MIN_STEP:
-            thresh = obj - _ARMIJO * step * gnorm * gnorm
-            cand = objective.forward([c - step * g for c, g in zip(point.coeffs, grads)])
-            if not objective.exceeds(cand, thresh, lam1, lam2, point.w):
-                cand_obj = sum(objective.terms(cand, lam1, lam2))
-                if np.isfinite(cand_obj) and cand_obj <= thresh:
-                    point, obj = cand, cand_obj
-                    accepted = True
-                    break
-            cand.drop_grams()
-            step *= 0.5
-        if not accepted:  # the line search stalled
+        found = _line_search(objective, cfg, point, obj, grads, gnorm, last)
+        if found is None:  # the line search stalled
             result.iterations = it - 1
             break
+        point, obj, last = found
         if trajectory:
             result.trajectory.append(
                 {"iteration": it, "objective": obj, "pf_norm": objective.pf_norm(point),
-                 "top_norm": objective.top_norm(point), "step": step}
+                 "top_norm": objective.top_norm(point), "step": last}
             )
         result.iterations = it
     result.model, result.last = model.with_coeffs(point.coeffs), point
+    result.forward_passes = objective.forward_passes - passes
     return result
+
+
+def _line_search(objective, cfg, point, obj, grads, gnorm, last):
+    """(pass, objective, step) of the step that ``train`` accepts from the
+    point along -grads, ``last`` the previous accepted step (None at the
+    first iteration); None when every step down to _MIN_STEP fails."""
+
+    def trial(step):
+        thresh = obj - _ARMIJO * step * gnorm * gnorm
+        cand = objective.forward([c - step * g for c, g in zip(point.coeffs, grads)])
+        if not objective.exceeds(cand, thresh, cfg.lambda1, cfg.lambda2, point.w):
+            cand_obj = sum(objective.terms(cand, cfg.lambda1, cfg.lambda2))
+            if np.isfinite(cand_obj) and cand_obj <= thresh:
+                return cand, cand_obj
+        cand.drop_grams()
+        return None
+
+    step = cfg.step if last is None else min(cfg.step, 2.0 * last)
+    found = trial(step)
+    if found is not None:
+        while 2.0 * step <= cfg.step:
+            lower = found[0]
+            lower.drop_grams()  # one candidate's Grams at a time
+            higher = trial(2.0 * step)
+            if higher is None:
+                # the gradient needs the lower candidate's Grams again
+                again = objective.forward(lower.coeffs)
+                again.data, again.pf, again.top = lower.data, lower.pf, lower.top
+                return again, found[1], step
+            found, step = higher, 2.0 * step
+        return *found, step
+    if step < cfg.step:
+        found = trial(cfg.step)
+        if found is not None:
+            return *found, cfg.step
+    step *= 0.5
+    while step >= _MIN_STEP:
+        found = trial(step)
+        if found is not None:
+            return *found, step
+        step *= 0.5
+    return None
 
 
 def model_to_dict(model: LayeredModel) -> dict:

@@ -14,7 +14,8 @@ them to floats, keeps a sign block's row-major signs while its forms are
 computed, recomputes a bound report's total from its parts, maximizes a
 pencil's Rayleigh quotient apart from a deep objective, takes an expansion's
 RKHS norm from its own anchor Gram, fits or predicts on Grams assembled for
-that one call alone or writes a dataset CSV.
+that one call alone, writes a dataset CSV or starts every line search of a
+deep training at the configured step.
 """
 
 import math
@@ -25,6 +26,7 @@ from scipy.special import gamma, kv
 
 from opbounds._rng import substream
 from opbounds.complexity import _BLOCK, BallMc, ClassMc
+from opbounds.deepvv import _ARMIJO, _MIN_STEP, TrainResult
 from opbounds.erm import _objective, fit_full, fit_sketched
 from opbounds.errors import InputError
 from opbounds.kernels import (
@@ -206,6 +208,49 @@ def forward(model, x) -> np.ndarray:
     for layer in model.layers:
         x = layer.at(x)
     return x
+
+
+def train_halving(objective, cfg, trajectory=True):
+    """``deepvv.train`` with the line search that starts every iteration at
+    ``cfg.step`` and halves until the Armijo test passes, with the same
+    screen, result and ``forward_passes`` count."""
+    model = objective.model
+    lam1, lam2 = cfg.lambda1, cfg.lambda2
+    passes = objective.forward_passes
+    point = objective.forward(model.coeffs)
+    obj = sum(objective.terms(point, lam1, lam2))
+    result = TrainResult(model, point, point)
+    for it in range(1, cfg.iters + 1):
+        grads = objective.gradient(point, lam1, lam2, cfg.grad_mode)
+        point.drop_grams()
+        gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
+        if gnorm <= cfg.tol:
+            result.converged = True
+            result.iterations = it - 1
+            break
+        step = cfg.step
+        while step >= _MIN_STEP:
+            thresh = obj - _ARMIJO * step * gnorm * gnorm
+            cand = objective.forward([c - step * g for c, g in zip(point.coeffs, grads)])
+            if not objective.exceeds(cand, thresh, lam1, lam2, point.w):
+                cand_obj = sum(objective.terms(cand, lam1, lam2))
+                if np.isfinite(cand_obj) and cand_obj <= thresh:
+                    point, obj = cand, cand_obj
+                    break
+            cand.drop_grams()
+            step *= 0.5
+        else:  # the line search stalled
+            result.iterations = it - 1
+            break
+        if trajectory:
+            result.trajectory.append(
+                {"iteration": it, "objective": obj, "pf_norm": objective.pf_norm(point),
+                 "top_norm": objective.top_norm(point), "step": step}
+            )
+        result.iterations = it
+    result.model, result.last = model.with_coeffs(point.coeffs), point
+    result.forward_passes = objective.forward_passes - passes
+    return result
 
 
 def objective_sketched(kernel, g, y, loss, lambda_n, s_dense, gamma_) -> float:

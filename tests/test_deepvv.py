@@ -1,12 +1,13 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opbounds import deepvv, spectral
+from opbounds import cli, deepvv, spectral
 from opbounds.complexity import ClassMc, McConfig, run_mc, trace_bound
 from opbounds.deepvv import (
     DeepObjective,
@@ -22,7 +23,7 @@ from opbounds.deepvv import (
 )
 from opbounds.errors import InputError, NumericError, RefinementOrderError
 from opbounds.kernels import KernelExpansion, ScalarKernelSpec, gram_scalar, gram_scalar_cross
-from oracles import expansion_norm, forward, pencil_max
+from oracles import expansion_norm, forward, pencil_max, train_halving
 
 pytestmark = pytest.mark.filterwarnings("ignore:model has .* layers")
 
@@ -545,17 +546,28 @@ def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
     # through the cross Grams of its point's forward pass, and every
     # transfer-product norm comes from an objective evaluation: the start and
     # one per line-search candidate that the bounds checked before the
-    # eigensolve do not reject (the trajectory reuses the accepted one's)
-    rng = np.random.default_rng(54)
+    # eigensolve do not reject (the trajectory reuses the accepted one's).
+    # The screen's whitened G_top serves its candidate's norm and gradient, so
+    # only the start (its norm precedes any screen) and a candidate accepted
+    # below a rejected doubled step, whose pass is built again for the
+    # gradient, are whitened twice.  The accepted steps here move both ways,
+    # so the count follows the reference's line search.
+    rng = np.random.default_rng(67)
     n = 8
     x = rng.uniform(-1, 1, (n, 2))
     y = rng.standard_normal((n, 2))
     model = init_layered_model(x, [gauss(2)] * 3, [np.eye(2)] * 3, seed=6)
+    cfg = TrainConfig(lambda1=0.1, lambda2=0.05, step=0.5, iters=6)
+    _, ref_trajectory, tried = _reference_train(model, x, y, cfg)
+    candidates = sum(map(len, tried))
+    again = sum(steps[-1] != entry["step"] for steps, entry in zip(tried, ref_trajectory))
+    assert len({entry["step"] for entry in ref_trajectory}) > 2 and again > 0
+
     first_anchors = model.layers[0].anchors
-    cross, eigensolve = deepvv.gram_scalar_cross, deepvv._top_eigenvalue
+    cross, eigensolve, whiten = deepvv.gram_scalar_cross, deepvv._top_eigenvalue, deepvv._whiten
     gradient_method, exceeds = deepvv.DeepObjective.gradient, deepvv.DeepObjective.exceeds
-    first_grams, gradient_grams, eigensolves, in_gradient = [], [], [], []
-    screened = []
+    first_grams, gradient_grams, eigensolves, whitenings, in_gradient = [], [], [], [], []
+    screened, whitened = [], []
 
     def counted_cross(spec, u, z):
         if z is first_anchors:
@@ -571,26 +583,86 @@ def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
         finally:
             in_gradient.pop()
 
-    def recorded_exceeds(*args):
-        screened.append(exceeds(*args))
+    def recorded_exceeds(problem, fwd, *args):
+        screened.append(exceeds(problem, fwd, *args))
+        whitened.append(fwd.s is not None)
         return screened[-1]
 
     monkeypatch.setattr(deepvv, "gram_scalar_cross", counted_cross)
     monkeypatch.setattr(deepvv, "_top_eigenvalue", lambda s: eigensolves.append(1) or eigensolve(s))
+    monkeypatch.setattr(deepvv, "_whiten", lambda *a: whitenings.append(1) or whiten(*a))
     monkeypatch.setattr(deepvv.DeepObjective, "gradient", flagged_gradient)
     monkeypatch.setattr(deepvv.DeepObjective, "exceeds", recorded_exceeds)
-    cfg = TrainConfig(lambda1=0.1, lambda2=0.05, step=0.3, iters=5)
     result = train(DeepObjective(model, x, y), cfg)
-    assert result.iterations == 5 and len(result.trajectory) == 5
-    candidates = sum(
-        round(math.log2(cfg.step / entry["step"])) + 1 for entry in result.trajectory
-    )
+    assert result.trajectory == ref_trajectory
     assert len(first_grams) == 1
     assert gradient_grams == []
     assert len(screened) == candidates
+    assert result.forward_passes == 1 + candidates + again
     reached_eigensolve = screened.count(False)
     assert reached_eigensolve < candidates  # the bounds decide some candidates
     assert len(eigensolves) == 1 + reached_eigensolve
+    assert len(whitenings) == 2 + sum(whitened) + again
+
+
+@pytest.mark.filterwarnings("ignore:top pencil eigenvalue")
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    lambda1=st.sampled_from([0.0, 0.1, 1.0]),
+    step=st.sampled_from([0.3, 1.0, 4.0]),
+    layout=st.sampled_from(["random", "duplicate points", "zero labels"]),
+)
+def test_line_search_accepts_lattice_steps_that_pass_armijo(seed, n, lambda1, step, layout):
+    # every accepted step is cfg.step * 2^-j and passes the Armijo test against
+    # the full objective, and when a line-search candidate's pass starts,
+    # every earlier pass has given its Grams up
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (n, 2))
+    y = rng.standard_normal((n, 2))
+    if layout == "duplicate points":
+        x, y = np.repeat(x[:1], n, axis=0), np.repeat(y[:1], n, axis=0)
+    elif layout == "zero labels":
+        y = np.zeros((n, 2))
+    model = init_layered_model(x, [gauss(2)] * 3, [np.eye(2)] * 3, seed=seed % 1000)
+    forward_method, gradient_method = DeepObjective.forward, DeepObjective.gradient
+    passes, points, in_gradient = [], [], []
+
+    def tracked_forward(problem, coeffs):
+        if not in_gradient:  # not a finite-difference bump of the gradient
+            alive = [ref() for ref in passes]
+            assert all(
+                p.kmats is None and p.pf_top is None and p.s is None
+                for p in alive if p is not None
+            )
+        fwd = forward_method(problem, coeffs)
+        passes.append(weakref.ref(fwd))
+        return fwd
+
+    def recorded_gradient(problem, fwd, *args):
+        in_gradient.append(True)
+        try:
+            grads = gradient_method(problem, fwd, *args)
+        finally:
+            in_gradient.pop()
+        points.append((fwd.coeffs, grads))
+        return grads
+
+    cfg = TrainConfig(lambda1=lambda1, lambda2=0.05, step=step, iters=5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DeepObjective, "forward", tracked_forward)
+        mp.setattr(DeepObjective, "gradient", recorded_gradient)
+        result = train(DeepObjective(model, x, y), cfg)
+    for entry, (coeffs, grads) in zip(result.trajectory, points):
+        j = round(math.log2(cfg.step / entry["step"]))
+        assert j >= 0 and entry["step"] == cfg.step * 2.0 ** -j
+        gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
+        before = objective(model.with_coeffs(coeffs), x, y, lambda1, 0.05)
+        moved = [c - entry["step"] * g for c, g in zip(coeffs, grads)]
+        after = objective(model.with_coeffs(moved), x, y, lambda1, 0.05)
+        assert after == entry["objective"]
+        assert after <= before - 1e-4 * entry["step"] * gnorm * gnorm
 
 
 @pytest.mark.filterwarnings("ignore:top pencil eigenvalue")
@@ -657,11 +729,16 @@ def _reference_fd_gradient(model, x, y, lam1, lam2):
 def _reference_train(model, x, y, cfg):
     """The training loop on whole models rebuilt for every candidate and every
     finite-difference bump, with a fresh objective for every objective value,
-    gradient and trajectory norm."""
+    gradient and trajectory norm; also returns the trial steps of every
+    iteration.  The line search is the one ``train`` documents: the first
+    iteration starts at cfg.step and halves; a later one starts at
+    s0 = min(cfg.step, 2 * last accepted step), doubles while s0 and the
+    doubled steps within cfg.step pass, and when s0 fails tries cfg.step once
+    before halving from s0 / 2."""
     probes = default_probes(y)
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     current, obj = model, objective(model, x, y, lam1, lam2)
-    trajectory = []
+    trajectory, tried, last = [], [], None
     for it in range(1, cfg.iters + 1):
         if cfg.grad_mode == "finite-diff":
             grads = _reference_fd_gradient(current, x, y, lam1, lam2)
@@ -670,24 +747,38 @@ def _reference_train(model, x, y, cfg):
         gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
         if gnorm <= cfg.tol:
             break
-        step = cfg.step
-        while step >= 1e-14:
+        steps = []
+
+        def passes(step):
+            steps.append(step)
             cand = current.with_coeffs(
                 [l.coeffs - step * g for l, g in zip(current.layers, grads)]
             )
             cand_obj = objective(cand, x, y, lam1, lam2)
             if np.isfinite(cand_obj) and cand_obj <= obj - 1e-4 * step * gnorm * gnorm:
-                current, obj = cand, cand_obj
-                break
-            step *= 0.5
+                return cand, cand_obj
+            return None
+
+        step = cfg.step if last is None else min(cfg.step, 2.0 * last)
+        if found := passes(step):
+            while 2.0 * step <= cfg.step and (higher := passes(2.0 * step)):
+                found, step = higher, 2.0 * step
+        elif step < cfg.step and (found := passes(cfg.step)):
+            step = cfg.step
         else:
+            step *= 0.5
+            while step >= 1e-14 and not (found := passes(step)):
+                step *= 0.5
+        tried.append(steps)
+        if not found:
             break
+        (current, obj), last = found, step
         trajectory.append(
             {"iteration": it, "objective": obj,
              "pf_norm": pf_norm(current, x, probes),
              "top_norm": top_norm(current), "step": step}
         )
-    return current, trajectory
+    return current, trajectory, tried
 
 
 @pytest.mark.filterwarnings("ignore:top pencil eigenvalue")
@@ -698,21 +789,50 @@ def _reference_train(model, x, y, cfg):
     lambda1=st.sampled_from([0.0, 0.1]),
     lambda2=st.sampled_from([0.0, 0.05]),
     grad_mode=st.sampled_from(["analytic", "finite-diff"]),
+    step=st.sampled_from([0.3, 2.0]),
 )
-def test_train_matches_model_rebuilding_reference(seed, depth, lambda1, lambda2, grad_mode):
+def test_train_matches_model_rebuilding_reference(
+    seed, depth, lambda1, lambda2, grad_mode, step
+):
     rng = np.random.default_rng(seed)
     n = 5
     x = rng.uniform(-1, 1, (n, 2))
     y = rng.standard_normal((n, 2))
     model = make_model(seed, dims=(2,) + (3,) * (depth - 1) + (2,), n_anchor=4)
-    cfg = TrainConfig(lambda1=lambda1, lambda2=lambda2, step=0.3, iters=3,
+    cfg = TrainConfig(lambda1=lambda1, lambda2=lambda2, step=step, iters=5,
                       grad_mode=grad_mode)
     result = train(DeepObjective(model, x, y), cfg)
-    ref_model, ref_trajectory = _reference_train(model, x, y, cfg)
+    ref_model, ref_trajectory, _ = _reference_train(model, x, y, cfg)
     assert all(
         np.array_equal(a, b) for a, b in zip(result.model.coeffs, ref_model.coeffs)
     )
     assert result.trajectory == ref_trajectory
+
+
+# the benchmark's deep-train config, at 20 iterations
+DEEP_TRAIN = {
+    "dataset": {"kind": "synthetic", "n": 96, "d": 2, "m": 2, "noise": 0.1},
+    "deep_model": {
+        "bandwidths": [1.0, 1.0, 1.0],
+        "output_dims": [2, 2, 2],
+        "train": {"lambda1": 0.1, "lambda2": 0.1, "step": 0.3, "iters": 20},
+        "lambda1_sweep": [0.0, 0.1],
+    },
+}
+
+
+@pytest.mark.parametrize("seed, fewer", [(5, 1.5), (1030, 1.0)])
+def test_warm_started_line_search_saves_forward_passes(monkeypatch, tmp_path, seed, fewer):
+    # at these seeds the warm-started line search accepts the steps that a
+    # search restarting at train.step accepts, so the records agree, and it
+    # builds fewer passes: at least 1.5x fewer at seed 5.  At seed 1030 the
+    # fifth iteration accepts train.step right after its warm start's trial
+    # fails, which only the retry of train.step finds.
+    warm = cli.run("deep-vvrkhs", DEEP_TRAIN, seed, tmp_path)["metrics"]
+    monkeypatch.setattr(cli, "train", train_halving)
+    halving = cli.run("deep-vvrkhs", DEEP_TRAIN, seed, tmp_path)["metrics"]
+    assert halving.pop("forward_passes") >= fewer * warm.pop("forward_passes")
+    assert warm == halving
 
 
 @pytest.mark.filterwarnings("ignore:top pencil eigenvalue")

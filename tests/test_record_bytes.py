@@ -102,9 +102,9 @@ DIGESTS = {
     "spectral-report": "31dcaa46daeafecbab90cc8146e7235de93c2c0d45eb86893e07a5329d027021",
     "sketch-regress-large": "53b92024484d93cb476f7e31a299f67417ff68bec9a95a0934b3537c4e0b0575",
     "spectral-report-large": "7ad0727df852eb320350d9b48712252d60e4af2dcea10b0acd48b48346e1e977",
-    "deep-vvrkhs": "86973b59b9a3b395e3cee1762aaf489581ad98dd1367c1ee3b31ee28b660341b",
+    "deep-vvrkhs": "26b854b3a36b180a8b31234a701388ff9fe6f33c49b4b5431f040241fd069c8e",
     "checkpoint": "9b23b4a562fc5a214725fc123247cc6a9b4aac3642ae948ddc609104c161e8cd",
-    "checkpoint-reload": "6117f4ec5d76ebea787dde355272ae5a9c698b74ffb02a500bd3be6a4b69b7dc",
+    "checkpoint-reload": "e3f09af28eda749a79163f58a6422fa04c2d8597a000ccf9cdb76bb0c81f3d8f",
 }
 
 
