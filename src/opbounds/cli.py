@@ -46,12 +46,7 @@ from .koopman import LayerSpec, NetworkSpec, SplitMc, product_bound, peeled_boun
 from .losses import LossSpec, lipschitz_constant
 from .sketching import SketchMatrix, SketchSpec, make_p_sparsified, satisfiability_constant
 from .spectral import (
-    LANCZOS_START,
-    N_DENSE,
-    check_satisfiability,
-    kernel_spectrum,
-    sketched_gram,
-    statistical_dimension,
+    LANCZOS_START, N_DENSE, check_satisfiability, kernel_spectrum, sketched_gram,
 )
 
 SUBCOMMANDS = ("bound-compare", "sketch-regress", "deep-vvrkhs", "spectral-report")
@@ -580,17 +575,14 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     # risks and the spectral report, and one S G S^T the sketched fit and
     # the report
     dec = kernel_spectrum(kernel.scalar, ds.x, LANCZOS_START)
-    g_k, delta_sq = dec.gram, dec.delta_sq
+    g_k = dec.gram
 
     def fit():
-        return fit_full(kernel, ds.x, ds.y, loss, fit_cfg, spectrum=dec)
+        return fit_full(kernel, ds.y, loss, fit_cfg, dec)
 
     def fit_on_sketch():
-        k_sk, sgs = sketched_gram(sketch, g_k)
-        model = fit_sketched(
-            kernel, ds.x, ds.y, loss, fit_cfg, sketch, gram=g_k, sketched=(k_sk, sgs)
-        )
-        return model, sgs
+        products = sketched_gram(sketch, g_k)
+        return fit_sketched(kernel, ds.y, loss, fit_cfg, sketch, products), products[1]
 
     # above N_DENSE both fits stream the n x n Gram through BLAS, so the
     # sketched one runs on a worker thread; below, the Lipschitz fits are
@@ -603,8 +595,7 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
     risk_full = empirical_risk(full, ds.x, ds.y, loss, gram=g_k)
     risk_sketched = empirical_risk(sketched, ds.x, ds.y, loss, gram=g_k)
 
-    d_n = statistical_dimension(dec.mu, delta_sq)
-    report = check_satisfiability(sketch, dec, d_n, delta_sq, c_val, sgs=sgs)
+    report = check_satisfiability(sketch, dec, c_val, sgs)
 
     try:
         bound_entry = asdict(excess_risk_bound_rhs(
@@ -612,7 +603,7 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
             c=c_val,
             lambda_n=fit_cfg.lambda_n,
             m_opnorm=float(np.linalg.norm(kernel.output, 2)),
-            delta_sq=delta_sq,
+            delta_sq=dec.delta_sq,
             kappa=kernel.scalar.kappa,
             tr_m=kernel.trace_m(),
             n=ds.n,
@@ -765,18 +756,15 @@ def _run_spectral(config: dict, seed: int, base_dir: Path) -> dict:
     ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
     spec = _build(ScalarKernelSpec, config["kernel"], dimension=config["dataset"]["d"])
     dec = kernel_spectrum(spec, ds.x, _REPORTED_EIGENVALUES)
-    delta_sq = dec.delta_sq
-    d_n = statistical_dimension(dec.mu, delta_sq)
     metrics = {
-        "delta_sq": delta_sq,
-        "d_n": d_n,
+        "delta_sq": dec.delta_sq,
+        "d_n": dec.d_n,
         "eigenvalues_top": dec.mu[:_REPORTED_EIGENVALUES].tolist(),
     }
     if "sketch" in config:
         sketch, c_val, sk_seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
-        metrics["satisfiability"] = asdict(
-            check_satisfiability(sketch, dec, d_n, delta_sq, c_val)
-        )
+        sgs = sketched_gram(sketch, dec.gram)[1]
+        metrics["satisfiability"] = asdict(check_satisfiability(sketch, dec, c_val, sgs))
         seeds = {**seeds, **sk_seeds}
     return {"metrics": metrics, "resolved_seeds": seeds}
 

@@ -19,7 +19,8 @@ deterministic full-batch proximal subgradient descent from zero: a
 subgradient step K^T (xi / n) M on the data term followed by the exact
 proximal map of the ridge term (a diagonal solve in the joint eigenbases of P
 and the output matrix), with a backtracking line search, so the objective is
-nonincreasing across accepted steps and runs are reproducible.
+nonincreasing across accepted steps and runs are reproducible.  Each fit
+takes only the operands it solves on, and n from them.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import trace_bound
-from .errors import InputError, NumericError, UnboundedLossError
-from .kernels import DecomposableKernel, as_labels, as_points, check_kappa
+from .errors import InputError, UnboundedLossError
+from .kernels import DecomposableKernel, as_labels, as_points, check_kappa, finite_matrix
 from .losses import UNBOUNDED, LossSpec, loss_subgradient, loss_value
 from .sketching import SketchMatrix
 from .spectral import SpectralDecomposition
@@ -75,7 +76,6 @@ class FittedModel:
 
     coeffs: np.ndarray
     kernel: DecomposableKernel
-    anchors: np.ndarray
     diagnostics: FitDiagnostics
     sketch: SketchMatrix | None = None
 
@@ -86,29 +86,23 @@ class FittedModel:
 
     def predict(self, gram) -> np.ndarray:
         """Rows k(x, anchors) @ A @ M at the points x whose cross Gram
-        k(x, anchors) is ``gram`` (the training Gram when x are the anchors)."""
-        if np.ndim(gram) != 2 or np.shape(gram)[1] != self.anchors.shape[0]:
+        k(x, anchors) is ``gram`` (the training Gram when x are the anchors),
+        one column per row of A."""
+        a = self.effective_coeffs()
+        if np.ndim(gram) != 2 or np.shape(gram)[1] != a.shape[0]:
             raise InputError(f"Gram shape {np.shape(gram)} does not match points x anchors")
-        return gram @ self.effective_coeffs() @ self.kernel.output
+        return gram @ a @ self.kernel.output
 
 
-def _prepare(kernel: DecomposableKernel, x, y, gram):
-    pts = as_points(x, kernel.scalar.dimension)
+def _prepare(kernel: DecomposableKernel, y, n: int) -> np.ndarray:
+    """The targets, checked to be n rows of the kernel's output dimension."""
     targets = as_labels(y)
-    if targets.shape != (pts.shape[0], kernel.output_dim):
+    if targets.shape != (n, kernel.output_dim):
         raise InputError(
             f"targets shape {targets.shape} incompatible with "
-            f"{pts.shape[0]} points and output dimension {kernel.output_dim}"
+            f"{n} points and output dimension {kernel.output_dim}"
         )
-    if pts.shape[0] == 0:
-        raise InputError("data must be nonempty")
-    g = np.asarray(gram, dtype=float)
-    if g.shape != (pts.shape[0],) * 2:
-        raise InputError(f"Gram shape {g.shape} does not match {pts.shape[0]} points")
-    if not np.all(np.isfinite(g)):
-        raise NumericError("Gram matrix contains non-finite entries")
-    check_kappa(kernel.scalar, g)
-    return pts, targets, g
+    return targets
 
 
 def _require_invertible_m(m: np.ndarray) -> None:
@@ -239,7 +233,7 @@ def _fit_lipschitz(k, kt, p, p_eigh, m_mat, y, loss: LossSpec, cfg: FitConfig):
 
 
 def fit_full(
-    kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig,
+    kernel: DecomposableKernel, y, loss: LossSpec, cfg: FitConfig,
     spectrum: SpectralDecomposition,
 ) -> FittedModel:
     """Fit the full representer program.
@@ -247,54 +241,54 @@ def fit_full(
     Parameters
     ----------
     kernel : decomposable kernel with strictly PD output matrix.
-    x, y : training inputs (n, d) and targets (n, m).
+    y : training targets (n, m).
     loss : squared (direct solve) or Lipschitz (proximal subgradient descent).
     cfg : ridge weight and solver controls.
     spectrum : ``spectral.kernel_spectrum(kernel.scalar, x, top)``, the
-        decomposition of the n x n scalar Gram k(x_i, x_j).  Its Gram is
-        checked for shape, finite entries and the scalar kernel's kappa; its
-        eigenpairs serve the squared solve, and the proximal map when they
-        are the whole spectrum.
+        decomposition of the n x n scalar Gram k(x_i, x_j) of the training
+        inputs x, which fixes n.  Its Gram, finite by construction, is
+        checked for the scalar kernel's kappa; its eigenpairs serve the
+        squared solve, and the proximal map when they are the whole spectrum.
     """
-    pts, targets, g = _prepare(kernel, x, y, spectrum.gram)
+    g, n = spectrum.gram, spectrum.size
+    targets = _prepare(kernel, y, n)
+    check_kappa(kernel.scalar, g)
     _require_invertible_m(kernel.output)
     m_mat = kernel.output
-    n = pts.shape[0]
     if loss.family == "squared":
         a, iters = _solve_squared_full(spectrum, m_mat, targets, cfg.lambda_n)
         ga = g @ a
         obj = _objective_at(ga, ga, m_mat, targets, loss, cfg.lambda_n, a)
         resid = g @ ((2.0 / n) * (ga @ m_mat - targets) + cfg.lambda_n * a) @ m_mat
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), iters, True)
-        return FittedModel(a, kernel, pts, diag)
+        return FittedModel(a, kernel, diag)
     if spectrum.vals.size == n:
         g_eigh = spectrum.vals, spectrum.vecs
     else:
         g_eigh = np.linalg.eigh(g)  # the Gram is exactly symmetric: no n x n copy
     coeffs, diag = _fit_lipschitz(g, g, g, g_eigh, m_mat, targets, loss, cfg)
-    return FittedModel(coeffs, kernel, pts, diag)
+    return FittedModel(coeffs, kernel, diag)
 
 
 def fit_sketched(
-    kernel: DecomposableKernel, x, y, loss: LossSpec, cfg: FitConfig, sk: SketchMatrix,
-    gram: np.ndarray, sketched: tuple[np.ndarray, np.ndarray],
+    kernel: DecomposableKernel, y, loss: LossSpec, cfg: FitConfig, sk: SketchMatrix,
+    sketched: tuple[np.ndarray, np.ndarray],
 ) -> FittedModel:
     """Fit the sketched program on the Gamma parameterization.
 
-    ``gram`` is the n x n scalar Gram k(x_i, x_j), checked for shape, finite
-    entries and the scalar kernel's kappa, and ``sketched`` is
-    ``spectral.sketched_gram(sk, gram)``, the products (G S^T, S G S^T),
-    checked for their shapes.
+    The s x n sketch ``sk`` fixes n, the rows of the targets ``y``, and
+    ``sketched`` is ``spectral.sketched_gram(sk, gram)`` of the n x n scalar
+    Gram k(x_i, x_j), the products (G S^T, S G S^T) on which the fit solves,
+    checked to be finite and of the shapes (n, s) and (s, s).
     """
-    pts, targets, _ = _prepare(kernel, x, y, gram)
+    rows, n = sk.matrix.shape
+    targets = _prepare(kernel, y, n)
     _require_invertible_m(kernel.output)
-    if sk.matrix.shape[1] != pts.shape[0]:
-        raise InputError(f"sketch has {sk.matrix.shape[1]} columns for {pts.shape[0]} points")
     m_mat = kernel.output
-    n, rows = pts.shape[0], sk.matrix.shape[0]
-    k_sk, sgs = sketched
-    if np.shape(k_sk) != (n, rows) or np.shape(sgs) != (rows, rows):
-        raise InputError(f"sketched products {np.shape(k_sk)}, {np.shape(sgs)} do not match S")
+    k_sk = finite_matrix(sketched[0], "sketched product G S^T", square=False)
+    sgs = finite_matrix(sketched[1], "sketched product S G S^T", square=False)
+    if k_sk.shape != (n, rows) or sgs.shape != (rows, rows):
+        raise InputError(f"sketched products {k_sk.shape}, {sgs.shape} do not match S")
     if loss.family == "squared":
         gamma = _solve_squared_sketched(k_sk, sgs, m_mat, targets, cfg.lambda_n)
         obj = _objective(k_sk, sgs, m_mat, targets, loss, cfg.lambda_n, gamma)
@@ -303,10 +297,10 @@ def fit_sketched(
             + cfg.lambda_n * sgs @ gamma @ m_mat
         )
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), 0, True)
-        return FittedModel(gamma, kernel, pts, diag, sketch=sk)
+        return FittedModel(gamma, kernel, diag, sketch=sk)
     sgs_eigh = np.linalg.eigh(0.5 * (sgs + sgs.T))
     coeffs, diag = _fit_lipschitz(k_sk, k_sk.T, sgs, sgs_eigh, m_mat, targets, loss, cfg)
-    return FittedModel(coeffs, kernel, pts, diag, sketch=sk)
+    return FittedModel(coeffs, kernel, diag, sketch=sk)
 
 
 def empirical_risk(model, x, y, loss: LossSpec, gram=None) -> float:

@@ -232,16 +232,6 @@ def _extent(x: np.ndarray) -> float:
     return float(np.abs(x).max(initial=0.0))
 
 
-def _sq_dists(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances between the rows of x and of z:
-    (|x|^2 + |z|^2) - 2 x.z, clipped at 0, computed in place on x.z and one
-    more array of its shape.  None is NaN: the cross term is bounded by
-    2 d max|x_ik| max|z_jk|, checked once to be finite, so an overflow can
-    only give +inf, which every family maps to 0.  ``gram_scalar`` forms the
-    same entries, with the same operations, in the one array it returns."""
-    return _sq_dists_to(x, _extent(x), z, np.einsum("ij,ij->i", z, z), _extent(z))
-
-
 def _require_no_overflow(x_extent: float, z_extent: float, dim: int) -> None:
     """Raise NumericError unless 2 d max|x| max|z|, the bound on the cross
     term of a squared distance, is finite."""
@@ -251,7 +241,13 @@ def _require_no_overflow(x_extent: float, z_extent: float, dim: int) -> None:
 
 
 def _sq_dists_to(x, x_extent, z, z_sq, z_extent) -> np.ndarray:
-    """``_sq_dists(x, z)`` given max |x|, and |z_j|^2 and max |z|."""
+    """Pairwise squared distances between the rows of x and of z, given
+    max |x|, and |z_j|^2 and max |z|: (|x|^2 + |z|^2) - 2 x.z, clipped at 0,
+    computed in place on x.z and one more array of its shape.  None is NaN:
+    the cross term is bounded by 2 d max|x_ik| max|z_jk|, checked once to be
+    finite, so an overflow can only give +inf, which every family maps to 0.
+    ``gram_scalar`` forms the same entries, with the same operations, in the
+    one array it returns."""
     _require_no_overflow(x_extent, z_extent, x.shape[1])
     gram = x @ z.T
     gram *= 2.0
@@ -265,8 +261,8 @@ class _CrossGram:
     """Cross Grams k(x, z) against fixed, valid anchors z, whose squared
     norms and max |z| are computed once, for points x that the caller
     computed and so need no ``as_points``: one max |x| pass raises its
-    InputError on a non-finite entry, and ``_sq_dists``'s NumericError on an
-    overflow."""
+    InputError on a non-finite entry, and ``_sq_dists_to``'s NumericError on
+    an overflow."""
 
     def __init__(self, spec: ScalarKernelSpec, z: np.ndarray):
         self.spec, self.z = spec, z
@@ -334,14 +330,14 @@ def _half_integer_matern(nu: float, bandwidth: float, sq_dist: np.ndarray) -> np
 
 def gram_scalar(spec: ScalarKernelSpec, pts) -> np.ndarray:
     """n x n scalar Gram matrix; exactly symmetric, PSD up to ``PSD_TOL * n``.
-    Its entries are finite, since no distance is NaN (``_sq_dists``) and
+    Its entries are finite, since no distance is NaN (``_sq_dists_to``) and
     every family maps a distance, +inf included, to a finite value.
 
     It is built inside the one n x n array it returns: ``x @ x.T`` (numpy's
     symmetric product), then each block of ``_GRAM_BLOCK`` rows becomes
     squared distances and kernel values in place, with the operations of
-    ``_radial_profile(spec, _sq_dists(x, x))`` and so its bits.  A block
-    allocates one temporary of its size, and the Matern polynomial one more."""
+    ``gram_scalar_cross(spec, x, x)`` and so its bits.  A block allocates
+    one temporary of its size, and the Matern polynomial one more."""
     x = as_points(pts, spec.dimension)
     extent = _extent(x)
     _require_no_overflow(extent, extent, x.shape[1])
@@ -388,9 +384,8 @@ def gram_error_bound(spec: ScalarKernelSpec, pts) -> float:
 
 def gram_scalar_cross(spec: ScalarKernelSpec, x, z) -> np.ndarray:
     """Rectangular kernel matrix k(x_i, z_j)."""
-    xa = as_points(x, spec.dimension)
-    za = as_points(z, spec.dimension)
-    return _radial_profile(spec, _sq_dists(xa, za))
+    d = spec.dimension
+    return _CrossGram(spec, as_points(z, d))(as_points(x, d))
 
 
 def check_kappa(spec: ScalarKernelSpec, g_scalar: np.ndarray) -> None:

@@ -8,10 +8,12 @@ The critical radius delta_n^2 is the minimal delta^2 >= 0 with
 
 where mu are the eigenvalues of G_k / n.  Since psi(delta)/delta is
 nonincreasing while delta is increasing, the satisfying set is an interval
-[delta*, inf) and bisection on delta is exact.  By the trace identity
-n psi(delta)^2 = tr(G_k) / n - sum_{mu_i > delta^2} (mu_i - delta^2), it
-needs only tr(G_k) and the eigenvalues above delta^2.  So a Gram of more than
-N_DENSE points yields just its top eigenpairs, to Lanczos with full
+[delta*, inf) and bisection on delta is exact.  The statistical dimension
+d_n is the first index j with mu_j <= delta_n^2; a ``SpectralDecomposition``
+carries both, which ``check_satisfiability`` reads.  By the trace identity
+n psi(delta)^2 = tr(G_k) / n - sum_{mu_i > delta^2} (mu_i - delta^2), the
+bisection needs only tr(G_k) and the eigenvalues above delta^2.  So a Gram of
+more than N_DENSE points yields just its top eigenpairs, to Lanczos with full
 reorthogonalization (Golub & Van Loan, *Matrix Computations*, sec. 10.3), and
 its ridge solves run conjugate gradients deflated by them (Saad, Yeung, Erhel
 & Guyomarc'h 2000, *A deflated version of the conjugate gradient algorithm*).
@@ -80,6 +82,13 @@ class SpectralDecomposition:
         ``mu``; exact when the smallest of ``mu`` is at or below it."""
         tail = float(np.trace(self.gram)) / self.size - float(self.mu.sum())
         return critical_radius(self.mu, self.size, tail if self.vals.size < self.size else 0.0)
+
+    @cached_property
+    def d_n(self) -> int:
+        """The statistical dimension at the critical radius, at most the
+        number of eigenpairs at hand (``eigendecompose_scaled_gram`` stops
+        Lanczos only once the smallest of ``mu`` is at or below it)."""
+        return statistical_dimension(self.mu, self.delta_sq)
 
     def top_vectors(self, k: int) -> np.ndarray:
         """Orthonormal eigenvectors of the k largest eigenvalues of G_k as
@@ -285,35 +294,31 @@ def sketched_gram(sk: SketchMatrix, g: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def check_satisfiability(
-    sk: SketchMatrix,
-    dec: SpectralDecomposition,
-    d_n: int,
-    delta_sq: float,
-    c: float,
-    sgs: np.ndarray | None = None,
+    sk: SketchMatrix, dec: SpectralDecomposition, c: float, sgs: np.ndarray
 ) -> SpectralReport:
-    """Spectral-norm test of the sketch against the top/tail eigenspaces.
+    """Spectral-norm test of the sketch against the top/tail eigenspaces of
+    ``dec``, split at its statistical dimension ``dec.d_n`` and judged at its
+    critical radius ``dec.delta_sq``.
 
     Satisfiable iff ``||(S U1)^T S U1 - I|| <= 1/2`` and
     ``||S U2 D2^(1/2)|| <= c * delta_n``, both in operator norm.  The tail
     vectors U2 are never formed: ``S U2 D2 U2^T S^T`` is
     ``S (G_k / n) S^T - (S U1) D1 (S U1)^T``, whose cancellation costs about
     n * eps relative since delta_n^2 is at least of order 1/n.  ``sgs`` is
-    S G_k S^T from :func:`sketched_gram` when already formed.
+    S G_k S^T from :func:`sketched_gram`, checked to be a finite s x s matrix.
     """
-    n = dec.size
-    if not (1 <= d_n <= n):
-        raise InputError(f"d_n={d_n} outside [1, {n}]")
+    n, d_n, delta_sq = dec.size, dec.d_n, dec.delta_sq
     s_dense = sk.matrix
     if s_dense.shape[1] != n:
         raise InputError(
             f"sketch has {s_dense.shape[1]} columns, Gram has {n} points"
         )
+    sgs = finite_matrix(sgs, "sketched product S G S^T")
+    if sgs.shape[0] != s_dense.shape[0]:
+        raise InputError(f"S G S^T has shape {sgs.shape} for a sketch of {s_dense.shape[0]} rows")
     su1 = s_dense @ dec.top_vectors(d_n)
     norm1 = float(np.linalg.norm(su1.T @ su1 - np.eye(d_n), 2))
     if d_n < n:
-        if sgs is None:
-            sgs = sketched_gram(sk, dec.gram)[1]
         tail = sgs / n - (su1 * dec.mu[:d_n]) @ su1.T
         norm2 = float(np.sqrt(max(np.linalg.eigvalsh(tail)[-1], 0.0)))
     else:

@@ -31,9 +31,6 @@ from opbounds.erm import _objective, fit_full, fit_sketched
 from opbounds.errors import InputError
 from opbounds.kernels import (
     _expansion_norm,
-    _radial_profile,
-    _sq_dists,
-    as_points,
     finite_matrix,
     gram_scalar,
     gram_scalar_cross,
@@ -55,8 +52,7 @@ def gram_two_arrays(spec, pts) -> np.ndarray:
     distances ``x x^T`` and ``|x_i|^2 + |x_j|^2`` as two n x n arrays, then
     the kernel profile, with the validation and errors of ``gram_scalar``.
     ``gram_scalar`` builds it in row blocks inside one array."""
-    x = as_points(pts, spec.dimension)
-    return _radial_profile(spec, _sq_dists(x, x))
+    return gram_scalar_cross(spec, pts, pts)
 
 
 def matern_profile_kv(spec, sq_dist) -> np.ndarray:
@@ -103,9 +99,9 @@ def psi_value(delta: float, mu) -> float:
     return math.sqrt(float(np.mean(np.minimum(delta * delta, np.asarray(mu, dtype=float)))))
 
 
-def coefficient_norm(model) -> float:
-    """Squared RKHS norm Tr(G A M A^T) of a fitted model."""
-    g = gram_scalar(model.kernel.scalar, model.anchors)
+def coefficient_norm(model, anchors) -> float:
+    """Squared RKHS norm Tr(G A M A^T) of a model fitted at the anchors."""
+    g = gram_scalar(model.kernel.scalar, anchors)
     a = model.effective_coeffs()
     return float(np.sum((g @ a) * (a @ model.kernel.output)))
 
@@ -261,18 +257,18 @@ def objective_sketched(kernel, g, y, loss, lambda_n, s_dense, gamma_) -> float:
 
 def fit_full_on(kernel, x, y, loss, cfg):
     """``fit_full`` on the spectrum ``kernel_spectrum`` forms from the points."""
-    return fit_full(kernel, x, y, loss, cfg, kernel_spectrum(kernel.scalar, x, LANCZOS_START))
+    return fit_full(kernel, y, loss, cfg, kernel_spectrum(kernel.scalar, x, LANCZOS_START))
 
 
 def fit_sketched_on(kernel, x, y, loss, cfg, sk):
-    """``fit_sketched`` on the Gram of the points and its sketched products."""
-    g = gram_scalar(kernel.scalar, x)
-    return fit_sketched(kernel, x, y, loss, cfg, sk, g, sketched_gram(sk, g))
+    """``fit_sketched`` on the sketched products of the Gram of the points."""
+    return fit_sketched(kernel, y, loss, cfg, sk, sketched_gram(sk, gram_scalar(kernel.scalar, x)))
 
 
-def predict_at(model, x) -> np.ndarray:
-    """A fitted model's predictions at x, from the cross Gram k(x, anchors)."""
-    return model.predict(gram_scalar_cross(model.kernel.scalar, x, model.anchors))
+def predict_at(model, x, anchors) -> np.ndarray:
+    """Predictions at x of a model fitted at the anchors, from the cross Gram
+    k(x, anchors)."""
+    return model.predict(gram_scalar_cross(model.kernel.scalar, x, anchors))
 
 
 def decompose_sketch(sk):

@@ -35,7 +35,7 @@ from opbounds.spectral import (
     check_satisfiability,
     critical_radius,
     eigendecompose_scaled_gram,
-    statistical_dimension,
+    sketched_gram,
 )
 from oracles import fit_full_on, fit_sketched_on, pencil_max, predict_at, psi_value
 
@@ -135,7 +135,7 @@ def test_criterion_04_identity_sketch_equivalence():
         identity = SketchMatrix(matrix=np.eye(n))
         full = fit_full_on(kernel, x, y, LossSpec("squared"), cfg)
         sketched = fit_sketched_on(kernel, x, y, LossSpec("squared"), cfg, identity)
-        gap = float(np.abs(predict_at(full, x) - predict_at(sketched, x)).max())
+        gap = float(np.abs(predict_at(full, x, x) - predict_at(sketched, x, x)).max())
         worst = max(worst, gap)
         ok = ok and gap <= 1e-8
     record(4, "identity-sketch fit matches full fit on training predictions", ok,
@@ -198,16 +198,16 @@ def test_criterion_05_satisfiability_frequency():
         pts = rng.uniform(-1, 1, (n, 2))
         g_k = gram_scalar(ScalarKernelSpec("gaussian", 1.0, dimension=2), pts)
         dec = eigendecompose_scaled_gram(g_k)
-        delta_sq = critical_radius(dec.mu, n, 0.0)
-        d_n = statistical_dimension(dec.mu, delta_sq)
+        d_n = dec.d_n
         d_ns.append(d_n)
         sk = make_p_sparsified(
             SketchSpec(s=8 * d_n, n=n, p=1.0, dist="gaussian", seed=seed)
         )
-        passes += int(check_satisfiability(sk, dec, d_n, delta_sq, c).satisfiable)
+        passes += int(check_satisfiability(sk, dec, c, sketched_gram(sk, g_k)[1]).satisfiable)
         with pytest.warns(UserWarning, match="more rows"):
             spec90 = SketchSpec(s=_s90(d_n), n=n, p=1.0, dist="gaussian", seed=seed)
-        rep = check_satisfiability(make_p_sparsified(spec90), dec, d_n, delta_sq, c)
+        sk90 = make_p_sparsified(spec90)
+        rep = check_satisfiability(sk90, dec, c, sketched_gram(sk90, g_k)[1])
         passes90 += int(rep.satisfiable)
         worst90 = max(worst90, rep.norm1)
     # expected count and its variance under the law, including the

@@ -1380,35 +1380,68 @@ def test_lapack_run_bytes_independent_of_blas_threads(subcommand, monkeypatch, t
     assert payloads[0] == payloads[1]
 
 
+def _sketch_regress_40_rows(n, loss):
+    """A Matern nu = 1.5 sketch-regress config on n points with a 40-row
+    sketch, with the squared loss or the pinball loss of SKETCH_REGRESS."""
+    cfg = _matern_sketch_regress(1.5, n)
+    cfg["sketch"]["rows"] = 40
+    if loss == "pinball":
+        cfg["loss"], cfg["fit"] = SKETCH_REGRESS["loss"], SKETCH_REGRESS["fit"]
+    return cfg
+
+
 @pytest.mark.parametrize("n, loss", [(300, "squared"), (40, "pinball")])
 def test_sketch_regress_forms_s_g_st_once(n, loss, monkeypatch, tmp_path):
     # the sketched fit and the satisfiability report read one S G S^T, and
     # the report's norm2 is that of a fresh (S G) S^T within 1e-14 relative
     from opbounds import spectral
 
-    cfg = _matern_sketch_regress(1.5, n)
-    cfg["sketch"]["rows"] = 40
-    if loss == "pinball":
-        cfg["loss"], cfg["fit"] = SKETCH_REGRESS["loss"], SKETCH_REGRESS["fit"]
+    cfg = _sketch_regress_40_rows(n, loss)
     fits, reports = [], []
     fit_sketched, check = cli.fit_sketched, cli.check_satisfiability
 
-    def spied_fit(*args, **kwargs):
-        fits.append(kwargs["sketched"])
-        return fit_sketched(*args, **kwargs)
+    def spied_fit(kernel, y, loss, cfg, sk, sketched):
+        fits.append(sketched)
+        return fit_sketched(kernel, y, loss, cfg, sk, sketched)
 
-    def spied_check(sk, dec, d_n, delta_sq, c, sgs):
-        reports.append((sk, dec, d_n, delta_sq, c, sgs))
-        return check(sk, dec, d_n, delta_sq, c, sgs=sgs)
+    def spied_check(sk, dec, c, sgs):
+        reports.append((sk, dec, c, sgs))
+        return check(sk, dec, c, sgs)
 
     monkeypatch.setattr(cli, "fit_sketched", spied_fit)
     monkeypatch.setattr(cli, "check_satisfiability", spied_check)
     norm2 = run("sketch-regress", cfg, None, tmp_path)["metrics"]["satisfiability"]["norm2"]
-    (sketched,), ((sk, dec, d_n, delta_sq, c, sgs),) = fits, reports
-    assert sgs is sketched[1] and d_n < n
+    (sketched,), ((sk, dec, c, sgs),) = fits, reports
+    assert sgs is sketched[1] and dec.d_n < n
     fresh = (sk.matrix @ dec.gram) @ sk.matrix.T
-    want = spectral.check_satisfiability(sk, dec, d_n, delta_sq, c, sgs=fresh).norm2
+    want = spectral.check_satisfiability(sk, dec, c, fresh).norm2
     assert norm2 > 0 and abs(norm2 - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("n, loss", [(300, "squared"), (40, "pinball")])
+def test_sketch_regress_checks_the_gram_once(n, loss, monkeypatch, tmp_path):
+    # the spectrum's Gram is checked finite when it is decomposed; the fits
+    # check it only for kappa, once, in fit_full, and fit_sketched checks the
+    # n x s and s x s products it solves on, not the n x n Gram
+    from opbounds import erm
+
+    cfg, rows = _sketch_regress_40_rows(n, loss), 40
+    check_kappa, finite_matrix = erm.check_kappa, erm.finite_matrix
+    kappa_checks, finite_checks = [], []
+
+    def counted_kappa(spec, g):
+        kappa_checks.append(g.shape)
+        check_kappa(spec, g)
+
+    def counted_finite(a, *args, **kwargs):
+        finite_checks.append(np.shape(a))
+        return finite_matrix(a, *args, **kwargs)
+
+    monkeypatch.setattr(erm, "check_kappa", counted_kappa)
+    monkeypatch.setattr(erm, "finite_matrix", counted_finite)
+    run("sketch-regress", cfg, None, tmp_path)
+    assert kappa_checks == [(n, n)]
+    assert finite_checks == [(n, rows), (rows, rows)]
 
 
 _SCIPY_MODULES = """

@@ -802,11 +802,17 @@ def test_train_matches_model_rebuilding_reference(
     cfg = TrainConfig(lambda1=lambda1, lambda2=lambda2, step=step, iters=5,
                       grad_mode=grad_mode)
     result = train(DeepObjective(model, x, y), cfg)
-    ref_model, ref_trajectory, _ = _reference_train(model, x, y, cfg)
+    ref_model, ref_trajectory, tried = _reference_train(model, x, y, cfg)
     assert all(
         np.array_equal(a, b) for a, b in zip(result.model.coeffs, ref_model.coeffs)
     )
     assert result.trajectory == ref_trajectory
+    if grad_mode == "analytic":
+        # the start, one pass per trial step of the reference's schedule, and
+        # one more per doubled probe that failed above an accepted step; the
+        # finite-difference gradient builds passes of its own
+        again = sum(steps[-1] != entry["step"] for steps, entry in zip(tried, ref_trajectory))
+        assert result.forward_passes == 1 + sum(map(len, tried)) + again
 
 
 # the benchmark's deep-train config, at 20 iterations

@@ -18,12 +18,7 @@ from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
 from opbounds.koopman import LayerSpec, NetworkSpec, SplitMc
 from opbounds.losses import LossSpec
 from opbounds.sketching import SketchSpec, make_p_sparsified
-from opbounds.spectral import (
-    check_satisfiability,
-    critical_radius,
-    eigendecompose_scaled_gram,
-    statistical_dimension,
-)
+from opbounds.spectral import check_satisfiability, eigendecompose_scaled_gram, sketched_gram
 from oracles import fit_full_on, fit_sketched_on, pencil_max
 
 
@@ -117,12 +112,10 @@ def test_spectrum_chain_is_finite_or_typed(problem, rows, p, seed):
 
     def chain():
         dec = eigendecompose_scaled_gram(g)
-        delta_sq = critical_radius(dec.mu, n, 0.0)
-        d_n = statistical_dimension(dec.mu, delta_sq)
         sketch = make_p_sparsified(SketchSpec(s=rows, n=n, p=p, seed=seed))
-        report = check_satisfiability(sketch, dec, d_n, delta_sq, 3.0)
-        assert 1 <= d_n <= n
-        return dec.mu, delta_sq, d_n, report.norm1, report.norm2
+        report = check_satisfiability(sketch, dec, 3.0, sketched_gram(sketch, g)[1])
+        assert 1 <= dec.d_n <= n
+        return dec.mu, dec.delta_sq, dec.d_n, report.norm1, report.norm2
 
     assert _finite_or_typed(chain) is not None
 

@@ -2,13 +2,15 @@
 
 Every public entry point that takes a square matrix rejects NaN, +-inf, a
 non-square and an empty matrix with a typed OpboundsError
-(``kernels.finite_matrix``, or the fits' check of their Gram); the
-layer-weight functions take rectangular weights and reject non-finite or
-empty ones, and every entry point that takes labels rejects non-finite ones
-(``kernels.as_labels``).  Every PSD verdict goes through
-``kernels.require_psd``, so each site accepts a smallest eigenvalue at 0.9
-times its tolerance ``PSD_TOL * max(|lambda_max|, 1)`` and rejects one at 1.1
-times it.  The one exception is the spectrum of a Gram of more than
+(``kernels.finite_matrix``); the sketched products (G S^T, S G S^T) that
+``fit_sketched`` solves on and the S G S^T that ``check_satisfiability``
+reads are rejected with an InputError when non-finite or not of the shapes
+the sketch implies; the layer-weight functions take rectangular weights and
+reject non-finite or empty ones, and every entry point that takes labels
+rejects non-finite ones (``kernels.as_labels``).  Every PSD verdict goes
+through ``kernels.require_psd``, so each site accepts a smallest eigenvalue
+at 0.9 times its tolerance ``PSD_TOL * max(|lambda_max|, 1)`` and rejects
+one at 1.1 times it.  The one exception is the spectrum of a Gram of more than
 ``spectral.N_DENSE`` points: ``eigendecompose_scaled_gram`` then judges it by
 ``kernels.require_psd_cholesky``, a Cholesky factor of G / n + tau I, with the
 same boundary up to a rounding band.  The PSD_SITES test here runs the 2 x 2
@@ -37,7 +39,7 @@ from opbounds.kernels import (
 from opbounds.koopman import ApproxMc, det_quarter_root, spectral_ratio_factor
 from opbounds.losses import LossSpec
 from opbounds.sketching import SketchMatrix
-from opbounds.spectral import _pencil_basis, eigendecompose_scaled_gram
+from opbounds.spectral import _pencil_basis, check_satisfiability, eigendecompose_scaled_gram
 from oracles import fit_full_on, fit_sketched_on
 
 I2 = np.eye(2)
@@ -57,11 +59,6 @@ SQUARE_ENTRY_POINTS = {
     "make_output_matrix": make_output_matrix,
     "BallMc Gram": lambda a: BallMc(a, [[1.0]], 2),
     "BallMc output matrix": lambda a: BallMc(I2, a, 2),
-    "fit_sketched gram": lambda a: fit_sketched(
-        DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), I2),
-        np.zeros((2, 1)), np.zeros((2, 2)), LossSpec("squared"), FitConfig(lambda_n=1.0),
-        SketchMatrix(I2), a, (I2, I2),
-    ),
     "ApproxMc input Gram": lambda a: ApproxMc(np.zeros((1, 2, 2)), a, I2, I2),
     "ApproxMc mid Gram": lambda a: ApproxMc(np.zeros((1, 2, 2)), I2, a, I2),
     "ApproxMc output matrix": lambda a: ApproxMc(np.zeros((1, 2, 2)), I2, I2, a),
@@ -102,6 +99,39 @@ def _quiet():
 def test_square_matrix_entry_points_reject_bad_matrices(entry, bad):
     with pytest.raises(OpboundsError):
         SQUARE_ENTRY_POINTS[entry](np.asarray(BAD_SQUARE[bad]))
+
+
+def _fit_sketched(k_sk, sgs):
+    """The squared sketched fit on two points with S = I, on the products."""
+    return fit_sketched(
+        DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), I2),
+        np.zeros((2, 2)), LossSpec("squared"), FitConfig(lambda_n=1.0), SketchMatrix(I2),
+        (k_sk, sgs),
+    )
+
+
+#: Each entry point that takes a sketched product, as a function of that
+#: product for the sketch S = I on two points, which implies a 2 x 2 one.
+SKETCHED_PRODUCTS = {
+    "fit_sketched G S^T": lambda a: _fit_sketched(a, I2),
+    "fit_sketched S G S^T": lambda a: _fit_sketched(I2, a),
+    "check_satisfiability S G S^T": lambda a: check_satisfiability(
+        SketchMatrix(I2), eigendecompose_scaled_gram(I2), 1.0, a
+    ),
+}
+
+
+#: A 3 x 3 product is square and finite but not of the shape S implies.
+BAD_PRODUCTS = {**BAD_SQUARE, "3 x 3": np.eye(3)}
+
+
+@pytest.mark.parametrize("bad", BAD_PRODUCTS)
+@pytest.mark.parametrize("entry", SKETCHED_PRODUCTS)
+def test_sketched_product_entry_points_reject_bad_products(entry, bad):
+    call = SKETCHED_PRODUCTS[entry]
+    call(I2)
+    with pytest.raises(InputError):
+        call(np.asarray(BAD_PRODUCTS[bad]))
 
 
 @pytest.mark.parametrize("bad", BAD_WEIGHTS)

@@ -20,6 +20,7 @@ from opbounds.spectral import (
     critical_radius,
     eigendecompose_scaled_gram,
     kernel_spectrum,
+    sketched_gram,
     statistical_dimension,
 )
 from oracles import (
@@ -264,49 +265,56 @@ def test_statistical_dimension_monotone():
 
 def _spectral_setup(seed, n=24):
     rng = np.random.default_rng(seed)
-    g = random_psd(n, rng)
-    dec = eigendecompose_scaled_gram(g)
-    d_sq = critical_radius(dec.mu, dec.size, 0.0)
-    d_n = statistical_dimension(dec.mu, d_sq)
-    return dec, d_sq, d_n
+    return eigendecompose_scaled_gram(random_psd(n, rng))
+
+
+def _satisfiability(sk, dec, c):
+    """``check_satisfiability`` on the S G S^T of the decomposition's Gram."""
+    return check_satisfiability(sk, dec, c, sketched_gram(sk, dec.gram)[1])
 
 
 def test_satisfiability_identity_sketch():
-    dec, d_sq, d_n = _spectral_setup(0)
-    n = dec.size
-    sk = SketchMatrix(matrix=np.eye(n))
-    rep = check_satisfiability(sk, dec, d_n, d_sq, c=1.0)
+    dec = _spectral_setup(0)
+    sk = SketchMatrix(matrix=np.eye(dec.size))
+    rep = _satisfiability(sk, dec, c=1.0)
     assert rep.norm1 <= 1e-10
     # tail norm is sqrt(mu_{d_n+1}) <= delta_n because mu_{d_n} <= delta_n^2
-    assert rep.norm2 <= np.sqrt(d_sq) + 1e-12
+    assert rep.norm2 <= np.sqrt(dec.delta_sq) + 1e-12
     assert rep.satisfiable
 
 
 def test_satisfiability_zero_sketch():
-    dec, d_sq, d_n = _spectral_setup(1)
-    n = dec.size
-    sk = SketchMatrix(matrix=np.zeros((4, n)))
-    rep = check_satisfiability(sk, dec, d_n, d_sq, c=10.0)
+    dec = _spectral_setup(1)
+    sk = SketchMatrix(matrix=np.zeros((4, dec.size)))
+    rep = _satisfiability(sk, dec, c=10.0)
     assert rep.norm1 == pytest.approx(1.0)
     assert not rep.satisfiable
 
 
 def test_satisfiability_verdict_is_pure_function():
-    dec, d_sq, d_n = _spectral_setup(2)
+    dec = _spectral_setup(2)
     n = dec.size
     sk = make_p_sparsified(SketchSpec(s=n, n=n, p=1.0, seed=0))
-    rep = check_satisfiability(sk, dec, d_n, d_sq, c=5.0)
-    expected = rep.norm1 <= 0.5 and rep.norm2 <= 5.0 * np.sqrt(d_sq)
+    rep = _satisfiability(sk, dec, c=5.0)
+    expected = rep.norm1 <= 0.5 and rep.norm2 <= 5.0 * np.sqrt(dec.delta_sq)
     assert rep.satisfiable == expected
+    assert (rep.delta_sq, rep.d_n) == (dec.delta_sq, dec.d_n)
 
 
-def test_satisfiability_rejects_bad_dn():
-    dec, d_sq, _ = _spectral_setup(3)
-    sk = SketchMatrix(matrix=np.eye(dec.size))
-    with pytest.raises(InputError):
-        check_satisfiability(sk, dec, 0, d_sq, c=1.0)
-    with pytest.raises(InputError):
-        check_satisfiability(sk, dec, dec.size + 1, d_sq, c=1.0)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 5, 12, 24, 300]))
+def test_statistical_dimension_of_a_decomposition(seed, n):
+    # d_n is the statistical dimension at the critical radius, on a dense
+    # decomposition (n <= 24) and on a Lanczos one (n = 300), and its top
+    # eigenvectors are at hand
+    from opbounds.kernels import ScalarKernelSpec
+
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (n, 2))
+    dec = kernel_spectrum(ScalarKernelSpec("gaussian", 2.0, dimension=2), x, LANCZOS_START)
+    assert (dec.vals.size == n) == (n <= N_DENSE)
+    assert dec.d_n == statistical_dimension(dec.mu, dec.delta_sq)
+    assert 1 <= dec.d_n <= dec.vals.size
 
 
 def test_satisfiability_dn_equals_n():
@@ -314,11 +322,8 @@ def test_satisfiability_dn_equals_n():
     n = 12
     g = 4.0 * n * np.eye(n)  # mu = 4 each; delta^2 = 2 < 4 -> d_n = n
     dec = eigendecompose_scaled_gram(g)
-    d_sq = critical_radius(dec.mu, dec.size, 0.0)
-    d_n = statistical_dimension(dec.mu, d_sq)
-    assert d_n == n
-    sk = SketchMatrix(matrix=np.eye(n))
-    rep = check_satisfiability(sk, dec, d_n, d_sq, c=1.0)
+    assert dec.d_n == n
+    rep = _satisfiability(SketchMatrix(matrix=np.eye(n)), dec, c=1.0)
     assert rep.norm2 == 0.0
     assert rep.satisfiable
 
@@ -329,9 +334,8 @@ def _check_report_against_dense(g, sk, c):
     has an eigengap, the verdict where neither norm is near its threshold."""
     n = g.shape[0]
     dec = eigendecompose_scaled_gram(g)
-    d_sq = critical_radius(dec.mu, dec.size, 0.0)
-    d_n = statistical_dimension(dec.mu, d_sq)
-    rep = check_satisfiability(sk, dec, d_n, d_sq, c)
+    d_sq, d_n = dec.delta_sq, dec.d_n
+    rep = _satisfiability(sk, dec, c)
     norm1, norm2 = satisfiability_norms(sk.matrix, g, n, d_n)
     mu = dec.mu
     s_sq = max(float(np.linalg.norm(sk.matrix, 2)) ** 2, 1.0)
@@ -432,7 +436,7 @@ def _check_against_dense_reference(g):
     dec = eigendecompose_scaled_gram(g)
     delta_sq = dec.delta_sq
     want_sq, want_dn = dense_critical_radius(g)
-    assert statistical_dimension(dec.mu, delta_sq) == want_dn
+    assert dec.d_n == want_dn
     if dec.mu[0] <= 1.0:
         assert delta_sq == want_sq
     else:
@@ -510,7 +514,7 @@ def test_lanczos_decomposition_matches_dense_reference(kind, n, monkeypatch):
     top = dec.top_vectors(k)
     assert np.abs(top.T @ top - np.eye(k)).max() <= 1e-10
     assert np.abs(g @ top - top * (n * dec.mu)).max() <= 1e-10 * n * mu[0]
-    d_n = statistical_dimension(dec.mu, dec.delta_sq)
+    d_n = dec.d_n
     assert mu[d_n - 1] - mu[d_n] > _GAP * mu[0]
     want = u[:, :d_n]
     assert np.abs(top[:, :d_n] @ top[:, :d_n].T - want @ want.T).max() <= 1e-8
@@ -699,7 +703,7 @@ def test_library_fit_pays_the_verdict_only_for_an_uncertified_gram(nu, verdicts,
         verdict(*args)
 
     monkeypatch.setattr(spectral, "require_psd_cholesky", recorded_verdict)
-    fit_full(kernel, x, y, LossSpec("squared"), FitConfig(lambda_n=0.01),
+    fit_full(kernel, y, LossSpec("squared"), FitConfig(lambda_n=0.01),
              kernel_spectrum(spec, x, LANCZOS_START))
     assert len(calls) == verdicts
 
