@@ -592,8 +592,8 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
         full, (sketched, sgs) = _overlap(fit, fit_on_sketch)
     else:
         full, (sketched, sgs) = fit(), fit_on_sketch()
-    risk_full = empirical_risk(full, ds.x, ds.y, loss, gram=g_k)
-    risk_sketched = empirical_risk(sketched, ds.x, ds.y, loss, gram=g_k)
+    risk_full = empirical_risk(full.predict(g_k), ds.y, loss)
+    risk_sketched = empirical_risk(sketched.predict(g_k), ds.y, loss)
 
     report = check_satisfiability(sketch, dec, c_val, sgs)
 
@@ -621,7 +621,7 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
         "excess_risk_bound": bound_entry,
     }
     if ds.teacher is not None:
-        metrics["risk_teacher"] = empirical_risk(ds.teacher.at, ds.x, ds.y, loss)
+        metrics["risk_teacher"] = empirical_risk(ds.teacher.at(ds.x), ds.y, loss)
     if config.get("emit_coefficients", False):
         metrics["coefficients"] = {
             "full": full.coeffs.tolist(),

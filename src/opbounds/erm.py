@@ -32,7 +32,7 @@ import numpy as np
 
 from .complexity import trace_bound
 from .errors import InputError, UnboundedLossError
-from .kernels import DecomposableKernel, as_labels, as_points, check_kappa, finite_matrix
+from .kernels import DecomposableKernel, as_labels, check_kappa, finite_matrix
 from .losses import UNBOUNDED, LossSpec, loss_subgradient, loss_value
 from .sketching import SketchMatrix
 from .spectral import SpectralDecomposition
@@ -303,22 +303,14 @@ def fit_sketched(
     return FittedModel(coeffs, kernel, diag, sketch=sk)
 
 
-def empirical_risk(model, x, y, loss: LossSpec, gram=None) -> float:
-    """Mean loss of a FittedModel or row-wise predictor over a dataset;
-    ``gram`` is k(x, anchors), which a FittedModel needs (see ``predict``)
-    and a predictor rejects."""
-    pts = as_points(x)
+def empirical_risk(preds, y, loss: LossSpec) -> float:
+    """Mean loss of the predictions ``preds``, one row per point (such as
+    ``FittedModel.predict(gram)`` or ``KernelExpansion.at(x)``), against the
+    targets ``y``."""
+    preds = np.asarray(preds, dtype=float)
     targets = as_labels(y)
-    if pts.shape[0] == 0:
-        raise InputError("data must be nonempty")
-    if isinstance(model, FittedModel):
-        if gram is None:
-            raise InputError("a FittedModel needs the Gram k(x, anchors)")
-        preds = model.predict(gram)
-    elif gram is not None:
-        raise InputError("gram applies only to a FittedModel")
-    else:
-        preds = np.asarray(model(pts), dtype=float)
+    if preds.size == 0:
+        raise InputError("predictions must be nonempty")
     if preds.shape != targets.shape:
         raise InputError(f"predictions {preds.shape} vs targets {targets.shape}")
     return _mean_loss(loss, preds, targets)

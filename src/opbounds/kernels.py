@@ -21,11 +21,12 @@ Conventions:
   are defined up to the usual kernel-normalization constant.
 
 Gram assembly is vectorized and entrywise pure, so results are independent of
-any evaluation schedule.  A symmetric Gram is built inside the one n x n
-array it returns, in row blocks.  Half-integer Matern smoothnesses (nu = 0.5,
-1.5, 2.5, for ``sobolev-radial`` too) have closed forms and are computed in
-place on the squared distances; every other nu goes through
-``scipy.special.kv``, and only then does scipy load.
+any evaluation schedule.  Every Gram, square or cross, is built by one
+routine, ``_CrossGram``, inside the one array it returns, in row blocks.
+Half-integer Matern smoothnesses (nu = 0.5, 1.5, 2.5, for ``sobolev-radial``
+too) have closed forms and are computed in place on the squared distances;
+every other nu goes through ``scipy.special.kv``, and only then does scipy
+load.
 """
 
 from __future__ import annotations
@@ -42,18 +43,18 @@ _FAMILIES = ("gaussian", "matern", "sobolev-radial")
 #: ``min(vals) >= -PSD_TOL * max(|max(vals)|, 1)`` (see :func:`require_psd`).
 PSD_TOL = 1e-10
 
-#: Rows per block of a symmetric Gram's assembly (``gram_scalar``).
+#: Rows per block of every Gram's assembly (``_CrossGram``).
 _GRAM_BLOCK = 128
 
 
-def as_points(x, dim: int | None = None) -> np.ndarray:
-    """Validate and return a point set as an (n, d) float64 array."""
+def as_points(x, dim: int) -> np.ndarray:
+    """Validate and return a point set as an (n, dim) float64 array."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.ndim != 2:
         raise InputError(f"point set must be 2-D, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise InputError("point set contains non-finite entries")
-    if dim is not None and pts.shape[1] != dim:
+    if pts.shape[1] != dim:
         raise InputError(f"points have dimension {pts.shape[1]}, expected {dim}")
     return pts
 
@@ -240,41 +241,43 @@ def _require_no_overflow(x_extent: float, z_extent: float, dim: int) -> None:
         raise NumericError("squared distances overflow: the points are too large")
 
 
-def _sq_dists_to(x, x_extent, z, z_sq, z_extent) -> np.ndarray:
-    """Pairwise squared distances between the rows of x and of z, given
-    max |x|, and |z_j|^2 and max |z|: (|x|^2 + |z|^2) - 2 x.z, clipped at 0,
-    computed in place on x.z and one more array of its shape.  None is NaN:
-    the cross term is bounded by 2 d max|x_ik| max|z_jk|, checked once to be
-    finite, so an overflow can only give +inf, which every family maps to 0.
-    ``gram_scalar`` forms the same entries, with the same operations, in the
-    one array it returns."""
-    _require_no_overflow(x_extent, z_extent, x.shape[1])
-    gram = x @ z.T
-    gram *= 2.0
-    nx = np.einsum("ij,ij->i", x, x)
-    d = nx[:, None] + z_sq[None, :]
-    d -= gram
-    return np.maximum(d, 0.0, out=d)
-
-
 class _CrossGram:
     """Cross Grams k(x, z) against fixed, valid anchors z, whose squared
     norms and max |z| are computed once, for points x that the caller
-    computed and so need no ``as_points``: one max |x| pass raises its
-    InputError on a non-finite entry, and ``_sq_dists_to``'s NumericError on
-    an overflow."""
+    computed and so need no ``as_points``.  This is the library's one Gram
+    assembly: ``gram_scalar`` is the call with x the same array as z, and
+    ``gram_scalar_cross`` the call on validated points."""
 
     def __init__(self, spec: ScalarKernelSpec, z: np.ndarray):
         self.spec, self.z = spec, z
         self.z_sq, self.z_extent = np.einsum("ij,ij->i", z, z), _extent(z)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """k(x, z), built inside the one array it returns: ``x @ z.T`` (numpy's
+        symmetric product when x is z), then each block of ``_GRAM_BLOCK``
+        rows becomes squared distances (|x|^2 + |z|^2) - 2 x.z, clipped at 0,
+        and kernel values in place.  A block allocates one temporary of its
+        size, and the Matern polynomial one more.
+
+        One max |x| pass raises InputError on a non-finite entry, and then
+        NumericError unless 2 d max|x| max|z|, the bound on the cross term,
+        is finite.  So no distance is NaN: an overflow can only give +inf,
+        which every family maps to 0, and every entry is finite."""
         x_extent = _extent(x)
         if not np.isfinite(x_extent):
             raise InputError("point set contains non-finite entries")
-        return _radial_profile(
-            self.spec, _sq_dists_to(x, x_extent, self.z, self.z_sq, self.z_extent)
-        )
+        _require_no_overflow(x_extent, self.z_extent, x.shape[1])
+        g = x @ self.z.T
+        x_sq = np.einsum("ij,ij->i", x, x)
+        for i in range(0, g.shape[0], _GRAM_BLOCK):
+            block = g[i : i + _GRAM_BLOCK]
+            block *= 2.0
+            np.subtract(x_sq[i : i + block.shape[0], None] + self.z_sq[None, :], block, out=block)
+            np.maximum(block, 0.0, out=block)
+            values = _radial_profile(self.spec, block)
+            if values is not block:  # the kv family returns a new array
+                block[...] = values
+        return g
 
 
 def _radial_profile(spec: ScalarKernelSpec, sq_dist: np.ndarray) -> np.ndarray:
@@ -329,29 +332,11 @@ def _half_integer_matern(nu: float, bandwidth: float, sq_dist: np.ndarray) -> np
 
 
 def gram_scalar(spec: ScalarKernelSpec, pts) -> np.ndarray:
-    """n x n scalar Gram matrix; exactly symmetric, PSD up to ``PSD_TOL * n``.
-    Its entries are finite, since no distance is NaN (``_sq_dists_to``) and
-    every family maps a distance, +inf included, to a finite value.
-
-    It is built inside the one n x n array it returns: ``x @ x.T`` (numpy's
-    symmetric product), then each block of ``_GRAM_BLOCK`` rows becomes
-    squared distances and kernel values in place, with the operations of
-    ``gram_scalar_cross(spec, x, x)`` and so its bits.  A block allocates
-    one temporary of its size, and the Matern polynomial one more."""
+    """n x n scalar Gram matrix; exactly symmetric, PSD up to ``PSD_TOL * n``,
+    with finite entries.  It is ``_CrossGram`` with the points as their own
+    anchors, built in row blocks inside the one n x n array it returns."""
     x = as_points(pts, spec.dimension)
-    extent = _extent(x)
-    _require_no_overflow(extent, extent, x.shape[1])
-    g = x @ x.T
-    sq = np.einsum("ij,ij->i", x, x)
-    for i in range(0, g.shape[0], _GRAM_BLOCK):
-        block = g[i : i + _GRAM_BLOCK]
-        block *= 2.0
-        np.subtract(sq[i : i + block.shape[0], None] + sq[None, :], block, out=block)
-        np.maximum(block, 0.0, out=block)
-        values = _radial_profile(spec, block)
-        if values is not block:  # the kv family returns a new array
-            block[...] = values
-    return g
+    return _CrossGram(spec, x)(x)
 
 
 def gram_error_bound(spec: ScalarKernelSpec, pts) -> float:

@@ -1,7 +1,7 @@
 """Reference computations the tests check the library against.
 
 None of these is library API: the library never assembles the Kronecker
-operator Gram, assembles a symmetric Gram on two n x n arrays in one call,
+operator Gram, assembles a Gram on two arrays of its size in one call,
 evaluates one kernel pair at a time, computes a Gram in long double,
 restates psi, takes half-integer Matern values from ``kv``, builds the full
 eigenvector matrix of a Gram, bisects for the critical radius over a whole
@@ -28,9 +28,11 @@ from opbounds._rng import substream
 from opbounds.complexity import _BLOCK, BallMc, ClassMc
 from opbounds.deepvv import _ARMIJO, _MIN_STEP, TrainResult
 from opbounds.erm import _objective, fit_full, fit_sketched
-from opbounds.errors import InputError
+from opbounds.errors import InputError, NumericError
 from opbounds.kernels import (
     _expansion_norm,
+    _radial_profile,
+    as_points,
     finite_matrix,
     gram_scalar,
     gram_scalar_cross,
@@ -47,12 +49,27 @@ def eval_scalar(spec, x, x_prime) -> float:
     return float(gram_scalar_cross(spec, x, x_prime)[0, 0])
 
 
-def gram_two_arrays(spec, pts) -> np.ndarray:
-    """The scalar Gram in one call on the whole point set: the squared
-    distances ``x x^T`` and ``|x_i|^2 + |x_j|^2`` as two n x n arrays, then
-    the kernel profile, with the validation and errors of ``gram_scalar``.
-    ``gram_scalar`` builds it in row blocks inside one array."""
-    return gram_scalar_cross(spec, pts, pts)
+def gram_two_arrays(spec, x, z=None) -> np.ndarray:
+    """The scalar Gram k(x, z), z = x when omitted, in one call on the whole
+    point sets: the squared distances (|x_i|^2 + |z_j|^2) - 2 x_i.z_j,
+    clipped at 0, from ``x z^T`` and one more array of its shape, then the
+    kernel profile, with the validation and errors of ``gram_scalar`` and
+    ``gram_scalar_cross`` (z is validated first).  The library builds the
+    same entries in row blocks inside one array."""
+    dim = spec.dimension
+    if z is None:
+        x = z = as_points(x, dim)
+    else:
+        z = as_points(z, dim)
+        x = as_points(x, dim)
+    x_extent, z_extent = float(np.abs(x).max(initial=0.0)), float(np.abs(z).max(initial=0.0))
+    if not np.isfinite(2.0 * dim * (x_extent * z_extent)):
+        raise NumericError("squared distances overflow: the points are too large")
+    cross = x @ z.T
+    cross *= 2.0
+    sq = np.einsum("ij,ij->i", x, x)[:, None] + np.einsum("ij,ij->i", z, z)[None, :]
+    sq -= cross
+    return _radial_profile(spec, np.maximum(sq, 0.0, out=sq))
 
 
 def matern_profile_kv(spec, sq_dist) -> np.ndarray:

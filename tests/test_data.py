@@ -12,7 +12,7 @@ SQUARED = LossSpec("squared")
 
 def test_noiseless_teacher_has_zero_risk():
     ds = synth_dataset(GeneratorConfig(n=20, d=2, m=2, noise=0.0, seed=1))
-    assert empirical_risk(ds.teacher.at, ds.x, ds.y, SQUARED) == pytest.approx(0.0, abs=1e-24)
+    assert empirical_risk(ds.teacher.at(ds.x), ds.y, SQUARED) == pytest.approx(0.0, abs=1e-24)
 
 
 def test_fixed_seed_reproducibility():

@@ -118,7 +118,7 @@ def test_objectives_match_row_by_row_reference(loss, seed):
     assert objective_sketched(kernel, g, y, loss, lam, s_dense, gamma) == expected
 
     model = fit_full_on(kernel, x, y, loss, FitConfig(lambda_n=lam, max_iters=5))
-    assert empirical_risk(model, x, y, loss, gram=g) == _row_by_row_mean(loss, model.predict(g), y)
+    assert empirical_risk(model.predict(g), y, loss) == _row_by_row_mean(loss, model.predict(g), y)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -159,8 +159,8 @@ def test_quarter_sketch_risk_within_factor_two():
     full = fit_full_on(kernel, x, y, SQUARED, cfg)
     sketched = fit_sketched_on(kernel, x, y, SQUARED, cfg, sk)
     g = gram_scalar(kernel.scalar, x)
-    r_full = empirical_risk(full, x, y, SQUARED, gram=g)
-    r_sketched = empirical_risk(sketched, x, y, SQUARED, gram=g)
+    r_full = empirical_risk(full.predict(g), y, SQUARED)
+    r_sketched = empirical_risk(sketched.predict(g), y, SQUARED)
     assert r_sketched <= 2.0 * r_full
 
 
@@ -199,25 +199,22 @@ def test_nonconverged_flagged_not_silent():
 
 
 def test_empirical_risk_cases():
-    kernel, x, y = make_problem(5)
-
-    def perfect(pts):
-        return y
-
-    assert empirical_risk(perfect, x, y, SQUARED) == 0.0
-    ones = np.ones((4, 1))
-    zeros = lambda pts: np.zeros((pts.shape[0], 1))  # noqa: E731
-    assert empirical_risk(zeros, np.zeros((4, 2)), ones, SQUARED) == pytest.approx(1.0)
+    y = make_problem(5)[2]
+    assert empirical_risk(y, y, SQUARED) == 0.0
+    assert empirical_risk(np.zeros((4, 1)), np.ones(4), SQUARED) == pytest.approx(1.0)
     # additivity over concatenated equal halves
-    half_x, half_y = x[:6], y[:6]
-    both_x = np.vstack([half_x, half_x])
+    half_y = y[:6]
     both_y = np.vstack([half_y, half_y])
-    pred = lambda pts: np.zeros((pts.shape[0], 2))  # noqa: E731
-    assert empirical_risk(pred, both_x, both_y, SQUARED) == pytest.approx(
-        empirical_risk(pred, half_x, half_y, SQUARED)
+    assert empirical_risk(np.zeros((12, 2)), both_y, SQUARED) == pytest.approx(
+        empirical_risk(np.zeros((6, 2)), half_y, SQUARED)
     )
-    with pytest.raises(InputError):
-        empirical_risk(pred, np.zeros((0, 2)), np.zeros((0, 2)), SQUARED)
+    # no predictions (a zero division otherwise) or predictions of another
+    # shape than the targets are input errors
+    with pytest.raises(InputError, match="predictions must be nonempty"):
+        empirical_risk(np.zeros((0, 2)), np.zeros((0, 2)), SQUARED)
+    for preds in (np.zeros(12), np.zeros((11, 2)), np.zeros((12, 1))):
+        with pytest.raises(InputError, match="vs targets"):
+            empirical_risk(preds, y, SQUARED)
 
 
 @pytest.mark.filterwarnings("ignore:sketch has more rows")
@@ -239,7 +236,7 @@ def test_fits_on_the_training_gram_match_the_cross_gram(seed, n, s, loss):
     full = fit_full_on(kernel, x, y, loss, cfg)
     for model in (full, fit_sketched_on(kernel, x, y, loss, cfg, sk)):
         risk = _row_by_row_mean(loss, predict_at(model, x, x), y)
-        assert empirical_risk(model, x, y, loss, gram=g) == risk
+        assert empirical_risk(model.predict(g), y, loss) == risk
     assert model.diagnostics.objective == objective_sketched(
         kernel, g, y, loss, cfg.lambda_n, sk.matrix, model.coeffs
     )
@@ -286,11 +283,9 @@ def test_supplied_gram_errors_are_typed():
             fit_full(kernel, y, SQUARED, cfg, spectrum)
     model = fit_full_on(kernel, x, y, SQUARED, cfg)
     with pytest.raises(InputError, match="Gram shape"):
-        empirical_risk(model, x, y, SQUARED, gram=g[:, :9])
-    with pytest.raises(InputError, match="needs the Gram"):
-        empirical_risk(model, x, y, SQUARED)
-    with pytest.raises(InputError, match="only to a FittedModel"):
-        empirical_risk(model.predict, x, y, SQUARED, gram=g)
+        model.predict(g[:, :9])
+    with pytest.raises(InputError, match="vs targets"):
+        empirical_risk(model.predict(g[:9]), y, SQUARED)
 
 
 # frozen from an independent term-by-term derivation (see test body)

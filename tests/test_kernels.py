@@ -12,6 +12,7 @@ from opbounds.complexity import BallMc, McConfig, run_mc
 from opbounds.errors import InputError, NotPsdError, NumericError
 from opbounds.kernels import (
     PSD_TOL,
+    _CrossGram,
     DecomposableKernel,
     KernelExpansion,
     ScalarKernelSpec,
@@ -181,40 +182,51 @@ def test_cross_gram_overflow_is_a_numeric_error():
         gram_scalar_cross(spec, [[1e200]], [[0.0], [1e200]])
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from([("gaussian", 0.0), ("matern", 0.5), ("matern", 1.5), ("matern", 2.5),
                      ("matern", 1.2)]),
     st.sampled_from([1, 2, 127, 128, 129, 256, 257, 300, 513]),
+    st.sampled_from([None, 1, 3, 127, 128, 129, 300]),
     st.integers(1, 3),
     st.floats(0.05, 5.0),
     st.sampled_from(["distinct", "duplicates", "overflow", "non-finite"]),
     st.integers(0, 2**32 - 1),
 )
-def test_gram_scalar_is_the_two_array_assembly_bit_for_bit(kind, n, d, bandwidth, case, seed):
-    # row blocks in one array give the bits of the single call, on either
-    # side of a block boundary; nu = 1.2 is the kv path, whose profile is a
-    # new array.  A bad point set raises the same error, and no thread starts
+def test_gram_scalar_is_the_two_array_assembly_bit_for_bit(kind, n, q, d, bandwidth, case, seed):
+    # row blocks in one array give the bits of the two-array assembly, on
+    # either side of a block boundary, for the square Gram (q is None) and
+    # for a cross Gram against q other anchors; nu = 1.2 is the kv path,
+    # whose profile is a new array.  A bad point set raises the same error,
+    # and no thread starts.  A huge point on one side of a cross Gram gives
+    # infinite distances, not an overflow
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2.0, 2.0, (n, d))
+    z = None if q is None else rng.uniform(-2.0, 2.0, (q, d))
+    bad = x if z is None or rng.integers(2) else z
+    rows = bad.shape[0]
     if case == "duplicates":
         x = x[rng.integers(0, max(n // 2, 1), n)]
     elif case == "overflow":
-        x[rng.integers(n)] = 1e200
+        bad[rng.integers(rows)] = 1e200
     elif case == "non-finite":
-        x[rng.integers(n), rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
+        bad[rng.integers(rows), rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
     spec = ScalarKernelSpec(kind[0], bandwidth, kind[1], d)
+
+    def assemble():
+        return gram_scalar(spec, x) if z is None else gram_scalar_cross(spec, x, z)
+
     before = threading.active_count()
     try:
-        want = gram_two_arrays(spec, x)
+        want = gram_two_arrays(spec, x, z)
     except (InputError, NumericError) as exc:
-        assert case in ("overflow", "non-finite")
+        assert case == "non-finite" or (case == "overflow" and z is None)
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            gram_scalar(spec, x)
+            assemble()
         assert threading.active_count() == before
         return
-    assert case in ("distinct", "duplicates")
-    got = gram_scalar(spec, x)
+    assert case != "non-finite"
+    got = assemble()
     assert threading.active_count() == before
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -222,22 +234,30 @@ def test_gram_scalar_is_the_two_array_assembly_bit_for_bit(kind, n, d, bandwidth
 @pytest.mark.parametrize("family, nu", [
     ("gaussian", 0.0), ("matern", 0.5), ("matern", 1.5), ("matern", 2.5),
 ])
-def test_gram_scalar_peak_memory(family, nu):
-    # the Gram is the one n x n array, and each 128-row block is written in
-    # place: beside it are at most one temporary of a block's size (the sum
-    # of squared norms), the Matern polynomial, and vectors of n entries
-    # (the squared norms, a copy of the points)
+@pytest.mark.parametrize("q", [None, 600, 200])
+def test_gram_scalar_peak_memory(family, nu, q):
+    # the n x q Gram, square (q is None) or against q other anchors, is the
+    # one array of its size, and each 128-row block is written in place:
+    # beside it are at most one temporary of a block's size (the sum of
+    # squared norms), the Matern polynomial, and vectors of n entries (the
+    # squared norms, a copy of the points)
     n = 600
-    x = np.random.default_rng(3).uniform(-1, 1, (n, 3))
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1, 1, (n, 3))
     spec = ScalarKernelSpec(family, 0.5, smoothness=nu, dimension=3)
-    gram_scalar(spec, x)
+    if q is None:
+        q, assemble = n, lambda: gram_scalar(spec, x)
+    else:
+        z = rng.uniform(-1, 1, (q, 3))
+        assemble = lambda: _CrossGram(spec, z)(x)  # noqa: E731
+    assemble()
     tracemalloc.start()
     try:
-        gram_scalar(spec, x)
+        assemble()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (n * n + 2 * 128 * n + 4 * n) * 8, peak
+    assert peak <= (n * q + 2 * 128 * q + 4 * n) * 8, peak
 
 
 def test_split_pass_peak_memory():

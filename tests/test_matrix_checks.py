@@ -192,9 +192,7 @@ LABEL_ENTRY_POINTS = {
         np.zeros((2, 1)), y, LossSpec("pinball", quantiles=(0.5, 0.5)),
         FitConfig(lambda_n=1.0, max_iters=2), SketchMatrix(I2),
     ),
-    "empirical_risk": lambda y: empirical_risk(
-        lambda pts: np.zeros((len(pts), 2)), np.zeros((2, 1)), y, LossSpec("squared")
-    ),
+    "empirical_risk": lambda y: empirical_risk(np.zeros((2, 2)), y, LossSpec("squared")),
     "DeepObjective": lambda y: DeepObjective(_model(I2), np.zeros((2, 2)), y),
 }
 
