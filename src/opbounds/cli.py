@@ -700,6 +700,7 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
         "final_objective": _objective_entry(final_terms),
         "iterations": result.iterations,
         "forward_passes": result.forward_passes,
+        "eigh_fallbacks": result.eigh_fallbacks,
         "converged": result.converged,
         "epochs": epochs,
         "pf_bound": pf_rep,

@@ -40,7 +40,10 @@ Grams up, and a pass is built again at its coefficients when the doubled
 step fails.  The analytic gradient differentiates the top pencil
 eigenvalue through the simple-eigenvalue formula d rho = a^T dG_top a (the
 whitening basis is fixed) and falls back to finite differences when the top
-eigenvalue gap degenerates.
+eigenvalue gap degenerates.  Its rho and gap are the eigenvalues that
+``pf_norm`` computed with ``eigvalsh``, and its eigenvector comes from one
+inverse iteration shifted at that rho, so the whitened G_top is decomposed
+once per point; ``eigh`` runs only when inverse iteration gives no vector.
 
 The Perron-Frobenius bound of a model is pf_norm * top_norm * trace_root, with
 trace_root = sqrt(kappa_1 Tr M_1 / n) the ``complexity.trace_bound`` of the
@@ -77,6 +80,7 @@ from .spectral import (
     _rayleigh_floor,
     _top_eigenpair,
     _top_eigenvalue,
+    _top_eigenvector,
     _whiten,
 )
 
@@ -207,9 +211,11 @@ class Pass:
     levels[j] feeds layer j through its cross Gram kmats[j]; ``pf_top`` is
     (G_top, last-layer kernel Gram on levels[-2]) and ``s`` is G_top whitened
     by G_bottom's basis, kept by ``DeepObjective.exceeds`` and freed by the
-    analytic gradient once it has its top eigenpair.  ``data``, ``pf`` and ``top`` are the data term and the
-    transfer-product and top-layer norms, set on first use; ``w`` is the top
-    eigenvector of ``s``, set by the analytic gradient."""
+    analytic gradient once it has its top eigenvector.  ``data``, ``pf`` and
+    ``top`` are the data term and the transfer-product and top-layer norms,
+    set on first use, and ``vals`` the top two eigenvalues of ``s``
+    (ascending; one when ``s`` is 1 x 1), which ``pf`` comes from; ``w`` is
+    the top eigenvector of ``s``, set by the analytic gradient."""
 
     coeffs: list[np.ndarray]
     levels: list[np.ndarray]
@@ -219,11 +225,12 @@ class Pass:
     data: float | None = None
     pf: float | None = None
     top: float | None = None
+    vals: np.ndarray | None = None
     w: np.ndarray | None = None
 
     def drop_grams(self) -> None:
-        """Free the n x q and n x n Grams and ``s``; the levels, norms and w
-        stay."""
+        """Free the n x q and n x n Grams and ``s``; the levels, norms, vals
+        and w stay."""
         self.kmats = self.pf_top = self.s = None
 
 
@@ -235,7 +242,9 @@ class DeepObjective:
     pass and keep what they compute on it.  G_bottom is whitened and the
     first layer's cross Gram and last layer's anchor Gram assembled once per
     objective, on first use.  ``forward_passes`` counts the ``forward``
-    calls."""
+    calls, and ``eigh_fallbacks`` the analytic gradients whose top whitened
+    eigenvector came from ``eigh`` (``spectral._top_eigenpair``) because
+    inverse iteration (``spectral._top_eigenvector``) gave none."""
 
     def __init__(self, model: LayeredModel, xs, ys):
         self.x = as_points(xs, model.input_dim)
@@ -248,6 +257,7 @@ class DeepObjective:
         self.probes = default_probes(self.y)
         self.model = model
         self.forward_passes = 0
+        self.eigh_fallbacks = 0
 
     @cached_property
     def bottom(self) -> tuple[np.ndarray, np.ndarray]:
@@ -307,9 +317,12 @@ class DeepObjective:
         return _whiten(self._pf_top(fwd)[0], self.bottom[1]) if fwd.s is None else fwd.s
 
     def pf_norm(self, fwd: Pass) -> float:
-        """Transfer-product norm."""
+        """Transfer-product norm sqrt(rho); the top two eigenvalues of the
+        whitened G_top, for the gradient's rho and gap, stay on the pass as
+        ``vals``."""
         if fwd.pf is None:
-            fwd.pf = float(np.sqrt(_top_eigenvalue(self._whitened(fwd))))
+            rho, vals = _top_eigenvalue(self._whitened(fwd))
+            fwd.pf, fwd.vals = float(np.sqrt(rho)), vals[-2:].copy()
         return fwd.pf
 
     def data_term(self, fwd: Pass) -> float:
@@ -383,9 +396,14 @@ class DeepObjective:
         eigenvalue, as d rho = a^T dG_top a with a the G_bottom-normalized
         eigenvector; this is the simple-eigenvalue perturbation formula and is
         exact to first order because the whitening basis depends only on
-        G_bottom.  When the top eigenvalue gap falls below 1e-8 relative, the
-        whole gradient falls back to central finite differences (step
-        1e-5 * (1 + |parameter|)) with a warning.
+        G_bottom.  rho and the gap to the second eigenvalue are those of
+        ``pf_norm``'s eigenvalues, so rho is the objective's, and the
+        eigenvector comes from one inverse iteration shifted at rho
+        (``spectral._top_eigenvector``), or from ``eigh`` with its own rho and
+        gap when that gives none (counted in ``eigh_fallbacks``).  When the
+        top eigenvalue gap falls below 1e-8 relative, the whole gradient falls
+        back to central finite differences (step 1e-5 * (1 + |parameter|))
+        with a warning.
         """
         if mode == "finite-diff":
             return _fd_gradient(self, fwd.coeffs, lambda1, lambda2)
@@ -402,8 +420,15 @@ class DeepObjective:
             mids = levels[-2]
             probe_bilinear, basis = self.bottom
             k_top = self._pf_top(fwd)[1]
-            rho, a_vec, fwd.w, gap = _top_eigenpair(self._whitened(fwd), basis)
-            fwd.s = None  # freed before the n x n t_mat below
+            fwd.s = self._whitened(fwd)  # kept for the norm below and the vector
+            self.pf_norm(fwd)
+            vals, w = fwd.vals, _top_eigenvector(fwd.s, fwd.vals)
+            if w is None:
+                self.eigh_fallbacks += 1
+                rho, a_vec, w, gap = _top_eigenpair(fwd.s, basis)
+            else:  # a vector comes only with k >= 2 and vals[-1] > 0
+                rho, a_vec, gap = float(vals[-1]), basis @ w, float(vals[-1] - vals[-2])
+            fwd.s, fwd.w = None, w  # s freed before the n x n t_mat below
             if rho > 0 and np.isfinite(gap) and gap < _EIG_GAP_TOL * rho:
                 warnings.warn(
                     "top pencil eigenvalue nearly degenerate; falling back to "
@@ -482,7 +507,8 @@ def _fd_gradient(problem: DeepObjective, coeffs: list[np.ndarray], lambda1, lamb
 class TrainResult:
     """The trained model, the passes at the first and the last coefficient
     point, the per-iteration trajectory and the objective's ``forward``
-    calls, which are the first point's one when nothing is trained."""
+    calls, which are the first point's one when nothing is trained, and its
+    ``eigh_fallbacks``."""
 
     model: LayeredModel
     first: Pass
@@ -491,6 +517,7 @@ class TrainResult:
     converged: bool = False
     iterations: int = 0
     forward_passes: int = 1
+    eigh_fallbacks: int = 0
 
 
 def train(objective: DeepObjective, cfg: TrainConfig, trajectory: bool = True) -> TrainResult:
@@ -518,7 +545,7 @@ def train(objective: DeepObjective, cfg: TrainConfig, trajectory: bool = True) -
     and reject decisions are those of the full objective."""
     model = objective.model
     lam1, lam2 = cfg.lambda1, cfg.lambda2
-    passes = objective.forward_passes
+    passes, fallbacks = objective.forward_passes, objective.eigh_fallbacks
     point = objective.forward(model.coeffs)
     obj = sum(objective.terms(point, lam1, lam2))
     if not np.isfinite(obj):
@@ -548,6 +575,7 @@ def train(objective: DeepObjective, cfg: TrainConfig, trajectory: bool = True) -
         result.iterations = it
     result.model, result.last = model.with_coeffs(point.coeffs), point
     result.forward_passes = objective.forward_passes - passes
+    result.eigh_fallbacks = objective.eigh_fallbacks - fallbacks
     return result
 
 
@@ -577,6 +605,7 @@ def _line_search(objective, cfg, point, obj, grads, gnorm, last):
                 # the gradient needs the lower candidate's Grams again
                 again = objective.forward(lower.coeffs)
                 again.data, again.pf, again.top = lower.data, lower.pf, lower.top
+                again.vals = lower.vals
                 return again, found[1], step
             found, step = higher, 2.0 * step
         return *found, step

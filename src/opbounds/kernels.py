@@ -262,13 +262,15 @@ class _CrossGram:
         One max |x| pass raises InputError on a non-finite entry, and then
         NumericError unless 2 d max|x| max|z|, the bound on the cross term,
         is finite.  So no distance is NaN: an overflow can only give +inf,
-        which every family maps to 0, and every entry is finite."""
-        x_extent = _extent(x)
+        which every family maps to 0, and every entry is finite.  When x is
+        z, its max |x| and squared norms are the anchors' own."""
+        square = x is self.z
+        x_extent = self.z_extent if square else _extent(x)
         if not np.isfinite(x_extent):
             raise InputError("point set contains non-finite entries")
         _require_no_overflow(x_extent, self.z_extent, x.shape[1])
         g = x @ self.z.T
-        x_sq = np.einsum("ij,ij->i", x, x)
+        x_sq = self.z_sq if square else np.einsum("ij,ij->i", x, x)
         for i in range(0, g.shape[0], _GRAM_BLOCK):
             block = g[i : i + _GRAM_BLOCK]
             block *= 2.0

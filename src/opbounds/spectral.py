@@ -1,6 +1,9 @@
 """Spectra of scaled Gram matrices: critical radius, statistical dimension,
 sketch satisfiability, and the whitening of a symmetric pencil on which the
-deep objective evaluates its transfer-product norm.
+deep objective evaluates its transfer-product norm.  The whitened pencil's
+eigenvalues come from one ``eigvalsh``; its top eigenvector, which the deep
+gradient needs, from inverse iteration shifted at the top one of them
+(``_top_eigenvector``), with ``eigh`` only where that gives none.
 
 The critical radius delta_n^2 is the minimal delta^2 >= 0 with
 
@@ -30,7 +33,7 @@ decides, from ``kernels.gram_error_bound``, whether that verdict must run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -360,10 +363,12 @@ def _whiten(g_top: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return sym
 
 
-def _top_eigenvalue(s: np.ndarray) -> float:
-    """rho of a whitened top matrix from _whiten, clipped at 0."""
+def _top_eigenvalue(s: np.ndarray) -> tuple[float, np.ndarray]:
+    """(rho, eigenvalues) of a whitened top matrix S from _whiten: its
+    ascending eigenvalues from ``eigvalsh`` and rho, the last of them clipped
+    at 0."""
     w_vals = np.linalg.eigvalsh(s)
-    return float(max(w_vals[-1], 0.0)) if w_vals.size else 0.0
+    return (float(max(w_vals[-1], 0.0)) if w_vals.size else 0.0), w_vals
 
 
 #: Slack, relative to ||S||_F, taken off a Rayleigh quotient of S so that it
@@ -373,9 +378,9 @@ _RAYLEIGH_SLACK = 1e-9
 
 
 def _rayleigh_floor(s: np.ndarray, w: np.ndarray) -> float:
-    """Lower bound on _top_eigenvalue(s) from a unit vector w: the Rayleigh
-    quotient w^T S w, at most the top eigenvalue (Courant-Fischer), less
-    _RAYLEIGH_SLACK * ||S||_F; NaN when S is not finite."""
+    """Lower bound on rho = _top_eigenvalue(s)[0] from a unit vector w: the
+    Rayleigh quotient w^T S w, at most the top eigenvalue (Courant-Fischer),
+    less _RAYLEIGH_SLACK * ||S||_F; NaN when S is not finite."""
     return float(w @ s @ w) - _RAYLEIGH_SLACK * float(np.linalg.norm(s))
 
 
@@ -390,3 +395,64 @@ def _top_eigenpair(
     rho = float(max(w_vals[-1], 0.0))
     gap = float(w_vals[-1] - w_vals[-2]) if w_vals.size > 1 else np.inf
     return rho, basis @ w_vecs[:, -1], w_vecs[:, -1].copy(), gap
+
+
+#: Residual, relative to ||S||_F, at which ``_top_eigenvector`` accepts an
+#: iterate: about 450 u (u = 2^-53), where one LU solve leaves a few k u.
+_EIGVEC_RESIDUAL = 1e-13
+
+#: Solves that ``_top_eigenvector`` makes before it gives up.
+_EIGVEC_SOLVES = 3
+
+
+@cache
+def _start_vector(k: int) -> np.ndarray:
+    """The seeded unit vector of R^k that inverse iteration starts from,
+    random as in ``_lanczos`` (so orthogonal to no eigenvector); read-only,
+    since it is cached."""
+    v = np.random.default_rng(0).standard_normal(k)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
+
+
+def _top_eigenvector(s: np.ndarray, vals: np.ndarray) -> np.ndarray | None:
+    """Unit eigenvector of the symmetric k x k S for its top eigenvalue
+    rho = vals[-1], the last of ascending ``eigvalsh`` eigenvalues of S, by
+    inverse iteration at that known eigenvalue (Parlett 1998, *The Symmetric
+    Eigenvalue Problem*, ch. 4; LAPACK's ``dstein``): v <- (S - sigma I)^-1 v,
+    normalized, from ``_start_vector(k)``, until ||(S - sigma I) v|| <=
+    ``_EIGVEC_RESIDUAL`` ||S||_F, at most ``_EIGVEC_SOLVES`` solves.  The
+    shift sigma is rho, moved up by u ||S||_F after each solve that LU finds
+    exactly singular (rho is then an eigenvalue of the rounded S; ``dstein``
+    perturbs such pivots).  The start is fixed, so v is a function of S
+    alone.  None when k = 1, rho is not positive, an iterate is zero or not
+    finite, or none meets the bound: the caller then takes ``_top_eigenpair``.
+
+    The solve is nearly singular, which is what makes it work: its solution
+    is dominated by the top eigenvector, and one solve usually meets the
+    bound.  S is shifted in place and its diagonal restored on return, so no
+    k x k array is formed."""
+    k, rho = s.shape[0], float(vals[-1])
+    if k < 2 or not rho > 0:
+        return None
+    norm = float(np.linalg.norm(s))
+    diag = s.diagonal().copy()
+    s.flat[:: k + 1] -= rho
+    try:
+        v = _start_vector(k)
+        for _ in range(_EIGVEC_SOLVES):
+            try:
+                v = np.linalg.solve(s, v)
+            except np.linalg.LinAlgError:
+                s.flat[:: k + 1] -= 2.0**-53 * norm
+                continue
+            size = float(np.linalg.norm(v))
+            if not (np.isfinite(size) and size > 0.0):
+                return None
+            v /= size
+            if float(np.linalg.norm(s @ v)) <= _EIGVEC_RESIDUAL * norm:
+                return v
+        return None
+    finally:
+        s.flat[:: k + 1] = diag

@@ -226,10 +226,10 @@ def forward(model, x) -> np.ndarray:
 def train_halving(objective, cfg, trajectory=True):
     """``deepvv.train`` with the line search that starts every iteration at
     ``cfg.step`` and halves until the Armijo test passes, with the same
-    screen, result and ``forward_passes`` count."""
+    screen, result and ``forward_passes`` and ``eigh_fallbacks`` counts."""
     model = objective.model
     lam1, lam2 = cfg.lambda1, cfg.lambda2
-    passes = objective.forward_passes
+    passes, fallbacks = objective.forward_passes, objective.eigh_fallbacks
     point = objective.forward(model.coeffs)
     obj = sum(objective.terms(point, lam1, lam2))
     result = TrainResult(model, point, point)
@@ -263,6 +263,7 @@ def train_halving(objective, cfg, trajectory=True):
         result.iterations = it
     result.model, result.last = model.with_coeffs(point.coeffs), point
     result.forward_passes = objective.forward_passes - passes
+    result.eigh_fallbacks = objective.eigh_fallbacks - fallbacks
     return result
 
 
@@ -396,7 +397,7 @@ def pencil_max(g_top, g_bottom) -> float:
         raise InputError("pencil matrices must be of equal shape")
     basis = _pencil_basis(bot)
     require_psd(np.linalg.eigvalsh(0.5 * (top + top.T)), "pencil top matrix")
-    return _top_eigenvalue(_whiten(top, basis))
+    return _top_eigenvalue(_whiten(top, basis))[0]
 
 
 def expansion_norm(expansion) -> float:

@@ -588,6 +588,12 @@ def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
         whitened.append(fwd.s is not None)
         return screened[-1]
 
+    # the gradient's eigenvector comes from inverse iteration at pf_norm's
+    # eigenvalue; a gradient calls eigh only when that gives no vector
+    top_vector, top_pair = deepvv._top_eigenvector, deepvv._top_eigenpair
+    vectors, pairs = [], []
+    monkeypatch.setattr(deepvv, "_top_eigenvector", lambda *a: vectors.append(1) or top_vector(*a))
+    monkeypatch.setattr(deepvv, "_top_eigenpair", lambda *a: pairs.append(1) or top_pair(*a))
     monkeypatch.setattr(deepvv, "gram_scalar_cross", counted_cross)
     monkeypatch.setattr(deepvv, "_top_eigenvalue", lambda s: eigensolves.append(1) or eigensolve(s))
     monkeypatch.setattr(deepvv, "_whiten", lambda *a: whitenings.append(1) or whiten(*a))
@@ -603,6 +609,7 @@ def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
     assert reached_eigensolve < candidates  # the bounds decide some candidates
     assert len(eigensolves) == 1 + reached_eigensolve
     assert len(whitenings) == 2 + sum(whitened) + again
+    assert len(vectors) == cfg.iters and len(pairs) == result.eigh_fallbacks == 0
 
 
 @pytest.mark.filterwarnings("ignore:top pencil eigenvalue")
@@ -698,7 +705,7 @@ def test_line_search_rejects_before_eigensolve_only_what_objective_rejects(
         if w is not None and fwd.pf_top is not None:
             s = spectral._whiten(fwd.pf_top[0], problem.bottom[1])
             low = spectral._rayleigh_floor(s, w)
-            assert low <= spectral._top_eigenvalue(s) or np.isnan(low)
+            assert low <= spectral._top_eigenvalue(s)[0] or np.isnan(low)
         if rejected:
             full = objective(model.with_coeffs(fwd.coeffs), x, y, lam1, lam2)
             assert not (np.isfinite(full) and full <= thresh)
@@ -815,6 +822,33 @@ def test_train_matches_model_rebuilding_reference(
         assert result.forward_passes == 1 + sum(map(len, tried)) + again
 
 
+def test_gradient_from_inverse_iteration_matches_eigh():
+    # on the random models of acceptance criterion 08 whose top whitened
+    # eigenvalue has a gap above 1e-6 relative, the analytic gradient with
+    # the eigenvector from inverse iteration agrees to 1e-9 relative with the
+    # one that takes eigh's, and none falls back to eigh
+    worst, checked = 0.0, 0
+    for attempt in range(1, 81):
+        rng = np.random.default_rng(6000 + attempt)
+        dims = (2, 3, 2) if attempt % 2 else (2, 3, 3, 2)
+        model = make_model(6100 + attempt, dims=dims, n_anchor=4, uniform_m=True)
+        x = rng.uniform(-1, 1, (6, 2))
+        y = rng.standard_normal((6, 2))
+        obj, fwd = at_model(model, x, y)
+        vals = np.linalg.eigvalsh(obj._whitened(fwd))
+        if not vals[-1] - vals[-2] > 1e-6 * vals[-1] > 0:
+            continue
+        fast = obj.gradient(fwd, 0.3, 0.2, "analytic")
+        assert obj.eigh_fallbacks == 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(deepvv, "_top_eigenvector", lambda s, vals: None)
+            slow = gradient(model, x, y, 0.3, 0.2, "analytic")
+        scale = max(float(np.abs(g).max()) for g in slow)
+        worst = max(worst, max(float(np.abs(a - b).max()) for a, b in zip(fast, slow)) / scale)
+        checked += 1
+    assert checked >= 20 and worst <= 1e-9, (checked, worst)
+
+
 # the benchmark's deep-train config, at 20 iterations
 DEEP_TRAIN = {
     "dataset": {"kind": "synthetic", "n": 96, "d": 2, "m": 2, "noise": 0.1},
@@ -839,6 +873,18 @@ def test_warm_started_line_search_saves_forward_passes(monkeypatch, tmp_path, se
     halving = cli.run("deep-vvrkhs", DEEP_TRAIN, seed, tmp_path)["metrics"]
     assert halving.pop("forward_passes") >= fewer * warm.pop("forward_passes")
     assert warm == halving
+
+
+@pytest.mark.parametrize("seed, passes", [(5, 155), (7003, 175)])
+def test_deep_train_counts(tmp_path, seed, passes):
+    # the benchmark's deep-train instance at 50 iterations: no gradient takes
+    # its eigenvector from eigh, also at seed 7003, where a solve at the
+    # eigvalsh eigenvalue is exactly singular and the shift moves
+    cfg = json.loads(json.dumps(DEEP_TRAIN))
+    cfg["deep_model"]["train"]["iters"] = 50
+    cfg["deep_model"]["refine"] = {"direction": "shrink", "scale": 0.5}
+    metrics = cli.run("deep-vvrkhs", cfg, seed, tmp_path)["metrics"]
+    assert (metrics["forward_passes"], metrics["eigh_fallbacks"]) == (passes, 0)
 
 
 @pytest.mark.filterwarnings("ignore:top pencil eigenvalue")

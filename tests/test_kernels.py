@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opbounds import kernels
 from opbounds.complexity import BallMc, McConfig, run_mc
 from opbounds.errors import InputError, NotPsdError, NumericError
 from opbounds.kernels import (
@@ -229,6 +230,20 @@ def test_gram_scalar_is_the_two_array_assembly_bit_for_bit(kind, n, q, d, bandwi
     got = assemble()
     assert threading.active_count() == before
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 129])
+def test_square_gram_scans_its_points_once(monkeypatch, n):
+    # gram_scalar's points are also its anchors, so their max |x| pass (and
+    # squared norms) serve both sides; a cross Gram scans each side once
+    extent, scans = kernels._extent, []
+    monkeypatch.setattr(kernels, "_extent", lambda a: scans.append(a) or extent(a))
+    x = np.random.default_rng(n).uniform(-1, 1, (n, 2))
+    spec = ScalarKernelSpec("gaussian", 1.0, dimension=2)
+    g = gram_scalar(spec, x)
+    assert len(scans) == 1
+    assert g.tobytes() == gram_scalar_cross(spec, x, x.copy()).tobytes()
+    assert len(scans) == 3
 
 
 @pytest.mark.parametrize("family, nu", [

@@ -14,6 +14,7 @@ import hashlib
 
 import pytest
 
+from opbounds import deepvv
 from opbounds.cli import render_record, run
 
 SEED = 5
@@ -102,9 +103,12 @@ DIGESTS = {
     "spectral-report": "31dcaa46daeafecbab90cc8146e7235de93c2c0d45eb86893e07a5329d027021",
     "sketch-regress-large": "53b92024484d93cb476f7e31a299f67417ff68bec9a95a0934b3537c4e0b0575",
     "spectral-report-large": "7ad0727df852eb320350d9b48712252d60e4af2dcea10b0acd48b48346e1e977",
-    "deep-vvrkhs": "26b854b3a36b180a8b31234a701388ff9fe6f33c49b4b5431f040241fd069c8e",
-    "checkpoint": "9b23b4a562fc5a214725fc123247cc6a9b4aac3642ae948ddc609104c161e8cd",
-    "checkpoint-reload": "e3f09af28eda749a79163f58a6422fa04c2d8597a000ccf9cdb76bb0c81f3d8f",
+    "deep-vvrkhs": "15ffc68aed88e49f9c43f3454b5e4ca75e134f7fe30ced2cc1fab45651966f7f",
+    "checkpoint": "7854538e1478c5b2e5e703362a9d0fe975a46f85c1a6dab400b8302f6ad230b3",
+    "checkpoint-reload": "712df4c0744a7cf7fb984f2db3974e101bfeee56547c2a0e32eba93aad0db5e3",
+    # every gradient's eigenvector from eigh; the record without eigh_fallbacks
+    "deep-vvrkhs-eigh": "26b854b3a36b180a8b31234a701388ff9fe6f33c49b4b5431f040241fd069c8e",
+    "checkpoint-eigh": "9b23b4a562fc5a214725fc123247cc6a9b4aac3642ae948ddc609104c161e8cd",
 }
 
 
@@ -142,3 +146,14 @@ def test_deep_record_checkpoint_and_reload_bytes(tmp_path):
     assert _record_digest("deep-vvrkhs", DEEP, tmp_path) == DIGESTS["deep-vvrkhs"]
     assert _sha256((tmp_path / "model.json").read_bytes()) == DIGESTS["checkpoint"]
     assert _record_digest("deep-vvrkhs", RELOAD, tmp_path) == DIGESTS["checkpoint-reload"]
+
+
+def test_deep_record_with_every_eigenvector_from_eigh(monkeypatch, tmp_path):
+    # when inverse iteration gives no vector, every gradient takes eigh's
+    # eigenpair, with its own rho and gap, and counts one eigh_fallback; the
+    # record less that count and the checkpoint have the eigh-only bytes
+    monkeypatch.setattr(deepvv, "_top_eigenvector", lambda s, vals: None)
+    record = run("deep-vvrkhs", DEEP, SEED, tmp_path)
+    assert record["metrics"].pop("eigh_fallbacks") == DEEP["deep_model"]["train"]["iters"]
+    assert _sha256(render_record(record, "json")) == DIGESTS["deep-vvrkhs-eigh"]
+    assert _sha256((tmp_path / "model.json").read_bytes()) == DIGESTS["checkpoint-eigh"]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -843,3 +844,77 @@ def test_shared_whitening_matches_two_copies(pair):
 def test_pencil_top_must_be_psd():
     with pytest.raises(NotPsdError):
         pencil_max(-np.eye(3), np.eye(3))
+
+
+@st.composite
+def whitened_spectra(draw):
+    """(S, kind): a symmetric k x k S = Q diag(lam) Q^T, k <= 40, with a random
+    orthogonal Q and eigenvalues of the kind drawn."""
+    k = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(
+        ["psd", "rounding", "repeated", "nearly repeated", "rank 1", "zero", "negative"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = rng.uniform(0.0, 1.0, k)
+    top = np.argsort(lam)
+    if kind == "rounding":  # the whitened G_top's rounding: lam_min ~ -6e-7 lam_max
+        lam[top[: k // 2]] = -1e-7 * rng.uniform(0.0, 6.0, k // 2) * lam.max()
+    elif kind == "repeated" and k > 1:
+        lam[top[-2]] = lam.max()
+    elif kind == "nearly repeated" and k > 1:
+        lam[top[-2]] = lam.max() * (1.0 - 10.0 ** -draw(st.sampled_from([3, 6, 9, 12, 15])))
+    elif kind == "rank 1":
+        lam[:] = 0.0
+        lam[0] = 1.0
+    elif kind == "zero":
+        lam[:] = 0.0
+    elif kind == "negative":
+        lam = -lam
+    q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    s = (q * (10.0 ** draw(st.integers(-6, 6)) * lam)) @ q.T
+    return 0.5 * (s + s.T), kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(whitened_spectra())
+def test_top_eigenvector_is_none_or_meets_its_residual_bound(case):
+    # the vector, when there is one, is a unit vector with residual at most
+    # 1e-13 ||S||_F at the eigvalsh eigenvalue, and within the gap theorem's
+    # bound (Parlett 1998, sec. 11.7) of eigh's: both are eigenvectors up to
+    # their residuals, so each lies within sqrt(2) residual / gap of the top
+    # eigenvector.  S comes back bit for bit, and there is none for k = 1 or
+    # a top eigenvalue that is not positive
+    s, kind = case
+    vals = np.linalg.eigvalsh(s)
+    before = s.copy()
+    v = spectral._top_eigenvector(s, vals)
+    assert s.tobytes() == before.tobytes()
+    if s.shape[0] == 1 or not vals[-1] > 0:
+        assert v is None
+    if v is None:
+        return
+    norm = np.linalg.norm(s)
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-15 * s.shape[0]
+    residual = np.linalg.norm(s @ v - vals[-1] * v)
+    assert residual <= 1e-13 * norm
+    gap = vals[-1] - vals[-2]
+    if gap >= 1e-6 * vals[-1]:
+        w_vals, w_vecs = np.linalg.eigh(s)
+        u1 = w_vecs[:, -1]
+        u_residual = np.linalg.norm(s @ u1 - w_vals[-1] * u1)
+        # the computed gap and residuals, each moved by its rounding error
+        slack = 2 * s.shape[0] * np.finfo(float).eps * norm
+        assert min(np.linalg.norm(v - u1), np.linalg.norm(v + u1)) <= (
+            math.sqrt(2.0) * (residual + u_residual + 2 * slack) / (gap - slack)
+        )
+
+
+def test_top_eigenvector_moves_the_shift_off_an_exact_eigenvalue():
+    # S - rho I is exactly singular when rho is an eigenvalue of the rounded
+    # S (here a diagonal one); the shift moves up by u ||S||_F and the solve
+    # that follows finds the vector
+    s = np.diag([0.5, 2.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(s - 2.0 * np.eye(3), np.ones(3))
+    v = spectral._top_eigenvector(s, np.linalg.eigvalsh(s))
+    assert abs(v[1]) == 1.0 and np.abs(v[[0, 2]]).max() <= 1e-14
