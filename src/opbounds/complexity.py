@@ -36,7 +36,7 @@ import numpy as np
 
 from ._rng import rademacher, substream
 from .errors import InputError, NumericError
-from .kernels import finite_matrix, require_psd
+from .kernels import _is_identity, finite_matrix, require_psd
 
 _BLOCK = 512
 
@@ -94,7 +94,7 @@ def _quad_forms(rows: np.ndarray, g: np.ndarray, out: np.ndarray, work=None) -> 
     if work is not None:
         work = work.reshape(n, m * c)
     gw = np.matmul(g, w.reshape(n, m * c), out=work).reshape(n, m, c)
-    if not np.array_equal(out, np.eye(m)):
+    if not _is_identity(out):
         for i in range(0, n, 16):
             gw[i : i + 16] = np.matmul(out, gw[i : i + 16])
     return np.einsum("iar,iar->r", w, gw)

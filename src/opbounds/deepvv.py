@@ -455,11 +455,11 @@ class DeepObjective:
 
         gbar = seeds[model.depth]
         for j in range(model.depth - 1, -1, -1):
-            grad_c, grad_u = _backprop_layer(
-                model.layers[j], coeffs[j], levels[j], fwd.kmats[j], gbar
-            )
-            grads[j] += grad_c
-            gbar = grad_u
+            layer, kmat = model.layers[j], fwd.kmats[j]
+            grads[j] += kmat.T @ gbar @ layer.output
+            if j == 0:  # the first layer's input gradient is read by nothing
+                break
+            gbar = _input_gradient(layer, coeffs[j], levels[j], kmat, gbar)
             if j in seeds:
                 gbar = gbar + seeds[j]
         return grads
@@ -474,16 +474,14 @@ def _require_gaussian(model: LayeredModel) -> None:
             )
 
 
-def _backprop_layer(
+def _input_gradient(
     layer: KernelExpansion, c: np.ndarray, u: np.ndarray, kmat: np.ndarray, gbar: np.ndarray
-):
+) -> np.ndarray:
     """Given d obj / d out for one layer at coefficients ``c``, return
-    (d obj / d C, d obj / d u)."""
-    grad_c = kmat.T @ gbar @ layer.output
+    d obj / d u; d obj / d C is ``kmat.T @ gbar @ layer.output``."""
     w = (gbar @ (c @ layer.output).T) * kmat  # (n, q)
     gamma = layer.kernel.bandwidth
-    grad_u = -2.0 * gamma * (w.sum(axis=1)[:, None] * u - w @ layer.anchors)
-    return grad_c, grad_u
+    return -2.0 * gamma * (w.sum(axis=1)[:, None] * u - w @ layer.anchors)
 
 
 def _fd_gradient(problem: DeepObjective, coeffs: list[np.ndarray], lambda1, lambda2):

@@ -21,6 +21,14 @@ proximal map of the ridge term (a diagonal solve in the joint eigenbases of P
 and the output matrix), with a backtracking line search, so the objective is
 nonincreasing across accepted steps and runs are reproducible.  Each fit
 takes only the operands it solves on, and n from them.
+
+Each fit builds its objective once (``_Objective`` of K, P, M, the targets,
+the loss and lambda_n).  The build checks the operands through
+``losses._residual``; an evaluation then only forms K theta (and P theta
+unless P is K) and calls the loss formulas on the residual, so the line
+search's trials repeat no conversion or check.  A product with an M that is
+exactly the identity is skipped, in the objective, the subgradient and the
+proximal map, because it changes no finite value.
 """
 
 from __future__ import annotations
@@ -32,8 +40,8 @@ import numpy as np
 
 from .complexity import trace_bound
 from .errors import InputError, UnboundedLossError
-from .kernels import DecomposableKernel, as_labels, check_kappa, finite_matrix
-from .losses import UNBOUNDED, LossSpec, loss_subgradient, loss_value
+from .kernels import DecomposableKernel, _is_identity, as_labels, check_kappa, finite_matrix
+from .losses import UNBOUNDED, LossSpec, _residual, _residual_loss, loss_subgradient, loss_value
 from .sketching import SketchMatrix
 from .spectral import SpectralDecomposition
 
@@ -111,24 +119,43 @@ def _require_invertible_m(m: np.ndarray) -> None:
         raise InputError("output matrix M must be strictly positive definite")
 
 
-def _mean_loss(loss: LossSpec, preds: np.ndarray, y: np.ndarray) -> float:
+def _mean(rows: np.ndarray) -> float:
     # builtin sum, not np.sum: pairwise summation would change the last bits
-    return sum(loss_value(loss, preds, y).tolist()) / y.shape[0]
+    return sum(rows.tolist()) / rows.shape[0]
 
 
-def _objective(k, p, m_mat, y, loss, lambda_n, theta) -> float:
-    """(1/n) sum_i loss([K theta M]_i, y_i) + (lambda_n / 2) Tr(P theta M theta^T):
-    the full program at (K, P) = (G, G) and theta = A, the sketched one at
-    (G S^T, S G S^T) and theta = Gamma.  ``k is p`` forms G A once."""
-    k_theta = k @ theta
-    p_theta = k_theta if p is k else p @ theta
-    return _objective_at(k_theta, p_theta, m_mat, y, loss, lambda_n, theta)
+class _Objective:
+    """theta -> (1/n) sum_i loss([K theta M]_i, y_i) + (lambda_n / 2) Tr(P theta M theta^T),
+    the program of one fit: the full one at (K, P) = (G, G) and theta = A,
+    the sketched one at (G S^T, S G S^T) and theta = Gamma.
 
+    Built once per fit.  The build checks the operands once, through
+    ``losses._residual`` and with its InputErrors: predictions of K's rows
+    and M's order against the targets, and a pinball loss's quantile count.
+    Products with M are skipped when M is exactly the identity."""
 
-def _objective_at(k_theta, p_theta, m_mat, y, loss, lambda_n, theta) -> float:
-    """``_objective`` from the products K theta and P theta."""
-    data = _mean_loss(loss, k_theta @ m_mat, y)
-    return data + 0.5 * lambda_n * float(np.sum(p_theta * (theta @ m_mat)))
+    def __init__(self, k, p, m_mat, y, loss: LossSpec, lambda_n: float):
+        _residual(loss, np.zeros((k.shape[0], m_mat.shape[0])), y)
+        self.k, self.p, self.m_mat = k, p, m_mat
+        # C order, so every residual K theta M - y is C order as _residual's
+        self.y = np.ascontiguousarray(y)
+        self.loss, self.lambda_n = loss, lambda_n
+        self._identity_m = _is_identity(m_mat)
+
+    def times_m(self, a: np.ndarray) -> np.ndarray:
+        """a M; a itself when M is exactly the identity."""
+        return a if self._identity_m else a @ self.m_mat
+
+    def __call__(self, theta: np.ndarray) -> float:
+        """The objective at theta; ``k is p`` forms K theta once."""
+        k_theta = self.k @ theta
+        p_theta = k_theta if self.p is self.k else self.p @ theta
+        return self.at(k_theta, p_theta, theta)
+
+    def at(self, k_theta, p_theta, theta) -> float:
+        """The objective at theta from the products K theta and P theta."""
+        data = _mean(_residual_loss(self.loss, self.times_m(k_theta) - self.y))
+        return data + 0.5 * self.lambda_n * float((p_theta * self.times_m(theta)).sum())
 
 
 def _solve_squared_full(spectrum, m_mat, y, lambda_n):
@@ -165,12 +192,26 @@ def _diag_prox(a_eigh, m_mat: np.ndarray, lambda_n: float):
     a_vals, a_vecs = a_eigh
     m_vals, m_vecs = np.linalg.eigh(m_mat)
     cross = lambda_n * np.outer(a_vals, m_vals)
+    a_vecs_t = a_vecs.T
+    if _is_identity(m_vecs):
+
+        def prox(v: np.ndarray, t: float) -> np.ndarray:
+            return a_vecs @ ((a_vecs_t @ v) / (1.0 + t * cross))
+
+        return prox
+    m_vecs_t = m_vecs.T
 
     def prox(v: np.ndarray, t: float) -> np.ndarray:
-        vt = a_vecs.T @ v @ m_vecs
-        return a_vecs @ (vt / (1.0 + t * cross)) @ m_vecs.T
+        vt = a_vecs_t @ v @ m_vecs
+        return a_vecs @ (vt / (1.0 + t * cross)) @ m_vecs_t
 
     return prox
+
+
+def _norm(v: np.ndarray) -> float:
+    """Frobenius norm, as ``np.linalg.norm`` forms it, without its dispatch."""
+    flat = v.ravel()
+    return math.sqrt(flat.dot(flat))
 
 
 def _descend(objective, loss_grad, prox, start, cfg):
@@ -189,7 +230,7 @@ def _descend(objective, loss_grad, prox, start, cfg):
         grad = loss_grad(coeffs)
         t0 = cfg.step_size
         mapped = prox(coeffs - t0 * grad, t0)
-        residual = float(np.linalg.norm(coeffs - mapped)) / t0
+        residual = _norm(coeffs - mapped) / t0
         if residual <= cfg.tol:
             return coeffs, FitDiagnostics(obj, residual, iters - 1, True)
         step = t0
@@ -199,7 +240,7 @@ def _descend(objective, loss_grad, prox, start, cfg):
             if cand is None:
                 cand = prox(coeffs - step * grad, step)
             cand_obj = objective(cand)
-            move = float(np.linalg.norm(cand - coeffs))
+            move = _norm(cand - coeffs)
             if cand_obj <= obj - (_ARMIJO / step) * move * move:
                 coeffs, obj = cand, cand_obj
                 accepted = True
@@ -215,21 +256,20 @@ def _descend(objective, loss_grad, prox, start, cfg):
     return coeffs, FitDiagnostics(obj, residual, iters, converged, warning)
 
 
-def _fit_lipschitz(k, kt, p, p_eigh, m_mat, y, loss: LossSpec, cfg: FitConfig):
-    """(coeffs, diagnostics) of ``_descend`` from zero on ``_objective(k, p,
-    ...)``; ``kt`` is K^T, read by the data-term gradient K^T (xi / n) M, and
+def _fit_lipschitz(objective: _Objective, kt, p_eigh, cfg: FitConfig):
+    """(coeffs, diagnostics) of ``_descend`` from zero on ``objective``;
+    ``kt`` is K^T, read by the data-term gradient K^T (xi / n) M, and
     ``p_eigh`` is ``np.linalg.eigh`` of P, read by the proximal map."""
+    k, y, loss, times_m = objective.k, objective.y, objective.loss, objective.times_m
     n = y.shape[0]
 
-    def objective(theta):
-        return _objective(k, p, m_mat, y, loss, cfg.lambda_n, theta)
-
     def loss_grad(theta):
-        xi = loss_subgradient(loss, k @ theta @ m_mat, y)
-        return kt @ (xi / n) @ m_mat
+        xi = loss_subgradient(loss, times_m(k @ theta), y)
+        return times_m(kt @ (xi / n))
 
-    prox = _diag_prox(p_eigh, m_mat, cfg.lambda_n)
-    return _descend(objective, loss_grad, prox, np.zeros((k.shape[1], m_mat.shape[0])), cfg)
+    prox = _diag_prox(p_eigh, objective.m_mat, cfg.lambda_n)
+    start = np.zeros((k.shape[1], objective.m_mat.shape[0]))
+    return _descend(objective, loss_grad, prox, start, cfg)
 
 
 def fit_full(
@@ -255,10 +295,11 @@ def fit_full(
     check_kappa(kernel.scalar, g)
     _require_invertible_m(kernel.output)
     m_mat = kernel.output
+    objective = _Objective(g, g, m_mat, targets, loss, cfg.lambda_n)
     if loss.family == "squared":
         a, iters = _solve_squared_full(spectrum, m_mat, targets, cfg.lambda_n)
         ga = g @ a
-        obj = _objective_at(ga, ga, m_mat, targets, loss, cfg.lambda_n, a)
+        obj = objective.at(ga, ga, a)
         resid = g @ ((2.0 / n) * (ga @ m_mat - targets) + cfg.lambda_n * a) @ m_mat
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), iters, True)
         return FittedModel(a, kernel, diag)
@@ -266,7 +307,7 @@ def fit_full(
         g_eigh = spectrum.vals, spectrum.vecs
     else:
         g_eigh = np.linalg.eigh(g)  # the Gram is exactly symmetric: no n x n copy
-    coeffs, diag = _fit_lipschitz(g, g, g, g_eigh, m_mat, targets, loss, cfg)
+    coeffs, diag = _fit_lipschitz(objective, g, g_eigh, cfg)
     return FittedModel(coeffs, kernel, diag)
 
 
@@ -289,9 +330,10 @@ def fit_sketched(
     sgs = finite_matrix(sketched[1], "sketched product S G S^T", square=False)
     if k_sk.shape != (n, rows) or sgs.shape != (rows, rows):
         raise InputError(f"sketched products {k_sk.shape}, {sgs.shape} do not match S")
+    objective = _Objective(k_sk, sgs, m_mat, targets, loss, cfg.lambda_n)
     if loss.family == "squared":
         gamma = _solve_squared_sketched(k_sk, sgs, m_mat, targets, cfg.lambda_n)
-        obj = _objective(k_sk, sgs, m_mat, targets, loss, cfg.lambda_n, gamma)
+        obj = objective(gamma)
         resid = (
             k_sk.T @ ((2.0 / n) * (k_sk @ gamma @ m_mat - targets)) @ m_mat
             + cfg.lambda_n * sgs @ gamma @ m_mat
@@ -299,7 +341,7 @@ def fit_sketched(
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), 0, True)
         return FittedModel(gamma, kernel, diag, sketch=sk)
     sgs_eigh = np.linalg.eigh(0.5 * (sgs + sgs.T))
-    coeffs, diag = _fit_lipschitz(k_sk, k_sk.T, sgs, sgs_eigh, m_mat, targets, loss, cfg)
+    coeffs, diag = _fit_lipschitz(objective, k_sk.T, sgs_eigh, cfg)
     return FittedModel(coeffs, kernel, diag, sketch=sk)
 
 
@@ -313,7 +355,7 @@ def empirical_risk(preds, y, loss: LossSpec) -> float:
         raise InputError("predictions must be nonempty")
     if preds.shape != targets.shape:
         raise InputError(f"predictions {preds.shape} vs targets {targets.shape}")
-    return _mean_loss(loss, preds, targets)
+    return _mean(loss_value(loss, preds, targets))
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,12 @@ def make_output_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _is_identity(mat: np.ndarray) -> bool:
+    """Whether ``mat`` is exactly the identity matrix.  A product with it
+    changes no finite value, so callers skip it."""
+    return np.array_equal(mat, np.eye(len(mat)))
+
+
 @dataclass(frozen=True)
 class DecomposableKernel:
     """K = k * M; its kappa is the scalar kernel's."""

@@ -13,6 +13,13 @@ The last axis is the output coordinate axis and every other axis is a batch
 axis: a single prediction of shape (m,) gives one loss, an (n, m) matrix of
 predictions gives the n per-row losses, and each row's result equals, bit for
 bit, the single-row call on that row.
+
+``_residual`` converts and checks the operands (matching shapes, one
+quantile per output coordinate) and forms u in C order; ``_residual_loss``
+holds the loss formulas and reads only u.  A caller that evaluates one loss
+on operands of fixed shapes many times, such as the ERM objective of
+:mod:`opbounds.erm`, checks them once through ``_residual`` and then calls
+``_residual_loss`` on each new residual.
 """
 
 from __future__ import annotations
@@ -61,19 +68,14 @@ def _residual(spec: LossSpec, z, y) -> np.ndarray:
 
 
 def _row_sums(terms: np.ndarray) -> float | np.ndarray:
-    total = np.sum(terms, axis=-1)
+    total = terms.sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
-def loss_value(spec: LossSpec, z, y) -> float | np.ndarray:
-    """Loss of predictions ``z`` against targets ``y``, summed over the last axis.
-
-    A row of shape (m,) gives a float; a batch of shape (..., m) gives the
-    array of per-row losses, of shape (...).  Shapes must match, and a
-    pinball loss needs ``shape[-1]`` equal to its number of quantiles; its
-    coordinate j fits the (1 - quantiles[j]) conditional quantile.
-    """
-    u = _residual(spec, z, y)
+def _residual_loss(spec: LossSpec, u: np.ndarray) -> float | np.ndarray:
+    """Loss at the residual ``u`` returned by :func:`_residual` (or one of its
+    shape and C order, shape and quantile count already checked), summed
+    over the last axis; the only copy of each loss formula."""
     if spec.family == "squared":
         return _row_sums(u * u)
     if spec.family == "huber":
@@ -84,6 +86,17 @@ def loss_value(spec: LossSpec, z, y) -> float | np.ndarray:
         return _row_sums(np.where(au <= d, quad, lin))
     tau = np.asarray(spec.quantiles)
     return _row_sums(np.maximum(tau * u, (tau - 1.0) * u))
+
+
+def loss_value(spec: LossSpec, z, y) -> float | np.ndarray:
+    """Loss of predictions ``z`` against targets ``y``, summed over the last axis.
+
+    A row of shape (m,) gives a float; a batch of shape (..., m) gives the
+    array of per-row losses, of shape (...).  Shapes must match, and a
+    pinball loss needs ``shape[-1]`` equal to its number of quantiles; its
+    coordinate j fits the (1 - quantiles[j]) conditional quantile.
+    """
+    return _residual_loss(spec, _residual(spec, z, y))
 
 
 def loss_subgradient(spec: LossSpec, z, y) -> np.ndarray:

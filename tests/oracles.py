@@ -27,7 +27,7 @@ from scipy.special import gamma, kv
 from opbounds._rng import substream
 from opbounds.complexity import _BLOCK, BallMc, ClassMc
 from opbounds.deepvv import _ARMIJO, _MIN_STEP, TrainResult
-from opbounds.erm import _objective, fit_full, fit_sketched
+from opbounds.erm import _Objective, fit_full, fit_sketched
 from opbounds.errors import InputError, NumericError
 from opbounds.kernels import (
     _expansion_norm,
@@ -270,7 +270,7 @@ def train_halving(objective, cfg, trajectory=True):
 def objective_sketched(kernel, g, y, loss, lambda_n, s_dense, gamma_) -> float:
     """The sketched ERM objective at Gamma from the scalar Gram and the sketch."""
     k_sk = g @ s_dense.T
-    return _objective(k_sk, s_dense @ k_sk, kernel.output, y, loss, lambda_n, gamma_)
+    return _Objective(k_sk, s_dense @ k_sk, kernel.output, y, loss, lambda_n)(gamma_)
 
 
 def fit_full_on(kernel, x, y, loss, cfg):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opbounds import erm, losses
 from opbounds.erm import (
     ExcessRiskBound,
     FitConfig,
-    _objective,
+    _Objective,
     empirical_risk,
     excess_risk_bound_rhs,
     fit_full,
@@ -68,7 +69,7 @@ def test_pinball_descends_from_zero():
     cfg = FitConfig(lambda_n=0.05, max_iters=200, step_size=1.0, tol=1e-6)
     model = fit_full_on(kernel, x, y, PINBALL, cfg)
     g = gram_scalar(kernel.scalar, x)
-    at_zero = _objective(g, g, kernel.output, y, PINBALL, cfg.lambda_n, np.zeros_like(y))
+    at_zero = _Objective(g, g, kernel.output, y, PINBALL, cfg.lambda_n)(np.zeros_like(y))
     assert model.diagnostics.objective <= at_zero
 
 
@@ -79,7 +80,7 @@ def test_huber_descends_from_zero(fit):
     g = gram_scalar(kernel.scalar, x)
     if fit == "full":
         model = fit_full_on(kernel, x, y, HUBER, cfg)
-        at_zero = _objective(g, g, kernel.output, y, HUBER, cfg.lambda_n, np.zeros_like(y))
+        at_zero = _Objective(g, g, kernel.output, y, HUBER, cfg.lambda_n)(np.zeros_like(y))
     else:
         sk = make_p_sparsified(SketchSpec(s=8, n=20, p=1.0, dist="gaussian", seed=2))
         model = fit_sketched_on(kernel, x, y, HUBER, cfg, sk)
@@ -95,10 +96,13 @@ def _row_by_row_mean(loss, preds, y):
     return sum(loss_value(loss, preds[i], y[i]) for i in range(y.shape[0])) / y.shape[0]
 
 
+@pytest.mark.parametrize("pd_output", [True, False], ids=["pd-m", "identity-m"])
 @pytest.mark.parametrize("loss", [PINBALL, HUBER, SQUARED], ids=lambda spec: spec.family)
 @pytest.mark.parametrize("seed", range(4))
-def test_objectives_match_row_by_row_reference(loss, seed):
-    kernel, x, y = make_problem(30 + seed, n=17)
+def test_objectives_match_row_by_row_reference(loss, seed, pd_output):
+    # the reference forms every product by M, also an exact identity M that
+    # the built objective skips
+    kernel, x, y = make_problem(30 + seed, n=17, pd_output=pd_output)
     rng = np.random.default_rng(seed)
     lam = 0.07
     g = gram_scalar(kernel.scalar, x)
@@ -107,18 +111,74 @@ def test_objectives_match_row_by_row_reference(loss, seed):
     expected = _row_by_row_mean(loss, g @ a @ m_mat, y) + 0.5 * lam * float(
         np.sum((g @ a) * (a @ m_mat))
     )
-    assert _objective(g, g, m_mat, y, loss, lam, a) == expected
+    full = _Objective(g, g, m_mat, y, loss, lam)
+    assert full(a) == expected
+    assert full.at(g @ a, g @ a, a) == expected
+    # an equal P that is not K is multiplied on its own
+    assert _Objective(g, g.copy(), m_mat, y, loss, lam)(a) == expected
 
     s_dense = rng.standard_normal((5, 17))
     gamma = rng.standard_normal((5, 2))
     k_sk = g @ s_dense.T
+    sgs = s_dense @ k_sk
     expected = _row_by_row_mean(loss, k_sk @ gamma @ m_mat, y) + 0.5 * lam * float(
-        np.sum(((s_dense @ k_sk) @ gamma) * (gamma @ m_mat))
+        np.sum((sgs @ gamma) * (gamma @ m_mat))
     )
+    assert _Objective(k_sk, sgs, m_mat, y, loss, lam)(gamma) == expected
     assert objective_sketched(kernel, g, y, loss, lam, s_dense, gamma) == expected
 
     model = fit_full_on(kernel, x, y, loss, FitConfig(lambda_n=lam, max_iters=5))
     assert empirical_risk(model.predict(g), y, loss) == _row_by_row_mean(loss, model.predict(g), y)
+
+
+def _fit_on(fit, kernel, x, y, loss, cfg):
+    if fit == "full":
+        return fit_full_on(kernel, x, y, loss, cfg)
+    sk = make_p_sparsified(SketchSpec(s=6, n=x.shape[0], p=1.0, dist="gaussian", seed=4))
+    return fit_sketched_on(kernel, x, y, loss, cfg, sk)
+
+
+@pytest.mark.parametrize("fit", ["full", "sketched"])
+def test_pinball_fit_checks_operands_per_build_and_subgradient(fit, monkeypatch):
+    # the shape and quantile-count checks of losses._residual run when the
+    # fit builds its objective and in each subgradient, not per evaluation
+    kernel, x, y = make_problem(11, n=16)
+    # a long base step, so the line search backtracks
+    cfg = FitConfig(lambda_n=0.05, max_iters=6, step_size=8.0, tol=1e-12)
+    counts = {"residual": 0, "subgradient": 0, "evaluation": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    residual = counted("residual", losses._residual)
+    monkeypatch.setattr(losses, "_residual", residual)
+    monkeypatch.setattr(erm, "_residual", residual)
+    monkeypatch.setattr(erm, "loss_subgradient", counted("subgradient", erm.loss_subgradient))
+    monkeypatch.setattr(erm._Objective, "at", counted("evaluation", erm._Objective.at))
+    model = _fit_on(fit, kernel, x, y, PINBALL, cfg)
+    assert model.diagnostics.iterations == cfg.max_iters
+    assert counts["subgradient"] == cfg.max_iters
+    assert counts["residual"] == 1 + counts["subgradient"]
+    assert counts["evaluation"] > counts["residual"]
+
+
+@pytest.mark.parametrize("pd_output", [True, False], ids=["pd-m", "identity-m"])
+@pytest.mark.parametrize("fit", ["full", "sketched"])
+def test_pinball_quantile_count_mismatch_raises_before_first_iteration(
+    fit, pd_output, monkeypatch
+):
+    kernel, x, y = make_problem(12, n=10, m=3, pd_output=pd_output)
+    cfg = FitConfig(lambda_n=0.05, max_iters=5)
+
+    def no_iteration(*args):
+        raise AssertionError("a subgradient was taken")
+
+    monkeypatch.setattr(erm, "loss_subgradient", no_iteration)
+    with pytest.raises(InputError, match="2 quantiles for 3-dimensional output"):
+        _fit_on(fit, kernel, x, y, PINBALL, cfg)
 
 
 @pytest.mark.parametrize("seed", range(10))

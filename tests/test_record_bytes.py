@@ -54,6 +54,15 @@ SKETCH_REGRESS = {
     "emit_coefficients": True,
 }
 
+# the Lipschitz fits under a Huber loss and the tridiagonal M, so the data
+# term, its subgradient and the proximal map all apply M
+SKETCH_REGRESS_HUBER_M = {
+    **SKETCH_REGRESS,
+    "dataset": {**SKETCH_REGRESS["dataset"], "m": 3},
+    "kernel": BOUND_COMPARE_M["kernel"],
+    "loss": {"family": "huber", "huber_delta": 0.5},
+}
+
 SPECTRAL = {
     "dataset": {"kind": "synthetic", "n": 24, "d": 3},
     "kernel": {"family": "matern", "bandwidth": 0.5, "smoothness": 1.5},
@@ -100,6 +109,7 @@ DIGESTS = {
     "bound-compare": "351e797196b49b8160107b79cb1b5b38b2ad1c7a115526db332612b4a5c10c9f",
     "bound-compare-m": "3f99c58264682ededfdbfaf075756d4b34f9bddb3eb47333e545fac0a67b39f4",
     "sketch-regress": "2773904cfa897e16f7fbd4888a8c289c2f2ec00ac226ef13dcf79bd4252b2ec7",
+    "sketch-regress-huber-m": "35f46bc416543deaf1bb1d09677b60c78b0d734a480c868eee9026e871372cf6",
     "spectral-report": "31dcaa46daeafecbab90cc8146e7235de93c2c0d45eb86893e07a5329d027021",
     "sketch-regress-large": "53b92024484d93cb476f7e31a299f67417ff68bec9a95a0934b3537c4e0b0575",
     "spectral-report-large": "7ad0727df852eb320350d9b48712252d60e4af2dcea10b0acd48b48346e1e977",
@@ -140,6 +150,11 @@ def test_record_bytes_above_n_dense(subcommand, config, tmp_path):
 def test_bound_compare_record_bytes_under_tridiagonal_m(tmp_path):
     digest = _record_digest("bound-compare", BOUND_COMPARE_M, tmp_path)
     assert digest == DIGESTS["bound-compare-m"]
+
+
+def test_sketch_regress_record_bytes_under_huber_loss_and_tridiagonal_m(tmp_path):
+    digest = _record_digest("sketch-regress", SKETCH_REGRESS_HUBER_M, tmp_path)
+    assert digest == DIGESTS["sketch-regress-huber-m"]
 
 
 def test_deep_record_checkpoint_and_reload_bytes(tmp_path):
