@@ -31,19 +31,21 @@ gradient and norm of every ``train`` call on it: the whitening basis of
 G_bottom, the first layer's cross Gram k_1(x, anchors_1), the last layer's
 anchor Gram, and the squared norms and largest entry of every later layer's
 anchors.  Each coefficient point gets one forward pass, which keeps every
-layer's cross Gram; the gradient backpropagates through those
+layer's cross Gram and, from first use on, the last layer's kernel Gram and
+G_top whitened (once per pass); the gradient backpropagates through those
 Grams, and the accepted line-search candidate's pass, with its
 transfer-product and top-layer norms and its whitened G_top, serves the
 trajectory entry and the next gradient.  At most one candidate's Grams are
 alive at a time: a candidate accepted below a doubled trial step gives its
-Grams up, and a pass is built again at its coefficients when the doubled
-step fails.  The analytic gradient differentiates the top pencil
-eigenvalue through the simple-eigenvalue formula d rho = a^T dG_top a (the
-whitening basis is fixed) and falls back to finite differences when the top
-eigenvalue gap degenerates.  Its rho and gap are the eigenvalues that
-``pf_norm`` computed with ``eigvalsh``, and its eigenvector comes from one
-inverse iteration shifted at that rho, so the whitened G_top is decomposed
-once per point; ``eigh`` runs only when inverse iteration gives no vector.
+Grams up, and takes its cross Grams back from a new forward pass at its
+coefficients when the doubled step fails.  The analytic gradient
+differentiates the top pencil eigenvalue through the simple-eigenvalue
+formula d rho = a^T dG_top a (the whitening basis is fixed) and falls back to
+finite differences when the top eigenvalue gap degenerates.  Its rho and gap
+are the eigenvalues that ``pf_norm`` computed with ``eigvalsh``, and its
+eigenvector comes from one inverse iteration shifted at that rho, so the
+whitened G_top is decomposed once per point; ``eigh`` runs only when inverse
+iteration gives no vector.
 
 The Perron-Frobenius bound of a model is pf_norm * top_norm * trace_root, with
 trace_root = sqrt(kappa_1 Tr M_1 / n) the ``complexity.trace_bound`` of the
@@ -170,12 +172,6 @@ def default_probes(y) -> np.ndarray:
     return probes
 
 
-def _pf_top(model: LayeredModel, mids: np.ndarray, probe_bilinear: np.ndarray):
-    """(G_top, last-layer kernel Gram) from the last layer's inputs."""
-    k_top = gram_scalar(model.layers[-1].kernel, mids)
-    return k_top * probe_bilinear, k_top
-
-
 def separable_bound(
     kappa: float, tr_m1: float, n: int, pf_norm: float, top_norm: float
 ) -> float:
@@ -208,19 +204,19 @@ class TrainConfig:
 class Pass:
     """One forward pass at a coefficient point, with what was computed on it.
 
-    levels[j] feeds layer j through its cross Gram kmats[j]; ``pf_top`` is
-    (G_top, last-layer kernel Gram on levels[-2]) and ``s`` is G_top whitened
-    by G_bottom's basis, kept by ``DeepObjective.exceeds`` and freed by the
-    analytic gradient once it has its top eigenvector.  ``data``, ``pf`` and
-    ``top`` are the data term and the transfer-product and top-layer norms,
-    set on first use, and ``vals`` the top two eigenvalues of ``s``
-    (ascending; one when ``s`` is 1 x 1), which ``pf`` comes from; ``w`` is
-    the top eigenvector of ``s``, set by the analytic gradient."""
+    levels[j] feeds layer j through its cross Gram kmats[j]; ``k_top`` is the
+    last layer's kernel Gram on levels[-2] and ``s`` is G_top = k_top *
+    probe_bilinear whitened by G_bottom's basis, both set by
+    ``DeepObjective._whitened`` on first use.  ``data``, ``pf`` and ``top``
+    are the data term and the transfer-product and top-layer norms, set on
+    first use, and ``vals`` the top two eigenvalues of ``s`` (ascending; one
+    when ``s`` is 1 x 1), which ``pf`` comes from; ``w`` is the top
+    eigenvector of ``s``, set by the analytic gradient."""
 
     coeffs: list[np.ndarray]
     levels: list[np.ndarray]
     kmats: list[np.ndarray] | None
-    pf_top: tuple[np.ndarray, np.ndarray] | None = None
+    k_top: np.ndarray | None = None
     s: np.ndarray | None = None
     data: float | None = None
     pf: float | None = None
@@ -229,9 +225,9 @@ class Pass:
     w: np.ndarray | None = None
 
     def drop_grams(self) -> None:
-        """Free the n x q and n x n Grams and ``s``; the levels, norms, vals
-        and w stay."""
-        self.kmats = self.pf_top = self.s = None
+        """Free ``kmats``, ``k_top`` and ``s``, the only code that does; the
+        levels, norms, vals and w stay."""
+        self.kmats = self.k_top = self.s = None
 
 
 class DeepObjective:
@@ -306,15 +302,13 @@ class DeepObjective:
             )
         return fwd.top
 
-    def _pf_top(self, fwd: Pass) -> tuple[np.ndarray, np.ndarray]:
-        if fwd.pf_top is None:
-            fwd.pf_top = _pf_top(self.model, fwd.levels[-2], self.bottom[0])
-        return fwd.pf_top
-
     def _whitened(self, fwd: Pass) -> np.ndarray:
-        """G_top whitened by G_bottom's basis: the pass's ``s`` when
-        ``exceeds`` kept it, else built anew and not kept."""
-        return _whiten(self._pf_top(fwd)[0], self.bottom[1]) if fwd.s is None else fwd.s
+        """The pass's ``s``: G_top = k_top * probe_bilinear whitened by
+        G_bottom's basis, built with ``k_top`` on first use and kept."""
+        if fwd.s is None:  # k_top is set and freed with s
+            fwd.k_top = gram_scalar(self.model.layers[-1].kernel, fwd.levels[-2])
+            fwd.s = _whiten(fwd.k_top * self.bottom[0], self.bottom[1])
+        return fwd.s
 
     def pf_norm(self, fwd: Pass) -> float:
         """Transfer-product norm sqrt(rho); the top two eigenvalues of the
@@ -346,18 +340,16 @@ class DeepObjective:
         the analytic gradient only when lambda1 > 0), that bound is the
         Rayleigh quotient of the whitened G_top S at w less a slack for
         rounding (``spectral._rayleigh_floor``); a NaN bound decides nothing.
-        S stays on the pass as ``s``.  When neither bound decides, the
-        transfer-product norm is computed from it and kept for the full
-        test."""
-        data = self.data_term(fwd)
-        top_term = lambda2 * self.top_norm(fwd) if lambda2 > 0 else 0.0
+        data and top_term are those of ``terms(fwd, 0, lambda2)``, and S is
+        the pass's ``s`` (``_whitened``), which the norm and, once the pass is
+        accepted, the gradient read.  When neither bound decides, the
+        transfer-product norm is computed and kept for the full test."""
+        data, _, top_term = self.terms(fwd, 0.0, lambda2)
         if data + top_term > thresh:
             return True
         if w is None:
             return False
-        # kept for the norm below and, once accepted, for the gradient
-        fwd.s = self._whitened(fwd)
-        low = _rayleigh_floor(fwd.s, w)
+        low = _rayleigh_floor(self._whitened(fwd), w)
         if (data + lambda1 * float(np.sqrt(max(low, 0.0)))) + top_term > thresh:
             return True
         self.pf_norm(fwd)
@@ -396,9 +388,10 @@ class DeepObjective:
         eigenvalue, as d rho = a^T dG_top a with a the G_bottom-normalized
         eigenvector; this is the simple-eigenvalue perturbation formula and is
         exact to first order because the whitening basis depends only on
-        G_bottom.  rho and the gap to the second eigenvalue are those of
-        ``pf_norm``'s eigenvalues, so rho is the objective's, and the
-        eigenvector comes from one inverse iteration shifted at rho
+        G_bottom.  It reads the pass's whitened G_top ``s``; rho and the gap
+        to the second eigenvalue are those of ``pf_norm``'s eigenvalues, so
+        rho is the objective's, and the eigenvector comes from one inverse
+        iteration shifted at rho
         (``spectral._top_eigenvector``), or from ``eigh`` with its own rho and
         gap when that gives none (counted in ``eigh_fallbacks``).  When the
         top eigenvalue gap falls below 1e-8 relative, the whole gradient falls
@@ -419,16 +412,15 @@ class DeepObjective:
         if lambda1 > 0:
             mids = levels[-2]
             probe_bilinear, basis = self.bottom
-            k_top = self._pf_top(fwd)[1]
-            fwd.s = self._whitened(fwd)  # kept for the norm below and the vector
-            self.pf_norm(fwd)
-            vals, w = fwd.vals, _top_eigenvector(fwd.s, fwd.vals)
+            s = self._whitened(fwd)
+            self.pf_norm(fwd)  # sets vals
+            vals, w = fwd.vals, _top_eigenvector(s, fwd.vals)
             if w is None:
                 self.eigh_fallbacks += 1
-                rho, a_vec, w, gap = _top_eigenpair(fwd.s, basis)
+                rho, a_vec, w, gap = _top_eigenpair(s, basis)
             else:  # a vector comes only with k >= 2 and vals[-1] > 0
                 rho, a_vec, gap = float(vals[-1]), basis @ w, float(vals[-1] - vals[-2])
-            fwd.s, fwd.w = None, w  # s freed before the n x n t_mat below
+            fwd.w = w
             if rho > 0 and np.isfinite(gap) and gap < _EIG_GAP_TOL * rho:
                 warnings.warn(
                     "top pencil eigenvalue nearly degenerate; falling back to "
@@ -437,7 +429,7 @@ class DeepObjective:
                 )
                 return _fd_gradient(self, coeffs, lambda1, lambda2)
             if rho > 0:
-                t_mat = np.outer(a_vec, a_vec) * probe_bilinear * k_top
+                t_mat = np.outer(a_vec, a_vec) * probe_bilinear * fwd.k_top
                 gamma_l = model.layers[-1].kernel.bandwidth
                 d_rho_d_mid = -4.0 * gamma_l * (
                     t_mat.sum(axis=1)[:, None] * mids - t_mat @ mids
@@ -599,12 +591,9 @@ def _line_search(objective, cfg, point, obj, grads, gnorm, last):
             lower = found[0]
             lower.drop_grams()  # one candidate's Grams at a time
             higher = trial(2.0 * step)
-            if higher is None:
-                # the gradient needs the lower candidate's Grams again
-                again = objective.forward(lower.coeffs)
-                again.data, again.pf, again.top = lower.data, lower.pf, lower.top
-                again.vals = lower.vals
-                return again, found[1], step
+            if higher is None:  # the gradient needs the lower candidate's Grams again
+                lower.kmats = objective.forward(lower.coeffs).kmats
+                return *found, step
             found, step = higher, 2.0 * step
         return *found, step
     if step < cfg.step:

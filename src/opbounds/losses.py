@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,14 @@ class LossSpec:
         if self.family == "pinball" and (not qs or any(not (0.0 < q < 1.0) for q in qs)):
             raise InputError("pinball needs quantiles in (0, 1)")
         object.__setattr__(self, "quantiles", qs)
+
+    @cached_property
+    def _pinball_slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tau, tau - 1) of the quantiles, built once per spec, read-only."""
+        tau = np.asarray(self.quantiles)
+        low = tau - 1.0
+        tau.flags.writeable = low.flags.writeable = False
+        return tau, low
 
 
 def _residual(spec: LossSpec, z, y) -> np.ndarray:
@@ -84,8 +93,8 @@ def _residual_loss(spec: LossSpec, u: np.ndarray) -> float | np.ndarray:
         quad = 0.5 * u * u
         lin = d * (au - 0.5 * d)
         return _row_sums(np.where(au <= d, quad, lin))
-    tau = np.asarray(spec.quantiles)
-    return _row_sums(np.maximum(tau * u, (tau - 1.0) * u))
+    tau, low = spec._pinball_slopes
+    return _row_sums(np.maximum(tau * u, low * u))
 
 
 def loss_value(spec: LossSpec, z, y) -> float | np.ndarray:
@@ -111,8 +120,8 @@ def loss_subgradient(spec: LossSpec, z, y) -> np.ndarray:
         return 2.0 * u
     if spec.family == "huber":
         return np.clip(u, -spec.huber_delta, spec.huber_delta)
-    tau = np.asarray(spec.quantiles)
-    return np.where(u > 0, tau, tau - 1.0)
+    tau, low = spec._pinball_slopes
+    return np.where(u > 0, tau, low)
 
 
 def lipschitz_constant(spec: LossSpec, m: int) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -541,17 +542,44 @@ def test_train_builds_layers_once(monkeypatch, grad_mode):
     assert len(top_grams) == 1
 
 
+def test_pass_keeps_its_grams_and_whitened_top_only():
+    # after pf_norm a pass holds its later layers' cross Grams, the last
+    # layer's n x n kernel Gram k_top and the k x k whitened G_top, besides
+    # its levels; G_top itself is a temporary of the whitening.  k < n here,
+    # so a kept G_top would not fit in the k x k share of S.
+    rng = np.random.default_rng(11)
+    n = 200
+    x = rng.uniform(-1, 1, (n, 2))
+    y = rng.standard_normal((n, 2))
+    model = init_layered_model(x, [gauss(2)] * 3, [np.eye(2)] * 3, seed=3)
+    obj = DeepObjective(model, x, y)
+    obj.pf_norm(obj.forward(model.coeffs))  # the per-objective Grams and basis
+    k = obj.bottom[1].shape[1]
+    assert k < n
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fwd = obj.forward(model.coeffs)
+        obj.pf_norm(fwd)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    grams = sum(kmat.nbytes for kmat in fwd.kmats[1:])
+    levels = sum(level.nbytes for level in fwd.levels[1:])
+    assert kept <= grams + (n * n + k * k) * 8 + levels + 4096, (kept, grams, levels)
+
+
 def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
     # the first layer's cross Gram never changes, the gradient backpropagates
     # through the cross Grams of its point's forward pass, and every
     # transfer-product norm comes from an objective evaluation: the start and
     # one per line-search candidate that the bounds checked before the
     # eigensolve do not reject (the trajectory reuses the accepted one's).
-    # The screen's whitened G_top serves its candidate's norm and gradient, so
-    # only the start (its norm precedes any screen) and a candidate accepted
-    # below a rejected doubled step, whose pass is built again for the
-    # gradient, are whitened twice.  The accepted steps here move both ways,
-    # so the count follows the reference's line search.
+    # A pass is whitened once, when its S is first needed, and that S serves
+    # its norm and gradient; only a candidate accepted below a rejected
+    # doubled step, whose Grams are freed and rebuilt on the same pass for
+    # the gradient, is whitened twice.  The accepted steps here move both
+    # ways, so the count follows the reference's line search.
     rng = np.random.default_rng(67)
     n = 8
     x = rng.uniform(-1, 1, (n, 2))
@@ -567,7 +595,7 @@ def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
     cross, eigensolve, whiten = deepvv.gram_scalar_cross, deepvv._top_eigenvalue, deepvv._whiten
     gradient_method, exceeds = deepvv.DeepObjective.gradient, deepvv.DeepObjective.exceeds
     first_grams, gradient_grams, eigensolves, whitenings, in_gradient = [], [], [], [], []
-    screened, whitened = [], []
+    screened, whitened, candidate_passes, gradient_passes = [], [], [], []
 
     def counted_cross(spec, u, z):
         if z is first_anchors:
@@ -576,14 +604,16 @@ def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
             gradient_grams.append(u)
         return cross(spec, u, z)
 
-    def flagged_gradient(*args):
+    def flagged_gradient(problem, fwd, *args):
+        gradient_passes.append((fwd, list(fwd.kmats)))
         in_gradient.append(True)
         try:
-            return gradient_method(*args)
+            return gradient_method(problem, fwd, *args)
         finally:
             in_gradient.pop()
 
     def recorded_exceeds(problem, fwd, *args):
+        candidate_passes.append(fwd)
         screened.append(exceeds(problem, fwd, *args))
         whitened.append(fwd.s is not None)
         return screened[-1]
@@ -608,8 +638,19 @@ def test_train_computes_each_gram_and_pf_norm_once(monkeypatch):
     reached_eigensolve = screened.count(False)
     assert reached_eigensolve < candidates  # the bounds decide some candidates
     assert len(eigensolves) == 1 + reached_eigensolve
-    assert len(whitenings) == 2 + sum(whitened) + again
+    assert len(whitenings) == 1 + sum(whitened) + again
     assert len(vectors) == cfg.iters and len(pairs) == result.eigh_fallbacks == 0
+    # every later gradient gets the accepted candidate's own pass; after a
+    # failed doubling its Grams are those of a fresh forward pass, bit for bit
+    fresh = DeepObjective(model, x, y)
+    rebuilt = 0
+    for (fwd, kmats), steps, entry in zip(gradient_passes[1:], tried, ref_trajectory):
+        assert any(fwd is cand for cand in candidate_passes)
+        if steps[-1] != entry["step"]:
+            rebuilt += 1
+            expected = fresh.forward(fwd.coeffs).kmats
+            assert all(np.array_equal(a, b) for a, b in zip(kmats, expected))
+    assert rebuilt == again
 
 
 @pytest.mark.filterwarnings("ignore:top pencil eigenvalue")
@@ -640,7 +681,7 @@ def test_line_search_accepts_lattice_steps_that_pass_armijo(seed, n, lambda1, st
         if not in_gradient:  # not a finite-difference bump of the gradient
             alive = [ref() for ref in passes]
             assert all(
-                p.kmats is None and p.pf_top is None and p.s is None
+                p.kmats is None and p.k_top is None and p.s is None
                 for p in alive if p is not None
             )
         fwd = forward_method(problem, coeffs)
@@ -702,10 +743,9 @@ def test_line_search_rejects_before_eigensolve_only_what_objective_rejects(
         rejected = exceeds(problem, fwd, thresh, lam1, lam2, w)
         if layout == "duplicate points":
             assert problem.bottom[1].shape[1] == 1  # one whitening direction
-        if w is not None and fwd.pf_top is not None:
-            s = spectral._whiten(fwd.pf_top[0], problem.bottom[1])
-            low = spectral._rayleigh_floor(s, w)
-            assert low <= spectral._top_eigenvalue(s)[0] or np.isnan(low)
+        if w is not None and fwd.s is not None:
+            low = spectral._rayleigh_floor(fwd.s, w)
+            assert low <= spectral._top_eigenvalue(fwd.s)[0] or np.isnan(low)
         if rejected:
             full = objective(model.with_coeffs(fwd.coeffs), x, y, lam1, lam2)
             assert not (np.isfinite(full) and full <= thresh)
