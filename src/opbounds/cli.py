@@ -65,7 +65,8 @@ def _unread(*keys: str, why: str) -> dict:
 
 def _dataset_schema(*unread: str, why: str = "") -> dict:
     """A dataset section; a synthetic one also rejects ``unread``, the label
-    keys that its subcommand does not read (``why`` says so)."""
+    keys that its subcommand does not read (``why`` says so).  A csv one
+    reads only its path: the file gives n, d and m."""
     return {
         "type": "object",
         "additionalProperties": False,
@@ -80,21 +81,21 @@ def _dataset_schema(*unread: str, why: str = "") -> dict:
             "seed": {"type": "integer"},
             "path": {"type": "string"},
         },
-        "required": ["kind", "d"],
+        "required": ["kind"],
         "if": {"properties": {"kind": {"const": "csv"}}},
         "then": {
             **_unread(
-                "n", "noise", "teacher_anchors", "teacher_bandwidth", "seed",
-                why="a csv dataset reads only its path, d and m",
+                "n", "d", "m", "noise", "teacher_anchors", "teacher_bandwidth", "seed",
+                why="a csv dataset reads only its path: its rows give n, its header d and m",
             ),
-            "required": ["path", "m"],
+            "required": ["path"],
         },
         "else": {
             "properties": {
                 **_unread("path", why="a synthetic dataset reads no path")["properties"],
                 **_unread(*unread, why=why)["properties"],
             },
-            "required": [k for k in ("n", "m") if k not in unread],
+            "required": [k for k in ("n", "d", "m") if k not in unread],
         },
     }
 
@@ -154,7 +155,7 @@ _LOSS_SCHEMA = {
     ],
 }
 
-# "identity" is a harness convenience (rows must equal n) for reproducing the
+# "identity" is a harness convenience (the n x n identity) for reproducing the
 # full-vs-sketched equivalence scenario; random sketches come from the library
 _SKETCH_SCHEMA = {
     "type": "object",
@@ -165,11 +166,12 @@ _SKETCH_SCHEMA = {
         "dist": {"enum": ["rademacher", "gaussian", "identity"]},
         "seed": {"type": "integer"},
     },
-    "required": ["rows"],
     "if": {"properties": {"dist": {"const": "identity"}}, "required": ["dist"]},
     "then": _unread(
-        "seed", "p", why="an identity sketch draws no entries, so it reads no seed or p"
+        "rows", "seed", "p",
+        why="an identity sketch has n rows and draws no entries, so it reads no rows, seed or p",
     ),
+    "else": {"required": ["rows"]},
 }
 
 _FIT_SCHEMA = {
@@ -447,18 +449,17 @@ def _load_matrix(value, key: str, base_dir: Path) -> np.ndarray:
 
 def _build_dataset(cfg: dict, seed: int, base_dir: Path) -> tuple[Dataset, dict]:
     if cfg["kind"] == "csv":
-        return read_csv(_resolve(cfg["path"], base_dir), cfg["d"], cfg["m"]), {"dataset": None}
+        return read_csv(_resolve(cfg["path"], base_dir)), {"dataset": None}
     used = cfg.get("seed", seed)
     return synth_dataset(_build(GeneratorConfig, cfg, seed=used)), {"dataset": used}
 
 
-def _build_kernel(config: dict, base_dir: Path) -> DecomposableKernel:
-    """The config's kernel on its dataset's d inputs and m outputs."""
-    cfg, data = config["kernel"], config["dataset"]
-    spec = _build(ScalarKernelSpec, cfg, dimension=data["d"])
+def _build_kernel(cfg: dict, ds: Dataset, base_dir: Path) -> DecomposableKernel:
+    """The kernel section's kernel on the d inputs and m outputs of ``ds``."""
+    spec = _build(ScalarKernelSpec, cfg, dimension=ds.x.shape[1])
     out = cfg.get("output_matrix", "identity")
     if isinstance(out, str):
-        m_mat = np.eye(data["m"])
+        m_mat = np.eye(ds.y.shape[1])
     else:
         m_mat = _load_matrix(out, "kernel/output_matrix", base_dir)
     return DecomposableKernel(spec, m_mat)
@@ -486,11 +487,9 @@ def _build_network(cfg: dict, base_dir: Path) -> NetworkSpec:
 def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[SketchMatrix, float, dict]:
     """Sketch matrix, the satisfiability constant c of its keep-probability,
     and its resolved seed (``seed`` unless the section sets one).  The
-    identity sketch draws nothing and keeps every entry: no seed, and the
-    default p = 1."""
+    identity sketch is n x n, draws nothing and keeps every entry: no seed,
+    and the default p = 1."""
     if cfg.get("dist") == "identity":
-        if cfg["rows"] != n:
-            raise ConfigError(f"identity sketch needs rows == n ({n})")
         sketch, p, seeds = SketchMatrix(matrix=np.eye(n)), SketchSpec.p, {}
     else:
         seed = cfg.get("seed", seed)
@@ -514,11 +513,10 @@ def _identity_pushforward(net: NetworkSpec, x: np.ndarray, upto: int) -> np.ndar
     return u
 
 
-def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
-    ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
-    kernel = _build_kernel(config, base_dir)
+def _run_bound_compare(config: dict, ds: Dataset, seed: int, base_dir: Path) -> dict:
+    kernel = _build_kernel(config["kernel"], ds, base_dir)
     net = _build_network(config["network"], base_dir)
-    d, m = config["dataset"]["d"], config["dataset"]["m"]
+    d, m = ds.x.shape[1], ds.y.shape[1]
     if net.layers[0].d_in != d:
         raise InputError(f"first layer takes {net.layers[0].d_in} inputs; the data has d = {d}")
     if kernel.output_dim != m:
@@ -561,12 +559,11 @@ def _run_bound_compare(config: dict, seed: int, base_dir: Path) -> dict:
         "peeled": {"split": split_at, "value": peeled},
         "notes": "mid points use identity-activation pushforward",
     }
-    return {"metrics": metrics, "resolved_seeds": {**seeds, "mc": mc_seed}}
+    return {"metrics": metrics, "resolved_seeds": {"mc": mc_seed}}
 
 
-def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
-    ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
-    kernel = _build_kernel(config, base_dir)
+def _run_sketch_regress(config: dict, ds: Dataset, seed: int, base_dir: Path) -> dict:
+    kernel = _build_kernel(config["kernel"], ds, base_dir)
     loss = _build(LossSpec, config["loss"])
     fit_cfg = _build(FitConfig, config["fit"])
     sketch, c_val, sk_seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
@@ -627,22 +624,21 @@ def _run_sketch_regress(config: dict, seed: int, base_dir: Path) -> dict:
             "full": full.coeffs.tolist(),
             "sketched": sketched.coeffs.tolist(),
         }
-    return {"metrics": metrics, "resolved_seeds": {**seeds, **sk_seeds}}
+    return {"metrics": metrics, "resolved_seeds": sk_seeds}
 
 
 def _objective_entry(terms: tuple[float, float, float]) -> dict:
     return {"data": terms[0], "pf": terms[1], "top": terms[2], "total": sum(terms)}
 
 
-def _fresh_model(config: dict, ds: Dataset, seed: int):
-    """The initial model of the config's layer bandwidths and widths, and
-    its resolved train seed."""
-    deep, data = config["deep_model"], config["dataset"]
-    if deep["output_dims"][-1] != data["m"]:
+def _fresh_model(deep: dict, ds: Dataset, seed: int):
+    """The initial model of the deep section's layer bandwidths and widths on
+    the d inputs and m outputs of ``ds``, and its resolved train seed."""
+    if deep["output_dims"][-1] != ds.y.shape[1]:
         raise ConfigError("last output dim must equal the dataset output dim")
     if len(deep["bandwidths"]) != len(deep["output_dims"]):
         raise ConfigError("bandwidths and output_dims must have equal length")
-    dims_in = [data["d"]] + list(deep["output_dims"][:-1])
+    dims_in = [ds.x.shape[1]] + list(deep["output_dims"][:-1])
     kernels = [
         ScalarKernelSpec("gaussian", bw, dimension=d_in)
         for bw, d_in in zip(deep["bandwidths"], dims_in)
@@ -652,13 +648,11 @@ def _fresh_model(config: dict, ds: Dataset, seed: int):
     return init_layered_model(ds.x, kernels, outputs, seed=train_seed), train_seed
 
 
-def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
-    ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
-    deep = config["deep_model"]
+def _run_deep(config: dict, ds: Dataset, seed: int, base_dir: Path) -> dict:
+    deep, seeds = config["deep_model"], {}
     # after a checkpoint only a sweep trains a fresh model
     if "checkpoint_in" not in deep or "lambda1_sweep" in deep:
-        fresh_model, train_seed = _fresh_model(config, ds, seed)
-        seeds = {**seeds, "train": train_seed}
+        fresh_model, seeds["train"] = _fresh_model(deep, ds, seed)
     t_cfg = _build(TrainConfig, deep["train"])
     if "checkpoint_in" in deep:
         with open(_resolve(deep["checkpoint_in"], base_dir)) as fh:
@@ -753,20 +747,19 @@ def _run_deep(config: dict, seed: int, base_dir: Path) -> dict:
     return {"metrics": metrics, "resolved_seeds": seeds}
 
 
-def _run_spectral(config: dict, seed: int, base_dir: Path) -> dict:
-    ds, seeds = _build_dataset(config["dataset"], derive_seed(seed, 1), base_dir)
-    spec = _build(ScalarKernelSpec, config["kernel"], dimension=config["dataset"]["d"])
+def _run_spectral(config: dict, ds: Dataset, seed: int, base_dir: Path) -> dict:
+    spec = _build(ScalarKernelSpec, config["kernel"], dimension=ds.x.shape[1])
     dec = kernel_spectrum(spec, ds.x, _REPORTED_EIGENVALUES)
     metrics = {
         "delta_sq": dec.delta_sq,
         "d_n": dec.d_n,
         "eigenvalues_top": dec.mu[:_REPORTED_EIGENVALUES].tolist(),
     }
+    seeds = {}
     if "sketch" in config:
-        sketch, c_val, sk_seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
+        sketch, c_val, seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
         sgs = sketched_gram(sketch, dec.gram)[1]
         metrics["satisfiability"] = asdict(check_satisfiability(sketch, dec, c_val, sgs))
-        seeds = {**seeds, **sk_seeds}
     return {"metrics": metrics, "resolved_seeds": seeds}
 
 
@@ -779,16 +772,18 @@ _RUNNERS = {
 
 
 def run(subcommand: str, config: dict, seed: int | None, base_dir: Path) -> dict:
-    """Validate, execute, and assemble a result record (not yet serialized)."""
+    """Validate, build the dataset, run the subcommand on it, and assemble a
+    result record (not yet serialized)."""
     validate_config(subcommand, config)
     master = seed if seed is not None else config.get("seed", 0)
     with single_blas_thread():
-        outcome = _RUNNERS[subcommand](config, master, base_dir)
+        ds, seeds = _build_dataset(config["dataset"], derive_seed(master, 1), base_dir)
+        outcome = _RUNNERS[subcommand](config, ds, master, base_dir)
     return {
         "subcommand": subcommand,
         "library_version": __version__,
         "seed": master,
-        "resolved_seeds": outcome["resolved_seeds"],
+        "resolved_seeds": {**seeds, **outcome["resolved_seeds"]},
         "config": config,
         "metrics": outcome["metrics"],
     }
@@ -837,6 +832,9 @@ def main(argv=None) -> int:
             raise ConfigError("config root must be a JSON object")
         record = run(args.subcommand, config, args.seed, config_path.parent)
         payload = render_record(record, args.format)
+        # output is written only after the whole run succeeded
+        with open(args.out, "w") as fh:
+            fh.write(payload)
     except OpboundsError as exc:
         err = {"error": exc.category, "message": str(exc)}
         print(json.dumps(err), file=sys.stderr)
@@ -844,9 +842,6 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 2
-    # output is written only after the whole run succeeded
-    with open(args.out, "w") as fh:
-        fh.write(payload)
     elapsed = time.perf_counter() - started
     print(f"{args.subcommand}: wrote {args.out} in {elapsed:.3f}s", file=sys.stderr)
     return 0

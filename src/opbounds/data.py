@@ -73,17 +73,18 @@ def _read_numbers(path, skiprows: int = 0) -> np.ndarray:
     return body
 
 
-def read_csv(path, d: int, m: int) -> Dataset:
+def read_csv(path) -> Dataset:
+    """The dataset of a CSV whose header ``x1,...,xd,y1,...,ym`` (d, m >= 1)
+    gives its input and label counts."""
     with open(path) as fh:
         header = fh.readline().strip()
-    expected = ",".join([f"x{i + 1}" for i in range(d)] + [f"y{j + 1}" for j in range(m)])
-    if header != expected:
-        raise ConfigError(
-            f"dataset CSV header {header!r} does not match expected {expected!r}"
-        )
+    names = header.split(",")
+    d = sum(name.startswith("x") for name in names)
+    m = len(names) - d
+    expected = [f"x{i + 1}" for i in range(d)] + [f"y{j + 1}" for j in range(m)]
+    if names != expected or not (d and m):
+        raise ConfigError(f"{path}: header {header!r} is not x1,...,xd,y1,...,ym")
     body = _read_numbers(path, skiprows=1)
     if body.shape[1] != d + m:
-        raise ConfigError(
-            f"dataset CSV has {body.shape[1]} columns, expected {d + m}"
-        )
+        raise ConfigError(f"{path}: {body.shape[1]} columns, but the header names {d + m}")
     return Dataset(x=body[:, :d], y=body[:, d:])

@@ -141,7 +141,7 @@ def init_layered_model(
     x,
     kernels: list[ScalarKernelSpec],
     outputs: list[np.ndarray],
-    seed: int = 0,
+    seed: int,
 ) -> LayeredModel:
     """Build a model anchored at the training inputs propagated layer-wise,
     with coefficients i.i.d. uniform in [-0.1, 0.1] from the seed."""

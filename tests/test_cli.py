@@ -93,7 +93,7 @@ def test_schema_type_errors_reported_with_path():
         validate_config("sketch-regress", bad)
 
 
-_CSV_DATASET = {"kind": "csv", "path": "points.csv", "d": 2, "m": 1}
+_CSV_DATASET = {"kind": "csv", "path": "points.csv"}
 _MATRIX_KERNEL = {"family": "gaussian", "bandwidth": 1.0, "output_matrix": np.eye(2).tolist()}
 _EVALUATE_ONLY = {
     "bandwidths": [1.0, 1.0, 5.0],
@@ -117,8 +117,8 @@ UNREAD_KEYS = [
     ],
     ("spectral-report", {}, ("dataset",), "path", "points.csv"),
     *[
-        ("sketch-regress", {"sketch": {"rows": 20, "dist": "identity"}}, ("sketch",), key, value)
-        for key, value in [("seed", 4), ("p", 0.5)]
+        ("sketch-regress", {"sketch": {"dist": "identity"}}, ("sketch",), key, value)
+        for key, value in [("rows", 20), ("seed", 4), ("p", 0.5)]
     ],
     ("sketch-regress", {"loss": {"family": "huber"}}, ("loss",), "quantiles", [0.25, 0.75]),
     ("sketch-regress", {}, ("loss",), "huber_delta", 1.0),
@@ -144,6 +144,11 @@ UNREAD_KEYS = [
         ("spectral-report", {}, ("dataset",), key, value)
         for key, value in [("m", 2), ("noise", 7.0), ("teacher_anchors", 4),
                            ("teacher_bandwidth", 2.0)]
+    ],
+    # the header of a csv dataset gives d and m
+    *[
+        ("spectral-report", {"dataset": _CSV_DATASET}, ("dataset",), key, value)
+        for key, value in [("d", 2), ("m", 1)]
     ],
     *[
         ("sketch-regress", _SQUARED, ("fit",), key, value)
@@ -273,7 +278,7 @@ _SWEEP_NET = {
 }
 _SWEEP_SYNTH = {"kind": "synthetic", "n": 10, "d": 2, "m": 2, "noise": 0.1}
 _SWEEP_POINTS = {"kind": "synthetic", "n": 10, "d": 2}
-_SWEEP_CSV = {"kind": "csv", "path": "points_a.csv", "d": 2, "m": 2}
+_SWEEP_CSV = {"kind": "csv", "path": "points_a.csv"}
 _SWEEP_MATERN = {"family": "matern", "bandwidth": 1.0, "smoothness": 1.5}
 _SWEEP_DEEP = {"bandwidths": [1.0, 2.0], "output_dims": [2, 2]}
 _SWEEP_TRAIN = {"lambda1": 0.1, "lambda2": 0.1, "step": 0.5, "iters": 3}
@@ -318,7 +323,7 @@ SWEEP_BASES = [
         "kernel": {"family": "gaussian", "bandwidth": 1.0},
         "loss": {"family": "squared"},
         "fit": {"lambda_n": 0.05},
-        "sketch": {"rows": 10, "dist": "identity"},
+        "sketch": {"dist": "identity"},
     }),
     ("deep-fresh", "deep-vvrkhs", {
         "dataset": _SWEEP_SYNTH,
@@ -352,7 +357,7 @@ SWEEP_BASES = [
     ("spectral-identity", "spectral-report", {
         "dataset": _SWEEP_POINTS,
         "kernel": {"family": "gaussian", "bandwidth": 2.0},
-        "sketch": {"rows": 10, "dist": "identity"},
+        "sketch": {"dist": "identity"},
     }),
 ]
 
@@ -566,7 +571,7 @@ def test_non_finite_csv_cell_is_a_config_error(cell, tmp_path, capsys):
     lines[3] = ",".join(lines[3].split(",")[:-1] + [cell])  # a label cell
     (tmp_path / "points.csv").write_text("\n".join(lines) + "\n")
     cfg = json.loads(json.dumps(SKETCH_REGRESS))
-    cfg["dataset"] = {"kind": "csv", "path": "points.csv", "d": 2, "m": 2}
+    cfg["dataset"] = {"kind": "csv", "path": "points.csv"}
     err = _main_error(tmp_path, capsys, "sketch-regress", cfg)
     assert err["error"] == "config"
     assert "points.csv: the cell in data row 3, column 4 is not finite" in err["message"]
@@ -726,7 +731,7 @@ def test_sketch_regress_identity_equivalence(tmp_path):
     cfg = json.loads(json.dumps(SKETCH_REGRESS))
     cfg["loss"] = {"family": "squared"}
     cfg["fit"] = {"lambda_n": cfg["fit"]["lambda_n"]}
-    cfg["sketch"] = {"rows": cfg["dataset"]["n"], "dist": "identity"}
+    cfg["sketch"] = {"dist": "identity"}
     record = run("sketch-regress", cfg, None, tmp_path)
     metrics = record["metrics"]
     assert metrics["risk_full"] == pytest.approx(metrics["risk_sketched"], abs=1e-8)
@@ -787,7 +792,7 @@ def _csv_dataset(tmp_path, x, y):
     from oracles import write_csv
 
     write_csv(tmp_path / "points.csv", x, y)
-    return {"kind": "csv", "path": "points.csv", "d": x.shape[1], "m": y.shape[1]}
+    return {"kind": "csv", "path": "points.csv"}
 
 
 @pytest.mark.parametrize("case", ["n=1", "m=1", "duplicate points", "s>n"])
@@ -1028,7 +1033,7 @@ def test_csv_dataset_ingestion(tmp_path):
     csv_path = tmp_path / "points.csv"
     write_csv(csv_path, ds.x, ds.y)
     cfg = json.loads(json.dumps(SPECTRAL))
-    cfg["dataset"] = {"kind": "csv", "path": "points.csv", "d": 2, "m": 1}
+    cfg["dataset"] = {"kind": "csv", "path": "points.csv"}
     record = run("spectral-report", cfg, None, tmp_path)
     baseline_cfg = json.loads(json.dumps(SPECTRAL))
     baseline_cfg["dataset"]["seed"] = 7  # same points as the CSV snapshot
@@ -1130,7 +1135,7 @@ def test_non_finite_checkpoint_coeffs_exit_2_and_write_no_output(tmp_path, capsy
 def test_non_numeric_dataset_cell_is_a_config_error(tmp_path):
     (tmp_path / "points.csv").write_text("x1,x2,y1\n0.1,0.2,0.3\n0.4,abc,0.6\n")
     cfg = json.loads(json.dumps(SPECTRAL))
-    cfg["dataset"] = {"kind": "csv", "path": "points.csv", "d": 2, "m": 1}
+    cfg["dataset"] = {"kind": "csv", "path": "points.csv"}
     proc, out = _cli(tmp_path, "spectral-report", cfg)
     assert proc.returncode == 2, proc.stderr
     assert not out.exists()
@@ -1529,8 +1534,8 @@ def test_run_pins_blas_and_restores_thread_counts(monkeypatch, tmp_path):
         run("spectral-report", SPECTRAL, None, tmp_path)
         assert counts() == [2] * len(libs)
         bad = json.loads(json.dumps(SPECTRAL))
-        bad["sketch"] = {"rows": 5, "dist": "identity"}  # rows != n
-        with pytest.raises(OpboundsError, match="identity sketch"):
+        bad["kernel"] = {"family": "sobolev-radial", "bandwidth": 1.0, "smoothness": 1.0}
+        with pytest.raises(OpboundsError, match="needs order s > d/2"):
             run("spectral-report", bad, None, tmp_path)
         assert counts() == [2] * len(libs)
     finally:
@@ -1553,6 +1558,18 @@ def test_main_in_process(tmp_path):
     code = main(["spectral-report", "--config", str(cfg_path), "--out", str(out_path)])
     assert code == 0
     assert out_path.exists()
+
+
+def test_unwritable_out_is_an_io_error(tmp_path, capsys):
+    # the output is opened inside the handled block, as the config is
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(SPECTRAL))
+    out_path = tmp_path / "missing_dir" / "out.json"
+    code = main(["spectral-report", "--config", str(cfg_path), "--out", str(out_path)])
+    assert code == 2
+    assert not out_path.parent.exists()
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err["error"] == "io" and "missing_dir" in err["message"]
 
 
 def test_render_record_handles_numpy_types():

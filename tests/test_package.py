@@ -69,19 +69,25 @@ def _public_functions() -> dict:
     return found
 
 
-def _none_defaults(member) -> tuple:
-    """Names of the parameters of ``member`` whose default is None."""
+def _defaults(member) -> dict:
+    """Name -> default of each parameter of ``member`` that has one."""
     if isinstance(member, (property, cached_property)):
-        return ()
+        return {}
     if isinstance(member, (staticmethod, classmethod)):
         member = member.__func__
     params = inspect.signature(inspect.unwrap(member)).parameters.values()
-    return tuple(p.name for p in params if p.default is None)
+    return {p.name: p.default for p in params if p.default is not p.empty}
 
 
-def _none_default_params(public) -> set:
-    """"module.function(parameter)" of every None-default parameter."""
-    return {f"{name}({p})" for name, member in public.items() for p in _none_defaults(member)}
+def _default_params(public) -> set:
+    """"module.function(parameter)" of every parameter with a default."""
+    return {f"{name}({p})" for name, member in public.items() for p in _defaults(member)}
+
+
+def _left_in_place(value, default) -> bool:
+    """Whether a call's ``value`` of a parameter is its ``default``: the
+    object itself, or an equal one of the same type."""
+    return value is default or (type(value) is type(default) and value == default)
 
 
 def _configs(tmp_path) -> list:
@@ -94,7 +100,7 @@ def _configs(tmp_path) -> list:
     (tmp_path / "points.csv").write_text(
         "x1,x2,y1,y2\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist())
     )
-    csv = {"kind": "csv", "path": "points.csv", "d": 2, "m": 2}
+    csv = {"kind": "csv", "path": "points.csv"}
     synth = {"kind": "synthetic", "n": 8, "d": 2, "m": 2, "noise": 0.1}
     bound = {
         "dataset": {"kind": "synthetic", "n": 8, "d": 2, "m": 2},
@@ -136,7 +142,7 @@ def _configs(tmp_path) -> list:
         ("sketch-regress", {
             "dataset": synth, "kernel": {"family": "gaussian", "bandwidth": 1.0},
             "loss": {"family": "squared"}, "fit": {"lambda_n": 0.05},
-            "sketch": {"rows": 8, "dist": "identity"}, "emit_coefficients": True,
+            "sketch": {"dist": "identity"}, "emit_coefficients": True,
         }, "json"),
         ("sketch-regress", {
             **sketch, "dataset": {**synth, "n": N_DENSE + 44}, "loss": {"family": "squared"},
@@ -161,28 +167,29 @@ def _configs(tmp_path) -> list:
 
 @pytest.fixture(scope="module")
 def profiled(tmp_path_factory):
-    """(public members, codes entered, set None-default parameters, None-default
-    parameters left None, calls of each ``functools.cache`` member) over the
-    runs of ``_configs``.  A parameter counts as set when a call enters its
-    function with a value other than None for it, and as left None when a
-    call enters with None.  The last run calls ``cli.main()`` on a patched
+    """(public members, codes entered, set default parameters, default
+    parameters left in place, calls of each ``functools.cache`` member) over
+    the runs of ``_configs``.  A parameter counts as left in place when a call
+    enters its function with its default for it (``_left_in_place``), and as
+    set otherwise.  The last run calls ``cli.main()`` on a patched
     ``sys.argv``, as the ``opbounds`` console script does."""
     tmp_path = tmp_path_factory.mktemp("runs")
     public = _public_functions()
-    watched = {_code(m): (name, _none_defaults(m)) for name, m in public.items()}
+    watched = {_code(m): (name, _defaults(m)) for name, m in public.items()}
     runs = _configs(tmp_path)
     before = {name: _cache_calls(member) for name, member in public.items()}
-    entered, set_params, none_params = set(), set(), set()
+    entered, set_params, default_params = set(), set(), set()
 
     def profile(frame, event, arg):
         if event != "call":
             return
         entered.add(frame.f_code)
-        name, params = watched.get(frame.f_code, (None, ()))
-        if params:
+        name, defaults = watched.get(frame.f_code, (None, {}))
+        if defaults:
             local = frame.f_locals
-            for p in params:
-                (none_params if local.get(p) is None else set_params).add(f"{name}({p})")
+            for p, default in defaults.items():
+                kept = _left_in_place(local[p], default)
+                (default_params if kept else set_params).add(f"{name}({p})")
 
     # sys.setprofile holds for the calling thread only; threading.setprofile
     # covers the worker thread a run above N_DENSE points starts
@@ -205,7 +212,7 @@ def profiled(tmp_path_factory):
         threading.setprofile(outer_threads)
     assert codes == [0] * len(runs)
     calls = {name: _cache_calls(member) - before[name] for name, member in public.items()}
-    return public, entered, set_params, none_params, calls
+    return public, entered, set_params, default_params, calls
 
 
 def test_every_public_function_is_reached_by_a_run(profiled):
@@ -219,16 +226,16 @@ def test_every_public_function_is_reached_by_a_run(profiled):
     assert missed == set(), sorted(missed)
 
 
-def test_every_none_default_parameter_is_set_by_a_run(profiled):
+def test_every_default_parameter_is_set_by_a_run(profiled):
     # a parameter that no run sets is a second way in that only tests use:
     # the function should take its one way in
-    params = _none_default_params(profiled[0])
-    assert params, "no parameter with a None default found"
+    params = _default_params(profiled[0])
+    assert params, "no parameter with a default found"
     assert params - profiled[2] == set(), sorted(params - profiled[2])
 
 
-def test_every_none_default_parameter_is_left_none_by_a_run(profiled):
-    # the converse: a None default that every run overrides is a branch that
-    # only tests take; the parameter should be required
-    params = _none_default_params(profiled[0])
+def test_every_default_is_left_in_place_by_a_run(profiled):
+    # the converse: a default that every run overrides is a branch that only
+    # tests take; the parameter should be required
+    params = _default_params(profiled[0])
     assert params - profiled[3] == set(), sorted(params - profiled[3])
