@@ -39,13 +39,18 @@ trajectory entry and the next gradient.  At most one candidate's Grams are
 alive at a time: a candidate accepted below a doubled trial step gives its
 Grams up, and takes its cross Grams back from a new forward pass at its
 coefficients when the doubled step fails.  The analytic gradient
-differentiates the top pencil eigenvalue through the simple-eigenvalue
-formula d rho = a^T dG_top a (the whitening basis is fixed) and falls back to
-finite differences when the top eigenvalue gap degenerates.  Its rho and gap
-are the eigenvalues that ``pf_norm`` computed with ``eigvalsh``, and its
-eigenvector comes from one inverse iteration shifted at that rho, so the
-whitened G_top is decomposed once per point; ``eigh`` runs only when inverse
-iteration gives no vector.
+differentiates the top pencil eigenvalue rho through d rho = a^T dG_top a,
+with a = B w for a unit top eigenvector w of the whitened G_top (the
+whitening basis B is fixed).  rho is the largest eigenvalue of a symmetric
+matrix, a convex function of it, so w w^T is a subgradient even where rho is
+repeated, and its gradient where rho is simple (Overton 1992, *Large-scale
+optimization of eigenvalues*); the analytic gradient is defined at every
+point, whatever the gap.  Where rho is repeated, the negative subgradient
+need not descend, and ``train`` stops as it does when no trial step passes
+the Armijo test.  The gradient's rho is the one that ``pf_norm`` computed
+with ``eigvalsh``, and its eigenvector comes from one inverse iteration
+shifted at that rho, so the whitened G_top is decomposed once per point;
+``eigh`` runs only when inverse iteration gives no vector.
 
 The Perron-Frobenius bound of a model is pf_norm * top_norm * trace_root, with
 trace_root = sqrt(kappa_1 Tr M_1 / n) the ``complexity.trace_bound`` of the
@@ -86,7 +91,6 @@ from .spectral import (
     _whiten,
 )
 
-_EIG_GAP_TOL = 1e-8
 _FD_STEP = 1e-5
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-14
@@ -207,11 +211,10 @@ class Pass:
     levels[j] feeds layer j through its cross Gram kmats[j]; ``k_top`` is the
     last layer's kernel Gram on levels[-2] and ``s`` is G_top = k_top *
     probe_bilinear whitened by G_bottom's basis, both set by
-    ``DeepObjective._whitened`` on first use.  ``data``, ``pf`` and ``top``
-    are the data term and the transfer-product and top-layer norms, set on
-    first use, and ``vals`` the top two eigenvalues of ``s`` (ascending; one
-    when ``s`` is 1 x 1), which ``pf`` comes from; ``w`` is the top
-    eigenvector of ``s``, set by the analytic gradient."""
+    ``DeepObjective._whitened`` on first use.  ``data`` and ``top`` are the
+    data term and the top-layer norm and ``rho`` the top eigenvalue of ``s``
+    (clipped at 0), whose root is the transfer-product norm, each set on first
+    use; ``w`` is the top eigenvector of ``s``, set by the analytic gradient."""
 
     coeffs: list[np.ndarray]
     levels: list[np.ndarray]
@@ -219,14 +222,13 @@ class Pass:
     k_top: np.ndarray | None = None
     s: np.ndarray | None = None
     data: float | None = None
-    pf: float | None = None
+    rho: float | None = None
     top: float | None = None
-    vals: np.ndarray | None = None
     w: np.ndarray | None = None
 
     def drop_grams(self) -> None:
         """Free ``kmats``, ``k_top`` and ``s``, the only code that does; the
-        levels, norms, vals and w stay."""
+        levels, norms, rho and w stay."""
         self.kmats = self.k_top = self.s = None
 
 
@@ -311,13 +313,11 @@ class DeepObjective:
         return fwd.s
 
     def pf_norm(self, fwd: Pass) -> float:
-        """Transfer-product norm sqrt(rho); the top two eigenvalues of the
-        whitened G_top, for the gradient's rho and gap, stay on the pass as
-        ``vals``."""
-        if fwd.pf is None:
-            rho, vals = _top_eigenvalue(self._whitened(fwd))
-            fwd.pf, fwd.vals = float(np.sqrt(rho)), vals[-2:].copy()
-        return fwd.pf
+        """Transfer-product norm sqrt(rho), with rho, the top eigenvalue of
+        the whitened G_top that the gradient also reads, kept on the pass."""
+        if fwd.rho is None:
+            fwd.rho = _top_eigenvalue(self._whitened(fwd))
+        return float(np.sqrt(fwd.rho))
 
     def data_term(self, fwd: Pass) -> float:
         if fwd.data is None:
@@ -386,17 +386,14 @@ class DeepObjective:
         -----
         The transfer-product term differentiates rho, the top pencil
         eigenvalue, as d rho = a^T dG_top a with a the G_bottom-normalized
-        eigenvector; this is the simple-eigenvalue perturbation formula and is
-        exact to first order because the whitening basis depends only on
-        G_bottom.  It reads the pass's whitened G_top ``s``; rho and the gap
-        to the second eigenvalue are those of ``pf_norm``'s eigenvalues, so
-        rho is the objective's, and the eigenvector comes from one inverse
-        iteration shifted at rho
-        (``spectral._top_eigenvector``), or from ``eigh`` with its own rho and
-        gap when that gives none (counted in ``eigh_fallbacks``).  When the
-        top eigenvalue gap falls below 1e-8 relative, the whole gradient falls
-        back to central finite differences (step 1e-5 * (1 + |parameter|))
-        with a warning.
+        eigenvector (a subgradient where rho is repeated; see the module
+        docstring).  It reads the pass's whitened G_top ``s``; rho is
+        ``pf_norm``'s, so it is the objective's, and the eigenvector comes
+        from one inverse iteration shifted at rho
+        (``spectral._top_eigenvector``), or from ``eigh`` with its own rho
+        when that gives none (counted in ``eigh_fallbacks``).  The
+        "finite-diff" mode takes central differences, step
+        1e-5 * (1 + |parameter|), two forward passes per coefficient.
         """
         if mode == "finite-diff":
             return _fd_gradient(self, fwd.coeffs, lambda1, lambda2)
@@ -413,21 +410,14 @@ class DeepObjective:
             mids = levels[-2]
             probe_bilinear, basis = self.bottom
             s = self._whitened(fwd)
-            self.pf_norm(fwd)  # sets vals
-            vals, w = fwd.vals, _top_eigenvector(s, fwd.vals)
+            self.pf_norm(fwd)  # sets rho
+            rho, w = fwd.rho, _top_eigenvector(s, fwd.rho)
             if w is None:
                 self.eigh_fallbacks += 1
-                rho, a_vec, w, gap = _top_eigenpair(s, basis)
-            else:  # a vector comes only with k >= 2 and vals[-1] > 0
-                rho, a_vec, gap = float(vals[-1]), basis @ w, float(vals[-1] - vals[-2])
+                rho, a_vec, w = _top_eigenpair(s, basis)
+            else:  # a vector comes only with k >= 2 and rho > 0
+                a_vec = basis @ w
             fwd.w = w
-            if rho > 0 and np.isfinite(gap) and gap < _EIG_GAP_TOL * rho:
-                warnings.warn(
-                    "top pencil eigenvalue nearly degenerate; falling back to "
-                    "finite-difference gradients",
-                    stacklevel=3,
-                )
-                return _fd_gradient(self, coeffs, lambda1, lambda2)
             if rho > 0:
                 t_mat = np.outer(a_vec, a_vec) * probe_bilinear * fwd.k_top
                 gamma_l = model.layers[-1].kernel.bandwidth

@@ -1,8 +1,8 @@
 """Spectra of scaled Gram matrices: critical radius, statistical dimension,
 sketch satisfiability, and the whitening of a symmetric pencil on which the
 deep objective evaluates its transfer-product norm.  The whitened pencil's
-eigenvalues come from one ``eigvalsh``; its top eigenvector, which the deep
-gradient needs, from inverse iteration shifted at the top one of them
+top eigenvalue rho comes from one ``eigvalsh``; its top eigenvector, which
+the deep gradient needs, from inverse iteration shifted at rho
 (``_top_eigenvector``), with ``eigh`` only where that gives none.
 
 The critical radius delta_n^2 is the minimal delta^2 >= 0 with
@@ -363,12 +363,11 @@ def _whiten(g_top: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return sym
 
 
-def _top_eigenvalue(s: np.ndarray) -> tuple[float, np.ndarray]:
-    """(rho, eigenvalues) of a whitened top matrix S from _whiten: its
-    ascending eigenvalues from ``eigvalsh`` and rho, the last of them clipped
-    at 0."""
+def _top_eigenvalue(s: np.ndarray) -> float:
+    """rho of a whitened top matrix S from _whiten: the largest of its
+    ``eigvalsh`` eigenvalues, clipped at 0."""
     w_vals = np.linalg.eigvalsh(s)
-    return (float(max(w_vals[-1], 0.0)) if w_vals.size else 0.0), w_vals
+    return float(max(w_vals[-1], 0.0)) if w_vals.size else 0.0
 
 
 #: Slack, relative to ||S||_F, taken off a Rayleigh quotient of S so that it
@@ -378,23 +377,19 @@ _RAYLEIGH_SLACK = 1e-9
 
 
 def _rayleigh_floor(s: np.ndarray, w: np.ndarray) -> float:
-    """Lower bound on rho = _top_eigenvalue(s)[0] from a unit vector w: the
+    """Lower bound on rho = _top_eigenvalue(s) from a unit vector w: the
     Rayleigh quotient w^T S w, at most the top eigenvalue (Courant-Fischer),
     less _RAYLEIGH_SLACK * ||S||_F; NaN when S is not finite."""
     return float(w @ s @ w) - _RAYLEIGH_SLACK * float(np.linalg.norm(s))
 
 
-def _top_eigenpair(
-    s: np.ndarray, basis: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """rho of S = _whiten(G_top, basis), the maximizing vector a = B w (with
-    a^T G_bottom a = 1), the top unit eigenvector w of S and the gap to the
-    second eigenvalue of S.  w is a copy, so the eigenvector matrix is freed;
-    a is computed from its column, whose layout sets a's last bits."""
+def _top_eigenpair(s: np.ndarray, basis: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """rho of S = _whiten(G_top, basis) from ``eigh``, the maximizing vector
+    a = B w (with a^T G_bottom a = 1) and the top unit eigenvector w of S.
+    w is a copy, so the eigenvector matrix is freed; a is computed from its
+    column, whose layout sets a's last bits."""
     w_vals, w_vecs = np.linalg.eigh(s)
-    rho = float(max(w_vals[-1], 0.0))
-    gap = float(w_vals[-1] - w_vals[-2]) if w_vals.size > 1 else np.inf
-    return rho, basis @ w_vecs[:, -1], w_vecs[:, -1].copy(), gap
+    return float(max(w_vals[-1], 0.0)), basis @ w_vecs[:, -1], w_vecs[:, -1].copy()
 
 
 #: Residual, relative to ||S||_F, at which ``_top_eigenvector`` accepts an
@@ -416,24 +411,24 @@ def _start_vector(k: int) -> np.ndarray:
     return v
 
 
-def _top_eigenvector(s: np.ndarray, vals: np.ndarray) -> np.ndarray | None:
+def _top_eigenvector(s: np.ndarray, rho: float) -> np.ndarray | None:
     """Unit eigenvector of the symmetric k x k S for its top eigenvalue
-    rho = vals[-1], the last of ascending ``eigvalsh`` eigenvalues of S, by
-    inverse iteration at that known eigenvalue (Parlett 1998, *The Symmetric
-    Eigenvalue Problem*, ch. 4; LAPACK's ``dstein``): v <- (S - sigma I)^-1 v,
-    normalized, from ``_start_vector(k)``, until ||(S - sigma I) v|| <=
-    ``_EIGVEC_RESIDUAL`` ||S||_F, at most ``_EIGVEC_SOLVES`` solves.  The
-    shift sigma is rho, moved up by u ||S||_F after each solve that LU finds
-    exactly singular (rho is then an eigenvalue of the rounded S; ``dstein``
-    perturbs such pivots).  The start is fixed, so v is a function of S
-    alone.  None when k = 1, rho is not positive, an iterate is zero or not
-    finite, or none meets the bound: the caller then takes ``_top_eigenpair``.
+    rho = ``_top_eigenvalue(s)``, by inverse iteration at that known
+    eigenvalue (Parlett 1998, *The Symmetric Eigenvalue Problem*, ch. 4;
+    LAPACK's ``dstein``): v <- (S - sigma I)^-1 v, normalized, from
+    ``_start_vector(k)``, until ||(S - sigma I) v|| <= ``_EIGVEC_RESIDUAL``
+    ||S||_F, at most ``_EIGVEC_SOLVES`` solves.  The shift sigma is rho,
+    moved up by u ||S||_F after each solve that LU finds exactly singular
+    (rho is then an eigenvalue of the rounded S; ``dstein`` perturbs such
+    pivots).  The start is fixed, so v is a function of S alone.  None when
+    k = 1, rho is not positive, an iterate is zero or not finite, or none
+    meets the bound: the caller then takes ``_top_eigenpair``.
 
     The solve is nearly singular, which is what makes it work: its solution
     is dominated by the top eigenvector, and one solve usually meets the
     bound.  S is shifted in place and its diagonal restored on return, so no
     k x k array is formed."""
-    k, rho = s.shape[0], float(vals[-1])
+    k = s.shape[0]
     if k < 2 or not rho > 0:
         return None
     norm = float(np.linalg.norm(s))

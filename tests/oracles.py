@@ -397,7 +397,7 @@ def pencil_max(g_top, g_bottom) -> float:
         raise InputError("pencil matrices must be of equal shape")
     basis = _pencil_basis(bot)
     require_psd(np.linalg.eigvalsh(0.5 * (top + top.T)), "pencil top matrix")
-    return _top_eigenvalue(_whiten(top, basis))[0]
+    return _top_eigenvalue(_whiten(top, basis))
 
 
 def expansion_norm(expansion) -> float:

@@ -824,7 +824,6 @@ def test_sketch_regress_degenerate_inputs(case, family, tmp_path):
     assert 1 <= record["metrics"]["satisfiability"]["d_n"] <= n
 
 
-@pytest.mark.filterwarnings("ignore:top pencil eigenvalue")
 @pytest.mark.parametrize(
     "case",
     ["n=1", "n=2", "m=1", "duplicate points", "zero labels", "identical inputs"],

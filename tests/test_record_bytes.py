@@ -165,9 +165,9 @@ def test_deep_record_checkpoint_and_reload_bytes(tmp_path):
 
 def test_deep_record_with_every_eigenvector_from_eigh(monkeypatch, tmp_path):
     # when inverse iteration gives no vector, every gradient takes eigh's
-    # eigenpair, with its own rho and gap, and counts one eigh_fallback; the
+    # eigenpair, with its own rho, and counts one eigh_fallback; the
     # record less that count and the checkpoint have the eigh-only bytes
-    monkeypatch.setattr(deepvv, "_top_eigenvector", lambda s, vals: None)
+    monkeypatch.setattr(deepvv, "_top_eigenvector", lambda s, rho: None)
     record = run("deep-vvrkhs", DEEP, SEED, tmp_path)
     assert record["metrics"].pop("eigh_fallbacks") == DEEP["deep_model"]["train"]["iters"]
     assert _sha256(render_record(record, "json")) == DIGESTS["deep-vvrkhs-eigh"]
