@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -484,18 +485,17 @@ def _build_network(cfg: dict, base_dir: Path) -> NetworkSpec:
     return _build(NetworkSpec, cfg, layers=layers)
 
 
-def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[SketchMatrix, float, dict]:
-    """Sketch matrix, the satisfiability constant c of its keep-probability,
-    and its resolved seed (``seed`` unless the section sets one).  The
-    identity sketch is n x n, draws nothing and keeps every entry: no seed,
-    and the default p = 1."""
+def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[Callable[[], SketchMatrix], float, dict]:
+    """A function that draws the sketch matrix, the satisfiability constant c
+    of its keep-probability, and its resolved seed (``seed`` unless the
+    section sets one).  The spec is built and checked here; the draw is left
+    to the caller.  The identity sketch is n x n, draws nothing and keeps
+    every entry: no seed, and the default p = 1."""
     if cfg.get("dist") == "identity":
-        sketch, p, seeds = SketchMatrix(matrix=np.eye(n)), SketchSpec.p, {}
-    else:
-        seed = cfg.get("seed", seed)
-        spec = _build(SketchSpec, cfg, n=n, seed=seed)
-        sketch, p, seeds = make_p_sparsified(spec), spec.p, {"sketch": seed}
-    return sketch, satisfiability_constant(p), seeds
+        return lambda: SketchMatrix(matrix=np.eye(n)), satisfiability_constant(SketchSpec.p), {}
+    seed = cfg.get("seed", seed)
+    spec = _build(SketchSpec, cfg, n=n, seed=seed)
+    return lambda: make_p_sparsified(spec), satisfiability_constant(spec.p), {"sketch": seed}
 
 
 #: Leading eigenvalues of G_k / n that a spectral-report prints.
@@ -566,7 +566,7 @@ def _run_sketch_regress(config: dict, ds: Dataset, seed: int, base_dir: Path) ->
     kernel = _build_kernel(config["kernel"], ds, base_dir)
     loss = _build(LossSpec, config["loss"])
     fit_cfg = _build(FitConfig, config["fit"])
-    sketch, c_val, sk_seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
+    draw_sketch, c_val, sk_seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
 
     # one Gram and one spectral decomposition serve both fits, both training
     # risks and the spectral report, and one S G S^T the sketched fit and
@@ -578,21 +578,23 @@ def _run_sketch_regress(config: dict, ds: Dataset, seed: int, base_dir: Path) ->
         return fit_full(kernel, ds.y, loss, fit_cfg, dec)
 
     def fit_on_sketch():
+        sketch = draw_sketch()
         products = sketched_gram(sketch, g_k)
         return fit_sketched(kernel, ds.y, loss, fit_cfg, sketch, products), products[1]
 
     # above N_DENSE both fits stream the n x n Gram through BLAS, so the
-    # sketched one runs on a worker thread; below, the Lipschitz fits are
-    # Python-bound and contend for the GIL (overlapped, a pinball run at
-    # n = 64 took about 20% longer)
+    # sketched one runs on a worker thread, its sketch drawn there too;
+    # below, the Lipschitz fits are Python-bound and contend for the GIL
+    # (overlapped, a pinball run at n = 64 took about 20% longer)
     if ds.n > N_DENSE:
         full, (sketched, sgs) = _overlap(fit, fit_on_sketch)
     else:
         full, (sketched, sgs) = fit(), fit_on_sketch()
-    risk_full = empirical_risk(full.predict(g_k), ds.y, loss)
+    # the full fit's G A, with the bits of full.predict(g_k)
+    risk_full = empirical_risk(full._gram_coeffs @ kernel.output, ds.y, loss)
     risk_sketched = empirical_risk(sketched.predict(g_k), ds.y, loss)
 
-    report = check_satisfiability(sketch, dec, c_val, sgs)
+    report = check_satisfiability(sketched.sketch, dec, c_val, sgs)
 
     try:
         bound_entry = asdict(excess_risk_bound_rhs(
@@ -757,7 +759,8 @@ def _run_spectral(config: dict, ds: Dataset, seed: int, base_dir: Path) -> dict:
     }
     seeds = {}
     if "sketch" in config:
-        sketch, c_val, seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
+        draw_sketch, c_val, seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
+        sketch = draw_sketch()
         sgs = sketched_gram(sketch, dec.gram)[1]
         metrics["satisfiability"] = asdict(check_satisfiability(sketch, dec, c_val, sgs))
     return {"metrics": metrics, "resolved_seeds": seeds}

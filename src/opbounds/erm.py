@@ -34,7 +34,7 @@ proximal map, because it changes no finite value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,12 +80,15 @@ class FitDiagnostics:
 class FittedModel:
     """Representer-form model: a full fit (``sketch`` is None) with
     coefficients A (n x m), or a sketched fit with Gamma (s x m) and A =
-    S^T Gamma."""
+    S^T Gamma.  A full fit also keeps ``_gram_coeffs``, the G A it formed on
+    its training Gram G, the bits of ``predict(G)`` before the product with
+    M, so its training risk forms no second n x n x m product."""
 
     coeffs: np.ndarray
     kernel: DecomposableKernel
     diagnostics: FitDiagnostics
     sketch: SketchMatrix | None = None
+    _gram_coeffs: np.ndarray | None = field(default=None, repr=False)
 
     def effective_coeffs(self) -> np.ndarray:
         if self.sketch is None:
@@ -302,13 +305,13 @@ def fit_full(
         obj = objective.at(ga, ga, a)
         resid = g @ ((2.0 / n) * (ga @ m_mat - targets) + cfg.lambda_n * a) @ m_mat
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), iters, True)
-        return FittedModel(a, kernel, diag)
+        return FittedModel(a, kernel, diag, _gram_coeffs=ga)
     if spectrum.vals.size == n:
         g_eigh = spectrum.vals, spectrum.vecs
     else:
         g_eigh = np.linalg.eigh(g)  # the Gram is exactly symmetric: no n x n copy
     coeffs, diag = _fit_lipschitz(objective, g, g_eigh, cfg)
-    return FittedModel(coeffs, kernel, diag)
+    return FittedModel(coeffs, kernel, diag, _gram_coeffs=g @ coeffs)
 
 
 def fit_sketched(

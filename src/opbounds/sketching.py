@@ -7,7 +7,9 @@ The scaling makes ``E[S^T S] = I_n``, which the satisfiability constant of
 estimator lives, unchanged, so no other scaling is offered.
 
 Rows are generated from independent counter-based substreams, so the matrix
-is a pure function of the spec regardless of generation order.
+is a pure function of the spec regardless of generation order; each is drawn
+in place into one preallocated s x n array, so no row list and no second
+copy of the sketch is held.
 """
 
 from __future__ import annotations
@@ -54,18 +56,20 @@ class SketchMatrix:
 
 
 def make_p_sparsified(spec: SketchSpec) -> SketchMatrix:
-    """Generate the sketch for ``spec``; deterministic given the seed."""
+    """Generate the sketch for ``spec``; deterministic given the seed.  Each
+    row is drawn into its place in one preallocated s x n array."""
     scale = 1.0 / math.sqrt(spec.s * spec.p)
-    rows = []
-    for i in range(spec.s):
+    matrix = np.empty((spec.s, spec.n))
+    for i, row in enumerate(matrix):
         g = substream(spec.seed, i)
         if spec.dist == "rademacher":
-            z = rademacher(g, np.empty(spec.n))
+            rademacher(g, row)
         else:
-            z = g.standard_normal(spec.n)
-        keep = g.random(spec.n) < spec.p
-        rows.append(np.where(keep, z * scale, 0.0))
-    return SketchMatrix(matrix=np.asarray(rows))
+            g.standard_normal(out=row)
+        drop = g.random(spec.n) >= spec.p
+        row *= scale
+        row[drop] = 0.0
+    return SketchMatrix(matrix=matrix)
 
 
 def satisfiability_constant(p: float) -> float:

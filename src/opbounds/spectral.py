@@ -16,10 +16,14 @@ d_n is the first index j with mu_j <= delta_n^2; a ``SpectralDecomposition``
 carries both, which ``check_satisfiability`` reads.  By the trace identity
 n psi(delta)^2 = tr(G_k) / n - sum_{mu_i > delta^2} (mu_i - delta^2), the
 bisection needs only tr(G_k) and the eigenvalues above delta^2.  So a Gram of
-more than N_DENSE points yields just its top eigenpairs, to Lanczos with full
-reorthogonalization (Golub & Van Loan, *Matrix Computations*, sec. 10.3), and
-its ridge solves run conjugate gradients deflated by them (Saad, Yeung, Erhel
-& Guyomarc'h 2000, *A deflated version of the conjugate gradient algorithm*).
+more than N_DENSE points yields just its top k eigenpairs, to Lanczos with
+full reorthogonalization (Golub & Van Loan, *Matrix Computations*, sec.
+10.3), and its ridge solves run conjugate gradients deflated by the top 2k
+Ritz vectors of the last Lanczos run, the k eigenvectors among them (Saad,
+Yeung, Erhel & Guyomarc'h 2000, *A deflated version of the conjugate
+gradient algorithm*): the Krylov space already built removes more of the
+spectrum from the CG than the eigenvectors alone, for one (2k x n) G
+product.
 Above N_DENSE the n x n Gram is read as few times as possible: its symmetry
 is checked by tiles, with no n x n temporary; its CG iterates and deflation
 basis are rows, so each product with it has a row-major left operand (the
@@ -61,13 +65,23 @@ LANCZOS_START = 16
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenpairs ``vals``, ``vecs`` of the Gram G_k (``gram``, held, not
-    copied) in the ascending order of ``np.linalg.eigh``: all n of them, or
-    the top ones that Lanczos found."""
+    """Eigenvalues ``vals`` of the Gram G_k (``gram``, held, not copied) in
+    the ascending order of ``np.linalg.eigh``, all n of them or the top ones
+    that Lanczos found, and orthonormal vectors as the rows of ``_rows``,
+    ascending too: the last ``vals.size`` are the eigenvectors of ``vals``
+    (``vecs``); on the Lanczos path the ones before are the next Ritz
+    vectors of its last tridiagonal, up to 2 ``vals.size`` rows in all, which
+    ``ridge_solve`` deflates by."""
 
     gram: np.ndarray
     vals: np.ndarray
-    vecs: np.ndarray
+    _rows: np.ndarray
+
+    @property
+    def vecs(self) -> np.ndarray:
+        """The eigenvectors of ``vals`` as columns: a view of the last rows of
+        ``_rows``, so no second copy is kept."""
+        return self._rows[self._rows.shape[0] - self.vals.size :].T
 
     @property
     def size(self) -> int:
@@ -102,33 +116,38 @@ class SpectralDecomposition:
 
     def ridge_solve(self, scales, shift: float, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         """(x, iterations): column j of x is (scales[j] G_k + shift I)^-1
-        rhs[:, j], each matrix positive definite, exact on ``vecs`` and by CG
-        deflated by them (Saad et al. 2000, Algorithm 3.6) on their complement
-        to a relative residual of 1e-13, all columns at once.
+        rhs[:, j], each matrix positive definite, exact on ``vecs`` when they
+        are all n eigenvectors, and else by CG deflated by all the rows of
+        ``_rows`` (Saad et al. 2000, Algorithm 3.6) on their complement to a
+        relative residual of 1e-13, all columns at once.
 
-        The CG runs on rows: each system's iterate, residual and direction is
-        a row of an m x n array, and the deflation basis and G times it are
-        k x n, so every product with G is (m x n) G, a row-major operand on
-        the left.  On one OpenBLAS thread at n = 1,500, (3 x n) G took 1.8 ms
-        against 3.1-3.3 ms for G times the same three columns; with 16 rows
-        (the deflation basis) the two layouts were within noise, 2.2-2.9 ms."""
+        The deflation basis W is the 2k Ritz rows, and one (2k x n) G product
+        gives their images; W G W^T, 2k x 2k, is diagonalized once, so each
+        coarse system W A_j W^T is solved on 2k-vectors, with no rotated
+        n-wide copy of W or G W^T.  The CG runs on rows: each system's
+        iterate, residual and direction is a row of an m x n array, so every
+        product with G is (m x n) G, a row-major operand on the left.  On one
+        OpenBLAS thread at n = 1,500, (3 x n) G took 1.8 ms against 3.1-3.3
+        ms for G times the same three columns."""
         g, scales = self.gram, np.asarray(scales, dtype=float)
         if self.vals.size == self.size:
             w = self.vecs
             return w @ ((w.T @ rhs) / (np.outer(self.vals, scales) + shift)), 0
-        # rotate w so that w G w^T, and so each coarse system w A_j w^T, is diagonal
-        w = self.vecs.T
+        w = self._rows
         gw = w @ g  # rows (G w_i)^T, G symmetric
-        theta, rot = np.linalg.eigh(0.5 * (w @ gw.T + gw @ w.T))
-        w, gw = rot.T @ w, rot.T @ gw
+        # w G w^T = v diag(theta) v^T, so (w A_j w^T)^-1 = v diag(1 / coarse_j) v^T
+        theta, v = np.linalg.eigh(0.5 * (w @ gw.T + gw @ w.T))
         coarse = np.outer(scales, theta) + shift
         scales = scales[:, None]
 
+        def coarse_solve(u):  # row j: (w A_j w^T)^-1 u_j
+            return ((u @ v) / coarse) @ v.T
+
         def deflate(r):  # r_j - (A_j w^T (w A_j w^T)^-1 w)^T r_j for every row j
-            return r - (((r @ gw.T) * scales + shift * (r @ w.T)) / coarse) @ w
+            return r - coarse_solve((r @ gw.T) * scales + shift * (r @ w.T)) @ w
 
         b = np.ascontiguousarray(rhs.T)
-        y = (b @ w.T) / coarse
+        y = coarse_solve(b @ w.T)
         x = y @ w
         r = b - (y @ gw) * scales - shift * x
         p = deflate(r)
@@ -159,13 +178,15 @@ class SpectralReport:
 
 
 def _lanczos(g: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k largest eigenvalues of the symmetric G, ascending, and their
-    eigenvectors as columns: Lanczos from a seeded random vector (which, unlike
-    a structured one, is orthogonal to no eigenvector), every new vector
-    orthogonalized twice against all before (so no copies of converged Ritz
-    values arise), restarted from another seeded one when an invariant
-    subspace is found, until the top k Ritz residuals |beta_j s_ji| are at
-    most 1e-15 max|theta| or the Krylov space is all of R^n."""
+    """The k largest eigenvalues of the symmetric G, ascending, and after J
+    steps the top min(J, 2k) Ritz vectors of the last tridiagonal as rows,
+    ascending too, so the last k rows are the eigenvectors: Lanczos from a
+    seeded random vector (which, unlike a structured one, is orthogonal to
+    no eigenvector), every new vector orthogonalized twice against all
+    before (so no copies of converged Ritz values arise), restarted from
+    another seeded one when an invariant subspace is found, until the top k
+    Ritz residuals |beta_j s_ji| are at most 1e-15 max|theta| or the Krylov
+    space is all of R^n."""
     n = g.shape[0]
     rows = np.empty((min(n, 2 * k + 32), n))  # the Lanczos vectors
     alpha, beta = [], []
@@ -185,7 +206,7 @@ def _lanczos(g: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         if j + 1 >= k and ((j + 1) % 8 == 0 or breakdown or j + 1 == n):
             theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
             if j + 1 == n or np.all(b * np.abs(s[-1, -k:]) <= 1e-15 * np.abs(theta).max()):
-                return theta[-k:], q.T @ s[:, -k:]
+                return theta[-k:], s[:, -min(j + 1, 2 * k) :].T @ q
         beta.append(0.0 if breakdown else b)
         if breakdown:
             w = np.random.default_rng(j + 1).standard_normal(n)
@@ -217,7 +238,8 @@ def eigendecompose_scaled_gram(
 ) -> SpectralDecomposition:
     """The checked Gram G_k (finite, symmetric, PSD up to round-off) with all
     its eigenpairs up to N_DENSE points; above, the ``top`` largest from
-    Lanczos, doubled until the smallest eigenvalue of G_k / n is at or below
+    Lanczos (with the next Ritz vectors, up to twice as many rows), their
+    number doubled until the smallest eigenvalue of G_k / n is at or below
     the critical radius, or all of them once twice their number reaches n.
     ``slack`` bounds max |G_k - G| for some PSD G (``kernels.gram_error_bound``;
     the default certifies nothing), so lambda_min(G_k / n) >= -slack by Weyl.
@@ -230,16 +252,16 @@ def eigendecompose_scaled_gram(
         raise InputError("Gram matrix is not symmetric")
     size, k = g.shape[0], top
     while size > N_DENSE and 2 * k < size:
-        vals, vecs = _lanczos(g, k)
+        vals, rows = _lanczos(g, k)
         if k == top and not slack < PSD_TOL:
             require_psd_cholesky(g, vals[-1] / size, "scaled Gram", float(size))
-        dec = SpectralDecomposition(g, vals, vecs)
+        dec = SpectralDecomposition(g, vals, rows)
         if dec.mu[-1] <= dec.delta_sq:
             return dec
         k *= 2
     vals, vecs = np.linalg.eigh(g)
     require_psd(vals / float(size), "scaled Gram")
-    return SpectralDecomposition(g, vals, vecs)
+    return SpectralDecomposition(g, vals, vecs.T)
 
 
 def kernel_spectrum(spec: ScalarKernelSpec, x, top: int) -> SpectralDecomposition:

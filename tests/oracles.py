@@ -5,17 +5,18 @@ operator Gram, assembles a Gram on two arrays of its size in one call,
 evaluates one kernel pair at a time, computes a Gram in long double,
 restates psi, takes half-integer Matern values from ``kv``, builds the full
 eigenvector matrix of a Gram, bisects for the critical radius over a whole
-spectrum, solves a ridge system densely, enumerates every sign pattern,
-integrates a Sobolev norm, chains a layered model outside a training pass,
-forms the sketched objective's ``G S^T`` anew at each evaluation, factors a
-sketch into its sub-Gaussian and sub-sampling parts, sorts a network's
-layers into the injective weight class, draws signs as integers and converts
-them to floats, keeps a sign block's row-major signs while its forms are
-computed, recomputes a bound report's total from its parts, maximizes a
-pencil's Rayleigh quotient apart from a deep objective, takes an expansion's
-RKHS norm from its own anchor Gram, fits or predicts on Grams assembled for
-that one call alone, writes a dataset CSV or starts every line search of a
-deep training at the configured step.
+spectrum, solves a ridge system densely or by CG deflated by the top
+eigenvectors alone, stacks a sketch from a list of rows, enumerates every
+sign pattern, integrates a Sobolev norm, chains a layered model outside a
+training pass, forms the sketched objective's ``G S^T`` anew at each
+evaluation, factors a sketch into its sub-Gaussian and sub-sampling parts,
+sorts a network's layers into the injective weight class, draws signs as
+integers and converts them to floats, keeps a sign block's row-major signs
+while its forms are computed, recomputes a bound report's total from its
+parts, maximizes a pencil's Rayleigh quotient apart from a deep objective,
+takes an expansion's RKHS norm from its own anchor Gram, fits or predicts on
+Grams assembled for that one call alone, writes a dataset CSV or starts
+every line search of a deep training at the configured step.
 """
 
 import math
@@ -24,7 +25,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma, kv
 
-from opbounds._rng import substream
+from opbounds._rng import rademacher, substream
 from opbounds.complexity import _BLOCK, BallMc, ClassMc
 from opbounds.deepvv import _ARMIJO, _MIN_STEP, TrainResult
 from opbounds.erm import _Objective, fit_full, fit_sketched
@@ -159,6 +160,59 @@ def dense_ridge_solve(g, scales, shift, rhs):
         [np.linalg.solve(scale * g + shift * eye, rhs[:, j]) for j, scale in enumerate(scales)],
         axis=1,
     )
+
+
+def ridge_solve_top_deflated(dec, scales, shift, rhs):
+    """(x, iterations) of ``dec.ridge_solve`` on a Lanczos decomposition by
+    CG deflated by the eigenvectors ``dec.vecs`` alone, each rotated with
+    G times it so that the coarse systems are diagonal: the CG that the 2k
+    Ritz rows must never need more iterations than."""
+    g, scales = dec.gram, np.asarray(scales, dtype=float)
+    w = dec.vecs.T
+    gw = w @ g
+    theta, rot = np.linalg.eigh(0.5 * (w @ gw.T + gw @ w.T))
+    w, gw = rot.T @ w, rot.T @ gw
+    coarse = np.outer(scales, theta) + shift
+    scales = scales[:, None]
+
+    def deflate(r):
+        return r - (((r @ gw.T) * scales + shift * (r @ w.T)) / coarse) @ w
+
+    b = np.ascontiguousarray(rhs.T)
+    y = (b @ w.T) / coarse
+    x = y @ w
+    r = b - (y @ gw) * scales - shift * x
+    p = deflate(r)
+    rr = np.einsum("ij,ij->i", r, r)
+    stop = 1e-26 * np.einsum("ij,ij->i", b, b)
+    for it in range(dec.size):
+        live = rr > stop
+        if not live.any():
+            return x.T, it
+        q = (p @ g) * scales + shift * p
+        alpha = np.divide(rr, np.einsum("ij,ij->i", p, q), out=np.zeros_like(rr), where=live)
+        x += alpha[:, None] * p
+        r -= alpha[:, None] * q
+        rr, rr_old = np.einsum("ij,ij->i", r, r), rr
+        beta = np.divide(rr, rr_old, out=np.zeros_like(rr), where=live)
+        p = deflate(r) + beta[:, None] * p
+    raise NumericError(f"deflated CG missed relative residual 1e-13 in {it + 1} steps")
+
+
+def sketch_from_rows(spec) -> np.ndarray:
+    """The p-sparsified sketch of ``spec`` as a list of rows, each drawn on
+    its own and masked by ``np.where``, then stacked."""
+    scale = 1.0 / math.sqrt(spec.s * spec.p)
+    rows = []
+    for i in range(spec.s):
+        g = substream(spec.seed, i)
+        if spec.dist == "rademacher":
+            z = rademacher(g, np.empty(spec.n))
+        else:
+            z = g.standard_normal(spec.n)
+        keep = g.random(spec.n) < spec.p
+        rows.append(np.where(keep, z * scale, 0.0))
+    return np.asarray(rows)
 
 
 def solve_squared_full(g, m_mat, y, lambda_n):

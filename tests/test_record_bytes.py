@@ -111,7 +111,7 @@ DIGESTS = {
     "sketch-regress": "2773904cfa897e16f7fbd4888a8c289c2f2ec00ac226ef13dcf79bd4252b2ec7",
     "sketch-regress-huber-m": "35f46bc416543deaf1bb1d09677b60c78b0d734a480c868eee9026e871372cf6",
     "spectral-report": "31dcaa46daeafecbab90cc8146e7235de93c2c0d45eb86893e07a5329d027021",
-    "sketch-regress-large": "53b92024484d93cb476f7e31a299f67417ff68bec9a95a0934b3537c4e0b0575",
+    "sketch-regress-large": "f1662cd2b99bd2c3c7e89b5bacefaa5a931166df0de01589b77f6fe2d66fc137",
     "spectral-report-large": "7ad0727df852eb320350d9b48712252d60e4af2dcea10b0acd48b48346e1e977",
     "deep-vvrkhs": "15ffc68aed88e49f9c43f3454b5e4ca75e134f7fe30ced2cc1fab45651966f7f",
     "checkpoint": "7854538e1478c5b2e5e703362a9d0fe975a46f85c1a6dab400b8302f6ad230b3",

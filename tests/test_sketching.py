@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opbounds.errors import InputError
 from opbounds.sketching import (
@@ -10,13 +12,35 @@ from opbounds.sketching import (
     make_p_sparsified,
     satisfiability_constant,
 )
-from oracles import decompose_sketch
+from oracles import decompose_sketch, sketch_from_rows
 
 
 def test_p_one_rademacher_entries():
     spec = SketchSpec(s=8, n=30, p=1.0, dist="rademacher", seed=42)
     sk = make_p_sparsified(spec).matrix
     assert np.all(np.abs(sk) == 1.0 / math.sqrt(8))
+
+
+@pytest.mark.filterwarnings("ignore:sketch has more rows")
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.sampled_from(["rademacher", "gaussian"]),
+    st.integers(0, 2**63 - 1),
+)
+@example(7, 3, 0.4, "gaussian", 1)  # s > n
+@example(5, 1, 1.0, "rademacher", 2)  # n = 1
+@example(4, 1, 0.3, "gaussian", 3)
+def test_in_place_rows_are_the_stacked_rows(s, n, p, dist, seed):
+    # each row drawn into the preallocated array has the bits of the row
+    # drawn on its own, the same +0.0 where an entry is dropped included
+    spec = SketchSpec(s=s, n=n, p=p, dist=dist, seed=seed)
+    got = make_p_sparsified(spec).matrix
+    want = sketch_from_rows(spec)
+    assert got.shape == want.shape == (s, n)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_determinism_same_seed():

@@ -29,6 +29,7 @@ from oracles import (
     dense_ridge_solve,
     pencil_max,
     psi_value,
+    ridge_solve_top_deflated,
     satisfiability_norms,
     scaled_gram_eigh,
 )
@@ -474,12 +475,13 @@ def _clustered_points(n, clusters, d, rng):
     return centers[np.arange(n) % clusters] + 1e-3 * rng.standard_normal((n, d))
 
 
-@pytest.mark.parametrize("n", [300, 600])
-@pytest.mark.parametrize("kind", ["gaussian", "matern-1.5", "matern-0.5-clusters"])
-def test_lanczos_decomposition_matches_dense_reference(kind, n, monkeypatch):
-    # above N_DENSE the top eigenpairs come from Lanczos; at n = 600 the 20
-    # clusters give d_n = 21, so the first 16 eigenpairs miss delta_n^2 and k
-    # doubles (at n = 300, delta_n^2 lies above the clusters' eigenvalues)
+_LANCZOS_KINDS = ["gaussian", "matern-1.5", "matern-0.5-clusters"]
+
+
+def _reference_gram(kind, n):
+    """A Gram of n > N_DENSE points, decomposed by Lanczos: a Gaussian or
+    Matern nu = 1.5 one on uniform points, or a Matern nu = 0.5 one on 20
+    tight clusters."""
     from opbounds.kernels import ScalarKernelSpec, gram_scalar
 
     assert n > N_DENSE
@@ -497,7 +499,16 @@ def test_lanczos_decomposition_matches_dense_reference(kind, n, monkeypatch):
             lambda: _clustered_points(n, 20, 2, rng),
         ),
     }[kind]
-    g = gram_scalar(spec, x())
+    return gram_scalar(spec, x())
+
+
+@pytest.mark.parametrize("n", [300, 600])
+@pytest.mark.parametrize("kind", _LANCZOS_KINDS)
+def test_lanczos_decomposition_matches_dense_reference(kind, n, monkeypatch):
+    # above N_DENSE the top eigenpairs come from Lanczos; at n = 600 the 20
+    # clusters give d_n = 21, so the first 16 eigenpairs miss delta_n^2 and k
+    # doubles (at n = 300, delta_n^2 lies above the clusters' eigenvalues)
+    g = _reference_gram(kind, n)
     lanczos, ks = spectral._lanczos, []
 
     def counted(a, k):
@@ -524,6 +535,34 @@ def test_lanczos_decomposition_matches_dense_reference(kind, n, monkeypatch):
     assert 0 < iterations < n
     sk = make_p_sparsified(SketchSpec(s=40, n=n, p=0.5, dist="rademacher", seed=1))
     _check_report_against_dense(g, sk, c=2.0)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.1])
+@pytest.mark.parametrize(
+    "kind, n", [(kind, n) for kind in _LANCZOS_KINDS for n in (300, 600)] + [("gaussian", 1000)]
+)
+def test_ridge_solve_deflates_by_the_ritz_rows(kind, n, lam):
+    # the last Lanczos run's top 2k Ritz vectors are the rows that deflate
+    # the CG (k = 32 for the clusters at n = 600, after the doubling), and
+    # vecs is a view of their last k; the squared fit's systems at ridge
+    # weight lam, with the eigenvalues of a tridiagonal M as scales, match a
+    # dense solve and take fewer iterations than a CG deflated by the k
+    # eigenvectors alone (at lam = 1e-3 the Gaussian's 25 fall to 10)
+    g = _reference_gram(kind, n)
+    dec = eigendecompose_scaled_gram(g)
+    k = dec.vals.size
+    rows = dec._rows
+    assert rows.shape == (2 * k, n)
+    assert np.shares_memory(dec.vecs, rows) and np.array_equal(dec.vecs, rows[k:].T)
+    assert np.abs(rows @ rows.T - np.eye(2 * k)).max() <= 1e-10
+    scales = np.linalg.eigvalsh(np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.3], [0.0, 0.3, 1.0]]))
+    shift = 0.5 * n * lam
+    rhs = np.random.default_rng(n).standard_normal((n, 3))
+    got, iterations = dec.ridge_solve(scales, shift, rhs)
+    want = dense_ridge_solve(g, scales, shift, rhs)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    _, top_only = ridge_solve_top_deflated(dec, scales, shift, rhs)
+    assert 0 < iterations < top_only
 
 
 @pytest.mark.parametrize("case", ["zero", "identity", "rank one", "two blocks"])
@@ -651,9 +690,9 @@ def test_lanczos_path_judges_once_unless_certified(slack, judged, monkeypatch):
     lanczos, verdict, ritz, tops = spectral._lanczos, spectral.require_psd_cholesky, [], []
 
     def recorded_lanczos(a, k):
-        vals, vecs = lanczos(a, k)
+        vals, rows = lanczos(a, k)
         ritz.append(vals[-1])
-        return vals, vecs
+        return vals, rows
 
     def recorded_verdict(a, top, name, scale):
         tops.append(top)
