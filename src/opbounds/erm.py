@@ -23,12 +23,14 @@ nonincreasing across accepted steps and runs are reproducible.  Each fit
 takes only the operands it solves on, and n from them.
 
 Each fit builds its objective once (``_Objective`` of K, P, M, the targets,
-the loss and lambda_n).  The build checks the operands through
-``losses._residual``; an evaluation then only forms K theta (and P theta
-unless P is K) and calls the loss formulas on the residual, so the line
-search's trials repeat no conversion or check.  A product with an M that is
-exactly the identity is skipped, in the objective, the subgradient and the
-proximal map, because it changes no finite value.
+the loss and lambda_n), the one owner of those operands: its build checks
+the targets and takes M's one ``eigh``, which the solves and the proximal map
+read.  An evaluation only forms K theta (and P theta unless P is K), calls
+the loss formulas on the residual and returns K theta with the value, so the
+line search repeats no conversion or check and the subgradient at an
+accepted point forms no product with K.  A product with an M that is exactly
+the identity is skipped, in the objective, the subgradient and the proximal
+map, because it changes no finite value.
 """
 
 from __future__ import annotations
@@ -105,23 +107,6 @@ class FittedModel:
         return gram @ a @ self.kernel.output
 
 
-def _prepare(kernel: DecomposableKernel, y, n: int) -> np.ndarray:
-    """The targets, checked to be n rows of the kernel's output dimension."""
-    targets = as_labels(y)
-    if targets.shape != (n, kernel.output_dim):
-        raise InputError(
-            f"targets shape {targets.shape} incompatible with "
-            f"{n} points and output dimension {kernel.output_dim}"
-        )
-    return targets
-
-
-def _require_invertible_m(m: np.ndarray) -> None:
-    vals = np.linalg.eigvalsh(m)
-    if vals[0] <= 1e-12 * max(vals[-1], 1.0):
-        raise InputError("output matrix M must be strictly positive definite")
-
-
 def _mean(rows: np.ndarray) -> float:
     # builtin sum, not np.sum: pairwise summation would change the last bits
     return sum(rows.tolist()) / rows.shape[0]
@@ -132,16 +117,30 @@ class _Objective:
     the program of one fit: the full one at (K, P) = (G, G) and theta = A,
     the sketched one at (G S^T, S G S^T) and theta = Gamma.
 
-    Built once per fit.  The build checks the operands once, through
-    ``losses._residual`` and with its InputErrors: predictions of K's rows
-    and M's order against the targets, and a pinball loss's quantile count.
-    Products with M are skipped when M is exactly the identity."""
+    Built once per fit, it owns the fit's operands and checks each once,
+    with InputErrors, before any solve: the targets ``y`` (converted, a 1-D
+    ``y`` read as one column) against K's rows and M's order; M, strictly
+    positive definite at 1e-12 by its one ``np.linalg.eigh``, whose pair
+    ``m_eigh`` the squared solves and the proximal map read; and a pinball
+    loss's quantile count, through ``losses._residual``.  Products with M
+    are skipped when M is exactly the identity."""
 
     def __init__(self, k, p, m_mat, y, loss: LossSpec, lambda_n: float):
-        _residual(loss, np.zeros((k.shape[0], m_mat.shape[0])), y)
+        n, m = k.shape[0], m_mat.shape[0]
+        targets = as_labels(y)
+        if targets.shape != (n, m):
+            raise InputError(
+                f"targets shape {targets.shape} incompatible with "
+                f"{n} points and output dimension {m}"
+            )
+        self.m_eigh = np.linalg.eigh(m_mat)
+        m_vals = self.m_eigh[0]
+        if m_vals[0] <= 1e-12 * max(m_vals[-1], 1.0):
+            raise InputError("output matrix M must be strictly positive definite")
+        _residual(loss, np.zeros((n, m)), targets)
         self.k, self.p, self.m_mat = k, p, m_mat
         # C order, so every residual K theta M - y is C order as _residual's
-        self.y = np.ascontiguousarray(y)
+        self.y = np.ascontiguousarray(targets)
         self.loss, self.lambda_n = loss, lambda_n
         self._identity_m = _is_identity(m_mat)
 
@@ -149,11 +148,12 @@ class _Objective:
         """a M; a itself when M is exactly the identity."""
         return a if self._identity_m else a @ self.m_mat
 
-    def __call__(self, theta: np.ndarray) -> float:
-        """The objective at theta; ``k is p`` forms K theta once."""
+    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """(the objective at theta, the K theta it formed); ``k is p`` forms
+        K theta once."""
         k_theta = self.k @ theta
         p_theta = k_theta if self.p is self.k else self.p @ theta
-        return self.at(k_theta, p_theta, theta)
+        return self.at(k_theta, p_theta, theta), k_theta
 
     def at(self, k_theta, p_theta, theta) -> float:
         """The objective at theta from the products K theta and P theta."""
@@ -161,22 +161,22 @@ class _Objective:
         return data + 0.5 * self.lambda_n * float((p_theta * self.times_m(theta)).sum())
 
 
-def _solve_squared_full(spectrum, m_mat, y, lambda_n):
+def _solve_squared_full(spectrum, m_eigh, y, lambda_n):
     """(A, CG iterations): stationarity G A M + (n lambda / 2) A = Y; in M's
     eigenbasis V each column of A V solves a ridge system
     (mu_j G + (n lambda / 2) I) on G's spectral decomposition."""
-    m_vals, m_vecs = np.linalg.eigh(m_mat)
+    m_vals, m_vecs = m_eigh
     c = 0.5 * spectrum.size * lambda_n
     sol, iters = spectrum.ridge_solve(m_vals, c, y @ m_vecs)
     return sol @ m_vecs.T, iters
 
 
-def _solve_squared_sketched(k_sk, sgs, m_mat, y, lambda_n):
+def _solve_squared_sketched(k_sk, sgs, m_eigh, y, lambda_n):
     # per-column systems after right-multiplying stationarity by M^-1:
     #   [(2 mu_j / n) S G^2 S^T + lambda S G S^T] gamma_j = (2/n) (S G Y V)_j
     # on the fit's k_sk = G S^T and sgs = S G S^T; S G is k_sk^T, G symmetric
     n = k_sk.shape[0]
-    m_vals, m_vecs = np.linalg.eigh(m_mat)
+    m_vals, m_vecs = m_eigh
     sg = k_sk.T
     sg2s = sg @ k_sk
     rhs = (2.0 / n) * (sg @ y @ m_vecs)
@@ -189,11 +189,12 @@ def _solve_squared_sketched(k_sk, sgs, m_mat, y, lambda_n):
     return gamma_t @ m_vecs.T
 
 
-def _diag_prox(a_eigh, m_mat: np.ndarray, lambda_n: float):
+def _diag_prox(a_eigh, m_eigh, lambda_n: float):
     """Proximal map of (lambda/2) Tr(A X M X^T): solves X + t*lambda*A X M = V
-    through the eigenbases of A (``a_eigh = np.linalg.eigh(A)``) and M."""
+    through the eigenbases of A and M (``a_eigh``, ``m_eigh``: their
+    ``np.linalg.eigh`` pairs)."""
     a_vals, a_vecs = a_eigh
-    m_vals, m_vecs = np.linalg.eigh(m_mat)
+    m_vals, m_vecs = m_eigh
     cross = lambda_n * np.outer(a_vals, m_vals)
     a_vecs_t = a_vecs.T
     if _is_identity(m_vecs):
@@ -217,62 +218,49 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _descend(objective, loss_grad, prox, start, cfg):
-    """Backtracking proximal subgradient descent; returns (coeffs, diagnostics).
+def _fit_lipschitz(objective: _Objective, kt, p_eigh, cfg: FitConfig):
+    """Backtracking proximal subgradient descent from zero on ``objective``;
+    returns (coeffs, their K theta, diagnostics).
 
-    The reported gradient norm is the proximal-gradient residual at the base
-    step size, which coincides with the plain gradient norm when the penalty
-    vanishes.
+    ``kt`` is K^T, read by the data-term subgradient K^T (xi / n) M, and
+    ``p_eigh`` is ``np.linalg.eigh`` of P, read by the proximal map.  K
+    multiplies a point only inside an evaluation: each subgradient is taken
+    at the K theta that the evaluation accepting theta formed.  The reported
+    gradient norm is the proximal-gradient residual at the base step size,
+    which coincides with the plain gradient norm when the penalty vanishes.
     """
-    coeffs = start.copy()
-    obj = objective(coeffs)
-    iters = 0
-    warning = None
-    residual = np.inf
+    y, times_m = objective.y, objective.times_m
+    n = y.shape[0]
+    prox = _diag_prox(p_eigh, objective.m_eigh, cfg.lambda_n)
+    coeffs = np.zeros((kt.shape[0], y.shape[1]))
+    obj, k_theta = objective(coeffs)
+    warning = None  # FitConfig's max_iters >= 1: the loop sets iters and residual
     for iters in range(1, cfg.max_iters + 1):
-        grad = loss_grad(coeffs)
+        xi = loss_subgradient(objective.loss, times_m(k_theta), y)
+        grad = times_m(kt @ (xi / n))
         t0 = cfg.step_size
         mapped = prox(coeffs - t0 * grad, t0)
         residual = _norm(coeffs - mapped) / t0
         if residual <= cfg.tol:
-            return coeffs, FitDiagnostics(obj, residual, iters - 1, True)
-        step = t0
-        cand = mapped
-        accepted = False
+            return coeffs, k_theta, FitDiagnostics(obj, residual, iters - 1, True)
+        step, cand = t0, mapped
         while step >= _MIN_STEP:
             if cand is None:
                 cand = prox(coeffs - step * grad, step)
-            cand_obj = objective(cand)
+            cand_obj, cand_k = objective(cand)
             move = _norm(cand - coeffs)
             if cand_obj <= obj - (_ARMIJO / step) * move * move:
-                coeffs, obj = cand, cand_obj
-                accepted = True
+                coeffs, obj, k_theta = cand, cand_obj, cand_k
                 break
             step *= 0.5
             cand = None
-        if not accepted:
+        else:
             warning = "line search stalled before reaching tolerance"
             break
     converged = residual <= cfg.tol
     if not converged and warning is None:
         warning = "max_iters reached before gradient tolerance"
-    return coeffs, FitDiagnostics(obj, residual, iters, converged, warning)
-
-
-def _fit_lipschitz(objective: _Objective, kt, p_eigh, cfg: FitConfig):
-    """(coeffs, diagnostics) of ``_descend`` from zero on ``objective``;
-    ``kt`` is K^T, read by the data-term gradient K^T (xi / n) M, and
-    ``p_eigh`` is ``np.linalg.eigh`` of P, read by the proximal map."""
-    k, y, loss, times_m = objective.k, objective.y, objective.loss, objective.times_m
-    n = y.shape[0]
-
-    def loss_grad(theta):
-        xi = loss_subgradient(loss, times_m(k @ theta), y)
-        return times_m(kt @ (xi / n))
-
-    prox = _diag_prox(p_eigh, objective.m_mat, cfg.lambda_n)
-    start = np.zeros((k.shape[1], objective.m_mat.shape[0]))
-    return _descend(objective, loss_grad, prox, start, cfg)
+    return coeffs, k_theta, FitDiagnostics(obj, residual, iters, converged, warning)
 
 
 def fit_full(
@@ -294,13 +282,11 @@ def fit_full(
         squared solve, and the proximal map when they are the whole spectrum.
     """
     g, n = spectrum.gram, spectrum.size
-    targets = _prepare(kernel, y, n)
     check_kappa(kernel.scalar, g)
-    _require_invertible_m(kernel.output)
-    m_mat = kernel.output
-    objective = _Objective(g, g, m_mat, targets, loss, cfg.lambda_n)
+    objective = _Objective(g, g, kernel.output, y, loss, cfg.lambda_n)
+    m_mat, targets = kernel.output, objective.y
     if loss.family == "squared":
-        a, iters = _solve_squared_full(spectrum, m_mat, targets, cfg.lambda_n)
+        a, iters = _solve_squared_full(spectrum, objective.m_eigh, targets, cfg.lambda_n)
         ga = g @ a
         obj = objective.at(ga, ga, a)
         resid = g @ ((2.0 / n) * (ga @ m_mat - targets) + cfg.lambda_n * a) @ m_mat
@@ -310,8 +296,8 @@ def fit_full(
         g_eigh = spectrum.vals, spectrum.vecs
     else:
         g_eigh = np.linalg.eigh(g)  # the Gram is exactly symmetric: no n x n copy
-    coeffs, diag = _fit_lipschitz(objective, g, g_eigh, cfg)
-    return FittedModel(coeffs, kernel, diag, _gram_coeffs=g @ coeffs)
+    coeffs, g_coeffs, diag = _fit_lipschitz(objective, g, g_eigh, cfg)
+    return FittedModel(coeffs, kernel, diag, _gram_coeffs=g_coeffs)
 
 
 def fit_sketched(
@@ -326,25 +312,23 @@ def fit_sketched(
     checked to be finite and of the shapes (n, s) and (s, s).
     """
     rows, n = sk.matrix.shape
-    targets = _prepare(kernel, y, n)
-    _require_invertible_m(kernel.output)
-    m_mat = kernel.output
     k_sk = finite_matrix(sketched[0], "sketched product G S^T", square=False)
     sgs = finite_matrix(sketched[1], "sketched product S G S^T", square=False)
     if k_sk.shape != (n, rows) or sgs.shape != (rows, rows):
         raise InputError(f"sketched products {k_sk.shape}, {sgs.shape} do not match S")
-    objective = _Objective(k_sk, sgs, m_mat, targets, loss, cfg.lambda_n)
+    objective = _Objective(k_sk, sgs, kernel.output, y, loss, cfg.lambda_n)
+    m_mat, targets = kernel.output, objective.y
     if loss.family == "squared":
-        gamma = _solve_squared_sketched(k_sk, sgs, m_mat, targets, cfg.lambda_n)
-        obj = objective(gamma)
+        gamma = _solve_squared_sketched(k_sk, sgs, objective.m_eigh, targets, cfg.lambda_n)
+        obj, k_gamma = objective(gamma)
         resid = (
-            k_sk.T @ ((2.0 / n) * (k_sk @ gamma @ m_mat - targets)) @ m_mat
+            k_sk.T @ ((2.0 / n) * (k_gamma @ m_mat - targets)) @ m_mat
             + cfg.lambda_n * sgs @ gamma @ m_mat
         )
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), 0, True)
         return FittedModel(gamma, kernel, diag, sketch=sk)
     sgs_eigh = np.linalg.eigh(0.5 * (sgs + sgs.T))
-    coeffs, diag = _fit_lipschitz(objective, k_sk.T, sgs_eigh, cfg)
+    coeffs, _, diag = _fit_lipschitz(objective, k_sk.T, sgs_eigh, cfg)
     return FittedModel(coeffs, kernel, diag, sketch=sk)
 
 

@@ -324,7 +324,7 @@ def train_halving(objective, cfg, trajectory=True):
 def objective_sketched(kernel, g, y, loss, lambda_n, s_dense, gamma_) -> float:
     """The sketched ERM objective at Gamma from the scalar Gram and the sketch."""
     k_sk = g @ s_dense.T
-    return _Objective(k_sk, s_dense @ k_sk, kernel.output, y, loss, lambda_n)(gamma_)
+    return _Objective(k_sk, s_dense @ k_sk, kernel.output, y, loss, lambda_n)(gamma_)[0]
 
 
 def fit_full_on(kernel, x, y, loss, cfg):

@@ -69,7 +69,7 @@ def test_pinball_descends_from_zero():
     cfg = FitConfig(lambda_n=0.05, max_iters=200, step_size=1.0, tol=1e-6)
     model = fit_full_on(kernel, x, y, PINBALL, cfg)
     g = gram_scalar(kernel.scalar, x)
-    at_zero = _Objective(g, g, kernel.output, y, PINBALL, cfg.lambda_n)(np.zeros_like(y))
+    at_zero = _Objective(g, g, kernel.output, y, PINBALL, cfg.lambda_n)(np.zeros_like(y))[0]
     assert model.diagnostics.objective <= at_zero
 
 
@@ -80,7 +80,7 @@ def test_huber_descends_from_zero(fit):
     g = gram_scalar(kernel.scalar, x)
     if fit == "full":
         model = fit_full_on(kernel, x, y, HUBER, cfg)
-        at_zero = _Objective(g, g, kernel.output, y, HUBER, cfg.lambda_n)(np.zeros_like(y))
+        at_zero = _Objective(g, g, kernel.output, y, HUBER, cfg.lambda_n)(np.zeros_like(y))[0]
     else:
         sk = make_p_sparsified(SketchSpec(s=8, n=20, p=1.0, dist="gaussian", seed=2))
         model = fit_sketched_on(kernel, x, y, HUBER, cfg, sk)
@@ -112,10 +112,10 @@ def test_objectives_match_row_by_row_reference(loss, seed, pd_output):
         np.sum((g @ a) * (a @ m_mat))
     )
     full = _Objective(g, g, m_mat, y, loss, lam)
-    assert full(a) == expected
+    assert full(a)[0] == expected
     assert full.at(g @ a, g @ a, a) == expected
     # an equal P that is not K is multiplied on its own
-    assert _Objective(g, g.copy(), m_mat, y, loss, lam)(a) == expected
+    assert _Objective(g, g.copy(), m_mat, y, loss, lam)(a)[0] == expected
 
     s_dense = rng.standard_normal((5, 17))
     gamma = rng.standard_normal((5, 2))
@@ -124,7 +124,7 @@ def test_objectives_match_row_by_row_reference(loss, seed, pd_output):
     expected = _row_by_row_mean(loss, k_sk @ gamma @ m_mat, y) + 0.5 * lam * float(
         np.sum((sgs @ gamma) * (gamma @ m_mat))
     )
-    assert _Objective(k_sk, sgs, m_mat, y, loss, lam)(gamma) == expected
+    assert _Objective(k_sk, sgs, m_mat, y, loss, lam)(gamma)[0] == expected
     assert objective_sketched(kernel, g, y, loss, lam, s_dense, gamma) == expected
 
     model = fit_full_on(kernel, x, y, loss, FitConfig(lambda_n=lam, max_iters=5))
@@ -179,6 +179,112 @@ def test_pinball_quantile_count_mismatch_raises_before_first_iteration(
     monkeypatch.setattr(erm, "loss_subgradient", no_iteration)
     with pytest.raises(InputError, match="2 quantiles for 3-dimensional output"):
         _fit_on(fit, kernel, x, y, PINBALL, cfg)
+
+
+@pytest.mark.parametrize("pd_output", [True, False], ids=["pd-m", "identity-m"])
+@pytest.mark.parametrize("fit", ["full", "sketched"])
+@pytest.mark.parametrize("loss", [PINBALL, HUBER], ids=lambda spec: spec.family)
+def test_lipschitz_fit_multiplies_k_only_inside_evaluations(loss, fit, pd_output, monkeypatch):
+    # the objective's K counts its products with a point, made inside an
+    # evaluation or outside one: a subgradient reuses the K theta that the
+    # evaluation accepting theta formed, so there is one product per evaluation
+    kernel, x, y = make_problem(13, n=16, pd_output=pd_output)
+    # a long base step, so the line search backtracks
+    cfg = FitConfig(lambda_n=0.05, max_iters=8, step_size=8.0, tol=1e-12)
+    inside, products, points, subgradients = [False], [0, 0], [], []
+
+    class CountedK(np.ndarray):
+        def __matmul__(self, other):
+            products[inside[0]] += 1
+            return np.asarray(self) @ other
+
+    build, evaluate = erm._Objective.__init__, erm._Objective.__call__
+    subgradient = erm.loss_subgradient
+
+    def counted_build(self, k, p, *args):
+        build(self, k, p, *args)
+        self.k = k.view(CountedK)
+        self.p = self.k if p is k else p
+
+    def counted_evaluation(self, theta):
+        points.append((np.asarray(self.k), theta))
+        inside[0] = True
+        try:
+            return evaluate(self, theta)
+        finally:
+            inside[0] = False
+
+    def recorded_subgradient(spec, z, y):
+        subgradients.append((len(points), z))
+        return subgradient(spec, z, y)
+
+    monkeypatch.setattr(erm._Objective, "__init__", counted_build)
+    monkeypatch.setattr(erm._Objective, "__call__", counted_evaluation)
+    monkeypatch.setattr(erm, "loss_subgradient", recorded_subgradient)
+    model = _fit_on(fit, kernel, x, y, loss, cfg)
+    assert model.diagnostics.iterations == cfg.max_iters == len(subgradients)
+    assert len(points) > 1 + len(subgradients)
+    assert products == [0, len(points)]
+    # the point evaluated last before a subgradient is the one accepted
+    for evaluated, z in subgradients:
+        k, theta = points[evaluated - 1]
+        assert np.array_equal(z, k @ theta @ kernel.output)
+
+
+def _spec(family, m):
+    if family == "pinball":
+        return LossSpec("pinball", quantiles=(0.25, 0.5, 0.75)[:m])
+    return {"squared": SQUARED, "huber": HUBER}[family]
+
+
+@pytest.mark.parametrize("fit", ["full", "sketched"])
+@pytest.mark.parametrize("family", ["squared", "huber", "pinball"])
+def test_fit_decomposes_m_once_and_checks_operands_before_solving(fit, family, monkeypatch):
+    kernel, x, y = make_problem(14, n=12, m=3)
+    cfg = FitConfig(lambda_n=0.05, max_iters=5)
+    singular = DecomposableKernel(kernel.scalar, np.diag([1.0, 0.0, 2.0]))
+    one_output, _, y_one = make_problem(15, n=12, m=1)
+    decompositions = []
+
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, name=name, _original=getattr(np.linalg, name), **kwargs):
+            if any(np.shape(a) == np.shape(o) and np.array_equal(a, o)
+                   for o in (kernel.output, singular.output, one_output.output)):
+                decompositions.append(name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def fit_with(kern, targets):
+        decompositions.clear()
+        return _fit_on(fit, kern, x, targets, _spec(family, kern.output_dim), cfg)
+
+    # one eigh or eigvalsh of M per fit, squared or Lipschitz, full or sketched
+    fit_with(kernel, y)
+    assert len(decompositions) == 1
+    # a 1-D y is one column when m = 1
+    model = fit_with(one_output, y_one[:, 0])
+    assert len(decompositions) == 1
+    assert np.array_equal(model.coeffs, fit_with(one_output, y_one).coeffs)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve or a subgradient ran")
+
+    for name in ("_solve_squared_full", "_solve_squared_sketched", "loss_subgradient"):
+        monkeypatch.setattr(erm, name, no_solve)
+    # the targets are checked before M is decomposed
+    cases = [
+        (singular, y, "output matrix M must be strictly positive definite", 1),
+        (kernel, y[:11],
+         "targets shape (11, 3) incompatible with 12 points and output dimension 3", 0),
+        (kernel, y[:, :2],
+         "targets shape (12, 2) incompatible with 12 points and output dimension 3", 0),
+    ]
+    for kern, targets, message, decomposed in cases:
+        with pytest.raises(InputError) as err:
+            fit_with(kern, targets)
+        assert str(err.value) == message
+        assert len(decompositions) == decomposed
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -83,8 +83,9 @@ def _peak_of(call):
 
 
 def test_eigendecompose_peak_memory_and_symmetry_check():
-    # the peak above the input is Lanczos growing its row buffer (0.98 n^2
-    # at n = 400), freed before the verdict runs: the symmetry check holds
+    # the peak above the input is Lanczos growing its row buffer, with its
+    # 2k output Ritz rows formed while the buffer lives (1.02 n^2 at
+    # n = 400), freed before the verdict runs: the symmetry check holds
     # one pair of 128 x 128 tiles at a time, and the Cholesky verdict (no
     # slack given, so it runs) the scaled upper triangle in 64-row blocks,
     # about n (n + 64) / 2 numbers, with its 64-row panels
