@@ -568,9 +568,8 @@ def _run_sketch_regress(config: dict, ds: Dataset, seed: int, base_dir: Path) ->
     fit_cfg = _build(FitConfig, config["fit"])
     draw_sketch, c_val, sk_seeds = _build_sketch(config["sketch"], ds.n, derive_seed(seed, 2))
 
-    # one Gram and one spectral decomposition serve both fits, both training
-    # risks and the spectral report, and one S G S^T the sketched fit and
-    # the report
+    # one Gram and one spectral decomposition serve both fits and the
+    # spectral report, and one S G S^T the sketched fit and the report
     dec = kernel_spectrum(kernel.scalar, ds.x, LANCZOS_START)
     g_k = dec.gram
 
@@ -580,21 +579,21 @@ def _run_sketch_regress(config: dict, ds: Dataset, seed: int, base_dir: Path) ->
     def fit_on_sketch():
         sketch = draw_sketch()
         products = sketched_gram(sketch, g_k)
-        return fit_sketched(kernel, ds.y, loss, fit_cfg, sketch, products), products[1]
+        sketched = fit_sketched(kernel, ds.y, loss, fit_cfg, sketch, products)
+        return sketched, check_satisfiability(sketch, dec, c_val, products[1])
 
     # above N_DENSE both fits stream the n x n Gram through BLAS, so the
-    # sketched one runs on a worker thread, its sketch drawn there too;
-    # below, the Lipschitz fits are Python-bound and contend for the GIL
-    # (overlapped, a pinball run at n = 64 took about 20% longer)
+    # sketched one and the satisfiability test run on a worker thread, its
+    # sketch drawn there too; below, the Lipschitz fits are Python-bound and
+    # contend for the GIL (overlapped, a pinball run at n = 64 took about
+    # 20% longer)
     if ds.n > N_DENSE:
-        full, (sketched, sgs) = _overlap(fit, fit_on_sketch)
+        full, (sketched, report) = _overlap(fit, fit_on_sketch)
     else:
-        full, (sketched, sgs) = fit(), fit_on_sketch()
-    # the full fit's G A, with the bits of full.predict(g_k)
-    risk_full = empirical_risk(full._gram_coeffs @ kernel.output, ds.y, loss)
-    risk_sketched = empirical_risk(sketched.predict(g_k), ds.y, loss)
-
-    report = check_satisfiability(sketched.sketch, dec, c_val, sgs)
+        full, (sketched, report) = fit(), fit_on_sketch()
+    # each fit's K theta M, its predictions at the training points
+    risk_full = empirical_risk(full.train_predictions, ds.y, loss)
+    risk_sketched = empirical_risk(sketched.train_predictions, ds.y, loss)
 
     try:
         bound_entry = asdict(excess_risk_bound_rhs(

@@ -117,13 +117,21 @@ class ScalarKernelSpec:
 def finite_matrix(a, name: str, square: bool = True) -> np.ndarray:
     """``a`` as a float array, checked to be a nonempty, finite matrix, and
     square unless ``square`` is False."""
+    return _finite_range(a, name, square)[0]
+
+
+def _finite_range(a, name: str, square: bool = True) -> tuple[np.ndarray, float, float]:
+    """(a, min a, max a) for the ``finite_matrix`` checks of ``a``, whose one
+    ``min`` and one ``max`` pass are also the finiteness test: NaN reaches
+    both and an infinite entry one of them, so no mask of a's size is made."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0 or (square and a.shape[0] != a.shape[1]):
         shape = "square nonempty" if square else "nonempty"
         raise InputError(f"{name} must be a {shape} matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    low, high = float(a.min()), float(a.max())
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise InputError(f"{name} contains non-finite entries")
-    return a
+    return a, low, high
 
 
 def require_psd(vals, name: str, error=NotPsdError) -> None:
@@ -319,24 +327,27 @@ def _half_integer_matern(nu: float, bandwidth: float, sq_dist: np.ndarray) -> np
     """Matern values for nu in (0.5, 1.5, 2.5) in closed form,
     ``e^(-a)``, ``(1 + a) e^(-a)`` and ``(1 + a + a^2/3) e^(-a)`` with
     ``a = sqrt(2 nu) r / bandwidth`` (Rasmussen & Williams 2006, sec. 4.2).
-    Overwrites ``sq_dist`` with them and allocates at most one more array."""
-    a = np.sqrt(sq_dist, out=sq_dist)
-    a /= bandwidth
-    a *= np.sqrt(2.0 * nu)
+    Overwrites ``sq_dist`` with them and allocates at most one more array.
+    It holds b = -a, from the division by -bandwidth, so the exponential
+    needs no negation pass; negation is exact, so every value has the bits
+    of the same formulas in a."""
+    b = np.sqrt(sq_dist, out=sq_dist)
+    b /= -bandwidth
+    b *= np.sqrt(2.0 * nu)
     # e^(-a) is exactly 0 from a ~ 745 on; capping a there keeps the
     # polynomial finite (an infinite a would make inf * 0 = nan)
-    np.minimum(a, 1e3, out=a)
+    np.maximum(b, -1e3, out=b)
     if nu == 0.5:
-        return np.exp(np.negative(a, out=a), out=a)
+        return np.exp(b, out=b)
     if nu == 1.5:
-        poly = a + 1.0
-    else:  # 1 + a (1 + a/3), by Horner
-        poly = a / 3.0
+        poly = 1.0 - b
+    else:  # 1 + a (1 + a/3), by Horner: 1 - b (1 + b/-3)
+        poly = b / -3.0
         poly += 1.0
-        poly *= a
-        poly += 1.0
-    np.exp(np.negative(a, out=a), out=a)
-    return np.multiply(a, poly, out=a)
+        poly *= b
+        np.subtract(1.0, poly, out=poly)
+    np.exp(b, out=b)
+    return np.multiply(b, poly, out=b)
 
 
 def gram_scalar(spec: ScalarKernelSpec, pts) -> np.ndarray:

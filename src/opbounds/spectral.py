@@ -22,14 +22,18 @@ full reorthogonalization (Golub & Van Loan, *Matrix Computations*, sec.
 Ritz vectors of the last Lanczos run, the k eigenvectors among them (Saad,
 Yeung, Erhel & Guyomarc'h 2000, *A deflated version of the conjugate
 gradient algorithm*): the Krylov space already built removes more of the
-spectrum from the CG than the eigenvectors alone, for one (2k x n) G
-product.
-Above N_DENSE the n x n Gram is read as few times as possible: its symmetry
-is checked by tiles, with no n x n temporary; its CG iterates and deflation
-basis are rows, so each product with it has a row-major left operand (the
-faster layout of thin GEMMs on OpenBLAS); ``sketched_gram`` forms S G S^T
-once for a sketched fit and its satisfiability test; and the O(n^3) PSD
-verdict runs only where the Gram's error bound leaves it open.
+spectrum from the CG than the eigenvectors alone, and their images under G
+come from the run's Lanczos relation (Paige 1976, *Error analysis of the
+Lanczos algorithm for tridiagonalizing a symmetric matrix*), with no
+product with G.
+Above N_DENSE the n x n Gram is read as few times as possible: one min and
+one max pass check it finite and give the scale of its symmetry tolerance;
+its symmetry is checked by tiles, with no n x n temporary; its CG iterates
+and deflation basis are rows, so each product with it has a row-major left
+operand (the faster layout of thin GEMMs on OpenBLAS), as has the S G from
+which ``sketched_gram`` forms G S^T and S G S^T, once for a sketched fit
+and its satisfiability test; and the O(n^3) PSD verdict runs only where the
+Gram's error bound leaves it open.
 ``kernel_spectrum`` is the one place that assembles a kernel's Gram and
 decides, from ``kernels.gram_error_bound``, whether that verdict must run.
 """
@@ -43,8 +47,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, InputError, NumericError
 from .kernels import (
-    PSD_TOL, ScalarKernelSpec, finite_matrix, gram_error_bound, gram_scalar, require_psd,
-    require_psd_cholesky,
+    PSD_TOL, ScalarKernelSpec, _finite_range, finite_matrix, gram_error_bound, gram_scalar,
+    require_psd, require_psd_cholesky,
 )
 from .sketching import SketchMatrix
 
@@ -71,11 +75,14 @@ class SpectralDecomposition:
     ascending too: the last ``vals.size`` are the eigenvectors of ``vals``
     (``vecs``); on the Lanczos path the ones before are the next Ritz
     vectors of its last tridiagonal, up to 2 ``vals.size`` rows in all, which
-    ``ridge_solve`` deflates by."""
+    ``ridge_solve`` deflates by, and ``_relation`` holds the terms of their
+    Lanczos relation (``_lanczos``), from which ``_images`` forms G times
+    them."""
 
     gram: np.ndarray
     vals: np.ndarray
     _rows: np.ndarray
+    _relation: tuple = ()
 
     @property
     def vecs(self) -> np.ndarray:
@@ -114,6 +121,20 @@ class SpectralDecomposition:
             raise InputError(f"k={k} outside [1, {self.vals.size}]")
         return self.vecs[:, ::-1][:, :k]
 
+    def _images(self) -> np.ndarray:
+        """The rows (G y_i)^T of the Ritz rows y_i of a Lanczos decomposition,
+        from its relation: theta_i y_i + sum_l s_li r_l + (r_l . y_i) q_l over
+        the residuals r_l of ``_relation`` (the final one last, with no q_l).
+        A few thin products of 2k x n, in place of a pass over the Gram; they
+        agree with the rows times G to round-off, which is of order u ||G||."""
+        theta, coef, res, ends = self._relation
+        images = coef.T @ res
+        for image, t, row in zip(images, theta, self._rows):  # no second 2k x n array
+            image += t * row
+        if ends.size:
+            images += (self._rows @ res[:-1].T) @ ends
+        return images
+
     def ridge_solve(self, scales, shift: float, rhs: np.ndarray) -> tuple[np.ndarray, int]:
         """(x, iterations): column j of x is (scales[j] G_k + shift I)^-1
         rhs[:, j], each matrix positive definite, exact on ``vecs`` when they
@@ -121,8 +142,9 @@ class SpectralDecomposition:
         ``_rows`` (Saad et al. 2000, Algorithm 3.6) on their complement to a
         relative residual of 1e-13, all columns at once.
 
-        The deflation basis W is the 2k Ritz rows, and one (2k x n) G product
-        gives their images; W G W^T, 2k x 2k, is diagonalized once, so each
+        The deflation basis W is the 2k Ritz rows, and their images G W^T
+        come from the last Lanczos run's relation (``_images``), with no
+        product with G; W G W^T, 2k x 2k, is diagonalized once, so each
         coarse system W A_j W^T is solved on 2k-vectors, with no rotated
         n-wide copy of W or G W^T.  The CG runs on rows: each system's
         iterate, residual and direction is a row of an m x n array, so every
@@ -134,7 +156,7 @@ class SpectralDecomposition:
             w = self.vecs
             return w @ ((w.T @ rhs) / (np.outer(self.vals, scales) + shift)), 0
         w = self._rows
-        gw = w @ g  # rows (G w_i)^T, G symmetric
+        gw = self._images()  # rows (G w_i)^T
         # w G w^T = v diag(theta) v^T, so (w A_j w^T)^-1 = v diag(1 / coarse_j) v^T
         theta, v = np.linalg.eigh(0.5 * (w @ gw.T + gw @ w.T))
         coarse = np.outer(scales, theta) + shift
@@ -177,19 +199,29 @@ class SpectralReport:
     satisfiable: bool
 
 
-def _lanczos(g: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k largest eigenvalues of the symmetric G, ascending, and after J
-    steps the top min(J, 2k) Ritz vectors of the last tridiagonal as rows,
-    ascending too, so the last k rows are the eigenvectors: Lanczos from a
-    seeded random vector (which, unlike a structured one, is orthogonal to
-    no eigenvector), every new vector orthogonalized twice against all
-    before (so no copies of converged Ritz values arise), restarted from
-    another seeded one when an invariant subspace is found, until the top k
-    Ritz residuals |beta_j s_ji| are at most 1e-15 max|theta| or the Krylov
-    space is all of R^n."""
+def _lanczos(g: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The k largest eigenvalues of the symmetric G, ascending, after J steps
+    the top min(J, 2k) Ritz vectors y_i = Q^T s_i of the last tridiagonal T
+    as rows, ascending too, so the last k rows are the eigenvectors, and the
+    terms of their Lanczos relation (``SpectralDecomposition._images``):
+    Lanczos from a seeded random vector (which, unlike a structured one, is
+    orthogonal to no eigenvector), every new vector orthogonalized twice
+    against all before (so no copies of converged Ritz values arise),
+    restarted from another seeded one when an invariant subspace is found,
+    until the top k Ritz residuals |beta_j s_ji| are at most 1e-15
+    max|theta| or the Krylov space is all of R^n.
+
+    The relation is (theta, coef, res, ends): the rows' Ritz values theta;
+    as the rows of ``res`` the residual r_l that each restart at step l
+    dropped and, last, the final residual r_J; their entries s_li of the
+    rows' s_i as ``coef``; and as the rows of ``ends`` the Lanczos vector
+    q_l of each restart.  In exact arithmetic G Q^T = Q^T T + sum_l r_l e_l^T
+    + r_J e_J^T, except that each q_j after a restart keeps the component
+    (r_l . q_j) on q_l that no three-term recurrence has, so G y_i = theta_i
+    y_i + sum_l s_li r_l + s_Ji r_J + sum_l (r_l . y_i) q_l (Paige 1976)."""
     n = g.shape[0]
     rows = np.empty((min(n, 2 * k + 32), n))  # the Lanczos vectors
-    alpha, beta = [], []
+    alpha, beta, restarts = [], [], []
     w = np.random.default_rng(0).standard_normal(n)
     v = w / np.linalg.norm(w)
     for j in range(n):
@@ -206,9 +238,15 @@ def _lanczos(g: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         if j + 1 >= k and ((j + 1) % 8 == 0 or breakdown or j + 1 == n):
             theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
             if j + 1 == n or np.all(b * np.abs(s[-1, -k:]) <= 1e-15 * np.abs(theta).max()):
-                return theta[-k:], s[:, -min(j + 1, 2 * k) :].T @ q
+                top = s[:, -min(j + 1, 2 * k) :]
+                steps = [step for step, _, _ in restarts] + [j]
+                res = np.stack([r for _, r, _ in restarts] + [w])
+                ends = np.array([end for _, _, end in restarts]).reshape(-1, n)
+                relation = theta[-top.shape[1] :], top[steps], res, ends
+                return theta[-k:], top.T @ q, relation
         beta.append(0.0 if breakdown else b)
         if breakdown:
+            restarts.append((j, w, v))
             w = np.random.default_rng(j + 1).standard_normal(n)
             for _ in range(2):
                 w -= (q @ w) @ q
@@ -246,16 +284,16 @@ def eigendecompose_scaled_gram(
     Above N_DENSE the PSD verdict (``require_psd_cholesky`` of G_k / n, top
     the largest Ritz value) runs after the first Lanczos run unless ``slack``
     is below PSD_TOL."""
-    g = finite_matrix(g_k, "Gram matrix")
-    # max |g| from max and min
-    if _max_asymmetry(g) > 1e-12 * max(1.0, g.max(initial=0.0), -g.min(initial=0.0)):
+    g, low, high = _finite_range(g_k, "Gram matrix")
+    # max |g| from the min and max that checked g finite
+    if _max_asymmetry(g) > 1e-12 * max(1.0, high, -low):
         raise InputError("Gram matrix is not symmetric")
     size, k = g.shape[0], top
     while size > N_DENSE and 2 * k < size:
-        vals, rows = _lanczos(g, k)
+        vals, rows, relation = _lanczos(g, k)
         if k == top and not slack < PSD_TOL:
             require_psd_cholesky(g, vals[-1] / size, "scaled Gram", float(size))
-        dec = SpectralDecomposition(g, vals, rows)
+        dec = SpectralDecomposition(g, vals, rows, relation)
         if dec.mu[-1] <= dec.delta_sq:
             return dec
         k *= 2
@@ -305,17 +343,19 @@ def statistical_dimension(mu, delta_sq: float) -> int:
 
 
 def sketched_gram(sk: SketchMatrix, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(G S^T, S G S^T) of the sketch S and the n x n Gram G, the second as
-    S (G S^T): the products with G that a sketched fit and the
-    satisfiability test read, which ``sketch-regress`` forms once for both
-    (each S G S^T is an s x n x n GEMM, 17 ms at n = 1,500 and s = 150)."""
+    """(G S^T, S G S^T) of the sketch S and the n x n Gram G: the products
+    with G that a sketched fit and the satisfiability test read, which
+    ``sketch-regress`` forms once for both.  G is symmetric, so G S^T is
+    returned as the transpose view of S G, the one s x n x n GEMM, whose
+    left operand S is row-major (9.6 against 12.9 ms for G @ S^T at
+    n = 1,500 and s = 150 on one OpenBLAS thread); S G S^T is (S G) S^T."""
     s_dense = sk.matrix
     if s_dense.shape[1] != g.shape[0]:
         raise InputError(
             f"sketch has {s_dense.shape[1]} columns, Gram has {g.shape[0]} points"
         )
-    k_sk = g @ s_dense.T
-    return k_sk, s_dense @ k_sk
+    sg = s_dense @ g
+    return sg.T, sg @ s_dense.T
 
 
 def check_satisfiability(

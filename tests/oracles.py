@@ -15,8 +15,11 @@ integers and converts them to floats, keeps a sign block's row-major signs
 while its forms are computed, recomputes a bound report's total from its
 parts, maximizes a pencil's Rayleigh quotient apart from a deep objective,
 takes an expansion's RKHS norm from its own anchor Gram, fits or predicts on
-Grams assembled for that one call alone, writes a dataset CSV or starts
-every line search of a deep training at the configured step.
+Grams assembled for that one call alone, predicts from a fit's effective
+coefficients S^T Gamma, writes a dataset CSV, starts every line search of a
+deep training at the configured step, takes the Matern exponential of a
+negated argument or forms a Lanczos run's Ritz images as a product with the
+Gram.
 """
 
 import math
@@ -90,6 +93,28 @@ def matern_profile_kv(spec, sq_dist) -> np.ndarray:
     return np.where(np.isfinite(out), out, 0.0)
 
 
+def half_integer_matern_negating(nu, bandwidth, sq_dist) -> np.ndarray:
+    """The closed-form Matern profile (nu = 0.5, 1.5, 2.5) as the library
+    formed it before it divided by -bandwidth: a = sqrt(2 nu) r / bandwidth,
+    capped at 1e3, then e^(-a) by a separate negation pass, times 1 + a or
+    1 + a (1 + a/3) by Horner.  Overwrites ``sq_dist``, like the library."""
+    a = np.sqrt(sq_dist, out=sq_dist)
+    a /= bandwidth
+    a *= np.sqrt(2.0 * nu)
+    np.minimum(a, 1e3, out=a)
+    if nu == 0.5:
+        return np.exp(np.negative(a, out=a), out=a)
+    if nu == 1.5:
+        poly = a + 1.0
+    else:
+        poly = a / 3.0
+        poly += 1.0
+        poly *= a
+        poly += 1.0
+    np.exp(np.negative(a, out=a), out=a)
+    return np.multiply(a, poly, out=a)
+
+
 def gram_long_double(spec, pts) -> np.ndarray:
     """The scalar Gram of the float points from direct-form squared distances
     sum_k (x_ik - x_jk)^2 and the closed-form profile (gaussian, Matern nu =
@@ -120,7 +145,7 @@ def psi_value(delta: float, mu) -> float:
 def coefficient_norm(model, anchors) -> float:
     """Squared RKHS norm Tr(G A M A^T) of a model fitted at the anchors."""
     g = gram_scalar(model.kernel.scalar, anchors)
-    a = model.effective_coeffs()
+    a = effective_coeffs(model)
     return float(np.sum((g @ a) * (a @ model.kernel.output)))
 
 
@@ -322,9 +347,10 @@ def train_halving(objective, cfg, trajectory=True):
 
 
 def objective_sketched(kernel, g, y, loss, lambda_n, s_dense, gamma_) -> float:
-    """The sketched ERM objective at Gamma from the scalar Gram and the sketch."""
-    k_sk = g @ s_dense.T
-    return _Objective(k_sk, s_dense @ k_sk, kernel.output, y, loss, lambda_n)(gamma_)[0]
+    """The sketched ERM objective at Gamma from the scalar Gram and the sketch,
+    on G S^T and S G S^T formed from S G, as ``sketched_gram`` forms them."""
+    sg = s_dense @ g
+    return _Objective(sg.T, sg @ s_dense.T, kernel.output, y, loss, lambda_n)(gamma_)[0]
 
 
 def fit_full_on(kernel, x, y, loss, cfg):
@@ -337,10 +363,23 @@ def fit_sketched_on(kernel, x, y, loss, cfg, sk):
     return fit_sketched(kernel, y, loss, cfg, sk, sketched_gram(sk, gram_scalar(kernel.scalar, x)))
 
 
+def effective_coeffs(model) -> np.ndarray:
+    """A of a fit: its coefficients when full, S^T Gamma when sketched."""
+    if model.sketch is None:
+        return model.coeffs
+    return model.sketch.matrix.T @ model.coeffs
+
+
+def predict(model, gram) -> np.ndarray:
+    """Rows k(x, anchors) @ A @ M at the points x whose cross Gram
+    k(x, anchors) is ``gram`` (the training Gram when x are the anchors)."""
+    return gram @ effective_coeffs(model) @ model.kernel.output
+
+
 def predict_at(model, x, anchors) -> np.ndarray:
     """Predictions at x of a model fitted at the anchors, from the cross Gram
     k(x, anchors)."""
-    return model.predict(gram_scalar_cross(model.kernel.scalar, x, anchors))
+    return predict(model, gram_scalar_cross(model.kernel.scalar, x, anchors))
 
 
 def decompose_sketch(sk):

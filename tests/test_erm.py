@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from opbounds.losses import LossSpec, loss_value
 from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
 from opbounds.spectral import eigendecompose_scaled_gram, sketched_gram
 from oracles import (
-    coefficient_norm, fit_full_on, fit_sketched_on, objective_sketched, predict_at,
+    coefficient_norm, fit_full_on, fit_sketched_on, objective_sketched, predict, predict_at,
     solve_squared_full,
 )
 
@@ -113,14 +114,14 @@ def test_objectives_match_row_by_row_reference(loss, seed, pd_output):
     )
     full = _Objective(g, g, m_mat, y, loss, lam)
     assert full(a)[0] == expected
-    assert full.at(g @ a, g @ a, a) == expected
+    assert full.at(g @ a @ m_mat, g @ a, a) == expected
     # an equal P that is not K is multiplied on its own
     assert _Objective(g, g.copy(), m_mat, y, loss, lam)(a)[0] == expected
 
     s_dense = rng.standard_normal((5, 17))
     gamma = rng.standard_normal((5, 2))
-    k_sk = g @ s_dense.T
-    sgs = s_dense @ k_sk
+    sg = s_dense @ g  # G S^T and S G S^T as sketched_gram forms them
+    k_sk, sgs = sg.T, sg @ s_dense.T
     expected = _row_by_row_mean(loss, k_sk @ gamma @ m_mat, y) + 0.5 * lam * float(
         np.sum((sgs @ gamma) * (gamma @ m_mat))
     )
@@ -128,7 +129,8 @@ def test_objectives_match_row_by_row_reference(loss, seed, pd_output):
     assert objective_sketched(kernel, g, y, loss, lam, s_dense, gamma) == expected
 
     model = fit_full_on(kernel, x, y, loss, FitConfig(lambda_n=lam, max_iters=5))
-    assert empirical_risk(model.predict(g), y, loss) == _row_by_row_mean(loss, model.predict(g), y)
+    preds = model.train_predictions
+    assert empirical_risk(preds, y, loss) == _row_by_row_mean(loss, preds, y)
 
 
 def _fit_on(fit, kernel, x, y, loss, cfg):
@@ -324,10 +326,28 @@ def test_quarter_sketch_risk_within_factor_two():
     sk = make_p_sparsified(SketchSpec(s=n // 4, n=n, p=1.0, dist="gaussian", seed=11))
     full = fit_full_on(kernel, x, y, SQUARED, cfg)
     sketched = fit_sketched_on(kernel, x, y, SQUARED, cfg, sk)
-    g = gram_scalar(kernel.scalar, x)
-    r_full = empirical_risk(full.predict(g), y, SQUARED)
-    r_sketched = empirical_risk(sketched.predict(g), y, SQUARED)
+    r_full = empirical_risk(full.train_predictions, y, SQUARED)
+    r_sketched = empirical_risk(sketched.train_predictions, y, SQUARED)
     assert r_sketched <= 2.0 * r_full
+
+
+def test_squared_sketched_fit_holds_three_s_by_s_arrays_at_its_peak():
+    # each column's system (2 mu / n) S G^2 S^T + lambda S G S^T is built in
+    # place beside S G^2 S^T, so the fit's traced peak above its operands is
+    # three s x s arrays and a few n x m ones (a sum of two scaled copies
+    # would hold five)
+    n, s, m = 600, 150, 3
+    kernel, x, y = make_problem(4, n=n, m=m)
+    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=0.1, dist="rademacher", seed=4))
+    products = sketched_gram(sk, gram_scalar(kernel.scalar, x))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit_sketched(kernel, y, SQUARED, FitConfig(lambda_n=0.01), sk, products)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= (3 * s * s + 8 * n * m) * 8
 
 
 def test_solver_determinism():
@@ -393,16 +413,23 @@ def test_empirical_risk_cases():
 )
 def test_fits_on_the_training_gram_match_the_cross_gram(seed, n, s, loss):
     # risks through the training Gram carry the bits of risks through the
-    # cross Gram k(x, x), and the hoisted sketched objective the bits of the
-    # public objective
+    # cross Gram k(x, x); a fit's own K theta M, which the training risks
+    # read, is G A M up to the round-off of another association; and the
+    # hoisted sketched objective has the bits of the public objective
     kernel, x, y = make_problem(seed, n=n)
     cfg = FitConfig(lambda_n=0.05, max_iters=15, step_size=0.5, tol=1e-9)
     sk = make_p_sparsified(SketchSpec(s=s, n=n, p=1.0, dist="gaussian", seed=seed))
     g = gram_scalar(kernel.scalar, x)
     full = fit_full_on(kernel, x, y, loss, cfg)
     for model in (full, fit_sketched_on(kernel, x, y, loss, cfg, sk)):
+        want = predict(model, g)
         risk = _row_by_row_mean(loss, predict_at(model, x, x), y)
-        assert empirical_risk(model.predict(g), y, loss) == risk
+        assert empirical_risk(want, y, loss) == risk
+        terms = np.abs(model.coeffs)  # |G| |A| |M| or |G| |S^T| |Gamma| |M| bounds each term
+        if model.sketch is not None:
+            terms = np.abs(sk.matrix.T) @ terms
+        scale = (np.abs(g) @ terms @ np.abs(kernel.output)).max()
+        assert np.abs(model.train_predictions - want).max() <= 1e-13 * n * scale
     assert model.diagnostics.objective == objective_sketched(
         kernel, g, y, loss, cfg.lambda_n, sk.matrix, model.coeffs
     )
@@ -448,10 +475,8 @@ def test_supplied_gram_errors_are_typed():
         with pytest.raises(InputError, match=match):
             fit_full(kernel, y, SQUARED, cfg, spectrum)
     model = fit_full_on(kernel, x, y, SQUARED, cfg)
-    with pytest.raises(InputError, match="Gram shape"):
-        model.predict(g[:, :9])
     with pytest.raises(InputError, match="vs targets"):
-        empirical_risk(model.predict(g[:9]), y, SQUARED)
+        empirical_risk(model.train_predictions[:9], y, SQUARED)
 
 
 # frozen from an independent term-by-term derivation (see test body)

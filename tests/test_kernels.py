@@ -14,10 +14,12 @@ from opbounds.errors import InputError, NotPsdError, NumericError
 from opbounds.kernels import (
     PSD_TOL,
     _CrossGram,
+    _half_integer_matern,
     DecomposableKernel,
     KernelExpansion,
     ScalarKernelSpec,
     check_kappa,
+    finite_matrix,
     gram_error_bound,
     gram_scalar,
     gram_scalar_cross,
@@ -31,6 +33,7 @@ from oracles import (
     gram_long_double,
     gram_operator,
     gram_two_arrays,
+    half_integer_matern_negating,
     matern_profile_kv,
     sobolev_norm_gaussian,
 )
@@ -120,6 +123,58 @@ def test_half_integer_matern_matches_kv(spec, bandwidth, args):
     assert np.all(got[~big & (a >= 1.0)] <= 1e-297)
     assert np.all(got[a >= 746.0] == 0.0)
     assert np.all(got[~big & (a < 1.0)] == 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0.5, 1.5, 2.5]),
+    st.floats(0.05, 20.0),
+    st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(5e-324, 2.2e-308),  # subnormal squared distances
+            st.floats(0.0, 4000.0**2),
+            st.floats(745.0**2, 1e300),  # a >= 745 at bandwidths up to ~1
+            st.just(np.inf),
+        ),
+        min_size=1, max_size=40,
+    ),
+)
+def test_half_integer_matern_divides_by_minus_bandwidth_bit_for_bit(nu, bandwidth, sq):
+    # the profile holds -a from a division by -bandwidth and so drops the
+    # negation pass before e^(-a); negation is exact, so every value has the
+    # bits of the former profile, at zero, subnormal and underflowing
+    # distances too
+    sq = np.array(sq)
+    got = _half_integer_matern(nu, bandwidth, sq.copy())
+    want = half_integer_matern_negating(nu, bandwidth, sq.copy())
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def matrices_with_non_finite_entries(draw):
+    """A matrix of finite entries, huge ones included, with NaN, +inf or -inf
+    written at up to three positions."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = st.floats(allow_nan=False, allow_infinity=False)
+    a = np.array(draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)))
+    a = a.reshape(rows, cols)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        a[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_non_finite_entries())
+def test_finite_matrix_rejects_exactly_the_non_finite(a):
+    # one min and one max pass: NaN reaches both and +-inf one of them
+    if np.all(np.isfinite(a)):
+        assert finite_matrix(a, "matrix", square=False) is a
+        assert kernels._finite_range(a, "matrix", square=False)[1:] == (a.min(), a.max())
+    else:
+        with pytest.raises(InputError, match="matrix contains non-finite entries"):
+            finite_matrix(a, "matrix", square=False)
 
 
 @pytest.mark.parametrize("spec", [

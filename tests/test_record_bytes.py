@@ -108,11 +108,11 @@ RELOAD = {
 DIGESTS = {
     "bound-compare": "351e797196b49b8160107b79cb1b5b38b2ad1c7a115526db332612b4a5c10c9f",
     "bound-compare-m": "3f99c58264682ededfdbfaf075756d4b34f9bddb3eb47333e545fac0a67b39f4",
-    "sketch-regress": "2773904cfa897e16f7fbd4888a8c289c2f2ec00ac226ef13dcf79bd4252b2ec7",
-    "sketch-regress-huber-m": "35f46bc416543deaf1bb1d09677b60c78b0d734a480c868eee9026e871372cf6",
+    "sketch-regress": "7334d79c500b8edc0b1c0d3156db408c11e5f975307420441e2267774b3fa360",
+    "sketch-regress-huber-m": "66519ab30e7bc12f2fdefc7973a0172807ea6a4e41de0a8d62c8c06edf7517a8",
     "spectral-report": "31dcaa46daeafecbab90cc8146e7235de93c2c0d45eb86893e07a5329d027021",
-    "sketch-regress-large": "f1662cd2b99bd2c3c7e89b5bacefaa5a931166df0de01589b77f6fe2d66fc137",
-    "spectral-report-large": "7ad0727df852eb320350d9b48712252d60e4af2dcea10b0acd48b48346e1e977",
+    "sketch-regress-large": "ca20cb04a261f3ec5786f8cd3601458460d33f1b612970b5eed4f599998c9cca",
+    "spectral-report-large": "44e6a688d8a7f54f3c0b24f84b9381706a9581a1d2214c21e3a7d84e05f60ed5",
     "deep-vvrkhs": "15ffc68aed88e49f9c43f3454b5e4ca75e134f7fe30ced2cc1fab45651966f7f",
     "checkpoint": "7854538e1478c5b2e5e703362a9d0fe975a46f85c1a6dab400b8302f6ad230b3",
     "checkpoint-reload": "712df4c0744a7cf7fb984f2db3974e101bfeee56547c2a0e32eba93aad0db5e3",

@@ -542,13 +542,15 @@ def test_lanczos_decomposition_matches_dense_reference(kind, n, monkeypatch):
 @pytest.mark.parametrize(
     "kind, n", [(kind, n) for kind in _LANCZOS_KINDS for n in (300, 600)] + [("gaussian", 1000)]
 )
-def test_ridge_solve_deflates_by_the_ritz_rows(kind, n, lam):
+def test_ridge_solve_deflates_by_the_ritz_rows(kind, n, lam, monkeypatch):
     # the last Lanczos run's top 2k Ritz vectors are the rows that deflate
     # the CG (k = 32 for the clusters at n = 600, after the doubling), and
     # vecs is a view of their last k; the squared fit's systems at ridge
     # weight lam, with the eigenvalues of a tridiagonal M as scales, match a
     # dense solve and take fewer iterations than a CG deflated by the k
-    # eigenvectors alone (at lam = 1e-3 the Gaussian's 25 fall to 10)
+    # eigenvectors alone (at lam = 1e-3 the Gaussian's 25 fall to 10), and
+    # no more with the rows' images from the Lanczos relation than with
+    # their explicit product with G
     g = _reference_gram(kind, n)
     dec = eigendecompose_scaled_gram(g)
     k = dec.vals.size
@@ -564,6 +566,44 @@ def test_ridge_solve_deflates_by_the_ritz_rows(kind, n, lam):
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     _, top_only = ridge_solve_top_deflated(dec, scales, shift, rhs)
     assert 0 < iterations < top_only
+    monkeypatch.setattr(
+        spectral.SpectralDecomposition, "_images", lambda dec: dec._rows @ dec.gram
+    )
+    _, explicit = dec.ridge_solve(scales, shift, rhs)
+    assert iterations <= explicit
+
+
+@st.composite
+def relation_grams(draw):
+    """(kind, g): a Gram of more than N_DENSE points that Lanczos
+    decomposes: a Gaussian or Matern nu = 1.5 one on uniform points, or a
+    rank-one or rank-five one, on which each run restarts."""
+    from opbounds.kernels import ScalarKernelSpec, gram_scalar
+
+    n = draw(st.integers(N_DENSE + 1, N_DENSE + 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "matern-1.5", "rank one", "rank five"]))
+    if kind.startswith("rank"):
+        b = rng.standard_normal((n, 1 if kind == "rank one" else 5))
+        return kind, b @ b.T
+    spec = {
+        "gaussian": ScalarKernelSpec("gaussian", draw(st.sampled_from([0.5, 2.0, 8.0])), dimension=2),
+        "matern-1.5": ScalarKernelSpec("matern", 0.5, smoothness=1.5, dimension=3),
+    }[kind]
+    return kind, gram_scalar(spec, rng.uniform(-1, 1, (n, spec.dimension)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(relation_grams())
+def test_relation_images_are_the_ritz_rows_times_the_gram(case):
+    # G y_i from the Lanczos relation, with the residual each restart
+    # dropped, against the explicit product the CG's deflation once took
+    kind, g = case
+    dec = eigendecompose_scaled_gram(g)
+    assert dec.vals.size < dec.size
+    if kind.startswith("rank"):
+        assert dec._relation[3].shape[0] > 0  # restarted
+    assert np.abs(dec._images() - dec._rows @ g).max() <= 1e-13 * np.abs(g).max()
 
 
 @pytest.mark.parametrize("case", ["zero", "identity", "rank one", "two blocks"])
@@ -691,9 +731,9 @@ def test_lanczos_path_judges_once_unless_certified(slack, judged, monkeypatch):
     lanczos, verdict, ritz, tops = spectral._lanczos, spectral.require_psd_cholesky, [], []
 
     def recorded_lanczos(a, k):
-        vals, rows = lanczos(a, k)
-        ritz.append(vals[-1])
-        return vals, rows
+        result = lanczos(a, k)
+        ritz.append(result[0][-1])
+        return result
 
     def recorded_verdict(a, top, name, scale):
         tops.append(top)
