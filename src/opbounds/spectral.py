@@ -28,12 +28,14 @@ Lanczos algorithm for tridiagonalizing a symmetric matrix*), with no
 product with G.
 Above N_DENSE the n x n Gram is read as few times as possible: one min and
 one max pass check it finite and give the scale of its symmetry tolerance;
-its symmetry is checked by tiles, with no n x n temporary; its CG iterates
-and deflation basis are rows, so each product with it has a row-major left
-operand (the faster layout of thin GEMMs on OpenBLAS), as has the S G from
-which ``sketched_gram`` forms G S^T and S G S^T, once for a sketched fit
-and its satisfiability test; and the O(n^3) PSD verdict runs only where the
-Gram's error bound leaves it open.
+its symmetry is checked by tiles, with no n x n temporary; its Lanczos
+vectors and CG directions are rows, each multiplied by it through one
+symmetric ``dsymv`` (``_blas._symmetric_rows``), which reads one triangle of
+it where a GEMV reads all of it; the S G from which ``sketched_gram`` forms
+G S^T and S G S^T, once for a sketched fit and its satisfiability test, has
+the row-major S on the left (the faster layout of thin GEMMs on OpenBLAS);
+and the O(n^3) PSD verdict runs only where the Gram's error bound leaves it
+open.
 ``kernel_spectrum`` is the one place that assembles a kernel's Gram and
 decides, from ``kernels.gram_error_bound``, whether that verdict must run.
 """
@@ -45,6 +47,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from ._blas import _symmetric_rows
 from .errors import DegenerateInputError, InputError, NumericError
 from .kernels import (
     PSD_TOL, ScalarKernelSpec, _finite_range, finite_matrix, gram_error_bound, gram_scalar,
@@ -56,21 +59,23 @@ from .sketching import SketchMatrix
 _RADIUS_TOL = 1e-10
 
 #: Largest Gram decomposed in full by ``eigh``.  On one BLAS thread (Matern
-#: nu = 1.5, d = 3) it took 0.4, 6.1 and 105 ms at n = 64, 256 and 768, and
-#: Lanczos for 16 eigenpairs with the Cholesky verdict 2.0, 3.9 and 32 ms;
-#: they cross at n = 128-192, so the exact dense path costs at most 2 ms more.
+#: nu = 1.5, d = 3, best of 25) it took 0.3-0.5, 5.3-5.5 and 78-80 ms at
+#: n = 64, 256 and 768, and Lanczos for 16 eigenpairs, its steps through
+#: ``dsymv``, with the Cholesky verdict 1.9-2.2, 3.3-3.5 and 16-17 ms; they
+#: cross at n = 192, so the exact dense path costs at most about 2 ms more.
 N_DENSE = 256
 
 #: Eigenpairs the first Lanczos run computes.  The ``sketch-squared-large``
-#: benchmark Gram (Matern nu = 1.5, n = 1,500) has d_n = 11; Lanczos took
-#: 0.05 s there for 16 eigenpairs and 0.074-0.084 s for 32.
+#: benchmark Gram (Matern nu = 1.5, n = 1,500) has d_n = 11; on one BLAS
+#: thread Lanczos took 25-33 ms there for 16 eigenpairs (56 steps) and
+#: 47-52 ms for 32.
 LANCZOS_START = 16
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues ``vals`` of the Gram G_k (``gram``, held, not copied) in
-    the ascending order of ``np.linalg.eigh``, all n of them or the top ones
+    """Eigenvalues ``vals`` of the Gram G_k (``gram``, C-contiguous, held and
+    not copied when it came so) in the ascending order of ``np.linalg.eigh``, all n of them or the top ones
     that Lanczos found, and orthonormal vectors as the rows of ``_rows``,
     ascending too: the last ``vals.size`` are the eigenvectors of ``vals``
     (``vecs``); on the Lanczos path the ones before are the next Ritz
@@ -147,10 +152,11 @@ class SpectralDecomposition:
         product with G; W G W^T, 2k x 2k, is diagonalized once, so each
         coarse system W A_j W^T is solved on 2k-vectors, with no rotated
         n-wide copy of W or G W^T.  The CG runs on rows: each system's
-        iterate, residual and direction is a row of an m x n array, so every
-        product with G is (m x n) G, a row-major operand on the left.  On one
-        OpenBLAS thread at n = 1,500, (3 x n) G took 1.8 ms against 3.1-3.3
-        ms for G times the same three columns."""
+        iterate, residual and direction is a row of an m x n array, and each
+        step's (m x n) G is m symmetric ``dsymv`` products
+        (``_blas._symmetric_rows``), each reading one triangle of G.  On one
+        OpenBLAS thread at n = 1,500 three of them took 1.1 ms, against 1.5 ms
+        for the (3 x n) G GEMM and 2.5 ms for ``dsymm``."""
         g, scales = self.gram, np.asarray(scales, dtype=float)
         if self.vals.size == self.size:
             w = self.vecs
@@ -179,7 +185,7 @@ class SpectralDecomposition:
             live = rr > stop
             if not live.any():
                 return x.T, it
-            q = (p @ g) * scales + shift * p
+            q = _symmetric_rows(p, g) * scales + shift * p
             alpha = np.divide(rr, np.einsum("ij,ij->i", p, q), out=np.zeros_like(rr), where=live)
             x += alpha[:, None] * p
             r -= alpha[:, None] * q
@@ -228,7 +234,7 @@ def _lanczos(g: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, tuple]:
         if j == rows.shape[0]:
             rows = np.concatenate([rows, np.empty((min(n, 2 * j) - j, n))])
         rows[j] = v
-        w = g @ v
+        w = _symmetric_rows(v, g)
         alpha.append(float(v @ w))
         q = rows[: j + 1]
         for _ in range(2):
@@ -285,6 +291,7 @@ def eigendecompose_scaled_gram(
     the largest Ritz value) runs after the first Lanczos run unless ``slack``
     is below PSD_TOL."""
     g, low, high = _finite_range(g_k, "Gram matrix")
+    g = np.ascontiguousarray(g)  # the layout of _symmetric_rows; no copy of a C-order Gram
     # max |g| from the min and max that checked g finite
     if _max_asymmetry(g) > 1e-12 * max(1.0, high, -low):
         raise InputError("Gram matrix is not symmetric")

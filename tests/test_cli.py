@@ -1384,6 +1384,21 @@ def test_lapack_run_bytes_independent_of_blas_threads(subcommand, monkeypatch, t
     assert payloads[0] == payloads[1]
 
 
+def test_sketch_regress_above_n_dense_without_dsymv_keeps_its_spectrum(monkeypatch, tmp_path):
+    # Lanczos and the deflated CG multiply by the Gram through dsymv where
+    # numpy's OpenBLAS exports it, and by the GEMM where not: the two sum in
+    # another order, yet give one critical radius, statistical dimension and
+    # CG iteration count
+    cfg = _sketch_regress_40_rows(300, "squared")
+    with_dsymv = run("sketch-regress", cfg, None, tmp_path)["metrics"]
+    monkeypatch.setattr(_blas, "_dsymv", lambda: None)
+    without = run("sketch-regress", cfg, None, tmp_path)["metrics"]
+    assert with_dsymv["satisfiability"]["delta_sq"] == without["satisfiability"]["delta_sq"]
+    assert with_dsymv["satisfiability"]["d_n"] == without["satisfiability"]["d_n"]
+    iterations = with_dsymv["diagnostics_full"]["iterations"]
+    assert iterations > 0 and iterations == without["diagnostics_full"]["iterations"]
+
+
 def _sketch_regress_40_rows(n, loss):
     """A Matern nu = 1.5 sketch-regress config on n points with a 40-row
     sketch, with the squared loss or the pinball loss of SKETCH_REGRESS."""

@@ -111,8 +111,8 @@ DIGESTS = {
     "sketch-regress": "7334d79c500b8edc0b1c0d3156db408c11e5f975307420441e2267774b3fa360",
     "sketch-regress-huber-m": "66519ab30e7bc12f2fdefc7973a0172807ea6a4e41de0a8d62c8c06edf7517a8",
     "spectral-report": "31dcaa46daeafecbab90cc8146e7235de93c2c0d45eb86893e07a5329d027021",
-    "sketch-regress-large": "ca20cb04a261f3ec5786f8cd3601458460d33f1b612970b5eed4f599998c9cca",
-    "spectral-report-large": "44e6a688d8a7f54f3c0b24f84b9381706a9581a1d2214c21e3a7d84e05f60ed5",
+    "sketch-regress-large": "265aec4a819fd5b0e49e19f99bfca6f11c9cde2b9c0279ba26cf877745b0b497",
+    "spectral-report-large": "8e8f22edb02c276923cd7559e3aeb2168124b0dbdd5d86445ebd652f8a0fed67",
     "deep-vvrkhs": "15ffc68aed88e49f9c43f3454b5e4ca75e134f7fe30ced2cc1fab45651966f7f",
     "checkpoint": "7854538e1478c5b2e5e703362a9d0fe975a46f85c1a6dab400b8302f6ad230b3",
     "checkpoint-reload": "712df4c0744a7cf7fb984f2db3974e101bfeee56547c2a0e32eba93aad0db5e3",
