@@ -45,7 +45,7 @@ from .errors import (
 from .kernels import DecomposableKernel, ScalarKernelSpec, _expansion_norm, gram_scalar
 from .koopman import LayerSpec, NetworkSpec, SplitMc, product_bound, peeled_bound
 from .losses import LossSpec, lipschitz_constant
-from .sketching import SketchMatrix, SketchSpec, make_p_sparsified, satisfiability_constant
+from .sketching import SketchSpec, make_p_sparsified, satisfiability_constant
 from .spectral import (
     LANCZOS_START, N_DENSE, check_satisfiability, kernel_spectrum, sketched_gram,
 )
@@ -485,17 +485,18 @@ def _build_network(cfg: dict, base_dir: Path) -> NetworkSpec:
     return _build(NetworkSpec, cfg, layers=layers)
 
 
-def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[Callable[[], SketchMatrix], float, dict]:
-    """A function that draws the sketch matrix, the satisfiability constant c
-    of its keep-probability, and its resolved seed (``seed`` unless the
-    section sets one).  The spec is built and checked here; the draw is left
-    to the caller.  The identity sketch is n x n, draws nothing and keeps
-    every entry: no seed, and the default p = 1."""
+def _build_sketch(cfg: dict, n: int, seed: int) -> tuple[Callable[[], np.ndarray], float, dict]:
+    """A function that draws the s x n sketch matrix S, the satisfiability
+    constant c of its keep-probability, and its resolved seed (``seed``
+    unless the section sets one).  The spec is built and checked here; the
+    draw is left to the caller, and S is a plain array from the draw on.
+    The identity sketch is ``np.eye(n)``: it draws nothing and keeps every
+    entry, so it has no seed and the default p = 1."""
     if cfg.get("dist") == "identity":
-        return lambda: SketchMatrix(matrix=np.eye(n)), satisfiability_constant(SketchSpec.p), {}
-    seed = cfg.get("seed", seed)
-    spec = _build(SketchSpec, cfg, n=n, seed=seed)
-    return lambda: make_p_sparsified(spec), satisfiability_constant(spec.p), {"sketch": seed}
+        return lambda: np.eye(n), satisfiability_constant(SketchSpec.p), {}
+    spec = _build(SketchSpec, cfg, n=n, seed=cfg.get("seed", seed))
+    c = satisfiability_constant(spec.p)
+    return lambda: make_p_sparsified(spec).matrix, c, {"sketch": spec.seed}
 
 
 #: Leading eigenvalues of G_k / n that a spectral-report prints.
@@ -579,7 +580,7 @@ def _run_sketch_regress(config: dict, ds: Dataset, seed: int, base_dir: Path) ->
     def fit_on_sketch():
         sketch = draw_sketch()
         products = sketched_gram(sketch, g_k)
-        sketched = fit_sketched(kernel, ds.y, loss, fit_cfg, sketch, products)
+        sketched = fit_sketched(kernel, ds.y, loss, fit_cfg, products)
         return sketched, check_satisfiability(sketch, dec, c_val, products[1])
 
     # above N_DENSE both fits stream the n x n Gram through BLAS, so the
@@ -828,7 +829,7 @@ def main(argv=None) -> int:
     config_path = Path(args.config)
     started = time.perf_counter()
     try:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
@@ -841,7 +842,7 @@ def main(argv=None) -> int:
         err = {"error": exc.category, "message": str(exc)}
         print(json.dumps(err), file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started

@@ -7,6 +7,7 @@ format is ``x1,...,xd,y1,...,ym`` with period decimals, locale-independent.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +61,18 @@ def synth_dataset(cfg: GeneratorConfig) -> Dataset:
 
 
 def _read_numbers(path, skiprows: int = 0) -> np.ndarray:
-    """Comma-separated reals as a 2-D array; ConfigError naming the file when
-    a cell is not a finite number or the rows are ragged."""
+    """Comma-separated reals of a UTF-8 file as a 2-D array; ConfigError
+    naming the file when it has no data rows, a cell is not a finite number,
+    the rows are ragged or the bytes are not UTF-8."""
     try:
-        body = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            # an empty body is the ConfigError below, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2, encoding="utf-8")
+    except ValueError as exc:  # UnicodeDecodeError included
         raise ConfigError(f"{path}: {exc}") from exc
+    if body.size == 0:
+        raise ConfigError(f"{path}: the file has no data rows")
     bad = np.argwhere(~np.isfinite(body))
     if bad.size:
         row, col = bad[0] + 1
@@ -76,7 +83,8 @@ def _read_numbers(path, skiprows: int = 0) -> np.ndarray:
 def read_csv(path) -> Dataset:
     """The dataset of a CSV whose header ``x1,...,xd,y1,...,ym`` (d, m >= 1)
     gives its input and label counts."""
-    with open(path) as fh:
+    # bytes that are not UTF-8 fail the header check, or loadtxt's decoding
+    with open(path, encoding="utf-8", errors="replace") as fh:
         header = fh.readline().strip()
     names = header.split(",")
     d = sum(name.startswith("x") for name in names)

@@ -45,7 +45,6 @@ from .complexity import trace_bound
 from .errors import InputError, UnboundedLossError
 from .kernels import DecomposableKernel, _is_identity, as_labels, check_kappa, finite_matrix
 from .losses import UNBOUNDED, LossSpec, _residual, _residual_loss, loss_subgradient, loss_value
-from .sketching import SketchMatrix
 from .spectral import SpectralDecomposition
 
 _ARMIJO = 1e-4
@@ -81,18 +80,14 @@ class FitDiagnostics:
 
 @dataclass
 class FittedModel:
-    """Representer-form model: a full fit (``sketch`` is None) with
-    coefficients A (n x m), or a sketched fit with Gamma (s x m) and A =
-    S^T Gamma.  Each fit keeps ``train_predictions``, the K theta M of its
-    last objective evaluation: G A M of the full fit and G S^T Gamma M of
-    the sketched one, its predictions at the training points, so a training
-    risk forms no product with the n x n Gram."""
+    """What a fit computed: coefficients A (n x m) of the full program or
+    Gamma (s x m) of the sketched one (A = S^T Gamma), diagnostics, and
+    ``train_predictions``, the K theta M (G A M or G S^T Gamma M) of its last
+    objective evaluation, so a training risk forms no product with the Gram."""
 
     coeffs: np.ndarray
-    kernel: DecomposableKernel
     diagnostics: FitDiagnostics
     train_predictions: np.ndarray = field(repr=False)
-    sketch: SketchMatrix | None = None
 
 
 def _mean(rows: np.ndarray) -> float:
@@ -287,31 +282,29 @@ def fit_full(
         obj = objective.at(gam, ga, a)
         resid = (((2.0 / n) * (gam - targets) + cfg.lambda_n * a).T @ g).T @ m_mat
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), iters, True)
-        return FittedModel(a, kernel, diag, gam)
+        return FittedModel(a, diag, gam)
     if spectrum.vals.size == n:
         g_eigh = spectrum.vals, spectrum.vecs
     else:
         g_eigh = np.linalg.eigh(g)  # the Gram is exactly symmetric: no n x n copy
     coeffs, preds, diag = _fit_lipschitz(objective, g, g_eigh, cfg)
-    return FittedModel(coeffs, kernel, diag, preds)
+    return FittedModel(coeffs, diag, preds)
 
 
 def fit_sketched(
-    kernel: DecomposableKernel, y, loss: LossSpec, cfg: FitConfig, sk: SketchMatrix,
+    kernel: DecomposableKernel, y, loss: LossSpec, cfg: FitConfig,
     sketched: tuple[np.ndarray, np.ndarray],
 ) -> FittedModel:
-    """Fit the sketched program on the Gamma parameterization.
-
-    The s x n sketch ``sk`` fixes n, the rows of the targets ``y``, and
-    ``sketched`` is ``spectral.sketched_gram(sk, gram)`` of the n x n scalar
-    Gram k(x_i, x_j), the products (G S^T, S G S^T) on which the fit solves,
-    checked to be finite and of the shapes (n, s) and (s, s).
+    """Fit the sketched program on the Gamma parameterization, solving on
+    ``sketched``: ``spectral.sketched_gram(s, gram)`` of an s x n sketch S
+    and the n x n scalar Gram, the products (G S^T, S G S^T), checked to be
+    finite, G S^T n x s for the n rows of the targets ``y`` and S G S^T s x s.
     """
-    rows, n = sk.matrix.shape
     k_sk = finite_matrix(sketched[0], "sketched product G S^T", square=False)
     sgs = finite_matrix(sketched[1], "sketched product S G S^T", square=False)
-    if k_sk.shape != (n, rows) or sgs.shape != (rows, rows):
-        raise InputError(f"sketched products {k_sk.shape}, {sgs.shape} do not match S")
+    n, rows = k_sk.shape
+    if sgs.shape != (rows, rows):
+        raise InputError(f"sketched products {k_sk.shape}, {sgs.shape} are not of one S")
     objective = _Objective(k_sk, sgs, kernel.output, y, loss, cfg.lambda_n)
     m_mat, targets = kernel.output, objective.y
     if loss.family == "squared":
@@ -322,10 +315,10 @@ def fit_sketched(
             + cfg.lambda_n * sgs @ gamma @ m_mat
         )
         diag = FitDiagnostics(obj, float(np.linalg.norm(resid)), 0, True)
-        return FittedModel(gamma, kernel, diag, preds, sketch=sk)
+        return FittedModel(gamma, diag, preds)
     sgs_eigh = np.linalg.eigh(0.5 * (sgs + sgs.T))
     coeffs, preds, diag = _fit_lipschitz(objective, k_sk.T, sgs_eigh, cfg)
-    return FittedModel(coeffs, kernel, diag, preds, sketch=sk)
+    return FittedModel(coeffs, diag, preds)
 
 
 def empirical_risk(preds, y, loss: LossSpec) -> float:

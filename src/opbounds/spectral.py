@@ -31,11 +31,9 @@ one max pass check it finite and give the scale of its symmetry tolerance;
 its symmetry is checked by tiles, with no n x n temporary; its Lanczos
 vectors and CG directions are rows, each multiplied by it through one
 symmetric ``dsymv`` (``_blas._symmetric_rows``), which reads one triangle of
-it where a GEMV reads all of it; the S G from which ``sketched_gram`` forms
-G S^T and S G S^T, once for a sketched fit and its satisfiability test, has
-the row-major S on the left (the faster layout of thin GEMMs on OpenBLAS);
-and the O(n^3) PSD verdict runs only where the Gram's error bound leaves it
-open.
+it where a GEMV reads all of it; ``sketched_gram`` reads it once, for a
+sketched fit and its satisfiability test; and the O(n^3) PSD verdict runs
+only where the Gram's error bound leaves it open.
 ``kernel_spectrum`` is the one place that assembles a kernel's Gram and
 decides, from ``kernels.gram_error_bound``, whether that verdict must run.
 """
@@ -53,7 +51,6 @@ from .kernels import (
     PSD_TOL, ScalarKernelSpec, _finite_range, finite_matrix, gram_error_bound, gram_scalar,
     require_psd, require_psd_cholesky,
 )
-from .sketching import SketchMatrix
 
 #: Bracket width at which the critical-radius bisection stops.
 _RADIUS_TOL = 1e-10
@@ -349,28 +346,25 @@ def statistical_dimension(mu, delta_sq: float) -> int:
     return int(below[0]) + 1
 
 
-def sketched_gram(sk: SketchMatrix, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(G S^T, S G S^T) of the sketch S and the n x n Gram G: the products
-    with G that a sketched fit and the satisfiability test read, which
-    ``sketch-regress`` forms once for both.  G is symmetric, so G S^T is
-    returned as the transpose view of S G, the one s x n x n GEMM, whose
+def sketched_gram(s: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G S^T, S G S^T) of the s x n sketch S and the n x n Gram G: the
+    products with G that a sketched fit and the satisfiability test read,
+    which ``sketch-regress`` forms once for both.  G is symmetric, so G S^T
+    is returned as the transpose view of S G, the one s x n x n GEMM, whose
     left operand S is row-major (9.6 against 12.9 ms for G @ S^T at
     n = 1,500 and s = 150 on one OpenBLAS thread); S G S^T is (S G) S^T."""
-    s_dense = sk.matrix
-    if s_dense.shape[1] != g.shape[0]:
-        raise InputError(
-            f"sketch has {s_dense.shape[1]} columns, Gram has {g.shape[0]} points"
-        )
-    sg = s_dense @ g
-    return sg.T, sg @ s_dense.T
+    if s.shape[1] != g.shape[0]:
+        raise InputError(f"sketch has {s.shape[1]} columns, Gram has {g.shape[0]} points")
+    sg = s @ g
+    return sg.T, sg @ s.T
 
 
 def check_satisfiability(
-    sk: SketchMatrix, dec: SpectralDecomposition, c: float, sgs: np.ndarray
+    s: np.ndarray, dec: SpectralDecomposition, c: float, sgs: np.ndarray
 ) -> SpectralReport:
-    """Spectral-norm test of the sketch against the top/tail eigenspaces of
-    ``dec``, split at its statistical dimension ``dec.d_n`` and judged at its
-    critical radius ``dec.delta_sq``.
+    """Spectral-norm test of the s x n sketch S against the top/tail
+    eigenspaces of ``dec``, split at its statistical dimension ``dec.d_n``
+    and judged at its critical radius ``dec.delta_sq``.
 
     Satisfiable iff ``||(S U1)^T S U1 - I|| <= 1/2`` and
     ``||S U2 D2^(1/2)|| <= c * delta_n``, both in operator norm.  The tail
@@ -380,15 +374,12 @@ def check_satisfiability(
     S G_k S^T from :func:`sketched_gram`, checked to be a finite s x s matrix.
     """
     n, d_n, delta_sq = dec.size, dec.d_n, dec.delta_sq
-    s_dense = sk.matrix
-    if s_dense.shape[1] != n:
-        raise InputError(
-            f"sketch has {s_dense.shape[1]} columns, Gram has {n} points"
-        )
+    if s.shape[1] != n:
+        raise InputError(f"sketch has {s.shape[1]} columns, Gram has {n} points")
     sgs = finite_matrix(sgs, "sketched product S G S^T")
-    if sgs.shape[0] != s_dense.shape[0]:
-        raise InputError(f"S G S^T has shape {sgs.shape} for a sketch of {s_dense.shape[0]} rows")
-    su1 = s_dense @ dec.top_vectors(d_n)
+    if sgs.shape[0] != s.shape[0]:
+        raise InputError(f"S G S^T has shape {sgs.shape} for a sketch of {s.shape[0]} rows")
+    su1 = s @ dec.top_vectors(d_n)
     norm1 = float(np.linalg.norm(su1.T @ su1 - np.eye(d_n), 2))
     if d_n < n:
         tail = sgs / n - (su1 * dec.mu[:d_n]) @ su1.T

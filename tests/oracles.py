@@ -142,11 +142,12 @@ def psi_value(delta: float, mu) -> float:
     return math.sqrt(float(np.mean(np.minimum(delta * delta, np.asarray(mu, dtype=float)))))
 
 
-def coefficient_norm(model, anchors) -> float:
-    """Squared RKHS norm Tr(G A M A^T) of a model fitted at the anchors."""
-    g = gram_scalar(model.kernel.scalar, anchors)
-    a = effective_coeffs(model)
-    return float(np.sum((g @ a) * (a @ model.kernel.output)))
+def coefficient_norm(model, kernel, anchors) -> float:
+    """Squared RKHS norm Tr(G A M A^T) of a full fit with the kernel at the
+    anchors."""
+    g = gram_scalar(kernel.scalar, anchors)
+    a = model.coeffs
+    return float(np.sum((g @ a) * (a @ kernel.output)))
 
 
 def scaled_gram_eigh(g, n):
@@ -156,24 +157,30 @@ def scaled_gram_eigh(g, n):
     return vals[::-1] / float(n), vecs[:, ::-1]
 
 
+def bisect_critical_radius(mu, n, tail):
+    """delta_n^2 of the descending clipped eigenvalues ``mu`` of G / n, the
+    rest of which sum to ``tail``: the bisection on delta of psi(delta) =
+    sqrt((tail + sum_i min(delta^2, mu_i)) / n) <= delta^2 on the bracket
+    [0, max(1, sqrt(mu_1))] to a width of 1e-10."""
+    if mu.max() <= 0.0:
+        return 0.0
+    hi, lo = max(1.0, float(np.sqrt(mu[0]))), 0.0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if float(np.sqrt((tail + np.minimum(mid * mid, mu).sum()) / n)) <= mid * mid:
+            hi = mid
+        else:
+            lo = mid
+    return hi * hi
+
+
 def dense_critical_radius(g):
     """(delta_n^2, d_n) of a Gram over n points from its whole spectrum: the
-    clipped eigenvalues of G / n from ``eigvalsh``, the bisection on delta of
-    psi(delta) = sqrt(mean_i min(delta^2, mu_i)) <= delta^2 to a bracket of
-    1e-10, and the first 1-based index j with mu_j <= delta_n^2 (n if none)."""
+    bisection on the clipped eigenvalues of G / n from ``eigvalsh``, and the
+    first 1-based index j with mu_j <= delta_n^2 (n if none)."""
     n = g.shape[0]
     mu = np.maximum(np.linalg.eigvalsh(g)[::-1] / float(n), 0.0)
-    if mu.max() <= 0.0:
-        delta_sq = 0.0
-    else:
-        hi, lo = max(1.0, float(np.sqrt(mu[0]))), 0.0
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            if float(np.sqrt(np.minimum(mid * mid, mu).sum() / n)) <= mid * mid:
-                hi = mid
-            else:
-                lo = mid
-        delta_sq = hi * hi
+    delta_sq = bisect_critical_radius(mu, n, 0.0)
     below = np.flatnonzero(mu <= delta_sq)
     return delta_sq, int(below[0]) + 1 if below.size else n
 
@@ -358,40 +365,43 @@ def fit_full_on(kernel, x, y, loss, cfg):
     return fit_full(kernel, y, loss, cfg, kernel_spectrum(kernel.scalar, x, LANCZOS_START))
 
 
-def fit_sketched_on(kernel, x, y, loss, cfg, sk):
-    """``fit_sketched`` on the sketched products of the Gram of the points."""
-    return fit_sketched(kernel, y, loss, cfg, sk, sketched_gram(sk, gram_scalar(kernel.scalar, x)))
+def fit_sketched_on(kernel, x, y, loss, cfg, sketch):
+    """``fit_sketched`` on the sketched products of the sketch and the Gram
+    of the points."""
+    return fit_sketched(kernel, y, loss, cfg, sketched_gram(sketch, gram_scalar(kernel.scalar, x)))
 
 
-def effective_coeffs(model) -> np.ndarray:
-    """A of a fit: its coefficients when full, S^T Gamma when sketched."""
-    if model.sketch is None:
+def effective_coeffs(model, sketch=None) -> np.ndarray:
+    """A of a fit: its coefficients when full, S^T Gamma when fitted on the
+    sketch S."""
+    if sketch is None:
         return model.coeffs
-    return model.sketch.matrix.T @ model.coeffs
+    return sketch.T @ model.coeffs
 
 
-def predict(model, gram) -> np.ndarray:
-    """Rows k(x, anchors) @ A @ M at the points x whose cross Gram
-    k(x, anchors) is ``gram`` (the training Gram when x are the anchors)."""
-    return gram @ effective_coeffs(model) @ model.kernel.output
+def predict(model, gram, output, sketch=None) -> np.ndarray:
+    """Rows k(x, anchors) @ A @ M, for the output matrix M, at the points x
+    whose cross Gram k(x, anchors) is ``gram`` (the training Gram when x are
+    the anchors), with A the fit's coefficients on the sketch when one is
+    given."""
+    return gram @ effective_coeffs(model, sketch) @ output
 
 
-def predict_at(model, x, anchors) -> np.ndarray:
-    """Predictions at x of a model fitted at the anchors, from the cross Gram
-    k(x, anchors)."""
-    return predict(model, gram_scalar_cross(model.kernel.scalar, x, anchors))
+def predict_at(model, kernel, x, anchors, sketch=None) -> np.ndarray:
+    """Predictions at x of a model fitted with the kernel at the anchors, on
+    the sketch when one is given, from the cross Gram k(x, anchors)."""
+    return predict(model, gram_scalar_cross(kernel.scalar, x, anchors), kernel.output, sketch)
 
 
-def decompose_sketch(sk):
-    """S written as (sub-Gaussian s x q) @ (sub-sampling q x n): the
-    sub-sampling factor selects exactly the q columns of S that carry a
+def decompose_sketch(s):
+    """The sketch S written as (sub-Gaussian s x q) @ (sub-sampling q x n):
+    the sub-sampling factor selects exactly the q columns of S that carry a
     nonzero, so the product reconstructs S entrywise.  Returns the two
     factors and the retained column indices."""
-    dense = sk.matrix
-    retained = np.flatnonzero((dense != 0.0).any(axis=0))
-    subsample = np.zeros((retained.size, dense.shape[1]))
+    retained = np.flatnonzero((s != 0.0).any(axis=0))
+    subsample = np.zeros((retained.size, s.shape[1]))
     subsample[np.arange(retained.size), retained] = 1.0
-    return dense[:, retained].copy(), subsample, retained
+    return s[:, retained].copy(), subsample, retained
 
 
 def injectivity_class(net, c_max, d_min):

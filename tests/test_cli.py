@@ -1419,9 +1419,9 @@ def test_sketch_regress_forms_s_g_st_once(n, loss, monkeypatch, tmp_path):
     fits, reports = [], []
     fit_sketched, check = cli.fit_sketched, cli.check_satisfiability
 
-    def spied_fit(kernel, y, loss, cfg, sk, sketched):
+    def spied_fit(kernel, y, loss, cfg, sketched):
         fits.append(sketched)
-        return fit_sketched(kernel, y, loss, cfg, sk, sketched)
+        return fit_sketched(kernel, y, loss, cfg, sketched)
 
     def spied_check(sk, dec, c, sgs):
         reports.append((sk, dec, c, sgs))
@@ -1432,7 +1432,7 @@ def test_sketch_regress_forms_s_g_st_once(n, loss, monkeypatch, tmp_path):
     norm2 = run("sketch-regress", cfg, None, tmp_path)["metrics"]["satisfiability"]["norm2"]
     (sketched,), ((sk, dec, c, sgs),) = fits, reports
     assert sgs is sketched[1] and dec.d_n < n
-    fresh = (sk.matrix @ dec.gram) @ sk.matrix.T
+    fresh = (sk @ dec.gram) @ sk.T
     want = spectral.check_satisfiability(sk, dec, c, fresh).norm2
     assert norm2 > 0 and abs(norm2 - want) <= 1e-14 * want
 
@@ -1574,16 +1574,22 @@ def test_main_in_process(tmp_path):
     assert out_path.exists()
 
 
-def test_unwritable_out_is_an_io_error(tmp_path, capsys):
-    # the output is opened inside the handled block, as the config is
+@pytest.mark.parametrize("case", ["unwritable out", "non-UTF-8 config"])
+def test_unwritable_out_is_an_io_error(case, tmp_path, capsys):
+    # the output is opened inside the handled block, as the config is; a
+    # config that is not UTF-8, whatever the host locale, is an io error
+    # like one that is not JSON
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(SPECTRAL))
-    out_path = tmp_path / "missing_dir" / "out.json"
+    out_path, message = tmp_path / "missing_dir" / "out.json", "missing_dir"
+    if case == "non-UTF-8 config":
+        cfg_path.write_bytes(b"\xff\xfe{}")
+        out_path, message = tmp_path / "out.json", "codec can't decode"
     code = main(["spectral-report", "--config", str(cfg_path), "--out", str(out_path)])
     assert code == 2
-    assert not out_path.parent.exists()
+    assert not out_path.exists() and not (tmp_path / "missing_dir").exists()
     err = json.loads(capsys.readouterr().err.splitlines()[0])
-    assert err["error"] == "io" and "missing_dir" in err["message"]
+    assert err["error"] == "io" and message in err["message"]
 
 
 def test_render_record_handles_numpy_types():

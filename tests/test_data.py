@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -58,14 +59,23 @@ def test_csv_roundtrip(tmp_path_factory, d, m, n, seed):
 
 
 def test_csv_header_validated(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1.0,2.0,3.0\n")
-    with pytest.raises(ConfigError, match="bad.csv"):
-        read_csv(path)
-    path2 = tmp_path / "short.csv"
-    path2.write_text("x1,x2,y1\n1.0,2.0\n")
-    with pytest.raises(ConfigError, match="short.csv"):
-        read_csv(path2)
+    # a bad header, a short row, bytes that are not UTF-8 in the header or in
+    # a data row, and a header with no data rows: each a ConfigError naming
+    # the file, and none warns
+    cases = {
+        "bad.csv": (b"a,b,c\n1.0,2.0,3.0\n", "header"),
+        "short.csv": (b"x1,x2,y1\n1.0,2.0\n", "2 columns, but the header names 3"),
+        "latin1.csv": (b"\xff\xfex1,y1\n1.0,2.0\n", "header"),
+        "latin1-row.csv": (b"x1,y1\n1.0,2.0\n0.5,\xe9\n", "codec can't decode"),
+        "header-only.csv": (b"x1,y1\n", "the file has no data rows"),
+    }
+    for name, (content, message) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=re.escape(f"{path}: ") + ".*" + message):
+                read_csv(path)
 
 
 @pytest.mark.parametrize("header", ["x1,x3,y1", "y1,x1", "x1", "X1,y1", "x1, y1", "y1"])

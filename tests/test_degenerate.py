@@ -84,7 +84,7 @@ def test_fit_sketched_is_finite_or_typed(problem, family, rows, p, seed):
     x, y, kernel = problem
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # rows > n
-        sketch = make_p_sparsified(SketchSpec(s=rows, n=x.shape[0], p=p, seed=seed))
+        sketch = make_p_sparsified(SketchSpec(s=rows, n=x.shape[0], p=p, seed=seed)).matrix
     cfg = FitConfig(lambda_n=0.1, max_iters=15)
     _finite_or_typed(
         lambda: _fit_numbers(fit_sketched_on(kernel, x, y, _loss(family, y.shape[1]), cfg, sketch))
@@ -112,7 +112,7 @@ def test_spectrum_chain_is_finite_or_typed(problem, rows, p, seed):
 
     def chain():
         dec = eigendecompose_scaled_gram(g)
-        sketch = make_p_sparsified(SketchSpec(s=rows, n=n, p=p, seed=seed))
+        sketch = make_p_sparsified(SketchSpec(s=rows, n=n, p=p, seed=seed)).matrix
         report = check_satisfiability(sketch, dec, 3.0, sketched_gram(sketch, g)[1])
         assert 1 <= dec.d_n <= n
         return dec.mu, dec.delta_sq, dec.d_n, report.norm1, report.norm2

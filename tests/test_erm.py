@@ -19,7 +19,7 @@ from opbounds.erm import (
 from opbounds.errors import InputError, UnboundedLossError
 from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
 from opbounds.losses import LossSpec, loss_value
-from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
+from opbounds.sketching import SketchSpec, make_p_sparsified
 from opbounds.spectral import eigendecompose_scaled_gram, sketched_gram
 from oracles import (
     coefficient_norm, fit_full_on, fit_sketched_on, objective_sketched, predict, predict_at,
@@ -83,10 +83,10 @@ def test_huber_descends_from_zero(fit):
         model = fit_full_on(kernel, x, y, HUBER, cfg)
         at_zero = _Objective(g, g, kernel.output, y, HUBER, cfg.lambda_n)(np.zeros_like(y))[0]
     else:
-        sk = make_p_sparsified(SketchSpec(s=8, n=20, p=1.0, dist="gaussian", seed=2))
+        sk = make_p_sparsified(SketchSpec(s=8, n=20, p=1.0, dist="gaussian", seed=2)).matrix
         model = fit_sketched_on(kernel, x, y, HUBER, cfg, sk)
         at_zero = objective_sketched(
-            kernel, g, y, HUBER, cfg.lambda_n, sk.matrix, np.zeros((8, 2))
+            kernel, g, y, HUBER, cfg.lambda_n, sk, np.zeros((8, 2))
         )
     assert model.diagnostics.iterations >= 1
     assert model.diagnostics.objective <= at_zero
@@ -136,7 +136,7 @@ def test_objectives_match_row_by_row_reference(loss, seed, pd_output):
 def _fit_on(fit, kernel, x, y, loss, cfg):
     if fit == "full":
         return fit_full_on(kernel, x, y, loss, cfg)
-    sk = make_p_sparsified(SketchSpec(s=6, n=x.shape[0], p=1.0, dist="gaussian", seed=4))
+    sk = make_p_sparsified(SketchSpec(s=6, n=x.shape[0], p=1.0, dist="gaussian", seed=4)).matrix
     return fit_sketched_on(kernel, x, y, loss, cfg, sk)
 
 
@@ -294,20 +294,21 @@ def test_identity_sketch_equivalence(seed):
     kernel, x, y = make_problem(seed, n=10)
     cfg = FitConfig(lambda_n=0.08)
     n = x.shape[0]
-    identity = SketchMatrix(matrix=np.eye(n))
+    identity = np.eye(n)
     full = fit_full_on(kernel, x, y, SQUARED, cfg)
     sketched = fit_sketched_on(kernel, x, y, SQUARED, cfg, identity)
-    assert np.abs(predict_at(full, x, x) - predict_at(sketched, x, x)).max() <= 1e-8
+    gap = predict_at(full, kernel, x, x) - predict_at(sketched, kernel, x, x, identity)
+    assert np.abs(gap).max() <= 1e-8
 
 
 def test_sketched_monotone_descent_from_zero():
     kernel, x, y = make_problem(3, n=16)
     cfg = FitConfig(lambda_n=0.05, max_iters=60, step_size=0.5, tol=1e-9)
-    sk = make_p_sparsified(SketchSpec(s=6, n=16, p=1.0, dist="gaussian", seed=5))
+    sk = make_p_sparsified(SketchSpec(s=6, n=16, p=1.0, dist="gaussian", seed=5)).matrix
     model = fit_sketched_on(kernel, x, y, PINBALL, cfg, sk)
     g = gram_scalar(kernel.scalar, x)
     at_zero = objective_sketched(
-        kernel, g, y, PINBALL, cfg.lambda_n, sk.matrix, np.zeros((6, 2))
+        kernel, g, y, PINBALL, cfg.lambda_n, sk, np.zeros((6, 2))
     )
     assert model.diagnostics.objective <= at_zero
 
@@ -323,7 +324,7 @@ def test_quarter_sketch_risk_within_factor_two():
         ScalarKernelSpec("gaussian", 1.0, dimension=d), np.eye(m)
     )
     cfg = FitConfig(lambda_n=0.1)
-    sk = make_p_sparsified(SketchSpec(s=n // 4, n=n, p=1.0, dist="gaussian", seed=11))
+    sk = make_p_sparsified(SketchSpec(s=n // 4, n=n, p=1.0, dist="gaussian", seed=11)).matrix
     full = fit_full_on(kernel, x, y, SQUARED, cfg)
     sketched = fit_sketched_on(kernel, x, y, SQUARED, cfg, sk)
     r_full = empirical_risk(full.train_predictions, y, SQUARED)
@@ -338,12 +339,12 @@ def test_squared_sketched_fit_holds_three_s_by_s_arrays_at_its_peak():
     # would hold five)
     n, s, m = 600, 150, 3
     kernel, x, y = make_problem(4, n=n, m=m)
-    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=0.1, dist="rademacher", seed=4))
+    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=0.1, dist="rademacher", seed=4)).matrix
     products = sketched_gram(sk, gram_scalar(kernel.scalar, x))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        fit_sketched(kernel, y, SQUARED, FitConfig(lambda_n=0.01), sk, products)
+        fit_sketched(kernel, y, SQUARED, FitConfig(lambda_n=0.01), products)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -364,7 +365,7 @@ def test_ridge_shrinkage_monotone_in_lambda():
         kernel, x, y = make_problem(20 + seed)
         small = fit_full_on(kernel, x, y, SQUARED, FitConfig(lambda_n=0.03))
         large = fit_full_on(kernel, x, y, SQUARED, FitConfig(lambda_n=0.06))
-        assert coefficient_norm(large, x) <= coefficient_norm(small, x) + 1e-12
+        assert coefficient_norm(large, kernel, x) <= coefficient_norm(small, kernel, x) + 1e-12
 
 
 def test_singular_output_matrix_rejected():
@@ -418,20 +419,20 @@ def test_fits_on_the_training_gram_match_the_cross_gram(seed, n, s, loss):
     # hoisted sketched objective has the bits of the public objective
     kernel, x, y = make_problem(seed, n=n)
     cfg = FitConfig(lambda_n=0.05, max_iters=15, step_size=0.5, tol=1e-9)
-    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=1.0, dist="gaussian", seed=seed))
+    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=1.0, dist="gaussian", seed=seed)).matrix
     g = gram_scalar(kernel.scalar, x)
     full = fit_full_on(kernel, x, y, loss, cfg)
-    for model in (full, fit_sketched_on(kernel, x, y, loss, cfg, sk)):
-        want = predict(model, g)
-        risk = _row_by_row_mean(loss, predict_at(model, x, x), y)
+    for model, sketch in ((full, None), (fit_sketched_on(kernel, x, y, loss, cfg, sk), sk)):
+        want = predict(model, g, kernel.output, sketch)
+        risk = _row_by_row_mean(loss, predict_at(model, kernel, x, x, sketch), y)
         assert empirical_risk(want, y, loss) == risk
         terms = np.abs(model.coeffs)  # |G| |A| |M| or |G| |S^T| |Gamma| |M| bounds each term
-        if model.sketch is not None:
-            terms = np.abs(sk.matrix.T) @ terms
+        if sketch is not None:
+            terms = np.abs(sketch.T) @ terms
         scale = (np.abs(g) @ terms @ np.abs(kernel.output)).max()
         assert np.abs(model.train_predictions - want).max() <= 1e-13 * n * scale
     assert model.diagnostics.objective == objective_sketched(
-        kernel, g, y, loss, cfg.lambda_n, sk.matrix, model.coeffs
+        kernel, g, y, loss, cfg.lambda_n, sk, model.coeffs
     )
 
 
@@ -454,19 +455,20 @@ def test_squared_full_solve_matches_dense_eigh(seed, n, m, repeats, lambda_n):
 
 
 def test_supplied_gram_errors_are_typed():
-    # fit_sketched takes n from its sketch and solves on the products of
-    # another; fit_full takes n and its Gram from the spectrum and checks the
+    # fit_sketched takes n from G S^T and rejects an S G S^T of another
+    # sketch; fit_full takes n and its Gram from the spectrum and checks the
     # Gram for kappa (non-finite and mis-shaped products are cases of
     # tests/test_matrix_checks.py)
     kernel, x, y = make_problem(8, n=10)
     cfg = FitConfig(lambda_n=0.05)
-    sk = make_p_sparsified(SketchSpec(s=4, n=10, p=1.0, dist="gaussian", seed=1))
+    sk = make_p_sparsified(SketchSpec(s=4, n=10, p=1.0, dist="gaussian", seed=1)).matrix
     g = gram_scalar(kernel.scalar, x)
-    other = make_p_sparsified(SketchSpec(s=5, n=10, p=1.0, dist="gaussian", seed=1))
+    other = make_p_sparsified(SketchSpec(s=5, n=10, p=1.0, dist="gaussian", seed=1)).matrix
+    mixed = sketched_gram(sk, g)[0], sketched_gram(other, g)[1]
     with pytest.raises(InputError, match="sketched products"):
-        fit_sketched(kernel, y, SQUARED, cfg, sk, sketched_gram(other, g))
+        fit_sketched(kernel, y, SQUARED, cfg, mixed)
     with pytest.raises(InputError, match="targets shape"):
-        fit_sketched(kernel, y[:9], SQUARED, cfg, sk, sketched_gram(sk, g))
+        fit_sketched(kernel, y[:9], SQUARED, cfg, sketched_gram(sk, g))
     spectrum_cases = [
         (eigendecompose_scaled_gram(g[:9, :9]), "targets shape"),
         (eigendecompose_scaled_gram(2.0 * g), "kappa"),

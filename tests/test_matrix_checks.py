@@ -5,7 +5,7 @@ non-square and an empty matrix with a typed OpboundsError
 (``kernels.finite_matrix``); the sketched products (G S^T, S G S^T) that
 ``fit_sketched`` solves on and the S G S^T that ``check_satisfiability``
 reads are rejected with an InputError when non-finite or not of the shapes
-the sketch implies; the layer-weight functions take rectangular weights and
+of one sketch; the layer-weight functions take rectangular weights and
 reject non-finite or empty ones, and every entry point that takes labels
 rejects non-finite ones (``kernels.as_labels``).  Every PSD verdict goes
 through ``kernels.require_psd``, so each site accepts a smallest eigenvalue
@@ -38,7 +38,6 @@ from opbounds.kernels import (
 )
 from opbounds.koopman import ApproxMc, det_quarter_root, spectral_ratio_factor
 from opbounds.losses import LossSpec
-from opbounds.sketching import SketchMatrix
 from opbounds.spectral import _pencil_basis, check_satisfiability, eigendecompose_scaled_gram
 from oracles import fit_full_on, fit_sketched_on
 
@@ -105,18 +104,18 @@ def _fit_sketched(k_sk, sgs):
     """The squared sketched fit on two points with S = I, on the products."""
     return fit_sketched(
         DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), I2),
-        np.zeros((2, 2)), LossSpec("squared"), FitConfig(lambda_n=1.0), SketchMatrix(I2),
-        (k_sk, sgs),
+        np.zeros((2, 2)), LossSpec("squared"), FitConfig(lambda_n=1.0), (k_sk, sgs),
     )
 
 
 #: Each entry point that takes a sketched product, as a function of that
-#: product for the sketch S = I on two points, which implies a 2 x 2 one.
+#: product for the sketch S = I on two points: the other product, or S,
+#: implies a 2 x 2 one.
 SKETCHED_PRODUCTS = {
     "fit_sketched G S^T": lambda a: _fit_sketched(a, I2),
     "fit_sketched S G S^T": lambda a: _fit_sketched(I2, a),
     "check_satisfiability S G S^T": lambda a: check_satisfiability(
-        SketchMatrix(I2), eigendecompose_scaled_gram(I2), 1.0, a
+        I2, eigendecompose_scaled_gram(I2), 1.0, a
     ),
 }
 
@@ -190,7 +189,7 @@ LABEL_ENTRY_POINTS = {
     "fit_sketched": lambda y: fit_sketched_on(
         DecomposableKernel(ScalarKernelSpec("gaussian", 1.0, dimension=1), I2),
         np.zeros((2, 1)), y, LossSpec("pinball", quantiles=(0.5, 0.5)),
-        FitConfig(lambda_n=1.0, max_iters=2), SketchMatrix(I2),
+        FitConfig(lambda_n=1.0, max_iters=2), I2,
     ),
     "empirical_risk": lambda y: empirical_risk(np.zeros((2, 2)), y, LossSpec("squared")),
     "DeepObjective": lambda y: DeepObjective(_model(I2), np.zeros((2, 2)), y),

@@ -6,12 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opbounds.errors import InputError
-from opbounds.sketching import (
-    SketchMatrix,
-    SketchSpec,
-    make_p_sparsified,
-    satisfiability_constant,
-)
+from opbounds.sketching import SketchSpec, make_p_sparsified, satisfiability_constant
 from oracles import decompose_sketch, sketch_from_rows
 
 
@@ -84,14 +79,14 @@ def test_invalid_specs():
 
 def test_decompose_identity_when_p_one():
     sk = make_p_sparsified(SketchSpec(s=6, n=12, p=1.0, dist="rademacher", seed=5))
-    sub_gaussian, subsample, _ = decompose_sketch(sk)
+    sub_gaussian, subsample, _ = decompose_sketch(sk.matrix)
     assert np.array_equal(subsample, np.eye(12))
     assert np.array_equal(sub_gaussian @ subsample, sk.matrix)
 
 
 def test_decompose_drops_zero_columns():
     dense = np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 0.0]])
-    sub_gaussian, subsample, retained = decompose_sketch(SketchMatrix(matrix=dense))
+    sub_gaussian, subsample, retained = decompose_sketch(dense)
     assert list(retained) == [0, 2]
     assert sub_gaussian.shape == (2, 2)
     assert np.array_equal(sub_gaussian @ subsample, dense)
@@ -105,7 +100,7 @@ def test_decompose_reconstruction_exact(seed):
     p = float(rng.uniform(0.03, 1.0))
     dist = "gaussian" if seed % 2 else "rademacher"
     sk = make_p_sparsified(SketchSpec(s=s, n=n, p=p, dist=dist, seed=seed))
-    sub_gaussian, subsample, _ = decompose_sketch(sk)
+    sub_gaussian, subsample, _ = decompose_sketch(sk.matrix)
     assert np.array_equal(sub_gaussian @ subsample, sk.matrix)
     assert np.all((sub_gaussian != 0.0).any(axis=0))
     if dist == "rademacher":

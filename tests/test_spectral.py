@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from opbounds import spectral
 from opbounds.errors import DegenerateInputError, InputError, NotPsdError, NumericError
 from opbounds.kernels import PSD_TOL, require_psd, require_psd_cholesky
-from opbounds.sketching import SketchMatrix, SketchSpec, make_p_sparsified
+from opbounds.sketching import SketchSpec, make_p_sparsified
 from opbounds.spectral import (
     LANCZOS_START,
     N_DENSE,
@@ -25,6 +25,7 @@ from opbounds.spectral import (
     statistical_dimension,
 )
 from oracles import (
+    bisect_critical_radius,
     dense_critical_radius,
     dense_ridge_solve,
     pencil_max,
@@ -278,7 +279,7 @@ def _satisfiability(sk, dec, c):
 
 def test_satisfiability_identity_sketch():
     dec = _spectral_setup(0)
-    sk = SketchMatrix(matrix=np.eye(dec.size))
+    sk = np.eye(dec.size)
     rep = _satisfiability(sk, dec, c=1.0)
     assert rep.norm1 <= 1e-10
     # tail norm is sqrt(mu_{d_n+1}) <= delta_n because mu_{d_n} <= delta_n^2
@@ -288,7 +289,7 @@ def test_satisfiability_identity_sketch():
 
 def test_satisfiability_zero_sketch():
     dec = _spectral_setup(1)
-    sk = SketchMatrix(matrix=np.zeros((4, dec.size)))
+    sk = np.zeros((4, dec.size))
     rep = _satisfiability(sk, dec, c=10.0)
     assert rep.norm1 == pytest.approx(1.0)
     assert not rep.satisfiable
@@ -297,7 +298,7 @@ def test_satisfiability_zero_sketch():
 def test_satisfiability_verdict_is_pure_function():
     dec = _spectral_setup(2)
     n = dec.size
-    sk = make_p_sparsified(SketchSpec(s=n, n=n, p=1.0, seed=0))
+    sk = make_p_sparsified(SketchSpec(s=n, n=n, p=1.0, seed=0)).matrix
     rep = _satisfiability(sk, dec, c=5.0)
     expected = rep.norm1 <= 0.5 and rep.norm2 <= 5.0 * np.sqrt(dec.delta_sq)
     assert rep.satisfiable == expected
@@ -326,7 +327,7 @@ def test_satisfiability_dn_equals_n():
     g = 4.0 * n * np.eye(n)  # mu = 4 each; delta^2 = 2 < 4 -> d_n = n
     dec = eigendecompose_scaled_gram(g)
     assert dec.d_n == n
-    rep = _satisfiability(SketchMatrix(matrix=np.eye(n)), dec, c=1.0)
+    rep = _satisfiability(np.eye(n), dec, c=1.0)
     assert rep.norm2 == 0.0
     assert rep.satisfiable
 
@@ -339,9 +340,9 @@ def _check_report_against_dense(g, sk, c):
     dec = eigendecompose_scaled_gram(g)
     d_sq, d_n = dec.delta_sq, dec.d_n
     rep = _satisfiability(sk, dec, c)
-    norm1, norm2 = satisfiability_norms(sk.matrix, g, n, d_n)
+    norm1, norm2 = satisfiability_norms(sk, g, n, d_n)
     mu = dec.mu
-    s_sq = max(float(np.linalg.norm(sk.matrix, 2)) ** 2, 1.0)
+    s_sq = max(float(np.linalg.norm(sk, 2)) ** 2, 1.0)
     tol1 = 1e-8 * s_sq
     tol2_sq = 1e-8 * s_sq * max(mu[0], 1e-300)
     if d_n == n or mu[d_n - 1] - mu[d_n] > _GAP * mu[0]:
@@ -365,7 +366,7 @@ def _check_report_against_dense(g, sk, c):
 )
 def test_satisfiability_matches_full_eigenvectors(g, s, p, seed):
     n = g.shape[0]
-    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=p, dist="gaussian", seed=seed))
+    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=p, dist="gaussian", seed=seed)).matrix
     _check_report_against_dense(g, sk, c=2.0)
 
 
@@ -392,7 +393,7 @@ def test_decomposition_degenerate_inputs(case):
     n = g.shape[0]
     dec = _check_against_dense_eigh(g)
     s = n + 7 if case == "s>n" else max(n // 2, 1)
-    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=1.0, dist="gaussian", seed=3))
+    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=1.0, dist="gaussian", seed=3)).matrix
     rep = _check_report_against_dense(g, sk, c=2.0)
     assert (rep.d_n == n) == (case in ("n=1", "near-identity"))
     # one ridge solve per column scale, against the dense solve
@@ -432,18 +433,18 @@ def small_grams(draw):
 def _check_against_dense_reference(g):
     """delta_n^2 and d_n of the decomposition equal those of the whole
     spectrum, and its ridge solves agree with dense ones within 1e-10.  The
-    bisection brackets delta in [0, max(1, sqrt(mu_1))], so delta_n^2 is
-    bit-equal where mu_1 <= 1 (every Gram of a kernel with kappa = 1) and
-    carries the last bits of the eigensolver's mu_1 elsewhere."""
+    bisection on the decomposition's own eigenvalues and tail gives the bits
+    of delta_n^2; the one on the independent ``eigvalsh`` spectrum agrees to
+    1e-14 relative, as the two spectra differ by round-off, and with them
+    the bisection's bracket [0, max(1, sqrt(mu_1))] where mu_1 is near 1."""
     n = g.shape[0]
     dec = eigendecompose_scaled_gram(g)
     delta_sq = dec.delta_sq
     want_sq, want_dn = dense_critical_radius(g)
     assert dec.d_n == want_dn
-    if dec.mu[0] <= 1.0:
-        assert delta_sq == want_sq
-    else:
-        assert delta_sq == pytest.approx(want_sq, rel=1e-14)
+    tail = max(float(np.trace(g)) / n - float(dec.mu.sum()), 0.0) if dec.vals.size < n else 0.0
+    assert delta_sq == bisect_critical_radius(dec.mu, n, tail)
+    assert delta_sq == pytest.approx(want_sq, rel=1e-14)
     rhs = np.random.default_rng(n).standard_normal((n, 3))
     scales, shift = [0.5, 1.0, 2.0], 0.1 * n
     got, _ = dec.ridge_solve(scales, shift, rhs)
@@ -534,7 +535,7 @@ def test_lanczos_decomposition_matches_dense_reference(kind, n, monkeypatch):
     # the squared fit's ridge systems take CG on the complement
     _, iterations = dec.ridge_solve([1.0], 0.5 * n * 0.01, np.ones((n, 1)))
     assert 0 < iterations < n
-    sk = make_p_sparsified(SketchSpec(s=40, n=n, p=0.5, dist="rademacher", seed=1))
+    sk = make_p_sparsified(SketchSpec(s=40, n=n, p=0.5, dist="rademacher", seed=1)).matrix
     _check_report_against_dense(g, sk, c=2.0)
 
 
