@@ -50,7 +50,10 @@ need not descend, and ``train`` stops as it does when no trial step passes
 the Armijo test.  The gradient's rho is the one that ``pf_norm`` computed
 with ``eigvalsh``, and its eigenvector comes from one inverse iteration
 shifted at that rho, so the whitened G_top is decomposed once per point;
-``eigh`` runs only when inverse iteration gives no vector.
+``eigh`` runs only when inverse iteration gives no vector.  These pencil
+routines (``_pencil_basis``, ``_whiten``, ``_top_eigenvalue``,
+``_rayleigh_floor`` and ``_top_eigenvector``) live here, with the objective
+that is their one user.
 
 The Perron-Frobenius bound of a model is pf_norm * top_norm * trace_root, with
 trace_root = sqrt(kappa_1 Tr M_1 / n) the ``complexity.trace_bound`` of the
@@ -63,13 +66,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from ._rng import substream
 from .complexity import trace_bound
-from .errors import InputError, NumericError, RefinementOrderError
+from .errors import DegenerateInputError, InputError, NumericError, RefinementOrderError
 from .kernels import (
     KernelExpansion,
     ScalarKernelSpec,
@@ -82,18 +85,116 @@ from .kernels import (
     make_output_matrix,
     require_psd,
 )
-from .spectral import (
-    _pencil_basis,
-    _rayleigh_floor,
-    _top_eigenpair,
-    _top_eigenvalue,
-    _top_eigenvector,
-    _whiten,
-)
 
 _FD_STEP = 1e-5
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-14
+
+
+#: Relative eigenvalue threshold below which pencil directions count as null.
+PENCIL_NULL_TOL = 1e-12
+
+
+def _pencil_basis(g_bottom: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse root B of G_bottom on its range (B^T G_bottom B = I), the
+    whitening basis of the pencil; raises when G_bottom is zero or not PSD."""
+    vals, vecs = np.linalg.eigh(0.5 * (g_bottom + g_bottom.T))
+    lam_max = vals[-1]
+    if lam_max <= 0.0:
+        raise DegenerateInputError("pencil bottom matrix is identically zero")
+    require_psd(vals, "pencil bottom matrix")
+    keep = vals > PENCIL_NULL_TOL * lam_max
+    return vecs[:, keep] / np.sqrt(vals[keep])[None, :]
+
+
+def _whiten(g_top: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Symmetrized B^T G_top B on a whitening basis B from _pencil_basis: the
+    symmetric matrix whose top eigenvalue is the pencil's rho."""
+    whitened = basis.T @ g_top @ basis
+    sym = whitened + whitened.T
+    sym *= 0.5  # in place: two k x k arrays at once, not three
+    return sym
+
+
+def _top_eigenvalue(s: np.ndarray) -> float:
+    """rho of a whitened top matrix S from _whiten: the largest of its
+    ``eigvalsh`` eigenvalues, clipped at 0."""
+    w_vals = np.linalg.eigvalsh(s)
+    return float(max(w_vals[-1], 0.0)) if w_vals.size else 0.0
+
+
+#: Slack, relative to ||S||_F, taken off a Rayleigh quotient of S so that it
+#: stays below the computed top eigenvalue; the rounding errors of both are
+#: ~1e-15 relative.
+_RAYLEIGH_SLACK = 1e-9
+
+
+def _rayleigh_floor(s: np.ndarray, w: np.ndarray) -> float:
+    """Lower bound on rho = _top_eigenvalue(s) from a unit vector w: the
+    Rayleigh quotient w^T S w, at most the top eigenvalue (Courant-Fischer),
+    less _RAYLEIGH_SLACK * ||S||_F; NaN when S is not finite."""
+    return float(w @ s @ w) - _RAYLEIGH_SLACK * float(np.linalg.norm(s))
+
+
+#: Residual, relative to ||S||_F, at which ``_top_eigenvector`` accepts an
+#: iterate: about 450 u (u = 2^-53), where one LU solve leaves a few k u.
+_EIGVEC_RESIDUAL = 1e-13
+
+#: Solves that ``_top_eigenvector`` makes before it gives up.
+_EIGVEC_SOLVES = 3
+
+
+@cache
+def _start_vector(k: int) -> np.ndarray:
+    """The seeded unit vector of R^k that inverse iteration starts from,
+    random as in ``spectral._lanczos`` (so orthogonal to no eigenvector);
+    read-only, since it is cached."""
+    v = np.random.default_rng(0).standard_normal(k)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
+
+
+def _top_eigenvector(s: np.ndarray, rho: float) -> np.ndarray | None:
+    """Unit eigenvector of the symmetric k x k S for its top eigenvalue
+    rho = ``_top_eigenvalue(s)``, by inverse iteration at that known
+    eigenvalue (Parlett 1998, *The Symmetric Eigenvalue Problem*, ch. 4;
+    LAPACK's ``dstein``): v <- (S - sigma I)^-1 v, normalized, from
+    ``_start_vector(k)``, until ||(S - sigma I) v|| <= ``_EIGVEC_RESIDUAL``
+    ||S||_F, at most ``_EIGVEC_SOLVES`` solves.  The shift sigma is rho,
+    moved up by u ||S||_F after each solve that LU finds exactly singular
+    (rho is then an eigenvalue of the rounded S; ``dstein`` perturbs such
+    pivots).  The start is fixed, so v is a function of S alone.  None when
+    k = 1, rho is not positive, an iterate is zero or not finite, or none
+    meets the bound: the caller then takes the top column of ``eigh``.
+
+    The solve is nearly singular, which is what makes it work: its solution
+    is dominated by the top eigenvector, and one solve usually meets the
+    bound.  S is shifted in place and its diagonal restored on return, so no
+    k x k array is formed."""
+    k = s.shape[0]
+    if k < 2 or not rho > 0:
+        return None
+    norm = float(np.linalg.norm(s))
+    diag = s.diagonal().copy()
+    s.flat[:: k + 1] -= rho
+    try:
+        v = _start_vector(k)
+        for _ in range(_EIGVEC_SOLVES):
+            try:
+                v = np.linalg.solve(s, v)
+            except np.linalg.LinAlgError:
+                s.flat[:: k + 1] -= 2.0**-53 * norm
+                continue
+            size = float(np.linalg.norm(v))
+            if not (np.isfinite(size) and size > 0.0):
+                return None
+            v /= size
+            if float(np.linalg.norm(s @ v)) <= _EIGVEC_RESIDUAL * norm:
+                return v
+        return None
+    finally:
+        s.flat[:: k + 1] = diag
 
 
 @dataclass(frozen=True)
@@ -241,8 +342,8 @@ class DeepObjective:
     first layer's cross Gram and last layer's anchor Gram assembled once per
     objective, on first use.  ``forward_passes`` counts the ``forward``
     calls, and ``eigh_fallbacks`` the analytic gradients whose top whitened
-    eigenvector came from ``eigh`` (``spectral._top_eigenpair``) because
-    inverse iteration (``spectral._top_eigenvector``) gave none."""
+    eigenvector came from ``eigh`` because inverse iteration
+    (``_top_eigenvector``) gave none."""
 
     def __init__(self, model: LayeredModel, xs, ys):
         self.x = as_points(xs, model.input_dim)
@@ -339,7 +440,7 @@ class DeepObjective:
         vector ``w`` (the top whitened eigenvector at the current point, set by
         the analytic gradient only when lambda1 > 0), that bound is the
         Rayleigh quotient of the whitened G_top S at w less a slack for
-        rounding (``spectral._rayleigh_floor``); a NaN bound decides nothing.
+        rounding (``_rayleigh_floor``); a NaN bound decides nothing.
         data and top_term are those of ``terms(fwd, 0, lambda2)``, and S is
         the pass's ``s`` (``_whitened``), which the norm and, once the pass is
         accepted, the gradient read.  When neither bound decides, the
@@ -389,9 +490,9 @@ class DeepObjective:
         eigenvector (a subgradient where rho is repeated; see the module
         docstring).  It reads the pass's whitened G_top ``s``; rho is
         ``pf_norm``'s, so it is the objective's, and the eigenvector comes
-        from one inverse iteration shifted at rho
-        (``spectral._top_eigenvector``), or from ``eigh`` with its own rho
-        when that gives none (counted in ``eigh_fallbacks``).  The
+        from one inverse iteration shifted at rho (``_top_eigenvector``), or
+        from the top column of ``eigh`` when that gives none (counted in
+        ``eigh_fallbacks``).  The
         "finite-diff" mode takes central differences, step
         1e-5 * (1 + |parameter|), two forward passes per coefficient.
         """
@@ -414,10 +515,9 @@ class DeepObjective:
             rho, w = fwd.rho, _top_eigenvector(s, fwd.rho)
             if w is None:
                 self.eigh_fallbacks += 1
-                rho, a_vec, w = _top_eigenpair(s, basis)
-            else:  # a vector comes only with k >= 2 and rho > 0
-                a_vec = basis @ w
+                w = np.linalg.eigh(s)[1][:, -1].copy()  # the copy frees the k x k vectors
             fwd.w = w
+            a_vec = basis @ w
             if rho > 0:
                 t_mat = np.outer(a_vec, a_vec) * probe_bilinear * fwd.k_top
                 gamma_l = model.layers[-1].kernel.bandwidth

@@ -268,6 +268,8 @@ class ApproxMc:
         self.coeff_g = (g_mid @ coeffs @ out).reshape(coeff_mat.shape)
         self.products = (self.coeff_g,)
         self.norms_sq = _quad_forms(coeff_mat, g_mid, out)
+        if not (np.all(np.isfinite(self.coeff_g)) and np.all(np.isfinite(self.norms_sq))):
+            raise NumericError("surrogate Gram products or norms overflow to non-finite values")
         # beta_h for every h in the class
         self.norms = np.sqrt(np.maximum(self.norms_sq, 0.0))
         self.q_floor = self.width * np.finfo(float).eps * np.trace(g_mid) * np.trace(out)

@@ -103,9 +103,13 @@ def loss_value(spec: LossSpec, z, y) -> float | np.ndarray:
     A row of shape (m,) gives a float; a batch of shape (..., m) gives the
     array of per-row losses, of shape (...).  Shapes must match, and a
     pinball loss needs ``shape[-1]`` equal to its number of quantiles; its
-    coordinate j fits the (1 - quantiles[j]) conditional quantile.
+    coordinate j fits the (1 - quantiles[j]) conditional quantile.  A
+    non-finite residual z - y raises InputError.
     """
-    return _residual_loss(spec, _residual(spec, z, y))
+    u = _residual(spec, z, y)
+    if not np.all(np.isfinite(u)):
+        raise InputError("predictions or targets give a non-finite residual")
+    return _residual_loss(spec, u)
 
 
 def loss_subgradient(spec: LossSpec, z, y) -> np.ndarray:

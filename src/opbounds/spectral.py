@@ -1,9 +1,6 @@
 """Spectra of scaled Gram matrices: critical radius, statistical dimension,
-sketch satisfiability, and the whitening of a symmetric pencil on which the
-deep objective evaluates its transfer-product norm.  The whitened pencil's
-top eigenvalue rho comes from one ``eigvalsh``; its top eigenvector, which
-the deep gradient needs, from inverse iteration shifted at rho
-(``_top_eigenvector``), with ``eigh`` only where that gives none.
+the sketched products with a Gram, and sketch satisfiability.  The Gram
+pencil of the deep objective is whitened and solved in ``deepvv``.
 
 The critical radius delta_n^2 is the minimal delta^2 >= 0 with
 
@@ -41,12 +38,12 @@ decides, from ``kernels.gram_error_bound``, whether that verdict must run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from ._blas import _symmetric_rows
-from .errors import DegenerateInputError, InputError, NumericError
+from .errors import InputError, NumericError
 from .kernels import (
     PSD_TOL, ScalarKernelSpec, _finite_range, finite_matrix, gram_error_bound, gram_scalar,
     require_psd, require_psd_cholesky,
@@ -352,7 +349,9 @@ def sketched_gram(s: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     which ``sketch-regress`` forms once for both.  G is symmetric, so G S^T
     is returned as the transpose view of S G, the one s x n x n GEMM, whose
     left operand S is row-major (9.6 against 12.9 ms for G @ S^T at
-    n = 1,500 and s = 150 on one OpenBLAS thread); S G S^T is (S G) S^T."""
+    n = 1,500 and s = 150 on one OpenBLAS thread); S G S^T is (S G) S^T.
+    S must be a finite matrix of n columns."""
+    s = finite_matrix(s, "sketch", square=False)
     if s.shape[1] != g.shape[0]:
         raise InputError(f"sketch has {s.shape[1]} columns, Gram has {g.shape[0]} points")
     sg = s @ g
@@ -371,8 +370,10 @@ def check_satisfiability(
     vectors U2 are never formed: ``S U2 D2 U2^T S^T`` is
     ``S (G_k / n) S^T - (S U1) D1 (S U1)^T``, whose cancellation costs about
     n * eps relative since delta_n^2 is at least of order 1/n.  ``sgs`` is
-    S G_k S^T from :func:`sketched_gram`, checked to be a finite s x s matrix.
+    S G_k S^T from :func:`sketched_gram`, checked to be a finite s x s matrix,
+    and S is checked to be a finite matrix of n columns.
     """
+    s = finite_matrix(s, "sketch", square=False)
     n, d_n, delta_sq = dec.size, dec.d_n, dec.delta_sq
     if s.shape[1] != n:
         raise InputError(f"sketch has {s.shape[1]} columns, Gram has {n} points")
@@ -396,118 +397,3 @@ def check_satisfiability(
         c_used=float(c),
         satisfiable=bool(ok),
     )
-
-
-#: Relative eigenvalue threshold below which pencil directions count as null.
-PENCIL_NULL_TOL = 1e-12
-
-
-def _pencil_basis(g_bottom: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse root B of G_bottom on its range (B^T G_bottom B = I), the
-    whitening basis of the pencil; raises when G_bottom is zero or not PSD."""
-    vals, vecs = np.linalg.eigh(0.5 * (g_bottom + g_bottom.T))
-    lam_max = vals[-1]
-    if lam_max <= 0.0:
-        raise DegenerateInputError("pencil bottom matrix is identically zero")
-    require_psd(vals, "pencil bottom matrix")
-    keep = vals > PENCIL_NULL_TOL * lam_max
-    return vecs[:, keep] / np.sqrt(vals[keep])[None, :]
-
-
-def _whiten(g_top: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Symmetrized B^T G_top B on a whitening basis B from _pencil_basis: the
-    symmetric matrix whose top eigenvalue is the pencil's rho."""
-    whitened = basis.T @ g_top @ basis
-    sym = whitened + whitened.T
-    sym *= 0.5  # in place: two k x k arrays at once, not three
-    return sym
-
-
-def _top_eigenvalue(s: np.ndarray) -> float:
-    """rho of a whitened top matrix S from _whiten: the largest of its
-    ``eigvalsh`` eigenvalues, clipped at 0."""
-    w_vals = np.linalg.eigvalsh(s)
-    return float(max(w_vals[-1], 0.0)) if w_vals.size else 0.0
-
-
-#: Slack, relative to ||S||_F, taken off a Rayleigh quotient of S so that it
-#: stays below the computed top eigenvalue; the rounding errors of both are
-#: ~1e-15 relative.
-_RAYLEIGH_SLACK = 1e-9
-
-
-def _rayleigh_floor(s: np.ndarray, w: np.ndarray) -> float:
-    """Lower bound on rho = _top_eigenvalue(s) from a unit vector w: the
-    Rayleigh quotient w^T S w, at most the top eigenvalue (Courant-Fischer),
-    less _RAYLEIGH_SLACK * ||S||_F; NaN when S is not finite."""
-    return float(w @ s @ w) - _RAYLEIGH_SLACK * float(np.linalg.norm(s))
-
-
-def _top_eigenpair(s: np.ndarray, basis: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """rho of S = _whiten(G_top, basis) from ``eigh``, the maximizing vector
-    a = B w (with a^T G_bottom a = 1) and the top unit eigenvector w of S.
-    w is a copy, so the eigenvector matrix is freed; a is computed from its
-    column, whose layout sets a's last bits."""
-    w_vals, w_vecs = np.linalg.eigh(s)
-    return float(max(w_vals[-1], 0.0)), basis @ w_vecs[:, -1], w_vecs[:, -1].copy()
-
-
-#: Residual, relative to ||S||_F, at which ``_top_eigenvector`` accepts an
-#: iterate: about 450 u (u = 2^-53), where one LU solve leaves a few k u.
-_EIGVEC_RESIDUAL = 1e-13
-
-#: Solves that ``_top_eigenvector`` makes before it gives up.
-_EIGVEC_SOLVES = 3
-
-
-@cache
-def _start_vector(k: int) -> np.ndarray:
-    """The seeded unit vector of R^k that inverse iteration starts from,
-    random as in ``_lanczos`` (so orthogonal to no eigenvector); read-only,
-    since it is cached."""
-    v = np.random.default_rng(0).standard_normal(k)
-    v /= np.linalg.norm(v)
-    v.flags.writeable = False
-    return v
-
-
-def _top_eigenvector(s: np.ndarray, rho: float) -> np.ndarray | None:
-    """Unit eigenvector of the symmetric k x k S for its top eigenvalue
-    rho = ``_top_eigenvalue(s)``, by inverse iteration at that known
-    eigenvalue (Parlett 1998, *The Symmetric Eigenvalue Problem*, ch. 4;
-    LAPACK's ``dstein``): v <- (S - sigma I)^-1 v, normalized, from
-    ``_start_vector(k)``, until ||(S - sigma I) v|| <= ``_EIGVEC_RESIDUAL``
-    ||S||_F, at most ``_EIGVEC_SOLVES`` solves.  The shift sigma is rho,
-    moved up by u ||S||_F after each solve that LU finds exactly singular
-    (rho is then an eigenvalue of the rounded S; ``dstein`` perturbs such
-    pivots).  The start is fixed, so v is a function of S alone.  None when
-    k = 1, rho is not positive, an iterate is zero or not finite, or none
-    meets the bound: the caller then takes ``_top_eigenpair``.
-
-    The solve is nearly singular, which is what makes it work: its solution
-    is dominated by the top eigenvector, and one solve usually meets the
-    bound.  S is shifted in place and its diagonal restored on return, so no
-    k x k array is formed."""
-    k = s.shape[0]
-    if k < 2 or not rho > 0:
-        return None
-    norm = float(np.linalg.norm(s))
-    diag = s.diagonal().copy()
-    s.flat[:: k + 1] -= rho
-    try:
-        v = _start_vector(k)
-        for _ in range(_EIGVEC_SOLVES):
-            try:
-                v = np.linalg.solve(s, v)
-            except np.linalg.LinAlgError:
-                s.flat[:: k + 1] -= 2.0**-53 * norm
-                continue
-            size = float(np.linalg.norm(v))
-            if not (np.isfinite(size) and size > 0.0):
-                return None
-            v /= size
-            if float(np.linalg.norm(s @ v)) <= _EIGVEC_RESIDUAL * norm:
-                return v
-        return None
-    finally:
-        s.flat[:: k + 1] = diag

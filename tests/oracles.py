@@ -30,7 +30,7 @@ from scipy.special import gamma, kv
 
 from opbounds._rng import rademacher, substream
 from opbounds.complexity import _BLOCK, BallMc, ClassMc
-from opbounds.deepvv import _ARMIJO, _MIN_STEP, TrainResult
+from opbounds.deepvv import _ARMIJO, _MIN_STEP, TrainResult, _pencil_basis, _top_eigenvalue, _whiten
 from opbounds.erm import _Objective, fit_full, fit_sketched
 from opbounds.errors import InputError, NumericError
 from opbounds.kernels import (
@@ -43,9 +43,7 @@ from opbounds.kernels import (
     require_psd,
 )
 from opbounds.koopman import _factor_product
-from opbounds.spectral import (
-    LANCZOS_START, _pencil_basis, _top_eigenvalue, _whiten, kernel_spectrum, sketched_gram,
-)
+from opbounds.spectral import LANCZOS_START, kernel_spectrum, sketched_gram
 
 
 def eval_scalar(spec, x, x_prime) -> float:

@@ -402,6 +402,11 @@ def test_empirical_risk_cases():
     for preds in (np.zeros(12), np.zeros((11, 2)), np.zeros((12, 1))):
         with pytest.raises(InputError, match="vs targets"):
             empirical_risk(preds, y, SQUARED)
+    # a NaN or infinite prediction has no loss
+    for bad in (math.nan, math.inf, -math.inf):
+        for loss in (SQUARED, HUBER, PINBALL):
+            with pytest.raises(InputError, match="non-finite residual"):
+                empirical_risk(np.array([[bad, 0.0]]), [[0.0, 0.0]], loss)
 
 
 @pytest.mark.filterwarnings("ignore:sketch has more rows")

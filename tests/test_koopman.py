@@ -801,6 +801,8 @@ BAD_STACKS = {
     "wrong n": (np.zeros((2, 9, 2)), InputError, "stack"),
     "wrong m": (np.zeros((2, 10, 3)), InputError, "stack"),
     "non-finite": (np.full((2, 10, 2), np.nan), NumericError, "non-finite"),
+    # finite coefficients whose squared RKHS norms overflow
+    "overflowing": (np.full((2, 10, 2), 1e200), NumericError, "non-finite"),
 }
 
 

@@ -145,6 +145,13 @@ def test_batch_dimension_validation():
     for fn in (loss_value, loss_subgradient):
         with pytest.raises(InputError, match="quantiles"):
             fn(PINBALL_2, wide, wide)
+    # a NaN or infinite prediction or target is no loss of any family
+    for spec in (SQUARED, HUBER, PINBALL_2):
+        for bad in (math.nan, math.inf, -math.inf):
+            row = np.array([[bad, 0.0]])
+            for z, y in ((row, np.zeros((1, 2))), (np.zeros((1, 2)), row), (row[0], np.zeros(2))):
+                with pytest.raises(InputError, match="non-finite residual"):
+                    loss_value(spec, z, y)
 
 
 @st.composite

@@ -5,9 +5,10 @@ non-square and an empty matrix with a typed OpboundsError
 (``kernels.finite_matrix``); the sketched products (G S^T, S G S^T) that
 ``fit_sketched`` solves on and the S G S^T that ``check_satisfiability``
 reads are rejected with an InputError when non-finite or not of the shapes
-of one sketch; the layer-weight functions take rectangular weights and
-reject non-finite or empty ones, and every entry point that takes labels
-rejects non-finite ones (``kernels.as_labels``).  Every PSD verdict goes
+of one sketch, and so is a sketch S that is non-finite, empty, not a matrix
+or not of one column per Gram point; the layer-weight functions take
+rectangular weights and reject non-finite or empty ones, and every entry
+point that takes labels rejects non-finite ones (``kernels.as_labels``).  Every PSD verdict goes
 through ``kernels.require_psd``, so each site accepts a smallest eigenvalue
 at 0.9 times its tolerance ``PSD_TOL * max(|lambda_max|, 1)`` and rejects
 one at 1.1 times it.  The one exception is the spectrum of a Gram of more than
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 
 from opbounds.complexity import BallMc
-from opbounds.deepvv import DeepObjective, LayeredModel, refine_kernel
+from opbounds.deepvv import DeepObjective, LayeredModel, _pencil_basis, refine_kernel
 from opbounds.erm import FitConfig, empirical_risk, fit_sketched
 from opbounds.errors import InputError, NotPsdError, OpboundsError, RefinementOrderError
 from opbounds.kernels import (
@@ -38,7 +39,7 @@ from opbounds.kernels import (
 )
 from opbounds.koopman import ApproxMc, det_quarter_root, spectral_ratio_factor
 from opbounds.losses import LossSpec
-from opbounds.spectral import _pencil_basis, check_satisfiability, eigendecompose_scaled_gram
+from opbounds.spectral import check_satisfiability, eigendecompose_scaled_gram, sketched_gram
 from oracles import fit_full_on, fit_sketched_on
 
 I2 = np.eye(2)
@@ -131,6 +132,28 @@ def test_sketched_product_entry_points_reject_bad_products(entry, bad):
     call(I2)
     with pytest.raises(InputError):
         call(np.asarray(BAD_PRODUCTS[bad]))
+
+
+#: Each entry point that takes a sketch S, as a function of S, for a Gram of
+#: two points; S G S^T is the 3 x 3 identity, of the shape of a 3-row S.
+SKETCH_ENTRY_POINTS = {
+    "sketched_gram": lambda s: sketched_gram(s, I2),
+    "check_satisfiability": lambda s: check_satisfiability(
+        s, eigendecompose_scaled_gram(I2), 1.0, np.eye(3)
+    ),
+}
+
+#: A sketch is a finite nonempty matrix with a column per Gram point.
+BAD_SKETCHES = {**BAD_WEIGHTS, "1-D": np.ones(2), "3 columns": np.ones((3, 3))}
+
+
+@pytest.mark.parametrize("bad", BAD_SKETCHES)
+@pytest.mark.parametrize("entry", SKETCH_ENTRY_POINTS)
+def test_sketch_entry_points_reject_bad_sketches(entry, bad):
+    call = SKETCH_ENTRY_POINTS[entry]
+    call(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]))
+    with pytest.raises(InputError):
+        call(np.asarray(BAD_SKETCHES[bad]))
 
 
 @pytest.mark.parametrize("bad", BAD_WEIGHTS)

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -7,16 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opbounds import spectral
-from opbounds.errors import DegenerateInputError, InputError, NotPsdError, NumericError
+from opbounds.errors import InputError, NotPsdError
 from opbounds.kernels import PSD_TOL, require_psd, require_psd_cholesky
 from opbounds.sketching import SketchSpec, make_p_sparsified
 from opbounds.spectral import (
     LANCZOS_START,
     N_DENSE,
-    PENCIL_NULL_TOL,
-    _pencil_basis,
-    _top_eigenpair,
-    _whiten,
     check_satisfiability,
     critical_radius,
     eigendecompose_scaled_gram,
@@ -28,7 +23,6 @@ from oracles import (
     bisect_critical_radius,
     dense_critical_radius,
     dense_ridge_solve,
-    pencil_max,
     psi_value,
     ridge_solve_top_deflated,
     satisfiability_norms,
@@ -788,212 +782,3 @@ def test_library_fit_pays_the_verdict_only_for_an_uncertified_gram(nu, verdicts,
     fit_full(kernel, y, LossSpec("squared"), FitConfig(lambda_n=0.01),
              kernel_spectrum(spec, x, LANCZOS_START))
     assert len(calls) == verdicts
-
-
-# --- pencil ------------------------------------------------------------------
-
-def test_pencil_trivial_cases():
-    rng = np.random.default_rng(5)
-    g = random_psd(5, rng, jitter=0.1)
-    assert pencil_max(g, g) == pytest.approx(1.0, abs=1e-12)
-    assert pencil_max(4.0 * g, g) == pytest.approx(4.0, rel=1e-12)
-
-
-def rayleigh_oracle(g_top, g_bottom, n_samples, rng, refine_iters=200):
-    """Sampled Rayleigh quotients plus an independently refined supremum via
-    inverse power iteration on the pencil."""
-    k = g_top.shape[0]
-    vecs = rng.standard_normal((n_samples, k))
-    num = np.einsum("ij,jk,ik->i", vecs, g_top, vecs)
-    den = np.einsum("ij,jk,ik->i", vecs, g_bottom, vecs)
-    quotients = num / den
-    a = vecs[np.argmax(quotients)]
-    for _ in range(refine_iters):
-        a = np.linalg.solve(g_bottom, g_top @ a)
-        a /= np.linalg.norm(a)
-    best = (a @ g_top @ a) / (a @ g_bottom @ a)
-    return quotients, best
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_pencil_dominates_sampled_quotients(seed):
-    rng = np.random.default_rng(seed)
-    g_top = random_psd(5, rng)
-    g_bottom = random_psd(5, rng, jitter=0.5)
-    rho = pencil_max(g_top, g_bottom)
-    quotients, best = rayleigh_oracle(g_top, g_bottom, 10_000, rng)
-    assert np.all(quotients <= rho * (1 + 1e-9))
-    assert rho == pytest.approx(best, abs=1e-6)
-
-
-def test_pencil_congruence_invariance():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        g_top = random_psd(4, rng)
-        g_bottom = random_psd(4, rng, jitter=0.3)
-        a = rng.standard_normal((4, 4)) + 0.5 * np.eye(4)
-        before = pencil_max(g_top, g_bottom)
-        after = pencil_max(a.T @ g_top @ a, a.T @ g_bottom @ a)
-        assert after == pytest.approx(before, rel=1e-8)
-
-
-def test_pencil_handles_singular_bottom():
-    rng = np.random.default_rng(10)
-    b = rng.standard_normal((4, 2))
-    g_bottom = b @ b.T  # rank 2
-    g_top = random_psd(4, rng)
-    rho = pencil_max(g_top, g_bottom)
-    # oracle restricted to range(G_bottom)
-    vecs = (g_bottom @ rng.standard_normal((4, 3000))).T
-    num = np.einsum("ij,jk,ik->i", vecs, g_top, vecs)
-    den = np.einsum("ij,jk,ik->i", vecs, g_bottom, vecs)
-    assert np.all(num / den <= rho * (1 + 1e-9))
-
-
-def test_pencil_zero_bottom_errors():
-    with pytest.raises(DegenerateInputError):
-        pencil_max(np.eye(3), np.zeros((3, 3)))
-
-
-def two_copy_pencil_max(g_top, g_bottom):
-    """pencil_max as written before the whitening routine was shared."""
-    top = np.asarray(g_top, dtype=float)
-    bot = np.asarray(g_bottom, dtype=float)
-    vals, vecs = np.linalg.eigh(0.5 * (bot + bot.T))
-    lam_max = vals[-1] if vals.size else 0.0
-    if lam_max <= 0.0:
-        raise DegenerateInputError("pencil bottom matrix is identically zero")
-    if vals[0] < -PSD_TOL * max(lam_max, 1.0):
-        raise NotPsdError(f"pencil bottom matrix has eigenvalue {vals[0]}")
-    top_vals = np.linalg.eigvalsh(0.5 * (top + top.T))
-    if top_vals.size and top_vals[0] < -PSD_TOL * max(abs(top_vals[-1]), 1.0):
-        raise NotPsdError(f"pencil top matrix has eigenvalue {top_vals[0]}")
-    keep = vals > PENCIL_NULL_TOL * lam_max
-    basis = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
-    whitened = basis.T @ top @ basis
-    w_vals = np.linalg.eigvalsh(0.5 * (whitened + whitened.T))
-    return float(max(w_vals[-1], 0.0)) if w_vals.size else 0.0
-
-
-def two_copy_pencil_max_with_vector(g_top, g_bottom):
-    """The derivative-side copy of the whitening code, as it was."""
-    top = np.asarray(g_top, dtype=float)
-    bot = np.asarray(g_bottom, dtype=float)
-    vals, vecs = np.linalg.eigh(0.5 * (bot + bot.T))
-    lam_max = vals[-1] if vals.size else 0.0
-    if lam_max <= 0.0:
-        raise DegenerateInputError("pencil bottom matrix is identically zero")
-    keep = vals > PENCIL_NULL_TOL * lam_max
-    basis = vecs[:, keep] / np.sqrt(vals[keep])[None, :]
-    whitened = basis.T @ top @ basis
-    w_vals, w_vecs = np.linalg.eigh(0.5 * (whitened + whitened.T))
-    rho = float(max(w_vals[-1], 0.0))
-    return rho, basis @ w_vecs[:, -1]
-
-
-@st.composite
-def psd_pairs(draw):
-    """(G_top, G_bottom) of size k; G_bottom may be rank-deficient or zero."""
-    k = draw(st.integers(1, 9))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    b_top = rng.standard_normal((k, draw(st.integers(0, k + 1))))
-    b_bot = rng.standard_normal((k, draw(st.integers(0, k + 1))))
-    scale = 10.0 ** draw(st.integers(-6, 6))
-    return b_top @ b_top.T, scale * (b_bot @ b_bot.T)
-
-
-@settings(max_examples=300, deadline=None)
-@given(psd_pairs())
-def test_shared_whitening_matches_two_copies(pair):
-    g_top, g_bottom = pair
-    if not np.any(g_bottom):
-        with pytest.raises(DegenerateInputError):
-            pencil_max(g_top, g_bottom)
-        with pytest.raises(DegenerateInputError):
-            _pencil_basis(g_bottom)
-        return
-    assert pencil_max(g_top, g_bottom) == two_copy_pencil_max(g_top, g_bottom)
-    basis = _pencil_basis(g_bottom)
-    rho, a, _ = _top_eigenpair(_whiten(g_top, basis), basis)
-    ref_rho, ref_a = two_copy_pencil_max_with_vector(g_top, g_bottom)
-    assert rho == ref_rho
-    assert np.array_equal(a, ref_a)
-
-
-def test_pencil_top_must_be_psd():
-    with pytest.raises(NotPsdError):
-        pencil_max(-np.eye(3), np.eye(3))
-
-
-@st.composite
-def whitened_spectra(draw):
-    """(S, kind): a symmetric k x k S = Q diag(lam) Q^T, k <= 40, with a random
-    orthogonal Q and eigenvalues of the kind drawn."""
-    k = draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(
-        ["psd", "rounding", "repeated", "nearly repeated", "rank 1", "zero", "negative"]
-    ))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lam = rng.uniform(0.0, 1.0, k)
-    top = np.argsort(lam)
-    if kind == "rounding":  # the whitened G_top's rounding: lam_min ~ -6e-7 lam_max
-        lam[top[: k // 2]] = -1e-7 * rng.uniform(0.0, 6.0, k // 2) * lam.max()
-    elif kind == "repeated" and k > 1:
-        lam[top[-2]] = lam.max()
-    elif kind == "nearly repeated" and k > 1:
-        lam[top[-2]] = lam.max() * (1.0 - 10.0 ** -draw(st.sampled_from([3, 6, 9, 12, 15])))
-    elif kind == "rank 1":
-        lam[:] = 0.0
-        lam[0] = 1.0
-    elif kind == "zero":
-        lam[:] = 0.0
-    elif kind == "negative":
-        lam = -lam
-    q = np.linalg.qr(rng.standard_normal((k, k)))[0]
-    s = (q * (10.0 ** draw(st.integers(-6, 6)) * lam)) @ q.T
-    return 0.5 * (s + s.T), kind
-
-
-@settings(max_examples=300, deadline=None)
-@given(whitened_spectra())
-def test_top_eigenvector_is_none_or_meets_its_residual_bound(case):
-    # the vector, when there is one, is a unit vector with residual at most
-    # 1e-13 ||S||_F at the eigvalsh eigenvalue, and within the gap theorem's
-    # bound (Parlett 1998, sec. 11.7) of eigh's: both are eigenvectors up to
-    # their residuals, so each lies within sqrt(2) residual / gap of the top
-    # eigenvector.  S comes back bit for bit, and there is none for k = 1 or
-    # a top eigenvalue that is not positive
-    s, kind = case
-    vals = np.linalg.eigvalsh(s)
-    before = s.copy()
-    v = spectral._top_eigenvector(s, float(vals[-1]))
-    assert s.tobytes() == before.tobytes()
-    if s.shape[0] == 1 or not vals[-1] > 0:
-        assert v is None
-    if v is None:
-        return
-    norm = np.linalg.norm(s)
-    assert abs(np.linalg.norm(v) - 1.0) <= 1e-15 * s.shape[0]
-    residual = np.linalg.norm(s @ v - vals[-1] * v)
-    assert residual <= 1e-13 * norm
-    gap = vals[-1] - vals[-2]
-    if gap >= 1e-6 * vals[-1]:
-        w_vals, w_vecs = np.linalg.eigh(s)
-        u1 = w_vecs[:, -1]
-        u_residual = np.linalg.norm(s @ u1 - w_vals[-1] * u1)
-        # the computed gap and residuals, each moved by its rounding error
-        slack = 2 * s.shape[0] * np.finfo(float).eps * norm
-        assert min(np.linalg.norm(v - u1), np.linalg.norm(v + u1)) <= (
-            math.sqrt(2.0) * (residual + u_residual + 2 * slack) / (gap - slack)
-        )
-
-
-def test_top_eigenvector_moves_the_shift_off_an_exact_eigenvalue():
-    # S - rho I is exactly singular when rho is an eigenvalue of the rounded
-    # S (here a diagonal one); the shift moves up by u ||S||_F and the solve
-    # that follows finds the vector
-    s = np.diag([0.5, 2.0, 1.0])
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(s - 2.0 * np.eye(3), np.ones(3))
-    v = spectral._top_eigenvector(s, float(np.linalg.eigvalsh(s)[-1]))
-    assert abs(v[1]) == 1.0 and np.abs(v[[0, 2]]).max() <= 1e-14
