@@ -419,18 +419,12 @@ def _jsonify(obj):
     return obj
 
 
-#: Config keys whose library field has another name, by the dataclass built
-_RENAMED = {SketchSpec: {"rows": "s"}, LayerSpec: {"ratio_G": "ratio_g"}}
-
-
 def _build(cls, section: dict, **resolved):
-    """``cls`` from a config section: every key that names one of its fields
-    (after ``_RENAMED``), overridden by the values the CLI resolves.  Omitted
-    keys take the dataclass defaults."""
+    """``cls`` from a config section: every key that names one of its fields,
+    overridden by the values the CLI resolves.  Omitted keys take the
+    dataclass defaults."""
     names = {f.name for f in fields(cls)}
-    renamed = _RENAMED.get(cls, {})
-    kwargs = {renamed.get(k, k): v for k, v in section.items()}
-    kwargs = {k: v for k, v in kwargs.items() if k in names}
+    kwargs = {k: v for k, v in section.items() if k in names}
     return cls(**{**kwargs, **resolved})
 
 
@@ -554,9 +548,9 @@ def _run_bound_compare(config: dict, ds: Dataset, seed: int, base_dir: Path) -> 
 
     metrics = {
         "trace_bound": trace_bound(kappa, tr_m, ds.n),
-        "rademacher_ball": {"estimate": ball_est.estimate, "stderr": ball_est.stderr},
-        "product": product.to_dict(),
-        "split": split_rep.to_dict(),
+        "rademacher_ball": ball_est._asdict(),
+        "product": asdict(product),
+        "split": asdict(split_rep),
         "peeled": {"split": split_at, "value": peeled},
         "notes": "mid points use identity-activation pushforward",
     }

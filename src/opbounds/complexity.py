@@ -159,6 +159,9 @@ def run_mc(estimators: Sequence, cfg: McConfig) -> list:
     (matrices) and ``pairs`` ((Gram, M) pairs) attributes.  The pass holds
     two arrays of block size, reused by every block (see
     :func:`_sign_block_reads`)."""
+    widths = {est.width for est in estimators}
+    if len(widths) != 1:
+        raise InputError(f"a pass needs estimators of one sign width, got widths {sorted(widths)}")
     for block in _sign_block_reads(estimators, cfg):
         for est in estimators:
             est.add(block)

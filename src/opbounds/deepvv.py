@@ -250,9 +250,9 @@ def init_layered_model(
 ) -> LayeredModel:
     """Build a model anchored at the training inputs propagated layer-wise,
     with coefficients i.i.d. uniform in [-0.1, 0.1] from the seed."""
+    if not kernels or len(kernels) != len(outputs):
+        raise InputError("a model needs one or more layers, each a kernel and an output matrix")
     pts = as_points(x, kernels[0].dimension)
-    if len(kernels) != len(outputs):
-        raise InputError("kernels and output matrices must pair up")
     layers = []
     u = pts
     for j, (spec, m_mat) in enumerate(zip(kernels, outputs)):
@@ -284,6 +284,8 @@ def separable_bound(
     sqrt(kappa Tr(M1)) / n * pf_norm * top_norm.  The convention consistent
     with the general product bound, sqrt(kappa Tr(M1) / n) in place of the
     lead factor, is ``DeepObjective.pf_total``."""
+    if kappa < 0 or tr_m1 < 0 or n < 1:
+        raise InputError("separable bound needs nonnegative kappa, Tr(M1) and n >= 1")
     return float(np.sqrt(kappa * tr_m1) / n * pf_norm * top_norm)
 
 

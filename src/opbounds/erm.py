@@ -326,9 +326,7 @@ def empirical_risk(preds, y, loss: LossSpec) -> float:
     fit's predictions at its training points or ``KernelExpansion.at(x)``),
     against the targets ``y``."""
     preds = np.asarray(preds, dtype=float)
-    targets = as_labels(y)
-    if preds.size == 0:
-        raise InputError("predictions must be nonempty")
+    targets = as_labels(y)  # nonempty, so empty predictions fail the shape check
     if preds.shape != targets.shape:
         raise InputError(f"predictions {preds.shape} vs targets {targets.shape}")
     return _mean(loss_value(loss, preds, targets))

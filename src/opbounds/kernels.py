@@ -4,7 +4,9 @@ A decomposable kernel is ``K(x, x') = k(x, x') * M`` for a scalar radial
 kernel ``k`` and a symmetric PSD matrix ``M``; its Gram over ``n`` points is
 the Kronecker product ``G_K = G_k (x) M``.  Point sets are plain ``(n, d)``
 float arrays, validated by :func:`as_points`, and labels ``(n, m)`` float
-arrays, validated by :func:`as_labels`.  A finite expansion
+arrays, validated by :func:`as_labels`; both, and an expansion's
+coefficients, are checked by :func:`finite_matrix`, so they must be nonempty
+and finite.  A finite expansion
 ``x -> sum_i k(x, z_i) M c_i`` is a :class:`KernelExpansion`.  The bound
 ``kappa = sup_x k(x, x)`` that the trace terms read is
 :attr:`ScalarKernelSpec.kappa`, a fact of the kernel rather than a setting.
@@ -48,28 +50,21 @@ _GRAM_BLOCK = 128
 
 
 def as_points(x, dim: int) -> np.ndarray:
-    """Validate and return a point set as an (n, dim) float64 array."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.ndim != 2:
-        raise InputError(f"point set must be 2-D, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise InputError("point set contains non-finite entries")
+    """A point set as a nonempty, finite (n, dim) float64 array
+    (``finite_matrix``); a 1-D input is read as one point."""
+    pts = finite_matrix(np.atleast_2d(np.asarray(x, dtype=float)), "point set", square=False)
     if pts.shape[1] != dim:
         raise InputError(f"points have dimension {pts.shape[1]}, expected {dim}")
     return pts
 
 
 def as_labels(y) -> np.ndarray:
-    """Validate and return labels as an (n, m) float64 array; a 1-D input is
-    read as one column."""
+    """Labels as a nonempty, finite (n, m) float64 array (``finite_matrix``);
+    a 1-D input is read as one column."""
     labels = np.asarray(y, dtype=float)
     if labels.ndim == 1:
         labels = labels[:, None]
-    if labels.ndim != 2:
-        raise InputError(f"labels must be 1-D or 2-D, got shape {labels.shape}")
-    if not np.all(np.isfinite(labels)):
-        raise InputError("labels contain non-finite entries")
-    return labels
+    return finite_matrix(labels, "label matrix", square=False)
 
 
 @dataclass(frozen=True)
@@ -430,8 +425,7 @@ class KernelExpansion:
                 f"coeffs shape {c.shape} incompatible with "
                 f"{self.anchors.shape[0]} anchors and output dim {self.output.shape[0]}"
             )
-        if not np.all(np.isfinite(c)):
-            raise InputError("expansion coeffs contain non-finite entries")
+        finite_matrix(c, "expansion coefficient matrix", square=False)
         object.__setattr__(self, "coeffs", c)
 
     @property

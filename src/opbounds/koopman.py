@@ -43,21 +43,21 @@ class LayerSpec:
 
     ``activation_koopman_norm`` is the operator norm of composition with the
     layer's activation, supplied by the user (1 for identity).
-    ``ratio_g`` is the restriction-norm ratio, also user-supplied (default 1);
+    ``ratio_G`` is the restriction-norm ratio, also user-supplied (default 1);
     both appear verbatim in bound reports.
     """
 
     weights: np.ndarray
     activation_koopman_norm: float = 1.0
     sobolev_order_in: float = 1.0
-    ratio_g: float = 1.0
+    ratio_G: float = 1.0
 
     def __post_init__(self):
         w = finite_matrix(self.weights, "layer weights", square=False)
         object.__setattr__(self, "weights", w)
         if not self.activation_koopman_norm > 0:
             raise InputError("activation_koopman_norm must be positive")
-        if not self.ratio_g > 0:
+        if not self.ratio_G > 0:
             raise InputError("ratio_G must be positive")
         if self.sobolev_order_in <= w.shape[1] / 2:
             warnings.warn(
@@ -100,14 +100,14 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class LayerFactors:
-    ratio_g: float
+    ratio_G: float
     spectral_factor: float
     det_root: float
     koopman_norm: float | None  # None when the layer has no activation
 
     def product(self) -> float:
         k = 1.0 if self.koopman_norm is None else self.koopman_norm
-        return self.ratio_g * self.spectral_factor * k / self.det_root
+        return self.ratio_G * self.spectral_factor * k / self.det_root
 
 
 def _factor_product(factors) -> float:
@@ -120,26 +120,14 @@ def _factor_product(factors) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """A bound and its factors; a record holds ``dataclasses.asdict`` of it,
+    so its field names and those of :class:`LayerFactors` are the record
+    keys."""
+
     family: str
     total: float
     per_layer: tuple[LayerFactors, ...] = ()
     extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "total": self.total,
-            "per_layer": [
-                {
-                    "ratio_G": f.ratio_g,
-                    "spectral_factor": f.spectral_factor,
-                    "det_root": f.det_root,
-                    "koopman_norm": f.koopman_norm,
-                }
-                for f in self.per_layer
-            ],
-            "extras": dict(self.extras),
-        }
 
 
 def spectral_ratio_factor(w: np.ndarray, s_in: float) -> float:
@@ -173,7 +161,7 @@ def _layer_factors(net: NetworkSpec, upto: int) -> list[LayerFactors]:
         has_activation = idx < net.depth - 1
         out.append(
             LayerFactors(
-                ratio_g=layer.ratio_g,
+                ratio_G=layer.ratio_G,
                 spectral_factor=spectral_ratio_factor(layer.weights, layer.sobolev_order_in),
                 det_root=det_quarter_root(layer.weights),
                 koopman_norm=layer.activation_koopman_norm if has_activation else None,

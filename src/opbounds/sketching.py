@@ -1,7 +1,8 @@
 """p-sparsified random sketches.
 
-A sketch is an ``s x n`` matrix with entries ``b_ij * z_ij / sqrt(s * p)``
-where ``b_ij ~ Bernoulli(p)`` and ``z_ij`` is Rademacher or standard normal.
+A sketch is an ``s x n`` matrix, s = ``SketchSpec.rows``, with entries
+``b_ij * z_ij / sqrt(s * p)`` where ``b_ij ~ Bernoulli(p)`` and ``z_ij`` is
+Rademacher or standard normal.
 The scaling makes ``E[S^T S] = I_n``, which the satisfiability constant of
 ``p`` assumes.  Rescaling S would leave the span of ``S^T``, where a sketched
 estimator lives, unchanged, so no other scaling is offered.
@@ -28,22 +29,22 @@ _DISTS = ("rademacher", "gaussian")
 
 @dataclass(frozen=True)
 class SketchSpec:
-    s: int
+    rows: int
     n: int
     p: float = 1.0
     dist: str = "gaussian"
     seed: int = 0
 
     def __post_init__(self):
-        if self.s < 1 or self.n < 1:
+        if self.rows < 1 or self.n < 1:
             raise InputError("sketch dimensions must be positive")
         if not (0.0 < self.p <= 1.0):
             raise InputError(f"keep probability p={self.p} outside (0, 1]")
         if self.dist not in _DISTS:
             raise InputError(f"unknown sketch distribution {self.dist!r}")
-        if self.s > self.n:
+        if self.rows > self.n:
             warnings.warn(
-                f"sketch has more rows ({self.s}) than columns ({self.n})",
+                f"sketch has more rows ({self.rows}) than columns ({self.n})",
                 stacklevel=3,
             )
 
@@ -58,8 +59,8 @@ class SketchMatrix:
 def make_p_sparsified(spec: SketchSpec) -> SketchMatrix:
     """Generate the sketch for ``spec``; deterministic given the seed.  Each
     row is drawn into its place in one preallocated s x n array."""
-    scale = 1.0 / math.sqrt(spec.s * spec.p)
-    matrix = np.empty((spec.s, spec.n))
+    scale = 1.0 / math.sqrt(spec.rows * spec.p)
+    matrix = np.empty((spec.rows, spec.n))
     for i, row in enumerate(matrix):
         g = substream(spec.seed, i)
         if spec.dist == "rademacher":

@@ -284,6 +284,7 @@ def eigendecompose_scaled_gram(
     Above N_DENSE the PSD verdict (``require_psd_cholesky`` of G_k / n, top
     the largest Ritz value) runs after the first Lanczos run unless ``slack``
     is below PSD_TOL."""
+    _require_top(top)
     g, low, high = _finite_range(g_k, "Gram matrix")
     g = np.ascontiguousarray(g)  # the layout of _symmetric_rows; no copy of a C-order Gram
     # max |g| from the min and max that checked g finite
@@ -303,11 +304,19 @@ def eigendecompose_scaled_gram(
     return SpectralDecomposition(g, vals, vecs.T)
 
 
+def _require_top(top) -> None:
+    """Raise InputError unless ``top``, a number of eigenpairs, is an integer
+    of at least 1."""
+    if not (isinstance(top, (int, np.integer)) and top >= 1):
+        raise InputError(f"top={top!r} eigenpairs: need an integer of at least 1")
+
+
 def kernel_spectrum(spec: ScalarKernelSpec, x, top: int) -> SpectralDecomposition:
     """``eigendecompose_scaled_gram`` of the scaled Gram ``gram_scalar(spec,
     x)``, with at least ``top`` eigenpairs, its PSD verdict settled by
     ``gram_error_bound(spec, x)``: a Gaussian or Matern nu = 1.5 or 2.5 Gram
     skips the O(n^3) Cholesky above N_DENSE, any other runs it."""
+    _require_top(top)
     return eigendecompose_scaled_gram(gram_scalar(spec, x), top, gram_error_bound(spec, x))
 
 
@@ -317,10 +326,13 @@ def critical_radius(mu, n: int, tail: float) -> float:
     whose others sum to ``tail``: psi(delta)^2 = (tail + sum_i min(delta^2,
     mu_i)) / n, exact for delta^2 >= min(mu)."""
     mu = np.asarray(mu, dtype=float)
+    if not (n >= max(mu.size, 1) and np.isfinite(tail) and np.all((mu >= 0) & (mu < np.inf))):
+        raise InputError(
+            "critical radius needs finite nonnegative eigenvalues, a finite tail and "
+            f"n >= {max(mu.size, 1)}, got n = {n}"
+        )
     if mu.size == 0 or mu.max() <= 0.0:
         return 0.0
-    if np.any(mu < 0):
-        raise InputError("eigenvalues must be nonnegative")
     tail = max(tail, 0.0)
     # psi(hi) <= sqrt(mu_1) <= max(1, mu_1) = hi^2, so the bracket is valid.
     lo, hi = 0.0, max(1.0, float(np.sqrt(mu[0])))

@@ -232,9 +232,9 @@ def ridge_solve_top_deflated(dec, scales, shift, rhs):
 def sketch_from_rows(spec) -> np.ndarray:
     """The p-sparsified sketch of ``spec`` as a list of rows, each drawn on
     its own and masked by ``np.where``, then stacked."""
-    scale = 1.0 / math.sqrt(spec.s * spec.p)
+    scale = 1.0 / math.sqrt(spec.rows * spec.p)
     rows = []
-    for i in range(spec.s):
+    for i in range(spec.rows):
         g = substream(spec.seed, i)
         if spec.dist == "rademacher":
             z = rademacher(g, np.empty(spec.n))

@@ -201,11 +201,11 @@ def test_criterion_05_satisfiability_frequency():
         d_n = dec.d_n
         d_ns.append(d_n)
         sk = make_p_sparsified(
-            SketchSpec(s=8 * d_n, n=n, p=1.0, dist="gaussian", seed=seed)
+            SketchSpec(rows=8 * d_n, n=n, p=1.0, dist="gaussian", seed=seed)
         ).matrix
         passes += int(check_satisfiability(sk, dec, c, sketched_gram(sk, g_k)[1]).satisfiable)
         with pytest.warns(UserWarning, match="more rows"):
-            spec90 = SketchSpec(s=_s90(d_n), n=n, p=1.0, dist="gaussian", seed=seed)
+            spec90 = SketchSpec(rows=_s90(d_n), n=n, p=1.0, dist="gaussian", seed=seed)
         sk90 = make_p_sparsified(spec90).matrix
         rep = check_satisfiability(sk90, dec, c, sketched_gram(sk90, g_k)[1])
         passes90 += int(rep.satisfiable)

@@ -19,7 +19,7 @@ from opbounds.deepvv import TrainConfig
 from opbounds.erm import FitConfig, excess_risk_bound_rhs
 from opbounds.errors import ConfigError, InputError, OpboundsError, UnboundedLossError
 from opbounds.kernels import ScalarKernelSpec
-from opbounds.koopman import LayerSpec
+from opbounds.koopman import LayerSpec, NetworkSpec
 from opbounds.losses import LossSpec
 from opbounds.sketching import SketchSpec
 
@@ -1128,7 +1128,7 @@ def test_non_finite_checkpoint_coeffs_exit_2_and_write_no_output(tmp_path, capsy
         "train": {"lambda1": 0.1, "lambda2": 0.1},
     }
     err = _main_error(tmp_path, capsys, "deep-vvrkhs", cfg)
-    assert err["error"] == "input" and "coeffs contain non-finite" in err["message"]
+    assert err["error"] == "input" and "coefficient matrix contains non-finite" in err["message"]
 
 
 def test_non_numeric_dataset_cell_is_a_config_error(tmp_path):
@@ -1187,6 +1187,7 @@ _SECTIONS = {
     "dataset": (("dataset",), GeneratorConfig),
     "kernel": (("kernel",), ScalarKernelSpec),
     "mc": (("mc",), McConfig),
+    "network": (("network",), NetworkSpec),
     "layer": (("network", "layers", 0), LayerSpec),
     "loss": (("loss",), LossSpec),
     "fit": (("fit",), FitConfig),
@@ -1215,9 +1216,8 @@ def _spelled_out(subcommand, config):
             if f.default is not dataclasses.MISSING and f.default is not None
         }
         for key in schema["properties"]:
-            name = cli._RENAMED.get(cls, {}).get(key, key)
-            if key != "seed" and key not in section and name in defaults:
-                default = defaults[name]
+            if key != "seed" and key not in section and key in defaults:
+                default = defaults[key]
                 section[key] = list(default) if isinstance(default, tuple) else default
                 try:
                     validate_config(subcommand, full)
@@ -1227,6 +1227,38 @@ def _spelled_out(subcommand, config):
                     continue
                 added += 1
     return full, added
+
+
+# section keys that the CLI reads itself, not as a field of the class built:
+# a dataset's kind and CSV path, the kernel's output matrix, the network's
+# layers (each built as a LayerSpec) and the train seed (the fresh model's)
+_CLI_READ_KEYS = {
+    "dataset.kind", "dataset.path", "kernel.output_matrix", "network.layers", "train.seed",
+}
+
+
+def test_config_keys_are_the_fields_of_the_class_built():
+    # every _build call of the CLI configures one of the _SECTIONS classes
+    built = set(re.findall(r"_build\(\s*([A-Z]\w*)", Path(cli.__file__).read_text()))
+    assert {getattr(cli, name) for name in built} == {cls for _, cls in _SECTIONS.values()}
+    no_ops = {(sub, name) for sub, name, _ in ACCEPTED_NO_OPS}
+    stray = []
+    for subcommand, root in cli._SCHEMAS.items():
+        for section, (path, cls) in _SECTIONS.items():
+            schema = root
+            try:
+                for key in path:
+                    schema = schema["items"] if isinstance(key, int) else schema["properties"][key]
+            except KeyError:
+                continue  # the subcommand has no such section
+            names = {f.name for f in dataclasses.fields(cls)}
+            stray += [
+                (subcommand, f"{section}.{key}") for key in schema["properties"]
+                if key not in names and f"{section}.{key}" not in _CLI_READ_KEYS
+                and (subcommand, f"{section}.{key}") not in no_ops
+            ]
+    # each such key would need a rename table between config, field and record
+    assert not stray
 
 
 @pytest.mark.filterwarnings("ignore:Sobolev order")

@@ -2,23 +2,30 @@
 input or the mid space), all-zero labels, one output, a rank-deficient output
 matrix M and sketches with more rows than points.  Each call must return
 finite numbers or raise a typed OpboundsError; a bare numpy error or a NaN
-fails the test."""
+fails the test.  Arguments with no meaning (no estimators, no layers, no
+points, n = 0, no eigenpairs) raise InputError before any work."""
 
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opbounds.complexity import BallMc, McConfig, run_mc
-from opbounds.deepvv import DeepObjective, TrainConfig, init_layered_model, train
+from opbounds.deepvv import (
+    DeepObjective, TrainConfig, init_layered_model, separable_bound, train,
+)
 from opbounds.erm import FitConfig
-from opbounds.errors import OpboundsError
-from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, gram_scalar
+from opbounds.errors import InputError, OpboundsError
+from opbounds.kernels import DecomposableKernel, ScalarKernelSpec, as_labels, gram_scalar
 from opbounds.koopman import LayerSpec, NetworkSpec, SplitMc
 from opbounds.losses import LossSpec
 from opbounds.sketching import SketchSpec, make_p_sparsified
-from opbounds.spectral import check_satisfiability, eigendecompose_scaled_gram, sketched_gram
+from opbounds.spectral import (
+    check_satisfiability, critical_radius, eigendecompose_scaled_gram, kernel_spectrum,
+    sketched_gram,
+)
 from oracles import fit_full_on, fit_sketched_on, pencil_max
 
 
@@ -84,7 +91,7 @@ def test_fit_sketched_is_finite_or_typed(problem, family, rows, p, seed):
     x, y, kernel = problem
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # rows > n
-        sketch = make_p_sparsified(SketchSpec(s=rows, n=x.shape[0], p=p, seed=seed)).matrix
+        sketch = make_p_sparsified(SketchSpec(rows=rows, n=x.shape[0], p=p, seed=seed)).matrix
     cfg = FitConfig(lambda_n=0.1, max_iters=15)
     _finite_or_typed(
         lambda: _fit_numbers(fit_sketched_on(kernel, x, y, _loss(family, y.shape[1]), cfg, sketch))
@@ -112,7 +119,7 @@ def test_spectrum_chain_is_finite_or_typed(problem, rows, p, seed):
 
     def chain():
         dec = eigendecompose_scaled_gram(g)
-        sketch = make_p_sparsified(SketchSpec(s=rows, n=n, p=p, seed=seed)).matrix
+        sketch = make_p_sparsified(SketchSpec(rows=rows, n=n, p=p, seed=seed)).matrix
         report = check_satisfiability(sketch, dec, 3.0, sketched_gram(sketch, g)[1])
         assert 1 <= dec.d_n <= n
         return dec.mu, dec.delta_sq, dec.d_n, report.norm1, report.norm2
@@ -183,3 +190,38 @@ def test_split_complexity_bound_is_finite_or_typed(
         return rep.total, extras["class_estimate"], extras["approximation_term"]
 
     _finite_or_typed(bound)
+
+
+_SPEC = ScalarKernelSpec("gaussian", 1.0, dimension=2)
+_X = np.random.default_rng(0).uniform(-1.0, 1.0, (300, 2))
+_MU = np.array([0.5, 0.25, 0.125])
+
+
+def _ball(n):
+    return BallMc(gram_scalar(_SPEC, _X[:n]), np.eye(1), n)
+
+
+MEANINGLESS_CALLS = {
+    "run_mc without estimators": lambda: run_mc([], McConfig(10)),
+    "run_mc with two sign widths": lambda: run_mc([_ball(3), _ball(4)], McConfig(10)),
+    "a model without layers": lambda: init_layered_model(_X[:4], [], [], 0),
+    "separable bound at n = 0": lambda: separable_bound(1.0, 1.0, 0, 1.0, 1.0),
+    "critical radius at n = 0": lambda: critical_radius(_MU, 0, 0.0),
+    "critical radius with a NaN eigenvalue": lambda: critical_radius(
+        np.array([0.5, np.nan, 0.1]), 3, 0.0
+    ),
+    "critical radius of negative eigenvalues": lambda: critical_radius(-_MU, 3, 0.0),
+    "no eigenpairs": lambda: eigendecompose_scaled_gram(gram_scalar(_SPEC, _X), 0, 0.0),
+    "-1 eigenpairs": lambda: eigendecompose_scaled_gram(gram_scalar(_SPEC, _X), -1, 0.0),
+    "kernel spectrum of no eigenpairs": lambda: kernel_spectrum(_SPEC, _X, 0),
+    "kernel spectrum of no points": lambda: kernel_spectrum(_SPEC, np.empty((0, 2)), 16),
+    "no labels": lambda: as_labels(np.empty(0)),
+}
+
+
+@pytest.mark.parametrize("call", MEANINGLESS_CALLS.values(), ids=MEANINGLESS_CALLS)
+def test_meaningless_arguments_raise_input_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a divide-by-zero warning fails too
+        with pytest.raises(InputError):
+            call()

@@ -83,7 +83,7 @@ def test_huber_descends_from_zero(fit):
         model = fit_full_on(kernel, x, y, HUBER, cfg)
         at_zero = _Objective(g, g, kernel.output, y, HUBER, cfg.lambda_n)(np.zeros_like(y))[0]
     else:
-        sk = make_p_sparsified(SketchSpec(s=8, n=20, p=1.0, dist="gaussian", seed=2)).matrix
+        sk = make_p_sparsified(SketchSpec(rows=8, n=20, p=1.0, dist="gaussian", seed=2)).matrix
         model = fit_sketched_on(kernel, x, y, HUBER, cfg, sk)
         at_zero = objective_sketched(
             kernel, g, y, HUBER, cfg.lambda_n, sk, np.zeros((8, 2))
@@ -136,7 +136,7 @@ def test_objectives_match_row_by_row_reference(loss, seed, pd_output):
 def _fit_on(fit, kernel, x, y, loss, cfg):
     if fit == "full":
         return fit_full_on(kernel, x, y, loss, cfg)
-    sk = make_p_sparsified(SketchSpec(s=6, n=x.shape[0], p=1.0, dist="gaussian", seed=4)).matrix
+    sk = make_p_sparsified(SketchSpec(rows=6, n=x.shape[0], p=1.0, dist="gaussian", seed=4)).matrix
     return fit_sketched_on(kernel, x, y, loss, cfg, sk)
 
 
@@ -304,7 +304,7 @@ def test_identity_sketch_equivalence(seed):
 def test_sketched_monotone_descent_from_zero():
     kernel, x, y = make_problem(3, n=16)
     cfg = FitConfig(lambda_n=0.05, max_iters=60, step_size=0.5, tol=1e-9)
-    sk = make_p_sparsified(SketchSpec(s=6, n=16, p=1.0, dist="gaussian", seed=5)).matrix
+    sk = make_p_sparsified(SketchSpec(rows=6, n=16, p=1.0, dist="gaussian", seed=5)).matrix
     model = fit_sketched_on(kernel, x, y, PINBALL, cfg, sk)
     g = gram_scalar(kernel.scalar, x)
     at_zero = objective_sketched(
@@ -324,7 +324,7 @@ def test_quarter_sketch_risk_within_factor_two():
         ScalarKernelSpec("gaussian", 1.0, dimension=d), np.eye(m)
     )
     cfg = FitConfig(lambda_n=0.1)
-    sk = make_p_sparsified(SketchSpec(s=n // 4, n=n, p=1.0, dist="gaussian", seed=11)).matrix
+    sk = make_p_sparsified(SketchSpec(rows=n // 4, n=n, p=1.0, dist="gaussian", seed=11)).matrix
     full = fit_full_on(kernel, x, y, SQUARED, cfg)
     sketched = fit_sketched_on(kernel, x, y, SQUARED, cfg, sk)
     r_full = empirical_risk(full.train_predictions, y, SQUARED)
@@ -339,7 +339,7 @@ def test_squared_sketched_fit_holds_three_s_by_s_arrays_at_its_peak():
     # would hold five)
     n, s, m = 600, 150, 3
     kernel, x, y = make_problem(4, n=n, m=m)
-    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=0.1, dist="rademacher", seed=4)).matrix
+    sk = make_p_sparsified(SketchSpec(rows=s, n=n, p=0.1, dist="rademacher", seed=4)).matrix
     products = sketched_gram(sk, gram_scalar(kernel.scalar, x))
     tracemalloc.start()
     try:
@@ -395,9 +395,9 @@ def test_empirical_risk_cases():
     assert empirical_risk(np.zeros((12, 2)), both_y, SQUARED) == pytest.approx(
         empirical_risk(np.zeros((6, 2)), half_y, SQUARED)
     )
-    # no predictions (a zero division otherwise) or predictions of another
-    # shape than the targets are input errors
-    with pytest.raises(InputError, match="predictions must be nonempty"):
+    # no targets (a zero division otherwise) or predictions of another shape
+    # than the targets are input errors
+    with pytest.raises(InputError, match="label matrix must be a nonempty matrix"):
         empirical_risk(np.zeros((0, 2)), np.zeros((0, 2)), SQUARED)
     for preds in (np.zeros(12), np.zeros((11, 2)), np.zeros((12, 1))):
         with pytest.raises(InputError, match="vs targets"):
@@ -424,7 +424,7 @@ def test_fits_on_the_training_gram_match_the_cross_gram(seed, n, s, loss):
     # hoisted sketched objective has the bits of the public objective
     kernel, x, y = make_problem(seed, n=n)
     cfg = FitConfig(lambda_n=0.05, max_iters=15, step_size=0.5, tol=1e-9)
-    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=1.0, dist="gaussian", seed=seed)).matrix
+    sk = make_p_sparsified(SketchSpec(rows=s, n=n, p=1.0, dist="gaussian", seed=seed)).matrix
     g = gram_scalar(kernel.scalar, x)
     full = fit_full_on(kernel, x, y, loss, cfg)
     for model, sketch in ((full, None), (fit_sketched_on(kernel, x, y, loss, cfg, sk), sk)):
@@ -466,9 +466,9 @@ def test_supplied_gram_errors_are_typed():
     # tests/test_matrix_checks.py)
     kernel, x, y = make_problem(8, n=10)
     cfg = FitConfig(lambda_n=0.05)
-    sk = make_p_sparsified(SketchSpec(s=4, n=10, p=1.0, dist="gaussian", seed=1)).matrix
+    sk = make_p_sparsified(SketchSpec(rows=4, n=10, p=1.0, dist="gaussian", seed=1)).matrix
     g = gram_scalar(kernel.scalar, x)
-    other = make_p_sparsified(SketchSpec(s=5, n=10, p=1.0, dist="gaussian", seed=1)).matrix
+    other = make_p_sparsified(SketchSpec(rows=5, n=10, p=1.0, dist="gaussian", seed=1)).matrix
     mixed = sketched_gram(sk, g)[0], sketched_gram(other, g)[1]
     with pytest.raises(InputError, match="sketched products"):
         fit_sketched(kernel, y, SQUARED, cfg, mixed)

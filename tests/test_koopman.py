@@ -42,7 +42,7 @@ def layer(w, s_in=2.0, koopman=1.0, ratio=1.0):
         weights=np.asarray(w, dtype=float),
         activation_koopman_norm=koopman,
         sobolev_order_in=s_in,
-        ratio_g=ratio,
+        ratio_G=ratio,
     )
 
 

@@ -226,5 +226,5 @@ def test_label_entry_points_reject_non_finite_labels(entry, bad):
     labels = np.array([[0.5, -1.0], [2.0, 0.25]])
     call(labels)
     labels[1, 0] = bad
-    with pytest.raises(InputError, match="labels contain non-finite"):
+    with pytest.raises(InputError, match="label matrix contains non-finite"):
         call(labels)

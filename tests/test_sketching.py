@@ -11,7 +11,7 @@ from oracles import decompose_sketch, sketch_from_rows
 
 
 def test_p_one_rademacher_entries():
-    spec = SketchSpec(s=8, n=30, p=1.0, dist="rademacher", seed=42)
+    spec = SketchSpec(rows=8, n=30, p=1.0, dist="rademacher", seed=42)
     sk = make_p_sparsified(spec).matrix
     assert np.all(np.abs(sk) == 1.0 / math.sqrt(8))
 
@@ -31,7 +31,7 @@ def test_p_one_rademacher_entries():
 def test_in_place_rows_are_the_stacked_rows(s, n, p, dist, seed):
     # each row drawn into the preallocated array has the bits of the row
     # drawn on its own, the same +0.0 where an entry is dropped included
-    spec = SketchSpec(s=s, n=n, p=p, dist=dist, seed=seed)
+    spec = SketchSpec(rows=s, n=n, p=p, dist=dist, seed=seed)
     got = make_p_sparsified(spec).matrix
     want = sketch_from_rows(spec)
     assert got.shape == want.shape == (s, n)
@@ -39,16 +39,16 @@ def test_in_place_rows_are_the_stacked_rows(s, n, p, dist, seed):
 
 
 def test_determinism_same_seed():
-    spec = SketchSpec(s=10, n=25, p=0.5, dist="gaussian", seed=7)
+    spec = SketchSpec(rows=10, n=25, p=0.5, dist="gaussian", seed=7)
     a = make_p_sparsified(spec).matrix
     b = make_p_sparsified(spec).matrix
     assert np.array_equal(a, b)
-    c = make_p_sparsified(SketchSpec(s=10, n=25, p=0.5, dist="gaussian", seed=8)).matrix
+    c = make_p_sparsified(SketchSpec(rows=10, n=25, p=0.5, dist="gaussian", seed=8)).matrix
     assert not np.array_equal(a, c)
 
 
 def test_nonzero_fraction_near_p():
-    spec = SketchSpec(s=50, n=500, p=0.1, dist="gaussian", seed=3)
+    spec = SketchSpec(rows=50, n=500, p=0.1, dist="gaussian", seed=3)
     sk = make_p_sparsified(spec)
     frac = np.count_nonzero(sk.matrix) / (50 * 500)
     assert 0.08 <= frac <= 0.12
@@ -56,29 +56,29 @@ def test_nonzero_fraction_near_p():
 
 def test_dense_storage_at_every_p():
     for p in (0.1, 0.5):
-        sk = make_p_sparsified(SketchSpec(s=10, n=50, p=p, seed=0))
+        sk = make_p_sparsified(SketchSpec(rows=10, n=50, p=p, seed=0))
         assert type(sk.matrix) is np.ndarray and sk.matrix.shape == (10, 50)
 
 
 def test_kept_entries_scaled_by_inverse_root_s_p():
-    spec = SketchSpec(s=4, n=40, p=0.25, dist="rademacher", seed=1)
+    spec = SketchSpec(rows=4, n=40, p=0.25, dist="rademacher", seed=1)
     sk = make_p_sparsified(spec).matrix
     assert set(np.abs(sk[sk != 0.0])) == {1.0 / math.sqrt(4 * 0.25)}
 
 
 def test_invalid_specs():
     with pytest.raises(InputError):
-        SketchSpec(s=4, n=6, p=0.0)
+        SketchSpec(rows=4, n=6, p=0.0)
     with pytest.raises(InputError):
-        SketchSpec(s=4, n=6, p=1.2)
+        SketchSpec(rows=4, n=6, p=1.2)
     with pytest.raises(InputError):
-        SketchSpec(s=4, n=6, dist="uniform")
+        SketchSpec(rows=4, n=6, dist="uniform")
     with pytest.warns(UserWarning):
-        SketchSpec(s=10, n=6)
+        SketchSpec(rows=10, n=6)
 
 
 def test_decompose_identity_when_p_one():
-    sk = make_p_sparsified(SketchSpec(s=6, n=12, p=1.0, dist="rademacher", seed=5))
+    sk = make_p_sparsified(SketchSpec(rows=6, n=12, p=1.0, dist="rademacher", seed=5))
     sub_gaussian, subsample, _ = decompose_sketch(sk.matrix)
     assert np.array_equal(subsample, np.eye(12))
     assert np.array_equal(sub_gaussian @ subsample, sk.matrix)
@@ -99,7 +99,7 @@ def test_decompose_reconstruction_exact(seed):
     n = int(rng.integers(s, 40))
     p = float(rng.uniform(0.03, 1.0))
     dist = "gaussian" if seed % 2 else "rademacher"
-    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=p, dist=dist, seed=seed))
+    sk = make_p_sparsified(SketchSpec(rows=s, n=n, p=p, dist=dist, seed=seed))
     sub_gaussian, subsample, _ = decompose_sketch(sk.matrix)
     assert np.array_equal(sub_gaussian @ subsample, sk.matrix)
     assert np.all((sub_gaussian != 0.0).any(axis=0))
@@ -112,7 +112,7 @@ def test_expected_isometry_p_one_gaussian():
     n, s, n_seeds = 40, 20, 200
     acc = np.zeros((n, n))
     for seed in range(n_seeds):
-        sk = make_p_sparsified(SketchSpec(s=s, n=n, p=1.0, dist="gaussian", seed=seed))
+        sk = make_p_sparsified(SketchSpec(rows=s, n=n, p=1.0, dist="gaussian", seed=seed))
         acc += sk.matrix.T @ sk.matrix
     mean = acc / n_seeds
     off = mean - np.diag(np.diag(mean))

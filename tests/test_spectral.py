@@ -292,7 +292,7 @@ def test_satisfiability_zero_sketch():
 def test_satisfiability_verdict_is_pure_function():
     dec = _spectral_setup(2)
     n = dec.size
-    sk = make_p_sparsified(SketchSpec(s=n, n=n, p=1.0, seed=0)).matrix
+    sk = make_p_sparsified(SketchSpec(rows=n, n=n, p=1.0, seed=0)).matrix
     rep = _satisfiability(sk, dec, c=5.0)
     expected = rep.norm1 <= 0.5 and rep.norm2 <= 5.0 * np.sqrt(dec.delta_sq)
     assert rep.satisfiable == expected
@@ -360,7 +360,7 @@ def _check_report_against_dense(g, sk, c):
 )
 def test_satisfiability_matches_full_eigenvectors(g, s, p, seed):
     n = g.shape[0]
-    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=p, dist="gaussian", seed=seed)).matrix
+    sk = make_p_sparsified(SketchSpec(rows=s, n=n, p=p, dist="gaussian", seed=seed)).matrix
     _check_report_against_dense(g, sk, c=2.0)
 
 
@@ -387,7 +387,7 @@ def test_decomposition_degenerate_inputs(case):
     n = g.shape[0]
     dec = _check_against_dense_eigh(g)
     s = n + 7 if case == "s>n" else max(n // 2, 1)
-    sk = make_p_sparsified(SketchSpec(s=s, n=n, p=1.0, dist="gaussian", seed=3)).matrix
+    sk = make_p_sparsified(SketchSpec(rows=s, n=n, p=1.0, dist="gaussian", seed=3)).matrix
     rep = _check_report_against_dense(g, sk, c=2.0)
     assert (rep.d_n == n) == (case in ("n=1", "near-identity"))
     # one ridge solve per column scale, against the dense solve
@@ -428,9 +428,10 @@ def _check_against_dense_reference(g):
     """delta_n^2 and d_n of the decomposition equal those of the whole
     spectrum, and its ridge solves agree with dense ones within 1e-10.  The
     bisection on the decomposition's own eigenvalues and tail gives the bits
-    of delta_n^2; the one on the independent ``eigvalsh`` spectrum agrees to
-    1e-14 relative, as the two spectra differ by round-off, and with them
-    the bisection's bracket [0, max(1, sqrt(mu_1))] where mu_1 is near 1."""
+    of delta_n^2.  The one on the independent ``eigvalsh`` spectrum gives
+    delta_n within one bisection bracket, ``_RADIUS_TOL``: the two spectra
+    differ by round-off, so the two bisections can take opposite sides of
+    one midpoint and end a bracket apart."""
     n = g.shape[0]
     dec = eigendecompose_scaled_gram(g)
     delta_sq = dec.delta_sq
@@ -438,7 +439,7 @@ def _check_against_dense_reference(g):
     assert dec.d_n == want_dn
     tail = max(float(np.trace(g)) / n - float(dec.mu.sum()), 0.0) if dec.vals.size < n else 0.0
     assert delta_sq == bisect_critical_radius(dec.mu, n, tail)
-    assert delta_sq == pytest.approx(want_sq, rel=1e-14)
+    assert abs(np.sqrt(delta_sq) - np.sqrt(want_sq)) <= spectral._RADIUS_TOL
     rhs = np.random.default_rng(n).standard_normal((n, 3))
     scales, shift = [0.5, 1.0, 2.0], 0.1 * n
     got, _ = dec.ridge_solve(scales, shift, rhs)
@@ -457,9 +458,24 @@ def _lanczos_path_gram(n):
     return gram_scalar(ScalarKernelSpec("matern", 0.5, smoothness=1.5, dimension=3), x)
 
 
+def _bracket_apart_gram():
+    """A 16-point Matern nu = 0.5 Gram of the ``small_grams`` family whose
+    delta_n^2 is 0.25 from the decomposition and 0.25000000005820766 from
+    the ``eigvalsh`` spectrum (with SkylakeX and Haswell OpenBLAS kernels):
+    one bisection bracket apart."""
+    from opbounds.kernels import ScalarKernelSpec, gram_scalar
+
+    rng = np.random.default_rng(2574)
+    n = rng.integers(1, 61)
+    x = rng.uniform(-1, 1, (n, 2))
+    x[: rng.integers(0, n // 2 + 1)] = x[0]
+    return gram_scalar(ScalarKernelSpec("matern", 0.05, smoothness=0.5, dimension=2), x)
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_grams())
 @example(_lanczos_path_gram(300))  # three right-hand sides, as m = 3 outputs
+@example(_bracket_apart_gram())
 def test_radius_and_ridge_solve_match_dense_reference(g):
     _check_against_dense_reference(g)
 
@@ -529,7 +545,7 @@ def test_lanczos_decomposition_matches_dense_reference(kind, n, monkeypatch):
     # the squared fit's ridge systems take CG on the complement
     _, iterations = dec.ridge_solve([1.0], 0.5 * n * 0.01, np.ones((n, 1)))
     assert 0 < iterations < n
-    sk = make_p_sparsified(SketchSpec(s=40, n=n, p=0.5, dist="rademacher", seed=1)).matrix
+    sk = make_p_sparsified(SketchSpec(rows=40, n=n, p=0.5, dist="rademacher", seed=1)).matrix
     _check_report_against_dense(g, sk, c=2.0)
 
 
