@@ -1,5 +1,6 @@
 """Every OpenBLAS in the process on one thread for the length of a run, and
-the Gram's symmetric products through numpy's OpenBLAS ``dsymv``.
+the products with a symmetric Gram that read one triangle of it, through
+numpy's OpenBLAS ``dsymv`` and ``dtrmm``.
 
 A GEMM split across BLAS threads sums in another order, and so does any
 LAPACK routine built on it, so record bytes would depend on the caller's
@@ -16,16 +17,22 @@ thread of :func:`_overlap`, whose one caller is ``cli._run_sketch_regress``:
 each BLAS call there still runs on one thread, in its caller's order, and
 record bytes do not depend on which stage finishes first.
 
-The same scan of the loaded copies finds numpy's ``cblas_dsymv``
-(``scipy_cblas_dsymv64_`` in its ILP64 scipy-openblas wheel), looked up at
-the first product and cached.  :func:`_symmetric_rows` multiplies rows by a
-symmetric Gram through it, reading one triangle where a GEMV or GEMM reads
-the whole matrix; ``spectral``'s Lanczos steps and deflated CG, which run
-only above ``spectral.N_DENSE`` points, are its callers.  Where no loaded
-OpenBLAS exports the routine (numpy on another BLAS, or no
-``/proc/self/maps``), the product is ``rows @ g``.  The two branches sum in
-another order, so records above N_DENSE points differ between them by
-round-off.
+The same scan of the loaded copies binds two BLAS routines of numpy's copy
+that read one triangle of a symmetric Gram, each looked up at its first call
+and cached, with its operands checked before any pointer is passed.
+:func:`_symmetric_rows` multiplies rows by the Gram through ``cblas_dsymv``
+(``scipy_cblas_dsymv64_`` in numpy's ILP64 scipy-openblas wheel), where a
+GEMV or GEMM reads the whole matrix; ``spectral``'s Lanczos steps and
+deflated CG, which run only above ``spectral.N_DENSE`` points, are its
+callers.  :func:`_upper_times` writes U B over B, for U the upper triangle
+of the Gram with its diagonal, through ``cblas_dtrmm``
+(``scipy_cblas_dtrmm64_``), half the multiply-adds of the GEMM;
+``complexity._quad_forms``, the Monte-Carlo quadratic forms of
+``bound-compare``, is its caller.  Where no loaded OpenBLAS exports a
+routine (numpy on another BLAS, or no ``/proc/self/maps``), its caller takes
+the GEMM: ``rows @ g`` for the rows, and ``G Sigma`` for the forms.  The
+branches sum in another order, so records above N_DENSE points, and every
+``bound-compare`` record, differ between them by round-off.
 """
 
 import ctypes
@@ -74,25 +81,68 @@ def _openblas() -> tuple:
     )
 
 
-#: cblas_dsymv of numpy's ILP64 scipy-openblas, and the CBLAS enums it takes
-_DSYMV = "scipy_cblas_dsymv64_"
-_ROW_MAJOR, _UPPER = 101, 121
+#: cblas_dsymv and cblas_dtrmm of numpy's ILP64 scipy-openblas, and the
+#: CBLAS enums they take
+_DSYMV, _DTRMM = "scipy_cblas_dsymv64_", "scipy_cblas_dtrmm64_"
+_ROW_MAJOR, _UPPER, _NO_TRANS, _LEFT, _NON_UNIT = 101, 121, 111, 141, 131
+_I64, _PTR, _DOUBLE, _ENUM = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_int
+
+
+def _bind(symbol: str, argtypes: list):
+    """``symbol`` of the first loaded OpenBLAS that exports it, with its
+    argument types declared, or None when none does (numpy on another BLAS,
+    or no ``/proc/self/maps``)."""
+    for lib in _libraries():
+        if hasattr(lib, symbol):
+            routine = getattr(lib, symbol)
+            routine.argtypes = argtypes
+            routine.restype = None
+            return routine
+    return None
 
 
 @functools.cache
 def _dsymv():
-    """numpy's ``cblas_dsymv`` with its argument types declared, or None when
-    no loaded OpenBLAS exports it (numpy on another BLAS, or no
-    ``/proc/self/maps``)."""
-    for lib in _libraries():
-        if hasattr(lib, _DSYMV):
-            symv = getattr(lib, _DSYMV)
-            i64, ptr = ctypes.c_int64, ctypes.c_void_p
-            symv.argtypes = [ctypes.c_int, ctypes.c_int, i64, ctypes.c_double, ptr, i64,
-                             ptr, i64, ctypes.c_double, ptr, i64]
-            symv.restype = None
-            return symv
-    return None
+    """numpy's ``cblas_dsymv``, or None when no loaded OpenBLAS exports it."""
+    return _bind(_DSYMV, [_ENUM, _ENUM, _I64, _DOUBLE, _PTR, _I64, _PTR, _I64, _DOUBLE,
+                          _PTR, _I64])
+
+
+@functools.cache
+def _dtrmm():
+    """numpy's ``cblas_dtrmm``, or None when no loaded OpenBLAS exports it."""
+    return _bind(_DTRMM, [_ENUM] * 5 + [_I64, _I64, _DOUBLE, _PTR, _I64, _PTR, _I64])
+
+
+def _check_gram(g) -> int:
+    """The size n of ``g``, raising ValueError unless it is a square
+    C-contiguous float64 matrix: the layout the bound routines read."""
+    if not (g.ndim == 2 and g.shape[0] == g.shape[1] and g.dtype == np.float64
+            and g.flags.c_contiguous):
+        raise ValueError(f"need a square C-contiguous float64 matrix, got {g.dtype} {g.shape}")
+    return g.shape[0]
+
+
+def _upper_times(g, b, alpha: float) -> None:
+    """b := alpha U b in place, for U the upper triangle of the n x n g
+    (C-contiguous float64) with its diagonal and b a writeable C-contiguous
+    float64 array of n rows, by one Level-3 BLAS ``dtrmm`` (Dongarra, Du Croz,
+    Duff & Hammarling 1990), which reads only that triangle: half the
+    multiply-adds of ``g @ b``.  Raises ValueError on any other operands, and
+    RuntimeError where numpy's OpenBLAS does not export the routine; callers
+    test ``_dtrmm()`` first and take the GEMM there."""
+    n = _check_gram(g)
+    if not (b.ndim == 2 and b.shape[0] == n and b.dtype == np.float64
+            and b.flags.c_contiguous and b.flags.writeable):
+        raise ValueError(f"need a writeable C-contiguous float64 matrix of {n} rows, got "
+                         f"{b.dtype} {b.shape}")
+    trmm = _dtrmm()
+    if trmm is None:
+        raise RuntimeError(f"no loaded OpenBLAS exports {_DTRMM}")
+    cols = b.shape[1]
+    if cols:
+        trmm(_ROW_MAJOR, _LEFT, _UPPER, _NO_TRANS, _NON_UNIT, n, cols, alpha, g.ctypes.data,
+             n, b.ctypes.data, cols)
 
 
 def _symmetric_rows(rows, g):
@@ -104,10 +154,7 @@ def _symmetric_rows(rows, g):
     the GEMV, and three rows 1.1 against 1.5 ms for the GEMM.  It sums in
     another order than the GEMM, so it agrees with ``rows @ g`` to round-off;
     where numpy's OpenBLAS does not export the routine it is ``rows @ g``."""
-    if not (g.ndim == 2 and g.shape[0] == g.shape[1] and g.dtype == np.float64
-            and g.flags.c_contiguous):
-        raise ValueError(f"need a square C-contiguous float64 matrix, got {g.dtype} {g.shape}")
-    n = g.shape[0]
+    n = _check_gram(g)
     x = np.ascontiguousarray(rows, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != n:
         raise ValueError(f"rows of shape {x.shape} do not match a Gram of {n} points")

@@ -284,8 +284,10 @@ def separable_bound(
     sqrt(kappa Tr(M1)) / n * pf_norm * top_norm.  The convention consistent
     with the general product bound, sqrt(kappa Tr(M1) / n) in place of the
     lead factor, is ``DeepObjective.pf_total``."""
-    if kappa < 0 or tr_m1 < 0 or n < 1:
-        raise InputError("separable bound needs nonnegative kappa, Tr(M1) and n >= 1")
+    if not (0 <= kappa < np.inf and 0 <= tr_m1 < np.inf and 1 <= n < np.inf):
+        raise InputError("separable bound needs finite nonnegative kappa, Tr(M1) and n >= 1")
+    if not (np.isfinite(pf_norm) and np.isfinite(top_norm)):
+        raise InputError("separable bound needs finite norms")
     return float(np.sqrt(kappa * tr_m1) / n * pf_norm * top_norm)
 
 

@@ -109,10 +109,14 @@ class ScalarKernelSpec:
         return 1.0
 
 
-def finite_matrix(a, name: str, square: bool = True) -> np.ndarray:
-    """``a`` as a float array, checked to be a nonempty, finite matrix, and
-    square unless ``square`` is False."""
-    return _finite_range(a, name, square)[0]
+def finite_matrix(a, name: str, square: bool = True, symmetric: bool = False) -> np.ndarray:
+    """``a`` as a float array, checked to be a nonempty, finite matrix,
+    square unless ``square`` is False, and exactly symmetric when
+    ``symmetric`` is True."""
+    a = _finite_range(a, name, square)[0]
+    if symmetric and not np.array_equal(a, a.T):
+        raise InputError(f"{name} must be exactly symmetric")
+    return a
 
 
 def _finite_range(a, name: str, square: bool = True) -> tuple[np.ndarray, float, float]:
@@ -206,9 +210,7 @@ def _solve_lower_in_place(lower: np.ndarray, panel: np.ndarray) -> None:
 
 def make_output_matrix(m: np.ndarray) -> np.ndarray:
     """Validate an output matrix: exactly symmetric, PSD up to tolerance."""
-    m = finite_matrix(m, "output matrix")
-    if not np.array_equal(m, m.T):
-        raise InputError("output matrix must be exactly symmetric")
+    m = finite_matrix(m, "output matrix", symmetric=True)
     require_psd(np.linalg.eigvalsh(m), "output matrix")
     return m
 

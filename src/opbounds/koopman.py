@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexity import ClassMc, McEstimate, _quad_forms, trace_bound
+from .complexity import ClassMc, McEstimate, trace_bound
 from .errors import DegenerateInputError, InputError, NonInjectiveError, NumericError
 from .kernels import DecomposableKernel, check_kappa, finite_matrix
 
@@ -213,12 +213,13 @@ class ApproxMc:
 
     The operator Grams are ``g_in (x) out`` over the data and
     ``g_mid (x) out`` over the mid points, given by their factors: the
-    n x n scalar Grams ``g_in``, ``g_mid`` and the m x m output matrix
-    ``out`` (dense nm x nm Grams are the case ``out = [[1.0]]``).  Sign
-    draws have width n*m; every quadratic form is ``<Sigma, G Sigma M>``.
-    The surrogate class is the (K, n, m) stack ``coeffs``: surrogate k is
-    the kernel expansion over the mid points with coefficients
-    ``coeffs[k]``, so its RKHS norm is ``sqrt(<c, g_mid c out>)``.
+    n x n scalar Grams ``g_in``, ``g_mid``, each exactly symmetric (the forms
+    read one triangle of it), and the m x m output matrix ``out`` (dense
+    nm x nm Grams are the case ``out = [[1.0]]``).  Sign draws have width
+    n*m; every quadratic form is ``<Sigma, G Sigma M>``.  The surrogate
+    class is the (K, n, m) stack ``coeffs``: surrogate k is the kernel
+    expansion over the mid points with coefficients ``coeffs[k]``, so its
+    RKHS norm is ``sqrt(<c, g_mid c out>)``, read off ``g_mid c out``.
 
     Per sign draw, with u_n and u~_n the sign-weighted kernel sums in the
     input and mid spaces, gamma = ||u_n|| / ||u~_n||; for each candidate h'
@@ -235,7 +236,9 @@ class ApproxMc:
     """
 
     def __init__(self, coeffs, g_in, g_mid, out):
-        g_in, g_mid = finite_matrix(g_in, "input Gram"), finite_matrix(g_mid, "mid Gram")
+        # C-ordered, the layout the forms' dtrmm reads; a no-op for the CLI's Grams
+        g_in = np.ascontiguousarray(finite_matrix(g_in, "input Gram", symmetric=True))
+        g_mid = np.ascontiguousarray(finite_matrix(g_mid, "mid Gram", symmetric=True))
         out = finite_matrix(out, "output matrix")
         if g_in.shape != g_mid.shape:
             raise InputError("input and mid Grams must have equal shape")
@@ -255,7 +258,7 @@ class ApproxMc:
         # loop-invariant half of <h', u~_n>
         self.coeff_g = (g_mid @ coeffs @ out).reshape(coeff_mat.shape)
         self.products = (self.coeff_g,)
-        self.norms_sq = _quad_forms(coeff_mat, g_mid, out)
+        self.norms_sq = np.einsum("kj,kj->k", coeff_mat, self.coeff_g)
         if not (np.all(np.isfinite(self.coeff_g)) and np.all(np.isfinite(self.norms_sq))):
             raise NumericError("surrogate Gram products or norms overflow to non-finite values")
         # beta_h for every h in the class

@@ -349,6 +349,8 @@ def critical_radius(mu, n: int, tail: float) -> float:
 def statistical_dimension(mu, delta_sq: float) -> int:
     """Minimal 1-based index j with mu_j <= delta_sq; n if none qualifies."""
     mu = np.asarray(mu, dtype=float)
+    if not (np.isfinite(delta_sq) and np.all(np.isfinite(mu))):
+        raise InputError("statistical dimension needs a finite delta_sq and finite eigenvalues")
     below = np.flatnonzero(mu <= delta_sq)
     if below.size == 0:
         return int(mu.size)

@@ -28,6 +28,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma, kv
 
+from opbounds import _blas
 from opbounds._rng import rademacher, substream
 from opbounds.complexity import _BLOCK, BallMc, ClassMc
 from opbounds.deepvv import _ARMIJO, _MIN_STEP, TrainResult, _pencil_basis, _top_eigenvalue, _whiten
@@ -439,6 +440,28 @@ def quad_forms_full(rows, g, out) -> np.ndarray:
     return np.einsum("iar,iar->r", w, np.matmul(out, gw))
 
 
+def quad_forms_triangle(signs, g, out) -> np.ndarray:
+    """The library's forms of the +-1 rows of ``signs`` with M applied to the
+    whole array at once, always: 2 <Sigma, U Sigma M> with ``2 U Sigma``
+    from the library's ``dtrmm`` into a copy of Sigma and M applied into a
+    third array, less the diagonal term in the library's order;
+    :func:`quad_forms_full` where numpy's OpenBLAS does not export the
+    routine, as the library's forms are then the GEMM's."""
+    if _blas._dtrmm() is None:
+        return quad_forms_full(signs, g, out)
+    n, m = g.shape[0], out.shape[0]
+    c = signs.shape[0]
+    w = np.ascontiguousarray(signs.T).reshape(n, m * c)
+    uw = w.copy()
+    _blas._upper_times(g, uw, 2.0)
+    w = w.reshape(n, m, c)
+    forms = np.einsum("iar,iar->r", w, np.matmul(out, uw.reshape(n, m, c)))
+    forms -= np.trace(g) * np.trace(out)
+    for a, b in zip(*np.nonzero(np.triu(out, 1))):
+        forms -= 2.0 * out[a, b] * np.einsum("i,ir,ir->r", g.diagonal(), w[:, a], w[:, b])
+    return forms
+
+
 def rademacher_integers(g, shape) -> np.ndarray:
     """+-1 draws of shape ``shape`` as the library first drew them: integer
     draws of 0 or 1, converted to floats."""
@@ -447,8 +470,8 @@ def rademacher_integers(g, shape) -> np.ndarray:
 
 class SignBlockLazy:
     """One sign block that keeps its row-major signs and computes each
-    (Gram, M) form on its first request, from a column-major copy made for
-    the first form."""
+    (Gram, M) form on its first request, by :func:`quad_forms_triangle`, from
+    a column-major copy made for the first form."""
 
     def __init__(self, signs):
         self.signs = signs
@@ -460,7 +483,7 @@ class SignBlockLazy:
         if key not in self._forms:
             if self._signs_f is None:
                 self._signs_f = np.asfortranarray(self.signs)
-            self._forms[key] = np.maximum(quad_forms_full(self._signs_f, g, out), 0.0)
+            self._forms[key] = np.maximum(quad_forms_triangle(self._signs_f, g, out), 0.0)
         return self._forms[key]
 
 

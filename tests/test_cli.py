@@ -655,7 +655,7 @@ def test_bound_compare_draws_each_sign_block_once(monkeypatch, tmp_path):
     # n=20 and 1,100 draws: blocks of 512, 512 and 76 draws.  Each is drawn
     # once and read by one quadratic form on the data Gram and one on the mid
     # Gram, shared by the ball, class and approximation estimates
-    from opbounds import complexity, koopman
+    from opbounds import complexity
 
     n, m, draws = 20, 2, 1100
     cfg = json.loads(json.dumps(BOUND_COMPARE))
@@ -680,7 +680,6 @@ def test_bound_compare_draws_each_sign_block_once(monkeypatch, tmp_path):
     monkeypatch.setattr(complexity, "substream", counted_substream)
     monkeypatch.setattr(cli, "gram_scalar", counted_gram)
     monkeypatch.setattr(complexity, "_quad_forms", counted_forms)
-    monkeypatch.setattr(koopman, "_quad_forms", counted_forms)
     run("bound-compare", cfg, None, tmp_path)
     assert streams == [0, 1, 2]
     g_data, g_mid = grams

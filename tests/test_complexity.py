@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opbounds._rng import rademacher, substream
@@ -24,6 +24,7 @@ from oracles import (
     expansion_norm,
     gram_operator,
     quad_forms_full,
+    quad_forms_triangle,
     rademacher_ball_exact,
     rademacher_integers,
 )
@@ -60,6 +61,43 @@ def test_quad_forms_match_per_row_products(width, m, rows, seed):
     dense = np.kron(g, out)
     expected = np.array([sigma @ dense @ sigma for sigma in signs])
     np.testing.assert_allclose(_quad_forms(signs, g, out), expected, rtol=1e-12, atol=0.0)
+
+
+def _assert_forms_close(got, signs, g, out):
+    """Each form within 1e-12 of the GEMM form, relative to the form of the
+    entries' absolute values, which bounds every term of either sum."""
+    scale = quad_forms_full(np.abs(signs), np.abs(g), np.abs(out))
+    assert np.all(np.abs(got - quad_forms_full(signs, g, out)) <= 1e-12 * scale)
+
+
+_GAUSS = ScalarKernelSpec("gaussian", 1.0, dimension=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 3),
+    gram=st.sampled_from(["points", "duplicate points", "zero"]),
+    identity=st.booleans(),
+    rows=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, m=1, gram="points", identity=True, rows=1, seed=0)
+@example(n=1, m=3, gram="points", identity=False, rows=5, seed=1)
+@example(n=12, m=2, gram="duplicate points", identity=True, rows=512, seed=2)
+@example(n=7, m=3, gram="zero", identity=False, rows=40, seed=3)
+def test_triangular_forms_match_the_gemm_forms(n, m, gram, identity, rows, seed):
+    # 2 <Sigma, U Sigma M> less the diagonal term, from one triangle of G,
+    # into a fresh array and into a work array
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, (n, 2))
+    if gram == "duplicate points":  # every point is one of a few
+        pts = pts[rng.integers(0, max(1, n // 3), size=n)]
+    g = np.zeros((n, n)) if gram == "zero" else gram_scalar(_GAUSS, pts)
+    out = np.eye(m) if identity else random_psd(m, rng)
+    signs = np.asfortranarray(rademacher_integers(rng, (rows, n * m)))
+    _assert_forms_close(_quad_forms(signs, g, out), signs, g, out)
+    _assert_forms_close(_quad_forms(signs, g, out, np.empty(signs.shape)), signs, g, out)
 
 
 @settings(max_examples=200, deadline=None)
@@ -99,11 +137,14 @@ def test_sign_blocks_draw_block_c_from_substream_c(total, width):
 )
 def test_quad_forms_identity_m_and_work_array_change_no_bit(width, m, rows, seed):
     # multiplying by the identity changes no value, and a given work array
-    # receives the G Sigma a fresh one would
+    # receives the 2 U Sigma a fresh one would; the oracle is the library's
+    # form with M applied to the whole block, and the GEMM form is its
+    # reference to 1e-12
     rng = np.random.default_rng(seed)
     g = random_psd(width, rng)
     signs = np.asfortranarray(rademacher_integers(rng, (rows, width * m)))
-    want = quad_forms_full(signs, g, np.eye(m))
+    want = quad_forms_triangle(signs, g, np.eye(m))
+    _assert_forms_close(want, signs, g, np.eye(m))
     work = np.empty((rows, width * m))
     assert _quad_forms(signs, g, np.eye(m)).tobytes() == want.tobytes()
     assert _quad_forms(signs, g, np.eye(m), work).tobytes() == want.tobytes()

@@ -3,7 +3,8 @@ input or the mid space), all-zero labels, one output, a rank-deficient output
 matrix M and sketches with more rows than points.  Each call must return
 finite numbers or raise a typed OpboundsError; a bare numpy error or a NaN
 fails the test.  Arguments with no meaning (no estimators, no layers, no
-points, n = 0, no eigenpairs) raise InputError before any work."""
+points, n = 0, no eigenpairs, a NaN scalar) raise InputError before any
+work."""
 
 import warnings
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opbounds.complexity import BallMc, McConfig, run_mc
+from opbounds.complexity import BallMc, McConfig, run_mc, trace_bound
 from opbounds.deepvv import (
     DeepObjective, TrainConfig, init_layered_model, separable_bound, train,
 )
@@ -24,7 +25,7 @@ from opbounds.losses import LossSpec
 from opbounds.sketching import SketchSpec, make_p_sparsified
 from opbounds.spectral import (
     check_satisfiability, critical_radius, eigendecompose_scaled_gram, kernel_spectrum,
-    sketched_gram,
+    sketched_gram, statistical_dimension,
 )
 from oracles import fit_full_on, fit_sketched_on, pencil_max
 
@@ -206,6 +207,9 @@ MEANINGLESS_CALLS = {
     "run_mc with two sign widths": lambda: run_mc([_ball(3), _ball(4)], McConfig(10)),
     "a model without layers": lambda: init_layered_model(_X[:4], [], [], 0),
     "separable bound at n = 0": lambda: separable_bound(1.0, 1.0, 0, 1.0, 1.0),
+    "separable bound of a NaN kappa": lambda: separable_bound(np.nan, 1.0, 3, 1.0, 1.0),
+    "trace bound of a NaN kappa": lambda: trace_bound(np.nan, 1.0, 3),
+    "statistical dimension at a NaN radius": lambda: statistical_dimension(_MU, np.nan),
     "critical radius at n = 0": lambda: critical_radius(_MU, 0, 0.0),
     "critical radius with a NaN eigenvalue": lambda: critical_radius(
         np.array([0.5, np.nan, 0.1]), 3, 0.0

@@ -2,13 +2,15 @@
 
 Every public entry point that takes a square matrix rejects NaN, +-inf, a
 non-square and an empty matrix with a typed OpboundsError
-(``kernels.finite_matrix``); the sketched products (G S^T, S G S^T) that
-``fit_sketched`` solves on and the S G S^T that ``check_satisfiability``
-reads are rejected with an InputError when non-finite or not of the shapes
-of one sketch, and so is a sketch S that is non-finite, empty, not a matrix
-or not of one column per Gram point; the layer-weight functions take
-rectangular weights and reject non-finite or empty ones, and every entry
-point that takes labels rejects non-finite ones (``kernels.as_labels``).  Every PSD verdict goes
+(``kernels.finite_matrix``), and an output matrix or a Monte-Carlo
+estimator's Gram that is not exactly symmetric with an InputError; the
+sketched products (G S^T, S G S^T) that ``fit_sketched`` solves on and the
+S G S^T that ``check_satisfiability`` reads are rejected with an InputError
+when non-finite or not of the shapes of one sketch, and so is a sketch S
+that is non-finite, empty, not a matrix or not of one column per Gram point;
+the layer-weight functions take rectangular weights and reject non-finite or
+empty ones, and every entry point that takes labels rejects non-finite ones
+(``kernels.as_labels``).  Every PSD verdict goes
 through ``kernels.require_psd``, so each site accepts a smallest eigenvalue
 at 0.9 times its tolerance ``PSD_TOL * max(|lambda_max|, 1)`` and rejects
 one at 1.1 times it.  The one exception is the spectrum of a Gram of more than
@@ -99,6 +101,24 @@ def _quiet():
 def test_square_matrix_entry_points_reject_bad_matrices(entry, bad):
     with pytest.raises(OpboundsError):
         SQUARE_ENTRY_POINTS[entry](np.asarray(BAD_SQUARE[bad]))
+
+
+#: The entry points of SQUARE_ENTRY_POINTS that read one triangle of their
+#: matrix: an output matrix, and the Grams of the Monte-Carlo forms
+SYMMETRIC_ENTRY_POINTS = (
+    "make_output_matrix", "BallMc Gram", "ApproxMc input Gram", "ApproxMc mid Gram",
+)
+
+#: finite, PD and one ulp away from symmetric
+NOT_SYMMETRIC = [[1.0, 0.25], [0.25 * (1.0 + 2.0**-52), 1.0]]
+
+
+@pytest.mark.parametrize("entry", SYMMETRIC_ENTRY_POINTS)
+def test_symmetric_entry_points_reject_a_matrix_not_exactly_symmetric(entry):
+    call = SQUARE_ENTRY_POINTS[entry]
+    call(np.array([[1.0, 0.25], [0.25, 1.0]]))
+    with pytest.raises(InputError, match="must be exactly symmetric"):
+        call(np.array(NOT_SYMMETRIC))
 
 
 def _fit_sketched(k_sk, sgs):

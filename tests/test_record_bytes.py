@@ -106,8 +106,8 @@ RELOAD = {
 }
 
 DIGESTS = {
-    "bound-compare": "351e797196b49b8160107b79cb1b5b38b2ad1c7a115526db332612b4a5c10c9f",
-    "bound-compare-m": "3f99c58264682ededfdbfaf075756d4b34f9bddb3eb47333e545fac0a67b39f4",
+    "bound-compare": "e0474875097640d73c320a59aa8a15c09e829eafdb1ed4f4213e85e0b52a2508",
+    "bound-compare-m": "b0db3ddd8c8484f3613615703346e542ce9a4a819aa62b978d33826d29d4eb70",
     "sketch-regress": "7334d79c500b8edc0b1c0d3156db408c11e5f975307420441e2267774b3fa360",
     "sketch-regress-huber-m": "66519ab30e7bc12f2fdefc7973a0172807ea6a4e41de0a8d62c8c06edf7517a8",
     "spectral-report": "31dcaa46daeafecbab90cc8146e7235de93c2c0d45eb86893e07a5329d027021",
